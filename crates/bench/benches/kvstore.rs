@@ -4,10 +4,9 @@
 //!
 //! One group per mix × distribution panel; within each group, one series
 //! per variant (the short-transaction layouts, the BaseTM full-transaction
-//! shape and the lock-free baseline).  The `scan_heavy` groups measure the
-//! YCSB-E shape: zipfian-length range scans (atomically consistent full
-//! transactions for the STM store, best-effort walks for the lock-free
-//! baseline) mixed with fresh-key inserts.
+//! shape and the lock-free baseline).  Scan latency is not measured here:
+//! the repo benchmark's `store.scan16_ns` rung (benchmark/README.md) and the
+//! `kv --workload e` sweep (EXPERIMENTS.md) cover it.
 //!
 //! The `kv_value_*` groups sweep the payload size — 8 B (the inline
 //! fast path: word-sized values never touch the allocator), 100 B and
@@ -53,10 +52,9 @@ fn bench_kv_panel(c: &mut Criterion, name: &str, mix: KvMix, dist: KeyDist, valu
     let mut group = c.benchmark_group(name);
     configure(&mut group);
     // Bytes-per-op annotation only for the point-operation mixes, where one
-    // operation moves exactly one value of the distribution.  A scan moves
-    // dozens of values per operation and an RMW moves `rmw_keys`, so a flat
-    // per-value figure would misreport their MB/s by a mix-dependent factor;
-    // those panels report ns/iter only.
+    // operation moves exactly one value of the distribution.  An RMW moves
+    // `rmw_keys`, so a flat per-value figure would misreport its MB/s by a
+    // mix-dependent factor; those panels report ns/iter only.
     if matches!(mix, KvMix::ReadHeavy | KvMix::UpdateHeavy | KvMix::ReadOnly) {
         group.throughput(Throughput::Bytes(value_size.mean_len() as u64));
     }
@@ -101,11 +99,6 @@ fn update_heavy(c: &mut Criterion) {
 fn read_modify_write(c: &mut Criterion) {
     mix_panel(c, KvMix::ReadModifyWrite, KeyDist::Uniform);
     mix_panel(c, KvMix::ReadModifyWrite, KeyDist::Latest);
-}
-
-fn scan_heavy(c: &mut Criterion) {
-    mix_panel(c, KvMix::ScanHeavy, KeyDist::Uniform);
-    mix_panel(c, KvMix::ScanHeavy, KeyDist::Zipfian);
 }
 
 /// The value-size sweep: 8 B inline, 100 B and 1 KiB out-of-line cells,
@@ -263,7 +256,6 @@ criterion_group!(
     read_heavy,
     update_heavy,
     read_modify_write,
-    scan_heavy,
     value_sizes,
     load_factors,
     batch_sizes,

@@ -19,7 +19,7 @@
 //!   [`spectm::encode_int`] convention as the hash structures.
 //!
 //! The `*_in` methods ([`StmSkipList::insert_in`], [`StmSkipList::remove_in`],
-//! [`StmSkipList::collect_keys_in`], [`StmSkipList::collect_range_in`]) run
+//! [`StmSkipList::collect_range_in`], [`StmSkipList::walk_merged_in`]) run
 //! the same walks inside a caller-provided full transaction, which is what
 //! lets the sharded KV store keep a per-shard ordered index transactionally
 //! consistent with its hash shard and serve atomic range scans.
@@ -33,6 +33,8 @@
 //! * **Full** — every insert/remove/search is one ordinary transaction.
 //! * **Fine** — the same fine-grained steps as **Short**, but each step is an
 //!   ordinary transaction (the `orec-full-g (fine)` line of Figure 6(a)).
+
+use std::ops::ControlFlow;
 
 use spectm::{
     decode_int, encode_int, is_marked, mark, unmark, FullTx, Stm, StmThread, TxResult, Word,
@@ -784,9 +786,9 @@ impl<S: Stm> StmSkipList<S> {
     /// transaction, regardless of this instance's [`ApiMode`].
     pub fn read_value_in(&self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<u64>> {
         let mut out = None;
-        self.walk_range_in(key, key, 1, tx, |_, value_cell, tx| {
+        self.walk_range_in(key, key, tx, |_, value_cell, tx| {
             out = Some(dec(tx.read(value_cell)?));
-            Ok(())
+            Ok(ControlFlow::Break(()))
         })?;
         Ok(out)
     }
@@ -1031,39 +1033,8 @@ impl<S: Stm> StmSkipList<S> {
     fn contains_txn(&self, key: u64, thread: &mut S::Thread) -> bool {
         thread
             .atomic(|tx| {
-                let head_lvl = decode_int(tx.read(&self.level_hint)?).clamp(1, MAX_LEVEL);
-                let mut pred_cell: *const S::Cell = &self.head[head_lvl - 1];
-                let mut found: Word = 0;
-                for lvl in (0..head_lvl).rev() {
-                    // SAFETY: see `insert_txn`.
-                    let mut curr = unmark(tx.read(unsafe { &*pred_cell })?);
-                    loop {
-                        if curr == 0 {
-                            break;
-                        }
-                        // SAFETY: as above.
-                        let tower = unsafe { &*Self::tower(curr) };
-                        if tower.key >= key {
-                            if tower.key == key {
-                                found = curr;
-                            }
-                            break;
-                        }
-                        let next = tx.read(&tower.next[lvl])?;
-                        pred_cell = &tower.next[lvl];
-                        curr = unmark(next);
-                    }
-                    if lvl > 0 {
-                        // SAFETY: as above.
-                        pred_cell = self.step_down(unsafe { &*pred_cell }, lvl);
-                    }
-                }
-                if found == 0 {
-                    return Ok(false);
-                }
-                // SAFETY: as above.
-                let tower = unsafe { &*Self::tower(found) };
-                Ok(!is_marked(tx.read(&tower.next[0])?))
+                let at_key = self.seek_in(key, tx)?;
+                Ok(Self::next_live_in(at_key, key, tx)?.is_some())
             })
             .expect("contains transaction is never cancelled")
     }
@@ -1072,25 +1043,11 @@ impl<S: Stm> StmSkipList<S> {
     // Range scans (inside a caller-provided full transaction)
     // ------------------------------------------------------------------
 
-    /// Walks the live towers with `start <= key <= last` in key order (at
-    /// most `limit` of them), invoking `visit(key, value_cell, tx)` for
-    /// each.  The descent to the start position and every level-0 link on
-    /// the way enter the transaction's read set, so the visited range is an
-    /// atomically consistent snapshot when the transaction commits.
-    fn walk_range_in<F>(
-        &self,
-        start: u64,
-        last: u64,
-        limit: usize,
-        tx: &mut FullTx<'_, S::Thread>,
-        mut visit: F,
-    ) -> TxResult<()>
-    where
-        F: FnMut(u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<()>,
-    {
-        if start > last || limit == 0 {
-            return Ok(());
-        }
+    /// Descends to the level-0 position of `start` and returns the first
+    /// tower word there (its key is `>= start`; `0` at the end of the list).
+    /// The level hint and every link crossed on the way down enter the
+    /// transaction's read set.
+    fn seek_in(&self, start: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
         let head_lvl = decode_int(tx.read(&self.level_hint)?).clamp(1, MAX_LEVEL);
         let mut pred_cell: *const S::Cell = &self.head[head_lvl - 1];
         for lvl in (0..head_lvl).rev() {
@@ -1116,60 +1073,105 @@ impl<S: Stm> StmSkipList<S> {
         }
         // `pred_cell` now points at the last level-0 link before `start`.
         // SAFETY: as above.
-        let mut curr = unmark(tx.read(unsafe { &*pred_cell })?);
-        let mut visited = 0usize;
-        while curr != 0 && visited < limit {
-            // SAFETY: as above.
-            let tower = unsafe { &*Self::tower(curr) };
+        Ok(unmark(tx.read(unsafe { &*pred_cell })?))
+    }
+
+    /// The first live tower with `key <= last` at or after `cand` on level
+    /// 0, with its level-0 forward pointer: reading that pointer is what
+    /// establishes liveness, and it is the link a walk continues through.
+    /// The reference is valid for the rest of the transaction attempt.
+    fn next_live_in<'a>(
+        mut cand: Word,
+        last: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<(&'a Tower<S>, Word)>> {
+        while cand != 0 {
+            // SAFETY: see `upsert_body`.
+            let tower = unsafe { &*Self::tower(cand) };
             if tower.key > last {
                 break;
             }
-            debug_assert!(tower.key >= start, "descent overshot the start key");
             let next = tx.read(&tower.next[0])?;
             if !is_marked(next) {
-                visit(tower.key, &tower.value, tx)?;
-                visited += 1;
+                return Ok(Some((tower, next)));
             }
-            curr = unmark(next);
+            cand = unmark(next);
+        }
+        Ok(None)
+    }
+
+    /// Walks the live towers with `start <= key <= last` in key order,
+    /// invoking `visit(key, value_cell, tx)` for each until it returns
+    /// [`ControlFlow::Break`].  The descent to the start position and every
+    /// level-0 link on the way enter the transaction's read set, so the
+    /// visited range is an atomically consistent snapshot when the
+    /// transaction commits.
+    fn walk_range_in<F>(
+        &self,
+        start: u64,
+        last: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+        mut visit: F,
+    ) -> TxResult<()>
+    where
+        F: FnMut(u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
+    {
+        if start > last {
+            return Ok(());
+        }
+        let mut cand = self.seek_in(start, tx)?;
+        while let Some((tower, next)) = Self::next_live_in(cand, last, tx)? {
+            debug_assert!(tower.key >= start, "descent overshot the start key");
+            if visit(tower.key, &tower.value, tx)?.is_break() {
+                break;
+            }
+            cand = unmark(next);
         }
         Ok(())
     }
 
-    /// Collects up to `limit` live keys with `start <= key < end`, in key
-    /// order, inside an already-running full transaction.
-    pub fn collect_keys_in(
-        &self,
+    /// Walks several lists at once as one streaming k-way merge:
+    /// `visit(i, key, value_cell, tx)` sees the live towers of every
+    /// `lists[i]` with `start <= key <= last` in ascending key order (ties
+    /// in list order) until it returns [`ControlFlow::Break`].  This is the
+    /// cursor under the sharded KV store's scans, whose lists partition the
+    /// key space; like every range read here it is an atomically consistent
+    /// snapshot when the transaction commits.
+    ///
+    /// The transaction reads one descent per list, then one level-0 link
+    /// per tower visited — nothing is collected ahead of the visitor, so a
+    /// walk that stops after `n` towers has read `n` of them (plus the one
+    /// head each list holds ready).
+    pub fn walk_merged_in<F>(
+        lists: &[Self],
         start: u64,
-        end: u64,
-        limit: usize,
+        last: u64,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Vec<u64>> {
-        let Some(last) = end.checked_sub(1) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        self.walk_range_in(start, last, limit, tx, |key, _, _| {
-            out.push(key);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Collects up to `limit` live keys with `key >= start` (the whole tail
-    /// of the key space, including `u64::MAX`), in key order, inside an
-    /// already-running full transaction.
-    pub fn collect_tail_keys_in(
-        &self,
-        start: u64,
-        limit: usize,
-        tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Vec<u64>> {
-        let mut out = Vec::new();
-        self.walk_range_in(start, u64::MAX, limit, tx, |key, _, _| {
-            out.push(key);
-            Ok(())
-        })?;
-        Ok(out)
+        mut visit: F,
+    ) -> TxResult<()>
+    where
+        F: FnMut(usize, u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
+    {
+        let mut heads = Vec::with_capacity(lists.len());
+        for list in lists {
+            let cand = list.seek_in(start, tx)?;
+            heads.push(Self::next_live_in(cand, last, tx)?);
+        }
+        loop {
+            // `min_by_key` keeps the first of equal keys: ties in list order.
+            let lowest = heads
+                .iter()
+                .enumerate()
+                .filter_map(|(i, head)| head.map(|(tower, next)| (i, tower, next)))
+                .min_by_key(|&(_, tower, _)| tower.key);
+            let Some((i, tower, next)) = lowest else {
+                return Ok(());
+            };
+            if visit(i, tower.key, &tower.value, tx)?.is_break() {
+                return Ok(());
+            }
+            heads[i] = Self::next_live_in(unmark(next), last, tx)?;
+        }
     }
 
     /// Collects up to `limit` live `(key, value)` pairs with
@@ -1182,13 +1184,17 @@ impl<S: Stm> StmSkipList<S> {
         limit: usize,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Vec<(u64, u64)>> {
-        let Some(last) = end.checked_sub(1) else {
-            return Ok(Vec::new());
-        };
         let mut out = Vec::new();
-        self.walk_range_in(start, last, limit, tx, |key, value_cell, tx| {
+        if end == 0 || limit == 0 {
+            return Ok(out);
+        }
+        self.walk_range_in(start, end - 1, tx, |key, value_cell, tx| {
             out.push((key, dec(tx.read(value_cell)?)));
-            Ok(())
+            Ok(if out.len() < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            })
         })?;
         Ok(out)
     }
@@ -1497,13 +1503,93 @@ mod tests {
         for k in (0..100u64).step_by(2) {
             list.put(k, k * 10, &mut t);
         }
-        let keys = t.atomic(|tx| list.collect_keys_in(10, 30, 5, tx)).unwrap();
-        assert_eq!(keys, vec![10, 12, 14, 16, 18]);
+        list.put(u64::MAX, 7, &mut t);
+        let keys_of =
+            |pairs: Vec<(u64, u64)>| pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        let run = t.atomic(|tx| list.collect_range_in(10, 30, 5, tx)).unwrap();
+        assert_eq!(keys_of(run), vec![10, 12, 14, 16, 18]);
         let all = t
-            .atomic(|tx| list.collect_keys_in(90, u64::MAX, usize::MAX, tx))
+            .atomic(|tx| list.collect_range_in(90, u64::MAX, usize::MAX, tx))
             .unwrap();
-        assert_eq!(all, vec![90, 92, 94, 96, 98]);
+        assert_eq!(keys_of(all), vec![90, 92, 94, 96, 98]);
         assert!(list.range(5, 5, &mut t).is_empty());
+        assert!(t
+            .atomic(|tx| list.collect_range_in(0, 0, 5, tx))
+            .unwrap()
+            .is_empty());
+        assert!(t
+            .atomic(|tx| list.collect_range_in(0, 9, 0, tx))
+            .unwrap()
+            .is_empty());
+        // The walk's bounds are inclusive, so it reaches `u64::MAX` — which
+        // no half-open range can — and stops when the visitor says so.
+        let mut tail = Vec::new();
+        t.atomic(|tx| {
+            tail.clear();
+            list.walk_range_in(95, u64::MAX, tx, |key, _, _| {
+                tail.push(key);
+                Ok(ControlFlow::Continue(()))
+            })
+        })
+        .unwrap();
+        assert_eq!(tail, vec![96, 98, u64::MAX]);
+        let mut first = None;
+        t.atomic(|tx| {
+            list.walk_range_in(97, u64::MAX, tx, |key, _, _| {
+                first = Some(key);
+                Ok(ControlFlow::Break(()))
+            })
+        })
+        .unwrap();
+        assert_eq!(first, Some(98));
+    }
+
+    #[test]
+    fn merged_walk_streams_several_lists_in_key_order() {
+        let stm = ValShort::new();
+        let lists: Vec<_> = (0..3)
+            .map(|_| StmSkipList::new(&stm, ApiMode::Short))
+            .collect();
+        let mut t = stm.register();
+        // Keys partitioned by `k % 3`, `u64::MAX` (also `% 3 == 0`) on top.
+        for k in (0..60u64).chain([u64::MAX]) {
+            lists[(k % 3) as usize].put(k, k >> 1, &mut t);
+        }
+        lists[1].remove(31, &mut t);
+        let mut seen = Vec::new();
+        let mut merged = |start, last, limit: usize, t: &mut <ValShort as Stm>::Thread| {
+            t.atomic(|tx| {
+                seen.clear();
+                StmSkipList::walk_merged_in(&lists, start, last, tx, |i, key, cell, tx| {
+                    assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
+                    assert_eq!(dec(tx.read(cell)?), key >> 1);
+                    seen.push(key);
+                    Ok(if seen.len() < limit {
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(())
+                    })
+                })
+            })
+            .unwrap();
+            seen.clone()
+        };
+        assert_eq!(merged(28, 34, usize::MAX, &mut t), [28, 29, 30, 32, 33, 34]);
+        assert_eq!(merged(28, u64::MAX, 4, &mut t), [28, 29, 30, 32]);
+        assert_eq!(merged(58, u64::MAX, usize::MAX, &mut t), [58, 59, u64::MAX]);
+        assert_eq!(merged(60, u64::MAX - 1, usize::MAX, &mut t), [0u64; 0]);
+        assert_eq!(merged(9, 3, usize::MAX, &mut t), [0u64; 0]);
+        // One list is the plain walk.
+        let mut alone = Vec::new();
+        t.atomic(|tx| {
+            alone.clear();
+            StmSkipList::walk_merged_in(&lists[..1], 50, 60, tx, |_, key, _, _| {
+                alone.push(key);
+                Ok(ControlFlow::Continue(()))
+            })
+        })
+        .unwrap();
+        assert_eq!(alone, [51, 54, 57]);
     }
 
     #[test]

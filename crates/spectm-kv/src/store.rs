@@ -16,11 +16,13 @@
 //! changes (`put` of an absent key, `del`) run as one full transaction that
 //! updates both structures, so the invariant holds at every serialization
 //! point; value overwrites (`put` of a present key, `rmw`) never touch the
-//! index and keep their short/hot shapes.  Scans walk the indexes and read
-//! every value through the hash maps inside a single full transaction — an
-//! atomically consistent snapshot even against concurrent cross-shard
-//! `rmw`.  DESIGN.md § "The ordered index and range scans" has the full
-//! argument.
+//! index and keep their short/hot shapes.  A scan descends every shard's
+//! index once and then streams a k-way merge over them, reading each key's
+//! entry through its hash map as the merge yields it — all inside a single
+//! full transaction whose read set is what the scan returns plus the
+//! descents: an atomically consistent snapshot even against concurrent
+//! cross-shard `rmw`.  DESIGN.md § "The ordered index and range scans" has
+//! the full argument.
 //!
 //! Values are byte payloads behind value words (inline or epoch-reclaimed
 //! [`crate::ValueCell`]s); every operation that displaces a word retires it
@@ -54,6 +56,7 @@
 //!   set survives.  Writes may overshoot between sweeps; the invariant is
 //!   *at-or-under budget after a sweep*.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spectm::{Stm, StmThread, Word};
@@ -824,15 +827,18 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// Returns up to `limit` `(key, value)` pairs with `key >= start`, in
     /// ascending key order — the YCSB-E scan shape.
     ///
-    /// One full transaction fans out over every shard's ordered index,
-    /// reads each candidate value through the owning hash shard, and
-    /// merge-sorts the per-shard runs.  The result is an **atomically
+    /// One full transaction descends every shard's ordered index to
+    /// `start` once, then streams a k-way merge over them, reading each
+    /// key's entry through the owning hash shard as the merge yields it,
+    /// until `limit` live pairs are in hand — the transaction reads what
+    /// the scan returns, plus the descents.  Entries whose deadline has
+    /// passed are stepped over, not counted.  The result is an **atomically
     /// consistent snapshot**: it is serializable with every concurrent
     /// operation, including multi-key [`ShardedKv::rmw`] — a scan can never
-    /// observe a torn cross-shard update (the lock-free baseline's scan,
-    /// by contrast, offers no such guarantee).  Value payloads are copied
-    /// out inside the transaction, so the bytes are exactly the committed
-    /// bytes at the scan's serialization point.
+    /// observe a torn cross-shard update (the lock-free baseline's scan, by
+    /// contrast, offers no such guarantee).  Value payloads are copied out
+    /// inside the transaction, so the bytes are exactly the committed bytes
+    /// at the scan's serialization point.
     ///
     /// # Examples
     ///
@@ -857,19 +863,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         if limit == 0 {
             return Vec::new();
         }
-        let now = self.now_ms();
-        thread
-            .atomic(|tx| {
-                let mut runs = Vec::with_capacity(self.shards.len());
-                for (index, shard) in self.indexes.iter().zip(&self.shards) {
-                    // Each shard may contribute up to `limit` of the merged
-                    // result, so every run must be that deep.
-                    let keys = index.collect_tail_keys_in(start, limit, tx)?;
-                    runs.push(Self::read_run(shard, keys, now, tx)?);
-                }
-                Ok(Self::merge_runs(runs, limit))
-            })
-            .expect("scan is never cancelled")
+        self.snapshot_run(start, u64::MAX, limit, thread)
     }
 
     /// Returns every `(key, value)` pair with `start <= key < end`, in
@@ -879,72 +873,43 @@ impl<S: Stm + Clone> ShardedKv<S> {
         if start >= end {
             return Vec::new();
         }
+        self.snapshot_run(start, end - 1, usize::MAX, thread)
+    }
+
+    /// The one walk under [`ShardedKv::scan`] and [`ShardedKv::range`]: up
+    /// to `limit >= 1` live pairs with `start <= key <= last`, read inside
+    /// one full transaction.  Shards partition the key space, so the merged
+    /// walk yields each key once, and the index invariant guarantees it is
+    /// present in its hash shard at the transaction's serialization point.
+    fn snapshot_run(
+        &self,
+        start: u64,
+        last: u64,
+        limit: usize,
+        thread: &mut S::Thread,
+    ) -> Vec<(u64, Value)> {
         let now = self.now_ms();
+        let mut run = Vec::new();
         thread
             .atomic(|tx| {
-                let mut runs = Vec::with_capacity(self.shards.len());
-                for (index, shard) in self.indexes.iter().zip(&self.shards) {
-                    let keys = index.collect_keys_in(start, end, usize::MAX, tx)?;
-                    runs.push(Self::read_run(shard, keys, now, tx)?);
-                }
-                Ok(Self::merge_runs(runs, usize::MAX))
-            })
-            .expect("range is never cancelled")
-    }
-
-    /// Reads the value for every key of one per-shard run inside the scan's
-    /// transaction.  The index invariant guarantees each key is present in
-    /// the hash shard at the transaction's serialization point; entries
-    /// whose deadline has passed at `now_ms` are skipped (so a scan that
-    /// lands between an expiry and its sweep may return fewer than `limit`
-    /// pairs even when more live keys follow — the same contract as a
-    /// concurrent delete).
-    fn read_run(
-        shard: &StmHashMap<S>,
-        keys: Vec<u64>,
-        now_ms: u64,
-        tx: &mut spectm::FullTx<'_, S::Thread>,
-    ) -> spectm::TxResult<Vec<(u64, Value)>> {
-        let mut run = Vec::with_capacity(keys.len());
-        for key in keys {
-            let entry = shard.read_entry_in(key, tx)?;
-            debug_assert!(entry.is_some(), "index key {key} missing from its shard");
-            if let Some((value, deadline)) = entry {
-                if !deadline_expired(deadline, now_ms) {
-                    run.push((key, value));
-                }
-            }
-        }
-        Ok(run)
-    }
-
-    /// Merges sorted per-shard runs into one ascending result of at most
-    /// `limit` pairs.  Shards partition the key space, so keys are unique
-    /// across runs and a plain k-way smallest-head merge suffices.
-    fn merge_runs(mut runs: Vec<Vec<(u64, Value)>>, limit: usize) -> Vec<(u64, Value)> {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total.min(limit));
-        let mut cursors = vec![0usize; runs.len()];
-        while out.len() < limit {
-            let mut best: Option<usize> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if cursors[i] < run.len() {
-                    let candidate = run[cursors[i]].0;
-                    let beats = match best {
-                        None => true,
-                        Some(b) => candidate < runs[b][cursors[b]].0,
-                    };
-                    if beats {
-                        best = Some(i);
+                run.clear();
+                StmSkipList::walk_merged_in(&self.indexes, start, last, tx, |shard, key, _, tx| {
+                    let entry = self.shards[shard].read_entry_in(key, tx)?;
+                    debug_assert!(entry.is_some(), "index key {key} missing from its shard");
+                    if let Some((value, deadline)) = entry {
+                        if !deadline_expired(deadline, now) {
+                            run.push((key, value));
+                        }
                     }
-                }
-            }
-            let Some(i) = best else { break };
-            let (key, value) = std::mem::replace(&mut runs[i][cursors[i]], (0, Value::new(&[])));
-            out.push((key, value));
-            cursors[i] += 1;
-        }
-        out
+                    Ok(if run.len() < limit {
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(())
+                    })
+                })
+            })
+            .expect("scans are never cancelled");
+        run
     }
 
     /// Collects every `(key, value)` pair across all shards
@@ -1155,12 +1120,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_merges_shard_runs_in_key_order() {
+    fn scan_streams_across_shards_in_key_order() {
         let stm = ValShort::new();
         let store = ShardedKv::new(&stm, 4, 16, ApiMode::Short);
         let mut t = store.register();
-        // Keys land on different shards (the router mixes bits), so runs
-        // must interleave in the merge.
+        // Neighbouring keys land on different shards (the router mixes
+        // bits), so the merge switches index at almost every step.
         for k in 0..64u64 {
             store.put(k, &(k * 2).to_le_bytes(), &mut t).unwrap();
         }

@@ -21,10 +21,19 @@
 //!   via the index invariant — never miss or duplicate a key.  The
 //!   lock-free baseline's `scan` explicitly lacks this guarantee (its index
 //!   and table are updated by independent CASes); see `lockfree::kv`.
+//! * **Snapshots against short writers** — a writer that only ever issues
+//!   single-key short-transaction overwrites (`a` then `b`, same sequence
+//!   number) must still be seen in order by every scan: a read-only full
+//!   transaction validates at commit even though short commits move no
+//!   global counter.
 //! * **Sequential scan oracle** — a single-threaded random workload of
 //!   put/del/get/scan/range over variable-size payloads must match a
 //!   `BTreeMap` replay operation by operation, including the ordered
-//!   results and the exact bytes.
+//!   results and the exact bytes, at 1, 2 and 16 shards and at both ends
+//!   of the key space.
+//! * **Read-set budget** — the number of transactional reads a scan
+//!   performs (`Stats::full_reads`) is bounded by what it returns plus one
+//!   descent per shard.
 //!
 //! All concurrency runs through the deterministic scaffolding of
 //! [`common`]: barrier-started scoped workers with canonically seeded
@@ -37,7 +46,7 @@ use std::collections::BTreeMap;
 
 use common::{run_workers, thread_rng, Xorshift};
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
-use spectm::Stm;
+use spectm::{Stm, StmThread};
 use spectm_ds::ApiMode;
 use spectm_kv::{ShardedKv, Value};
 
@@ -313,51 +322,170 @@ fn scans_never_observe_torn_transfers<S: Stm + Clone>(
     assert_eq!(total, keys * INITIAL);
 }
 
-/// Single-threaded random workload including scans and ranges over
-/// variable-size payloads, replayed operation by operation against a
-/// `BTreeMap` oracle.
-fn sequential_scan_oracle<S: Stm + Clone>(stm: S, mode: ApiMode) {
-    const SPACE: u64 = 300;
-    let store = ShardedKv::new(&stm, 4, 32, mode);
-    let mut t = store.register();
-    let mut oracle: BTreeMap<u64, Value> = BTreeMap::new();
-    let mut rng = Xorshift::new(0x0AC1_E5EE_D001_u64);
-    for _ in 0..4_000 {
-        let k = rng.next() % SPACE;
-        let v = rng.next() >> 2;
-        match rng.next() % 6 {
-            0 | 1 => {
-                let bytes = payload(k, v);
-                assert_eq!(
-                    store.put(k, &bytes, &mut t).unwrap(),
-                    oracle.insert(k, Value::from(bytes)),
-                    "put {k}"
-                );
-            }
-            2 => assert_eq!(store.del(k, &mut t), oracle.remove(&k), "del {k}"),
-            3 => assert_eq!(store.get(k, &mut t), oracle.get(&k).cloned(), "get {k}"),
-            4 => {
-                let limit = (rng.next() % 16) as usize;
-                let expect: Vec<(u64, Value)> = oracle
-                    .range(k..)
-                    .take(limit)
-                    .map(|(&k, v)| (k, v.clone()))
-                    .collect();
-                assert_eq!(store.scan(k, limit, &mut t), expect, "scan {k} x{limit}");
-            }
-            _ => {
-                let hi = k + rng.next() % 64;
-                let expect: Vec<(u64, Value)> =
-                    oracle.range(k..hi).map(|(&k, v)| (k, v.clone())).collect();
-                assert_eq!(store.range(k, hi, &mut t), expect, "range {k}..{hi}");
-            }
+/// One writer short-`put`s the same increasing sequence number to key `a`
+/// and then to key `b`, round after round.  Both puts overwrite a present
+/// key, so under `ApiMode::Short` they are short transactions that never
+/// pass through a full commit.  At every instant `seq(a) >= seq(b)`; a scan
+/// that read `a` before a round and `b` after it would show the opposite.
+/// Filler keys between the two widen that window, and `a` routes to a
+/// lower-numbered shard than `b` so a scan reading shard by shard would
+/// meet them in the same order as one reading key by key.
+fn scans_are_snapshots_against_short_writers<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    const KEYS: u64 = 32;
+    const ROUNDS: u64 = 40_000;
+    const SCANNERS: u64 = 2;
+    let store = ShardedKv::new(&stm, 16, 16, mode);
+    let a = 0u64;
+    let b = (KEYS / 2..KEYS)
+        .rev()
+        .find(|&k| store.router().route(k) > store.router().route(a))
+        .expect("some high key routes above key 0");
+    {
+        let mut t = store.register();
+        for k in 0..KEYS {
+            store.put(k, &0u64.to_le_bytes(), &mut t).unwrap();
         }
     }
-    assert_eq!(
-        store.quiescent_snapshot(),
-        oracle.into_iter().collect::<Vec<_>>()
-    );
-    store.assert_index_consistent();
+    run_workers(1 + SCANNERS, 0x5EC5, |tid, _| {
+        let mut t = store.register();
+        if tid == 0 {
+            for seq in 1..=ROUNDS {
+                store.put(a, &seq.to_le_bytes(), &mut t).unwrap();
+                store.put(b, &seq.to_le_bytes(), &mut t).unwrap();
+            }
+            return;
+        }
+        // Scanners run for as long as the writer does: the last round's
+        // value in `b` is their signal to stop.
+        loop {
+            let run = store.scan(0, KEYS as usize, &mut t);
+            assert_eq!(run.len(), KEYS as usize, "scan missed keys");
+            let seq_of = |key: u64| run[key as usize].1.as_u64();
+            assert!(
+                seq_of(a) >= seq_of(b),
+                "scanner {tid} saw round {} in key {b} but only round {} in key {a}",
+                seq_of(b),
+                seq_of(a)
+            );
+            if seq_of(b) == ROUNDS {
+                break;
+            }
+        }
+    });
+}
+
+/// Transactional reads `op` performs on `t` (exact: nothing else runs).
+fn full_reads<T: StmThread>(t: &mut T, op: impl FnOnce(&mut T)) -> u64 {
+    let before = t.stats().full_reads;
+    op(t);
+    t.stats().full_reads - before
+}
+
+/// The scan's read set is the contract: one descent per shard index plus
+/// the entries it returns — nothing is read and then thrown away, so what
+/// more shards add is descents (each over a proportionally shorter list),
+/// never entries.  Counted in `Stats::full_reads`, so the bound holds on any
+/// machine.
+#[test]
+fn scan_read_set_is_bounded_by_its_result() {
+    const KEYS: u64 = 65_536;
+    const STRIDE: u64 = 0x9E37_79B1; // odd: keys spread over the u64 space
+    const PROBES: u64 = 64;
+    // Per shard: one descent (about two links per level).  Per returned
+    // pair: its level-0 link, the item words up to the hit, the value and
+    // deadline words.
+    let budget = |shards: usize| (shards * 32 + 16 * 10) as u64;
+    let [one, _, sixteen] = [1, 2, 16].map(|shards| {
+        let stm = ValShort::new();
+        let store = ShardedKv::new(&stm, shards, KEYS as usize / shards, ApiMode::Short);
+        let mut t = store.register();
+        for i in 0..KEYS {
+            store.put(i * STRIDE, &i.to_le_bytes(), &mut t).unwrap();
+        }
+        let mut rng = Xorshift::new(0x00B0_D6E7);
+        let mut total = 0;
+        for _ in 0..PROBES {
+            // A start with at least 16 keys at or after it.
+            let start = rng.next() % (KEYS - 16) * STRIDE;
+            let scan = full_reads(&mut t, |t| {
+                assert_eq!(store.scan(start, 16, t).len(), 16);
+            });
+            let range = full_reads(&mut t, |t| {
+                assert_eq!(store.range(start, start + 16 * STRIDE, t).len(), 16);
+            });
+            for (what, reads) in [("scan", scan), ("range", range)] {
+                assert!(
+                    reads <= budget(shards),
+                    "16-key {what} from {start} at {shards} shards: {reads} reads"
+                );
+            }
+            total += scan;
+        }
+        total / PROBES
+    });
+    // Sixteen times the shards must cost far less than sixteen times the
+    // reads (the fan-out-and-merge this replaced read `shards x limit`
+    // entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards).
+    assert!(sixteen < 6 * one, "{one} reads at 1 shard, {sixteen} at 16");
+}
+
+/// Single-threaded random workload including scans and ranges over
+/// variable-size payloads, replayed operation by operation against a
+/// `BTreeMap` oracle — at 1, 2 and 16 shards, with `u64::MAX` in the key
+/// space, starts above every key and limits beyond the population.
+fn sequential_scan_oracle<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    const SPACE: u64 = 300;
+    for shards in [1, 2, 16] {
+        let store = ShardedKv::new(&stm, shards, 32, mode);
+        let mut t = store.register();
+        let mut oracle: BTreeMap<u64, Value> = BTreeMap::new();
+        let mut rng = Xorshift::new(0x0AC1_E5EE_D001_u64);
+        for _ in 0..4_000 {
+            // One draw in `SPACE + 1` is the top of the key space; scans
+            // and ranges also start just above every small key.
+            let k = match rng.next() % (SPACE + 2) {
+                SPACE => u64::MAX,
+                k => k,
+            };
+            let v = rng.next() >> 2;
+            match rng.next() % 6 {
+                0 | 1 if k != SPACE + 1 => {
+                    let bytes = payload(k, v);
+                    assert_eq!(
+                        store.put(k, &bytes, &mut t).unwrap(),
+                        oracle.insert(k, Value::from(bytes)),
+                        "put {k}"
+                    );
+                }
+                2 => assert_eq!(store.del(k, &mut t), oracle.remove(&k), "del {k}"),
+                3 => assert_eq!(store.get(k, &mut t), oracle.get(&k).cloned(), "get {k}"),
+                4 => {
+                    let limit = match rng.next() % 20 {
+                        16 => SPACE as usize + 2,
+                        17.. => usize::MAX,
+                        small => small as usize,
+                    };
+                    let expect: Vec<(u64, Value)> = oracle
+                        .range(k..)
+                        .take(limit)
+                        .map(|(&k, v)| (k, v.clone()))
+                        .collect();
+                    assert_eq!(store.scan(k, limit, &mut t), expect, "scan {k} x{limit}");
+                }
+                _ => {
+                    let hi = k.saturating_add(rng.next() % 64);
+                    let expect: Vec<(u64, Value)> =
+                        oracle.range(k..hi).map(|(&k, v)| (k, v.clone())).collect();
+                    assert_eq!(store.range(k, hi, &mut t), expect, "range {k}..{hi}");
+                }
+            }
+        }
+        assert_eq!(
+            store.quiescent_snapshot(),
+            oracle.into_iter().collect::<Vec<_>>()
+        );
+        store.assert_index_consistent();
+    }
 }
 
 #[test]
@@ -388,6 +516,21 @@ fn scans_never_observe_torn_transfers_val_short_high_load() {
 #[test]
 fn scans_never_observe_torn_transfers_orec_full_high_load() {
     scans_never_observe_torn_transfers(OrecFullG::new(), ApiMode::Full, 96, 1);
+}
+
+#[test]
+fn scans_are_snapshots_against_short_writers_val_short() {
+    scans_are_snapshots_against_short_writers(ValShort::new(), ApiMode::Short);
+}
+
+#[test]
+fn scans_are_snapshots_against_short_writers_tvar_short() {
+    scans_are_snapshots_against_short_writers(TvarShortG::new(), ApiMode::Short);
+}
+
+#[test]
+fn scans_are_snapshots_against_short_writers_orec_full() {
+    scans_are_snapshots_against_short_writers(OrecFullG::new(), ApiMode::Full);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! codec path — no matter how the clock, the operations and the sweeps
 //! interleave.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * A proptest drives a random schedule of TTL'd puts, deletes, clock
 //!   advances and sweep steps on a manually driven clock against a
@@ -12,6 +12,8 @@
 //!   races workers against the background [`Reclaimer`] while a dedicated
 //!   thread advances the clock, asserting that a key known to be past its
 //!   deadline is never observed and an immortal key never disappears.
+//! * A fixed manual-clock case pinning down that a scan's `limit` counts
+//!   live pairs, not index entries.
 
 mod common;
 
@@ -184,6 +186,48 @@ proptest! {
             prop_assert_eq!(scanned, visible, "scan at {}ms", now);
             check_wire_surface(&store, &mut t, &oracle, now);
         }
+        store.assert_index_consistent();
+    }
+}
+
+/// A scan keeps walking past expired-but-unswept entries until it holds
+/// `limit` *live* pairs: 24 keys, the middle 8 dead on the manual clock and
+/// still physically present, and a `scan(first, 16)` that must return the
+/// 16 live ones in order (not the 8 before the gap) — whether the keys
+/// share one shard or spread over several.
+#[test]
+fn scans_fill_their_limit_past_unswept_corpses() {
+    for shards in [1, 4] {
+        let stm = ValShort::new();
+        let now_ms = Arc::new(AtomicU64::new(0));
+        let config = CacheConfig {
+            clock: Clock::manual(&now_ms),
+            ..CacheConfig::default()
+        };
+        let store = ShardedKv::with_config(&stm, shards, 32, ApiMode::Short, config);
+        let mut t = store.register();
+        for key in 0..RANGE {
+            let ttl = if (8..16).contains(&key) { 5 } else { 0 };
+            store
+                .put_with_ttl(key, &payload(key, key), Some(ttl), &mut t)
+                .unwrap();
+        }
+        clock_advance(&now_ms, 5);
+        let live_bytes = store.live_bytes();
+        let run = store.scan(0, 16, &mut t);
+        let keys: Vec<u64> = run.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, (0..8).chain(16..24).collect::<Vec<_>>());
+        for (key, value) in &run {
+            assert_eq!(value.as_ref(), payload(*key, *key).as_slice(), "key {key}");
+        }
+        assert_eq!(
+            store.range(6, 18, &mut t).len(),
+            4,
+            "range skips the corpses"
+        );
+        // The scan stepped over the corpses; it did not remove them.
+        assert_eq!(store.live_bytes(), live_bytes);
+        assert_eq!(store.cache_stats().expired, 0);
         store.assert_index_consistent();
     }
 }

@@ -156,8 +156,19 @@ impl ValThread {
     pub(crate) fn do_full_commit(&mut self) -> bool {
         debug_assert!(self.in_tx);
         if self.write_set.is_empty() {
-            // Read-only: the incremental revalidation performed by the reads
-            // guarantees the read set was consistent at `snapshot`.
+            // Read-only.  The reads' incremental revalidation covers every
+            // *full* writer (they move `commit_seq`), but short read-write
+            // transactions and single-location writes publish through the
+            // per-word lock alone and move no counter.  So collect twice:
+            // if every cell still holds the value the first collect saw,
+            // all of them held it together at some instant in between, and
+            // that instant is the serialization point.  (A word that went
+            // A -> B -> A in between is indistinguishable from one that
+            // never moved; the epoch pin rules that out for pointers.)
+            if !self.validate_by_value(false) {
+                self.do_full_rollback();
+                return false;
+            }
             self.in_tx = false;
             self.read_set.clear();
             self.stats.full_commits += 1;
