@@ -393,8 +393,12 @@ pub fn decode_response(body: &[u8], out: &mut BatchResponse) -> Result<(), WireE
 // FrameReader: incremental frame assembly over a byte stream
 // ---------------------------------------------------------------------------
 
-/// How many bytes one [`FrameReader::fill_from`] call asks the stream for.
-const READ_CHUNK: usize = 64 * 1024;
+/// How many bytes one [`FrameReader::fill_from`] call offers the stream —
+/// exactly this many, every call.  A fill that returns fewer therefore found
+/// the stream with nothing more to give at that instant: the rule
+/// `spectm-serve`'s readiness sweep uses to skip the follow-up `read` whose
+/// only answer would be `WouldBlock`.
+pub const READ_CHUNK: usize = 64 * 1024;
 
 /// Reassembles length-prefixed frames from an arbitrary byte stream.
 ///
@@ -405,8 +409,10 @@ const READ_CHUNK: usize = 64 * 1024;
 /// at a length prefix, so the oversized-prefix check lives in exactly one
 /// place.  Both the server's connection loop and the client use it.
 ///
-/// Steady state allocates nothing: the buffer is compacted (consumed bytes
-/// drained) before each refill and reuses its capacity.
+/// A fill costs what arrived: the buffer's bytes are initialised once, when
+/// it grows, and two cursors delimit what is live — nothing is zeroed or
+/// allocated per read, and a fill that follows a fully consumed frame moves
+/// no bytes at all.
 ///
 /// # Examples
 ///
@@ -429,9 +435,14 @@ const READ_CHUNK: usize = 64 * 1024;
 /// ```
 #[derive(Default)]
 pub struct FrameReader {
+    /// Initialised storage: only ever grown, and zeroed only where it grows.
+    /// Bytes at or past `filled` are scratch space for the next read, never
+    /// data.
     buf: Vec<u8>,
     /// Bytes of `buf` before this offset belong to already-consumed frames.
     pos: usize,
+    /// Bytes of `buf` before this offset were received from the stream.
+    filled: usize,
 }
 
 impl FrameReader {
@@ -440,17 +451,18 @@ impl FrameReader {
         Self::default()
     }
 
-    /// The internal buffer; index it with the range [`FrameReader::try_frame`]
-    /// returned.  Ranges are invalidated by the next
-    /// [`FrameReader::fill_from`] call (which may compact the buffer).
+    /// The bytes received and not yet compacted away — never the scratch
+    /// space behind them; index it with the range
+    /// [`FrameReader::try_frame`] returned.  Ranges are invalidated by the
+    /// next [`FrameReader::fill_from`] call (which may compact the buffer).
     pub fn buffered(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.filled]
     }
 
     /// Whether the reader holds a partial frame — if the stream ends now,
     /// that frame was truncated.
     pub fn mid_frame(&self) -> bool {
-        self.buf.len() > self.pos
+        self.filled > self.pos
     }
 
     /// If a complete frame is buffered, consumes it and returns the range
@@ -459,7 +471,7 @@ impl FrameReader {
     /// [`MAX_FRAME_LEN`] fails immediately — before any of the claimed body
     /// has to arrive.
     pub fn try_frame(&mut self) -> Result<Option<(usize, usize)>, WireError> {
-        let available = self.buf.len() - self.pos;
+        let available = self.filled - self.pos;
         if available < PREFIX_LEN {
             return Ok(None);
         }
@@ -478,28 +490,24 @@ impl FrameReader {
         Ok(Some((start, start + len)))
     }
 
-    /// Reads more bytes from `r` into the buffer, returning how many
-    /// arrived (`0` means the peer closed the stream).  Consumed frames are
-    /// compacted away first, so long-lived connections never grow the
-    /// buffer beyond one frame plus a read chunk.
+    /// Reads more bytes from `r` into the buffer — one `read` offering
+    /// [`READ_CHUNK`] bytes — returning how many arrived (`0` means the
+    /// peer closed the stream).  Consumed frames are compacted away first,
+    /// so on a long-lived connection [`FrameReader::buffered`] never grows
+    /// beyond one frame plus a read chunk.
     pub fn fill_from<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
         if self.pos > 0 {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
             self.pos = 0;
         }
-        let len = self.buf.len();
-        self.buf.resize(len + READ_CHUNK, 0);
-        match r.read(&mut self.buf[len..]) {
-            Ok(n) => {
-                self.buf.truncate(len + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(len);
-                Err(e)
-            }
+        let offer_end = self.filled + READ_CHUNK;
+        if self.buf.len() < offer_end {
+            self.buf.resize(offer_end, 0);
         }
+        let n = r.read(&mut self.buf[self.filled..offer_end])?;
+        self.filled += n;
+        Ok(n)
     }
 
     /// [`FrameReader::fill_from`] for nonblocking streams: folds the three
@@ -521,12 +529,6 @@ impl FrameReader {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Drops everything buffered (for connection reuse in tests).
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
     }
 }
 

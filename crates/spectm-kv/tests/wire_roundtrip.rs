@@ -7,10 +7,18 @@
 //! included), value sizes across the inline-SSO and out-of-line regimes,
 //! and op counts from the empty frame through `MAX_RMW_KEYS`-sized
 //! multi-key shapes up to the `MAX_WIRE_OPS` frame cap.
+//!
+//! The second half holds one long-lived `FrameReader` to its buffer
+//! contract: its storage outlives every frame and is never re-zeroed, so
+//! bytes of an earlier (larger) frame sit behind the cursor for the rest of
+//! the connection — and must never be served as data.
+
+use std::io::Read;
 
 use proptest::prelude::*;
 use spectm_kv::wire::{
-    decode_request, decode_response, encode_request, encode_response, MAX_WIRE_OPS,
+    decode_request, decode_response, encode_request, encode_response, read_frame, FrameReader,
+    MAX_FRAME_LEN, MAX_WIRE_OPS, READ_CHUNK,
 };
 use spectm_kv::{BatchOp, BatchRequest, BatchResponse, Value, MAX_RMW_KEYS};
 
@@ -128,4 +136,154 @@ fn every_rmw_sized_batch_roundtrips() {
         decode_request(&frame[4..], &mut decoded).unwrap();
         assert_eq!(decoded.ops(), ops.as_slice());
     }
+}
+
+/// A frame as the reader sees it: length prefix plus `len` body bytes, none
+/// of them zero and all depending on `salt`, so stale bytes of another
+/// frame cannot pass for this one's (nor for a plausible prefix).
+fn raw_frame(len: usize, salt: u64) -> Vec<u8> {
+    let mut frame = (len as u32).to_le_bytes().to_vec();
+    frame.extend((0..len).map(|i| (i as u64 ^ salt).wrapping_mul(31) as u8 | 1));
+    frame
+}
+
+/// A stream that hands out `sizes[i]` bytes (at least one, cycling) on its
+/// `i`-th read — TCP's freedom to cut anywhere — and then ends.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    delivered: usize,
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl<'a> Dribble<'a> {
+    fn new(bytes: &'a [u8], sizes: &'a [usize]) -> Self {
+        Self {
+            bytes,
+            delivered: 0,
+            sizes,
+            reads: 0,
+        }
+    }
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.sizes[self.reads % self.sizes.len()].max(1);
+        self.reads += 1;
+        let n = want.min(buf.len()).min(self.bytes.len() - self.delivered);
+        buf[..n].copy_from_slice(&self.bytes[self.delivered..self.delivered + n]);
+        self.delivered += n;
+        Ok(n)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// One reader, many frames of mixed sizes, arbitrary read boundaries:
+    /// every body comes back byte-identical and in order, `mid_frame()` is
+    /// false exactly when the bytes received so far end on a frame
+    /// boundary, and `buffered()` stays within one frame plus a read chunk.
+    #[test]
+    fn a_reused_reader_never_serves_stale_bytes(
+        lens in proptest::collection::vec((0u8..8, 0usize..700), 1..40),
+        sizes in proptest::collection::vec((0u8..4, 1usize..300), 1..12),
+    ) {
+        // Mostly small frames (1-byte bodies among them), one in eight
+        // around 100 KB — always at least one, up front, so small frames
+        // are read over a large frame's leftovers.
+        let frames: Vec<Vec<u8>> = std::iter::once((0u8, 0usize))
+            .chain(lens)
+            .enumerate()
+            .map(|(i, (kind, len))| match kind {
+                0 => raw_frame(100_000 + len, i as u64),
+                1 => raw_frame(1, i as u64),
+                _ => raw_frame(len, i as u64),
+            })
+            .collect();
+        // Reads of a few bytes, a few hundred, or more than a read chunk.
+        let sizes: Vec<usize> = sizes
+            .iter()
+            .map(|&(kind, n)| match kind {
+                0 => n % 7,
+                1 => n,
+                2 => n * 64,
+                _ => READ_CHUNK + n,
+            })
+            .collect();
+        let stream: Vec<u8> = frames.concat();
+        let mut source = Dribble::new(&stream, &sizes);
+        let mut reader = FrameReader::new();
+        let (mut next, mut consumed) = (0usize, 0usize);
+        loop {
+            while let Some((start, end)) = reader.try_frame().unwrap() {
+                prop_assert_eq!(&reader.buffered()[start..end], &frames[next][4..]);
+                consumed += frames[next].len();
+                next += 1;
+                prop_assert_eq!(reader.mid_frame(), source.delivered > consumed);
+            }
+            prop_assert!(reader.buffered().len() <= 4 + 100_700 + READ_CHUNK);
+            if reader.fill_from(&mut source).unwrap() == 0 {
+                break;
+            }
+            prop_assert_eq!(reader.mid_frame(), source.delivered > consumed);
+        }
+        prop_assert_eq!(next, frames.len());
+        prop_assert!(!reader.mid_frame());
+    }
+}
+
+/// A stream that closes on a frame boundary is a clean close, whatever the
+/// reader's buffer still holds from the larger frames before it.
+#[test]
+fn eof_after_small_frames_behind_a_large_one_is_a_clean_close() {
+    let frames = [
+        raw_frame(100_000, 1),
+        raw_frame(1, 2),
+        raw_frame(1, 3),
+        raw_frame(1, 4),
+    ];
+    let stream = frames.concat();
+    for sizes in [&[usize::MAX][..], &[3, 70_000, 1], &[5]] {
+        let mut source = Dribble::new(&stream, sizes);
+        let mut reader = FrameReader::new();
+        for frame in &frames {
+            let (start, end) = read_frame(&mut reader, &mut source)
+                .expect("well formed")
+                .expect("frame before the close");
+            assert_eq!(&reader.buffered()[start..end], &frame[4..]);
+        }
+        let end = read_frame(&mut reader, &mut source).expect("not Truncated");
+        assert_eq!(end, None);
+    }
+}
+
+/// The documented bound — `buffered()` never beyond one frame plus a read
+/// chunk — is about the frame being read *now*: once a frame close to
+/// `MAX_FRAME_LEN` has been consumed, what it occupied is scratch space
+/// again, not part of `buffered()`.
+#[test]
+fn buffered_shrinks_back_after_a_near_maximal_frame() {
+    // The largest frame that arrives in whole read chunks (2.7 KB short of
+    // the cap), so the read that completes it delivers nothing after it.
+    let large_len = (MAX_FRAME_LEN + 4) / READ_CHUNK * READ_CHUNK;
+    let mut stream = ((large_len - 4) as u32).to_le_bytes().to_vec();
+    stream.resize(large_len, 0xA5);
+    let small = raw_frame(1, 7);
+    for _ in 0..4 {
+        stream.extend_from_slice(&small);
+    }
+    let mut source = Dribble::new(&stream, &[READ_CHUNK]);
+    let mut reader = FrameReader::new();
+    let (start, end) = read_frame(&mut reader, &mut source).unwrap().unwrap();
+    assert!(reader.buffered()[start..end] == stream[4..large_len]);
+    assert_eq!(reader.buffered().len(), large_len);
+    source.sizes = &[2];
+    for _ in 0..4 {
+        let (start, end) = read_frame(&mut reader, &mut source).unwrap().unwrap();
+        assert_eq!(&reader.buffered()[start..end], &small[4..]);
+        assert!(reader.buffered().len() <= small.len() + READ_CHUNK);
+    }
+    assert_eq!(read_frame(&mut reader, &mut source).unwrap(), None);
 }

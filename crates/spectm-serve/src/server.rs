@@ -6,8 +6,8 @@
 //! nonblocking sockets.  The acceptor round-robins accepted connections to
 //! workers; each worker owns a std-only poll loop — `set_nonblocking(true)`
 //! plus a readiness sweep with a short park when fully idle — over
-//! per-connection state machines (an incremental [`FrameReader`], a write
-//! buffer with partial-write continuation, and explicit
+//! per-connection state machines (an incremental [`FrameReader`], a
+//! compacting write buffer with partial-write continuation, and explicit
 //! Reading/Executing/Writing states so a slow-reading peer can never block
 //! the worker).  Every STM thread handle (`S::Thread` is deliberately not
 //! `Send`) stays pinned to the worker that created it.
@@ -29,13 +29,13 @@
 //! reading (the old one-connection design could pin a worker in
 //! `write_all` there).
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spectm::Stm;
 use spectm_kv::wire::{self, Fill, FrameReader};
@@ -46,15 +46,35 @@ use spectm_kv::{MultiBatch, ShardedKv};
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(5);
 
-/// Sweeps a worker spends yield-spinning after its last progress before it
-/// starts parking: keeps latency at sub-microsecond cost while traffic is
-/// flowing, without burning a core when every peer goes quiet.
-const IDLE_SPINS: u32 = 64;
-
-/// How long an idle worker parks between sweeps once past [`IDLE_SPINS`]:
-/// the longest a newly ready connection waits for service on a quiet
-/// worker, and the longest quiet-worker shutdown can lag the flag.
+/// The idle window, in time since the worker last made progress: for this
+/// long it keeps sweeping (yielding between sweeps), and from then on it
+/// parks this long between sweeps.  One constant serves both because they
+/// are one trade: a park delays a newly ready connection by up to its
+/// length, so spinning for about as long as a park costs is the most that
+/// can pay for itself, and a gap between requests shorter than this never
+/// meets a parked worker.  Stated in time, not sweeps, because what a sweep
+/// costs changes with the connection count and with every change to the
+/// read path.  Also the longest quiet-worker shutdown can lag the flag.
 const IDLE_PARK: Duration = Duration::from_micros(500);
+
+/// What a worker does after a sweep that made no progress.
+#[derive(Debug, PartialEq, Eq)]
+enum Idle {
+    /// Yield the core and sweep again.
+    Spin,
+    /// Sleep [`IDLE_PARK`] before sweeping again.
+    Park,
+}
+
+/// The idle policy: spin while idle for less than [`IDLE_PARK`], park
+/// thereafter.
+fn idle_action(idle_for: Duration) -> Idle {
+    if idle_for < IDLE_PARK {
+        Idle::Spin
+    } else {
+        Idle::Park
+    }
+}
 
 /// Queued-response bytes above which a worker stops *reading* from a
 /// connection (backpressure): a peer that pipelines requests faster than
@@ -63,6 +83,8 @@ const WRITE_BACKLOG_CAP: usize = 1 << 20;
 
 /// Socket reads per connection per sweep: bounds how long one firehose
 /// peer can monopolize a sweep before the worker services its neighbours.
+/// Only a peer whose reads keep coming back full gets this many; a read
+/// that returns less than it was offered ends the connection's turn.
 const MAX_FILLS_PER_SWEEP: usize = 4;
 
 /// Default per-worker connection cap (see `--max-conns-per-worker`);
@@ -202,31 +224,73 @@ enum ConnState {
     Closing(ConnEnd),
 }
 
-/// One multiplexed connection: socket, incremental frame reader, and a
-/// write buffer with partial-write continuation (`wbuf[wpos..]` is not yet
-/// accepted by the socket).
-struct Conn {
-    stream: TcpStream,
+/// Response bytes queued for one peer, with partial-write continuation.
+///
+/// Bytes the socket accepted are given back by compaction rather than only
+/// when the backlog happens to drain to zero: a peer that pipelines
+/// continuously and always leaves a few bytes pending would otherwise grow
+/// the buffer by every byte ever sent to it while [`WriteBuf::unsent`] —
+/// all that [`WRITE_BACKLOG_CAP`] bounds — stayed small.
+#[derive(Default)]
+struct WriteBuf {
+    buf: Vec<u8>,
+    /// `buf[..sent]` has been accepted by the socket.
+    sent: usize,
+}
+
+impl WriteBuf {
+    /// The vector to append encoded responses to (append only).
+    fn append(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Queued bytes the socket has not accepted yet.
+    fn unsent(&self) -> &[u8] {
+        &self.buf[self.sent..]
+    }
+
+    /// Marks the first `n` unsent bytes accepted.  Compacts once the
+    /// accepted prefix is at least as long as what remains, so each
+    /// compaction's copy is paid for by bytes consumed since the last one
+    /// (amortised O(1) per byte) and the buffer stays under twice its
+    /// unsent high-water mark plus one append.
+    fn consume(&mut self, n: usize) {
+        self.sent += n;
+        if self.sent >= self.unsent().len() {
+            self.buf.drain(..self.sent);
+            self.sent = 0;
+        }
+    }
+
+    /// Drops everything queued (the transport is dead).
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.sent = 0;
+    }
+}
+
+/// One multiplexed connection: transport (a [`TcpStream`] outside tests),
+/// incremental frame reader and write buffer.
+struct Conn<T> {
+    stream: T,
     reader: FrameReader,
-    wbuf: Vec<u8>,
-    wpos: usize,
+    wbuf: WriteBuf,
     state: ConnState,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
+impl<T> Conn<T> {
+    fn new(stream: T) -> Self {
         Self {
             stream,
             reader: FrameReader::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
+            wbuf: WriteBuf::default(),
             state: ConnState::Reading,
         }
     }
 
     /// Queued response bytes the socket has not accepted yet.
     fn pending(&self) -> usize {
-        self.wbuf.len() - self.wpos
+        self.wbuf.unsent().len()
     }
 
     /// Whether the read phase should pull from this connection: reading
@@ -240,10 +304,13 @@ impl Conn {
     /// block or the buffer drains, returning bytes written this call.
     /// On a fatal transport error the connection is marked for reaping
     /// (queued bytes are unsendable and dropped).
-    fn flush(&mut self) -> usize {
+    fn flush(&mut self) -> usize
+    where
+        T: Write,
+    {
         let mut written = 0usize;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
+        while self.pending() > 0 {
+            match self.stream.write(self.wbuf.unsent()) {
                 // A zero-length write cannot make progress; treat it as a
                 // dead transport rather than spin.
                 Ok(0) => {
@@ -251,7 +318,7 @@ impl Conn {
                     return written;
                 }
                 Ok(n) => {
-                    self.wpos += n;
+                    self.wbuf.consume(n);
                     written += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -262,12 +329,8 @@ impl Conn {
                 }
             }
         }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-            if matches!(self.state, ConnState::Writing) {
-                self.state = ConnState::Reading;
-            }
+        if self.pending() == 0 && matches!(self.state, ConnState::Writing) {
+            self.state = ConnState::Reading;
         }
         written
     }
@@ -277,7 +340,6 @@ impl Conn {
     /// `WireError` verdict (the peer broke the protocol *and* vanished).
     fn fail_transport(&mut self) {
         self.wbuf.clear();
-        self.wpos = 0;
         if !matches!(self.state, ConnState::Closing(_)) {
             self.state = ConnState::Closing(ConnEnd::Done);
         }
@@ -463,7 +525,7 @@ fn dispatch_to_worker<T>(mut item: T, txs: &[Sender<T>], next: &mut usize) -> Re
 /// One worker: a poll loop multiplexing up to `max_conns` connections.
 ///
 /// Each sweep runs admit → flush → read/decode → coalesced execute →
-/// flush → reap, then parks briefly if nothing moved.  The read phase
+/// flush → reap, then yields or parks if nothing moved.  The read phase
 /// appends every decodable frame from every ready connection into one
 /// [`MultiBatch`]; the execute phase dispatches it under a single epoch
 /// entry and scatters responses into each source connection's write
@@ -477,9 +539,11 @@ fn worker_loop<S: Stm + Clone>(
 ) {
     // The STM thread handle must be created on the thread that uses it.
     let mut thread = store.register();
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut conns: Vec<Conn<TcpStream>> = Vec::new();
     let mut multi = MultiBatch::new();
-    let mut idle_sweeps = 0u32;
+    // When the current run of progress-free sweeps began; `None` while
+    // traffic flows, so the busy path never reads the clock.
+    let mut idle_since: Option<Instant> = None;
     loop {
         // ORDERING: shutdown flag only; see Server::stop.  Checked every
         // sweep, so neither a quiet peer nor one that stopped reading its
@@ -539,7 +603,7 @@ fn worker_loop<S: Stm + Clone>(
                     // Encoding can only refuse values larger than the store
                     // can hold — unreachable for store output, but a refusal
                     // must tear down rather than answer out of position.
-                    if wire::encode_response_append(results, &mut conn.wbuf).is_err() {
+                    if wire::encode_response_append(results, conn.wbuf.append()).is_err() {
                         conn.fail_transport();
                     } else if matches!(conn.state, ConnState::Executing) {
                         conn.state = ConnState::Writing;
@@ -584,13 +648,12 @@ fn worker_loop<S: Stm + Clone>(
 
         // Idle policy: spin politely right after traffic, park once quiet.
         if progressed {
-            idle_sweeps = 0;
+            idle_since = None;
         } else {
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps <= IDLE_SPINS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_PARK);
+            let now = Instant::now();
+            match idle_action(now - *idle_since.get_or_insert(now)) {
+                Idle::Spin => std::thread::yield_now(),
+                Idle::Park => std::thread::sleep(IDLE_PARK),
             }
         }
     }
@@ -600,7 +663,12 @@ fn worker_loop<S: Stm + Clone>(
 /// enforcing the per-worker cap.  Returns whether the sweep made progress
 /// (it did unless the queue handed us nothing — any outcome here, even a
 /// rejection, is observable work).
-fn admit(stream: TcpStream, conns: &mut Vec<Conn>, max_conns: usize, stats: &ServerStats) -> bool {
+fn admit(
+    stream: TcpStream,
+    conns: &mut Vec<Conn<TcpStream>>,
+    max_conns: usize,
+    stats: &ServerStats,
+) -> bool {
     if conns.len() >= max_conns {
         // ORDERING: monotonic counter; see ServerStats::snapshot.
         stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
@@ -624,19 +692,28 @@ fn admit(stream: TcpStream, conns: &mut Vec<Conn>, max_conns: usize, stats: &Ser
 }
 
 /// Reads and decodes everything currently available on one connection:
-/// alternates buffered-frame draining with nonblocking fills (at most
-/// [`MAX_FILLS_PER_SWEEP`] so one firehose peer cannot monopolize the
-/// sweep), committing each decoded frame into `multi` tagged with `slot`.
-/// Returns whether any byte arrived or frame decoded.
+/// alternates buffered-frame draining with nonblocking fills, committing
+/// each decoded frame into `multi` tagged with `slot`.  Returns whether any
+/// byte arrived or frame decoded.
+///
+/// A fill that returns fewer bytes than it offered has drained the socket,
+/// so the connection's turn ends there — no follow-up `read` whose only
+/// answer would be `WouldBlock`.  Nothing can be stranded by that: the sweep
+/// is level-triggered (every sweep reads every readable connection), so
+/// bytes that land a microsecond later are found by the next sweep.  A fill
+/// that came back full is followed by another, at most
+/// [`MAX_FILLS_PER_SWEEP`] in all so one firehose peer cannot monopolize
+/// the sweep.
 ///
 /// Failure handling preserves the wire contract: a malformed frame rolls
 /// its partial ops back out of `multi` and marks the connection
 /// `Closing(WireError)` — frames committed before it still execute, and
 /// their responses still flush before the reaper closes the socket.
-fn read_frames(conn: &mut Conn, slot: usize, multi: &mut MultiBatch) -> bool {
+fn read_frames<R: Read>(conn: &mut Conn<R>, slot: usize, multi: &mut MultiBatch) -> bool {
     let committed_from = multi.frame_count();
     let mut progressed = false;
     let mut fills = 0usize;
+    let mut drained = false;
     'sweep: loop {
         // Drain every complete frame already buffered.
         loop {
@@ -662,12 +739,15 @@ fn read_frames(conn: &mut Conn, slot: usize, multi: &mut MultiBatch) -> bool {
                 }
             }
         }
-        if fills == MAX_FILLS_PER_SWEEP {
+        if drained || fills == MAX_FILLS_PER_SWEEP {
             break;
         }
         fills += 1;
         match conn.reader.fill_nonblocking(&mut conn.stream) {
-            Ok(Fill::Bytes(_)) => progressed = true,
+            Ok(Fill::Bytes(n)) => {
+                progressed = true;
+                drained = n < wire::READ_CHUNK;
+            }
             Ok(Fill::WouldBlock) => break,
             Ok(Fill::Eof) => {
                 conn.state = ConnState::Closing(if conn.reader.mid_frame() {
@@ -692,6 +772,172 @@ fn read_frames(conn: &mut Conn, slot: usize, multi: &mut MultiBatch) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spectm_kv::BatchOp;
+    use std::collections::VecDeque;
+
+    /// A nonblocking transport replaying a script: each `read` hands out the
+    /// next chunk whole (an empty chunk is EOF), an exhausted script answers
+    /// `WouldBlock`, and every call is counted.
+    struct Scripted {
+        chunks: VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.chunks.pop_front() {
+                Some(chunk) => {
+                    buf[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+                None => Err(io::ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    fn scripted(chunks: impl IntoIterator<Item = Vec<u8>>) -> Conn<Scripted> {
+        Conn::new(Scripted {
+            chunks: chunks.into_iter().collect(),
+            reads: 0,
+        })
+    }
+
+    fn get_frame(key: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        wire::encode_request(&[BatchOp::Get(key)], &mut frame).unwrap();
+        frame
+    }
+
+    /// One sweep's read phase over `conn` as the worker runs it; returns
+    /// `(reads issued, frames committed)`.
+    fn sweep(conn: &mut Conn<Scripted>, multi: &mut MultiBatch) -> (usize, usize) {
+        let (reads, frames) = (conn.stream.reads, multi.frame_count());
+        read_frames(conn, 0, multi);
+        (conn.stream.reads - reads, multi.frame_count() - frames)
+    }
+
+    /// The short-read rule, counted: a read that returned less than it was
+    /// offered drained the socket, so the sweep does not pay for a second
+    /// `read` just to be told `WouldBlock`.
+    #[test]
+    fn a_short_read_ends_the_sweep_without_a_follow_up_read() {
+        let mut conn = scripted([get_frame(7)]);
+        let mut multi = MultiBatch::new();
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
+        assert!(matches!(conn.state, ConnState::Executing));
+        // The next sweep finds nothing: one read, answered WouldBlock.
+        conn.state = ConnState::Reading;
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
+        assert!(matches!(conn.state, ConnState::Reading));
+    }
+
+    /// A read that filled everything it was offered may have left more in
+    /// the socket, so the follow-up read *is* issued — up to the fairness
+    /// bound, and then (on a later sweep) until one comes back short.
+    #[test]
+    fn full_reads_are_followed_up_within_the_per_sweep_bound() {
+        let frame = get_frame(3);
+        let full_reads = MAX_FILLS_PER_SWEEP + 2;
+        let stream: Vec<u8> = frame
+            .iter()
+            .copied()
+            .cycle()
+            .take(full_reads * wire::READ_CHUNK)
+            .collect();
+        let mut conn = scripted(stream.chunks(wire::READ_CHUNK).map(<[u8]>::to_vec));
+        let mut multi = MultiBatch::new();
+        let (reads, first) = sweep(&mut conn, &mut multi);
+        assert_eq!(reads, MAX_FILLS_PER_SWEEP);
+        assert_eq!(first, MAX_FILLS_PER_SWEEP * wire::READ_CHUNK / frame.len());
+        // Two full reads remain; the read after them is the WouldBlock.
+        let (reads, second) = sweep(&mut conn, &mut multi);
+        assert_eq!(reads, 3);
+        assert_eq!(first + second, stream.len() / frame.len());
+    }
+
+    /// Level-triggered sweeps cannot strand or repeat a frame: wherever the
+    /// bytes are cut, the frame is committed exactly once, by the sweep that
+    /// receives its last byte.
+    #[test]
+    fn a_frame_split_at_any_offset_across_sweeps_commits_exactly_once() {
+        let frame = get_frame(11);
+        for cut in 1..frame.len() {
+            let mut conn = scripted([frame[..cut].to_vec()]);
+            let mut multi = MultiBatch::new();
+            assert_eq!(sweep(&mut conn, &mut multi), (1, 0), "cut at {cut}");
+            conn.stream.chunks.push_back(frame[cut..].to_vec());
+            assert_eq!(sweep(&mut conn, &mut multi), (1, 1), "cut at {cut}");
+            assert_eq!(sweep(&mut conn, &mut multi), (1, 0), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn eof_is_a_wire_error_mid_frame_and_a_clean_close_on_a_boundary() {
+        let frame = get_frame(5);
+        let mut multi = MultiBatch::new();
+
+        let mut conn = scripted([frame[..frame.len() - 1].to_vec(), Vec::new()]);
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
+        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::WireError)));
+
+        let mut conn = scripted([frame, Vec::new()]);
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
+        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::Done)));
+    }
+
+    /// A malformed frame tears the connection down without taking the good
+    /// frame before it along: that one stays committed (and is answered
+    /// before the reaper closes the socket).
+    #[test]
+    fn a_malformed_frame_leaves_the_good_frame_before_it_committed() {
+        let mut bytes = get_frame(9);
+        bytes.extend_from_slice(&5u32.to_le_bytes()); // prefix: 5-byte body
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // one operation …
+        bytes.push(0xEE); // … with an opcode nobody defined
+        let mut conn = scripted([bytes]);
+        let mut multi = MultiBatch::new();
+        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
+        assert_eq!(multi.op_count(), 1, "the bad frame's ops were rolled back");
+        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::WireError)));
+    }
+
+    /// The bug this type replaces: resetting the buffer only when the
+    /// backlog reaches exactly zero lets a peer that always leaves a byte
+    /// pending grow it by every byte ever sent.
+    #[test]
+    fn write_buffer_gives_back_its_flushed_prefix() {
+        const RESPONSE: usize = 4096;
+        let mut wbuf = WriteBuf::default();
+        let mut oracle: Vec<u8> = Vec::new(); // unsent bytes, never compacted
+        let (mut oracle_sent, mut max_unsent, mut max_len) = (0usize, 0usize, 0usize);
+        for round in 0..10_000usize {
+            let response: Vec<u8> = (0..RESPONSE).map(|i| (round + i) as u8).collect();
+            wbuf.append().extend_from_slice(&response);
+            oracle.extend_from_slice(&response);
+            max_len = max_len.max(wbuf.buf.len());
+            wbuf.consume(RESPONSE - 1);
+            oracle_sent += RESPONSE - 1;
+            assert_eq!(wbuf.unsent(), &oracle[oracle_sent..], "round {round}");
+            max_unsent = max_unsent.max(wbuf.unsent().len());
+        }
+        assert_eq!(max_unsent, 10_000);
+        let bound = 2 * max_unsent + RESPONSE;
+        assert!(max_len <= bound, "buffer reached {max_len} > {bound}");
+        // `Vec` grows by doubling, so capacity may overshoot the longest
+        // the buffer ever was — by that factor and no more.
+        assert!(wbuf.buf.capacity() <= 2 * bound);
+    }
+
+    #[test]
+    fn idle_policy_spins_below_the_park_length_and_parks_from_it() {
+        assert_eq!(idle_action(Duration::ZERO), Idle::Spin);
+        assert_eq!(idle_action(IDLE_PARK - Duration::from_nanos(1)), Idle::Spin);
+        assert_eq!(idle_action(IDLE_PARK), Idle::Park);
+        assert_eq!(idle_action(Duration::from_secs(60)), Idle::Park);
+    }
 
     /// Regression: a worker whose receiver is gone hands the item back
     /// through the send error.  The dispatcher must fall through to the
