@@ -4,9 +4,11 @@
 //!
 //! One group per mix × distribution panel; within each group, one series
 //! per variant (the short-transaction layouts, the BaseTM full-transaction
-//! shape and the lock-free baseline).  Scan latency is not measured here:
-//! the repo benchmark's `store.scan16_ns` rung (benchmark/README.md) and the
-//! `kv --workload e` sweep (EXPERIMENTS.md) cover it.
+//! shape and the lock-free baseline).  Scan latency and batch dispatch are
+//! not measured here: the repo benchmark's `store.scan16_ns`,
+//! `batch.exec{,1,128}_ns_per_op` and `batch.multi2_ns_per_op` rungs
+//! (benchmark/README.md) and the `kv --workload e` / `kv --batch N` sweeps
+//! (EXPERIMENTS.md) cover them.
 //!
 //! The `kv_value_*` groups sweep the payload size — 8 B (the inline
 //! fast path: word-sized values never touch the allocator), 100 B and
@@ -23,7 +25,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use bench::{kv_batch_runner, kv_runner};
+use bench::kv_runner;
 use harness::intset::Xorshift;
 use harness::kv::{KeyDist, KeySampler, KvMix, ValueSize};
 use harness::VariantSpec;
@@ -158,107 +160,12 @@ fn load_factors(c: &mut Criterion) {
     }
 }
 
-/// The batch-size sweep: one iteration executes one whole batch, and the
-/// `Throughput::Elements` annotation divides it back out, so every panel
-/// reports **operations per second** — directly comparable across batch
-/// sizes and against the unbatched read-heavy panel.  Batch 1 measures the
-/// batch API's fixed cost; 16 and 128 show routing + epoch entry
-/// amortizing away (EXPERIMENTS.md § "The batch sweep").
-fn batch_sizes(c: &mut Criterion) {
-    for batch in [1usize, 16, 128] {
-        let name = format!("kv_batch_{batch}_read_heavy_uniform");
-        let mut group = c.benchmark_group(&name);
-        configure(&mut group);
-        group.throughput(Throughput::Elements(batch as u64));
-        for spec in VARIANTS {
-            let mut runner = kv_batch_runner(
-                spec,
-                SHARDS,
-                CAPACITY_PER_SHARD,
-                NUM_KEYS,
-                KvMix::ReadHeavy,
-                KeyDist::Uniform,
-                ValueSize::default(),
-                batch,
-            );
-            group.bench_function(spec.label(), |b| b.iter(&mut runner));
-        }
-        group.finish();
-    }
-}
-
-/// The coalescing panel: F frames of 16 gets each, executed either as F
-/// separate `execute_batch_into` dispatches — one epoch entry and one
-/// grouping pass per frame, what a per-connection server pays — or as one
-/// `MultiBatch` dispatch covering all F frames, what the multiplexing
-/// server's sweep pays.  Both series run the identical pre-drawn key
-/// stream and report ops/s via `Throughput::Elements`, so the gap *is* the
-/// amortized per-frame fixed cost (EXPERIMENTS.md § "The connection
-/// sweep").
-fn coalesced_dispatch(c: &mut Criterion) {
-    use spectm::variants::ValShort;
-    use spectm::Stm;
-    use spectm_ds::ApiMode;
-    use spectm_kv::{BatchRequest, BatchResponse, MultiBatch, ShardedKv};
-
-    const OPS_PER_FRAME: usize = 16;
-    let stm = ValShort::new();
-    let store = ShardedKv::new(&stm, SHARDS, CAPACITY_PER_SHARD, ApiMode::Short);
-    let mut thread = store.register();
-    for key in 0..NUM_KEYS {
-        store.put(key, &key.to_le_bytes(), &mut thread).unwrap();
-    }
-    let mut rng = Xorshift::new(0xC0DE_5EED);
-    for frames in [4usize, 16] {
-        let name = format!("kv_coalesce_{frames}x{OPS_PER_FRAME}_get_uniform");
-        let mut group = c.benchmark_group(&name);
-        configure(&mut group);
-        group.throughput(Throughput::Elements((frames * OPS_PER_FRAME) as u64));
-        let keys: Vec<Vec<u64>> = (0..frames)
-            .map(|_| (0..OPS_PER_FRAME).map(|_| rng.next() % NUM_KEYS).collect())
-            .collect();
-        let mut reqs: Vec<BatchRequest> = keys
-            .iter()
-            .map(|frame| {
-                let mut req = BatchRequest::new();
-                for &key in frame {
-                    req.get(key);
-                }
-                req
-            })
-            .collect();
-        let mut resp = BatchResponse::new();
-        group.bench_function("separate_dispatches", |b| {
-            b.iter(|| {
-                for req in &mut reqs {
-                    store
-                        .execute_batch_into(req, &mut resp, &mut thread)
-                        .unwrap();
-                }
-            })
-        });
-        let mut multi = MultiBatch::new();
-        for (source, frame) in keys.iter().enumerate() {
-            for &key in frame {
-                multi.request_mut().get(key);
-            }
-            multi.commit_frame(source);
-        }
-        group.bench_function("one_multibatch", |b| {
-            b.iter(|| store.execute_multi(&mut multi, &mut thread).unwrap())
-        });
-        group.finish();
-    }
-}
-
 criterion_group!(
     kvstore,
     read_heavy,
     update_heavy,
     read_modify_write,
     value_sizes,
-    load_factors,
-    batch_sizes,
-    coalesced_dispatch
+    load_factors
 );
 criterion_main!(kvstore);

@@ -258,115 +258,6 @@ pub fn kv_runner(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched KV runners
-// ---------------------------------------------------------------------------
-
-/// A type-erased batch driver: each call builds one batch of the configured
-/// size from the panel's distributions and executes it through the store's
-/// `execute_batch` path ([`harness::kv::perform_batch`]).
-pub type BatchRunner = Box<dyn FnMut()>;
-
-fn erase_kv_batch<K: KvStore>(
-    store: K,
-    num_keys: u64,
-    mix: KvMix,
-    dist: KeyDist,
-    value_size: ValueSize,
-    batch: usize,
-) -> BatchRunner {
-    harness::kv::load_keys(&store, num_keys, value_size);
-    let mut ctx = store.thread_ctx();
-    let cfg = KvWorkloadConfig {
-        num_keys,
-        mix,
-        dist,
-        value_size,
-        batch,
-        ..KvWorkloadConfig::default()
-    };
-    let mut state = WorkerState::new(&cfg, 0x1D10_7BEE);
-    Box::new(move || {
-        harness::kv::perform_batch(&store, &mut ctx, batch, &mut state);
-    })
-}
-
-/// Builds a batch driver over the sharded KV store for `spec` (any STM
-/// variant or the lock-free baseline): the `kv_batch_*` panels' engine.
-/// `batch` operations per call, drawn from `mix` / `dist` / `value_size`.
-#[allow(clippy::too_many_arguments)]
-pub fn kv_batch_runner(
-    spec: VariantSpec,
-    shards: usize,
-    capacity_per_shard: usize,
-    num_keys: u64,
-    mix: KvMix,
-    dist: KeyDist,
-    value_size: ValueSize,
-    batch: usize,
-) -> BatchRunner {
-    match spec {
-        VariantSpec::Sequential => panic!("the KV store has no sequential baseline"),
-        VariantSpec::LockFree => erase_kv_batch(
-            LockFreeKvBench::new(LockFreeKvMap::new(
-                shards * capacity_per_shard,
-                Collector::new(),
-            )),
-            num_keys,
-            mix,
-            dist,
-            value_size,
-            batch,
-        ),
-        VariantSpec::OrecFullG
-        | VariantSpec::OrecFullL
-        | VariantSpec::OrecShortG
-        | VariantSpec::OrecShortL
-        | VariantSpec::OrecFullGFine => erase_kv_batch(
-            StmKvBench::new(
-                OrecStm::with_config(stm_config(spec)),
-                shards,
-                capacity_per_shard,
-                api_mode(spec),
-            ),
-            num_keys,
-            mix,
-            dist,
-            value_size,
-            batch,
-        ),
-        VariantSpec::TvarFullG
-        | VariantSpec::TvarFullL
-        | VariantSpec::TvarShortG
-        | VariantSpec::TvarShortL => erase_kv_batch(
-            StmKvBench::new(
-                TvarStm::with_config(stm_config(spec)),
-                shards,
-                capacity_per_shard,
-                api_mode(spec),
-            ),
-            num_keys,
-            mix,
-            dist,
-            value_size,
-            batch,
-        ),
-        VariantSpec::ValFull | VariantSpec::ValShort => erase_kv_batch(
-            StmKvBench::new(
-                ValShort::with_config(stm_config(spec)),
-                shards,
-                capacity_per_shard,
-                api_mode(spec),
-            ),
-            num_keys,
-            mix,
-            dist,
-            value_size,
-            batch,
-        ),
-    }
-}
-
 /// A deterministic key/raw-draw stream shared by the bench loops.
 pub struct KeyStream {
     state: u64,

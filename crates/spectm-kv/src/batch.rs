@@ -9,14 +9,13 @@
 //! counting sort ([`crate::ShardRouter::group_runs_into`], reusing the
 //! [`BatchRequest`]'s scratch so steady-state grouping never allocates),
 //! **enters the epoch once for the whole batch** (the per-operation paths
-//! underneath run their short transactions against the already-pinned
-//! epoch — gets and overwrites skip pin entry/exit entirely, everything
-//! else nests as a counter bump), drains each shard's group through a
-//! prefetch-pipelined dispatch loop (the bucket probe of operation *i*
-//! overlaps the bucket-line fetch of operation *i + 4*), and writes each
-//! result
-//! back to the request position it came from.  A one-operation batch
-//! bypasses all of it and costs what the single-key API costs.
+//! underneath are the single-key API's own; each still pins for itself,
+//! and under the batch's pin that is a counter bump, not an announce),
+//! drains each shard's group through a prefetch-pipelined dispatch loop
+//! (the bucket probe of operation *i* overlaps the bucket-line fetch of
+//! operation *i + 4*), and writes each result back to the request position
+//! it came from.  A one-operation batch bypasses all of it and costs what
+//! the single-key API costs.
 //!
 //! # Semantics: what is and is not atomic
 //!
@@ -55,11 +54,10 @@
 //! semantics for a request-pipeline front-end.
 
 use spectm::{Stm, StmThread, Word};
-use spectm_ds::TowerSlot;
 
-use crate::map::{deadline_expired, NodeSlot, RetiredNode};
-use crate::store::ShardedKv;
-use crate::value::{RetiredValue, Value, ValueSlot};
+use crate::map::deadline_expired;
+use crate::store::{MemberSlots, Removed, ShardedKv};
+use crate::value::{RetiredValue, Value};
 use crate::KvError;
 
 /// One operation of a batch, in the request's order.
@@ -404,29 +402,18 @@ pub fn validate_ops(ops: &[BatchOp]) -> Result<(), KvError> {
 }
 
 /// Post-commit bookkeeping for one write of an atomically executed shard
-/// group: which request slot it answers and what it must publish or retire
-/// once the group's transaction has committed.
+/// group: which request slot it answers, and what the store's settle must
+/// publish or retire once the group's transaction has committed.
 enum GroupEffect<S: Stm> {
-    /// A put that inserted a fresh key: publish its slots.
-    PutInsert { op: usize, put: usize },
-    /// A put that displaced an existing value word (stored under
-    /// `old_deadline` — if that had passed, the result is reported as an
-    /// insert).
-    PutUpdate {
+    /// A put: its displaced word if it overwrote (`None` = fresh insert),
+    /// and which of the group's slot sets it used.
+    Put {
         op: usize,
         put: usize,
-        displaced: RetiredValue,
-        old_deadline: Word,
+        displaced: Option<(RetiredValue, Word)>,
     },
-    /// A delete that unlinked a node, its value and its index tower (the
-    /// entry's deadline decides whether the removed value is reported).
-    Del {
-        op: usize,
-        value: RetiredValue,
-        node: RetiredNode<S>,
-        tower: spectm_ds::RetiredTower<S>,
-        deadline: Word,
-    },
+    /// A delete that unlinked an entry.
+    Del { op: usize, removed: Removed<S> },
 }
 
 impl<S: Stm + Clone> ShardedKv<S> {
@@ -533,15 +520,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         // to the single-key path, with no grouping and no extra pin, so
         // degenerate batches cost what the plain API costs.
         if let [op] = ops {
-            let shard = self.router().route(op.key());
-            out.push(match op {
-                BatchOp::Get(key) => self.get_routed(shard, *key, thread),
-                BatchOp::Put(key, value) => self.put_routed(shard, *key, value, None, thread),
-                BatchOp::PutTtl(key, value, ttl_ms) => {
-                    self.put_routed(shard, *key, value, Some(*ttl_ms), thread)
-                }
-                BatchOp::Del(key) => self.del_routed(shard, *key, thread),
-            });
+            out.push(self.run_op(self.router().route(op.key()), op, thread));
             return Ok(());
         }
         out.resize(ops.len(), None);
@@ -580,82 +559,20 @@ impl<S: Stm + Clone> ShardedKv<S> {
         Ok(())
     }
 
-    /// Dispatches one operation on a resolved shard through the
-    /// pinned-epoch short-transaction paths — the caller (the batch
-    /// dispatch loop) holds the batch's epoch pin, so gets and overwrites
-    /// skip per-attempt pin entry/exit entirely.
+    /// Dispatches one operation on a resolved shard through the single-key
+    /// paths — the one-operation fast path and the pipelined dispatch loop
+    /// (whose batch pin turns each path's own pin into a counter bump) run
+    /// the same code.
     #[inline]
     fn run_op(&self, shard: usize, op: &BatchOp, thread: &mut S::Thread) -> Option<Value> {
         match op {
-            BatchOp::Get(key) => self.get_routed_pinned(shard, *key, thread),
-            BatchOp::Put(key, value) => self.put_routed_pinned(shard, *key, value, None, thread),
+            BatchOp::Get(key) => self.get_routed(shard, *key, thread),
+            BatchOp::Put(key, value) => self.put_routed(shard, *key, value, None, thread),
             BatchOp::PutTtl(key, value, ttl_ms) => {
-                self.put_routed_pinned(shard, *key, value, Some(*ttl_ms), thread)
+                self.put_routed(shard, *key, value, Some(*ttl_ms), thread)
             }
             BatchOp::Del(key) => self.del_routed(shard, *key, thread),
         }
-    }
-
-    /// Reads every key of `keys`, pipelined per shard under one epoch
-    /// entry.  Each read is individually atomic; unlike
-    /// [`ShardedKv::multi_get_atomic`] the values may belong to different
-    /// serialization points — and there is no key-count limit.
-    pub fn multi_get(&self, keys: &[u64], thread: &mut S::Thread) -> Vec<Option<Value>> {
-        let mut out = vec![None; keys.len()];
-        let (order, ends) = self.router().group_runs(keys.iter().copied());
-        let _batch_pin = thread.epoch().pin();
-        let mut start = 0usize;
-        for (shard, &end) in ends.iter().enumerate() {
-            for &i in &order[start..end] {
-                out[i] = self.get_routed_pinned(shard, keys[i], thread);
-            }
-            start = end;
-        }
-        out
-    }
-
-    /// Stores every `(key, value)` pair, pipelined per shard under one
-    /// epoch entry, returning the displaced previous values in request
-    /// order.  Each put is individually atomic; same-key pairs apply in
-    /// request order.  An oversized value rejects the whole batch before
-    /// anything executes.
-    pub fn multi_put(
-        &self,
-        pairs: &[(u64, &[u8])],
-        thread: &mut S::Thread,
-    ) -> Result<Vec<Option<Value>>, KvError> {
-        for (_, value) in pairs {
-            crate::map::check_len(value)?;
-        }
-        let mut out = vec![None; pairs.len()];
-        let (order, ends) = self.router().group_runs(pairs.iter().map(|(k, _)| *k));
-        let _batch_pin = thread.epoch().pin();
-        let mut start = 0usize;
-        for (shard, &end) in ends.iter().enumerate() {
-            for &i in &order[start..end] {
-                let (key, value) = pairs[i];
-                out[i] = self.put_routed_pinned(shard, key, value, None, thread);
-            }
-            start = end;
-        }
-        Ok(out)
-    }
-
-    /// Removes every key of `keys`, pipelined per shard under one epoch
-    /// entry, returning the removed values in request order.  Each delete
-    /// is individually atomic.
-    pub fn multi_del(&self, keys: &[u64], thread: &mut S::Thread) -> Vec<Option<Value>> {
-        let mut out = vec![None; keys.len()];
-        let (order, ends) = self.router().group_runs(keys.iter().copied());
-        let _batch_pin = thread.epoch().pin();
-        let mut start = 0usize;
-        for (shard, &end) in ends.iter().enumerate() {
-            for &i in &order[start..end] {
-                out[i] = self.del_routed(shard, keys[i], thread);
-            }
-            start = end;
-        }
-        out
     }
 
     /// Whether a shard group both reads and writes the same key — the
@@ -681,10 +598,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     /// Runs one shard's group as a single full transaction, in request
-    /// order, with the same slot-reuse and epoch-retirement contracts as
-    /// the single-key paths (`NodeSlot` / `ValueSlot` / `TowerSlot` carry
-    /// speculative allocations across conflict retries; displaced words,
-    /// unlinked nodes and towers are retired only after the commit).
+    /// order, composing the store's two membership functions (so the index
+    /// invariant, the slot-reuse contracts across conflict retries and the
+    /// retire-only-after-commit rule are the single-key paths' own).
     fn run_group_atomic(
         &self,
         shard: usize,
@@ -694,14 +610,11 @@ impl<S: Stm + Clone> ShardedKv<S> {
         thread: &mut S::Thread,
     ) {
         let map = self.shard_map(shard);
-        let index = self.shard_index(shard);
         let now = self.now_ms();
-        // One slot triple per put operation of the group, allocated lazily
-        // by the map/index helpers and reused across conflict retries.
+        // One slot set per put operation of the group, filled lazily by the
+        // map/index helpers and reused across conflict retries.
         let puts = group.iter().filter(|&&i| ops[i].as_put().is_some()).count();
-        let mut value_slots: Vec<ValueSlot> = (0..puts).map(|_| ValueSlot::new()).collect();
-        let mut node_slots: Vec<NodeSlot<S>> = (0..puts).map(|_| NodeSlot::new()).collect();
-        let mut tower_slots: Vec<TowerSlot<S>> = (0..puts).map(|_| TowerSlot::new()).collect();
+        let mut slots: Vec<MemberSlots<S>> = (0..puts).map(|_| MemberSlots::new()).collect();
         let mut effects: Vec<GroupEffect<S>> = Vec::new();
         thread
             .atomic(|tx| {
@@ -709,130 +622,59 @@ impl<S: Stm + Clone> ShardedKv<S> {
                 // attempt's effects is the documented abort behaviour of
                 // the Retired* types.
                 effects.clear();
-                let mut put_no = 0;
-                for &i in group {
-                    if let Some((key, value, ttl_ms)) = ops[i].as_put() {
-                        let put = put_no;
-                        put_no += 1;
-                        let deadline = self.deadline_for(ttl_ms);
-                        let displaced = map.put_in(
-                            key,
-                            value,
-                            deadline,
-                            &mut value_slots[put],
-                            &mut node_slots[put],
-                            tx,
-                        )?;
-                        match displaced {
-                            Some((displaced, old_deadline)) => {
-                                effects.push(GroupEffect::PutUpdate {
-                                    op: i,
-                                    put,
-                                    displaced,
-                                    old_deadline,
-                                });
-                            }
-                            None => {
-                                let linked = index.insert_in(key, 0, &mut tower_slots[put], tx)?;
-                                debug_assert!(
-                                    linked,
-                                    "key {key} was in the index but not the shard"
-                                );
-                                effects.push(GroupEffect::PutInsert { op: i, put });
-                            }
-                        }
-                        continue;
-                    }
-                    match &ops[i] {
+                let mut put = 0;
+                for &op in group {
+                    match &ops[op] {
                         BatchOp::Get(key) => {
                             // An expired entry is absent; physical removal
                             // is left to lazy reads and the sweep.
-                            out[i] = match map.read_entry_in(*key, tx)? {
+                            out[op] = match map.read_entry_in(*key, tx)? {
                                 Some((_, deadline)) if deadline_expired(deadline, now) => None,
-                                Some((value, _)) => Some(value),
-                                None => None,
+                                entry => entry.map(|(value, _)| value),
                             };
                         }
                         BatchOp::Del(key) => {
-                            if let Some((value, node, deadline)) = map.del_in(*key, tx)? {
-                                let tower = index.remove_in(*key, tx)?;
-                                let tower = tower
-                                    .unwrap_or_else(|| panic!("key {key} missing from the index"));
-                                effects.push(GroupEffect::Del {
-                                    op: i,
-                                    value,
-                                    node,
-                                    tower,
-                                    deadline,
-                                });
-                            } else {
-                                out[i] = None;
+                            if let Some(removed) = self.remove_member_in(shard, *key, None, tx)? {
+                                effects.push(GroupEffect::Del { op, removed });
                             }
                         }
-                        BatchOp::Put(..) | BatchOp::PutTtl(..) => unreachable!("handled above"),
+                        BatchOp::Put(..) | BatchOp::PutTtl(..) => {
+                            let (key, value, ttl_ms) = ops[op].as_put().expect("a put");
+                            let deadline = self.deadline_for(ttl_ms);
+                            let displaced = self.insert_member_in(
+                                shard,
+                                key,
+                                value,
+                                deadline,
+                                &mut slots[put],
+                                tx,
+                            )?;
+                            effects.push(GroupEffect::Put { op, put, displaced });
+                            put += 1;
+                        }
                     }
                 }
                 Ok(())
             })
             .expect("batch groups are never cancelled");
-        // The group committed: resolve the write results, publish the slots
-        // of inserted nodes, settle the byte account and retire everything
-        // the transaction displaced.
+        // The group committed: the store's settles resolve the write
+        // results, publish, account and retire.
         for effect in effects {
             match effect {
-                GroupEffect::PutInsert { op, put } => {
-                    out[op] = None;
-                    value_slots[put].mark_published();
-                    node_slots[put].mark_published();
-                    tower_slots[put].mark_published();
-                    let (_, value, _) = ops[op].as_put().expect("insert effect from a put");
-                    self.account_insert(value.len());
+                GroupEffect::Put { op, put, displaced } => {
+                    let (_, value, _) = ops[op].as_put().expect("put effect from a put");
+                    out[op] = self.settle_put(displaced, &mut slots[put], value.len(), thread);
                 }
-                GroupEffect::PutUpdate {
-                    op,
-                    put,
-                    displaced,
-                    old_deadline,
-                } => {
-                    value_slots[put].mark_published();
-                    let old = displaced.value();
-                    displaced.retire(thread.epoch());
-                    let (_, value, _) = ops[op].as_put().expect("update effect from a put");
-                    out[op] = self.settle_overwrite(old, old_deadline, value.len());
-                }
-                GroupEffect::Del {
-                    op,
-                    value,
-                    node,
-                    tower,
-                    deadline,
-                } => {
-                    let removed = value.value();
-                    self.account_remove(removed.len());
-                    out[op] = if deadline_expired(deadline, now) {
-                        self.note_expired();
-                        None
-                    } else {
-                        Some(removed)
-                    };
-                    value.retire(thread.epoch());
-                    node.retire(thread);
-                    tower.retire(thread);
+                GroupEffect::Del { op, removed } => {
+                    out[op] = self.settle_removed(removed, thread).live();
                 }
             }
         }
-        // Hit/miss accounting and frequency bumps for the group's reads,
-        // settled after the commit so conflict retries are not counted.
-        for &i in group {
-            if let BatchOp::Get(key) = ops[i] {
-                if out[i].is_some() {
-                    self.count_hit();
-                    if self.config().max_bytes.is_some() {
-                        map.bump_freq(key, thread);
-                    }
-                } else {
-                    self.count_miss();
-                }
+        // The group's reads settle after the commit too, so conflict
+        // retries are not counted.
+        for &op in group {
+            if let BatchOp::Get(key) = ops[op] {
+                self.settle_read(shard, key, out[op].is_some(), thread);
             }
         }
     }
@@ -953,46 +795,20 @@ mod tests {
         );
         assert_eq!(store.get(1, &mut t), Some(Value::new(b"keep")));
         assert_eq!(store.get(2, &mut t), None);
+        // Position and put shape do not matter: an oversized TTL'd put
+        // *behind* valid writes and a delete still rejects all of them.
+        let batch = [
+            BatchOp::put(1, b"x"),
+            BatchOp::Del(1),
+            BatchOp::PutTtl(2, Value::from(huge), 5),
+        ];
         assert_eq!(
-            store.multi_put(&[(1, b"x"), (2, &huge)], &mut t),
+            store.execute_batch(&batch, &mut t),
             Err(KvError::ValueTooLarge {
                 len: MAX_VALUE_LEN + 1
             })
         );
         assert_eq!(store.get(1, &mut t), Some(Value::new(b"keep")));
-    }
-
-    #[test]
-    fn multi_ops_roundtrip_in_request_order() {
-        let stm = ValShort::new();
-        let store = ShardedKv::new(&stm, 4, 32, ApiMode::Short);
-        let mut t = store.register();
-        let pairs: Vec<(u64, Vec<u8>)> =
-            (0..40u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
-        let borrowed: Vec<(u64, &[u8])> = pairs.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        assert_eq!(
-            store.multi_put(&borrowed, &mut t).unwrap(),
-            vec![None; 40],
-            "fresh inserts displace nothing"
-        );
-        let keys: Vec<u64> = (0..44).collect();
-        let got = store.multi_get(&keys, &mut t);
-        for (k, v) in keys.iter().zip(&got) {
-            if *k < 40 {
-                assert_eq!(v.as_ref().unwrap().as_u64(), *k);
-            } else {
-                assert!(v.is_none());
-            }
-        }
-        // Duplicate keys apply in request order.
-        let dup = store
-            .multi_put(&[(7, b"first"), (7, b"second")], &mut t)
-            .unwrap();
-        assert_eq!(dup[0].as_ref().unwrap().as_u64(), 7);
-        assert_eq!(dup[1], Some(Value::new(b"first")));
-        let removed = store.multi_del(&[7, 7, 41], &mut t);
-        assert_eq!(removed, vec![Some(Value::new(b"second")), None, None]);
-        store.assert_index_consistent();
     }
 
     #[test]

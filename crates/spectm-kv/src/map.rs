@@ -48,10 +48,14 @@
 //!   `Full` here; the fine-grained ablation only exists for the paper's
 //!   figure 6 sets.
 //!
-//! [`StmHashMap::read_in`] / [`StmHashMap::write_in`] run the same bucket
-//! walks *inside a caller-provided full transaction*, which is what lets
+//! [`StmHashMap::put_in`] / [`StmHashMap::del_in`] (and the crate-internal
+//! entry read and overwrite) run the same chain walk *inside a
+//! caller-provided full transaction*, which is what lets
 //! [`crate::ShardedKv::rmw`] compose an atomic multi-key update across
-//! shards.  Deleted nodes are retired through the STM's epoch collector;
+//! shards and the store change a map slot and its index tower together.
+//! Every operation pins the epoch once for the call; under a caller's pin
+//! (the batched pipeline holds one per batch) that nests as a counter
+//! bump.  Deleted nodes are retired through the STM's epoch collector;
 //! overflow buckets are **write-once** (linked, never unlinked, freed only
 //! in the map's own `Drop`), so traversals never race bucket reclamation.
 //!
@@ -73,8 +77,9 @@
 
 use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::ApiMode;
+use txepoch::Guard;
 
-use crate::value::{decode_value, free_value, retire_value};
+use crate::value::{decode_value, free_value};
 use crate::{KvError, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
 
 /// Item words per bucket (the 8th word of the cache line is the stat word).
@@ -202,16 +207,20 @@ struct Candidate<'a, S: Stm> {
     node: &'a Node<S>,
 }
 
-/// Outcome of one attempt at the short update-in-place protocol.
-enum ShortUpdate {
-    /// The value word was overwritten; holds the displaced value word (now
-    /// owned by this thread) and the deadline word it was stored under.
-    Updated(Word, Word),
-    /// The slot no longer holds the candidate (the key was deleted, and
-    /// possibly reinserted elsewhere); search again.
-    Gone,
-    /// Validation or commit failed; search again and retry.
-    Retry,
+/// What the one chain walk under a full transaction
+/// (`StmHashMap::probe_in`) found.
+enum Probe<'a, S: Stm> {
+    /// The key is present: its slot, the word there and the node behind it.
+    Hit(Candidate<'a, S>),
+    /// The key is absent, and every item and stat word of its chain is in
+    /// the transaction's read set, so a commit validates the absence: the
+    /// first empty slot seen (if any), and the chain's last bucket with its
+    /// stat word — where an insert that found no empty slot links.
+    Miss {
+        empty: Option<&'a S::Cell>,
+        tail: &'a Bucket<S>,
+        stat: Word,
+    },
 }
 
 /// Reusable allocation slot for [`StmHashMap::put_in`].
@@ -539,8 +548,22 @@ impl<S: Stm> StmHashMap<S> {
     /// interpreting them; expiry policy lives in [`crate::ShardedKv`]).
     pub(crate) fn get_entry(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
         match self.mode {
-            ApiMode::Short => self.get_short(key, thread),
-            ApiMode::Full | ApiMode::Fine => self.get_entry_full(key, thread),
+            ApiMode::Short => {
+                let pin = thread.epoch().pin();
+                let mut attempts = 0u32;
+                loop {
+                    if attempts > 0 {
+                        thread.backoff().wait();
+                    }
+                    attempts += 1;
+                    if let Ok(result) = self.attempt_get(key, &pin, thread) {
+                        return result;
+                    }
+                }
+            }
+            ApiMode::Full | ApiMode::Fine => thread
+                .atomic(|tx| self.read_entry_in(key, tx))
+                .expect("get is never cancelled"),
         }
     }
 
@@ -576,30 +599,15 @@ impl<S: Stm> StmHashMap<S> {
     }
 
     /// Overwrites the value under an **existing** `key`, returning the
-    /// previous value; returns `Ok(None)` (inserting nothing) if the key is
-    /// absent.  The membership-preserving half of [`StmHashMap::put`]: in
-    /// Short mode it is the same two-location read-write transaction, never
-    /// the insert path.
-    pub fn update(
-        &self,
-        key: u64,
-        value: &[u8],
-        thread: &mut S::Thread,
-    ) -> Result<Option<Value>, KvError> {
-        check_len(value)?;
-        let mut slot = ValueSlot::new();
-        Ok(self
-            .update_entry_with_slot(key, value, None, &mut slot, thread)
-            .map(|(value, _)| value))
-    }
-
-    /// [`StmHashMap::update`] with a caller-provided [`ValueSlot`], so a
-    /// following [`StmHashMap::put_in`] of the same payload reuses the
-    /// encoding (the store's put fast path).  `deadline` of `None`
-    /// preserves the entry's current deadline word; `Some(word)` installs a
-    /// new one.  Returns the displaced value and the deadline word it was
-    /// stored under.  The length must already be checked.
-    pub(crate) fn update_entry_with_slot(
+    /// displaced value and the deadline word it was stored under; returns
+    /// `None` (inserting nothing) if the key is absent.  The
+    /// membership-preserving half of a put: in Short mode it is one
+    /// three-location read-write transaction, never the insert path.
+    /// `deadline` of `None` preserves the entry's current deadline word;
+    /// `Some(word)` installs a new one.  `slot` keeps the encoding, so a
+    /// following [`StmHashMap::put_in`] of the same payload reuses it (the
+    /// store's put fast path).  The length must already be checked.
+    pub(crate) fn update_entry(
         &self,
         key: u64,
         value: &[u8],
@@ -607,28 +615,10 @@ impl<S: Stm> StmHashMap<S> {
         slot: &mut ValueSlot,
         thread: &mut S::Thread,
     ) -> Option<(Value, Word)> {
-        match self.mode {
-            ApiMode::Short => self.update_short(key, value, deadline, slot, thread),
-            ApiMode::Full | ApiMode::Fine => {
-                self.update_entry_full(key, value, deadline, slot, thread)
-            }
-        }
-    }
-
-    /// [`StmHashMap::update_entry_with_slot`] for callers that already hold
-    /// an epoch pin for the whole call (the batched pipeline): per-attempt
-    /// pin entry/exit is skipped; only a committed overwrite takes a nested
-    /// (counter-bump) pin to retire the displaced word.
-    pub(crate) fn update_entry_with_slot_pinned(
-        &self,
-        key: u64,
-        value: &[u8],
-        deadline: Option<Word>,
-        slot: &mut ValueSlot,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        debug_assert!(thread.epoch().is_pinned(), "update_pinned without a pin");
-        match self.mode {
+        // The call's one pin: the scan dereferences nodes under it, and the
+        // full path's attempts and the retirement below nest inside it.
+        let pin = thread.epoch().pin();
+        let (displaced, old_deadline) = match self.mode {
             ApiMode::Short => {
                 let word = slot.encode_once(value);
                 let mut attempts = 0u32;
@@ -637,24 +627,18 @@ impl<S: Stm> StmHashMap<S> {
                         thread.backoff().wait();
                     }
                     attempts += 1;
-                    if let Ok(displaced) = self.try_update_attempt(key, word, deadline, thread) {
-                        return displaced.map(|(old, old_deadline)| {
-                            slot.mark_published();
-                            // SAFETY: the committed overwrite displaced
-                            // `old`, making this thread its exclusive owner.
-                            let previous = unsafe { decode_value(old) };
-                            let pin = thread.epoch().pin();
-                            // SAFETY: as above; pinned readers are protected.
-                            unsafe { retire_value(old, &pin) };
-                            (previous, old_deadline)
-                        });
+                    let c = self.find_short(key, &pin, thread)?;
+                    if let Some(displaced) = self.attempt_overwrite(&c, word, deadline, thread) {
+                        break displaced;
                     }
                 }
             }
-            ApiMode::Full | ApiMode::Fine => {
-                self.update_entry_full(key, value, deadline, slot, thread)
-            }
-        }
+            ApiMode::Full | ApiMode::Fine => thread
+                .atomic(|tx| self.write_entry_in(key, value, deadline, slot, tx))
+                .expect("update is never cancelled")?,
+        };
+        slot.mark_published();
+        Some((displaced.take(&pin), old_deadline))
     }
 
     /// Removes `key`, returning the value it held.
@@ -666,7 +650,14 @@ impl<S: Stm> StmHashMap<S> {
     pub(crate) fn del_entry(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
         match self.mode {
             ApiMode::Short => self.del_short(key, thread),
-            ApiMode::Full | ApiMode::Fine => self.del_entry_full(key, thread),
+            ApiMode::Full | ApiMode::Fine => {
+                let pin = thread.epoch().pin();
+                let (value, node, deadline) = thread
+                    .atomic(|tx| self.del_in(key, None, tx))
+                    .expect("del is never cancelled")?;
+                node.retire(thread);
+                Some((value.take(&pin), deadline))
+            }
         }
     }
 
@@ -741,20 +732,21 @@ impl<S: Stm> StmHashMap<S> {
     // ------------------------------------------------------------------
 
     /// Scans one bucket's item words with single-location reads, returning
-    /// the first tag-and-key match.  The caller must hold an epoch pin.
-    fn scan_bucket_short<'a>(
-        &'a self,
-        bucket: &'a Bucket<S>,
+    /// the first tag-and-key match.  `_pin` is the operation's epoch pin:
+    /// the candidate's node reference cannot outlive it.
+    fn scan_bucket_short<'g>(
+        &'g self,
+        bucket: &'g Bucket<S>,
         key: u64,
         tag: Word,
+        _pin: &'g Guard,
         thread: &mut S::Thread,
-    ) -> Option<Candidate<'a, S>> {
+    ) -> Option<Candidate<'g, S>> {
         for cell in &bucket.item {
             let w = thread.single_read(cell);
             if w != 0 && w & TAG_MASK == tag {
-                // SAFETY: `w` was read from a reachable slot under the
-                // caller's epoch pin; retired nodes cannot be freed while
-                // pinned.
+                // SAFETY: `w` was read from a reachable slot under `_pin`;
+                // retired nodes cannot be freed while it is held.
                 let node = unsafe { &*Self::node(w) };
                 if node.key == key {
                     return Some(Candidate {
@@ -768,19 +760,19 @@ impl<S: Stm> StmHashMap<S> {
         None
     }
 
-    /// Continues a short scan down an overflow chain.  The caller must hold
-    /// an epoch pin.
-    fn scan_overflow_short<'a>(
-        &'a self,
+    /// Continues a short scan down an overflow chain.
+    fn scan_overflow_short<'g>(
+        &'g self,
         mut p: *const OverflowBucket<S>,
         key: u64,
         tag: Word,
+        pin: &'g Guard,
         thread: &mut S::Thread,
-    ) -> Option<Candidate<'a, S>> {
+    ) -> Option<Candidate<'g, S>> {
         while !p.is_null() {
             // SAFETY: overflow buckets live until the map is dropped.
             let bucket = unsafe { &(*p).bucket };
-            if let Some(c) = self.scan_bucket_short(bucket, key, tag, thread) {
+            if let Some(c) = self.scan_bucket_short(bucket, key, tag, pin, thread) {
                 return Some(c);
             }
             p = Self::chain(thread.single_read(&bucket.stat));
@@ -788,39 +780,33 @@ impl<S: Stm> StmHashMap<S> {
         None
     }
 
-    /// Scans the whole chain for `key` with single-location reads.  The
-    /// caller must hold an epoch pin.
-    fn find_short<'a>(&'a self, key: u64, thread: &mut S::Thread) -> Option<Candidate<'a, S>> {
+    /// Scans the whole chain for `key` with single-location reads.
+    fn find_short<'g>(
+        &'g self,
+        key: u64,
+        pin: &'g Guard,
+        thread: &mut S::Thread,
+    ) -> Option<Candidate<'g, S>> {
         let h = hash_key(key);
         let tag = tag_of(h);
         let home = self.home_bucket(h);
-        if let Some(c) = self.scan_bucket_short(home, key, tag, thread) {
+        if let Some(c) = self.scan_bucket_short(home, key, tag, pin, thread) {
             return Some(c);
         }
         let stat = thread.single_read(&home.stat);
-        self.scan_overflow_short(Self::chain(stat), key, tag, thread)
-    }
-
-    fn get_short(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
-            let _pin = thread.epoch().pin();
-            if let Ok(result) = self.try_get_short(key, thread) {
-                return result;
-            }
-        }
+        self.scan_overflow_short(Self::chain(stat), key, tag, pin, thread)
     }
 
     /// One attempt of the short get protocol; `Err` means validation
-    /// failed and the caller should retry.  The caller must hold an epoch
-    /// pin for the duration of the attempt.
+    /// failed and the caller should retry.
     #[inline]
-    fn try_get_short(&self, key: u64, thread: &mut S::Thread) -> Result<Option<(Value, Word)>, ()> {
-        let Some(c) = self.find_short(key, thread) else {
+    fn attempt_get(
+        &self,
+        key: u64,
+        pin: &Guard,
+        thread: &mut S::Thread,
+    ) -> Result<Option<(Value, Word)>, ()> {
+        let Some(c) = self.find_short(key, pin, thread) else {
             return Ok(None);
         };
         // Membership, value and deadline must be observed together: a
@@ -835,36 +821,9 @@ impl<S: Stm> StmHashMap<S> {
         if !thread.ro_is_valid(3) {
             return Err(());
         }
-        // SAFETY: the caller's pin predates any retirement of the cell
-        // behind the validated word, so it cannot have been freed yet.
+        // SAFETY: `pin` predates any retirement of the cell behind the
+        // validated word, so it cannot have been freed yet.
         Ok(Some((unsafe { decode_value(value) }, deadline)))
-    }
-
-    /// [`StmHashMap::get_entry`] for callers that already hold an epoch pin
-    /// for the whole call (the batched pipeline, which enters the epoch once
-    /// per batch): per-attempt pin entry/exit is skipped entirely.  In
-    /// Full mode this simply forwards — `atomic` nests its pins cheaply.
-    pub(crate) fn get_entry_pinned(
-        &self,
-        key: u64,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        debug_assert!(thread.epoch().is_pinned(), "get_pinned without a pin");
-        match self.mode {
-            ApiMode::Short => {
-                let mut attempts = 0u32;
-                loop {
-                    if attempts > 0 {
-                        thread.backoff().wait();
-                    }
-                    attempts += 1;
-                    if let Ok(result) = self.try_get_short(key, thread) {
-                        return result;
-                    }
-                }
-            }
-            ApiMode::Full | ApiMode::Fine => self.get_entry_full(key, thread),
-        }
     }
 
     /// One attempt at the update-in-place protocol: a three-location short
@@ -872,34 +831,34 @@ impl<S: Stm> StmHashMap<S> {
     /// slot both checks membership and guards against a concurrent delete
     /// committing between the scan and the write.  A `deadline` of `None`
     /// preserves the entry's deadline by writing back the word just read.
-    /// The caller must hold an epoch pin.
-    fn try_update_short(
+    /// Returns the displaced value word (now owned by this thread) and the
+    /// deadline word it was stored under, or `None` when the attempt did
+    /// not commit — validation failed, or the slot no longer holds the
+    /// candidate (deleted, possibly reinserted elsewhere): search again.
+    fn attempt_overwrite(
         &self,
         c: &Candidate<'_, S>,
         word: Word,
         deadline: Option<Word>,
         thread: &mut S::Thread,
-    ) -> ShortUpdate {
+    ) -> Option<(RetiredValue, Word)> {
         let w = thread.rw_read(0, c.cell);
         if !thread.rw_is_valid(1) {
-            return ShortUpdate::Retry;
+            return None;
         }
         if w != c.word {
-            // The candidate was deleted (and the slot possibly reused).
             thread.rw_abort(1);
-            return ShortUpdate::Gone;
+            return None;
         }
         let old = thread.rw_read(1, &c.node.value);
         let old_deadline = thread.rw_read(2, &c.node.deadline);
         if !thread.rw_is_valid(3) {
-            return ShortUpdate::Retry;
+            return None;
         }
         let new_deadline = deadline.unwrap_or(old_deadline);
-        if thread.rw_commit(3, &[c.word, word, new_deadline]) {
-            ShortUpdate::Updated(old, old_deadline)
-        } else {
-            ShortUpdate::Retry
-        }
+        thread
+            .rw_commit(3, &[c.word, word, new_deadline])
+            .then(|| (RetiredValue::new(old), old_deadline))
     }
 
     fn put_short(
@@ -916,13 +875,13 @@ impl<S: Stm> StmHashMap<S> {
         // Speculative allocations, reused across attempts and freed by the
         // slot's drop if this operation ends up not publishing them.
         let mut scratch = NodeSlot::<S>::new();
+        let pin = thread.epoch().pin();
         let mut attempts = 0u32;
         loop {
             if attempts > 0 {
                 thread.backoff().wait();
             }
             attempts += 1;
-            let pin = thread.epoch().pin();
             let home = self.home_bucket(h);
             // One pass doubling as the read-only half of the insert
             // transaction: all 7 item words and the stat word of the home
@@ -938,7 +897,7 @@ impl<S: Stm> StmHashMap<S> {
                         empty = Some(i);
                     }
                 } else if w & TAG_MASK == tag && candidate.is_none() {
-                    // SAFETY: read from a reachable slot under the pin.
+                    // SAFETY: read from a reachable slot under `pin`.
                     let node = unsafe { &*Self::node(w) };
                     if node.key == key {
                         candidate = Some(Candidate {
@@ -952,24 +911,16 @@ impl<S: Stm> StmHashMap<S> {
             let stat = thread.ro_read(BUCKET_SLOTS, &home.stat);
             let chain = Self::chain(stat);
             if candidate.is_none() && !chain.is_null() {
-                candidate = self.scan_overflow_short(chain, key, tag, thread);
+                candidate = self.scan_overflow_short(chain, key, tag, &pin, thread);
             }
             if let Some(c) = candidate {
-                match self.try_update_short(&c, word, Some(deadline), thread) {
-                    ShortUpdate::Updated(old, old_deadline) => {
-                        slot.mark_published();
-                        // SAFETY: the committed overwrite displaced `old`,
-                        // making this thread its exclusive owner.
-                        let previous = unsafe { decode_value(old) };
-                        // SAFETY: as above; pinned readers are protected.
-                        unsafe { retire_value(old, &pin) };
-                        return Some((previous, old_deadline));
-                    }
-                    ShortUpdate::Gone | ShortUpdate::Retry => {
-                        drop(pin);
-                        continue;
-                    }
-                }
+                let Some((displaced, old_deadline)) =
+                    self.attempt_overwrite(&c, word, Some(deadline), thread)
+                else {
+                    continue;
+                };
+                slot.mark_published();
+                return Some((displaced.take(&pin), old_deadline));
             }
             if !chain.is_null() {
                 // The chain already spans 2+ buckets: proving the key
@@ -977,8 +928,6 @@ impl<S: Stm> StmHashMap<S> {
                 // locations, so insert through a full transaction — the
                 // paper's fallback for transactions that outgrow the
                 // short API.
-                drop(pin);
-                drop(scratch);
                 return self.put_full(key, value, deadline, slot, thread);
             }
             if scratch.ptr.is_null() {
@@ -1011,95 +960,34 @@ impl<S: Stm> StmHashMap<S> {
                 return None;
             }
             scratch.chain_used = false;
-            drop(pin);
-        }
-    }
-
-    /// One attempt of the update-only protocol (scan + the
-    /// [`StmHashMap::try_update_short`] dispatch): `Ok(None)` means the key
-    /// is absent, `Ok(Some((old, old_deadline)))` a committed overwrite
-    /// that displaced `old` — now owned by this thread, which must decode
-    /// and retire it — and `Err(())` a validation or commit failure to
-    /// retry.  The caller must hold an epoch pin for the whole attempt.
-    fn try_update_attempt(
-        &self,
-        key: u64,
-        word: Word,
-        deadline: Option<Word>,
-        thread: &mut S::Thread,
-    ) -> Result<Option<(Word, Word)>, ()> {
-        let Some(c) = self.find_short(key, thread) else {
-            return Ok(None);
-        };
-        match self.try_update_short(&c, word, deadline, thread) {
-            ShortUpdate::Updated(old, old_deadline) => Ok(Some((old, old_deadline))),
-            // The slot changed under us: the key may be gone or freshly
-            // reinserted elsewhere — re-search either way.
-            ShortUpdate::Gone | ShortUpdate::Retry => Err(()),
-        }
-    }
-
-    /// Short-mode update-only path: the found-candidate branch of
-    /// `put_short` (the same [`StmHashMap::try_update_short`] protocol)
-    /// without the insert fallback.
-    fn update_short(
-        &self,
-        key: u64,
-        value: &[u8],
-        deadline: Option<Word>,
-        slot: &mut ValueSlot,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        let word = slot.encode_once(value);
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
-            let pin = thread.epoch().pin();
-            if let Ok(displaced) = self.try_update_attempt(key, word, deadline, thread) {
-                return displaced.map(|(old, old_deadline)| {
-                    slot.mark_published();
-                    // SAFETY: the committed overwrite displaced `old`,
-                    // making this thread its exclusive owner.
-                    let previous = unsafe { decode_value(old) };
-                    // SAFETY: as above; pinned readers are protected.
-                    unsafe { retire_value(old, &pin) };
-                    (previous, old_deadline)
-                });
-            }
         }
     }
 
     fn del_short(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
+        let pin = thread.epoch().pin();
         let mut attempts = 0u32;
         loop {
             if attempts > 0 {
                 thread.backoff().wait();
             }
             attempts += 1;
-            let pin = thread.epoch().pin();
-            let c = self.find_short(key, thread)?;
+            let c = self.find_short(key, &pin, thread)?;
             // A three-location short transaction: clear the slot and
             // capture the value and deadline, atomically.  Works at any
             // chain depth — no predecessor pointer exists in the bucket
             // layout.
             let w = thread.rw_read(0, c.cell);
             if !thread.rw_is_valid(1) {
-                drop(pin);
                 continue;
             }
             if w != c.word {
                 // Deleted (and possibly reused) concurrently; re-search.
                 thread.rw_abort(1);
-                drop(pin);
                 continue;
             }
             let value = thread.rw_read(1, &c.node.value);
             let deadline = thread.rw_read(2, &c.node.deadline);
             if !thread.rw_is_valid(3) {
-                drop(pin);
                 continue;
             }
             if thread.rw_commit(3, &[0, value, deadline]) {
@@ -1107,14 +995,10 @@ impl<S: Stm> StmHashMap<S> {
                 // node is unreachable for new scans; pinned readers are
                 // protected.
                 unsafe { pin.defer_drop(Self::node(c.word)) };
-                // SAFETY: the committed delete made this thread the value
-                // word's exclusive owner (the slot no longer leads to it).
-                let previous = unsafe { decode_value(value) };
-                // SAFETY: as above.
-                unsafe { retire_value(value, &pin) };
-                return Some((previous, deadline));
+                // The same commit made this thread the value word's owner.
+                let value = RetiredValue::new(value).take(&pin);
+                return Some((value, deadline));
             }
-            drop(pin);
         }
     }
 
@@ -1197,86 +1081,70 @@ impl<S: Stm> StmHashMap<S> {
     }
 
     // ------------------------------------------------------------------
-    // Traditional-transaction implementation
+    // Full transactions: the one chain walk and what each operation does
+    // with its answer
     // ------------------------------------------------------------------
 
-    fn get_entry_full(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
-        thread
-            .atomic(|tx| self.read_entry_in(key, tx))
-            .expect("get_full is never cancelled")
-    }
-
-    /// Body of a full-mode insert-or-update inside the caller's
-    /// transaction.  `slot` carries the speculative node (and overflow
-    /// bucket) across conflict retries; `word` is the pre-encoded value
-    /// word and `deadline` the deadline word to install.  Returns the
-    /// displaced value word and its deadline word on overwrite (owned by
-    /// the caller once the transaction commits).
-    fn put_body(
-        &self,
-        key: u64,
-        word: Word,
-        deadline: Word,
-        slot: &mut NodeSlot<S>,
-        tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(Word, Word)>> {
-        slot.chain_used = false;
+    /// Walks `key`'s chain inside the caller's full transaction — the one
+    /// walk under every full-transaction operation.  The references it
+    /// returns are for use within the same attempt only
+    /// ([`StmThread::atomic`] pins the epoch for the attempt, and opacity
+    /// keeps everything the attempt read reachable).
+    fn probe_in<'a>(&'a self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Probe<'a, S>> {
         let h = hash_key(key);
         let tag = tag_of(h);
         let mut bucket: &Bucket<S> = self.home_bucket(h);
-        let mut empty_cell: Option<&S::Cell> = None;
+        let mut empty: Option<&S::Cell> = None;
         loop {
             for cell in &bucket.item {
                 let w = tx.read(cell)?;
                 if w == 0 {
-                    if empty_cell.is_none() {
-                        empty_cell = Some(cell);
+                    if empty.is_none() {
+                        empty = Some(cell);
                     }
                 } else if w & TAG_MASK == tag {
                     // SAFETY: the transaction holds an epoch pin for the
                     // whole attempt; opacity guarantees reachability.
                     let node = unsafe { &*Self::node(w) };
                     if node.key == key {
-                        let old = tx.read(&node.value)?;
-                        let old_deadline = tx.read(&node.deadline)?;
-                        tx.write(&node.value, word)?;
-                        tx.write(&node.deadline, deadline)?;
-                        return Ok(Some((old, old_deadline)));
+                        return Ok(Probe::Hit(Candidate {
+                            cell,
+                            word: w,
+                            node,
+                        }));
                     }
                 }
             }
             let stat = tx.read(&bucket.stat)?;
             let p = Self::chain(stat);
             if p.is_null() {
-                // End of chain and the key is absent: insert.  Every slot
-                // and stat word of the chain is in the read set, so the
-                // commit validates exclusion.
-                if slot.ptr.is_null() {
-                    slot.ptr = self.alloc_node(key, word, deadline);
-                }
-                // SAFETY: still private until the commit publishes it.
-                let node = unsafe { &*slot.ptr };
-                S::poke(&node.value, word);
-                S::poke(&node.deadline, deadline);
-                let tagged = slot.ptr as Word | tag;
-                if let Some(cell) = empty_cell {
-                    tx.write(cell, tagged)?;
-                } else {
-                    // Chain a fresh overflow bucket carrying the node.
-                    if slot.chain.is_null() {
-                        slot.chain = self.alloc_overflow();
-                    }
-                    // SAFETY: private until the commit publishes it.
-                    let cb = unsafe { &(*slot.chain).bucket };
-                    S::poke(&cb.item[0], tagged);
-                    tx.write(&bucket.stat, slot.chain as Word | (stat & FREQ_MASK))?;
-                    slot.chain_used = true;
-                }
-                return Ok(None);
+                return Ok(Probe::Miss {
+                    empty,
+                    tail: bucket,
+                    stat,
+                });
             }
             // SAFETY: overflow buckets live until the map is dropped.
             bucket = unsafe { &(*p).bucket };
         }
+    }
+
+    /// Replaces a found entry's value word (and, with `Some`, its deadline
+    /// word) inside the caller's transaction, returning the displaced value
+    /// word and the deadline word it was stored under.
+    fn overwrite_in(
+        c: &Candidate<'_, S>,
+        word: Word,
+        deadline: Option<Word>,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<(RetiredValue, Word)> {
+        let old = tx.read(&c.node.value)?;
+        let old_deadline = tx.read(&c.node.deadline)?;
+        tx.write(&c.node.value, word)?;
+        if let Some(d) = deadline {
+            tx.write(&c.node.deadline, d)?;
+        }
+        Ok((RetiredValue::new(old), old_deadline))
     }
 
     fn put_full(
@@ -1287,61 +1155,23 @@ impl<S: Stm> StmHashMap<S> {
         slot: &mut ValueSlot,
         thread: &mut S::Thread,
     ) -> Option<(Value, Word)> {
-        let word = slot.encode_once(value);
+        let pin = thread.epoch().pin();
         let mut node_slot = NodeSlot::<S>::new();
-        let previous = thread
-            .atomic(|tx| self.put_body(key, word, deadline, &mut node_slot, tx))
-            .expect("put_full is never cancelled");
+        let displaced = thread
+            .atomic(|tx| self.put_in(key, value, deadline, slot, &mut node_slot, tx))
+            .expect("put is never cancelled");
         // Whether by insert or by overwrite, the committed attempt stored
         // the slot's word.
         slot.mark_published();
-        match previous {
-            Some((old, old_deadline)) => {
-                // The speculative allocations were not published (the
-                // committed outcome was an overwrite); `node_slot`'s drop
-                // frees them.
-                let pin = thread.epoch().pin();
-                // SAFETY: the committed overwrite displaced `old`, making
-                // this thread its exclusive owner; pinned readers are
-                // protected.
-                let out = unsafe { decode_value(old) };
-                // SAFETY: as above.
-                unsafe { retire_value(old, &pin) };
-                Some((out, old_deadline))
-            }
+        match displaced {
+            // An overwrite published no allocation; `node_slot`'s drop frees
+            // whatever the attempts speculated.
+            Some((old, old_deadline)) => Some((old.take(&pin), old_deadline)),
             None => {
                 node_slot.mark_published();
                 None
             }
         }
-    }
-
-    /// Full-mode update-only path: one transaction running the
-    /// [`StmHashMap::write_entry_in`] walk.
-    fn update_entry_full(
-        &self,
-        key: u64,
-        value: &[u8],
-        deadline: Option<Word>,
-        slot: &mut ValueSlot,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        let mut displaced: Option<(RetiredValue, Word)> = None;
-        let wrote = thread
-            .atomic(|tx| {
-                displaced = None;
-                displaced = self.write_entry_in(key, value, deadline, slot, tx)?;
-                Ok(displaced.is_some())
-            })
-            .expect("update is never cancelled");
-        if !wrote {
-            return None;
-        }
-        slot.mark_published();
-        let (displaced, old_deadline) = displaced.take().expect("wrote implies a displaced word");
-        let out = displaced.value();
-        displaced.retire(thread.epoch());
-        Some((out, old_deadline))
     }
 
     /// Inserts or updates `key` inside an already-running full transaction,
@@ -1372,152 +1202,94 @@ impl<S: Stm> StmHashMap<S> {
             debug_assert_eq!(unsafe { (*slot.ptr).key }, key, "one NodeSlot per key");
         }
         let word = value_slot.encode_once(value);
-        Ok(self
-            .put_body(key, word, deadline, slot, tx)?
-            .map(|(old, old_deadline)| (RetiredValue::new(old), old_deadline)))
+        slot.chain_used = false;
+        let (empty, tail, stat) = match self.probe_in(key, tx)? {
+            Probe::Hit(c) => return Self::overwrite_in(&c, word, Some(deadline), tx).map(Some),
+            Probe::Miss { empty, tail, stat } => (empty, tail, stat),
+        };
+        // The key is absent (and the commit validates that): insert.
+        if slot.ptr.is_null() {
+            slot.ptr = self.alloc_node(key, word, deadline);
+        }
+        // SAFETY: still private until the commit publishes it.
+        let node = unsafe { &*slot.ptr };
+        S::poke(&node.value, word);
+        S::poke(&node.deadline, deadline);
+        let tagged = slot.ptr as Word | tag_of(hash_key(key));
+        if let Some(cell) = empty {
+            tx.write(cell, tagged)?;
+        } else {
+            // Chain a fresh overflow bucket carrying the node.
+            if slot.chain.is_null() {
+                slot.chain = self.alloc_overflow();
+            }
+            // SAFETY: private until the commit publishes it.
+            let cb = unsafe { &(*slot.chain).bucket };
+            S::poke(&cb.item[0], tagged);
+            tx.write(&tail.stat, slot.chain as Word | (stat & FREQ_MASK))?;
+            slot.chain_used = true;
+        }
+        Ok(None)
     }
 
-    /// Body of a full-mode delete inside the caller's transaction.  With
-    /// `only_expired = Some(now_ms)` the delete happens only if the entry's
-    /// deadline has passed at `now_ms` (the reclaimer's re-check; `None`
-    /// removes unconditionally).  Returns the captured value word, the
-    /// deadline word, and the detached node pointer.
-    fn del_body(
+    /// Removes `key` inside an already-running full transaction, regardless
+    /// of this instance's [`ApiMode`].  With `only_expired = Some(now_ms)`
+    /// the removal happens only if the entry's deadline has passed at
+    /// `now_ms` — the transactional re-check behind lazy expiry and the
+    /// background sweep, whose snapshots may be stale by the time the
+    /// removal runs; `None` removes unconditionally.  Returns the captured
+    /// value, the detached node (both to be retired **after** the
+    /// transaction commits; see [`RetiredValue`] and [`RetiredNode`]), and
+    /// the entry's deadline word — or `None` if the key was absent or, under
+    /// `only_expired`, still live.
+    pub fn del_in(
         &self,
         key: u64,
         only_expired: Option<u64>,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(Word, Word, *mut Node<S>)>> {
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let mut bucket: &Bucket<S> = self.home_bucket(h);
-        loop {
-            for cell in &bucket.item {
-                let w = tx.read(cell)?;
-                if w != 0 && w & TAG_MASK == tag {
-                    // SAFETY: see `put_body`.
-                    let node = unsafe { &*Self::node(w) };
-                    if node.key == key {
-                        let deadline = tx.read(&node.deadline)?;
-                        if let Some(now_ms) = only_expired {
-                            if !deadline_expired(deadline, now_ms) {
-                                return Ok(None);
-                            }
-                        }
-                        let value = tx.read(&node.value)?;
-                        tx.write(cell, 0)?;
-                        return Ok(Some((value, deadline, Self::node(w))));
-                    }
-                }
-            }
-            let p = Self::chain(tx.read(&bucket.stat)?);
-            if p.is_null() {
-                return Ok(None);
-            }
-            // SAFETY: overflow buckets live until the map is dropped.
-            bucket = unsafe { &(*p).bucket };
-        }
-    }
-
-    fn del_entry_full(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
-        let removed = thread
-            .atomic(|tx| self.del_body(key, None, tx))
-            .expect("del_full is never cancelled");
-        removed.map(|(value, deadline, detached)| {
-            let pin = thread.epoch().pin();
-            // SAFETY: the committed transaction cleared the node's slot; it
-            // is unreachable for new transactions.
-            unsafe { pin.defer_drop(detached) };
-            // SAFETY: the committed delete made this thread the value
-            // word's exclusive owner.
-            let out = unsafe { decode_value(value) };
-            // SAFETY: as above.
-            unsafe { retire_value(value, &pin) };
-            (out, deadline)
-        })
-    }
-
-    /// Removes `key` inside an already-running full transaction, regardless
-    /// of this instance's [`ApiMode`].  Returns the captured value, the
-    /// detached node (both to be retired **after** the transaction commits;
-    /// see [`RetiredValue`] and [`RetiredNode`]), and the entry's deadline
-    /// word, or `None` if the key was absent.
-    pub fn del_in(
-        &self,
-        key: u64,
-        tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, RetiredNode<S>, Word)>> {
-        Ok(self.del_body(key, None, tx)?.map(|(value, deadline, ptr)| {
-            (RetiredValue::new(value), RetiredNode { ptr }, deadline)
-        }))
+        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+            return Ok(None);
+        };
+        let deadline = tx.read(&c.node.deadline)?;
+        if only_expired.is_some_and(|now_ms| !deadline_expired(deadline, now_ms)) {
+            return Ok(None);
+        }
+        let value = tx.read(&c.node.value)?;
+        tx.write(c.cell, 0)?;
+        let ptr = Self::node(c.word);
+        Ok(Some((
+            RetiredValue::new(value),
+            RetiredNode { ptr },
+            deadline,
+        )))
     }
 
-    /// [`StmHashMap::del_in`] gated on expiry: removes `key` only if its
-    /// deadline has passed at `now_ms`, returning `None` when the key is
-    /// absent **or still live** — the transactional re-check behind the
-    /// store's lazy expiry and the background reclaimer (their sweep
-    /// snapshots may be stale by the time the removal runs).
-    pub(crate) fn del_expired_in(
-        &self,
-        key: u64,
-        now_ms: u64,
-        tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(RetiredValue, RetiredNode<S>)>> {
-        Ok(self
-            .del_body(key, Some(now_ms), tx)?
-            .map(|(value, _, ptr)| (RetiredValue::new(value), RetiredNode { ptr })))
-    }
-
-    // ------------------------------------------------------------------
-    // Composition inside a caller-provided full transaction
-    // ------------------------------------------------------------------
-
-    /// Reads the value under `key` inside an already-running full
-    /// transaction (the building block of cross-shard read-modify-write).
-    pub fn read_in(&self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<Value>> {
-        Ok(self.read_entry_in(key, tx)?.map(|(value, _)| value))
-    }
-
-    /// [`StmHashMap::read_in`] plus the entry's deadline word — the store's
-    /// expiry-aware composed read.
+    /// Reads the entry under `key` — value and deadline word — inside an
+    /// already-running full transaction (the building block of cross-shard
+    /// read-modify-write and of scans).
     pub(crate) fn read_entry_in(
         &self,
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(Value, Word)>> {
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let mut bucket: &Bucket<S> = self.home_bucket(h);
-        loop {
-            for cell in &bucket.item {
-                let w = tx.read(cell)?;
-                if w != 0 && w & TAG_MASK == tag {
-                    // SAFETY: `StmThread::atomic` pins the epoch for the
-                    // whole attempt; opacity guarantees reachability.
-                    let node = unsafe { &*Self::node(w) };
-                    if node.key == key {
-                        let word = tx.read(&node.value)?;
-                        let deadline = tx.read(&node.deadline)?;
-                        // SAFETY: the attempt's epoch pin predates any
-                        // retirement of the cell behind a word this read
-                        // validated.
-                        return Ok(Some((unsafe { decode_value(word) }, deadline)));
-                    }
-                }
-            }
-            let p = Self::chain(tx.read(&bucket.stat)?);
-            if p.is_null() {
-                return Ok(None);
-            }
-            // SAFETY: overflow buckets live until the map is dropped.
-            bucket = unsafe { &(*p).bucket };
-        }
+        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+            return Ok(None);
+        };
+        let word = tx.read(&c.node.value)?;
+        let deadline = tx.read(&c.node.deadline)?;
+        // SAFETY: the attempt's epoch pin predates any retirement of the
+        // cell behind a word this read validated.
+        Ok(Some((unsafe { decode_value(word) }, deadline)))
     }
 
     /// Overwrites the value under an **existing** `key` inside an
-    /// already-running full transaction.  Returns `Ok(None)` (writing
-    /// nothing) if the key is absent; insertion under a composed transaction
-    /// goes through [`StmHashMap::put_in`].
+    /// already-running full transaction, returning the displaced value and
+    /// the deadline word it was stored under.  Returns `Ok(None)` (writing
+    /// nothing) if the key is absent; insertion under a composed
+    /// transaction goes through [`StmHashMap::put_in`].  `deadline` of
+    /// `None` preserves the entry's deadline word (a read-modify-write must
+    /// not refresh a TTL), `Some(word)` installs a new one.
     ///
     /// `slot` is re-encoded on every call (freeing the previous attempt's
     /// unpublished allocation), so retried bodies may pass different
@@ -1525,22 +1297,6 @@ impl<S: Stm> StmHashMap<S> {
     /// published and retire the returned [`RetiredValue`]; on abort, drop
     /// both.  `value` must be at most [`MAX_VALUE_LEN`] bytes (checked by
     /// the public entry points).
-    pub fn write_in(
-        &self,
-        key: u64,
-        value: &[u8],
-        slot: &mut ValueSlot,
-        tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<RetiredValue>> {
-        Ok(self
-            .write_entry_in(key, value, None, slot, tx)?
-            .map(|(retired, _)| retired))
-    }
-
-    /// [`StmHashMap::write_in`] with deadline control: `None` preserves the
-    /// entry's deadline word (a read-modify-write must not refresh a TTL),
-    /// `Some(word)` installs a new one.  Also returns the deadline word the
-    /// displaced value was stored under.
     pub(crate) fn write_entry_in(
         &self,
         key: u64,
@@ -1550,33 +1306,10 @@ impl<S: Stm> StmHashMap<S> {
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, Word)>> {
         debug_assert!(value.len() <= MAX_VALUE_LEN);
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let mut bucket: &Bucket<S> = self.home_bucket(h);
-        loop {
-            for cell in &bucket.item {
-                let w = tx.read(cell)?;
-                if w != 0 && w & TAG_MASK == tag {
-                    // SAFETY: see `read_in`.
-                    let node = unsafe { &*Self::node(w) };
-                    if node.key == key {
-                        let old = tx.read(&node.value)?;
-                        let old_deadline = tx.read(&node.deadline)?;
-                        tx.write(&node.value, slot.encode(value))?;
-                        if let Some(d) = deadline {
-                            tx.write(&node.deadline, d)?;
-                        }
-                        return Ok(Some((RetiredValue::new(old), old_deadline)));
-                    }
-                }
-            }
-            let p = Self::chain(tx.read(&bucket.stat)?);
-            if p.is_null() {
-                return Ok(None);
-            }
-            // SAFETY: overflow buckets live until the map is dropped.
-            bucket = unsafe { &(*p).bucket };
-        }
+        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+            return Ok(None);
+        };
+        Self::overwrite_in(&c, slot.encode(value), deadline, tx).map(Some)
     }
 }
 
@@ -1766,15 +1499,27 @@ mod tests {
             let stm = ValShort::new();
             let map = StmHashMap::new(&stm, 16, mode);
             let mut t = stm.register();
-            assert_eq!(map.update(5, b"nope", &mut t).unwrap(), None, "{mode:?}");
+            let update = |key, value: &[u8], deadline, t: &mut _| {
+                map.update_entry(key, value, deadline, &mut ValueSlot::new(), t)
+            };
+            assert_eq!(update(5, b"nope", None, &mut t), None, "{mode:?}");
             assert_eq!(map.get(5, &mut t), None, "update must not insert");
             map.put(5, b"first", &mut t).unwrap();
             assert_eq!(
-                map.update(5, &[9u8; 100], &mut t).unwrap(),
-                Some(Value::new(b"first")),
+                update(5, &[9u8; 100], Some(encode_deadline(40)), &mut t),
+                Some((Value::new(b"first"), 0)),
                 "{mode:?}"
             );
-            assert_eq!(map.get(5, &mut t), Some(Value::new(&[9u8; 100])));
+            // `None` keeps the deadline word the entry already carries.
+            assert_eq!(
+                update(5, b"third", None, &mut t),
+                Some((Value::new(&[9u8; 100]), encode_deadline(40))),
+                "{mode:?}"
+            );
+            assert_eq!(
+                map.get_entry(5, &mut t),
+                Some((Value::new(b"third"), encode_deadline(40)))
+            );
         }
     }
 
@@ -1787,14 +1532,17 @@ mod tests {
         map.put(2, &200u64.to_le_bytes(), &mut t).unwrap();
         let mut slot_a = ValueSlot::new();
         let mut slot_b = ValueSlot::new();
-        let mut displaced: Vec<RetiredValue> = Vec::new();
+        let mut displaced: Vec<(RetiredValue, Word)> = Vec::new();
         let moved = t
             .atomic(|tx| {
                 displaced.clear();
-                let a = map.read_in(1, tx)?.expect("key 1 present").as_u64();
-                let b = map.read_in(2, tx)?.expect("key 2 present").as_u64();
-                let wrote_a = map.write_in(1, &(a - 50).to_le_bytes(), &mut slot_a, tx)?;
-                let wrote_b = map.write_in(2, &(b + 50).to_le_bytes(), &mut slot_b, tx)?;
+                let (a, _) = map.read_entry_in(1, tx)?.expect("key 1 present");
+                let (b, _) = map.read_entry_in(2, tx)?.expect("key 2 present");
+                let (a, b) = (a.as_u64(), b.as_u64());
+                let wrote_a =
+                    map.write_entry_in(1, &(a - 50).to_le_bytes(), None, &mut slot_a, tx)?;
+                let wrote_b =
+                    map.write_entry_in(2, &(b + 50).to_le_bytes(), None, &mut slot_b, tx)?;
                 displaced.extend(wrote_a);
                 displaced.extend(wrote_b);
                 Ok(a + b)
@@ -1803,7 +1551,8 @@ mod tests {
         slot_a.mark_published();
         slot_b.mark_published();
         assert_eq!(displaced.len(), 2);
-        for d in displaced.drain(..) {
+        for (d, deadline) in displaced.drain(..) {
+            assert_eq!(deadline, 0, "plain puts store immortal entries");
             d.retire(t.epoch());
         }
         assert_eq!(moved, 300);
@@ -1814,8 +1563,8 @@ mod tests {
         let (missing, wrote) = t
             .atomic(|tx| {
                 Ok((
-                    map.read_in(9, tx)?,
-                    map.write_in(9, b"x", &mut slot, tx)?.is_some(),
+                    map.read_entry_in(9, tx)?,
+                    map.write_entry_in(9, b"x", None, &mut slot, tx)?.is_some(),
                 ))
             })
             .unwrap();
@@ -1836,12 +1585,6 @@ mod tests {
             })
         );
         assert_eq!(map.get(1, &mut t), None, "rejected put must write nothing");
-        assert_eq!(
-            map.update(1, &huge, &mut t),
-            Err(KvError::ValueTooLarge {
-                len: MAX_VALUE_LEN + 1
-            })
-        );
         // The boundary itself is accepted.
         let max = vec![7u8; MAX_VALUE_LEN];
         assert_eq!(map.put(1, &max, &mut t).unwrap(), None);

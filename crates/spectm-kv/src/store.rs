@@ -59,10 +59,10 @@
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use spectm::{Stm, StmThread, Word};
-use spectm_ds::{ApiMode, StmSkipList, TowerSlot};
+use spectm::{FullTx, Stm, StmThread, TxResult, Word};
+use spectm_ds::{ApiMode, RetiredTower, StmSkipList, TowerSlot};
 
-use crate::map::{deadline_expired, encode_deadline, MapStats, NodeSlot, StmHashMap};
+use crate::map::{deadline_expired, encode_deadline, MapStats, NodeSlot, RetiredNode, StmHashMap};
 use crate::router::ShardRouter;
 use crate::ttl::{CacheConfig, CacheStats, EvictionPolicy, SweepOutcome};
 use crate::value::{RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
@@ -93,6 +93,54 @@ fn item_cost(len: usize) -> u64 {
 /// more visit empties the bucket, and one pass of slack absorbs concurrent
 /// frequency bumps.
 const MAX_EVICTION_PASSES: usize = 10;
+
+/// The speculative allocations one [`ShardedKv::insert_member_in`] carries
+/// across conflict retries — value word, chain node, index tower — each
+/// under its own slot contract ([`ValueSlot`], [`NodeSlot`], [`TowerSlot`]).
+pub(crate) struct MemberSlots<S: Stm> {
+    value: ValueSlot,
+    node: NodeSlot<S>,
+    tower: TowerSlot<S>,
+}
+
+impl<S: Stm> MemberSlots<S> {
+    pub(crate) fn new() -> Self {
+        Self {
+            value: ValueSlot::new(),
+            node: NodeSlot::new(),
+            tower: TowerSlot::new(),
+        }
+    }
+}
+
+/// What one [`ShardedKv::remove_member_in`] unlinked, awaiting
+/// [`ShardedKv::settle_removed`] once its transaction has committed
+/// (dropping it after an abort does nothing, per the `Retired*` contracts).
+pub(crate) struct Removed<S: Stm> {
+    value: RetiredValue,
+    node: RetiredNode<S>,
+    tower: RetiredTower<S>,
+    deadline: Word,
+}
+
+/// How a settled removal reads to its caller.
+pub(crate) enum Removal {
+    /// The entry was observable; the value it held.
+    Live(Value),
+    /// The entry's deadline had passed: an expired-but-unswept corpse,
+    /// which no caller reports as having existed.
+    Corpse,
+}
+
+impl Removal {
+    /// The removed value, if the entry was still observable.
+    pub(crate) fn live(self) -> Option<Value> {
+        match self {
+            Removal::Live(value) => Some(value),
+            Removal::Corpse => None,
+        }
+    }
+}
 
 /// A sharded, concurrent `u64 -> bytes` store over one STM instance.
 ///
@@ -207,12 +255,6 @@ impl<S: Stm + Clone> ShardedKv<S> {
         &self.shards[shard]
     }
 
-    /// The ordered index of shard `shard`.
-    #[inline]
-    pub(crate) fn shard_index(&self, shard: usize) -> &StmSkipList<S> {
-        &self.indexes[shard]
-    }
-
     /// The cache configuration this store was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -272,14 +314,14 @@ impl<S: Stm + Clone> ShardedKv<S> {
 
     /// Charges one freshly inserted item to the account.
     #[inline]
-    pub(crate) fn account_insert(&self, len: usize) {
+    fn account_insert(&self, len: usize) {
         // ORDERING: relaxed statistics counter (see `live_bytes`).
         self.live_bytes.fetch_add(item_cost(len), Ordering::Relaxed);
     }
 
     /// Settles an overwrite: the item stays, only the payload length moved.
     #[inline]
-    pub(crate) fn account_overwrite(&self, old_len: usize, new_len: usize) {
+    fn account_overwrite(&self, old_len: usize, new_len: usize) {
         if new_len >= old_len {
             self.live_bytes
                 // ORDERING: relaxed statistics counter (see `live_bytes`).
@@ -293,7 +335,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
 
     /// Credits one physically removed item back to the account.
     #[inline]
-    pub(crate) fn account_remove(&self, len: usize) {
+    fn account_remove(&self, len: usize) {
         // ORDERING: relaxed statistics counter (see `live_bytes`).
         self.live_bytes.fetch_sub(item_cost(len), Ordering::Relaxed);
     }
@@ -301,13 +343,13 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// Records that an expired-but-unswept entry was physically removed or
     /// overwritten.
     #[inline]
-    pub(crate) fn note_expired(&self) {
+    fn note_expired(&self) {
         // ORDERING: relaxed statistics counter (see `cache_stats`).
         self.expired.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub(crate) fn count_hit(&self) {
+    fn count_hit(&self) {
         if self.track {
             // ORDERING: relaxed statistics counter (see `cache_stats`).
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -315,10 +357,25 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     #[inline]
-    pub(crate) fn count_miss(&self) {
+    fn count_miss(&self) {
         if self.track {
             // ORDERING: relaxed statistics counter (see `cache_stats`).
             self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Books one read of `key` once its outcome is final: the hit/miss
+    /// counters and, under a byte budget, the hit's bump of the home
+    /// bucket's frequency byte.  Every read path — single-key, pipelined
+    /// batch, atomic shard group — settles here.
+    #[inline]
+    pub(crate) fn settle_read(&self, shard: usize, key: u64, hit: bool, thread: &mut S::Thread) {
+        if !hit {
+            return self.count_miss();
+        }
+        self.count_hit();
+        if self.config.max_bytes.is_some() {
+            self.shards[shard].bump_freq(key, thread);
         }
     }
 
@@ -356,93 +413,15 @@ impl<S: Stm + Clone> ShardedKv<S> {
         thread: &mut S::Thread,
     ) -> Option<Value> {
         debug_assert_eq!(shard, self.router.route(key));
-        match self.shards[shard].get_entry(key, thread) {
-            Some((value, deadline)) => {
-                if self.entry_expired(deadline) {
-                    self.expire_routed(shard, key, thread);
-                    self.count_miss();
-                    return None;
-                }
-                if self.config.max_bytes.is_some() {
-                    self.shards[shard].bump_freq(key, thread);
-                }
-                self.count_hit();
-                Some(value)
-            }
-            None => {
-                self.count_miss();
+        let value = match self.shards[shard].get_entry(key, thread) {
+            Some((_, deadline)) if self.entry_expired(deadline) => {
+                self.remove_member(shard, key, Some(self.now_ms()), thread);
                 None
             }
-        }
-    }
-
-    /// [`ShardedKv::get_routed`] for callers that already hold an epoch pin
-    /// for the whole call (the batched pipeline).
-    pub(crate) fn get_routed_pinned(
-        &self,
-        shard: usize,
-        key: u64,
-        thread: &mut S::Thread,
-    ) -> Option<Value> {
-        debug_assert_eq!(shard, self.router.route(key));
-        match self.shards[shard].get_entry_pinned(key, thread) {
-            Some((value, deadline)) => {
-                if self.entry_expired(deadline) {
-                    self.expire_routed(shard, key, thread);
-                    self.count_miss();
-                    return None;
-                }
-                if self.config.max_bytes.is_some() {
-                    self.shards[shard].bump_freq(key, thread);
-                }
-                self.count_hit();
-                Some(value)
-            }
-            None => {
-                self.count_miss();
-                None
-            }
-        }
-    }
-
-    /// Physically removes `key` if (and only if) its deadline has passed —
-    /// the removal half of lazy expiry and of the sweep's expiry pass.  The
-    /// deadline is re-checked inside the transaction, so a concurrent
-    /// refresh or a racing remover turns this into a no-op.  Returns whether
-    /// this call removed the entry.
-    fn expire_routed(&self, shard: usize, key: u64, thread: &mut S::Thread) -> bool {
-        let now = self.now_ms();
-        let mut removed = None;
-        let mut retired_tower = None;
-        let found = thread
-            .atomic(|tx| {
-                removed = None;
-                retired_tower = None;
-                let Some((value, node)) = self.shards[shard].del_expired_in(key, now, tx)? else {
-                    return Ok(false);
-                };
-                removed = Some((value, node));
-                retired_tower = self.indexes[shard].remove_in(key, tx)?;
-                debug_assert!(
-                    retired_tower.is_some(),
-                    "key {key} was in the shard but not the index"
-                );
-                Ok(true)
-            })
-            .expect("expiry is never cancelled");
-        if !found {
-            return false;
-        }
-        let (value, node) = removed.take().expect("committed expiry captured a node");
-        self.account_remove(value.value().len());
-        // ORDERING: relaxed statistics counter (see `cache_stats`).
-        self.expired.fetch_add(1, Ordering::Relaxed);
-        value.retire(thread.epoch());
-        node.retire(thread);
-        if let Some(tower) = retired_tower {
-            tower.retire(thread);
-        }
-        true
+            entry => entry.map(|(value, _)| value),
+        };
+        self.settle_read(shard, key, value.is_some(), thread);
+        value
     }
 
     /// Stores `value` under `key`, returning the previous value if present,
@@ -507,119 +486,25 @@ impl<S: Stm + Clone> ShardedKv<S> {
         ttl_ms: Option<u64>,
         thread: &mut S::Thread,
     ) -> Option<Value> {
-        self.put_routed_impl(shard, key, value, ttl_ms, thread, false)
-    }
-
-    /// [`ShardedKv::put_routed`] for callers that already hold an epoch pin
-    /// for the whole call (the batched pipeline): the overwrite fast path
-    /// skips per-attempt pin entry/exit, and the insert slow path's
-    /// transaction nests its pins as counter bumps.
-    pub(crate) fn put_routed_pinned(
-        &self,
-        shard: usize,
-        key: u64,
-        value: &[u8],
-        ttl_ms: Option<u64>,
-        thread: &mut S::Thread,
-    ) -> Option<Value> {
-        self.put_routed_impl(shard, key, value, ttl_ms, thread, true)
-    }
-
-    fn put_routed_impl(
-        &self,
-        shard: usize,
-        key: u64,
-        value: &[u8],
-        ttl_ms: Option<u64>,
-        thread: &mut S::Thread,
-        pinned: bool,
-    ) -> Option<Value> {
         debug_assert!(value.len() <= MAX_VALUE_LEN);
         debug_assert_eq!(shard, self.router.route(key));
         let deadline = self.deadline_for(ttl_ms);
-        let mut value_slot = ValueSlot::new();
+        let mut slots = MemberSlots::new();
         // Fast path: overwrite an existing key — membership (and thus the
         // ordered index) is unchanged.  The new deadline rides the same
         // short transaction.
-        let updated = if pinned {
-            self.shards[shard].update_entry_with_slot_pinned(
-                key,
-                value,
-                Some(deadline),
-                &mut value_slot,
-                thread,
-            )
-        } else {
-            self.shards[shard].update_entry_with_slot(
-                key,
-                value,
-                Some(deadline),
-                &mut value_slot,
-                thread,
-            )
-        };
-        if let Some((old, old_deadline)) = updated {
+        if let Some((old, old_deadline)) =
+            self.shards[shard].update_entry(key, value, Some(deadline), &mut slots.value, thread)
+        {
             return self.settle_overwrite(old, old_deadline, value.len());
         }
-        // Slow path: the key looked absent — insert it into the hash map
-        // and the index in one transaction.  A concurrent insert may win
-        // the race, in which case `put_in` degrades to an in-place update
-        // and the index is left alone.
-        let mut node_slot = NodeSlot::new();
-        let mut tower_slot = TowerSlot::new();
-        let mut displaced: Option<(RetiredValue, Word)> = None;
-        let inserted = thread
-            .atomic(|tx| {
-                displaced = None;
-                displaced = self.shards[shard].put_in(
-                    key,
-                    value,
-                    deadline,
-                    &mut value_slot,
-                    &mut node_slot,
-                    tx,
-                )?;
-                if displaced.is_none() {
-                    let linked = self.indexes[shard].insert_in(key, 0, &mut tower_slot, tx)?;
-                    debug_assert!(linked, "key {key} was in the index but not the shard");
-                }
-                Ok(displaced.is_none())
-            })
+        // Slow path: the key looked absent — make it a member.  A
+        // concurrent insert may win the race, in which case the membership
+        // transaction degrades to an in-place update.
+        let displaced = thread
+            .atomic(|tx| self.insert_member_in(shard, key, value, deadline, &mut slots, tx))
             .expect("put is never cancelled");
-        // Insert or degraded overwrite, the committed attempt stored the
-        // value word.
-        value_slot.mark_published();
-        if inserted {
-            node_slot.mark_published();
-            tower_slot.mark_published();
-            self.account_insert(value.len());
-            None
-        } else {
-            let (displaced, old_deadline) = displaced.take().expect("overwrite displaced a word");
-            let old = displaced.value();
-            displaced.retire(thread.epoch());
-            self.settle_overwrite(old, old_deadline, value.len())
-        }
-    }
-
-    /// Books a committed overwrite and derives its logical result: the
-    /// byte account moves by the payload delta, and a displaced value whose
-    /// deadline had already passed was not observable — the put behaved as
-    /// an insert over a corpse, so the caller reports `None` (and the
-    /// corpse counts as expired).
-    pub(crate) fn settle_overwrite(
-        &self,
-        old: Value,
-        old_deadline: Word,
-        new_len: usize,
-    ) -> Option<Value> {
-        self.account_overwrite(old.len(), new_len);
-        if self.entry_expired(old_deadline) {
-            // ORDERING: relaxed statistics counter (see `cache_stats`).
-            self.expired.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(old)
+        self.settle_put(displaced, &mut slots, value.len(), thread)
     }
 
     /// Removes `key`, returning the value it held.  One full transaction
@@ -640,55 +525,155 @@ impl<S: Stm + Clone> ShardedKv<S> {
         key: u64,
         thread: &mut S::Thread,
     ) -> Option<Value> {
-        let (out, deadline) = self.remove_routed(shard, key, thread)?;
-        if self.entry_expired(deadline) {
-            // ORDERING: relaxed statistics counter (see `cache_stats`).
-            self.expired.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(out)
+        self.remove_member(shard, key, None, thread)?.live()
     }
 
-    /// Physically removes `key` from the shard and its index (one full
-    /// transaction), settles the byte account, and returns the removed
-    /// value with the deadline word it was stored under.  The shared
-    /// removal body under [`ShardedKv::del_routed`] and the sweep's
-    /// eviction — policy (expired? evicted? report the value?) stays with
-    /// the caller.
-    fn remove_routed(
+    // ------------------------------------------------------------------
+    // Membership: the index invariant's two transactions and their settle
+    // ------------------------------------------------------------------
+    //
+    // The index invariant — a key is in a shard's ordered index iff it is in
+    // that shard's hash map — holds because membership changes nowhere but
+    // in the two `*_member_in` functions below: each changes the map slot
+    // and the index tower inside one full transaction, and what it
+    // allocated or unlinked is published or retired by the matching
+    // `settle_*` strictly after that transaction commits.
+
+    /// Insert-or-overwrite of `key` inside the caller's full transaction.
+    /// An absent key becomes a member of the shard's map **and** index; a
+    /// present one is overwritten in place (membership, and so the index,
+    /// untouched) and its displaced value word returned with the deadline
+    /// word it was stored under.  `slots` carries the speculative
+    /// allocations across conflict retries; after the commit, hand both to
+    /// [`ShardedKv::settle_put`].
+    pub(crate) fn insert_member_in(
         &self,
         shard: usize,
         key: u64,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        debug_assert_eq!(shard, self.router.route(key));
-        let mut removed = None;
-        let mut retired_tower = None;
-        let deadline = thread
-            .atomic(|tx| {
-                removed = None;
-                retired_tower = None;
-                let Some((value, node, deadline)) = self.shards[shard].del_in(key, tx)? else {
-                    return Ok(None);
-                };
-                removed = Some((value, node));
-                retired_tower = self.indexes[shard].remove_in(key, tx)?;
-                debug_assert!(
-                    retired_tower.is_some(),
-                    "key {key} was in the shard but not the index"
-                );
-                Ok(Some(deadline))
-            })
-            .expect("del is never cancelled")?;
-        let (value, node) = removed.take().expect("committed delete captured a node");
-        let out = value.value();
-        self.account_remove(out.len());
-        value.retire(thread.epoch());
-        node.retire(thread);
-        if let Some(tower) = retired_tower {
-            tower.retire(thread);
+        value: &[u8],
+        deadline: Word,
+        slots: &mut MemberSlots<S>,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<(RetiredValue, Word)>> {
+        let displaced = self.shards[shard].put_in(
+            key,
+            value,
+            deadline,
+            &mut slots.value,
+            &mut slots.node,
+            tx,
+        )?;
+        if displaced.is_none() {
+            let linked = self.indexes[shard].insert_in(key, 0, &mut slots.tower, tx)?;
+            debug_assert!(linked, "key {key} was in the index but not the shard");
         }
-        Some((out, deadline))
+        Ok(displaced)
+    }
+
+    /// Settles a committed [`ShardedKv::insert_member_in`] and derives the
+    /// put's result: publishes the slots the commit consumed, then books an
+    /// insert, or retires the displaced word and books the overwrite.
+    pub(crate) fn settle_put(
+        &self,
+        displaced: Option<(RetiredValue, Word)>,
+        slots: &mut MemberSlots<S>,
+        new_len: usize,
+        thread: &mut S::Thread,
+    ) -> Option<Value> {
+        // Insert or overwrite, the committed attempt stored the value word.
+        slots.value.mark_published();
+        let Some((displaced, old_deadline)) = displaced else {
+            slots.node.mark_published();
+            slots.tower.mark_published();
+            self.account_insert(new_len);
+            return None;
+        };
+        let old = displaced.take(&thread.epoch().pin());
+        self.settle_overwrite(old, old_deadline, new_len)
+    }
+
+    /// Books a committed overwrite and derives its logical result: the
+    /// byte account moves by the payload delta, and a displaced value whose
+    /// deadline had already passed was not observable — the put behaved as
+    /// an insert over a corpse, so the caller reports `None` (and the
+    /// corpse counts as expired).
+    fn settle_overwrite(&self, old: Value, old_deadline: Word, new_len: usize) -> Option<Value> {
+        self.account_overwrite(old.len(), new_len);
+        if self.entry_expired(old_deadline) {
+            self.note_expired();
+            return None;
+        }
+        Some(old)
+    }
+
+    /// Removal of `key` from the shard's map **and** index inside the
+    /// caller's full transaction.  With `only_expired = Some(now_ms)` the
+    /// entry goes only if its deadline has passed at `now_ms` (the re-check
+    /// behind lazy expiry and the sweep, whose view may be stale by now).
+    /// Returns what was unlinked — after the commit, hand it to
+    /// [`ShardedKv::settle_removed`] — or `None` if nothing was removed.
+    pub(crate) fn remove_member_in(
+        &self,
+        shard: usize,
+        key: u64,
+        only_expired: Option<u64>,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<Removed<S>>> {
+        let Some((value, node, deadline)) = self.shards[shard].del_in(key, only_expired, tx)?
+        else {
+            return Ok(None);
+        };
+        let tower = self.indexes[shard]
+            .remove_in(key, tx)?
+            .unwrap_or_else(|| panic!("key {key} was in the shard but not the index"));
+        Ok(Some(Removed {
+            value,
+            node,
+            tower,
+            deadline,
+        }))
+    }
+
+    /// Settles a committed [`ShardedKv::remove_member_in`]: credits the byte
+    /// account, retires the value, the node and the tower, and classifies
+    /// the entry — a corpse (deadline already passed) counts as expired,
+    /// whichever path buried it.
+    pub(crate) fn settle_removed(&self, removed: Removed<S>, thread: &mut S::Thread) -> Removal {
+        let Removed {
+            value,
+            node,
+            tower,
+            deadline,
+        } = removed;
+        let value = value.take(&thread.epoch().pin());
+        self.account_remove(value.len());
+        node.retire(thread);
+        tower.retire(thread);
+        if self.entry_expired(deadline) {
+            self.note_expired();
+            return Removal::Corpse;
+        }
+        Removal::Live(value)
+    }
+
+    /// [`ShardedKv::remove_member_in`] as its own transaction, settled: the
+    /// one removal under `del`, lazy expiry and the sweep.  `None` means
+    /// nothing was removed (absent, or still live under `only_expired`) — a
+    /// concurrent refresh or a racing remover turns the call into a no-op.
+    fn remove_member(
+        &self,
+        shard: usize,
+        key: u64,
+        only_expired: Option<u64>,
+        thread: &mut S::Thread,
+    ) -> Option<Removal> {
+        debug_assert_eq!(shard, self.router.route(key));
+        // The call's one pin; the attempts' and the retirements' nest inside.
+        let _pin = thread.epoch().pin();
+        let removed = thread
+            .atomic(|tx| self.remove_member_in(shard, key, only_expired, tx))
+            .expect("removal is never cancelled")?;
+        Some(self.settle_removed(removed, thread))
     }
 
     /// Atomically reads every key in `keys` inside **one full transaction**
@@ -697,8 +682,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// [`KvError::TooManyKeys`] beyond [`MAX_RMW_KEYS`] keys.
     ///
     /// For large read sets where per-key (rather than cross-key) atomicity
-    /// suffices, use the batched [`ShardedKv::multi_get`], which has no key
-    /// limit.
+    /// suffices, use a batch of gets ([`ShardedKv::execute_batch`]), which
+    /// has no key limit.
     pub fn multi_get_atomic(
         &self,
         keys: &[u64],
@@ -776,12 +761,12 @@ impl<S: Stm + Clone> ShardedKv<S> {
             for ((slot, &key), val) in slots.iter_mut().zip(keys).zip(&vals) {
                 // The key was read above inside this same transaction, so
                 // the write cannot miss (opacity keeps the chain stable for
-                // the duration of the attempt).  `write_in` preserves the
-                // entry's deadline: a read-modify-write must not refresh a
+                // the duration of the attempt).  A `None` deadline preserves
+                // the entry's own: a read-modify-write must not refresh a
                 // TTL.
-                let old = self.shard(key).write_in(key, val, slot, tx)?;
+                let old = self.shard(key).write_entry_in(key, val, None, slot, tx)?;
                 debug_assert!(old.is_some(), "key {key} vanished within the transaction");
-                displaced.extend(old.map(|o| (o, val.len())));
+                displaced.extend(old.map(|(o, _)| (o, val.len())));
             }
             Ok(true)
         });
@@ -794,9 +779,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
                 for slot in &mut slots {
                     slot.mark_published();
                 }
+                let pin = thread.epoch().pin();
                 for (old, new_len) in displaced.drain(..) {
-                    self.account_overwrite(old.value().len(), new_len);
-                    old.retire(thread.epoch());
+                    self.account_overwrite(old.take(&pin).len(), new_len);
                 }
                 Ok(true)
             }
@@ -972,7 +957,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
             outcome.scanned += 1;
             self.shards[shard].collect_bucket_entries(bucket, thread, &mut scratch);
             for &(key, deadline) in &scratch {
-                if deadline_expired(deadline, now) && self.expire_routed(shard, key, thread) {
+                if deadline_expired(deadline, now)
+                    && self.remove_member(shard, key, Some(now), thread).is_some()
+                {
                     outcome.expired += 1;
                 }
             }
@@ -994,16 +981,18 @@ impl<S: Stm + Clone> ShardedKv<S> {
                 continue;
             }
             self.shards[shard].collect_bucket_entries(bucket, thread, &mut scratch);
-            for &(key, deadline) in &scratch {
-                if deadline_expired(deadline, now) {
-                    if self.expire_routed(shard, key, thread) {
-                        outcome.expired += 1;
+            for &(key, _) in &scratch {
+                // The bucket is being emptied: everything in it goes, and
+                // the settle tells corpses from evicted live entries.
+                match self.remove_member(shard, key, None, thread) {
+                    Some(Removal::Corpse) => outcome.expired += 1,
+                    Some(Removal::Live(_)) => {
+                        // ORDERING: relaxed statistics counter (see
+                        // `cache_stats`).
+                        self.evicted.fetch_add(1, Ordering::Relaxed);
+                        outcome.evicted += 1;
                     }
-                } else if self.remove_routed(shard, key, thread).is_some() {
-                    // ORDERING: relaxed statistics counter (see
-                    // `cache_stats`).
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    outcome.evicted += 1;
+                    None => {}
                 }
             }
         }

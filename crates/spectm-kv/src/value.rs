@@ -466,6 +466,7 @@ pub struct RetiredValue {
 }
 
 impl RetiredValue {
+    #[inline]
     pub(crate) fn new(word: Word) -> Self {
         Self { word }
     }
@@ -473,6 +474,7 @@ impl RetiredValue {
     /// Copies out the bytes the displaced word held.  Only call after the
     /// displacing transaction committed (the same ownership contract as
     /// [`RetiredValue::retire`]).
+    #[inline]
     pub fn value(&self) -> Value {
         // SAFETY: per the contract, the committed transaction made this
         // thread the exclusive owner of the word; the cell is still live
@@ -480,15 +482,31 @@ impl RetiredValue {
         unsafe { decode_value(self.word) }
     }
 
+    /// [`RetiredValue::value`] then the retirement, under a pin the caller
+    /// already holds — the owner's whole duty towards a displaced word, and
+    /// the one place every path inside the crate that displaces one settles
+    /// it.  Only call after the displacing transaction committed.
+    #[inline]
+    pub(crate) fn take(self, guard: &Guard) -> Value {
+        let out = self.value();
+        self.retire_under(guard);
+        out
+    }
+
     /// Defers the free of the displaced cell through the epoch collector
     /// (no-op for inline words).  Only call after the displacing transaction
     /// committed.
+    #[inline]
     pub fn retire(self, handle: &LocalHandle) {
-        let guard = handle.pin();
+        self.retire_under(&handle.pin());
+    }
+
+    #[inline]
+    fn retire_under(self, guard: &Guard) {
         // SAFETY: per the contract, the committed transaction displaced the
         // word from its only reachable location; pinned readers are
         // protected by the epoch.
-        unsafe { retire_value(self.word, &guard) };
+        unsafe { retire_value(self.word, guard) };
     }
 }
 

@@ -14,6 +14,10 @@
 //!   deadline is never observed and an immortal key never disappears.
 //! * A fixed manual-clock case pinning down that a scan's `limit` counts
 //!   live pairs, not index entries.
+//! * One generated operation sequence replayed through every write/read
+//!   surface — plain API, one-op batches, 32-op batches, two-frame
+//!   `MultiBatch` dispatches — on four fresh stores, asserting that results
+//!   *and cache counters* agree: accounting cannot drift between paths.
 
 mod common;
 
@@ -24,11 +28,14 @@ use std::time::Duration;
 
 use common::run_workers;
 use proptest::prelude::*;
-use spectm::variants::ValShort;
+use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::Stm;
 use spectm_ds::ApiMode;
 use spectm_kv::wire;
-use spectm_kv::{BatchOp, BatchRequest, BatchResponse, CacheConfig, Clock, Reclaimer, ShardedKv};
+use spectm_kv::{
+    BatchOp, BatchRequest, BatchResponse, CacheConfig, Clock, MultiBatch, Reclaimer, ShardedKv,
+    Value,
+};
 
 const RANGE: u64 = 24;
 
@@ -230,6 +237,185 @@ fn scans_fill_their_limit_past_unswept_corpses() {
         assert_eq!(store.cache_stats().expired, 0);
         store.assert_index_consistent();
     }
+}
+
+/// One store of the surfaces-agree test, with the surface it is driven
+/// through: `0` plain API, `1` one-op batches, `2` one batch per segment,
+/// `3` one two-frame `MultiBatch` dispatch per segment.
+struct Surface<S: Stm + Clone> {
+    store: ShardedKv<S>,
+    thread: S::Thread,
+}
+
+impl<S: Stm + Clone> Surface<S> {
+    fn run(&mut self, surface: usize, ops: &[BatchOp]) -> Vec<Option<Value>> {
+        let (store, t) = (&self.store, &mut self.thread);
+        match surface {
+            0 => ops
+                .iter()
+                .map(|op| match op {
+                    BatchOp::Get(k) => store.get(*k, t),
+                    BatchOp::Put(k, v) => store.put(*k, v, t).unwrap(),
+                    BatchOp::PutTtl(k, v, ttl) => store.put_with_ttl(*k, v, Some(*ttl), t).unwrap(),
+                    BatchOp::Del(k) => store.del(*k, t),
+                })
+                .collect(),
+            1 => ops
+                .iter()
+                .map(|op| {
+                    let mut one = store.execute_batch(std::slice::from_ref(op), t).unwrap();
+                    assert_eq!(one.len(), 1);
+                    one.pop().unwrap()
+                })
+                .collect(),
+            2 => {
+                let mut req: BatchRequest = ops.iter().cloned().collect();
+                let mut resp = BatchResponse::new();
+                store.execute_batch_into(&mut req, &mut resp, t).unwrap();
+                resp
+            }
+            _ => {
+                let mut multi = MultiBatch::new();
+                for (source, frame) in ops.chunks(ops.len().div_ceil(2)).enumerate() {
+                    for op in frame {
+                        multi.request_mut().push(op.clone());
+                    }
+                    multi.commit_frame(source);
+                }
+                store.execute_multi(&mut multi, t).unwrap();
+                multi.frames().flat_map(|(_, r)| r.to_vec()).collect()
+            }
+        }
+    }
+}
+
+/// Accounting cannot drift between paths: one generated sequence of gets,
+/// default-TTL puts, explicit-TTL puts, deletes and clock advances —
+/// colliding keys and short TTLs, so puts, deletes and gets land on
+/// expired-but-unswept corpses (asserted below) and most 32-op segments mix
+/// reads and writes of one key in a shard group (the atomic fallback) —
+/// replayed through the four surfaces on four fresh stores.  Per-op results
+/// and the hit/miss counters agree after every segment.  An atomic shard
+/// group reports an expired entry as absent without removing it where the
+/// plain read removes it on the spot, so physical state is compared after
+/// one closing full sweep: same entries, same byte account, and the same
+/// `expired` count — every corpse counted exactly once, whichever path
+/// buried it.
+fn surfaces_agree_on_results_and_counters<S: Stm + Clone>(new_stm: fn() -> S, mode: ApiMode) {
+    const SEGMENTS: usize = 40;
+    const SEGMENT_OPS: usize = 32;
+    let now_ms = Arc::new(AtomicU64::new(0));
+    let mut surfaces: Vec<Surface<S>> = (0..4)
+        .map(|_| {
+            let config = CacheConfig {
+                // A default TTL switches the hit/miss counters on.
+                default_ttl_ms: 6,
+                clock: Clock::manual(&now_ms),
+                ..CacheConfig::default()
+            };
+            let store = ShardedKv::with_config(&new_stm(), 4, 16, mode, config);
+            let thread = store.register();
+            Surface { store, thread }
+        })
+        .collect();
+    let mut rng = common::thread_rng(0x5EED_7715, 0);
+    // key -> deadline (0 = immortal) as the plain surface holds it, to
+    // prove the sequence reaches the corpse cases at all.
+    let mut held: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut on_corpses = [0usize; 3]; // gets, puts, dels
+    for segment in 0..SEGMENTS {
+        let now = clock_now(&now_ms);
+        let ops: Vec<BatchOp> = (0..SEGMENT_OPS)
+            .map(|_| {
+                let (key, draw) = (rng.next() % RANGE, rng.next());
+                let corpse = held.get(&key).is_some_and(|&d| d != 0 && d <= now);
+                match draw % 8 {
+                    0..=2 => {
+                        on_corpses[0] += corpse as usize;
+                        if corpse {
+                            held.remove(&key); // the plain read buries it
+                        }
+                        BatchOp::Get(key)
+                    }
+                    3 | 4 => {
+                        on_corpses[1] += corpse as usize;
+                        held.insert(key, now + 6);
+                        BatchOp::put(key, &payload(key, draw))
+                    }
+                    5 | 6 => {
+                        on_corpses[1] += corpse as usize;
+                        let ttl = (draw >> 8) % 5; // 0 = immortal, else 1..=4 ms
+                        held.insert(key, if ttl == 0 { 0 } else { now + ttl });
+                        BatchOp::put_ttl(key, &payload(key, draw), ttl)
+                    }
+                    _ => {
+                        on_corpses[2] += corpse as usize;
+                        held.remove(&key);
+                        BatchOp::Del(key)
+                    }
+                }
+            })
+            .collect();
+        let runs: Vec<Vec<Option<Value>>> = surfaces
+            .iter_mut()
+            .enumerate()
+            .map(|(surface, s)| s.run(surface, &ops))
+            .collect();
+        let stats: Vec<(u64, u64)> = surfaces
+            .iter()
+            .map(|s| s.store.cache_stats())
+            .map(|c| (c.hits, c.misses))
+            .collect();
+        for surface in 1..4 {
+            assert_eq!(
+                runs[surface], runs[0],
+                "segment {segment}: surface {surface} results"
+            );
+            assert_eq!(
+                stats[surface], stats[0],
+                "segment {segment}: surface {surface} hits/misses"
+            );
+        }
+        clock_advance(&now_ms, rng.next() % 4);
+    }
+    assert!(
+        on_corpses.iter().all(|&n| n > 0),
+        "the sequence must get, put and delete over corpses: {on_corpses:?}"
+    );
+    let settled: Vec<_> = surfaces
+        .iter_mut()
+        .map(|s| {
+            s.store.sweep_step(s.store.bucket_count(), &mut s.thread);
+            s.store.assert_index_consistent();
+            (
+                s.store.quiescent_snapshot(),
+                s.store.live_bytes(),
+                s.store.cache_stats().expired,
+            )
+        })
+        .collect();
+    assert!(settled[0].2 > 0, "corpses were buried and counted");
+    for surface in 1..4 {
+        assert_eq!(
+            settled[surface], settled[0],
+            "surface {surface} after the sweep"
+        );
+    }
+}
+
+#[test]
+fn surfaces_agree_on_results_and_counters_val_short() {
+    surfaces_agree_on_results_and_counters(ValShort::new, ApiMode::Short);
+}
+
+#[test]
+fn surfaces_agree_on_results_and_counters_tvar_short() {
+    surfaces_agree_on_results_and_counters(TvarShortG::new, ApiMode::Short);
+}
+
+#[test]
+fn surfaces_agree_on_results_and_counters_orec_full() {
+    surfaces_agree_on_results_and_counters(OrecFullG::new, ApiMode::Full);
 }
 
 /// Workers over disjoint key ranges race the background reclaimer and a

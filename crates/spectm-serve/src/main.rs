@@ -8,7 +8,7 @@ use std::time::Duration;
 use spectm::variants::ValShort;
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, EvictionPolicy, Reclaimer, ShardedKv};
+use spectm_kv::{CacheConfig, Reclaimer, ShardedKv};
 use spectm_serve::Server;
 
 const USAGE: &str = "\
@@ -29,7 +29,6 @@ Options:
                       down to it (default: no budget, nothing is evicted)
   --default-ttl-ms N  TTL for puts that carry none; 0 = entries never
                       expire by default (default 0)
-  --policy P          eviction victim selection, freq or fifo (default freq)
   --port-file PATH    write the bound address to PATH once listening
   --run-for-ms N      serve for N ms, then shut down cleanly (default: forever)
   --help              print this help
@@ -59,7 +58,6 @@ fn main() {
     let mut capacity = 1usize << 16;
     let mut max_bytes: Option<u64> = None;
     let mut default_ttl_ms = 0u64;
-    let mut policy = EvictionPolicy::Freq;
     let mut port_file: Option<String> = None;
     let mut run_for_ms: Option<u64> = None;
 
@@ -73,13 +71,6 @@ fn main() {
             "--capacity" => capacity = parse(&arg, args.next()),
             "--max-bytes" => max_bytes = Some(parse(&arg, args.next())),
             "--default-ttl-ms" => default_ttl_ms = parse(&arg, args.next()),
-            "--policy" => {
-                policy = match parse::<String>(&arg, args.next()).as_str() {
-                    "freq" => EvictionPolicy::Freq,
-                    "fifo" => EvictionPolicy::Fifo,
-                    other => die(&format!("bad value {other:?} for --policy")),
-                }
-            }
             "--port-file" => port_file = Some(parse(&arg, args.next())),
             "--run-for-ms" => run_for_ms = Some(parse(&arg, args.next())),
             "--help" | "-h" => {
@@ -100,7 +91,6 @@ fn main() {
     let config = CacheConfig {
         max_bytes,
         default_ttl_ms,
-        policy,
         ..CacheConfig::default()
     };
     let cache_enabled = max_bytes.is_some() || default_ttl_ms > 0;
