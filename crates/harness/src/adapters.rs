@@ -4,7 +4,7 @@
 //! the same integer-set abstraction.  [`BenchSet`] is the minimal trait the
 //! workload driver needs; adapters wrap each concrete implementation.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lockfree::{ConcurrentIntSet, SequentialIntSet};
 use spectm::Stm;
@@ -105,15 +105,6 @@ impl<S: Stm + Clone> BenchSet for StmSkipBench<S> {
     }
 }
 
-/// The STM thread handle doubles as the context; expose its statistics so the
-/// driver can report abort rates.
-impl<S: Stm + Clone> StmHashBench<S> {
-    /// The underlying STM instance (for statistics or inspection).
-    pub fn stm(&self) -> &S {
-        &self.stm
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lock-free baselines
 // ---------------------------------------------------------------------------
@@ -158,50 +149,78 @@ impl<T: ConcurrentIntSet + 'static> BenchSet for LockFreeBench<T> {
 
 /// [`BenchSet`] adapter for the single-threaded baselines.
 ///
-/// The sequential structures have no concurrency control whatsoever; the
-/// driver refuses to run them with more than one thread
-/// ([`BenchSet::supports_concurrency`] returns `false`).
+/// The sequential structures have no concurrency control whatsoever, so
+/// exclusivity is structural: [`BenchSet::thread_ctx`] checks the set itself
+/// out into the context ([`SeqCtx`]), operations run on `&mut` through that
+/// context with no lock, and dropping the context checks the set back in.
+/// A second context while one is live panics, and the driver refuses
+/// multi-threaded runs up front ([`BenchSet::supports_concurrency`] returns
+/// `false`).
 pub struct SeqBench<T: SequentialIntSet + Send> {
-    inner: std::cell::UnsafeCell<T>,
+    home: Arc<Mutex<Option<T>>>,
 }
 
-// SAFETY: the workload driver asserts single-threaded use before driving a
-// `SeqBench` (see `supports_concurrency`), mirroring the paper's "not safe
-// for multi-threaded use" sequential baseline.
-unsafe impl<T: SequentialIntSet + Send> Sync for SeqBench<T> {}
-// SAFETY: `T: Send` and the cell adds no thread affinity.
-unsafe impl<T: SequentialIntSet + Send> Send for SeqBench<T> {}
+/// The one live context of a [`SeqBench`]: owns the set until dropped.
+pub struct SeqCtx<T> {
+    set: Option<T>,
+    home: Arc<Mutex<Option<T>>>,
+}
+
+impl<T> SeqCtx<T> {
+    #[inline]
+    fn set(&mut self) -> &mut T {
+        self.set.as_mut().expect("the set is held until drop")
+    }
+}
+
+impl<T> Drop for SeqCtx<T> {
+    fn drop(&mut self) {
+        // A poisoned slot means another thread already panicked; the set is
+        // dropped with this context instead of being checked back in.
+        if let Ok(mut home) = self.home.lock() {
+            *home = self.set.take();
+        }
+    }
+}
 
 impl<T: SequentialIntSet + Send> SeqBench<T> {
     /// Wraps a sequential integer set.
     pub fn new(inner: T) -> Self {
         Self {
-            inner: std::cell::UnsafeCell::new(inner),
+            home: Arc::new(Mutex::new(Some(inner))),
         }
-    }
-
-    #[expect(clippy::mut_from_ref)]
-    fn inner(&self) -> &mut T {
-        // SAFETY: single-threaded use is enforced by the driver.
-        unsafe { &mut *self.inner.get() }
     }
 }
 
 impl<T: SequentialIntSet + Send + 'static> BenchSet for SeqBench<T> {
-    type ThreadCtx = ();
+    type ThreadCtx = SeqCtx<T>;
 
-    fn thread_ctx(&self) -> Self::ThreadCtx {}
-
-    fn insert(&self, key: u64, _ctx: &mut Self::ThreadCtx) -> bool {
-        self.inner().insert(key)
+    /// # Panics
+    ///
+    /// Panics if another context of this set is still live.
+    fn thread_ctx(&self) -> Self::ThreadCtx {
+        // The guard is released before the check so a refused second context
+        // does not poison the slot for the first one's drop.
+        let set = self.home.lock().expect("no panic holds the slot").take();
+        SeqCtx {
+            set: Some(set.expect(
+                "sequential baseline cannot run with more than one thread \
+                 (its set is already checked out)",
+            )),
+            home: Arc::clone(&self.home),
+        }
     }
 
-    fn remove(&self, key: u64, _ctx: &mut Self::ThreadCtx) -> bool {
-        self.inner().remove(key)
+    fn insert(&self, key: u64, ctx: &mut Self::ThreadCtx) -> bool {
+        ctx.set().insert(key)
     }
 
-    fn contains(&self, key: u64, _ctx: &mut Self::ThreadCtx) -> bool {
-        self.inner().contains(key)
+    fn remove(&self, key: u64, ctx: &mut Self::ThreadCtx) -> bool {
+        ctx.set().remove(key)
+    }
+
+    fn contains(&self, key: u64, ctx: &mut Self::ThreadCtx) -> bool {
+        ctx.set().contains(key)
     }
 
     fn supports_concurrency(&self) -> bool {
@@ -216,9 +235,6 @@ mod tests {
     use spectm::variants::ValShort;
 
     #[test]
-    // The sequential adapter's thread context is `()`; binding it like the
-    // others keeps the three adapters exercised through the same shape.
-    #[allow(clippy::let_unit_value)]
     fn adapters_expose_identical_semantics() {
         let stm_set = StmHashBench::new(ValShort::new(), 64, ApiMode::Short);
         let lf_set = LockFreeBench::new(LockFreeHashTable::new(64, txepoch::Collector::new()));
@@ -240,5 +256,23 @@ mod tests {
         }
         assert!(stm_set.supports_concurrency());
         assert!(!seq_set.supports_concurrency());
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential baseline cannot run with more than one thread")]
+    fn a_second_sequential_context_panics_while_one_is_live() {
+        let set = SeqBench::new(SeqHashTable::new(8));
+        let _live = set.thread_ctx();
+        let _second = set.thread_ctx();
+    }
+
+    #[test]
+    fn sequential_set_returns_home_between_contexts() {
+        let set = SeqBench::new(SeqHashTable::new(8));
+        crate::intset::prefill(&set, 16);
+        // Prefill's context is gone; the worker's sees what it inserted.
+        let mut ctx = set.thread_ctx();
+        assert!(set.contains(0, &mut ctx) && set.contains(14, &mut ctx));
+        assert!(!set.contains(1, &mut ctx));
     }
 }

@@ -64,6 +64,24 @@ struct KvArgs {
     rest: Vec<String>,
 }
 
+/// Parses a numeric flag value of at least `min`, or exits with status 2
+/// saying what `what` the flag expects.
+fn number_or_exit(flag: &str, raw: &str, min: u64, what: &str) -> u64 {
+    match raw.parse::<u64>() {
+        Ok(n) if n >= min => n,
+        _ => {
+            eprintln!("error: `{flag} {raw}` is not {what}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Advances to the flag's value (empty when the list ends first).
+fn next_value(args: &[String], i: &mut usize) -> String {
+    *i += 1;
+    args.get(*i).cloned().unwrap_or_default()
+}
+
 fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
     let args: Vec<String> = args.collect();
     let mut mixes = kv_default_mixes();
@@ -79,42 +97,22 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
     while i < args.len() {
         match args[i].as_str() {
             "--capacity" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => capacity = Some(n),
-                    _ => {
-                        eprintln!("error: `--capacity {raw}` is not a positive key count");
-                        std::process::exit(2);
-                    }
-                }
+                let raw = next_value(&args, &mut i);
+                let n = number_or_exit("--capacity", &raw, 1, "a positive key count");
+                capacity = Some(n as usize);
             }
             "--stats" => stats = true,
             "--max-bytes" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
-                match raw.parse::<u64>() {
-                    Ok(n) if n >= 1 => cache.max_bytes = Some(n),
-                    _ => {
-                        eprintln!("error: `--max-bytes {raw}` is not a positive byte count");
-                        std::process::exit(2);
-                    }
-                }
+                let raw = next_value(&args, &mut i);
+                let n = number_or_exit("--max-bytes", &raw, 1, "a positive byte count");
+                cache.max_bytes = Some(n);
             }
             "--ttl-ms" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
-                match raw.parse::<u64>() {
-                    Ok(n) => cache.default_ttl_ms = n,
-                    _ => {
-                        eprintln!("error: `--ttl-ms {raw}` is not a millisecond count");
-                        std::process::exit(2);
-                    }
-                }
+                let raw = next_value(&args, &mut i);
+                cache.default_ttl_ms = number_or_exit("--ttl-ms", &raw, 0, "a millisecond count");
             }
             "--policy" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
+                let raw = next_value(&args, &mut i);
                 cache.policy = match raw.trim() {
                     "freq" => EvictionPolicy::Freq,
                     "fifo" => EvictionPolicy::Fifo,
@@ -125,19 +123,11 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
                 };
             }
             "--batch" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => batch = n,
-                    _ => {
-                        eprintln!("error: `--batch {raw}` is not a positive operation count");
-                        std::process::exit(2);
-                    }
-                }
+                let raw = next_value(&args, &mut i);
+                batch = number_or_exit("--batch", &raw, 1, "a positive operation count") as usize;
             }
             "--workload" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
+                let raw = next_value(&args, &mut i);
                 let parsed: Vec<KvMix> = raw
                     .split(',')
                     .filter_map(|s| {
@@ -166,8 +156,7 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
                 mixes = parsed;
             }
             "--dist" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
+                let raw = next_value(&args, &mut i);
                 let parsed: Vec<KeyDist> = raw
                     .split(',')
                     .filter_map(|s| {
@@ -192,8 +181,7 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
                 dists = parsed;
             }
             "--value-size" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_default();
+                let raw = next_value(&args, &mut i);
                 match ValueSize::from_flag(raw.trim()) {
                     Some(vs) => value_size = vs,
                     None => {
@@ -245,7 +233,7 @@ fn main() {
         }
         return;
     }
-    let rows = harness::kv::kv_rows_for(
+    let rows = harness::kv::kv_rows(
         &opts,
         &args.mixes,
         &args.dists,

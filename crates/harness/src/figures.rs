@@ -1,19 +1,18 @@
 //! One driver per figure of the paper's evaluation.
 //!
-//! Each `figN` function produces the series of the corresponding figure as
-//! plain rows (figure, panel, series label, x value, y value) so the `fig*`
-//! binaries and the Criterion benches can print or assert on them.  The
-//! defaults are scaled down so a full figure regenerates in seconds on a
-//! laptop; pass [`FigureOpts::paper`] sized options to approach the paper's
-//! durations and thread counts (the shape, not the absolute numbers, is what
-//! the reproduction targets — see EXPERIMENTS.md).
+//! Each `figN` function (and [`ablation`], for §4.4.2) produces the series of
+//! the corresponding figure as plain rows (figure, panel, series label, x
+//! value, y value) so the `fig*` binaries can print them and the tests can
+//! assert on them.  The defaults are scaled down so a full figure
+//! regenerates in seconds on a laptop; pass [`FigureOpts::paper`] sized
+//! options to approach the paper's durations and thread counts (the shape,
+//! not the absolute numbers, is what the reproduction targets — see
+//! EXPERIMENTS.md).
 
 use std::time::Duration;
 
-use serde::Serialize;
-
 use crate::intset::WorkloadConfig;
-use crate::single_thread::run_fig5;
+use crate::single_thread::{run_ablation, run_fig5};
 use crate::variants::{run_hash_variant, run_skip_variant, VariantSpec};
 
 /// Options shared by every figure driver.
@@ -82,7 +81,7 @@ pub fn default_thread_sweep() -> Vec<usize> {
 }
 
 /// One data point of a figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureRow {
     /// Figure identifier, e.g. `"fig6"`.
     pub figure: &'static str,
@@ -90,9 +89,11 @@ pub struct FigureRow {
     pub panel: String,
     /// Series label (variant name).
     pub series: String,
-    /// X coordinate (thread count, or array size for Figure 5).
+    /// X coordinate (thread count; array size for Figure 5; writes per
+    /// transaction or orec-table size for the ablations).
     pub x: f64,
-    /// Y value (throughput in ops/s, or normalized value).
+    /// Y value (throughput in ops/s, a normalized value, or ns/op for the
+    /// ablations).
     pub y: f64,
     /// Cache hit rate over the measured phase, for cache-mode KV sweeps
     /// (`None` — rendered as `-` — everywhere else).
@@ -140,41 +141,28 @@ fn sweep(
     normalize_to_sequential: bool,
     rows: &mut Vec<FigureRow>,
 ) {
-    // The sequential reference point is measured once, single-threaded.
-    let seq_throughput = if normalize_to_sequential {
+    let run = |variant: VariantSpec, threads: usize| {
         let cfg = WorkloadConfig {
             key_range: opts.key_range,
             lookup_pct,
-            threads: 1,
+            threads,
             duration: opts.duration,
             prefill: true,
         };
-        Some(match structure {
-            Structure::Hash { buckets } => {
-                run_hash_variant(VariantSpec::Sequential, buckets, &cfg, opts.runs)
-            }
-            Structure::Skip => run_skip_variant(VariantSpec::Sequential, &cfg, opts.runs),
-        })
-    } else {
-        None
+        match structure {
+            Structure::Hash { buckets } => run_hash_variant(variant, buckets, &cfg, opts.runs),
+            Structure::Skip => run_skip_variant(variant, &cfg, opts.runs),
+        }
     };
+    // The sequential reference point is measured once, single-threaded.
+    let seq_throughput = normalize_to_sequential.then(|| run(VariantSpec::Sequential, 1));
 
     for &variant in variants {
         for &threads in &opts.threads {
             if threads > 1 && !variant.concurrent() {
                 continue;
             }
-            let cfg = WorkloadConfig {
-                key_range: opts.key_range,
-                lookup_pct,
-                threads,
-                duration: opts.duration,
-                prefill: true,
-            };
-            let throughput = match structure {
-                Structure::Hash { buckets } => run_hash_variant(variant, buckets, &cfg, opts.runs),
-                Structure::Skip => run_skip_variant(variant, &cfg, opts.runs),
-            };
+            let throughput = run(variant, threads);
             let y = match seq_throughput {
                 Some(seq) if seq > 0.0 => throughput / seq,
                 _ => throughput,
@@ -226,6 +214,22 @@ pub fn fig5(iters: usize) -> Vec<FigureRow> {
             series: r.variant,
             x: r.array_size as f64,
             y: r.normalized_time,
+            hit_rate: None,
+        })
+        .collect()
+}
+
+/// The §4.4.2 ablations: single-threaded nanoseconds per transaction for
+/// each setting of the four design choices (see [`run_ablation`]).
+pub fn ablation(iters: usize) -> Vec<FigureRow> {
+    run_ablation(iters)
+        .into_iter()
+        .map(|r| FigureRow {
+            figure: "ablation",
+            panel: r.panel.to_string(),
+            series: r.series.to_string(),
+            x: r.x as f64,
+            y: r.ns_per_op,
             hit_rate: None,
         })
         .collect()
@@ -400,15 +404,15 @@ pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
     let mut opts = FigureOpts::default();
     let args: Vec<String> = args.collect();
     let mut i = 0;
-    // A missing or unparsable value warns and keeps the current setting
-    // (which may come from an earlier `--paper`/`--quick`) instead of
-    // panicking or silently reverting to a hardcoded fallback.
+    // A missing, unparsable or out-of-range value warns and keeps the
+    // current setting (which may come from an earlier `--paper`/`--quick`)
+    // instead of panicking or silently reverting to a hardcoded fallback.
     let value = |args: &[String], i: usize| args.get(i).cloned().unwrap_or_default();
-    fn parse_or_warn<T: std::str::FromStr>(flag: &str, raw: &str) -> Option<T> {
+    fn parse_or_warn(flag: &str, raw: &str, min: u64) -> Option<u64> {
         match raw.parse() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                eprintln!("warning: ignoring `{flag} {raw}`: expected a number");
+            Ok(v) if v >= min => Some(v),
+            _ => {
+                eprintln!("warning: ignoring `{flag} {raw}`: expected a number >= {min}");
                 None
             }
         }
@@ -423,10 +427,10 @@ pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
                     .split(',')
                     .filter_map(|s| s.trim().parse().ok())
                     .collect();
-                if threads.is_empty() {
+                if threads.is_empty() || threads.contains(&0) {
                     eprintln!(
                         "warning: ignoring `--threads {}`: expected a comma-separated list \
-                         of thread counts",
+                         of thread counts >= 1",
                         value(&args, i)
                     );
                 } else {
@@ -435,19 +439,19 @@ pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
             }
             "--duration-ms" => {
                 i += 1;
-                if let Some(ms) = parse_or_warn("--duration-ms", &value(&args, i)) {
+                if let Some(ms) = parse_or_warn("--duration-ms", &value(&args, i), 0) {
                     opts.duration = Duration::from_millis(ms);
                 }
             }
             "--runs" => {
                 i += 1;
-                if let Some(runs) = parse_or_warn("--runs", &value(&args, i)) {
-                    opts.runs = runs;
+                if let Some(runs) = parse_or_warn("--runs", &value(&args, i), 1) {
+                    opts.runs = runs as usize;
                 }
             }
             "--key-range" => {
                 i += 1;
-                if let Some(range) = parse_or_warn("--key-range", &value(&args, i)) {
+                if let Some(range) = parse_or_warn("--key-range", &value(&args, i), 1) {
                     opts.key_range = range;
                 }
             }
@@ -463,13 +467,13 @@ pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
     opts
 }
 
-/// Number of Figure 5 iterations corresponding to `opts`.
+/// Number of Figure 5 (and ablation) iterations corresponding to `opts`.
 ///
-/// Figure 5 is the single-threaded synthetic benchmark: it has no threads or
-/// key range, so its one size knob (iterations per data point) is derived
-/// from the shared per-point duration — 800 iterations per millisecond, which
-/// maps the default 250 ms to the historical 200k iterations, `--quick` to
-/// 24k and `--paper` to 800k.
+/// These are the single-threaded synthetic benchmarks: they have no threads
+/// or key range, so their one size knob (iterations per data point) is
+/// derived from the shared per-point duration — 800 iterations per
+/// millisecond, which maps the default 250 ms to the historical 200k
+/// iterations, `--quick` to 24k and `--paper` to 800k.
 pub fn fig5_iters(opts: &FigureOpts) -> usize {
     (opts.duration.as_millis() as usize).max(1) * 800
 }
@@ -495,6 +499,28 @@ mod tests {
         assert_eq!(opts.threads, vec![1, 3, 5]);
         assert_eq!(opts.duration, Duration::from_millis(10));
         assert_eq!(opts.runs, 2);
+    }
+
+    /// A zero would panic (`--runs`), divide by zero (`--key-range`) or
+    /// print meaningless rows (`--threads`): each keeps the previous value.
+    #[test]
+    fn zero_valued_flags_keep_the_current_setting() {
+        let args = [
+            "--quick",
+            "--runs",
+            "0",
+            "--key-range",
+            "0",
+            "--threads",
+            "0",
+        ];
+        let opts = opts_from_args(args.iter().map(|s| s.to_string()));
+        let quick = FigureOpts::quick();
+        assert_eq!(opts.runs, quick.runs);
+        assert_eq!(opts.key_range, quick.key_range);
+        assert_eq!(opts.threads, quick.threads);
+        let opts = opts_from_args(["--threads", "2,0,4"].iter().map(|s| s.to_string()));
+        assert_eq!(opts.threads, default_thread_sweep(), "a 0 inside a list");
     }
 
     #[test]

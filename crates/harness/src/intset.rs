@@ -11,8 +11,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::Serialize;
-
 use crate::adapters::BenchSet;
 use crate::measure::{run_timed, ThreadSample};
 
@@ -20,7 +18,7 @@ use crate::measure::{run_timed, ThreadSample};
 pub(crate) const BATCH_OPS: u64 = 64;
 
 /// Parameters of one integer-set run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Keys are drawn uniformly from `0..key_range`.
     pub key_range: u64,
@@ -48,7 +46,7 @@ impl Default for WorkloadConfig {
 }
 
 /// The outcome of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Total completed operations across all threads.
     pub total_ops: u64,
@@ -194,6 +192,27 @@ pub fn run_intset<B: BenchSet>(set: Arc<B>, cfg: &WorkloadConfig) -> RunResult {
     RunResult::from_samples(samples)
 }
 
+/// The repetition policy of every sweep, over one data point's per-run
+/// throughputs: the mean after discarding the minimum and the maximum (when
+/// there are three or more runs).
+///
+/// # Panics
+///
+/// Panics if `throughputs` is empty.
+pub(crate) fn trimmed_mean(mut throughputs: Vec<f64>) -> f64 {
+    assert!(
+        !throughputs.is_empty(),
+        "a data point needs at least one run"
+    );
+    throughputs.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
+    let trimmed: &[f64] = if throughputs.len() > 2 {
+        &throughputs[1..throughputs.len() - 1]
+    } else {
+        &throughputs
+    };
+    trimmed.iter().sum::<f64>() / trimmed.len() as f64
+}
+
 /// Runs the workload `runs` times on fresh structures produced by `make_set`
 /// and returns the mean throughput after discarding the minimum and maximum
 /// (the paper's repetition policy uses six runs).
@@ -202,17 +221,11 @@ where
     B: BenchSet,
     F: Fn() -> B,
 {
-    assert!(runs >= 1);
-    let mut throughputs: Vec<f64> = (0..runs)
-        .map(|_| run_intset(Arc::new(make_set()), cfg).throughput)
-        .collect();
-    throughputs.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-    let trimmed: &[f64] = if throughputs.len() > 2 {
-        &throughputs[1..throughputs.len() - 1]
-    } else {
-        &throughputs
-    };
-    trimmed.iter().sum::<f64>() / trimmed.len() as f64
+    trimmed_mean(
+        (0..runs)
+            .map(|_| run_intset(Arc::new(make_set()), cfg).throughput)
+            .collect(),
+    )
 }
 
 #[cfg(test)]

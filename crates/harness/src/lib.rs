@@ -14,12 +14,12 @@
 //!   constructors that assemble the right STM + data structure + API mode
 //!   for each label;
 //! * [`single_thread`] — the single-threaded synthetic-array micro-benchmark
-//!   of Figure 5;
-//! * [`figures`] — one driver per figure, used by the `fig*` binaries and by
-//!   the Criterion benches;
+//!   of Figure 5 and the §4.4.2 ablations;
+//! * [`figures`] — one driver per figure (and one for the §4.4.2
+//!   ablations), used by the `fig*` and `ablation` binaries;
 //! * [`measure`] — the shared timed-run scaffolding (per-thread measurement
-//!   windows), the log-bucketed [`LatencyHistogram`] and the closed-/
-//!   open-loop latency drivers;
+//!   windows), the log-bucketed [`LatencyHistogram`] and the
+//!   open-loop latency driver;
 //! * [`kv`] — the YCSB-style workload driver for the sharded transactional
 //!   KV store of the `spectm-kv` crate (operation mixes, zipfian/latest key
 //!   distributions, and the `kv` binary's sweep);
@@ -28,7 +28,7 @@
 //!   with p50/p99/p999 reporting (the `kv-loadgen` binary).
 //!
 //! Binaries: `cargo run --release -p harness --bin fig1` (likewise `fig5`
-//! through `fig10`, `kv` for the KV-store sweeps, and `kv-loadgen` against
+//! through `fig10`, `ablation`, `kv` for the KV-store sweeps, and `kv-loadgen` against
 //! a running `spectm-serve`).  The figure binaries accept `--quick` for a
 //! fast smoke run and `--threads a,b,c` to override the sweep.
 

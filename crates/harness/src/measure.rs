@@ -120,7 +120,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Latency: HDR-style log-bucketed histogram and the loop drivers
+// Latency: HDR-style log-bucketed histogram and the open-loop driver
 // ---------------------------------------------------------------------------
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two range
@@ -245,39 +245,6 @@ impl LatencyHistogram {
             }
         }
         self.max
-    }
-}
-
-/// Runs `op` back-to-back until `clock()` passes `duration` (checked after
-/// each operation), recording each operation's latency.  Returns how many
-/// operations completed.
-///
-/// This is the **closed loop**: the next request is only issued once the
-/// previous response arrived, so a server stall pauses the *schedule* too
-/// and shows up in at most one sample — the coordinated-omission blind
-/// spot [`drive_open_loop`] exists to avoid.
-pub fn drive_closed_loop<C, W>(
-    clock: &C,
-    duration: Duration,
-    op: &mut W,
-    hist: &mut LatencyHistogram,
-) -> u64
-where
-    C: Fn() -> Duration,
-    W: FnMut(),
-{
-    let start = clock();
-    let deadline = start.saturating_add(duration);
-    let mut ops = 0u64;
-    loop {
-        let issued = clock();
-        op();
-        let done = clock();
-        hist.record(done.saturating_sub(issued));
-        ops += 1;
-        if done >= deadline {
-            return ops;
-        }
     }
 }
 
@@ -506,7 +473,7 @@ mod tests {
 
     /// A deterministic single-threaded "server": every operation takes
     /// `service` on the synthetic clock, except one that stalls for
-    /// `stall`.  Drives both loop disciplines over it.
+    /// `stall`.
     struct StallClock {
         now_ns: std::cell::Cell<u64>,
     }
@@ -550,36 +517,13 @@ mod tests {
         );
     }
 
-    /// The coordinated-omission regression guard.  Same server behaviour —
-    /// 0.5 ms service, one 100 ms stall — under both disciplines: the
-    /// closed loop sees the stall in exactly one sample and its p999 stays
-    /// at the service time, while the open loop charges the stall to every
-    /// operation that was due during it and its p999 inflates by two
-    /// orders of magnitude.
+    /// The coordinated-omission regression guard.  A server with 0.5 ms
+    /// service time and one 100 ms stall: a closed loop would see the stall
+    /// in exactly one sample (its schedule pauses with the server), while
+    /// the open loop charges the stall to every operation that was due
+    /// during it and its p999 inflates by two orders of magnitude.
     #[test]
     fn open_loop_exposes_the_stall_that_closed_loop_hides() {
-        let duration = Duration::from_nanos(1_000 * MS);
-        let interval = Duration::from_nanos(MS);
-
-        let sim = StallClock {
-            now_ns: std::cell::Cell::new(0),
-        };
-        let mut closed = LatencyHistogram::new();
-        let ops = drive_closed_loop(
-            &sim.clock(),
-            duration,
-            &mut sim.op(MS / 2, 100, 100 * MS),
-            &mut closed,
-        );
-        // 0.5 ms per op for 1000 ms, one op costing 100 ms instead: the
-        // stall consumed 199 op-slots of schedule time.
-        assert_eq!(ops, 2000 - 199);
-        assert_close(closed.percentile(50.0), MS / 2, "closed p50");
-        // One stalled sample in 1801 sits beyond rank 1800: closed-loop
-        // p999 hides the stall entirely.
-        assert_close(closed.percentile(99.9), MS / 2, "closed p999");
-        assert_eq!(closed.max_ns(), 100 * MS, "the stall itself was recorded");
-
         let sim = StallClock {
             now_ns: std::cell::Cell::new(0),
         };
@@ -587,13 +531,14 @@ mod tests {
         let ops = drive_open_loop(
             &sim.clock(),
             &sim.wait_until(),
-            duration,
-            interval,
+            Duration::from_nanos(1_000 * MS),
+            Duration::from_nanos(MS),
             &mut sim.op(MS / 2, 100, 100 * MS),
             &mut open,
         );
         assert_eq!(ops, 1000, "every scheduled operation ran, late or not");
         assert_close(open.percentile(50.0), MS / 2, "open p50 (service time)");
+        assert_eq!(open.max_ns(), 100 * MS, "the stall itself was recorded");
         let p999 = open.percentile(99.9);
         assert!(
             p999 >= 90 * MS,

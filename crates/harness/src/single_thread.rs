@@ -1,4 +1,5 @@
-//! The single-threaded synthetic workload of Figure 5.
+//! The single-threaded synthetic workloads: Figure 5 and the §4.4.2
+//! ablations.
 //!
 //! An array of cache-line-aligned transactional cells is accessed by a large
 //! number of short transactions on randomly chosen items: single-location
@@ -8,16 +9,22 @@
 //! loads (for the read-only kinds) or single-word CASes (for the read-write
 //! kinds).  The array size is varied so that the working set fits in L1, L2
 //! or L3, controlling the cache-miss rate.
+//!
+//! [`run_ablation`] times the design choices §4.4.2 discusses (write-set
+//! kind, short-RW locking time, orec-table size, backoff) with the same
+//! loop, in absolute nanoseconds per transaction.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use serde::Serialize;
-use spectm::{encode_int, Stm, StmThread};
+use spectm::variants::{OrecStm, TvarStm, ValShort};
+use spectm::{encode_int, Config, ShortLocking, Stm, StmThread, WriteSetKind};
 use spectm_ds::ApiMode;
 
+use crate::intset::Xorshift;
+
 /// The transaction shapes measured in Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxKind {
     /// `Tx_Single_Read`.
     SingleRead,
@@ -78,16 +85,14 @@ impl TxKind {
 #[repr(align(64))]
 struct Padded<T>(T);
 
-struct Xorshift(u64);
-
-impl Xorshift {
-    #[inline]
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
+/// Times `iters` back-to-back calls of `op`: nanoseconds per call.
+#[inline]
+fn ns_per_op(iters: usize, mut op: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        op();
     }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Nanoseconds per operation for the *sequential* baseline of `kind`:
@@ -98,10 +103,9 @@ pub fn sequential_ns_per_op(kind: TxKind, array_size: usize, iters: usize) -> f6
         .map(|i| Padded(AtomicUsize::new(i * 2)))
         .collect();
     let width = kind.width();
-    let mut rng = Xorshift(0x1234_5678_9abc_def1);
-    let start = Instant::now();
+    let mut rng = Xorshift::new(0x1234_5678_9abc_def1);
     let mut sink = 0usize;
-    for _ in 0..iters {
+    let ns = ns_per_op(iters, || {
         let base = (rng.next() as usize) % (array_size - width + 1);
         if kind.is_write() {
             for j in 0..width {
@@ -123,9 +127,9 @@ pub fn sequential_ns_per_op(kind: TxKind, array_size: usize, iters: usize) -> f6
                 sink = sink.wrapping_add(cells[base + j].0.load(Ordering::Acquire));
             }
         }
-    }
+    });
     std::hint::black_box(sink);
-    start.elapsed().as_nanos() as f64 / iters as f64
+    ns
 }
 
 /// Nanoseconds per operation for STM variant `S` driving `kind` through
@@ -143,10 +147,9 @@ pub fn stm_ns_per_op<S: Stm>(
         .collect();
     let mut thread = stm.register();
     let width = kind.width();
-    let mut rng = Xorshift(0x9876_5432_10fe_dcb1);
-    let start = Instant::now();
+    let mut rng = Xorshift::new(0x9876_5432_10fe_dcb1);
     let mut sink = 0usize;
-    for _ in 0..iters {
+    let ns = ns_per_op(iters, || {
         let base = (rng.next() as usize) % (array_size - width + 1);
         match (api, kind) {
             // ---- specialized short transactions ----
@@ -201,13 +204,13 @@ pub fn stm_ns_per_op<S: Stm>(
                     .expect("write transaction is never cancelled");
             }
         }
-    }
+    });
     std::hint::black_box(sink);
-    start.elapsed().as_nanos() as f64 / iters as f64
+    ns
 }
 
 /// One row of the Figure 5 output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Array size in elements (128, 1024 or 32768 in the paper).
     pub array_size: usize,
@@ -223,9 +226,6 @@ pub struct Fig5Row {
 
 /// Runs the Figure 5 sweep for the paper's variant set.
 pub fn run_fig5(array_sizes: &[usize], iters: usize) -> Vec<Fig5Row> {
-    use spectm::variants::{OrecStm, TvarStm, ValShort};
-    use spectm::Config;
-
     let mut rows = Vec::new();
     for &size in array_sizes {
         for kind in TxKind::all() {
@@ -278,10 +278,153 @@ pub fn run_fig5(array_sizes: &[usize], iters: usize) -> Vec<Fig5Row> {
     rows
 }
 
+/// [`ns_per_op`] after a warm-up of an eighth of the iterations, which
+/// faults in the pages of a large orec table before the clock starts.
+fn warm_ns_per_op(iters: usize, mut op: impl FnMut()) -> f64 {
+    ns_per_op(iters / 8, &mut op);
+    ns_per_op(iters, op)
+}
+
+/// One row of the ablation output.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The design choice being varied.
+    pub panel: &'static str,
+    /// The setting measured.
+    pub series: &'static str,
+    /// Locations written per transaction, or orecs in the table.
+    pub x: usize,
+    /// Absolute nanoseconds per transaction.
+    pub ns_per_op: f64,
+}
+
+/// A two-location short read-write transaction adding 2 to each cell.
+#[inline]
+fn short_rw2<S: Stm>(thread: &mut S::Thread, a: &S::Cell, b: &S::Cell) {
+    loop {
+        let va = thread.rw_read(0, a);
+        let vb = thread.rw_read(1, b);
+        if !thread.rw_is_valid(2) {
+            continue;
+        }
+        if thread.rw_commit(2, &[va + 2, vb + 2]) {
+            break;
+        }
+    }
+}
+
+/// Runs the four §4.4.2 ablations, single-threaded, `iters` transactions
+/// per data point:
+///
+/// * hash-indexed vs linear write sets for full transactions that write
+///   4, 16 or 64 locations and read each back (Spear et al.);
+/// * encounter-time vs commit-time locking in short read-write
+///   transactions (the ablation discussed around Figure 9(c));
+/// * orec-table size, 2^8 to 2^20: smaller tables increase false sharing
+///   between unrelated cells (the cost the TVar layout eliminates);
+/// * contention-manager backoff on vs off — single-threaded this shows the
+///   zero-conflict overhead is nil, the property the paper's
+///   randomized-linear scheme is chosen for.
+pub fn run_ablation(iters: usize) -> Vec<AblationRow> {
+    let mut rows = Vec::new();
+    let base = Config {
+        orec_table_size: 1 << 16,
+        ..Config::global()
+    };
+
+    for (series, write_set) in [
+        ("hashed", WriteSetKind::Hashed),
+        ("linear", WriteSetKind::Linear),
+    ] {
+        for x in [4usize, 16, 64] {
+            let stm = TvarStm::with_config(Config { write_set, ..base });
+            let cells: Vec<_> = (0..x).map(|i| stm.new_cell(i)).collect();
+            let mut thread = stm.register();
+            let ns_per_op = warm_ns_per_op(iters, || {
+                let sum = thread.atomic(|tx| {
+                    for cell in &cells {
+                        let v = tx.read(cell)?;
+                        tx.write(cell, v + 2)?;
+                    }
+                    // Read-after-write pass: must hit the write set.
+                    let mut sum = 0usize;
+                    for cell in &cells {
+                        sum = sum.wrapping_add(tx.read(cell)?);
+                    }
+                    Ok(sum)
+                });
+                std::hint::black_box(sum);
+            });
+            rows.push(AblationRow {
+                panel: "write set",
+                series,
+                x,
+                ns_per_op,
+            });
+        }
+    }
+
+    for (series, short_locking) in [
+        ("encounter-time", ShortLocking::Encounter),
+        ("commit-time", ShortLocking::Commit),
+    ] {
+        let stm = TvarStm::with_config(Config {
+            short_locking,
+            ..base
+        });
+        let (a, b) = (stm.new_cell(0), stm.new_cell(0));
+        let mut thread = stm.register();
+        rows.push(AblationRow {
+            panel: "short-rw locking",
+            series,
+            x: 2,
+            ns_per_op: warm_ns_per_op(iters, || short_rw2::<TvarStm>(&mut thread, &a, &b)),
+        });
+    }
+
+    for bits in [8usize, 12, 16, 20] {
+        let stm = OrecStm::with_config(Config {
+            orec_table_size: 1 << bits,
+            ..Config::global()
+        });
+        let cells: Vec<_> = (0..1024usize).map(|i| stm.new_cell(i)).collect();
+        let mut thread = stm.register();
+        let mut i = 0usize;
+        rows.push(AblationRow {
+            panel: "orec table size",
+            series: "orec-short-g",
+            x: 1 << bits,
+            ns_per_op: warm_ns_per_op(iters, || {
+                i = (i + 7) % 1024;
+                short_rw2::<OrecStm>(&mut thread, &cells[i], &cells[(i + 511) % 1024]);
+            }),
+        });
+    }
+
+    for (series, backoff) in [("on", true), ("off", false)] {
+        let stm = TvarStm::with_config(Config { backoff, ..base });
+        let cell = stm.new_cell(0);
+        let mut thread = stm.register();
+        rows.push(AblationRow {
+            panel: "backoff",
+            series,
+            x: 1,
+            ns_per_op: warm_ns_per_op(iters, || {
+                let done = thread.atomic(|tx| {
+                    let v = tx.read(&cell)?;
+                    tx.write(&cell, v + 1)?;
+                    Ok(())
+                });
+                std::hint::black_box(done);
+            }),
+        });
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectm::variants::ValShort;
 
     #[test]
     fn kinds_report_sensible_widths() {

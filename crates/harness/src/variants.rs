@@ -7,8 +7,7 @@
 //! statically-dispatched implementations.
 
 use lockfree::{LockFreeHashTable, LockFreeSkipList, SeqHashTable, SeqSkipList};
-use spectm::variants::{OrecStm, TvarStm, ValShort};
-use spectm::{Config, Stm};
+use spectm::Config;
 use spectm_ds::ApiMode;
 use txepoch::Collector;
 
@@ -130,6 +129,39 @@ pub(crate) fn bench_config(mut config: Config) -> Config {
     config
 }
 
+/// The one place a [`VariantSpec`] becomes a concrete STM: evaluates `$body`
+/// with `$new_stm` bound to a constructor of the variant's STM type (each
+/// call builds a fresh instance, so repeated runs share no orec table or
+/// clock) and `$api` to its [`ApiMode`].  `$body` is instantiated once per
+/// layout, statically dispatched like everything below it.
+///
+/// # Panics
+///
+/// Panics for the two non-STM baselines.
+macro_rules! with_stm {
+    ($spec:expr, |$new_stm:ident, $api:ident| $body:expr) => {{
+        use ::spectm::variants::{OrecStm, TvarStm, ValShort};
+        use ::spectm::Stm as _;
+        let (layout, $api, config) = $spec.stm_parts().expect("STM variant");
+        let config = $crate::variants::bench_config(config);
+        match layout {
+            $crate::variants::Layout::Orec => {
+                let $new_stm = || OrecStm::with_config(config);
+                $body
+            }
+            $crate::variants::Layout::Tvar => {
+                let $new_stm = || TvarStm::with_config(config);
+                $body
+            }
+            $crate::variants::Layout::Val => {
+                let $new_stm = || ValShort::with_config(config);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_stm;
+
 /// Runs the hash-table workload for `spec`, returning mean throughput
 /// (operations per second) using the paper's repetition policy.
 pub fn run_hash_variant(
@@ -147,27 +179,11 @@ pub fn run_hash_variant(
             cfg,
             runs,
         ),
-        _ => {
-            let (layout, api, config) = spec.stm_parts().expect("STM variant");
-            let config = bench_config(config);
-            match layout {
-                Layout::Orec => run_intset_repeated(
-                    || StmHashBench::new(OrecStm::with_config(config), buckets, api),
-                    cfg,
-                    runs,
-                ),
-                Layout::Tvar => run_intset_repeated(
-                    || StmHashBench::new(TvarStm::with_config(config), buckets, api),
-                    cfg,
-                    runs,
-                ),
-                Layout::Val => run_intset_repeated(
-                    || StmHashBench::new(ValShort::with_config(config), buckets, api),
-                    cfg,
-                    runs,
-                ),
-            }
-        }
+        _ => with_stm!(spec, |new_stm, api| run_intset_repeated(
+            || StmHashBench::new(new_stm(), buckets, api),
+            cfg,
+            runs
+        )),
     }
 }
 
@@ -183,27 +199,11 @@ pub fn run_skip_variant(spec: VariantSpec, cfg: &WorkloadConfig, runs: usize) ->
             cfg,
             runs,
         ),
-        _ => {
-            let (layout, api, config) = spec.stm_parts().expect("STM variant");
-            let config = bench_config(config);
-            match layout {
-                Layout::Orec => run_intset_repeated(
-                    || StmSkipBench::new(OrecStm::with_config(config), api),
-                    cfg,
-                    runs,
-                ),
-                Layout::Tvar => run_intset_repeated(
-                    || StmSkipBench::new(TvarStm::with_config(config), api),
-                    cfg,
-                    runs,
-                ),
-                Layout::Val => run_intset_repeated(
-                    || StmSkipBench::new(ValShort::with_config(config), api),
-                    cfg,
-                    runs,
-                ),
-            }
-        }
+        _ => with_stm!(spec, |new_stm, api| run_intset_repeated(
+            || StmSkipBench::new(new_stm(), api),
+            cfg,
+            runs
+        )),
     }
 }
 
@@ -211,6 +211,16 @@ pub fn run_skip_variant(spec: VariantSpec, cfg: &WorkloadConfig, runs: usize) ->
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    fn tiny_cfg() -> WorkloadConfig {
+        WorkloadConfig {
+            key_range: 256,
+            lookup_pct: 90,
+            threads: 1,
+            duration: Duration::from_millis(15),
+            prefill: true,
+        }
+    }
 
     #[test]
     fn labels_roundtrip() {
@@ -221,13 +231,7 @@ mod tests {
 
     #[test]
     fn every_variant_runs_a_tiny_hash_workload() {
-        let cfg = WorkloadConfig {
-            key_range: 256,
-            lookup_pct: 90,
-            threads: 1,
-            duration: Duration::from_millis(15),
-            prefill: true,
-        };
+        let cfg = tiny_cfg();
         for v in VariantSpec::all() {
             let thpt = run_hash_variant(v, 64, &cfg, 1);
             assert!(thpt > 0.0, "{} produced no throughput", v.label());
@@ -236,13 +240,7 @@ mod tests {
 
     #[test]
     fn every_variant_runs_a_tiny_skip_workload() {
-        let cfg = WorkloadConfig {
-            key_range: 256,
-            lookup_pct: 90,
-            threads: 1,
-            duration: Duration::from_millis(15),
-            prefill: true,
-        };
+        let cfg = tiny_cfg();
         for v in VariantSpec::all() {
             let thpt = run_skip_variant(v, &cfg, 1);
             assert!(thpt > 0.0, "{} produced no throughput", v.label());

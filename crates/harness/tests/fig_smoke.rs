@@ -1,4 +1,4 @@
-//! Smoke tests for the `fig*` binaries: run each compiled binary with a tiny
+//! Smoke tests for the `fig*`, `ablation` and `kv` binaries: run each compiled binary with a tiny
 //! configuration (1 thread, small key range, millisecond points) and check
 //! that it exits cleanly and emits well-formed rows.  This keeps the figure
 //! pipeline from rotting silently: any driver that panics, hangs or stops
@@ -23,9 +23,17 @@ const TINY: &[&str] = &[
     "512",
 ];
 
+/// The data rows of one run, as `(panel, series, x, y)` tuples.
+type Rows = Vec<(String, String, f64, f64)>;
+
 /// Runs one binary under a watchdog and validates its TSV output shape,
-/// returning the data rows as `(panel, series, x, y)` tuples.
-fn run_fig(exe: &str, args: &[&str]) -> Vec<(String, String, f64, f64)> {
+/// returning the data rows.
+fn run_fig(exe: &str, args: &[&str]) -> Rows {
+    run_fig_with_stderr(exe, args).0
+}
+
+/// [`run_fig`] that also returns what the binary wrote to stderr.
+fn run_fig_with_stderr(exe: &str, args: &[&str]) -> (Rows, String) {
     let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::piped())
@@ -72,12 +80,33 @@ fn run_fig(exe: &str, args: &[&str]) -> Vec<(String, String, f64, f64)> {
         rows.push((fields[1].to_string(), fields[2].to_string(), x, y));
     }
     assert!(!rows.is_empty(), "{exe} produced a header but no data rows");
-    rows
+    (rows, String::from_utf8_lossy(&output.stderr).into_owned())
 }
 
 #[test]
 fn fig1_smoke() {
     run_fig(env!("CARGO_BIN_EXE_fig1"), TINY);
+}
+
+/// A zero for `--runs`, `--key-range` or `--threads` is refused where it is
+/// parsed — one warning each, the earlier value kept — instead of panicking
+/// a worker or printing zero-thread rows.
+#[test]
+fn zero_valued_flags_warn_and_keep_the_previous_value() {
+    let mut args = TINY.to_vec();
+    args.extend_from_slice(&["--runs", "0", "--key-range", "0", "--threads", "0"]);
+    for exe in [env!("CARGO_BIN_EXE_fig1"), env!("CARGO_BIN_EXE_kv")] {
+        let (rows, stderr) = run_fig_with_stderr(exe, &args);
+        for (panel, series, x, y) in &rows {
+            assert_eq!(*x, 1.0, "{series} in {panel:?} ran at {x} threads");
+            assert!(y.is_finite() && *y > 0.0, "{series} in {panel:?}: y = {y}");
+        }
+        assert_eq!(
+            stderr.matches("warning: ignoring").count(),
+            3,
+            "expected one warning per zero flag, got:\n{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -118,6 +147,31 @@ fn fig9_smoke() {
 #[test]
 fn fig10_smoke() {
     run_fig(env!("CARGO_BIN_EXE_fig10"), TINY);
+}
+
+/// The §4.4.2 ablations: all four panels, every point a positive finite
+/// nanosecond count.
+#[test]
+fn ablation_smoke() {
+    let rows = run_fig(env!("CARGO_BIN_EXE_ablation"), TINY);
+    for panel in [
+        "write set",
+        "short-rw locking",
+        "orec table size",
+        "backoff",
+    ] {
+        assert!(
+            rows.iter().any(|(p, _, _, _)| p == panel),
+            "missing panel {panel:?}"
+        );
+    }
+    assert_eq!(rows.len(), 6 + 2 + 4 + 2);
+    for (panel, series, x, y) in &rows {
+        assert!(
+            y.is_finite() && *y > 0.0,
+            "{series} at {x} in {panel:?}: y = {y}"
+        );
+    }
 }
 
 /// A verified variable-size run: byte payloads drawn uniformly from

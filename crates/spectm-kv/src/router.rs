@@ -37,13 +37,14 @@ impl ShardRouter {
     }
 
     /// Reference grouping shape, kept only as a test oracle for
-    /// [`ShardRouter::group_runs`]: partitions the positions of `keys`
+    /// [`ShardRouter::group_runs_into`]: partitions the positions of `keys`
     /// into per-shard groups, where group `s` holds the indexes `i` (in
     /// ascending order) whose `keys[i]` routes to shard `s`.  Every input
     /// position appears in exactly one group — duplicates included, since
     /// positions rather than keys are grouped — so the concatenation of
     /// the groups is a permutation of `0..keys.len()`.  Production
-    /// grouping (the batched dispatch path) uses `group_runs` exclusively.
+    /// grouping (the batched dispatch path) uses `group_runs_into`
+    /// exclusively.
     #[cfg(test)]
     fn group_indices(&self, keys: impl IntoIterator<Item = u64>) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = (0..self.shard_count()).map(|_| Vec::new()).collect();
@@ -53,26 +54,26 @@ impl ShardRouter {
         groups
     }
 
-    /// Partitions the positions of `keys` into per-shard runs: a counting
-    /// sort producing `(order, ends)` where shard `s`'s group is
-    /// `order[start..ends[s]]` with `start = if s == 0 { 0 } else
-    /// { ends[s - 1] }` — the positions `i` (ascending) whose `keys[i]`
-    /// route to shard `s`; every position appears exactly once, duplicates
-    /// included, so `order` is a permutation of `0..len`.  Two buffer
-    /// allocations total instead of one `Vec` per shard (the batched hot
-    /// path — `ShardedKv::execute_batch` — runs this once per batch).
-    /// `keys` is consumed twice, so it must be cheaply cloneable.
-    pub fn group_runs(&self, keys: impl Iterator<Item = u64> + Clone) -> (Vec<usize>, Vec<usize>) {
+    /// [`ShardRouter::group_runs_into`] into fresh buffers, for the tests.
+    #[cfg(test)]
+    fn group_runs(&self, keys: impl Iterator<Item = u64> + Clone) -> (Vec<usize>, Vec<usize>) {
         let mut order = Vec::new();
         let mut bounds = Vec::new();
         self.group_runs_into(keys, &mut order, &mut bounds);
         (order, bounds)
     }
 
-    /// [`ShardRouter::group_runs`] into caller-provided buffers (cleared
-    /// first), so a batch loop reusing its buffers performs **zero**
-    /// allocations per grouping — allocation is the dominant cost of
-    /// grouping small batches.
+    /// Partitions the positions of `keys` into per-shard runs: a counting
+    /// sort producing `(order, bounds)` where shard `s`'s group is
+    /// `order[start..bounds[s]]` with `start = if s == 0 { 0 } else
+    /// { bounds[s - 1] }` — the positions `i` (ascending) whose `keys[i]`
+    /// route to shard `s`; every position appears exactly once, duplicates
+    /// included, so `order` is a permutation of `0..len`.  `keys` is
+    /// consumed twice, so it must be cheaply cloneable.  The buffers are
+    /// the caller's (cleared first), so a batch loop reusing them performs
+    /// **zero** allocations per grouping — allocation is the dominant cost
+    /// of grouping small batches, and `ShardedKv::execute_batch` runs this
+    /// once per batch.
     pub fn group_runs_into(
         &self,
         keys: impl Iterator<Item = u64> + Clone,
@@ -244,7 +245,7 @@ mod tests {
         /// The test-only `group_indices` reference must itself be a valid
         /// partition of the input *positions* — no drops, no duplicates —
         /// for every power-of-two shard count, even when the key list
-        /// repeats keys; it is the oracle `group_runs` is held to below.
+        /// repeats keys; it is the oracle `group_runs_into` is held to below.
         #[test]
         fn grouping_is_a_permutation_of_the_batch(
             keys in proptest::collection::vec(0u64..64, 0..200),
@@ -266,7 +267,7 @@ mod tests {
             prop_assert_eq!(flat, (0..keys.len()).collect::<Vec<_>>());
         }
 
-        /// The batched dispatch contract: `group_runs` — the only
+        /// The batched dispatch contract: `group_runs_into` — the only
         /// production grouping path — must agree with the reference
         /// `group_indices` shape exactly: same runs, same order.
         #[test]
