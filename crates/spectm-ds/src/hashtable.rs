@@ -196,31 +196,18 @@ impl<S: Stm> StmHashTable<S> {
 
     fn insert_short(&self, key: u64, thread: &mut S::Thread) -> bool {
         let mut new_node: *mut Node<S> = std::ptr::null_mut();
-        let mut attempts = 0u32;
-        loop {
-            // Contention management between restarts (randomized linear
-            // backoff, as for full transactions).
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
-            let pin = thread.epoch().pin();
+        // Every `None` is "search again", after contention management
+        // (randomized linear backoff, as for full transactions).
+        let inserted = thread.retry(|thread| {
+            let _pin = thread.epoch().pin();
             let (prev, curr) = self.search_short(key, thread);
             if curr != 0 {
                 // SAFETY: protected by the epoch pin.
                 let node = unsafe { &*Self::node(curr) };
                 if node.key == key {
-                    if is_marked(thread.single_read(&node.next)) {
-                        // A logically deleted duplicate is still linked; retry
-                        // until its remover unlinks it.
-                        drop(pin);
-                        continue;
-                    }
-                    if !new_node.is_null() {
-                        // SAFETY: never published.
-                        drop(unsafe { Box::from_raw(new_node) });
-                    }
-                    return false;
+                    // A logically deleted duplicate is still linked; retry
+                    // until its remover unlinks it.
+                    return (!is_marked(thread.single_read(&node.next))).then_some(false);
                 }
             }
             if new_node.is_null() {
@@ -232,59 +219,54 @@ impl<S: Stm> StmHashTable<S> {
             }
             // Publish with a single-location CAS (the paper's AddLevelOne
             // pattern).
-            if thread.single_cas(prev, curr, new_node as Word) == curr {
-                return true;
-            }
+            (thread.single_cas(prev, curr, new_node as Word) == curr).then_some(true)
+        });
+        if !inserted && !new_node.is_null() {
+            // SAFETY: never published.
+            drop(unsafe { Box::from_raw(new_node) });
         }
+        inserted
     }
 
     fn remove_short(&self, key: u64, thread: &mut S::Thread) -> bool {
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
+        thread.retry(|thread| {
             let pin = thread.epoch().pin();
             let (prev, curr) = self.search_short(key, thread);
             if curr == 0 {
-                return false;
+                return Some(false);
             }
             // SAFETY: protected by the epoch pin.
             let node = unsafe { &*Self::node(curr) };
             if node.key != key {
-                return false;
+                return Some(false);
             }
             // A two-location short transaction: atomically unlink the node
             // from its predecessor and mark its forward pointer.
             let prev_val = thread.rw_read(0, prev);
             if !thread.rw_is_valid(1) {
-                drop(pin);
-                continue;
+                return None;
             }
             if prev_val != curr {
                 thread.rw_abort(1);
-                drop(pin);
-                continue;
+                return None;
             }
             let next_val = thread.rw_read(1, &node.next);
             if !thread.rw_is_valid(2) {
-                drop(pin);
-                continue;
+                return None;
             }
             if is_marked(next_val) {
                 // Already logically deleted by someone else.
                 thread.rw_abort(2);
-                return false;
+                return Some(false);
             }
-            if thread.rw_commit(2, &[unmark(next_val), mark(next_val)]) {
-                // SAFETY: the node is now unlinked and marked; new traversals
-                // cannot reach it, and pinned readers are protected.
-                unsafe { pin.defer_drop(Self::node(curr)) };
-                return true;
+            if !thread.rw_commit(2, &[unmark(next_val), mark(next_val)]) {
+                return None;
             }
-            drop(pin);
-        }
+            // SAFETY: the node is now unlinked and marked; new traversals
+            // cannot reach it, and pinned readers are protected.
+            unsafe { pin.defer_drop(Self::node(curr)) };
+            Some(true)
+        })
     }
 
     // ------------------------------------------------------------------

@@ -33,7 +33,12 @@
 //! * **Full** — every insert/remove/search is one ordinary transaction.
 //! * **Fine** — the same fine-grained steps as **Short**, but each step is an
 //!   ordinary transaction (the `orec-full-g (fine)` line of Figure 6(a)).
+//!
+//! Every operation in every mode finds its position with the one private
+//! `descend` (the paper's `Search`); what differs is the cell reader it is
+//! handed and the transaction that links or unlinks afterwards.
 
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 
 use spectm::{
@@ -73,15 +78,22 @@ struct Tower<S: Stm> {
     next: Vec<S::Cell>,
 }
 
-/// Traversal window: predecessor cell and successor pointer per level.
+/// Traversal window: predecessor cell and successor pointer per level, as
+/// [`StmSkipList::descend`] found them.  The references are good for as long
+/// as the epoch pin (or transaction attempt) the descent ran under.
 struct Window<'a, S: Stm> {
-    preds: Vec<&'a S::Cell>,
-    succs: Vec<Word>,
-    /// Number of levels the search actually traversed; predecessors at
-    /// `top..` are just head cells.  Because a tower linked at level `L >= 2`
-    /// can only have been created by a transaction that raised the height
-    /// hint to at least `L + 1`, every level at or above `top` is guaranteed
-    /// empty.
+    /// The last cell before the key at each level; the head's cell at the
+    /// levels the descent did not traverse.
+    preds: [&'a S::Cell; MAX_LEVEL],
+    /// What `preds[lvl]` pointed at (unmarked; `0` at the end of a level and
+    /// at the levels the descent did not traverse).
+    succs: [Word; MAX_LEVEL],
+    /// Number of levels the descent traversed: the height hint it read, but
+    /// at least [`SHORT_LEVEL_CUTOFF`].  Levels are 0-based and the hint is
+    /// a height: a tower taller than `SHORT_LEVEL_CUTOFF` is linked by a
+    /// transaction that first raises the hint to its height, and the hint
+    /// never falls, so when the hint was read no tower occupied a level at
+    /// or above `top` — which is why those levels read "head, then nothing".
     top: usize,
 }
 
@@ -95,7 +107,18 @@ enum Upsert {
     Updated(u64),
 }
 
-/// Reusable allocation slot for [`StmSkipList::insert_in`].
+/// Outcome of one attempt to unlink a tower the search found.
+enum Removal {
+    /// This attempt unlinked and marked the tower.
+    Removed,
+    /// Another remover marked it first.
+    AlreadyGone,
+    /// The window no longer describes the list (or validation failed).
+    Retry,
+}
+
+/// Holder of a tower that is allocated but not (yet) published — the one
+/// such holder, inside this module and for [`StmSkipList::insert_in`].
 ///
 /// A full transaction's body may run several times (once per conflict
 /// retry); the slot keeps the speculatively allocated tower alive across
@@ -106,7 +129,6 @@ enum Upsert {
 /// never-published tower.
 pub struct TowerSlot<S: Stm> {
     ptr: *mut Tower<S>,
-    level: usize,
 }
 
 impl<S: Stm> TowerSlot<S> {
@@ -114,7 +136,6 @@ impl<S: Stm> TowerSlot<S> {
     pub fn new() -> Self {
         Self {
             ptr: std::ptr::null_mut(),
-            level: 0,
         }
     }
 
@@ -123,6 +144,26 @@ impl<S: Stm> TowerSlot<S> {
     /// tower is now owned by the list.
     pub fn mark_published(&mut self) {
         self.ptr = std::ptr::null_mut();
+    }
+
+    /// The slot's tower for `(key, value)` and the word that publishes it,
+    /// allocated with a freshly drawn height on first use.
+    fn tower(&mut self, list: &StmSkipList<S>, key: u64, value: u64) -> (Word, &Tower<S>) {
+        if self.ptr.is_null() {
+            let level = random_level();
+            self.ptr = Box::into_raw(Box::new(Tower {
+                key,
+                level,
+                value: list.stm.new_cell(enc(value)),
+                next: (0..level).map(|_| list.stm.new_cell(0)).collect(),
+            }));
+        }
+        // SAFETY: a non-null slot pointer is a tower this slot allocated and
+        // nobody has published, so it is live and private to this thread.
+        let tower = unsafe { &*self.ptr };
+        debug_assert_eq!(tower.key, key, "one TowerSlot per key");
+        S::poke(&tower.value, enc(value));
+        (self.ptr as Word, tower)
     }
 }
 
@@ -227,20 +268,6 @@ impl<S: Stm> StmSkipList<S> {
         unmark(ptr) as *mut Tower<S>
     }
 
-    fn alloc_tower(&self, key: u64, value: u64, level: usize) -> *mut Tower<S> {
-        Box::into_raw(Box::new(Tower {
-            key,
-            level,
-            value: self.stm.new_cell(enc(value)),
-            next: (0..level).map(|_| self.stm.new_cell(0)).collect(),
-        }))
-    }
-
-    /// Draws a tower height with the paper's geometric distribution.
-    fn random_level() -> usize {
-        lockfree_level()
-    }
-
     /// Inserts `key` (set API; the value is set to 0); returns `false` if it
     /// was already present (whose value is then left untouched).
     pub fn insert(&self, key: u64, thread: &mut S::Thread) -> bool {
@@ -259,7 +286,7 @@ impl<S: Stm> StmSkipList<S> {
 
     fn upsert(&self, key: u64, value: u64, overwrite: bool, thread: &mut S::Thread) -> Upsert {
         match self.mode {
-            ApiMode::Full => self.upsert_txn(key, value, overwrite, Self::random_level(), thread),
+            ApiMode::Full => self.upsert_txn(key, value, overwrite, thread),
             ApiMode::Short | ApiMode::Fine => self.upsert_split(key, value, overwrite, thread),
         }
     }
@@ -324,64 +351,52 @@ impl<S: Stm> StmSkipList<S> {
     }
 
     // ------------------------------------------------------------------
-    // Walk-based traversal (Short / Fine modes)
+    // The descent (every mode) and the walk-based reader (Short / Fine)
     // ------------------------------------------------------------------
 
-    /// Reads one forward pointer, either with a single-location transaction
-    /// (Short) or with a one-read ordinary transaction (Fine).
+    /// The paper's `Skiplist::Search`, the one descent under every
+    /// operation: walks from the level hint down to level 0 through `read`
+    /// — a single-location read per link for the walk-based modes,
+    /// `tx.read` inside a full transaction — recording the predecessor cell
+    /// and successor pointer at every level.  The caller must hold an epoch
+    /// pin (a transaction attempt holds one) for as long as it uses the
+    /// window.
     #[inline]
-    fn read_link(&self, cell: &S::Cell, thread: &mut S::Thread) -> Word {
-        match self.mode {
-            ApiMode::Fine => thread
-                .atomic(|tx| tx.read(cell))
-                .expect("read_link is never cancelled"),
-            _ => thread.single_read(cell),
-        }
-    }
-
-    /// The paper's `Skiplist::Search`: walks from the level hint down to
-    /// level 0, recording the predecessor cell and successor pointer at every
-    /// level.  The caller must hold an epoch pin.
-    fn search<'a>(&'a self, key: u64, thread: &mut S::Thread) -> Window<'a, S> {
-        // Traverse at least the levels covered by the short fast paths so the
-        // window's low-level predecessors are always real, even before any
-        // tall tower has raised the height hint.
-        let top = decode_int(self.read_link(&self.level_hint, thread))
-            .clamp(SHORT_LEVEL_CUTOFF, MAX_LEVEL);
-        let mut preds: Vec<&S::Cell> = Vec::with_capacity(MAX_LEVEL);
-        let mut succs: Vec<Word> = vec![0; MAX_LEVEL];
-        preds.resize(MAX_LEVEL, &self.head[0]);
-        for lvl in (0..MAX_LEVEL).rev() {
-            preds[lvl] = &self.head[lvl];
-        }
-        let mut pred_cell: &S::Cell = &self.head[top - 1];
+    fn descend<'a, E>(
+        &'a self,
+        key: u64,
+        mut read: impl FnMut(&'a S::Cell) -> Result<Word, E>,
+    ) -> Result<Window<'a, S>, E> {
+        // Traverse at least the levels covered by the short fast paths:
+        // those link towers without raising the height hint.
+        let top = decode_int(read(&self.level_hint)?).clamp(SHORT_LEVEL_CUTOFF, MAX_LEVEL);
+        let mut w = Window {
+            preds: std::array::from_fn(|lvl| &self.head[lvl]),
+            succs: [0; MAX_LEVEL],
+            top,
+        };
+        let mut pred = w.preds[top - 1];
         for lvl in (0..top).rev() {
-            // Step down: the predecessor found at the level above is also a
-            // valid starting point at this level.
-            let mut curr = unmark(self.read_link(pred_cell, thread));
-            loop {
-                if curr == 0 {
-                    break;
-                }
+            let mut curr = unmark(read(pred)?);
+            while curr != 0 {
                 // SAFETY: `curr` was read from a reachable link under the
                 // caller's epoch pin.
-                let tower = unsafe { &*Self::tower(curr) };
+                let tower: &'a Tower<S> = unsafe { &*Self::tower(curr) };
                 if tower.key >= key {
                     break;
                 }
-                let next = self.read_link(&tower.next[lvl], thread);
-                pred_cell = &tower.next[lvl];
-                curr = unmark(next);
+                pred = &tower.next[lvl];
+                curr = unmark(read(pred)?);
             }
-            preds[lvl] = pred_cell;
-            succs[lvl] = curr;
+            w.preds[lvl] = pred;
+            w.succs[lvl] = curr;
             if lvl > 0 {
-                // Move the walking pointer to the same tower's next-lower
-                // level; for the head this is just the lower head cell.
-                pred_cell = self.step_down(preds[lvl], lvl);
+                // The predecessor found here is also a valid starting point
+                // one level down: the same tower's next-lower cell.
+                pred = self.step_down(pred, lvl);
             }
         }
-        Window { preds, succs, top }
+        Ok(w)
     }
 
     /// Given the predecessor cell at `lvl`, returns the same tower's cell at
@@ -403,59 +418,151 @@ impl<S: Stm> StmSkipList<S> {
         }
     }
 
+    /// The tower the descent stopped at on level 0, if it holds `key` —
+    /// linked when the descent passed, though perhaps already marked.
+    fn found<'a>(w: &Window<'a, S>, key: u64) -> Option<&'a Tower<S>> {
+        // SAFETY: a non-null successor was read from a reachable link under
+        // the epoch pin the window's lifetime stands for.
+        let tower = unsafe { Self::tower(w.succs[0]).as_ref() }?;
+        (tower.key == key).then_some(tower)
+    }
+
+    /// Reads one forward pointer, either with a single-location transaction
+    /// (Short) or with a one-read ordinary transaction (Fine).
+    #[inline]
+    fn read_link(&self, cell: &S::Cell, thread: &mut S::Thread) -> Word {
+        match self.mode {
+            ApiMode::Fine => thread
+                .atomic(|tx| tx.read(cell))
+                .expect("read_link is never cancelled"),
+            _ => thread.single_read(cell),
+        }
+    }
+
+    /// The descent of the walk-based modes: every link is its own
+    /// [`StmSkipList::read_link`].  The caller must hold an epoch pin.
+    #[inline]
+    fn search<'a>(&'a self, key: u64, thread: &mut S::Thread) -> Window<'a, S> {
+        let Ok(w) = self.descend(key, |cell| {
+            Ok::<_, Infallible>(self.read_link(cell, thread))
+        });
+        w
+    }
+
     fn contains_walk(&self, key: u64, thread: &mut S::Thread) -> bool {
         let _pin = thread.epoch().pin();
         let w = self.search(key, thread);
-        let curr = w.succs[0];
-        if curr == 0 {
-            return false;
-        }
-        // SAFETY: protected by the epoch pin above.
-        let tower = unsafe { &*Self::tower(curr) };
-        tower.key == key && !is_marked(self.read_link(&tower.next[0], thread))
+        Self::found(&w, key).is_some_and(|tower| !is_marked(self.read_link(&tower.next[0], thread)))
     }
 
     /// Walk-based map lookup: liveness and value are observed together with
     /// a two-location read-only short transaction (Short mode) or one
     /// ordinary transaction over the same locations (Fine mode).
     fn get_walk(&self, key: u64, thread: &mut S::Thread) -> Option<u64> {
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
+        thread.retry(|thread| {
             let _pin = thread.epoch().pin();
             let w = self.search(key, thread);
-            if w.succs[0] == 0 {
-                return None;
-            }
-            // SAFETY: protected by the epoch pin above.
-            let tower = unsafe { &*Self::tower(w.succs[0]) };
-            if tower.key != key {
-                return None;
-            }
+            let Some(tower) = Self::found(&w, key) else {
+                return Some(None);
+            };
             if self.mode == ApiMode::Short {
                 let next = thread.ro_read(0, &tower.next[0]);
                 let value = thread.ro_read(1, &tower.value);
-                if !thread.ro_is_valid(2) {
-                    continue;
-                }
-                if is_marked(next) {
-                    return None;
-                }
-                return Some(dec(value));
+                return thread
+                    .ro_is_valid(2)
+                    .then(|| (!is_marked(next)).then(|| dec(value)));
             }
-            let read = thread
-                .atomic(|tx| {
-                    if is_marked(tx.read(&tower.next[0])?) {
-                        return Ok(None);
-                    }
-                    Ok(Some(dec(tx.read(&tower.value)?)))
-                })
-                .expect("get_walk is never cancelled");
-            return read;
+            let read = thread.atomic(|tx| {
+                if is_marked(tx.read(&tower.next[0])?) {
+                    return Ok(None);
+                }
+                Ok(Some(dec(tx.read(&tower.value)?)))
+            });
+            Some(read.expect("get_walk is never cancelled"))
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Link and unlink inside a full transaction (every mode's fallback)
+    // ------------------------------------------------------------------
+
+    /// What `w.preds[lvl]` points at now.  When the window is `tx`'s own
+    /// (`same_tx`: its descent ran inside `tx`), the levels it traversed are
+    /// already in the read set and the window *is* the answer; a window
+    /// computed before `tx` began, and the head cells above any window's
+    /// `top`, are read here.
+    #[inline]
+    fn pred_target(
+        w: &Window<'_, S>,
+        same_tx: bool,
+        lvl: usize,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Word> {
+        if same_tx && lvl < w.top {
+            Ok(w.succs[lvl])
+        } else {
+            tx.read(w.preds[lvl])
         }
+    }
+
+    /// The paper's `AddLevelN`: checks that the window still holds at every
+    /// level of `tower`, points the tower at the window's successors and the
+    /// window's predecessors at the tower (`ptr`).  Returns `false`, having
+    /// written nothing, if the neighbourhood changed since the descent.
+    fn link_in(
+        &self,
+        w: &Window<'_, S>,
+        same_tx: bool,
+        (ptr, tower): (Word, &Tower<S>),
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<bool> {
+        for lvl in 0..tower.level {
+            if Self::pred_target(w, same_tx, lvl, tx)? != w.succs[lvl] {
+                return Ok(false);
+            }
+        }
+        // A tower reaching above the window raises the height hint first
+        // (see `Window::top`); the hint never falls, so one that is not the
+        // window's own is re-read before it is written.
+        let above = tower.level > w.top;
+        if above && (same_tx || tower.level > decode_int(tx.read(&self.level_hint)?)) {
+            tx.write(&self.level_hint, encode_int(tower.level))?;
+        }
+        for lvl in 0..tower.level {
+            S::poke(&tower.next[lvl], w.succs[lvl]);
+            tx.write(w.preds[lvl], ptr)?;
+        }
+        Ok(true)
+    }
+
+    /// Unlinks the tower `target` the window stopped at: reads its own
+    /// links and refuses if one is marked, checks that the window's
+    /// predecessors still point at it, then points them past it and marks
+    /// its own links.  Only [`Removal::Removed`] has written anything.
+    fn unlink_in(
+        w: &Window<'_, S>,
+        same_tx: bool,
+        tower: &Tower<S>,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Removal> {
+        let target = w.succs[0];
+        let mut nexts = [0 as Word; MAX_LEVEL];
+        for (lvl, next) in nexts.iter_mut().enumerate().take(tower.level) {
+            *next = tx.read(&tower.next[lvl])?;
+            if is_marked(*next) {
+                return Ok(Removal::AlreadyGone);
+            }
+        }
+        for lvl in 0..tower.level {
+            if Self::pred_target(w, same_tx, lvl, tx)? != target {
+                return Ok(Removal::Retry);
+            }
+        }
+        for (lvl, &next) in nexts.iter().enumerate().take(tower.level) {
+            tx.write(w.preds[lvl], next)?;
+            tx.write(&tower.next[lvl], mark(next))?;
+        }
+        Ok(Removal::Removed)
     }
 
     // ------------------------------------------------------------------
@@ -469,78 +576,43 @@ impl<S: Stm> StmSkipList<S> {
         overwrite: bool,
         thread: &mut S::Thread,
     ) -> Upsert {
-        let level = Self::random_level();
-        let mut new_tower: *mut Tower<S> = std::ptr::null_mut();
-        let mut attempts = 0u32;
-        loop {
-            // Contention management between restarts breaks symmetric
-            // conflict patterns (and matters when threads outnumber cores).
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
-            let pin = thread.epoch().pin();
+        let mut slot = TowerSlot::new();
+        // Every `None` below is "retry with a fresh search" (contention
+        // management between restarts breaks symmetric conflict patterns,
+        // and matters when threads outnumber cores).
+        thread.retry(|thread| {
+            let _pin = thread.epoch().pin();
             let w = self.search(key, thread);
-            if w.succs[0] != 0 {
-                // SAFETY: protected by the epoch pin.
-                let tower = unsafe { &*Self::tower(w.succs[0]) };
-                if tower.key == key {
-                    if !overwrite {
-                        if is_marked(self.read_link(&tower.next[0], thread)) {
-                            // Deleted but still linked: wait for the remover.
-                            drop(pin);
-                            continue;
-                        }
-                        if !new_tower.is_null() {
-                            // SAFETY: never published.
-                            drop(unsafe { Box::from_raw(new_tower) });
-                        }
-                        return Upsert::Exists;
-                    }
-                    match self.update_value(tower, value, thread) {
-                        // Updated in place.
-                        Some(old) => {
-                            if !new_tower.is_null() {
-                                // SAFETY: never published.
-                                drop(unsafe { Box::from_raw(new_tower) });
-                            }
-                            return Upsert::Updated(old);
-                        }
-                        // Deleted-but-linked or validation failure: retry
-                        // (a fresh insert once the remover unlinks).
-                        None => {
-                            drop(pin);
-                            continue;
-                        }
-                    }
+            if let Some(tower) = Self::found(&w, key) {
+                if overwrite {
+                    // `None`: deleted but still linked, or validation
+                    // failed (a fresh insert once the remover unlinks).
+                    return self.update_value(tower, value, thread).map(Upsert::Updated);
                 }
+                // Deleted but still linked: wait for the remover.
+                let live = !is_marked(self.read_link(&tower.next[0], thread));
+                return live.then_some(Upsert::Exists);
             }
-            if new_tower.is_null() {
-                new_tower = self.alloc_tower(key, value, level);
-            }
-            // SAFETY: still private to this thread.
-            let tower = unsafe { &*new_tower };
-            for lvl in 0..level {
-                S::poke(&tower.next[lvl], w.succs[lvl]);
-            }
-            let published = if self.mode == ApiMode::Short {
-                if level == 1 {
+            let (ptr, tower) = slot.tower(self, key, value);
+            let published = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
+                for lvl in 0..tower.level {
+                    S::poke(&tower.next[lvl], w.succs[lvl]);
+                }
+                if tower.level == 1 {
                     // The paper's AddLevelOne: one single-location CAS.
-                    thread.single_cas(w.preds[0], w.succs[0], new_tower as Word) == w.succs[0]
-                } else if level <= SHORT_LEVEL_CUTOFF {
-                    self.insert_short_rw(&w, level, new_tower as Word, thread)
+                    thread.single_cas(w.preds[0], w.succs[0], ptr) == w.succs[0]
                 } else {
-                    self.insert_txn_linked(&w, level, new_tower as Word, key, thread)
+                    self.insert_short_rw(&w, tower.level, ptr, thread)
                 }
             } else {
-                // Fine mode: every step is an ordinary transaction.
-                self.insert_txn_linked(&w, level, new_tower as Word, key, thread)
+                // Tall towers in Short mode, every tower in Fine mode.
+                self.insert_txn_linked(&w, (ptr, tower), thread)
             };
-            if published {
-                return Upsert::Inserted;
-            }
-            drop(pin);
-        }
+            published.then(|| {
+                slot.mark_published();
+                Upsert::Inserted
+            })
+        })
     }
 
     /// Overwrites a live tower's value: a two-location short read-write
@@ -567,16 +639,24 @@ impl<S: Stm> StmSkipList<S> {
             None
         } else {
             thread
-                .atomic(|tx| {
-                    if is_marked(tx.read(&tower.next[0])?) {
-                        return Ok(None);
-                    }
-                    let old = tx.read(&tower.value)?;
-                    tx.write(&tower.value, enc(value))?;
-                    Ok(Some(dec(old)))
-                })
+                .atomic(|tx| Self::overwrite_in(tower, value, tx))
                 .expect("update_value is never cancelled")
         }
+    }
+
+    /// Replaces a tower's value inside `tx`, returning the old one; `None`
+    /// (writing nothing) if the tower is logically deleted.
+    fn overwrite_in(
+        tower: &Tower<S>,
+        value: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<u64>> {
+        if is_marked(tx.read(&tower.next[0])?) {
+            return Ok(None);
+        }
+        let old = tx.read(&tower.value)?;
+        tx.write(&tower.value, enc(value))?;
+        Ok(Some(dec(old)))
     }
 
     /// Links a tower of height ≤ [`SHORT_LEVEL_CUTOFF`] using one short
@@ -598,161 +678,69 @@ impl<S: Stm> StmSkipList<S> {
                 return false;
             }
         }
-        let values = vec![new_ptr; level];
-        thread.rw_commit(level, &values)
+        thread.rw_commit(level, &[new_ptr; SHORT_LEVEL_CUTOFF][..level])
     }
 
-    /// Links a tower using one ordinary transaction (used for tall towers in
-    /// Short mode, and for every tower in Full/Fine modes once the window is
-    /// known).  Mirrors the paper's `AddLevelN`.
+    /// Links a tower using one ordinary transaction over a window computed
+    /// before it (tall towers in Short mode, every tower in Fine mode).
     fn insert_txn_linked(
         &self,
         w: &Window<'_, S>,
-        level: usize,
-        new_ptr: Word,
-        _key: u64,
+        new: (Word, &Tower<S>),
         thread: &mut S::Thread,
     ) -> bool {
-        // A `None` outcome means the transaction was cancelled (the paper's
-        // `STM_ABORT_TX`): nothing was published, so the caller retries with
-        // a fresh search.  Returning a committed `false` here would be wrong:
-        // writes to lower levels buffered before the mismatch was discovered
-        // would still take effect, publishing a half-linked tower.
+        // A stale window cancels the transaction (the paper's
+        // `STM_ABORT_TX`); the caller retries with a fresh search.
         thread
-            .atomic(|tx| {
-                // Raise the list's height hint if needed.
-                let head_lvl = decode_int(tx.read(&self.level_hint)?);
-                if level > head_lvl {
-                    tx.write(&self.level_hint, encode_int(level))?;
-                }
-                for lvl in 0..level {
-                    // Levels the search did not traverse are guaranteed empty
-                    // (see `Window::top`), so the new tower hangs off the
-                    // head there; traversed levels must still match the
-                    // window the search computed.
-                    let above_window = lvl >= w.top;
-                    let pred = if above_window {
-                        &self.head[lvl]
-                    } else {
-                        w.preds[lvl]
-                    };
-                    let observed = tx.read(pred)?;
-                    let expected = if above_window { 0 } else { w.succs[lvl] };
-                    if observed != expected || is_marked(observed) {
-                        // The neighbourhood changed since the search.
-                        return tx.cancel();
-                    }
-                    // Retarget the new tower's forward pointer in case this
-                    // level hangs off the head.
-                    // SAFETY: the new tower is still private.
-                    let tower = unsafe { &*Self::tower(new_ptr) };
-                    S::poke(&tower.next[lvl], observed);
-                    tx.write(pred, new_ptr)?;
-                }
-                Ok(())
+            .atomic(|tx| match self.link_in(w, false, new, tx)? {
+                true => Ok(()),
+                false => tx.cancel(),
             })
             .is_some()
     }
 
     /// Body of a full-mode insert-or-update: search and link (or rewrite the
-    /// value in place) inside the caller's transaction.  `new_tower` is the
-    /// lazily filled allocation slot, reused across conflict retries.
+    /// value in place) inside the caller's transaction.  `slot` is the
+    /// lazily filled allocation, reused across conflict retries.
     fn upsert_body(
         &self,
         key: u64,
         value: u64,
         overwrite: bool,
-        level: usize,
-        new_tower: &mut *mut Tower<S>,
+        slot: &mut TowerSlot<S>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Upsert> {
-        let head_lvl = decode_int(tx.read(&self.level_hint)?).clamp(1, MAX_LEVEL);
-        let mut preds: Vec<*const S::Cell> = Vec::with_capacity(MAX_LEVEL);
-        let mut succs: Vec<Word> = vec![0; MAX_LEVEL];
-        for lvl in 0..MAX_LEVEL {
-            preds.push(&self.head[lvl]);
-        }
-        let mut pred_cell: *const S::Cell = &self.head[head_lvl - 1];
-        for lvl in (0..head_lvl).rev() {
-            // SAFETY: predecessor cells are either head cells or cells
-            // of towers read transactionally within this attempt; the
-            // transaction's epoch pin keeps them alive.
-            let mut curr = unmark(tx.read(unsafe { &*pred_cell })?);
-            loop {
-                if curr == 0 {
-                    break;
-                }
-                // SAFETY: as above.
-                let tower = unsafe { &*Self::tower(curr) };
-                if tower.key >= key {
-                    break;
-                }
-                let next = tx.read(&tower.next[lvl])?;
-                pred_cell = &tower.next[lvl];
-                curr = unmark(next);
+        let w = self.descend(key, |cell| tx.read(cell))?;
+        if let Some(tower) = Self::found(&w, key) {
+            // A tower that is deleted but still linked: wait for the remover
+            // to unlink it.
+            if !overwrite {
+                return match is_marked(tx.read(&tower.next[0])?) {
+                    false => Ok(Upsert::Exists),
+                    true => tx.restart(),
+                };
             }
-            preds[lvl] = pred_cell;
-            succs[lvl] = curr;
-            if lvl > 0 {
-                // SAFETY: as above.
-                pred_cell = self.step_down(unsafe { &*pred_cell }, lvl);
-            }
-        }
-        if succs[0] != 0 {
-            // SAFETY: as above.
-            let tower = unsafe { &*Self::tower(succs[0]) };
-            if tower.key == key && !is_marked(tx.read(&tower.next[0])?) {
-                if !overwrite {
-                    return Ok(Upsert::Exists);
-                }
-                let old = tx.read(&tower.value)?;
-                tx.write(&tower.value, enc(value))?;
-                return Ok(Upsert::Updated(dec(old)));
-            }
-            if tower.key == key {
-                // Deleted but still linked: wait for the remover to unlink.
-                return tx.restart();
-            }
-        }
-        if level > head_lvl {
-            tx.write(&self.level_hint, encode_int(level))?;
-        }
-        if new_tower.is_null() {
-            *new_tower = self.alloc_tower(key, value, level);
-        }
-        // SAFETY: still private to this thread.
-        let tower = unsafe { &**new_tower };
-        S::poke(&tower.value, enc(value));
-        for lvl in 0..level {
-            let (pred, succ) = if lvl < head_lvl {
-                (preds[lvl], succs[lvl])
-            } else {
-                (&self.head[lvl] as *const S::Cell, tx.read(&self.head[lvl])?)
+            return match Self::overwrite_in(tower, value, tx)? {
+                Some(old) => Ok(Upsert::Updated(old)),
+                None => tx.restart(),
             };
-            S::poke(&tower.next[lvl], succ);
-            // SAFETY: as above.
-            tx.write(unsafe { &*pred }, *new_tower as Word)?;
         }
-        Ok(Upsert::Inserted)
+        if self.link_in(&w, true, slot.tower(self, key, value), tx)? {
+            Ok(Upsert::Inserted)
+        } else {
+            tx.restart()
+        }
     }
 
     /// Full-mode insert-or-update: search and link inside a single ordinary
     /// transaction.
-    fn upsert_txn(
-        &self,
-        key: u64,
-        value: u64,
-        overwrite: bool,
-        level: usize,
-        thread: &mut S::Thread,
-    ) -> Upsert {
-        let mut new_tower: *mut Tower<S> = std::ptr::null_mut();
+    fn upsert_txn(&self, key: u64, value: u64, overwrite: bool, thread: &mut S::Thread) -> Upsert {
+        let mut slot = TowerSlot::new();
         let outcome = thread
-            .atomic(|tx| self.upsert_body(key, value, overwrite, level, &mut new_tower, tx))
+            .atomic(|tx| self.upsert_body(key, value, overwrite, &mut slot, tx))
             .expect("upsert transaction is never cancelled");
-        if !matches!(outcome, Upsert::Inserted) && !new_tower.is_null() {
-            // SAFETY: never published.
-            drop(unsafe { Box::from_raw(new_tower) });
+        if matches!(outcome, Upsert::Inserted) {
+            slot.mark_published();
         }
         outcome
     }
@@ -771,14 +759,7 @@ impl<S: Stm> StmSkipList<S> {
         slot: &mut TowerSlot<S>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<bool> {
-        if slot.ptr.is_null() {
-            slot.level = Self::random_level();
-            slot.ptr = self.alloc_tower(key, value, slot.level);
-        }
-        // SAFETY: the slot's tower is still private to this thread.
-        debug_assert_eq!(unsafe { (*slot.ptr).key }, key, "one TowerSlot per key");
-        let mut ptr = slot.ptr;
-        let outcome = self.upsert_body(key, value, false, slot.level, &mut ptr, tx)?;
+        let outcome = self.upsert_body(key, value, false, slot, tx)?;
         Ok(matches!(outcome, Upsert::Inserted))
     }
 
@@ -798,214 +779,92 @@ impl<S: Stm> StmSkipList<S> {
     // ------------------------------------------------------------------
 
     fn remove_split(&self, key: u64, thread: &mut S::Thread) -> bool {
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
+        thread.retry(|thread| {
             let pin = thread.epoch().pin();
             let w = self.search(key, thread);
-            if w.succs[0] == 0 {
-                return false;
-            }
-            let target = w.succs[0];
-            // SAFETY: protected by the epoch pin.
-            let tower = unsafe { &*Self::tower(target) };
-            if tower.key != key {
-                return false;
-            }
-            let level = tower.level;
-            #[derive(PartialEq)]
-            enum Outcome {
-                Removed,
-                AlreadyGone,
-                Retry,
-            }
-            let outcome = if self.mode == ApiMode::Short && level <= SHORT_LEVEL_CUTOFF {
-                self.remove_short_rw(&w, target, level, thread)
-            } else {
-                self.remove_txn_unlink(&w, target, level, thread)
+            let Some(tower) = Self::found(&w, key) else {
+                return Some(false);
             };
-            let outcome = match outcome {
-                0 => Outcome::Removed,
-                1 => Outcome::AlreadyGone,
-                _ => Outcome::Retry,
+            let outcome = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
+                self.remove_short_rw(&w, tower, thread)
+            } else {
+                self.remove_txn_unlink(&w, tower, thread)
             };
             match outcome {
-                Outcome::Removed => {
+                Removal::Removed => {
                     // SAFETY: unlinked and marked by the committed step above;
                     // unreachable for new operations.
-                    unsafe { pin.defer_drop(Self::tower(target)) };
-                    return true;
+                    unsafe { pin.defer_drop(Self::tower(w.succs[0])) };
+                    Some(true)
                 }
-                Outcome::AlreadyGone => return false,
-                Outcome::Retry => {
-                    drop(pin);
-                    continue;
-                }
+                Removal::AlreadyGone => Some(false),
+                Removal::Retry => None,
             }
-        }
+        })
     }
 
     /// Removes a tower of height ≤ [`SHORT_LEVEL_CUTOFF`] with one short
     /// read-write transaction covering the predecessors and the tower's own
-    /// forward pointers.  Returns 0 = removed, 1 = already deleted, 2 = retry.
+    /// forward pointers.
     fn remove_short_rw(
         &self,
         w: &Window<'_, S>,
-        target: Word,
-        level: usize,
+        tower: &Tower<S>,
         thread: &mut S::Thread,
-    ) -> u8 {
-        // SAFETY: the caller holds an epoch pin and verified the key.
-        let tower = unsafe { &*Self::tower(target) };
+    ) -> Removal {
+        let (target, level) = (w.succs[0], tower.level);
         let mut values = [0 as Word; 2 * SHORT_LEVEL_CUTOFF];
         // First the predecessors (unlink), then the tower's own pointers
         // (mark).  All locations are distinct.
         for lvl in 0..level {
             let observed = thread.rw_read(lvl, w.preds[lvl]);
             if !thread.rw_is_valid(lvl + 1) {
-                return 2;
+                return Removal::Retry;
             }
             if observed != target {
                 thread.rw_abort(lvl + 1);
-                return 2;
+                return Removal::Retry;
             }
         }
         for lvl in 0..level {
             let own = thread.rw_read(level + lvl, &tower.next[lvl]);
             if !thread.rw_is_valid(level + lvl + 1) {
-                return 2;
+                return Removal::Retry;
             }
             if is_marked(own) {
                 thread.rw_abort(level + lvl + 1);
-                return 1;
+                return Removal::AlreadyGone;
             }
             values[lvl] = unmark(own);
             values[level + lvl] = mark(own);
         }
         if thread.rw_commit(2 * level, &values[..2 * level]) {
-            0
+            Removal::Removed
         } else {
-            2
+            Removal::Retry
         }
     }
 
-    /// Removes a tower with one ordinary transaction (tall towers in Short
-    /// mode; every tower in Full/Fine modes).  Returns 0/1/2 as above.
+    /// Removes a tower with one ordinary transaction over a window computed
+    /// before it (tall towers in Short mode, every tower in Fine mode).  A
+    /// stale window commits nothing and reports [`Removal::Retry`].
     fn remove_txn_unlink(
         &self,
         w: &Window<'_, S>,
-        target: Word,
-        level: usize,
+        tower: &Tower<S>,
         thread: &mut S::Thread,
-    ) -> u8 {
-        // SAFETY: the caller holds an epoch pin and verified the key.
-        let tower = unsafe { &*Self::tower(target) };
+    ) -> Removal {
         thread
-            .atomic(|tx| {
-                for lvl in 0..level {
-                    if tx.read(w.preds[lvl])? != target {
-                        return Ok(2);
-                    }
-                }
-                let mut nexts = [0 as Word; MAX_LEVEL];
-                for (lvl, next) in nexts.iter_mut().enumerate().take(level) {
-                    let own = tx.read(&tower.next[lvl])?;
-                    if is_marked(own) {
-                        return Ok(1);
-                    }
-                    *next = own;
-                }
-                for (lvl, &next) in nexts.iter().enumerate().take(level) {
-                    tx.write(w.preds[lvl], unmark(next))?;
-                    tx.write(&tower.next[lvl], mark(next))?;
-                }
-                Ok(0)
-            })
+            .atomic(|tx| Self::unlink_in(w, false, tower, tx))
             .expect("remove transaction is never cancelled")
-    }
-
-    /// Body of a full-mode remove: search and unlink inside the caller's
-    /// transaction.  Returns the unlinked tower's word (0 if the key was
-    /// absent or already deleted).
-    fn remove_body(&self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
-        let head_lvl = decode_int(tx.read(&self.level_hint)?).clamp(1, MAX_LEVEL);
-        let mut preds: Vec<*const S::Cell> = Vec::with_capacity(MAX_LEVEL);
-        for lvl in 0..MAX_LEVEL {
-            preds.push(&self.head[lvl]);
-        }
-        let mut succs: Vec<Word> = vec![0; MAX_LEVEL];
-        let mut pred_cell: *const S::Cell = &self.head[head_lvl - 1];
-        for lvl in (0..head_lvl).rev() {
-            // SAFETY: see `upsert_body`.
-            let mut curr = unmark(tx.read(unsafe { &*pred_cell })?);
-            loop {
-                if curr == 0 {
-                    break;
-                }
-                // SAFETY: as above.
-                let tower = unsafe { &*Self::tower(curr) };
-                if tower.key >= key {
-                    break;
-                }
-                let next = tx.read(&tower.next[lvl])?;
-                pred_cell = &tower.next[lvl];
-                curr = unmark(next);
-            }
-            preds[lvl] = pred_cell;
-            succs[lvl] = curr;
-            if lvl > 0 {
-                // SAFETY: as above.
-                pred_cell = self.step_down(unsafe { &*pred_cell }, lvl);
-            }
-        }
-        if succs[0] == 0 {
-            return Ok(0);
-        }
-        // SAFETY: as above.
-        let tower = unsafe { &*Self::tower(succs[0]) };
-        if tower.key != key {
-            return Ok(0);
-        }
-        let mut nexts = [0 as Word; MAX_LEVEL];
-        for (lvl, next) in nexts.iter_mut().enumerate().take(tower.level) {
-            let own = tx.read(&tower.next[lvl])?;
-            if is_marked(own) {
-                return Ok(0);
-            }
-            *next = own;
-        }
-        for lvl in 0..tower.level {
-            let pred = if lvl < head_lvl {
-                preds[lvl]
-            } else {
-                &self.head[lvl] as *const S::Cell
-            };
-            // SAFETY: as above.
-            if tx.read(unsafe { &*pred })? == succs[0] {
-                // SAFETY: as above — the same pred cell just read.
-                tx.write(unsafe { &*pred }, unmark(nexts[lvl]))?;
-            } else {
-                return tx.restart();
-            }
-            tx.write(&tower.next[lvl], mark(nexts[lvl]))?;
-        }
-        Ok(succs[0])
     }
 
     /// Full-mode remove: search and unlink inside one ordinary transaction.
     fn remove_txn(&self, key: u64, thread: &mut S::Thread) -> bool {
         let unlinked = thread
-            .atomic(|tx| self.remove_body(key, tx))
+            .atomic(|tx| self.remove_in(key, tx))
             .expect("remove transaction is never cancelled");
-        if unlinked != 0 {
-            let pin = thread.epoch().pin();
-            // SAFETY: the committed transaction unlinked and marked the tower.
-            unsafe { pin.defer_drop(Self::tower(unlinked)) };
-        }
-        unlinked != 0
+        unlinked.map(|tower| tower.retire(thread)).is_some()
     }
 
     /// Removes `key` inside an already-running full transaction, regardless
@@ -1017,13 +876,17 @@ impl<S: Stm> StmSkipList<S> {
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<RetiredTower<S>>> {
-        let unlinked = self.remove_body(key, tx)?;
-        if unlinked == 0 {
+        let w = self.descend(key, |cell| tx.read(cell))?;
+        let Some(tower) = Self::found(&w, key) else {
             return Ok(None);
+        };
+        match Self::unlink_in(&w, true, tower, tx)? {
+            Removal::Removed => Ok(Some(RetiredTower {
+                ptr: Self::tower(w.succs[0]),
+            })),
+            Removal::AlreadyGone => Ok(None),
+            Removal::Retry => tx.restart(),
         }
-        Ok(Some(RetiredTower {
-            ptr: Self::tower(unlinked),
-        }))
     }
 
     // ------------------------------------------------------------------
@@ -1048,32 +911,7 @@ impl<S: Stm> StmSkipList<S> {
     /// The level hint and every link crossed on the way down enter the
     /// transaction's read set.
     fn seek_in(&self, start: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
-        let head_lvl = decode_int(tx.read(&self.level_hint)?).clamp(1, MAX_LEVEL);
-        let mut pred_cell: *const S::Cell = &self.head[head_lvl - 1];
-        for lvl in (0..head_lvl).rev() {
-            // SAFETY: see `upsert_body`.
-            let mut curr = unmark(tx.read(unsafe { &*pred_cell })?);
-            loop {
-                if curr == 0 {
-                    break;
-                }
-                // SAFETY: as above.
-                let tower = unsafe { &*Self::tower(curr) };
-                if tower.key >= start {
-                    break;
-                }
-                let next = tx.read(&tower.next[lvl])?;
-                pred_cell = &tower.next[lvl];
-                curr = unmark(next);
-            }
-            if lvl > 0 {
-                // SAFETY: as above.
-                pred_cell = self.step_down(unsafe { &*pred_cell }, lvl);
-            }
-        }
-        // `pred_cell` now points at the last level-0 link before `start`.
-        // SAFETY: as above.
-        Ok(unmark(tx.read(unsafe { &*pred_cell })?))
+        Ok(self.descend(start, |cell| tx.read(cell))?.succs[0])
     }
 
     /// The first live tower with `key <= last` at or after `cand` on level
@@ -1086,7 +924,8 @@ impl<S: Stm> StmSkipList<S> {
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(&'a Tower<S>, Word)>> {
         while cand != 0 {
-            // SAFETY: see `upsert_body`.
+            // SAFETY: `cand` was read transactionally from a reachable link
+            // within this attempt, whose epoch pin keeps the tower alive.
             let tower = unsafe { &*Self::tower(cand) };
             if tower.key > last {
                 break;
@@ -1213,9 +1052,11 @@ impl<S: Stm> Drop for StmSkipList<S> {
     }
 }
 
-/// Geometric level distribution shared with the lock-free baseline so that
-/// both skip lists have identical expected shapes.
-fn lockfree_level() -> usize {
+/// Draws a tower height with the paper's geometric distribution (p = ½) —
+/// the same distribution as the lock-free baseline's `random_level`, so both
+/// skip lists have the same expected shape, from this crate's own
+/// thread-local stream (`spectm-ds` cannot depend on `lockfree`).
+fn random_level() -> usize {
     use std::cell::Cell;
     thread_local! {
         static STATE: Cell<u64> = const { Cell::new(0x853c_49e6_748f_ea9b) };
@@ -1614,5 +1455,35 @@ mod tests {
         for k in 1..=800u64 {
             assert_eq!(list.contains(k, &mut t), (k - 1) % 3 != 0);
         }
+    }
+
+    /// The one descent gives the same window whichever reader drives it: on
+    /// a quiescent list, single-location reads and one transaction's reads
+    /// find the same predecessor cells, successors and `top` at every level.
+    fn descents_agree<S: Stm + Clone>(stm: S) {
+        let list = StmSkipList::new(&stm, ApiMode::Short);
+        let mut t = stm.register();
+        for k in 1..=1_000u64 {
+            assert!(list.insert(k * 10, &mut t));
+        }
+        // Keys 10..=10 000: the probes hit present and absent keys, below
+        // the first, above the last and the top of the key space.
+        let probes = (0..198u64).map(|i| i * 51).chain([10_000, u64::MAX]);
+        let flat = |w: Window<'_, S>| (w.preds.map(|c| c as *const S::Cell), w.succs, w.top);
+        for key in probes {
+            let _pin = t.epoch().pin();
+            let walked = flat(list.search(key, &mut t));
+            let in_tx = t
+                .atomic(|tx| Ok(flat(list.descend(key, |cell| tx.read(cell))?)))
+                .unwrap();
+            assert!(walked.2 > SHORT_LEVEL_CUTOFF, "the hint was raised");
+            assert_eq!(walked, in_tx, "windows for key {key}");
+        }
+    }
+
+    #[test]
+    fn walked_and_transactional_descents_agree() {
+        descents_agree(ValShort::new());
+        descents_agree(OrecFullG::new());
     }
 }

@@ -550,16 +550,7 @@ impl<S: Stm> StmHashMap<S> {
         match self.mode {
             ApiMode::Short => {
                 let pin = thread.epoch().pin();
-                let mut attempts = 0u32;
-                loop {
-                    if attempts > 0 {
-                        thread.backoff().wait();
-                    }
-                    attempts += 1;
-                    if let Ok(result) = self.attempt_get(key, &pin, thread) {
-                        return result;
-                    }
-                }
+                thread.retry(|thread| self.attempt_get(key, &pin, thread))
             }
             ApiMode::Full | ApiMode::Fine => thread
                 .atomic(|tx| self.read_entry_in(key, tx))
@@ -621,17 +612,12 @@ impl<S: Stm> StmHashMap<S> {
         let (displaced, old_deadline) = match self.mode {
             ApiMode::Short => {
                 let word = slot.encode_once(value);
-                let mut attempts = 0u32;
-                loop {
-                    if attempts > 0 {
-                        thread.backoff().wait();
-                    }
-                    attempts += 1;
-                    let c = self.find_short(key, &pin, thread)?;
-                    if let Some(displaced) = self.attempt_overwrite(&c, word, deadline, thread) {
-                        break displaced;
-                    }
-                }
+                thread.retry(|thread| {
+                    let Some(c) = self.find_short(key, &pin, thread) else {
+                        return Some(None);
+                    };
+                    self.attempt_overwrite(&c, word, deadline, thread).map(Some)
+                })?
             }
             ApiMode::Full | ApiMode::Fine => thread
                 .atomic(|tx| self.write_entry_in(key, value, deadline, slot, tx))
@@ -797,7 +783,7 @@ impl<S: Stm> StmHashMap<S> {
         self.scan_overflow_short(Self::chain(stat), key, tag, pin, thread)
     }
 
-    /// One attempt of the short get protocol; `Err` means validation
+    /// One attempt of the short get protocol; `None` means validation
     /// failed and the caller should retry.
     #[inline]
     fn attempt_get(
@@ -805,25 +791,25 @@ impl<S: Stm> StmHashMap<S> {
         key: u64,
         pin: &Guard,
         thread: &mut S::Thread,
-    ) -> Result<Option<(Value, Word)>, ()> {
+    ) -> Option<Option<(Value, Word)>> {
         let Some(c) = self.find_short(key, pin, thread) else {
-            return Ok(None);
+            return Some(None);
         };
         // Membership, value and deadline must be observed together: a
         // three-location read-only short transaction over (slot, value,
         // deadline).
         let w = thread.ro_read(0, c.cell);
         if w != c.word {
-            return Err(());
+            return None;
         }
         let value = thread.ro_read(1, &c.node.value);
         let deadline = thread.ro_read(2, &c.node.deadline);
         if !thread.ro_is_valid(3) {
-            return Err(());
+            return None;
         }
         // SAFETY: `pin` predates any retirement of the cell behind the
         // validated word, so it cannot have been freed yet.
-        Ok(Some((unsafe { decode_value(value) }, deadline)))
+        Some(Some((unsafe { decode_value(value) }, deadline)))
     }
 
     /// One attempt at the update-in-place protocol: a three-location short
@@ -876,12 +862,7 @@ impl<S: Stm> StmHashMap<S> {
         // slot's drop if this operation ends up not publishing them.
         let mut scratch = NodeSlot::<S>::new();
         let pin = thread.epoch().pin();
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
+        thread.retry(|thread| {
             let home = self.home_bucket(h);
             // One pass doubling as the read-only half of the insert
             // transaction: all 7 item words and the stat word of the home
@@ -914,13 +895,10 @@ impl<S: Stm> StmHashMap<S> {
                 candidate = self.scan_overflow_short(chain, key, tag, &pin, thread);
             }
             if let Some(c) = candidate {
-                let Some((displaced, old_deadline)) =
-                    self.attempt_overwrite(&c, word, Some(deadline), thread)
-                else {
-                    continue;
-                };
+                let (displaced, old_deadline) =
+                    self.attempt_overwrite(&c, word, Some(deadline), thread)?;
                 slot.mark_published();
-                return Some((displaced.take(&pin), old_deadline));
+                return Some(Some((displaced.take(&pin), old_deadline)));
             }
             if !chain.is_null() {
                 // The chain already spans 2+ buckets: proving the key
@@ -928,7 +906,7 @@ impl<S: Stm> StmHashMap<S> {
                 // locations, so insert through a full transaction — the
                 // paper's fallback for transactions that outgrow the
                 // short API.
-                return self.put_full(key, value, deadline, slot, thread);
+                return Some(self.put_full(key, value, deadline, slot, thread));
             }
             if scratch.ptr.is_null() {
                 scratch.ptr = self.alloc_node(key, word, deadline);
@@ -957,49 +935,44 @@ impl<S: Stm> StmHashMap<S> {
             if committed {
                 slot.mark_published();
                 scratch.mark_published();
-                return None;
+                return Some(None);
             }
             scratch.chain_used = false;
-        }
+            None
+        })
     }
 
     fn del_short(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
         let pin = thread.epoch().pin();
-        let mut attempts = 0u32;
-        loop {
-            if attempts > 0 {
-                thread.backoff().wait();
-            }
-            attempts += 1;
-            let c = self.find_short(key, &pin, thread)?;
+        thread.retry(|thread| {
+            let Some(c) = self.find_short(key, &pin, thread) else {
+                return Some(None);
+            };
             // A three-location short transaction: clear the slot and
             // capture the value and deadline, atomically.  Works at any
             // chain depth — no predecessor pointer exists in the bucket
             // layout.
             let w = thread.rw_read(0, c.cell);
             if !thread.rw_is_valid(1) {
-                continue;
+                return None;
             }
             if w != c.word {
                 // Deleted (and possibly reused) concurrently; re-search.
                 thread.rw_abort(1);
-                continue;
+                return None;
             }
             let value = thread.rw_read(1, &c.node.value);
             let deadline = thread.rw_read(2, &c.node.deadline);
-            if !thread.rw_is_valid(3) {
-                continue;
+            if !thread.rw_is_valid(3) || !thread.rw_commit(3, &[0, value, deadline]) {
+                return None;
             }
-            if thread.rw_commit(3, &[0, value, deadline]) {
-                // SAFETY: the committed delete cleared the slot, so the
-                // node is unreachable for new scans; pinned readers are
-                // protected.
-                unsafe { pin.defer_drop(Self::node(c.word)) };
-                // The same commit made this thread the value word's owner.
-                let value = RetiredValue::new(value).take(&pin);
-                return Some((value, deadline));
-            }
-        }
+            // SAFETY: the committed delete cleared the slot, so the node is
+            // unreachable for new scans; pinned readers are protected.
+            unsafe { pin.defer_drop(Self::node(c.word)) };
+            // The same commit made this thread the value word's owner.
+            let value = RetiredValue::new(value).take(&pin);
+            Some(Some((value, deadline)))
+        })
     }
 
     // ------------------------------------------------------------------

@@ -33,7 +33,8 @@
 //!   of the key space.
 //! * **Read-set budget** — the number of transactional reads a scan
 //!   performs (`Stats::full_reads`) is bounded by what it returns plus one
-//!   descent per shard.
+//!   descent per shard, and the read and write sets of a fixed
+//!   membership-and-scan script stay at or below recorded totals.
 //!
 //! All concurrency runs through the deterministic scaffolding of
 //! [`common`]: barrier-started scoped workers with canonically seeded
@@ -427,6 +428,47 @@ fn scan_read_set_is_bounded_by_its_result() {
     // reads (the fan-out-and-merge this replaced read `shards x limit`
     // entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards).
     assert!(sixteen < 6 * one, "{one} reads at 1 shard, {sixteen} at 16");
+}
+
+/// The index's one descent must not cost the store's transactions more
+/// than the four copies it replaced: the read and write sets of a fixed
+/// single-threaded script — build 4 096 keys at 16 shards, 1 024 x (put a
+/// fresh key between existing ones, delete it), 64 x 16-key scan — stay at
+/// or below the totals measured on the parent of PR 20 (EXPERIMENTS.md "One
+/// descent, one retry loop").  Exact on any machine: tower heights come
+/// from a deterministic per-thread stream and nothing else runs.
+#[test]
+fn membership_and_scan_read_write_sets_do_not_grow() {
+    const KEYS: u64 = 4_096;
+    const STRIDE: u64 = 0x9E37_79B1;
+    const PARENT_FULL_READS: u64 = 208_332;
+    const PARENT_FULL_WRITES: u64 = 20_517;
+    let stm = ValShort::new();
+    let store = ShardedKv::new(&stm, 16, KEYS as usize / 16, ApiMode::Short);
+    let mut t = store.register();
+    let before = t.stats();
+    for i in 0..KEYS {
+        store.put(i * STRIDE, &i.to_le_bytes(), &mut t).unwrap();
+    }
+    for i in 0..1_024 {
+        let fresh = i * 4 * STRIDE + 1;
+        assert!(store
+            .put(fresh, &i.to_le_bytes(), &mut t)
+            .unwrap()
+            .is_none());
+        assert!(store.del(fresh, &mut t).is_some());
+    }
+    for i in 0..64 {
+        assert_eq!(store.scan(i * 63 * STRIDE, 16, &mut t).len(), 16);
+    }
+    let after = t.stats();
+    let reads = after.full_reads - before.full_reads;
+    let writes = after.full_writes - before.full_writes;
+    assert!(
+        reads <= PARENT_FULL_READS && writes <= PARENT_FULL_WRITES,
+        "{reads} full reads (parent {PARENT_FULL_READS}), \
+         {writes} full writes (parent {PARENT_FULL_WRITES})"
+    );
 }
 
 /// Single-threaded random workload including scans and ranges over

@@ -296,6 +296,36 @@ pub trait StmThread {
         }
     }
 
+    /// Runs `attempt` until it yields `Some`, the one retry loop under every
+    /// operation built from short transactions: a search followed by a
+    /// short (or small full) transaction that may find the search stale.
+    ///
+    /// `None` means "conflict — search again"; before every attempt after
+    /// the first the thread waits on its [`Backoff`] iff
+    /// [`Config::backoff`](crate::Config::backoff) is set.  Epoch pinning is
+    /// the caller's, inside `attempt` or around the whole call.
+    ///
+    /// Unlike [`StmThread::atomic`] a success does **not** reset the
+    /// backoff: the failure count keeps escalating across operations until
+    /// some `atomic` resets it.  That is the measured policy, not an
+    /// oversight — resetting after every operation ran a contended hash
+    /// table at about half the throughput (EXPERIMENTS.md "One descent, one
+    /// retry loop").
+    #[inline]
+    fn retry<R>(&mut self, mut attempt: impl FnMut(&mut Self) -> Option<R>) -> R
+    where
+        Self: Sized,
+    {
+        loop {
+            if let Some(result) = attempt(self) {
+                return result;
+            }
+            if self.stm().config().backoff {
+                self.backoff().wait();
+            }
+        }
+    }
+
     /// Returns the [`Stm`] instance this handle was registered with.
     fn stm(&self) -> &Self::Stm;
 }
@@ -373,5 +403,41 @@ mod tests {
     #[test]
     fn max_short_is_at_least_the_papers_four() {
         const { assert!(MAX_SHORT >= 4) };
+    }
+
+    /// `retry` returns the attempt's value, waits once per failed attempt
+    /// iff `Config::backoff`, never resets, and a first-time success
+    /// touches nothing.
+    fn retry_policy<S: Stm>() {
+        let quiet = Config {
+            backoff: false,
+            ..Config::default()
+        };
+        for (config, waits) in [(Config::default(), 3), (quiet, 0)] {
+            let stm = S::with_config(config);
+            let mut t = stm.register();
+            assert_eq!(t.retry(|_| Some(7)), 7);
+            assert_eq!(t.backoff().failures(), 0);
+            let mut calls = 0;
+            let value = t.retry(|_| {
+                calls += 1;
+                (calls > 3).then_some(calls)
+            });
+            assert_eq!(value, 4);
+            assert_eq!(t.backoff().failures(), waits);
+            // A later success does not reset (unlike `atomic`).
+            assert_eq!(t.retry(|_| Some(())), ());
+            assert_eq!(t.backoff().failures(), waits);
+        }
+    }
+
+    #[test]
+    fn retry_backs_off_iff_configured_val() {
+        retry_policy::<crate::variants::ValShort>();
+    }
+
+    #[test]
+    fn retry_backs_off_iff_configured_versioned() {
+        retry_policy::<crate::variants::OrecFullG>();
     }
 }
