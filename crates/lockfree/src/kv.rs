@@ -1,18 +1,16 @@
 //! Lock-free-read key-value hash map, the non-STM baseline for the sharded
 //! KV-store benchmarks.
 //!
-//! The layout is the **same cache-line bulk-chaining bucket scheme as
-//! `spectm_kv::StmHashMap`** (the point of a baseline is an apples-to-apples
-//! comparison): a flat array of 64-byte home buckets, each holding
-//! [`BUCKET_SLOTS`] tagged item words plus one stat word, with rare
-//! 512-byte-aligned overflow buckets chained off the stat word.  An item
-//! word packs 5 hash-tag bits (bits 1..=5) beside a 64-byte-aligned node
-//! pointer so mismatched probes never dereference; a stat word packs the
-//! overflow-chain pointer, a reserved frequency byte (bits 1..=8), and —
-//! this is where the baseline differs from the STM map — a **per-chain
-//! writer spinlock in bit 0** of the *home* bucket's stat word, the
-//! Segcache discipline: readers are lock-free, writers to the same chain
-//! serialize briefly.
+//! The layout is **`spectm_kv::StmHashMap`'s bucket table by construction**
+//! (the point of a baseline is an apples-to-apples comparison): a
+//! [`spectm_kv::map::Table`] of `AtomicUsize` cells — a flat array of
+//! 64-byte home buckets, each holding [`spectm_kv::BUCKET_SLOTS`] tagged
+//! item words plus one stat word, with rare 512-byte-aligned overflow
+//! buckets chained off the stat word — sized, hashed, tagged and walked by
+//! the same code.  What differs is the synchronisation: a **per-chain
+//! writer spinlock in bit 0** of the *home* bucket's stat word (the bit the
+//! STM map leaves to the `val` layout's lock), the Segcache discipline:
+//! readers are lock-free, writers to the same chain serialize briefly.
 //!
 //! Values use the same representation as the STM store too: each value is a
 //! single word — small payloads inline, larger ones behind an immutable
@@ -50,11 +48,13 @@
 //! writer serialization removes that race: the previous value a `put` or
 //! `del` reports is now exact.)
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use spectm_kv::map::{Bucket, ChainEnd, OverflowBucket, Table, ITEM_PTR_MASK};
 use spectm_kv::value::{decode_value, encode_value, free_value, retire_value};
-use spectm_kv::{BatchOp, KvError, MapStats, Value, BUCKET_SLOTS, MAX_VALUE_LEN};
-use txepoch::{Collector, LocalHandle};
+use spectm_kv::{BatchOp, KvError, MapStats, Value, MAX_VALUE_LEN};
+use txepoch::{Collector, Guard, LocalHandle};
 
 use crate::skiplist::LockFreeSkipList;
 use crate::ConcurrentIntSet;
@@ -63,24 +63,6 @@ use crate::ConcurrentIntSet;
 /// (The STM map leaves this bit to the `val` layout's orec lock; here it is
 /// ours to use.)
 const LOCK: usize = 1;
-
-/// Bits 1..=5 of an item word: the hash tag stored beside the node pointer
-/// (same packing as `spectm_kv`'s map).
-const TAG_MASK: usize = 0x3E;
-
-/// Mask recovering the node pointer from an item word.
-const ITEM_PTR_MASK: usize = !(TAG_MASK | LOCK);
-
-/// Bits 1..=8 of a stat word: the reserved frequency-counter byte (always
-/// zero until the TTL/eviction work lands; preserved by chain updates).
-const FREQ_MASK: usize = 0x1FE;
-
-/// Mask recovering the overflow-bucket pointer from a stat word.
-const CHAIN_PTR_MASK: usize = !(FREQ_MASK | LOCK);
-
-/// Keys budgeted per bucket when sizing from a capacity hint: 7 slots at
-/// the ~0.75 target load factor (same rule as `StmHashMap::new`).
-const CAPACITY_PER_BUCKET: usize = 5;
 
 /// A node: the immutable key plus the value word, swapped in place.  A
 /// value word of zero is the "no value" sentinel (zero is never a legal
@@ -91,6 +73,9 @@ struct Node {
     key: u64,
     value: AtomicUsize,
 }
+
+// The node pointer survives the item word's tag and lock bits.
+const _: () = assert!(std::mem::align_of::<Node>() > !ITEM_PTR_MASK);
 
 impl Node {
     fn alloc(key: u64, word: usize) -> *mut Node {
@@ -111,31 +96,6 @@ impl Drop for Node {
             unsafe { free_value(word) };
         }
     }
-}
-
-/// One 64-byte bucket: 7 tagged item words and a stat word, contiguous so
-/// a probe touches a single cache line.
-#[repr(align(64))]
-struct Bucket {
-    item: [AtomicUsize; BUCKET_SLOTS],
-    stat: AtomicUsize,
-}
-
-impl Bucket {
-    fn new() -> Self {
-        Bucket {
-            item: std::array::from_fn(|_| AtomicUsize::new(0)),
-            stat: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// A heap-allocated overflow bucket.  The 512-byte alignment frees the low
-/// 9 bits of the chain pointer for the lock bit and the reserved frequency
-/// byte.
-#[repr(align(512))]
-struct OverflowBucket {
-    bucket: Bucket,
 }
 
 /// A hash map from `u64` keys to byte values with lock-free reads and
@@ -162,51 +122,28 @@ struct OverflowBucket {
 /// assert_eq!(map.get(7, &handle), None);
 /// ```
 pub struct LockFreeKvMap {
-    buckets: Box<[Bucket]>,
-    mask: u64,
+    table: Table<AtomicUsize>,
     collector: Collector,
     /// Ordered key index for [`LockFreeKvMap::scan`]; maintained *next to*
     /// the hash table, not atomically with it (see the module docs).
     index: LockFreeSkipList,
 }
 
-// SAFETY: slots and stat words are only mutated through atomics (writers
-// additionally serialize per chain via the stat-word spinlock); node and
-// value-cell reclamation is deferred through epochs; overflow buckets are
-// write-once until the map drops.
-unsafe impl Send for LockFreeKvMap {}
-// SAFETY: as above.
-unsafe impl Sync for LockFreeKvMap {}
-
-#[inline]
-fn hash_key(key: u64) -> u64 {
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Tag bits for a hash: the top 5 bits of `h`, shifted into the item-word
-/// tag position (bits 1..=5) — identical to `spectm_kv`'s map.
-#[inline]
-fn tag_of(h: u64) -> usize {
-    (((h >> 59) as usize) << 1) & TAG_MASK
-}
-
 impl LockFreeKvMap {
     /// Creates a map sized for about `capacity` keys (a hint targeting the
     /// ~0.75 bucket load factor, not a limit — overflow buckets absorb any
-    /// excess), reclaiming memory through `collector`.  The sizing rule is
-    /// the same as `StmHashMap::new`'s, so the two sides of a benchmark
-    /// probe identically shaped tables.
+    /// excess), reclaiming memory through `collector`.  The table is
+    /// `StmHashMap`'s, so the two sides of a benchmark probe identically
+    /// shaped tables.
     pub fn new(capacity: usize, collector: Collector) -> Self {
-        let len = capacity
-            .div_ceil(CAPACITY_PER_BUCKET)
-            .next_power_of_two()
-            .max(1);
         // The index shares the collector (cloning yields a handle to the
         // same domain), so one registered `LocalHandle` serves both.
         let index = LockFreeSkipList::new(collector.clone());
         Self {
-            buckets: (0..len).map(|_| Bucket::new()).collect(),
-            mask: len as u64 - 1,
+            // SAFETY: `put` stores into stat words only the lock bit and
+            // `OverflowBucket::alloc` buckets, each linked once under the
+            // chain lock; `Drop` frees them through the table.
+            table: unsafe { Table::new(capacity, AtomicUsize::new) },
             collector,
             index,
         }
@@ -219,90 +156,71 @@ impl LockFreeKvMap {
 
     /// Number of home buckets.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.table.bucket_count()
     }
 
+    /// The map's one node dereference: the node behind an item word read
+    /// under `_guard`.
     #[inline]
-    fn home_bucket(&self, h: u64) -> &Bucket {
-        &self.buckets[((h >> 17) & self.mask) as usize]
+    fn node(w: usize, _guard: &Guard) -> &Node {
+        // SAFETY: the pin predates the load of `w` from a reachable slot,
+        // so the node cannot complete its grace period while the guard
+        // lives.
+        unsafe { &*((w & ITEM_PTR_MASK) as *const Node) }
     }
 
-    /// Follows a stat word's chain pointer, if any.
+    /// The slot and node behind `w`, read from `slot` under `guard`, if
+    /// they are `key`'s: the one "is this the key" under every lookup.
     #[inline]
-    fn chain(stat: usize) -> Option<&'static Bucket> {
-        let ptr = stat & CHAIN_PTR_MASK;
-        if ptr == 0 {
-            None
+    fn hit<'g>(
+        key: u64,
+        slot: &'g AtomicUsize,
+        w: usize,
+        guard: &'g Guard,
+    ) -> ControlFlow<(&'g AtomicUsize, &'g Node)> {
+        let node = Self::node(w, guard);
+        if node.key == key {
+            ControlFlow::Break((slot, node))
         } else {
-            // SAFETY: chain pointers are write-once and point at overflow
-            // buckets freed only when the map drops, so any pointer read
-            // from a reachable stat word stays valid for the map's life
-            // (the 'static is bounded by the caller's borrow of the map).
-            Some(unsafe { &(*(ptr as *const OverflowBucket)).bucket })
+            ControlFlow::Continue(())
         }
+    }
+
+    /// Walks `key`'s chain from `home` with the chain lock held: the slot
+    /// holding `key` and its node, or where the chain ended.
+    #[inline]
+    fn locked_find<'g>(
+        home: &'g Bucket<AtomicUsize>,
+        key: u64,
+        tag: usize,
+        guard: &'g Guard,
+    ) -> ControlFlow<(&'g AtomicUsize, &'g Node), ChainEnd<'g, AtomicUsize>> {
+        home.walk(
+            Some(tag),
+            &mut (),
+            |_, _, slot| ControlFlow::Continue(slot.load(Ordering::Acquire)),
+            |_, _, slot, w| Self::hit(key, slot, w, guard),
+        )
     }
 
     /// Spins until this thread holds the chain lock of `home`, returning
     /// the stat word as it was at acquisition (lock bit clear).
     #[inline]
-    fn lock_chain(home: &Bucket) -> usize {
+    fn lock_chain(home: &Bucket<AtomicUsize>) -> usize {
         loop {
-            let prev = home.stat.fetch_or(LOCK, Ordering::Acquire);
+            let prev = home.stat().fetch_or(LOCK, Ordering::Acquire);
             if prev & LOCK == 0 {
                 return prev;
             }
-            while home.stat.load(Ordering::Relaxed) & LOCK != 0 {
+            while home.stat().load(Ordering::Relaxed) & LOCK != 0 {
                 std::hint::spin_loop();
             }
         }
     }
 
     #[inline]
-    fn unlock_chain(home: &Bucket) {
-        home.stat.fetch_and(!LOCK, Ordering::Release);
-    }
-
-    /// Walks the chain for `key` **with the chain lock held**, returning
-    /// the matching `(slot, node)` and, separately, the first empty slot
-    /// and the last bucket of the chain (for inserts).
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    fn locked_find<'a>(
-        &'a self,
-        home: &'a Bucket,
-        key: u64,
-        tag: usize,
-    ) -> (
-        Option<(&'a AtomicUsize, &'a Node)>,
-        Option<&'a AtomicUsize>,
-        &'a Bucket,
-    ) {
-        let mut bucket = home;
-        let mut empty = None;
-        loop {
-            for slot in &bucket.item {
-                let w = slot.load(Ordering::Acquire);
-                if w == 0 {
-                    if empty.is_none() {
-                        empty = Some(slot);
-                    }
-                    continue;
-                }
-                if w & TAG_MASK != tag {
-                    continue;
-                }
-                // SAFETY: the chain lock excludes every writer, so the
-                // slot's node cannot be retired under us.
-                let node = unsafe { &*((w & ITEM_PTR_MASK) as *const Node) };
-                if node.key == key {
-                    return (Some((slot, node)), empty, bucket);
-                }
-            }
-            match Self::chain(bucket.stat.load(Ordering::Acquire)) {
-                Some(next) => bucket = next,
-                None => return (None, empty, bucket),
-            }
-        }
+    fn unlock_chain(home: &Bucket<AtomicUsize>) {
+        home.stat().fetch_and(!LOCK, Ordering::Release);
     }
 
     /// Returns the value stored under `key`, if present.  Lock-free: a
@@ -310,34 +228,27 @@ impl LockFreeKvMap {
     /// lines for the rare chained key) and never observes the writer lock.
     #[inline]
     pub fn get(&self, key: u64, handle: &LocalHandle) -> Option<Value> {
-        let _guard = handle.pin();
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let mut bucket = self.home_bucket(h);
-        loop {
-            for slot in &bucket.item {
-                let w = slot.load(Ordering::Acquire);
-                if w == 0 || w & TAG_MASK != tag {
-                    continue;
-                }
-                // SAFETY: the pin above predates the load, so a node whose
-                // pointer we read from a slot cannot complete its grace
-                // period before we are done with it.
-                let node = unsafe { &*((w & ITEM_PTR_MASK) as *const Node) };
-                if node.key != key {
-                    continue;
-                }
-                let word = node.value.load(Ordering::Acquire);
-                // SAFETY: `_guard` predates any retirement of the cell
-                // behind a word read from a reachable node.
-                return Some(unsafe { decode_value(word) });
-            }
-            // A continuously present key occupies one fixed slot (writers
-            // serialize; a key moves only via delete, an instant of
-            // absence), so a full scan that missed it witnessed a moment of
-            // absence — the miss linearizes there.
-            bucket = Self::chain(bucket.stat.load(Ordering::Acquire))?;
-        }
+        let guard = handle.pin();
+        let (home, tag) = self.table.home(key);
+        // A continuously present key occupies one fixed slot (writers
+        // serialize; a key moves only via delete, an instant of absence),
+        // so a full scan that missed it witnessed a moment of absence — the
+        // miss linearizes there.  The walk is called here, not through
+        // `locked_find`: a walk instance with one call site is inlined,
+        // and the lookup is the baseline's hot path.
+        let walk = home.walk(
+            Some(tag),
+            &mut (),
+            |_, _, slot| ControlFlow::Continue(slot.load(Ordering::Acquire)),
+            |_, _, slot, w| Self::hit(key, slot, w, &guard),
+        );
+        let ControlFlow::Break((_, node)) = walk else {
+            return None;
+        };
+        let word = node.value.load(Ordering::Acquire);
+        // SAFETY: `guard` predates any retirement of the cell behind a word
+        // read from a reachable node.
+        Some(unsafe { decode_value(word) })
     }
 
     /// Stores `value` under `key`, returning the previous value if the key
@@ -354,43 +265,40 @@ impl LockFreeKvMap {
             return Err(KvError::ValueTooLarge { len: value.len() });
         }
         let guard = handle.pin();
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let home = self.home_bucket(h);
+        let (home, tag) = self.table.home(key);
         let word = encode_value(value);
         Self::lock_chain(home);
-        let (found, empty, last) = self.locked_find(home, key, tag);
-        if let Some((_slot, node)) = found {
-            // Overwrite in place: swap the value word, retire the displaced
-            // one.  Readers racing the swap see either word — both are
-            // committed states.
-            let old = node.value.swap(word, Ordering::AcqRel);
-            Self::unlock_chain(home);
-            // SAFETY: the swap displaced `old` from its only reachable
-            // location under the chain lock, making us its sole owner;
-            // `guard` protects the copy-out and pinned readers.
-            let out = unsafe { decode_value(old) };
-            // SAFETY: same ownership — the displaced word is ours to retire.
-            unsafe { retire_value(old, &guard) };
-            return Ok(Some(out));
-        }
+        let end = match Self::locked_find(home, key, tag, &guard) {
+            ControlFlow::Break((_slot, node)) => {
+                // Overwrite in place: swap the value word, retire the
+                // displaced one.  Readers racing the swap see either word —
+                // both are committed states.
+                let old = node.value.swap(word, Ordering::AcqRel);
+                Self::unlock_chain(home);
+                // SAFETY: the swap displaced `old` from its only reachable
+                // location under the chain lock, making us its sole owner;
+                // `guard` protects the copy-out and pinned readers.
+                let out = unsafe { decode_value(old) };
+                // SAFETY: same ownership — the displaced word is ours to
+                // retire.
+                unsafe { retire_value(old, &guard) };
+                return Ok(Some(out));
+            }
+            ControlFlow::Continue(end) => end,
+        };
         let node = Node::alloc(key, word);
         let tagged = node as usize | tag;
-        match empty {
-            Some(slot) => slot.store(tagged, Ordering::Release),
+        match end.empty {
+            Some((_, slot)) => slot.store(tagged, Ordering::Release),
             None => {
-                // Chain full: link a fresh overflow bucket off the last
-                // one, then publish the node in its first slot.  The link
-                // `fetch_or` preserves the reserved frequency byte and (on
-                // the home bucket) the held lock bit.
-                let overflow = Box::into_raw(Box::new(OverflowBucket {
-                    bucket: Bucket::new(),
-                }));
-                // SAFETY: `overflow` is still private to this thread.
-                unsafe {
-                    (*overflow).bucket.item[0].store(tagged, Ordering::Relaxed);
-                }
-                last.stat.fetch_or(overflow as usize, Ordering::Release);
+                // Chain full: link a fresh overflow bucket, born holding the
+                // node, off the last one.  The link `fetch_or` preserves
+                // the reserved frequency byte and (on the home bucket) the
+                // held lock bit.
+                let overflow = OverflowBucket::alloc(tagged, AtomicUsize::new);
+                end.tail
+                    .stat()
+                    .fetch_or(overflow as usize, Ordering::Release);
             }
         }
         Self::unlock_chain(home);
@@ -405,12 +313,9 @@ impl LockFreeKvMap {
     #[inline]
     pub fn del(&self, key: u64, handle: &LocalHandle) -> Option<Value> {
         let guard = handle.pin();
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let home = self.home_bucket(h);
+        let (home, tag) = self.table.home(key);
         Self::lock_chain(home);
-        let (found, _, _) = self.locked_find(home, key, tag);
-        let Some((slot, node)) = found else {
+        let ControlFlow::Break((slot, node)) = Self::locked_find(home, key, tag, &guard) else {
             Self::unlock_chain(home);
             return None;
         };
@@ -446,13 +351,10 @@ impl LockFreeKvMap {
         let mut all_present = true;
         for &key in keys {
             let guard = handle.pin();
-            let h = hash_key(key);
-            let tag = tag_of(h);
-            let home = self.home_bucket(h);
+            let (home, tag) = self.table.home(key);
             Self::lock_chain(home);
-            let (found, _, _) = self.locked_find(home, key, tag);
-            match found {
-                Some((_slot, node)) => {
+            match Self::locked_find(home, key, tag, &guard) {
+                ControlFlow::Break((_slot, node)) => {
                     let old = node.value.load(Ordering::Acquire);
                     // SAFETY: `guard` predates any retirement of the cell.
                     let counter = unsafe { decode_value(old) }.as_u64();
@@ -463,7 +365,7 @@ impl LockFreeKvMap {
                     // lock; we own it, and pinned readers are protected.
                     unsafe { retire_value(old, &guard) };
                 }
-                None => {
+                ControlFlow::Continue(_) => {
                     Self::unlock_chain(home);
                     all_present = false;
                 }
@@ -557,25 +459,17 @@ impl LockFreeKvMap {
     /// Collects the current `(key, value)` pairs (not linearizable; only
     /// meaningful when no concurrent operations run).
     pub fn snapshot(&self, handle: &LocalHandle) -> Vec<(u64, Value)> {
-        let _guard = handle.pin();
+        let guard = handle.pin();
         let mut out = Vec::new();
-        for home in self.buckets.iter() {
-            let mut bucket = Some(home);
-            while let Some(b) = bucket {
-                for slot in &b.item {
-                    let w = slot.load(Ordering::Acquire);
-                    if w == 0 {
-                        continue;
-                    }
-                    // SAFETY: protected by the guard above.
-                    let node = unsafe { &*((w & ITEM_PTR_MASK) as *const Node) };
-                    let word = node.value.load(Ordering::Acquire);
-                    // SAFETY: protected by the guard above.
-                    out.push((node.key, unsafe { decode_value(word) }));
-                }
-                bucket = Self::chain(b.stat.load(Ordering::Acquire));
-            }
-        }
+        self.table.visit_all(
+            |slot| slot.load(Ordering::Acquire),
+            |_, w| {
+                let node = Self::node(w, &guard);
+                let word = node.value.load(Ordering::Acquire);
+                // SAFETY: protected by the guard above.
+                out.push((node.key, unsafe { decode_value(word) }));
+            },
+        );
         out.sort_unstable();
         out
     }
@@ -585,70 +479,28 @@ impl LockFreeKvMap {
     /// no concurrent operations run).
     pub fn stats(&self, handle: &LocalHandle) -> MapStats {
         let _guard = handle.pin();
-        let mut stats = MapStats {
-            home_buckets: self.buckets.len(),
-            ..MapStats::default()
-        };
-        for home in self.buckets.iter() {
-            let mut depth = 0usize;
-            let mut bucket = Some(home);
-            while let Some(b) = bucket {
-                let occupied = b
-                    .item
-                    .iter()
-                    .filter(|slot| slot.load(Ordering::Acquire) != 0)
-                    .count();
-                stats.keys += occupied;
-                if depth == 0 {
-                    stats.occupied_home_slots += occupied;
-                } else {
-                    stats.overflow_buckets += 1;
-                }
-                if occupied > 0 {
-                    if stats.probe_histogram.len() <= depth {
-                        stats.probe_histogram.resize(depth + 1, 0);
-                    }
-                    stats.probe_histogram[depth] += occupied;
-                }
-                depth += 1;
-                bucket = Self::chain(b.stat.load(Ordering::Acquire));
-            }
-        }
-        stats
+        self.table.stats(|slot| slot.load(Ordering::Acquire))
     }
 }
 
 impl Drop for LockFreeKvMap {
     fn drop(&mut self) {
         // Exclusive access: free the remaining nodes directly (each node's
-        // drop frees its value word), then the overflow boxes.
-        fn free_bucket_nodes(bucket: &Bucket) {
-            for slot in &bucket.item {
-                let w = slot.load(Ordering::Relaxed);
-                if w != 0 {
-                    // SAFETY: nodes were allocated with `Box::into_raw` and
-                    // nothing else references them during drop.
-                    unsafe { drop(Box::from_raw((w & ITEM_PTR_MASK) as *mut Node)) };
-                }
-            }
-        }
-        for home in self.buckets.iter() {
-            free_bucket_nodes(home);
-            let mut chain = home.stat.load(Ordering::Relaxed) & CHAIN_PTR_MASK;
-            while chain != 0 {
-                // SAFETY: overflow buckets were allocated with
-                // `Box::into_raw` and are reachable exactly once.
-                let overflow = unsafe { Box::from_raw(chain as *mut OverflowBucket) };
-                free_bucket_nodes(&overflow.bucket);
-                chain = overflow.bucket.stat.load(Ordering::Relaxed) & CHAIN_PTR_MASK;
-            }
-        }
+        // drop frees its value word), then the table frees its overflow
+        // buckets.
+        self.table.free(
+            |slot| slot.load(Ordering::Relaxed),
+            // SAFETY: nodes were allocated with `Box::into_raw` and nothing
+            // else references them during drop.
+            |w| drop(unsafe { Box::from_raw((w & ITEM_PTR_MASK) as *mut Node) }),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spectm_kv::BUCKET_SLOTS;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 

@@ -21,11 +21,11 @@
 //! them; expiry policy (lazy expiry on read, background sweeps, byte-budget
 //! eviction) lives in [`crate::ShardedKv`].
 //!
-//! Every slot is still a single STM word, so the short-transaction
-//! protocols, orec mapping, and the value-word ownership contract carry
-//! over unchanged from the chained layout; only the *shape* of a probe
-//! changed — from a pointer chase per key to a linear scan of one (rarely
-//! two) cache lines.
+//! The layout — [`Table`], [`Bucket`], the masks — and its one chain walk,
+//! [`Bucket::walk`], are shared with the lock-free baseline
+//! (`lockfree::LockFreeKvMap`), which instantiates them over atomics; every
+//! chain read here goes through the walk with the reader each operation
+//! needs (single-location, short read-only, full-transaction, peek).
 //!
 //! Operations exist in two shapes, selected by [`ApiMode`]:
 //!
@@ -75,6 +75,8 @@
 //! that read every slot of the chain without finding the key witnessed a
 //! moment at which the key was absent — the miss linearizes there.
 
+use std::ops::ControlFlow;
+
 use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::ApiMode;
 use txepoch::Guard;
@@ -90,11 +92,12 @@ pub const BUCKET_SLOTS: usize = 7;
 const TAG_MASK: Word = 0x3E;
 
 /// Mask recovering the node pointer from an item word.
-const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
+pub const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
 
-/// Bits 1..=8 of a stat word: the per-bucket frequency-counter byte the
-/// eviction policy reads (saturating bump on hit, halved by the reclaimer's
-/// periodic decay; preserved by chain updates).
+/// Bits 1..=8 of a stat word: the per-bucket frequency-counter byte.  It
+/// belongs to this map's eviction policy (saturating bump on hit, halved
+/// by the reclaimer's periodic decay); chain updates preserve it, and the
+/// lock-free baseline, which has no eviction, only ever preserves it.
 const FREQ_MASK: Word = 0x1FE;
 
 /// Position of the frequency byte within a stat word (bit 0 stays clear
@@ -173,27 +176,220 @@ struct Node<S: Stm> {
     deadline: S::Cell,
 }
 
-/// One 64-byte bucket: 7 item words and a stat word, contiguous so a probe
-/// touches a single cache line (for word-sized cells; layouts with fatter
-/// cells keep the same shape over more lines).
+/// One 64-byte bucket of slot cells `C` (an STM cell here, an `AtomicUsize`
+/// in the lock-free baseline): 7 item words and a stat word, contiguous so
+/// a probe touches a single cache line (for word-sized cells; layouts with
+/// fatter cells keep the same shape over more lines).  Buckets live only
+/// in a [`Table`], whose contract makes every chain pointer trusted.
 #[repr(align(64))]
-struct Bucket<S: Stm> {
-    item: [S::Cell; BUCKET_SLOTS],
-    stat: S::Cell,
+pub struct Bucket<C> {
+    item: [C; BUCKET_SLOTS],
+    stat: C,
 }
 
 /// A heap-allocated overflow bucket.  The 512-byte alignment is what frees
 /// the low 9 bits of the chain pointer for the lock bit and the reserved
 /// frequency byte.
 #[repr(align(512))]
-struct OverflowBucket<S: Stm> {
-    bucket: Bucket<S>,
+pub struct OverflowBucket<C> {
+    bucket: Bucket<C>,
 }
 
-fn new_bucket<S: Stm>(stm: &S) -> Bucket<S> {
-    Bucket {
-        item: std::array::from_fn(|_| stm.new_cell(0)),
-        stat: stm.new_cell(0),
+/// Where a walk nothing stopped ended.
+pub struct ChainEnd<'a, C> {
+    /// The first empty item slot, with its chain position.
+    pub empty: Option<(usize, &'a C)>,
+    /// The last bucket, where an insert that found no empty slot links.
+    pub tail: &'a Bucket<C>,
+    /// The stat word read from `tail`.
+    pub(crate) stat: Word,
+    /// Overflow buckets walked.
+    pub(crate) depth: usize,
+}
+
+impl<C> Bucket<C> {
+    /// A bucket whose first item slot holds `first`; `cell` makes a cell.
+    fn new(first: Word, cell: impl Fn(Word) -> C) -> Self {
+        Bucket {
+            item: std::array::from_fn(|i| cell(if i == 0 { first } else { 0 })),
+            stat: cell(0),
+        }
+    }
+
+    /// The stat word's cell.
+    #[inline]
+    pub fn stat(&self) -> &C {
+        &self.stat
+    }
+
+    /// The one bucket-chain walk under both maps: reads this bucket's item
+    /// words, hands each occupied one whose tag is `tag` (each, for `None`)
+    /// to `visit`, reads the stat word and steps to the overflow bucket it
+    /// links, to the end of the chain.  `read` is the caller's cell reader
+    /// and gets each read's chain position (0..=6 the home items, 7 the
+    /// home stat word, 8.. the overflow buckets' words alike); it may stop
+    /// the walk by breaking, as may `visit`.
+    #[inline]
+    pub fn walk<'a, X, B>(
+        &'a self,
+        tag: Option<Word>,
+        cx: &mut X,
+        mut read: impl FnMut(&mut X, usize, &'a C) -> ControlFlow<B, Word>,
+        mut visit: impl FnMut(&mut X, usize, &'a C, Word) -> ControlFlow<B>,
+    ) -> ControlFlow<B, ChainEnd<'a, C>> {
+        let mut bucket = self;
+        let mut pos = 0;
+        let mut depth = 0;
+        let mut empty = None;
+        loop {
+            for cell in &bucket.item {
+                let w = read(cx, pos, cell)?;
+                if w == 0 {
+                    if empty.is_none() {
+                        empty = Some((pos, cell));
+                    }
+                } else if tag.map_or(true, |tag| w & TAG_MASK == tag) {
+                    visit(cx, pos, cell, w)?;
+                }
+                pos += 1;
+            }
+            let stat = read(cx, pos, &bucket.stat)?;
+            pos += 1;
+            let next = (stat & CHAIN_PTR_MASK) as *const OverflowBucket<C>;
+            if next.is_null() {
+                let tail = bucket;
+                return ControlFlow::Continue(ChainEnd {
+                    empty,
+                    tail,
+                    stat,
+                    depth,
+                });
+            }
+            depth += 1;
+            // SAFETY: buckets are reachable only through their `Table`, whose
+            // contract makes a chain pointer an `OverflowBucket::alloc`
+            // allocation that only `Table::free` (which needs `&mut` to the
+            // table this walk borrows) frees.
+            bucket = unsafe { &(*next).bucket };
+        }
+    }
+}
+
+impl<C> OverflowBucket<C> {
+    /// A fresh overflow bucket born holding `first` — the item word of the
+    /// node it is linked in for; `cell` makes a cell.
+    pub fn alloc(first: Word, cell: impl Fn(Word) -> C) -> *mut Self {
+        Box::into_raw(Box::new(OverflowBucket {
+            bucket: Bucket::new(first, cell),
+        }))
+    }
+}
+
+/// The flat array of home buckets both maps hash into — the one sizing
+/// rule, home-bucket choice and tag — and the owner of every overflow
+/// bucket chained below them.
+pub struct Table<C> {
+    buckets: Vec<Bucket<C>>,
+    mask: u64,
+}
+
+impl<C> Table<C> {
+    /// A table for about `capacity` keys: `capacity / 5` buckets rounded
+    /// up to a power of two (7 slots at the ~0.75 target load factor, where
+    /// overflow chains stay rare); `cell` makes a cell.
+    ///
+    /// # Safety
+    ///
+    /// [`Bucket::walk`] follows and [`Table::free`] frees the chain pointer
+    /// of every stat word in the table's chains: the caller must store no
+    /// chain pointer but null and [`OverflowBucket::alloc`] allocations,
+    /// each linked once and freed by nothing but [`Table::free`].
+    pub unsafe fn new(capacity: usize, cell: impl Fn(Word) -> C) -> Self {
+        let len = capacity
+            .div_ceil(CAPACITY_PER_BUCKET)
+            .next_power_of_two()
+            .max(1);
+        Self {
+            buckets: (0..len).map(|_| Bucket::new(0, &cell)).collect(),
+            mask: len as u64 - 1,
+        }
+    }
+
+    /// Number of home buckets.
+    pub fn bucket_count(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// `key`'s home bucket and its hash tag, shifted into tag position.
+    /// The tag is the top of the hash, independent of the index bits (17..).
+    #[inline]
+    pub fn home(&self, key: u64) -> (&Bucket<C>, Word) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let bucket = &self.buckets[((h >> 17) & self.mask) as usize];
+        (bucket, (((h >> 59) as Word) << 1) & TAG_MASK)
+    }
+
+    /// Walks every chain, handing each occupied item word to `visit` with
+    /// its bucket's depth (0 = home); returns the number of overflow
+    /// buckets.  `read` is a peek or a plain load.
+    pub fn visit_all(
+        &self,
+        read: impl Fn(&C) -> Word,
+        mut visit: impl FnMut(usize, Word),
+    ) -> usize {
+        let mut overflow = 0;
+        for home in &self.buckets {
+            let walk = home.walk(
+                None,
+                &mut (),
+                |_, _, cell| ControlFlow::Continue(read(cell)),
+                |_, pos, _, w| {
+                    visit(pos / (BUCKET_SLOTS + 1), w);
+                    ControlFlow::<std::convert::Infallible>::Continue(())
+                },
+            );
+            match walk {
+                ControlFlow::Continue(end) => overflow += end.depth,
+                ControlFlow::Break(never) => match never {},
+            }
+        }
+        overflow
+    }
+
+    /// Occupancy and probe-length statistics (quiescent).
+    pub fn stats(&self, read: impl Fn(&C) -> Word) -> MapStats {
+        let mut stats = MapStats {
+            home_buckets: self.buckets.len(),
+            ..MapStats::default()
+        };
+        stats.overflow_buckets = self.visit_all(read, |depth, _| {
+            stats.keys += 1;
+            if depth == 0 {
+                stats.occupied_home_slots += 1;
+            }
+            if stats.probe_histogram.len() <= depth {
+                stats.probe_histogram.resize(depth + 1, 0);
+            }
+            stats.probe_histogram[depth] += 1;
+        });
+        stats
+    }
+
+    /// Empties the table (exclusive access) — the owning walk under both
+    /// maps' `Drop`: every occupied item word to `free_node`, then the
+    /// overflow buckets.
+    pub fn free(&mut self, read: impl Fn(&C) -> Word, mut free_node: impl FnMut(Word)) {
+        self.visit_all(&read, |_, w| free_node(w));
+        for home in std::mem::take(&mut self.buckets) {
+            let mut next = read(&home.stat) & CHAIN_PTR_MASK;
+            while next != 0 {
+                // SAFETY: per `Table::new`, `next` is an `OverflowBucket::alloc`
+                // box linked once and freed nowhere else; its home bucket
+                // just left the table, so this frees it exactly once.
+                let overflow = unsafe { Box::from_raw(next as *mut OverflowBucket<C>) };
+                next = read(&overflow.bucket.stat) & CHAIN_PTR_MASK;
+            }
+        }
     }
 }
 
@@ -205,22 +401,6 @@ struct Candidate<'a, S: Stm> {
     cell: &'a S::Cell,
     word: Word,
     node: &'a Node<S>,
-}
-
-/// What the one chain walk under a full transaction
-/// (`StmHashMap::probe_in`) found.
-enum Probe<'a, S: Stm> {
-    /// The key is present: its slot, the word there and the node behind it.
-    Hit(Candidate<'a, S>),
-    /// The key is absent, and every item and stat word of its chain is in
-    /// the transaction's read set, so a commit validates the absence: the
-    /// first empty slot seen (if any), and the chain's last bucket with its
-    /// stat word — where an insert that found no empty slot links.
-    Miss {
-        empty: Option<&'a S::Cell>,
-        tail: &'a Bucket<S>,
-        stat: Word,
-    },
 }
 
 /// Reusable allocation slot for [`StmHashMap::put_in`].
@@ -235,7 +415,7 @@ enum Probe<'a, S: Stm> {
 /// never-published allocations.
 pub struct NodeSlot<S: Stm> {
     ptr: *mut Node<S>,
-    chain: *mut OverflowBucket<S>,
+    chain: *mut OverflowBucket<S::Cell>,
     /// Whether the most recent attempt linked `chain` into the map.  The
     /// committed attempt is always the last one to run, so this flag is
     /// accurate at `mark_published` time.
@@ -409,31 +589,8 @@ impl std::fmt::Display for MapStats {
 /// ```
 pub struct StmHashMap<S: Stm> {
     stm: S,
-    buckets: Vec<Bucket<S>>,
-    mask: u64,
+    table: Table<S::Cell>,
     mode: ApiMode,
-}
-
-// SAFETY: raw node pointers inside cells follow the same discipline as the
-// spectm-ds structures: published by commit, retired via epochs after the
-// slot is cleared, dereferenced only under an epoch pin.  Overflow buckets
-// are write-once and freed only in `Drop`.  Value cells follow the
-// ownership rule in the module docs.
-unsafe impl<S: Stm> Send for StmHashMap<S> {}
-// SAFETY: as above.
-unsafe impl<S: Stm> Sync for StmHashMap<S> {}
-
-#[inline]
-fn hash_key(key: u64) -> u64 {
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The 5-bit hash tag, drawn from the top bits of the hash so it stays
-/// independent of the bucket-index bits (17..), already shifted into tag
-/// position (bits 1..=5).
-#[inline]
-fn tag_of(h: u64) -> Word {
-    (((h >> 59) as Word) << 1) & TAG_MASK
 }
 
 #[inline]
@@ -452,10 +609,10 @@ impl<S: Stm> StmHashMap<S> {
     /// cells a home bucket must be exactly one cache line.
     const LAYOUT_OK: () = {
         assert!(std::mem::align_of::<Node<S>>() as Word > TAG_MASK);
-        assert!(std::mem::align_of::<OverflowBucket<S>>() as Word > FREQ_MASK);
-        assert!(std::mem::align_of::<Bucket<S>>() >= 64);
+        assert!(std::mem::align_of::<OverflowBucket<S::Cell>>() as Word > FREQ_MASK);
+        assert!(std::mem::align_of::<Bucket<S::Cell>>() >= 64);
         if std::mem::size_of::<S::Cell>() == std::mem::size_of::<Word>() {
-            assert!(std::mem::size_of::<Bucket<S>>() == 64);
+            assert!(std::mem::size_of::<Bucket<S::Cell>>() == 64);
         }
     };
 
@@ -469,14 +626,12 @@ impl<S: Stm> StmHashMap<S> {
         S: Clone,
     {
         let () = Self::LAYOUT_OK;
-        let len = capacity
-            .div_ceil(CAPACITY_PER_BUCKET)
-            .next_power_of_two()
-            .max(1);
         Self {
             stm: stm.clone(),
-            buckets: (0..len).map(|_| new_bucket(stm)).collect(),
-            mask: len as u64 - 1,
+            // SAFETY: stat words receive only null chain pointers and
+            // `OverflowBucket::alloc` buckets, each linked once by the commit
+            // of `put_short` or `put_in`; `Drop` frees them through the table.
+            table: unsafe { Table::new(capacity, |w| stm.new_cell(w)) },
             mode,
         }
     }
@@ -488,12 +643,7 @@ impl<S: Stm> StmHashMap<S> {
 
     /// Number of home buckets.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    #[inline]
-    fn home_bucket(&self, h: u64) -> &Bucket<S> {
-        &self.buckets[((h >> 17) & self.mask) as usize]
+        self.table.bucket_count()
     }
 
     /// Hints the CPU to pull `key`'s home bucket into cache — the batched
@@ -504,7 +654,7 @@ impl<S: Stm> StmHashMap<S> {
     /// advisory; a no-op on architectures without a prefetch primitive.
     #[inline]
     pub fn prefetch_bucket(&self, key: u64) {
-        let bucket: *const Bucket<S> = self.home_bucket(hash_key(key));
+        let bucket: *const Bucket<S::Cell> = self.table.home(key).0;
         #[cfg(target_arch = "x86_64")]
         // SAFETY: prefetch is a hint and never faults, for any address.
         unsafe {
@@ -519,9 +669,29 @@ impl<S: Stm> StmHashMap<S> {
         (w & ITEM_PTR_MASK) as *mut Node<S>
     }
 
+    /// The map's one node dereference.  Every `w` handed here was read from
+    /// one of this map's item slots by a thread that holds an epoch pin (an
+    /// operation's, or a full transaction attempt's) or that has no
+    /// concurrent writers (quiescence), and the node is used only while
+    /// that lasts.
     #[inline]
-    fn chain(w: Word) -> *mut OverflowBucket<S> {
-        (w & CHAIN_PTR_MASK) as *mut OverflowBucket<S>
+    fn node_at(&self, w: Word) -> &Node<S> {
+        // SAFETY: per the above — a node is retired only after its slot is
+        // cleared and freed only once every pin older than the retirement
+        // is released.
+        unsafe { &*Self::node(w) }
+    }
+
+    /// Whether the occupied slot `cell`, holding `w`, is `key`'s: the one
+    /// "is this the key" under every search.
+    #[inline]
+    fn hit<'a>(&'a self, key: u64, cell: &'a S::Cell, w: Word) -> Option<Candidate<'a, S>> {
+        let node = self.node_at(w);
+        (node.key == key).then_some(Candidate {
+            cell,
+            word: w,
+            node,
+        })
     }
 
     fn alloc_node(&self, key: u64, word: Word, deadline: Word) -> *mut Node<S> {
@@ -529,12 +699,6 @@ impl<S: Stm> StmHashMap<S> {
             key,
             value: self.stm.new_cell(word),
             deadline: self.stm.new_cell(deadline),
-        }))
-    }
-
-    fn alloc_overflow(&self) -> *mut OverflowBucket<S> {
-        Box::into_raw(Box::new(OverflowBucket {
-            bucket: new_bucket(&self.stm),
         }))
     }
 
@@ -652,28 +816,11 @@ impl<S: Stm> StmHashMap<S> {
     /// run).
     pub fn quiescent_snapshot(&self) -> Vec<(u64, Value)> {
         let mut out = Vec::new();
-        for home in &self.buckets {
-            let mut bucket = home;
-            loop {
-                for cell in &bucket.item {
-                    let w = S::peek(cell);
-                    if w != 0 {
-                        // SAFETY: quiescence is required by the contract;
-                        // nodes cannot be retired concurrently.
-                        let node = unsafe { &*Self::node(w) };
-                        // SAFETY: quiescence — the cell cannot be freed
-                        // concurrently.
-                        out.push((node.key, unsafe { decode_value(S::peek(&node.value)) }));
-                    }
-                }
-                let p = Self::chain(S::peek(&bucket.stat));
-                if p.is_null() {
-                    break;
-                }
-                // SAFETY: overflow buckets live until the map is dropped.
-                bucket = unsafe { &(*p).bucket };
-            }
-        }
+        self.table.visit_all(S::peek, |_, w| {
+            let node = self.node_at(w);
+            // SAFETY: quiescence — the cell cannot be freed concurrently.
+            out.push((node.key, unsafe { decode_value(S::peek(&node.value)) }));
+        });
         out.sort_unstable();
         out
     }
@@ -681,106 +828,36 @@ impl<S: Stm> StmHashMap<S> {
     /// Collects occupancy and probe-length statistics (non-transactional;
     /// only meaningful when no concurrent operations run).
     pub fn stats(&self) -> MapStats {
-        let mut stats = MapStats {
-            home_buckets: self.buckets.len(),
-            ..MapStats::default()
-        };
-        for home in &self.buckets {
-            let mut bucket = home;
-            let mut depth = 0usize;
-            loop {
-                let occupied = bucket.item.iter().filter(|c| S::peek(c) != 0).count();
-                if depth == 0 {
-                    stats.occupied_home_slots += occupied;
-                }
-                stats.keys += occupied;
-                if occupied > 0 {
-                    if stats.probe_histogram.len() <= depth {
-                        stats.probe_histogram.resize(depth + 1, 0);
-                    }
-                    stats.probe_histogram[depth] += occupied;
-                }
-                let p = Self::chain(S::peek(&bucket.stat));
-                if p.is_null() {
-                    break;
-                }
-                stats.overflow_buckets += 1;
-                depth += 1;
-                // SAFETY: overflow buckets live until the map is dropped.
-                bucket = unsafe { &(*p).bucket };
-            }
-        }
-        stats
+        self.table.stats(S::peek)
     }
 
     // ------------------------------------------------------------------
     // Short-transaction implementation
     // ------------------------------------------------------------------
 
-    /// Scans one bucket's item words with single-location reads, returning
-    /// the first tag-and-key match.  `_pin` is the operation's epoch pin:
-    /// the candidate's node reference cannot outlive it.
-    fn scan_bucket_short<'g>(
-        &'g self,
-        bucket: &'g Bucket<S>,
-        key: u64,
-        tag: Word,
-        _pin: &'g Guard,
-        thread: &mut S::Thread,
-    ) -> Option<Candidate<'g, S>> {
-        for cell in &bucket.item {
-            let w = thread.single_read(cell);
-            if w != 0 && w & TAG_MASK == tag {
-                // SAFETY: `w` was read from a reachable slot under `_pin`;
-                // retired nodes cannot be freed while it is held.
-                let node = unsafe { &*Self::node(w) };
-                if node.key == key {
-                    return Some(Candidate {
-                        cell,
-                        word: w,
-                        node,
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Continues a short scan down an overflow chain.
-    fn scan_overflow_short<'g>(
-        &'g self,
-        mut p: *const OverflowBucket<S>,
-        key: u64,
-        tag: Word,
-        pin: &'g Guard,
-        thread: &mut S::Thread,
-    ) -> Option<Candidate<'g, S>> {
-        while !p.is_null() {
-            // SAFETY: overflow buckets live until the map is dropped.
-            let bucket = unsafe { &(*p).bucket };
-            if let Some(c) = self.scan_bucket_short(bucket, key, tag, pin, thread) {
-                return Some(c);
-            }
-            p = Self::chain(thread.single_read(&bucket.stat));
-        }
-        None
-    }
-
-    /// Scans the whole chain for `key` with single-location reads.
+    /// Walks `key`'s chain with single-location reads.  `_pin` is the
+    /// operation's epoch pin: the candidate's node reference cannot outlive
+    /// it.
     fn find_short<'g>(
         &'g self,
         key: u64,
-        pin: &'g Guard,
+        _pin: &'g Guard,
         thread: &mut S::Thread,
     ) -> Option<Candidate<'g, S>> {
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let home = self.home_bucket(h);
-        if let Some(c) = self.scan_bucket_short(home, key, tag, pin, thread) {
-            return Some(c);
+        let (home, tag) = self.table.home(key);
+        let walk = home.walk(
+            Some(tag),
+            thread,
+            |thread, _, cell| ControlFlow::Continue(thread.single_read(cell)),
+            |_, _, cell, w| match self.hit(key, cell, w) {
+                Some(c) => ControlFlow::Break(c),
+                None => ControlFlow::Continue(()),
+            },
+        );
+        match walk {
+            ControlFlow::Break(c) => Some(c),
+            ControlFlow::Continue(_) => None,
         }
-        let stat = thread.single_read(&home.stat);
-        self.scan_overflow_short(Self::chain(stat), key, tag, pin, thread)
     }
 
     /// One attempt of the short get protocol; `None` means validation
@@ -856,51 +933,46 @@ impl<S: Stm> StmHashMap<S> {
         thread: &mut S::Thread,
     ) -> Option<(Value, Word)> {
         let word = slot.encode_once(value);
-        let h = hash_key(key);
-        let tag = tag_of(h);
+        let (home, tag) = self.table.home(key);
         // Speculative allocations, reused across attempts and freed by the
         // slot's drop if this operation ends up not publishing them.
         let mut scratch = NodeSlot::<S>::new();
         let pin = thread.epoch().pin();
         thread.retry(|thread| {
-            let home = self.home_bucket(h);
-            // One pass doubling as the read-only half of the insert
-            // transaction: all 7 item words and the stat word of the home
-            // bucket enter the RO set, so a committed insert has validated
-            // the key's absence from the entire single-bucket chain at its
-            // linearization point.
-            let mut candidate: Option<Candidate<'_, S>> = None;
-            let mut empty: Option<usize> = None;
-            for (i, cell) in home.item.iter().enumerate() {
-                let w = thread.ro_read(i, cell);
-                if w == 0 {
-                    if empty.is_none() {
-                        empty = Some(i);
+            // One walk doubling as the read-only half of the insert
+            // transaction: the home bucket's 7 item words and its stat
+            // word are read-only reads 0..=7, so a committed insert has
+            // validated the key's absence from the entire single-bucket
+            // chain at its linearization point.  Past the home bucket the
+            // walk reads single locations, and it ends at the first read
+            // past the home bucket once the key is found.
+            let mut cx = (thread, None);
+            let walk = home.walk(
+                Some(tag),
+                &mut cx,
+                |(thread, found), pos, cell| match pos {
+                    0..=BUCKET_SLOTS => ControlFlow::Continue(thread.ro_read(pos, cell)),
+                    _ if found.is_some() => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(thread.single_read(cell)),
+                },
+                |(_, found), _, cell, w| {
+                    if found.is_none() {
+                        *found = self.hit(key, cell, w);
                     }
-                } else if w & TAG_MASK == tag && candidate.is_none() {
-                    // SAFETY: read from a reachable slot under `pin`.
-                    let node = unsafe { &*Self::node(w) };
-                    if node.key == key {
-                        candidate = Some(Candidate {
-                            cell,
-                            word: w,
-                            node,
-                        });
-                    }
-                }
-            }
-            let stat = thread.ro_read(BUCKET_SLOTS, &home.stat);
-            let chain = Self::chain(stat);
-            if candidate.is_none() && !chain.is_null() {
-                candidate = self.scan_overflow_short(chain, key, tag, &pin, thread);
-            }
-            if let Some(c) = candidate {
+                    ControlFlow::Continue(())
+                },
+            );
+            let (thread, found) = cx;
+            if let Some(c) = found {
                 let (displaced, old_deadline) =
                     self.attempt_overwrite(&c, word, Some(deadline), thread)?;
                 slot.mark_published();
                 return Some(Some((displaced.take(&pin), old_deadline)));
             }
-            if !chain.is_null() {
+            let ControlFlow::Continue(end) = walk else {
+                unreachable!("the walk stops early only once the key is found");
+            };
+            if end.depth > 0 {
                 // The chain already spans 2+ buckets: proving the key
                 // absent would need more than MAX_SHORT validated
                 // locations, so insert through a full transaction — the
@@ -912,23 +984,21 @@ impl<S: Stm> StmHashMap<S> {
                 scratch.ptr = self.alloc_node(key, word, deadline);
             }
             let tagged = scratch.ptr as Word | tag;
-            let committed = if let Some(e) = empty {
+            let committed = if let Some((e, _)) = end.empty {
                 // Claim the free slot: upgrade it into the RW set and
                 // commit, validating the other 7 words read-only.
                 thread.upgrade_ro_to_rw(e, 0) && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[tagged])
             } else {
                 // Bucket full with no chain yet: publish the node inside a
                 // fresh overflow bucket by linking it through the stat
-                // word (preserving the reserved frequency byte).
+                // word (preserving the reserved frequency byte).  This
+                // call's node never changes, so the bucket is born
+                // holding it.
                 if scratch.chain.is_null() {
-                    scratch.chain = self.alloc_overflow();
+                    scratch.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
                 }
-                // SAFETY: the overflow bucket is still private to this
-                // thread until the commit below publishes it.
-                let cb = unsafe { &(*scratch.chain).bucket };
-                S::poke(&cb.item[0], tagged);
                 scratch.chain_used = true;
-                let chain_word = scratch.chain as Word | (stat & FREQ_MASK);
+                let chain_word = scratch.chain as Word | (end.stat & FREQ_MASK);
                 thread.upgrade_ro_to_rw(BUCKET_SLOTS, 0)
                     && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[chain_word])
             };
@@ -982,7 +1052,7 @@ impl<S: Stm> StmHashMap<S> {
     /// Current value of home bucket `idx`'s frequency byte (one
     /// single-location read).
     pub(crate) fn bucket_freq(&self, idx: usize, thread: &mut S::Thread) -> u8 {
-        let stat = thread.single_read(&self.buckets[idx].stat);
+        let stat = thread.single_read(&self.table.buckets[idx].stat);
         ((stat & FREQ_MASK) >> FREQ_SHIFT) as u8
     }
 
@@ -991,7 +1061,7 @@ impl<S: Stm> StmHashMap<S> {
     /// bump under contention is fine (the counter is a popularity
     /// heuristic, not a count).
     pub(crate) fn bump_freq(&self, key: u64, thread: &mut S::Thread) {
-        let home = self.home_bucket(hash_key(key));
+        let (home, _) = self.table.home(key);
         let stat = thread.rw_read(0, &home.stat);
         if !thread.rw_is_valid(1) {
             return;
@@ -1006,7 +1076,7 @@ impl<S: Stm> StmHashMap<S> {
     /// Best-effort halving of home bucket `idx`'s frequency byte — the
     /// reclaimer's periodic decay.  One attempt, no retry.
     pub(crate) fn halve_freq(&self, idx: usize, thread: &mut S::Thread) {
-        let cell = &self.buckets[idx].stat;
+        let cell = &self.table.buckets[idx].stat;
         let stat = thread.rw_read(0, cell);
         if !thread.rw_is_valid(1) {
             return;
@@ -1033,73 +1103,52 @@ impl<S: Stm> StmHashMap<S> {
     ) {
         out.clear();
         let _pin = thread.epoch().pin();
-        let mut bucket: &Bucket<S> = &self.buckets[idx];
-        loop {
-            for cell in &bucket.item {
-                let w = thread.single_read(cell);
-                if w != 0 {
-                    // SAFETY: `w` was read from a reachable slot under the
-                    // pin; retired nodes cannot be freed while pinned.
-                    let node = unsafe { &*Self::node(w) };
-                    out.push((node.key, thread.single_read(&node.deadline)));
-                }
-            }
-            let p = Self::chain(thread.single_read(&bucket.stat));
-            if p.is_null() {
-                break;
-            }
-            // SAFETY: overflow buckets live until the map is dropped.
-            bucket = unsafe { &(*p).bucket };
-        }
+        let _ = self.table.buckets[idx].walk(
+            None,
+            thread,
+            |thread, _, cell| ControlFlow::Continue(thread.single_read(cell)),
+            |thread, _, _, w| {
+                let node = self.node_at(w);
+                out.push((node.key, thread.single_read(&node.deadline)));
+                ControlFlow::<()>::Continue(())
+            },
+        );
     }
 
     // ------------------------------------------------------------------
-    // Full transactions: the one chain walk and what each operation does
-    // with its answer
+    // Full transactions: the chain walk and what each operation does with
+    // its answer
     // ------------------------------------------------------------------
 
-    /// Walks `key`'s chain inside the caller's full transaction — the one
-    /// walk under every full-transaction operation.  The references it
+    /// Walks `key`'s chain inside the caller's full transaction — the walk
+    /// under every full-transaction operation: `Break` is the key's slot,
+    /// `Continue` a miss with every item and stat word of the chain in the
+    /// read set, so a commit validates the absence.  The references it
     /// returns are for use within the same attempt only
     /// ([`StmThread::atomic`] pins the epoch for the attempt, and opacity
     /// keeps everything the attempt read reachable).
-    fn probe_in<'a>(&'a self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Probe<'a, S>> {
-        let h = hash_key(key);
-        let tag = tag_of(h);
-        let mut bucket: &Bucket<S> = self.home_bucket(h);
-        let mut empty: Option<&S::Cell> = None;
-        loop {
-            for cell in &bucket.item {
-                let w = tx.read(cell)?;
-                if w == 0 {
-                    if empty.is_none() {
-                        empty = Some(cell);
-                    }
-                } else if w & TAG_MASK == tag {
-                    // SAFETY: the transaction holds an epoch pin for the
-                    // whole attempt; opacity guarantees reachability.
-                    let node = unsafe { &*Self::node(w) };
-                    if node.key == key {
-                        return Ok(Probe::Hit(Candidate {
-                            cell,
-                            word: w,
-                            node,
-                        }));
-                    }
-                }
-            }
-            let stat = tx.read(&bucket.stat)?;
-            let p = Self::chain(stat);
-            if p.is_null() {
-                return Ok(Probe::Miss {
-                    empty,
-                    tail: bucket,
-                    stat,
-                });
-            }
-            // SAFETY: overflow buckets live until the map is dropped.
-            bucket = unsafe { &(*p).bucket };
-        }
+    fn probe_in<'a>(
+        &'a self,
+        key: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<ControlFlow<Candidate<'a, S>, ChainEnd<'a, S::Cell>>> {
+        let (home, tag) = self.table.home(key);
+        let walk = home.walk(
+            Some(tag),
+            tx,
+            |tx, _, cell| match tx.read(cell) {
+                Ok(w) => ControlFlow::Continue(w),
+                Err(abort) => ControlFlow::Break(Err(abort)),
+            },
+            |_, _, cell, w| match self.hit(key, cell, w) {
+                Some(c) => ControlFlow::Break(Ok(c)),
+                None => ControlFlow::Continue(()),
+            },
+        );
+        Ok(match walk {
+            ControlFlow::Break(hit) => ControlFlow::Break(hit?),
+            ControlFlow::Continue(end) => ControlFlow::Continue(end),
+        })
     }
 
     /// Replaces a found entry's value word (and, with `Some`, its deadline
@@ -1176,9 +1225,11 @@ impl<S: Stm> StmHashMap<S> {
         }
         let word = value_slot.encode_once(value);
         slot.chain_used = false;
-        let (empty, tail, stat) = match self.probe_in(key, tx)? {
-            Probe::Hit(c) => return Self::overwrite_in(&c, word, Some(deadline), tx).map(Some),
-            Probe::Miss { empty, tail, stat } => (empty, tail, stat),
+        let end = match self.probe_in(key, tx)? {
+            ControlFlow::Break(c) => {
+                return Self::overwrite_in(&c, word, Some(deadline), tx).map(Some)
+            }
+            ControlFlow::Continue(end) => end,
         };
         // The key is absent (and the commit validates that): insert.
         if slot.ptr.is_null() {
@@ -1188,18 +1239,19 @@ impl<S: Stm> StmHashMap<S> {
         let node = unsafe { &*slot.ptr };
         S::poke(&node.value, word);
         S::poke(&node.deadline, deadline);
-        let tagged = slot.ptr as Word | tag_of(hash_key(key));
-        if let Some(cell) = empty {
+        let tagged = slot.ptr as Word | self.table.home(key).1;
+        if let Some((_, cell)) = end.empty {
             tx.write(cell, tagged)?;
         } else {
             // Chain a fresh overflow bucket carrying the node.
             if slot.chain.is_null() {
-                slot.chain = self.alloc_overflow();
+                slot.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
             }
             // SAFETY: private until the commit publishes it.
             let cb = unsafe { &(*slot.chain).bucket };
+            // A published slot may be reused with a fresh node.
             S::poke(&cb.item[0], tagged);
-            tx.write(&tail.stat, slot.chain as Word | (stat & FREQ_MASK))?;
+            tx.write(&end.tail.stat, slot.chain as Word | (end.stat & FREQ_MASK))?;
             slot.chain_used = true;
         }
         Ok(None)
@@ -1221,7 +1273,7 @@ impl<S: Stm> StmHashMap<S> {
         only_expired: Option<u64>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, RetiredNode<S>, Word)>> {
-        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+        let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
             return Ok(None);
         };
         let deadline = tx.read(&c.node.deadline)?;
@@ -1246,7 +1298,7 @@ impl<S: Stm> StmHashMap<S> {
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(Value, Word)>> {
-        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+        let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
             return Ok(None);
         };
         let word = tx.read(&c.node.value)?;
@@ -1279,7 +1331,7 @@ impl<S: Stm> StmHashMap<S> {
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, Word)>> {
         debug_assert!(value.len() <= MAX_VALUE_LEN);
-        let Probe::Hit(c) = self.probe_in(key, tx)? else {
+        let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
             return Ok(None);
         };
         Self::overwrite_in(&c, slot.encode(value), deadline, tx).map(Some)
@@ -1288,32 +1340,16 @@ impl<S: Stm> StmHashMap<S> {
 
 impl<S: Stm> Drop for StmHashMap<S> {
     fn drop(&mut self) {
-        // Exclusive access: free every remaining node (and its value cell)
-        // and every overflow bucket directly.
-        fn free_bucket_nodes<S: Stm>(bucket: &Bucket<S>) {
-            for cell in &bucket.item {
-                let w = S::peek(cell);
-                if w != 0 {
-                    // SAFETY: nodes were allocated with `Box::into_raw`;
-                    // during drop nothing else references them.
-                    let node = unsafe { Box::from_raw(StmHashMap::<S>::node(w)) };
-                    // SAFETY: exclusive access; the word is still owned by
-                    // the map, so nobody else will free it.
-                    unsafe { free_value(S::peek(&node.value)) };
-                }
-            }
-        }
-        for home in &self.buckets {
-            free_bucket_nodes(home);
-            let mut p = Self::chain(S::peek(&home.stat));
-            while !p.is_null() {
-                // SAFETY: overflow buckets were allocated with
-                // `Box::into_raw` and are only freed here.
-                let boxed = unsafe { Box::from_raw(p) };
-                free_bucket_nodes(&boxed.bucket);
-                p = Self::chain(S::peek(&boxed.bucket.stat));
-            }
-        }
+        // Exclusive access: free every remaining node (and its value cell),
+        // then the table frees its overflow buckets.
+        self.table.free(S::peek, |w| {
+            // SAFETY: nodes were allocated with `Box::into_raw`; during drop
+            // nothing else references them.
+            let node = unsafe { Box::from_raw(Self::node(w)) };
+            // SAFETY: exclusive access; the word is still owned by the map,
+            // so nobody else will free it.
+            unsafe { free_value(S::peek(&node.value)) };
+        });
     }
 }
 

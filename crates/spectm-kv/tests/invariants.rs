@@ -34,7 +34,8 @@
 //! * **Read-set budget** — the number of transactional reads a scan
 //!   performs (`Stats::full_reads`) is bounded by what it returns plus one
 //!   descent per shard, and the read and write sets of a fixed
-//!   membership-and-scan script stay at or below recorded totals.
+//!   membership-and-scan script stay at or below recorded totals; a fixed
+//!   script over deep bucket chains makes exactly its recorded STM calls.
 //!
 //! All concurrency runs through the deterministic scaffolding of
 //! [`common`]: barrier-started scoped workers with canonically seeded
@@ -44,12 +45,14 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use common::{run_workers, thread_rng, Xorshift};
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::{Stm, StmThread};
 use spectm_ds::ApiMode;
-use spectm_kv::{ShardedKv, Value};
+use spectm_kv::{CacheConfig, Clock, ShardedKv, StmHashMap, Value};
 
 /// Deterministic payload for `(key, draw)`: the length cycles through the
 /// inline-bytes (0..=7), inline-int (8) and out-of-line (up to ~48 bytes)
@@ -469,6 +472,103 @@ fn membership_and_scan_read_write_sets_do_not_grow() {
         "{reads} full reads (parent {PARENT_FULL_READS}), \
          {writes} full writes (parent {PARENT_FULL_WRITES})"
     );
+}
+
+/// The STM calls of one fixed single-threaded script, as `[singles,
+/// short_ro_commits, short_rw_commits, full_reads, full_writes]`.  A 1-shard
+/// store with two home buckets holds 48 keys, so chains are 3–4 buckets
+/// deep: inserts (every third key mortal), a hit on every key at every depth
+/// and 16 misses, overwrites, deletes and re-inserts into the freed slots, a
+/// lazy expiry and one full sweep over the expired keys, one scan.  Then the
+/// same shapes on a bare `StmHashMap`, whose `put` is the one chain walk the
+/// store does not call.
+fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
+    let now_ms = Arc::new(AtomicU64::new(1_000));
+    let config = CacheConfig {
+        clock: Clock::manual(&now_ms),
+        ..CacheConfig::default()
+    };
+    let store = ShardedKv::with_config(&stm, 1, 8, mode, config);
+    let mut t = store.register();
+    let before = t.stats();
+    for k in 0..48 {
+        let ttl = (k % 3 == 0).then_some(100);
+        let put = store.put_with_ttl(k, &payload(k, 0), ttl, &mut t);
+        assert_eq!(put.unwrap(), None, "insert {k}");
+    }
+    assert!(store.stats().max_probe() >= 3, "{}", store.stats());
+    for k in 0..48 {
+        assert_eq!(store.get(k, &mut t), Some(Value::from(payload(k, 0))));
+    }
+    for k in 1_000..1_016 {
+        assert_eq!(store.get(k, &mut t), None, "miss {k}");
+    }
+    for k in (0..48).step_by(2) {
+        assert!(store.put(k, &payload(k, 1), &mut t).unwrap().is_some());
+    }
+    for k in (1..48).step_by(4) {
+        assert!(store.del(k, &mut t).is_some(), "del {k}");
+    }
+    for k in 100..106 {
+        assert_eq!(store.put(k, &payload(k, 2), &mut t).unwrap(), None);
+    }
+    // ORDERING: one thread writes and reads the manual clock.
+    now_ms.store(2_000, Ordering::Relaxed);
+    assert_eq!(store.get(3, &mut t), None, "lazy expiry");
+    assert_eq!(store.sweep_step(store.bucket_count(), &mut t).expired, 3);
+    assert_eq!(store.scan(0, 100, &mut t).len(), 38);
+
+    let map = StmHashMap::new(&stm, 8, mode);
+    for k in 0..40 {
+        assert_eq!(map.put(k, &payload(k, 0), &mut t).unwrap(), None);
+    }
+    for k in 0..40 {
+        assert!(map.put(k, &payload(k, 1), &mut t).unwrap().is_some());
+        assert_eq!(map.get(k, &mut t), Some(Value::from(payload(k, 1))));
+    }
+    for k in 1_000..1_008 {
+        assert_eq!(map.get(k, &mut t), None, "map miss {k}");
+    }
+    for k in (0..40).step_by(3) {
+        assert!(map.del(k, &mut t).is_some(), "map del {k}");
+    }
+    for k in 200..204 {
+        assert_eq!(map.put(k, &payload(k, 2), &mut t).unwrap(), None);
+    }
+    let after = t.stats();
+    [
+        after.singles - before.singles,
+        after.short_ro_commits - before.short_ro_commits,
+        after.short_rw_commits - before.short_rw_commits,
+        after.full_reads - before.full_reads,
+        after.full_writes - before.full_writes,
+    ]
+}
+
+/// Both maps' bucket chains are walked by one function: it must make
+/// exactly the STM calls the per-operation walks it replaced made — the
+/// same reads in the same order, so equal totals, not merely no more.
+/// The expected totals were measured on the per-operation walks
+/// (EXPERIMENTS.md "One bucket chain"); exact on any machine, since one
+/// thread runs a fixed script and tower heights come from its own stream.
+#[test]
+fn bucket_walks_make_the_recorded_stm_calls() {
+    for (calls, expect) in [
+        (
+            bucket_walk_calls(ValShort::new(), ApiMode::Short),
+            [3_956, 89, 94, 3_177, 289],
+        ),
+        (
+            bucket_walk_calls(TvarShortG::new(), ApiMode::Short),
+            [3_956, 89, 94, 3_248, 271],
+        ),
+        (
+            bucket_walk_calls(OrecFullG::new(), ApiMode::Full),
+            [107, 0, 0, 7_478, 465],
+        ),
+    ] {
+        assert_eq!(calls, expect);
+    }
 }
 
 /// Single-threaded random workload including scans and ranges over

@@ -64,65 +64,11 @@ pub const EPOCH_CLASSES: usize = 3;
 /// advance the global epoch and reclaim old garbage.
 pub const COLLECT_THRESHOLD: usize = 64;
 
-use std::sync::OnceLock;
-
-/// Returns a process-wide default collector.
-///
-/// Most users want a single collector shared by every data structure in the
-/// process; this mirrors the single epoch domain used in the paper's
-/// implementation.
-///
-/// # Examples
-///
-/// ```
-/// let handle = txepoch::default_collector().register();
-/// let _guard = handle.pin();
-/// ```
-pub fn default_collector() -> &'static Collector {
-    static DEFAULT: OnceLock<Collector> = OnceLock::new();
-    DEFAULT.get_or_init(Collector::new)
-}
-
-thread_local! {
-    static DEFAULT_HANDLE: LocalHandle = default_collector().register();
-}
-
-/// Pins the current thread against the [`default_collector`].
-///
-/// This is a convenience wrapper that registers a thread-local handle on first
-/// use.  The returned guard borrows a thread-local and therefore cannot be
-/// sent to another thread.
-///
-/// # Examples
-///
-/// ```
-/// let guard = txepoch::pin();
-/// drop(guard);
-/// ```
-pub fn pin() -> Guard {
-    DEFAULT_HANDLE.with(|h| h.pin_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn default_collector_is_singleton() {
-        let a = default_collector() as *const Collector;
-        let b = default_collector() as *const Collector;
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn thread_local_pin_works() {
-        let g = pin();
-        let g2 = pin();
-        drop(g);
-        drop(g2);
-    }
 
     #[test]
     fn deferred_drop_runs_destructor_eventually() {

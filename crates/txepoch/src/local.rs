@@ -10,11 +10,14 @@ use crate::deferred::Deferred;
 use crate::guard::Guard;
 use crate::{COLLECT_THRESHOLD, EPOCH_CLASSES};
 
-/// Heap-allocated per-thread state.
+/// Heap-allocated per-thread state, owned by its one [`LocalHandle`] and by
+/// every live [`Guard`].
 ///
-/// The struct is reference counted manually (`handles` + `guards`) so that a
-/// [`Guard`] returned from a thread-local handle does not borrow the handle
-/// (see [`crate::pin`]).
+/// Guards hold a raw pointer and a count rather than a borrow of the
+/// handle: pins nest around calls that take the thread mutably (a batch
+/// pins once and runs every operation, each pinning again, through
+/// `&mut S::Thread`), so a guard cannot borrow the handle the thread owns.
+/// The `Local` dies when its handle is gone and the last guard drops.
 pub(crate) struct Local {
     pub(crate) inner: Arc<Inner>,
     participant: *const Participant,
@@ -22,8 +25,8 @@ pub(crate) struct Local {
     bags: UnsafeCell<[Vec<Deferred>; EPOCH_CLASSES]>,
     /// The epoch in which the garbage currently held by each bag was retired.
     bag_epochs: UnsafeCell<[usize; EPOCH_CLASSES]>,
-    /// Number of live `LocalHandle`s pointing at this `Local` (0 or 1).
-    handles: Cell<usize>,
+    /// Whether the `LocalHandle` owning this `Local` is still alive.
+    handle_alive: Cell<bool>,
     /// Number of live `Guard`s pointing at this `Local`.
     guards: Cell<usize>,
     /// Epoch observed by the outermost live guard.
@@ -39,7 +42,7 @@ impl Local {
             participant,
             bags: UnsafeCell::new(Default::default()),
             bag_epochs: UnsafeCell::new([0; EPOCH_CLASSES]),
-            handles: Cell::new(1),
+            handle_alive: Cell::new(true),
             guards: Cell::new(0),
             pinned_epoch: Cell::new(0),
             since_collect: Cell::new(0),
@@ -85,7 +88,10 @@ impl Local {
     /// See [`Guard::defer_unchecked`].
     pub(crate) unsafe fn defer(&self, ptr: *mut u8, destroy: unsafe fn(*mut u8)) {
         debug_assert!(self.is_pinned(), "defer called while not pinned");
-        let epoch = self.pinned_epoch.get();
+        // The grace period starts at the global epoch, not at this thread's
+        // pin: while we stay pinned the global epoch may move one past ours,
+        // and a reader pinned there can still reach the object.
+        let epoch = self.inner.epoch.load(Ordering::SeqCst);
         let idx = epoch % EPOCH_CLASSES;
         // SAFETY: `bags`/`bag_epochs` are only touched from the owning thread
         // (`Local` is `!Sync`), so the unique access rule is upheld.
@@ -154,33 +160,27 @@ impl Local {
         bags.iter().map(Vec::len).sum()
     }
 
-    pub(crate) fn acquire_handle(&self) {
-        self.handles.set(self.handles.get() + 1);
-    }
-
-    pub(crate) fn acquire_guard(&self) {
-        self.pin();
-    }
-
-    /// Releases one handle reference; returns true when the `Local` must die.
+    /// Whether the `Local` must die: its handle is gone and no guard is
+    /// left.
     fn release(&self) -> bool {
-        self.handles.get() == 0 && self.guards.get() == 0
+        !self.handle_alive.get() && self.guards.get() == 0
     }
 
     pub(crate) fn release_handle(ptr: *const Local) {
-        // SAFETY: `ptr` is valid: it is only freed below, when both counts
-        // reach zero, and the caller owned one handle reference.
+        // SAFETY: `ptr` is valid: it is only freed below, once the handle is
+        // gone and no guard is left, and the caller is the handle.
         let local = unsafe { &*ptr };
-        local.handles.set(local.handles.get() - 1);
+        local.handle_alive.set(false);
         if local.release() {
-            // SAFETY: both reference counts are zero, so nothing else points
-            // at this `Local` and it was allocated by `Box::into_raw`.
+            // SAFETY: the handle is gone and no guard is left, so nothing
+            // else points at this `Local`; it was allocated by
+            // `Box::into_raw`.
             unsafe { Self::destroy(ptr) };
         }
     }
 
     pub(crate) fn release_guard(ptr: *const Local) {
-        // SAFETY: as above; the caller owned one guard reference.
+        // SAFETY: as above; the caller is a live guard.
         let local = unsafe { &*ptr };
         local.unpin();
         if local.release() {
@@ -193,7 +193,7 @@ impl Local {
     ///
     /// # Safety
     ///
-    /// `ptr` must have no outstanding handle or guard references.
+    /// `ptr` must have no live handle or guard.
     unsafe fn destroy(ptr: *const Local) {
         // SAFETY: guaranteed by the caller.
         let local = unsafe { Box::from_raw(ptr.cast_mut()) };
@@ -244,15 +244,8 @@ impl LocalHandle {
     /// lifetime by reference count (not by borrow).
     #[inline]
     pub fn pin(&self) -> Guard {
-        self.local().acquire_guard();
+        self.local().pin();
         Guard::new(self.local)
-    }
-
-    /// Pins and returns a guard that keeps the underlying thread state alive
-    /// on its own (used by the thread-local [`crate::pin`] helper).
-    #[inline]
-    pub fn pin_owned(&self) -> Guard {
-        self.pin()
     }
 
     /// Whether this thread currently holds at least one guard.
@@ -269,28 +262,6 @@ impl LocalHandle {
     /// Number of retired objects not yet reclaimed by this thread.
     pub fn pending(&self) -> usize {
         self.local().pending()
-    }
-
-    /// Retires a `Box`-allocated object for deferred destruction.
-    ///
-    /// Convenience wrapper over [`Guard::defer_drop`] for callers that hold a
-    /// handle but no guard; it pins internally.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must originate from `Box::into_raw`, must already be unreachable
-    /// for new readers, and must not be used again by the caller.
-    pub unsafe fn retire_box<T>(&self, ptr: *mut T) {
-        let guard = self.pin();
-        // SAFETY: forwarded contract.
-        unsafe { guard.defer_drop(ptr) };
-    }
-}
-
-impl Clone for LocalHandle {
-    fn clone(&self) -> Self {
-        self.local().acquire_handle();
-        Self::new(self.local)
     }
 }
 
@@ -347,17 +318,40 @@ mod tests {
         assert_eq!(c.stats().reclaimed, 10);
     }
 
+    /// A reader that pinned after the global epoch moved past the retiring
+    /// thread's pin may hold the retired object: the grace period counts
+    /// from the global epoch at retirement, not from the retirer's pin.
     #[test]
-    fn handle_clone_shares_bags() {
+    fn garbage_outlives_readers_pinned_after_the_retirer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        struct Flagged(Arc<AtomicUsize>);
+        impl Drop for Flagged {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
         let c = Collector::new();
-        let h = c.register();
-        let h2 = h.clone();
-        let g = h.pin();
-        let p = Box::into_raw(Box::new(1_u32));
+        let (retirer, reader, bystander) = (c.register(), c.register(), c.register());
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let retiring = retirer.pin();
+        bystander.flush(); // epoch e -> e + 1: the retirer announced e
+        let reading = reader.pin(); // at e + 1, could reach the object
+        let p = Box::into_raw(Box::new(Flagged(Arc::clone(&dropped))));
         // SAFETY: freshly allocated, unreachable by others.
-        unsafe { g.defer_drop(p) };
-        drop(g);
-        assert_eq!(h2.pending(), 1);
+        unsafe { retiring.defer_drop(p) };
+        drop(retiring);
+        for _ in 0..4 {
+            bystander.flush();
+            retirer.flush();
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), 0, "freed under a pin");
+        drop(reading);
+        for _ in 0..4 {
+            bystander.flush();
+            retirer.flush();
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: every STM variant drives every data
 //! structure through the same scenarios, and results are checked against the
-//! sequential baselines from the `lockfree` crate.
+//! sequential baselines from the `lockfree` crate; the STM map and its
+//! lock-free twin must build the same bucket table from the same keys.
 
 use std::sync::Arc;
 
-use lockfree::{SeqHashTable, SeqSkipList, SequentialIntSet};
-use spectm::variants::{OrecStm, TvarStm, ValShort};
+use lockfree::{LockFreeKvMap, SeqHashTable, SeqSkipList, SequentialIntSet};
+use spectm::variants::{OrecFullG, OrecStm, TvarShortG, TvarStm, ValShort};
 use spectm::{Config, Stm};
 use spectm_ds::{ApiMode, StmHashTable, StmSkipList, TxDeque};
+use spectm_kv::StmHashMap;
 
 fn mixed_ops<S: Stm + Clone>(stm: S, mode: ApiMode, seed: u64) {
     let table = StmHashTable::new(&stm, 64, mode);
@@ -132,6 +134,45 @@ fn concurrent_mixed_structures_stay_consistent() {
         let l = in_list.binary_search(&k).is_ok();
         assert!(t ^ l, "key {k} must be in exactly one structure");
     }
+}
+
+/// Loads 600 keys into a `StmHashMap` of `stm`/`mode` and into the
+/// lock-free `LockFreeKvMap` at the same 64-key capacity hint, so chains run
+/// at least 3 buckets deep, then deletes every third key: both times the two
+/// maps must have built the same table — bucket count, every `MapStats`
+/// field including the probe histogram — holding the same pairs.
+fn maps_build_one_table<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    const CAPACITY: usize = 64;
+    const KEYS: u64 = 600;
+    let map = StmHashMap::new(&stm, CAPACITY, mode);
+    let lock_free = LockFreeKvMap::new(CAPACITY, txepoch::Collector::new());
+    let mut thread = stm.register();
+    let handle = lock_free.collector().register();
+    let key = |i: u64| i.wrapping_mul(0x9E37_79B1);
+    for i in 0..KEYS {
+        let value = i.to_le_bytes();
+        assert_eq!(map.put(key(i), &value, &mut thread).unwrap(), None);
+        assert_eq!(lock_free.put(key(i), &value, &handle).unwrap(), None);
+    }
+    assert!(map.stats().max_probe() >= 3, "{}", map.stats());
+    for deleted in [false, true] {
+        if deleted {
+            for i in (0..KEYS).step_by(3) {
+                assert!(map.del(key(i), &mut thread).is_some());
+                assert!(lock_free.del(key(i), &handle).is_some());
+            }
+        }
+        assert_eq!(map.bucket_count(), lock_free.bucket_count());
+        assert_eq!(map.stats(), lock_free.stats(&handle), "{mode:?}");
+        assert_eq!(map.quiescent_snapshot(), lock_free.snapshot(&handle));
+    }
+}
+
+#[test]
+fn stm_and_lock_free_maps_probe_identical_tables() {
+    maps_build_one_table(ValShort::new(), ApiMode::Short);
+    maps_build_one_table(TvarShortG::new(), ApiMode::Short);
+    maps_build_one_table(OrecFullG::new(), ApiMode::Full);
 }
 
 #[test]
