@@ -15,11 +15,15 @@
 //!
 //! Design points (DESIGN.md § "Wire protocol and the cache server"):
 //!
-//! * **Connection state machines, not blocking I/O.** Each connection
-//!   carries an incremental [`spectm_kv::wire::FrameReader`] and a write
-//!   buffer with partial-write continuation, stepped through explicit
-//!   Reading/Executing/Writing states; a peer that stops reading its
-//!   responses stalls only itself, never its worker.
+//! * **One sweep, any transport.** A worker's whole turn over its
+//!   connections is one function, generic over `Read + Write`; a thin
+//!   driver adds the sockets, the shutdown flag, the clock and the park.
+//!   The server runs it over `TcpStream`s, and the unit tests step it over
+//!   seeded in-memory pipes.
+//! * **Connections are open or closing, not blocking I/O.** Each
+//!   connection carries an incremental [`spectm_kv::wire::FrameReader`] and
+//!   a write buffer with partial-write continuation; a peer that stops
+//!   reading its responses stalls only itself, never its worker.
 //! * **Cross-connection coalescing.** One dispatch per sweep covers the
 //!   frames of every ready connection; per-connection ordering and the
 //!   batch-atomicity contract are preserved (see
@@ -41,5 +45,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod server;
+#[cfg(test)]
+mod sim;
 
-pub use server::{Server, StatsSnapshot, COALESCE_BUCKETS, DEFAULT_MAX_CONNS_PER_WORKER};
+pub use server::{Server, StatsSnapshot, COALESCE_BUCKETS};

@@ -20,9 +20,6 @@ Options:
   --addr HOST:PORT    bind address (default 127.0.0.1:0 = ephemeral port)
   --workers N         worker threads, each multiplexing many connections
                       (default 4)
-  --max-conns-per-worker N
-                      connections one worker multiplexes before further
-                      accepts are rejected (default 1024)
   --shards N          store shards (default 16)
   --capacity N        per-shard capacity hint in keys (default 65536)
   --max-bytes N       live-byte budget; the background reclaimer evicts
@@ -53,7 +50,6 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 fn main() {
     let mut addr = String::from("127.0.0.1:0");
     let mut workers = 4usize;
-    let mut max_conns_per_worker = spectm_serve::server::DEFAULT_MAX_CONNS_PER_WORKER;
     let mut shards = 16usize;
     let mut capacity = 1usize << 16;
     let mut max_bytes: Option<u64> = None;
@@ -66,7 +62,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => addr = parse(&arg, args.next()),
             "--workers" => workers = parse(&arg, args.next()),
-            "--max-conns-per-worker" => max_conns_per_worker = parse(&arg, args.next()),
             "--shards" => shards = parse(&arg, args.next()),
             "--capacity" => capacity = parse(&arg, args.next()),
             "--max-bytes" => max_bytes = Some(parse(&arg, args.next())),
@@ -82,9 +77,6 @@ fn main() {
     }
     if workers == 0 {
         die("--workers must be at least 1");
-    }
-    if max_conns_per_worker == 0 {
-        die("--max-conns-per-worker must be at least 1");
     }
 
     let stm = ValShort::new();
@@ -110,12 +102,7 @@ fn main() {
             (store.bucket_count() / 8).max(64),
         )
     });
-    let server = match Server::start_with(
-        Arc::clone(&store),
-        addr.as_str(),
-        workers,
-        max_conns_per_worker,
-    ) {
+    let server = match Server::start(Arc::clone(&store), addr.as_str(), workers) {
         Ok(server) => server,
         Err(e) => die(&format!("cannot bind {addr}: {e}")),
     };

@@ -4,13 +4,26 @@
 //! The threading model is the Pelikan/memcached deployment shape: a small,
 //! fixed set of workers, each **multiplexing many connections** over
 //! nonblocking sockets.  The acceptor round-robins accepted connections to
-//! workers; each worker owns a std-only poll loop — `set_nonblocking(true)`
-//! plus a readiness sweep with a short park when fully idle — over
-//! per-connection state machines (an incremental [`FrameReader`], a
-//! compacting write buffer with partial-write continuation, and explicit
-//! Reading/Executing/Writing states so a slow-reading peer can never block
-//! the worker).  Every STM thread handle (`S::Thread` is deliberately not
-//! `Send`) stays pinned to the worker that created it.
+//! workers.  A worker thread is two parts:
+//!
+//! * the *worker* proper — the connection table, the STM thread handle and
+//!   one reused [`MultiBatch`] — whose *sweep* is the whole turn over every
+//!   connection: flush → read/decode → coalesced execute → flush → reap.
+//!   It is generic over the transport (`Read + Write`), never blocks and
+//!   never reads the clock, so its tests step it over a seeded in-memory
+//!   net instead of sockets and timers;
+//! * a thin socket *driver* that owns only what is socket- or
+//!   thread-specific: the accept queue, `set_nonblocking`/`set_nodelay`,
+//!   the shutdown flag, the clock, and a yield or a short park after a
+//!   sweep that moved nothing.
+//!
+//! A connection is open or closing.  An open connection has an incremental
+//! [`FrameReader`] and a compacting write buffer with partial-write
+//! continuation; it keeps reading while its queued output stays under a
+//! cap, so a slow-reading peer stalls only itself, never the worker.  A
+//! closing one reads nothing more, flushes what is queued and is dropped.
+//! Every STM thread handle (`S::Thread` is deliberately not `Send`) stays
+//! pinned to the worker that created it.
 //!
 //! The payoff is **cross-connection batch coalescing**: on each sweep a
 //! worker drains every decodable frame from every ready connection into
@@ -87,10 +100,9 @@ const WRITE_BACKLOG_CAP: usize = 1 << 20;
 /// that returns less than it was offered ends the connection's turn.
 const MAX_FILLS_PER_SWEEP: usize = 4;
 
-/// Default per-worker connection cap (see `--max-conns-per-worker`);
-/// connections above it are dropped at admission and counted in
-/// [`StatsSnapshot::conns_rejected`].
-pub const DEFAULT_MAX_CONNS_PER_WORKER: usize = 1024;
+/// Connections one worker multiplexes; connections admitted above it are
+/// dropped and counted in [`StatsSnapshot::conns_rejected`].
+const MAX_CONNS_PER_WORKER: usize = 1024;
 
 /// Buckets in the coalesced-dispatch histogram: frame counts 1, 2, 3–4,
 /// 5–8, 9–16, 17–32, 33–64, 65+.
@@ -138,8 +150,8 @@ pub struct StatsSnapshot {
     /// could take them — connections dropped or degraded for reasons that
     /// are the server's, not the peer's.
     pub io_errors: u64,
-    /// Connections dropped at admission because the worker was at its
-    /// `--max-conns-per-worker` cap.
+    /// Connections dropped at admission because the worker already
+    /// multiplexed its cap of 1024.
     pub conns_rejected: u64,
     /// Histogram of frames-per-dispatch: buckets for 1, 2, 3–4, 5–8,
     /// 9–16, 17–32, 33–64 and 65+ frames.  Sums to `dispatches`.
@@ -204,26 +216,6 @@ enum ConnEnd {
     WireError,
 }
 
-/// Where a connection's state machine stands between sweeps.
-#[derive(Clone, Copy)]
-enum ConnState {
-    /// No queued output; waiting for request bytes.
-    Reading,
-    /// Frames read this sweep are committed into the worker's
-    /// [`MultiBatch`], awaiting the coalesced dispatch (transient: the
-    /// same sweep's execute phase moves the connection on).
-    Executing,
-    /// Queued response bytes awaiting socket capacity.  The connection
-    /// keeps reading new requests while the backlog stays under
-    /// [`WRITE_BACKLOG_CAP`]; a slow reader only ever stalls itself.
-    Writing,
-    /// No more reads; flush whatever is queued, then drop.  Frames decoded
-    /// *before* the failure still execute and their responses still flush —
-    /// a peer that pipelines a good frame and then garbage gets the good
-    /// frame's answer before teardown.
-    Closing(ConnEnd),
-}
-
 /// Response bytes queued for one peer, with partial-write continuation.
 ///
 /// Bytes the socket accepted are given back by compaction rather than only
@@ -275,16 +267,21 @@ struct Conn<T> {
     stream: T,
     reader: FrameReader,
     wbuf: WriteBuf,
-    state: ConnState,
+    /// `None` while open.  Once set, the connection reads nothing more; it
+    /// flushes whatever is queued and is then dropped.  Frames decoded
+    /// *before* the failure still execute and their responses still flush —
+    /// a peer that pipelines a good frame and then garbage gets the good
+    /// frame's answer before teardown.
+    closing: Option<ConnEnd>,
 }
 
-impl<T> Conn<T> {
+impl<T: Read + Write> Conn<T> {
     fn new(stream: T) -> Self {
         Self {
             stream,
             reader: FrameReader::new(),
             wbuf: WriteBuf::default(),
-            state: ConnState::Reading,
+            closing: None,
         }
     }
 
@@ -293,46 +290,39 @@ impl<T> Conn<T> {
         self.wbuf.unsent().len()
     }
 
-    /// Whether the read phase should pull from this connection: reading
-    /// states only, and only under the write-backlog cap.
+    /// Whether the read phase should pull from this connection: open
+    /// connections only, and only under the write-backlog cap.
     fn wants_read(&self) -> bool {
-        matches!(self.state, ConnState::Reading | ConnState::Writing)
-            && self.pending() < WRITE_BACKLOG_CAP
+        self.closing.is_none() && self.pending() < WRITE_BACKLOG_CAP
     }
 
-    /// Pushes queued bytes into the nonblocking socket until it would
-    /// block or the buffer drains, returning bytes written this call.
+    /// Pushes queued bytes into the nonblocking transport until it would
+    /// block or the buffer drains, returning whether any byte was accepted.
     /// On a fatal transport error the connection is marked for reaping
     /// (queued bytes are unsendable and dropped).
-    fn flush(&mut self) -> usize
-    where
-        T: Write,
-    {
-        let mut written = 0usize;
+    fn flush(&mut self) -> bool {
+        let mut wrote = false;
         while self.pending() > 0 {
             match self.stream.write(self.wbuf.unsent()) {
                 // A zero-length write cannot make progress; treat it as a
                 // dead transport rather than spin.
                 Ok(0) => {
                     self.fail_transport();
-                    return written;
+                    break;
                 }
                 Ok(n) => {
                     self.wbuf.consume(n);
-                    written += n;
+                    wrote = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.fail_transport();
-                    return written;
+                    break;
                 }
             }
         }
-        if self.pending() == 0 && matches!(self.state, ConnState::Writing) {
-            self.state = ConnState::Reading;
-        }
-        written
+        wrote
     }
 
     /// Transport death during a write: drop the unsendable backlog so the
@@ -340,9 +330,81 @@ impl<T> Conn<T> {
     /// `WireError` verdict (the peer broke the protocol *and* vanished).
     fn fail_transport(&mut self) {
         self.wbuf.clear();
-        if !matches!(self.state, ConnState::Closing(_)) {
-            self.state = ConnState::Closing(ConnEnd::Done);
+        self.closing.get_or_insert(ConnEnd::Done);
+    }
+
+    /// Reads and decodes everything currently available: alternates
+    /// buffered-frame draining with nonblocking fills, committing each
+    /// decoded frame into `multi` tagged with `slot`.  Returns whether any
+    /// byte arrived or frame decoded.
+    ///
+    /// A fill that returns fewer bytes than it offered has drained the
+    /// transport, so the connection's turn ends there — no follow-up `read`
+    /// whose only answer would be `WouldBlock`.  Nothing can be stranded by
+    /// that: the sweep is level-triggered (every sweep reads every readable
+    /// connection), so bytes that land a microsecond later are found by the
+    /// next sweep.  A fill that came back full is followed by another, at
+    /// most [`MAX_FILLS_PER_SWEEP`] in all so one firehose peer cannot
+    /// monopolize the sweep.
+    ///
+    /// Failure handling preserves the wire contract: a malformed frame rolls
+    /// its partial ops back out of `multi` and closes the connection as a
+    /// wire error — frames committed before it still execute, and their
+    /// responses still flush before the reaper drops the transport.
+    fn read_frames(&mut self, slot: usize, multi: &mut MultiBatch) -> bool {
+        let mut progressed = false;
+        let mut fills = 0usize;
+        let mut drained = false;
+        'sweep: loop {
+            // Drain every complete frame already buffered.
+            loop {
+                match self.reader.try_frame() {
+                    Ok(None) => break,
+                    Ok(Some((start, end))) => {
+                        let body = &self.reader.buffered()[start..end];
+                        match wire::decode_request_append(body, multi.request_mut()) {
+                            Ok(_) => {
+                                multi.commit_frame(slot);
+                                progressed = true;
+                            }
+                            Err(_) => {
+                                multi.rollback_frame();
+                                self.closing = Some(ConnEnd::WireError);
+                                break 'sweep;
+                            }
+                        }
+                    }
+                    Err(_) => {
+                        self.closing = Some(ConnEnd::WireError);
+                        break 'sweep;
+                    }
+                }
+            }
+            if drained || fills == MAX_FILLS_PER_SWEEP {
+                break;
+            }
+            fills += 1;
+            match self.reader.fill_nonblocking(&mut self.stream) {
+                Ok(Fill::Bytes(n)) => {
+                    progressed = true;
+                    drained = n < wire::READ_CHUNK;
+                }
+                Ok(Fill::WouldBlock) => break,
+                Ok(Fill::Eof) => {
+                    self.closing = Some(if self.reader.mid_frame() {
+                        ConnEnd::WireError
+                    } else {
+                        ConnEnd::Done
+                    });
+                    break;
+                }
+                Err(_) => {
+                    self.closing = Some(ConnEnd::Done);
+                    break;
+                }
+            }
         }
+        progressed
     }
 }
 
@@ -378,33 +440,18 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// acceptor plus `workers` multiplexing worker threads (at least one)
-    /// over the shared `store`, with the default
-    /// [`DEFAULT_MAX_CONNS_PER_WORKER`] connection cap per worker.
+    /// over the shared `store`, each multiplexing up to 1024 connections.
     /// Returns once the listener is live; clients may connect immediately.
     pub fn start<S: Stm + Clone>(
         store: Arc<ShardedKv<S>>,
         addr: impl ToSocketAddrs,
         workers: usize,
     ) -> io::Result<Self> {
-        Self::start_with(store, addr, workers, DEFAULT_MAX_CONNS_PER_WORKER)
-    }
-
-    /// [`Server::start`] with an explicit per-worker connection cap:
-    /// connections admitted while a worker already multiplexes
-    /// `max_conns_per_worker` are dropped and counted in
-    /// [`StatsSnapshot::conns_rejected`].
-    pub fn start_with<S: Stm + Clone>(
-        store: Arc<ShardedKv<S>>,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-        max_conns_per_worker: usize,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let max_conns = max_conns_per_worker.max(1);
         let mut txs = Vec::new();
         let worker_handles = (0..workers.max(1))
             .map(|i| {
@@ -415,7 +462,7 @@ impl Server {
                 let stats = Arc::clone(&stats);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&store, &rx, max_conns, &shutdown, &stats))
+                    .spawn(move || worker_loop(&store, &rx, &shutdown, &stats))
             })
             .collect::<io::Result<Vec<_>>>()?;
         let acceptor = {
@@ -522,25 +569,132 @@ fn dispatch_to_worker<T>(mut item: T, txs: &[Sender<T>], next: &mut usize) -> Re
     Err(item)
 }
 
-/// One worker: a poll loop multiplexing up to `max_conns` connections.
+/// One worker's connections and everything a sweep over them needs: the
+/// STM thread handle, the reused [`MultiBatch`] and the shared counters.
 ///
-/// Each sweep runs admit → flush → read/decode → coalesced execute →
-/// flush → reap, then yields or parks if nothing moved.  The read phase
-/// appends every decodable frame from every ready connection into one
-/// [`MultiBatch`]; the execute phase dispatches it under a single epoch
-/// entry and scatters responses into each source connection's write
-/// buffer in request order.
+/// This is the only code that reads, executes, flushes or reaps a
+/// connection.  It never blocks and never reads the clock; whoever owns it
+/// decides when to sweep and what to do when a sweep moved nothing.
+struct Worker<'a, S: Stm + Clone, T> {
+    store: &'a ShardedKv<S>,
+    stats: &'a ServerStats,
+    thread: S::Thread,
+    conns: Vec<Conn<T>>,
+    multi: MultiBatch,
+}
+
+impl<'a, S: Stm + Clone, T: Read + Write> Worker<'a, S, T> {
+    /// A worker with an empty table.  Registers the STM thread handle, so
+    /// it must be called on the thread that sweeps.
+    fn new(store: &'a ShardedKv<S>, stats: &'a ServerStats) -> Self {
+        Self {
+            store,
+            stats,
+            thread: store.register(),
+            conns: Vec::new(),
+            multi: MultiBatch::new(),
+        }
+    }
+
+    /// Adds one connection to the table, or drops it (closing it) when the
+    /// table is at [`MAX_CONNS_PER_WORKER`].  Either outcome is counted.
+    fn admit(&mut self, stream: T) {
+        if self.conns.len() >= MAX_CONNS_PER_WORKER {
+            // ORDERING: monotonic counter; see ServerStats::snapshot.
+            self.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // ORDERING: monotonic counter; see ServerStats::snapshot.
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        self.conns.push(Conn::new(stream));
+    }
+
+    /// One turn over every connection: flush → read/decode → coalesced
+    /// execute → flush → reap.  Returns whether anything moved (bytes in or
+    /// out, a frame executed).
+    ///
+    /// The read phase appends every decodable frame from every readable
+    /// connection into one [`MultiBatch`]; the execute phase dispatches it
+    /// under a single epoch entry and scatters responses into each source
+    /// connection's write buffer in request order.
+    fn sweep(&mut self) -> bool {
+        // Flush before reading: freeing transport buffers early lets peers
+        // that pipeline make progress within a single sweep.
+        let mut progressed = false;
+        for conn in &mut self.conns {
+            progressed |= conn.flush();
+        }
+
+        // Read/decode: drain every decodable frame from every readable
+        // connection into the shared MultiBatch, tagged by table slot.
+        debug_assert!(self.multi.is_empty());
+        for (slot, conn) in self.conns.iter_mut().enumerate() {
+            if conn.wants_read() {
+                progressed |= conn.read_frames(slot, &mut self.multi);
+            }
+        }
+
+        // Execute: one shard-grouped dispatch, one epoch entry, covering
+        // every frame the sweep found; then scatter responses per source.
+        if !self.multi.is_empty() {
+            let multi = &mut self.multi;
+            let (frames, ops) = (multi.frame_count(), multi.op_count() as u64);
+            if self.store.execute_multi(multi, &mut self.thread).is_ok() {
+                self.stats.record_dispatch(frames, ops);
+                for (slot, results) in multi.frames() {
+                    let conn = &mut self.conns[slot];
+                    // Encoding can only refuse values larger than the store
+                    // can hold — unreachable for store output, but a refusal
+                    // must tear down rather than answer out of position.
+                    if wire::encode_response_append(results, conn.wbuf.append()).is_err() {
+                        conn.fail_transport();
+                    }
+                }
+            } else {
+                // Unreachable for frames the decoder accepted (its caps
+                // equal the store's), but a store refusal must still tear
+                // down every contributing connection rather than answer
+                // out of position or panic.
+                for slot in multi.sources() {
+                    self.conns[slot].closing = Some(ConnEnd::WireError);
+                }
+            }
+            multi.clear();
+            progressed = true;
+        }
+
+        // Second flush: answers computed this sweep usually fit the
+        // transport's buffer, so most request/response cycles complete in
+        // one sweep.
+        for conn in &mut self.conns {
+            progressed |= conn.flush();
+        }
+
+        // Reap: closing connections leave once their queued responses are
+        // flushed (or proved unsendable).
+        self.conns.retain(|conn| match conn.closing {
+            Some(end) if conn.pending() == 0 => {
+                if matches!(end, ConnEnd::WireError) {
+                    // ORDERING: monotonic counter; see ServerStats::snapshot.
+                    self.stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                false
+            }
+            _ => true,
+        });
+        progressed
+    }
+}
+
+/// The socket driver of one worker thread: admits what the acceptor
+/// queued, sweeps, and yields or parks after sweeps that moved nothing.
 fn worker_loop<S: Stm + Clone>(
     store: &ShardedKv<S>,
     queue: &Receiver<TcpStream>,
-    max_conns: usize,
     shutdown: &AtomicBool,
     stats: &ServerStats,
 ) {
-    // The STM thread handle must be created on the thread that uses it.
-    let mut thread = store.register();
-    let mut conns: Vec<Conn<TcpStream>> = Vec::new();
-    let mut multi = MultiBatch::new();
+    let mut worker = Worker::<S, TcpStream>::new(store, stats);
     // When the current run of progress-free sweeps began; `None` while
     // traffic flows, so the busy path never reads the clock.
     let mut idle_since: Option<Instant> = None;
@@ -554,20 +708,21 @@ fn worker_loop<S: Stm + Clone>(
         let mut progressed = false;
 
         // Admit: with an empty table, block (briefly) on the queue; with
-        // live connections, only drain what is already there.
-        if conns.is_empty() {
+        // live connections, only drain what is already there.  Admitting a
+        // connection, even refusing one, is progress.
+        if worker.conns.is_empty() {
             match queue.recv_timeout(POLL) {
-                Ok(stream) => progressed |= admit(stream, &mut conns, max_conns, stats),
+                Ok(stream) => progressed |= admit_socket(&mut worker, stream),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return,
             }
         }
         loop {
             match queue.try_recv() {
-                Ok(stream) => progressed |= admit(stream, &mut conns, max_conns, stats),
+                Ok(stream) => progressed |= admit_socket(&mut worker, stream),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    if conns.is_empty() {
+                    if worker.conns.is_empty() {
                         return;
                     }
                     break;
@@ -575,76 +730,7 @@ fn worker_loop<S: Stm + Clone>(
             }
         }
 
-        // Flush before reading: freeing socket buffers early lets peers
-        // that pipeline make progress within a single sweep.
-        for conn in &mut conns {
-            if conn.pending() > 0 {
-                progressed |= conn.flush() > 0;
-            }
-        }
-
-        // Read/decode: drain every decodable frame from every readable
-        // connection into the shared MultiBatch, tagged by table slot.
-        debug_assert!(multi.is_empty());
-        for (slot, conn) in conns.iter_mut().enumerate() {
-            if conn.wants_read() {
-                progressed |= read_frames(conn, slot, &mut multi);
-            }
-        }
-
-        // Execute: one shard-grouped dispatch, one epoch entry, covering
-        // every frame the sweep found; then scatter responses per source.
-        if !multi.is_empty() {
-            let (frames, ops) = (multi.frame_count(), multi.op_count() as u64);
-            if store.execute_multi(&mut multi, &mut thread).is_ok() {
-                stats.record_dispatch(frames, ops);
-                for (slot, results) in multi.frames() {
-                    let conn = &mut conns[slot];
-                    // Encoding can only refuse values larger than the store
-                    // can hold — unreachable for store output, but a refusal
-                    // must tear down rather than answer out of position.
-                    if wire::encode_response_append(results, conn.wbuf.append()).is_err() {
-                        conn.fail_transport();
-                    } else if matches!(conn.state, ConnState::Executing) {
-                        conn.state = ConnState::Writing;
-                    }
-                }
-            } else {
-                // Unreachable for frames the decoder accepted (its caps
-                // equal the store's), but a store refusal must still tear
-                // down every contributing connection rather than answer
-                // out of position or panic.
-                for slot in multi.sources().collect::<Vec<_>>() {
-                    conns[slot].state = ConnState::Closing(ConnEnd::WireError);
-                }
-            }
-            multi.clear();
-            progressed = true;
-        }
-
-        // Second flush: answers computed this sweep usually fit the socket
-        // buffer, so most request/response cycles complete in one sweep.
-        for conn in &mut conns {
-            if conn.pending() > 0 {
-                progressed |= conn.flush() > 0;
-            }
-        }
-
-        // Reap: closing connections leave once their queued responses are
-        // flushed (or proved unsendable).  Backwards so swap_remove keeps
-        // unvisited slots stable.
-        for slot in (0..conns.len()).rev() {
-            if let ConnState::Closing(end) = conns[slot].state {
-                if conns[slot].pending() == 0 {
-                    if matches!(end, ConnEnd::WireError) {
-                        // ORDERING: monotonic counter; see
-                        // ServerStats::snapshot.
-                        stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    drop(conns.swap_remove(slot));
-                }
-            }
-        }
+        progressed |= worker.sweep();
 
         // Idle policy: spin politely right after traffic, park once quiet.
         if progressed {
@@ -659,325 +745,23 @@ fn worker_loop<S: Stm + Clone>(
     }
 }
 
-/// Configures and admits one accepted connection into the worker's table,
-/// enforcing the per-worker cap.  Returns whether the sweep made progress
-/// (it did unless the queue handed us nothing — any outcome here, even a
-/// rejection, is observable work).
-fn admit(
-    stream: TcpStream,
-    conns: &mut Vec<Conn<TcpStream>>,
-    max_conns: usize,
-    stats: &ServerStats,
-) -> bool {
-    if conns.len() >= max_conns {
-        // ORDERING: monotonic counter; see ServerStats::snapshot.
-        stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-        return true; // dropping `stream` closes it
-    }
+/// Configures one accepted socket for the sweep and hands it to the
+/// worker.  Returns `true`: any outcome here is observable work.
+fn admit_socket<S: Stm + Clone>(worker: &mut Worker<'_, S, TcpStream>, stream: TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         // A blocking socket would stall the whole sweep: unusable here.
         // ORDERING: monotonic counter; see ServerStats::snapshot.
-        stats.io_errors.fetch_add(1, Ordering::Relaxed);
+        worker.stats.io_errors.fetch_add(1, Ordering::Relaxed);
         return true;
     }
     if stream.set_nodelay(true).is_err() {
         // Latency nicety only — count it, keep the connection.
         // ORDERING: monotonic counter; see ServerStats::snapshot.
-        stats.io_errors.fetch_add(1, Ordering::Relaxed);
+        worker.stats.io_errors.fetch_add(1, Ordering::Relaxed);
     }
-    // ORDERING: monotonic counter; see ServerStats::snapshot.
-    stats.connections.fetch_add(1, Ordering::Relaxed);
-    conns.push(Conn::new(stream));
+    worker.admit(stream);
     true
 }
 
-/// Reads and decodes everything currently available on one connection:
-/// alternates buffered-frame draining with nonblocking fills, committing
-/// each decoded frame into `multi` tagged with `slot`.  Returns whether any
-/// byte arrived or frame decoded.
-///
-/// A fill that returns fewer bytes than it offered has drained the socket,
-/// so the connection's turn ends there — no follow-up `read` whose only
-/// answer would be `WouldBlock`.  Nothing can be stranded by that: the sweep
-/// is level-triggered (every sweep reads every readable connection), so
-/// bytes that land a microsecond later are found by the next sweep.  A fill
-/// that came back full is followed by another, at most
-/// [`MAX_FILLS_PER_SWEEP`] in all so one firehose peer cannot monopolize
-/// the sweep.
-///
-/// Failure handling preserves the wire contract: a malformed frame rolls
-/// its partial ops back out of `multi` and marks the connection
-/// `Closing(WireError)` — frames committed before it still execute, and
-/// their responses still flush before the reaper closes the socket.
-fn read_frames<R: Read>(conn: &mut Conn<R>, slot: usize, multi: &mut MultiBatch) -> bool {
-    let committed_from = multi.frame_count();
-    let mut progressed = false;
-    let mut fills = 0usize;
-    let mut drained = false;
-    'sweep: loop {
-        // Drain every complete frame already buffered.
-        loop {
-            match conn.reader.try_frame() {
-                Ok(None) => break,
-                Ok(Some((start, end))) => {
-                    let body = &conn.reader.buffered()[start..end];
-                    match wire::decode_request_append(body, multi.request_mut()) {
-                        Ok(_) => {
-                            multi.commit_frame(slot);
-                            progressed = true;
-                        }
-                        Err(_) => {
-                            multi.rollback_frame();
-                            conn.state = ConnState::Closing(ConnEnd::WireError);
-                            break 'sweep;
-                        }
-                    }
-                }
-                Err(_) => {
-                    conn.state = ConnState::Closing(ConnEnd::WireError);
-                    break 'sweep;
-                }
-            }
-        }
-        if drained || fills == MAX_FILLS_PER_SWEEP {
-            break;
-        }
-        fills += 1;
-        match conn.reader.fill_nonblocking(&mut conn.stream) {
-            Ok(Fill::Bytes(n)) => {
-                progressed = true;
-                drained = n < wire::READ_CHUNK;
-            }
-            Ok(Fill::WouldBlock) => break,
-            Ok(Fill::Eof) => {
-                conn.state = ConnState::Closing(if conn.reader.mid_frame() {
-                    ConnEnd::WireError
-                } else {
-                    ConnEnd::Done
-                });
-                break;
-            }
-            Err(_) => {
-                conn.state = ConnState::Closing(ConnEnd::Done);
-                break;
-            }
-        }
-    }
-    if multi.frame_count() > committed_from && !matches!(conn.state, ConnState::Closing(_)) {
-        conn.state = ConnState::Executing;
-    }
-    progressed
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use spectm_kv::BatchOp;
-    use std::collections::VecDeque;
-
-    /// A nonblocking transport replaying a script: each `read` hands out the
-    /// next chunk whole (an empty chunk is EOF), an exhausted script answers
-    /// `WouldBlock`, and every call is counted.
-    struct Scripted {
-        chunks: VecDeque<Vec<u8>>,
-        reads: usize,
-    }
-
-    impl Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads += 1;
-            match self.chunks.pop_front() {
-                Some(chunk) => {
-                    buf[..chunk.len()].copy_from_slice(&chunk);
-                    Ok(chunk.len())
-                }
-                None => Err(io::ErrorKind::WouldBlock.into()),
-            }
-        }
-    }
-
-    fn scripted(chunks: impl IntoIterator<Item = Vec<u8>>) -> Conn<Scripted> {
-        Conn::new(Scripted {
-            chunks: chunks.into_iter().collect(),
-            reads: 0,
-        })
-    }
-
-    fn get_frame(key: u64) -> Vec<u8> {
-        let mut frame = Vec::new();
-        wire::encode_request(&[BatchOp::Get(key)], &mut frame).unwrap();
-        frame
-    }
-
-    /// One sweep's read phase over `conn` as the worker runs it; returns
-    /// `(reads issued, frames committed)`.
-    fn sweep(conn: &mut Conn<Scripted>, multi: &mut MultiBatch) -> (usize, usize) {
-        let (reads, frames) = (conn.stream.reads, multi.frame_count());
-        read_frames(conn, 0, multi);
-        (conn.stream.reads - reads, multi.frame_count() - frames)
-    }
-
-    /// The short-read rule, counted: a read that returned less than it was
-    /// offered drained the socket, so the sweep does not pay for a second
-    /// `read` just to be told `WouldBlock`.
-    #[test]
-    fn a_short_read_ends_the_sweep_without_a_follow_up_read() {
-        let mut conn = scripted([get_frame(7)]);
-        let mut multi = MultiBatch::new();
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
-        assert!(matches!(conn.state, ConnState::Executing));
-        // The next sweep finds nothing: one read, answered WouldBlock.
-        conn.state = ConnState::Reading;
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
-        assert!(matches!(conn.state, ConnState::Reading));
-    }
-
-    /// A read that filled everything it was offered may have left more in
-    /// the socket, so the follow-up read *is* issued — up to the fairness
-    /// bound, and then (on a later sweep) until one comes back short.
-    #[test]
-    fn full_reads_are_followed_up_within_the_per_sweep_bound() {
-        let frame = get_frame(3);
-        let full_reads = MAX_FILLS_PER_SWEEP + 2;
-        let stream: Vec<u8> = frame
-            .iter()
-            .copied()
-            .cycle()
-            .take(full_reads * wire::READ_CHUNK)
-            .collect();
-        let mut conn = scripted(stream.chunks(wire::READ_CHUNK).map(<[u8]>::to_vec));
-        let mut multi = MultiBatch::new();
-        let (reads, first) = sweep(&mut conn, &mut multi);
-        assert_eq!(reads, MAX_FILLS_PER_SWEEP);
-        assert_eq!(first, MAX_FILLS_PER_SWEEP * wire::READ_CHUNK / frame.len());
-        // Two full reads remain; the read after them is the WouldBlock.
-        let (reads, second) = sweep(&mut conn, &mut multi);
-        assert_eq!(reads, 3);
-        assert_eq!(first + second, stream.len() / frame.len());
-    }
-
-    /// Level-triggered sweeps cannot strand or repeat a frame: wherever the
-    /// bytes are cut, the frame is committed exactly once, by the sweep that
-    /// receives its last byte.
-    #[test]
-    fn a_frame_split_at_any_offset_across_sweeps_commits_exactly_once() {
-        let frame = get_frame(11);
-        for cut in 1..frame.len() {
-            let mut conn = scripted([frame[..cut].to_vec()]);
-            let mut multi = MultiBatch::new();
-            assert_eq!(sweep(&mut conn, &mut multi), (1, 0), "cut at {cut}");
-            conn.stream.chunks.push_back(frame[cut..].to_vec());
-            assert_eq!(sweep(&mut conn, &mut multi), (1, 1), "cut at {cut}");
-            assert_eq!(sweep(&mut conn, &mut multi), (1, 0), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn eof_is_a_wire_error_mid_frame_and_a_clean_close_on_a_boundary() {
-        let frame = get_frame(5);
-        let mut multi = MultiBatch::new();
-
-        let mut conn = scripted([frame[..frame.len() - 1].to_vec(), Vec::new()]);
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
-        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::WireError)));
-
-        let mut conn = scripted([frame, Vec::new()]);
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 0));
-        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::Done)));
-    }
-
-    /// A malformed frame tears the connection down without taking the good
-    /// frame before it along: that one stays committed (and is answered
-    /// before the reaper closes the socket).
-    #[test]
-    fn a_malformed_frame_leaves_the_good_frame_before_it_committed() {
-        let mut bytes = get_frame(9);
-        bytes.extend_from_slice(&5u32.to_le_bytes()); // prefix: 5-byte body
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one operation …
-        bytes.push(0xEE); // … with an opcode nobody defined
-        let mut conn = scripted([bytes]);
-        let mut multi = MultiBatch::new();
-        assert_eq!(sweep(&mut conn, &mut multi), (1, 1));
-        assert_eq!(multi.op_count(), 1, "the bad frame's ops were rolled back");
-        assert!(matches!(conn.state, ConnState::Closing(ConnEnd::WireError)));
-    }
-
-    /// The bug this type replaces: resetting the buffer only when the
-    /// backlog reaches exactly zero lets a peer that always leaves a byte
-    /// pending grow it by every byte ever sent.
-    #[test]
-    fn write_buffer_gives_back_its_flushed_prefix() {
-        const RESPONSE: usize = 4096;
-        let mut wbuf = WriteBuf::default();
-        let mut oracle: Vec<u8> = Vec::new(); // unsent bytes, never compacted
-        let (mut oracle_sent, mut max_unsent, mut max_len) = (0usize, 0usize, 0usize);
-        for round in 0..10_000usize {
-            let response: Vec<u8> = (0..RESPONSE).map(|i| (round + i) as u8).collect();
-            wbuf.append().extend_from_slice(&response);
-            oracle.extend_from_slice(&response);
-            max_len = max_len.max(wbuf.buf.len());
-            wbuf.consume(RESPONSE - 1);
-            oracle_sent += RESPONSE - 1;
-            assert_eq!(wbuf.unsent(), &oracle[oracle_sent..], "round {round}");
-            max_unsent = max_unsent.max(wbuf.unsent().len());
-        }
-        assert_eq!(max_unsent, 10_000);
-        let bound = 2 * max_unsent + RESPONSE;
-        assert!(max_len <= bound, "buffer reached {max_len} > {bound}");
-        // `Vec` grows by doubling, so capacity may overshoot the longest
-        // the buffer ever was — by that factor and no more.
-        assert!(wbuf.buf.capacity() <= 2 * bound);
-    }
-
-    #[test]
-    fn idle_policy_spins_below_the_park_length_and_parks_from_it() {
-        assert_eq!(idle_action(Duration::ZERO), Idle::Spin);
-        assert_eq!(idle_action(IDLE_PARK - Duration::from_nanos(1)), Idle::Spin);
-        assert_eq!(idle_action(IDLE_PARK), Idle::Park);
-        assert_eq!(idle_action(Duration::from_secs(60)), Idle::Park);
-    }
-
-    /// Regression: a worker whose receiver is gone hands the item back
-    /// through the send error.  The dispatcher must fall through to the
-    /// next worker — the old inline loop unwrapped an `Option` on exactly
-    /// this path, and a panic here kills the acceptor thread, after which
-    /// the server silently stops accepting.
-    #[test]
-    fn dispatch_skips_dead_workers_without_panicking() {
-        let (tx_dead, rx_dead) = mpsc::channel::<u32>();
-        let (tx_live, rx_live) = mpsc::channel::<u32>();
-        drop(rx_dead);
-        let txs = [tx_dead, tx_live];
-        let mut next = 0;
-        assert_eq!(dispatch_to_worker(7, &txs, &mut next), Ok(()));
-        assert_eq!(rx_live.recv(), Ok(7));
-    }
-
-    /// With every worker gone the item comes back to the caller (which
-    /// counts the drop) instead of being lost or panicking.
-    #[test]
-    fn dispatch_returns_the_item_when_every_worker_is_gone() {
-        let (tx_a, rx_a) = mpsc::channel::<u32>();
-        let (tx_b, rx_b) = mpsc::channel::<u32>();
-        drop((rx_a, rx_b));
-        let mut next = 1;
-        assert_eq!(dispatch_to_worker(9, &[tx_a, tx_b], &mut next), Err(9));
-    }
-
-    /// The round-robin cursor keeps rotating across calls so load spreads
-    /// instead of pinning to worker zero.
-    #[test]
-    fn dispatch_round_robins_across_live_workers() {
-        let (tx_a, rx_a) = mpsc::channel::<u32>();
-        let (tx_b, rx_b) = mpsc::channel::<u32>();
-        let txs = [tx_a, tx_b];
-        let mut next = 0;
-        for item in 0..4u32 {
-            assert_eq!(dispatch_to_worker(item, &txs, &mut next), Ok(()));
-        }
-        assert_eq!((rx_a.try_recv(), rx_a.try_recv()), (Ok(0), Ok(2)));
-        assert_eq!((rx_b.try_recv(), rx_b.try_recv()), (Ok(1), Ok(3)));
-    }
-}
+mod tests;

@@ -1,92 +1,24 @@
-//! Multiplexing tests: the properties the event-loop server adds over the
-//! one-connection-per-worker design.
+//! The one multiplexing property that belongs to the socket driver rather
+//! than to the worker's sweep: **slow readers cannot block shutdown** — a
+//! peer holding unread responses pins only its own connection, never its
+//! worker, because the driver checks the shutdown flag before every sweep.
+//! Shutdown completes promptly with responses still queued (the old
+//! one-connection-per-worker design blocked in `write_all` forever).
 //!
-//! * **No starvation** — idle connections greatly outnumbering workers
-//!   must not keep active connections from being served (the seed design
-//!   fails this by construction: a worker parked on an idle connection is
-//!   gone until that peer speaks).
-//! * **Slow readers cannot block shutdown** — a peer holding unread
-//!   responses pins only its own connection, never its worker; shutdown
-//!   completes promptly with responses still queued (the seed design
-//!   blocks in `write_all` forever).
-//! * **Coalescing is invisible on the wire** — frames interleaved across
-//!   K connections produce byte-identical responses to serial
-//!   per-connection execution, no matter how the server batched them.
-//! * **Coalescing is observable in stats** — pipelined frames from
-//!   several connections coalesce into fewer dispatches than batches, and
-//!   the histogram accounts for every dispatch.
+//! Fairness, coalescing and the interleaved-frames byte identity are
+//! properties of the sweep itself; they run as step-counted unit tests
+//! over seeded in-memory pipes (`src/server/tests.rs`).
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
 use spectm::variants::ValShort;
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::wire::{self, FrameReader};
-use spectm_kv::{BatchOp, ShardedKv, Value};
+use spectm_kv::{BatchOp, ShardedKv};
 use spectm_serve::Server;
 
 use harness::loadgen::WireConn;
-
-/// Answers within this bound or the run is starved (generous: CI machines
-/// stall, but a starved connection waits *forever*).
-const ANSWER_DEADLINE: Duration = Duration::from_secs(10);
-
-fn start_server(workers: usize) -> Server {
-    let stm = ValShort::new();
-    let store = Arc::new(ShardedKv::new(&stm, 8, 256, ApiMode::Short));
-    Server::start(store, "127.0.0.1:0", workers).expect("start server")
-}
-
-/// 2 workers, 32 connections that never speak, 4 that do: every active
-/// connection gets every batch answered.  The seed design parks both
-/// workers on the first two idle connections and never serves an active
-/// one — this test fails there by construction.
-#[test]
-fn idle_connections_do_not_starve_active_ones() {
-    const IDLE: usize = 32;
-    const ACTIVE: usize = 4;
-    const ROUNDS: u64 = 20;
-
-    let server = start_server(2);
-    let addr = server.local_addr();
-
-    let _idle: Vec<WireConn> = (0..IDLE)
-        .map(|_| WireConn::connect(addr).expect("idle connect"))
-        .collect();
-    let mut active: Vec<WireConn> = (0..ACTIVE)
-        .map(|_| {
-            let conn = WireConn::connect(addr).expect("active connect");
-            conn.set_read_timeout(Some(ANSWER_DEADLINE))
-                .expect("read timeout");
-            conn
-        })
-        .collect();
-
-    for round in 0..ROUNDS {
-        for (i, conn) in active.iter_mut().enumerate() {
-            let key = i as u64 * 1_000 + round;
-            let results = conn
-                .execute(&[BatchOp::put(key, b"live"), BatchOp::Get(key)])
-                .unwrap_or_else(|e| panic!("active connection {i} starved at round {round}: {e}"));
-            assert_eq!(results[1].as_deref(), Some(&b"live"[..]));
-        }
-    }
-
-    drop(active);
-    drop(_idle);
-    let stats = server.shutdown();
-    assert_eq!(stats.wire_errors, 0);
-    assert_eq!(
-        stats.connections,
-        (IDLE + ACTIVE) as u64,
-        "every connection was admitted, idle ones included"
-    );
-    assert_eq!(stats.batches, ACTIVE as u64 * ROUNDS);
-}
 
 /// A peer that stops reading its responses cannot delay shutdown: queue
 /// ~20 MB of responses behind a full socket, then shut down and require it
@@ -97,7 +29,9 @@ fn slow_reader_does_not_block_shutdown() {
     const VALUE_LEN: usize = 512 * 1024;
     const UNREAD_GETS: usize = 40;
 
-    let server = start_server(1);
+    let stm = ValShort::new();
+    let store = Arc::new(ShardedKv::new(&stm, 8, 256, ApiMode::Short));
+    let server = Server::start(store, "127.0.0.1:0", 1).expect("start server");
     let mut conn = WireConn::connect(server.local_addr()).expect("connect");
 
     let big = vec![0xB5u8; VALUE_LEN];
@@ -122,203 +56,4 @@ fn slow_reader_does_not_block_shutdown() {
     assert_eq!(stats.wire_errors, 0);
     assert_eq!(stats.connections, 1);
     drop(conn);
-}
-
-/// Two connections each pipeline 32 single-op frames in one write: the
-/// server answers all 64, and its own stats show it coalesced them into
-/// fewer dispatches — with the histogram accounting for every one.
-#[test]
-fn pipelined_connections_coalesce_into_fewer_dispatches() {
-    const FRAMES_PER_CONN: usize = 32;
-
-    let server = start_server(1);
-    let addr = server.local_addr();
-
-    let mut conns: Vec<RawConn> = (0..2).map(|_| RawConn::connect(addr)).collect();
-
-    // One write syscall per connection carrying all of its frames, so the
-    // worker's read phase finds them buffered together.
-    let mut miss = Vec::new();
-    wire::encode_response(&[None], &mut miss).expect("encode miss");
-    for conn in &mut conns {
-        let mut wire_bytes = Vec::new();
-        for k in 0..FRAMES_PER_CONN as u64 {
-            let mut frame = Vec::new();
-            wire::encode_request(&[BatchOp::Get(k)], &mut frame).expect("encode");
-            wire_bytes.extend_from_slice(&frame);
-        }
-        conn.send(&wire_bytes);
-    }
-    for conn in &mut conns {
-        for _ in 0..FRAMES_PER_CONN {
-            assert_eq!(conn.recv_body(), &miss[4..], "every get misses");
-        }
-    }
-
-    let stats = server.shutdown();
-    assert_eq!(stats.wire_errors, 0);
-    assert_eq!(stats.batches, 2 * FRAMES_PER_CONN as u64);
-    assert!(stats.dispatches >= 1);
-    assert!(
-        stats.dispatches < stats.batches,
-        "64 pipelined frames must coalesce: {} dispatches for {} batches",
-        stats.dispatches,
-        stats.batches
-    );
-    assert!(stats.mean_coalesced_frames() > 1.0);
-    assert_eq!(
-        stats.coalesce_hist.iter().sum::<u64>(),
-        stats.dispatches,
-        "the histogram accounts for every dispatch"
-    );
-}
-
-/// A raw protocol client for the interleaving proptest: sends prebuilt
-/// frame bytes and reads raw response-frame bodies, so the comparison is
-/// over exact wire bytes, not decoded values.
-struct RawConn {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
-impl RawConn {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("raw connect");
-        stream
-            .set_read_timeout(Some(ANSWER_DEADLINE))
-            .expect("read timeout");
-        Self {
-            stream,
-            reader: FrameReader::new(),
-        }
-    }
-
-    fn send(&mut self, frame: &[u8]) {
-        self.stream.write_all(frame).expect("raw send");
-    }
-
-    fn recv_body(&mut self) -> Vec<u8> {
-        match wire::read_frame(&mut self.reader, &mut self.stream).expect("raw recv") {
-            Some((start, end)) => self.reader.buffered()[start..end].to_vec(),
-            None => panic!("server closed with a response due"),
-        }
-    }
-}
-
-/// Builds a [`BatchOp`] from one generated `(kind, key, draw)` triple,
-/// with `key` offset into its connection's private range.
-fn op_from(kind: u8, key: u64, draw: u64) -> BatchOp {
-    match kind % 4 {
-        0 => BatchOp::Get(key),
-        1 => BatchOp::Del(key),
-        _ => {
-            let len = (draw % 40) as usize;
-            let payload: Vec<u8> = (0..len)
-                .map(|i| (key as u8) ^ (draw as u8).wrapping_add(i as u8))
-                .collect();
-            BatchOp::put(key, &payload)
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        ..ProptestConfig::default()
-    })]
-
-    /// Frames from K connections, pipelined and interleaved frame-by-frame
-    /// across connections, produce **byte-identical** responses to serial
-    /// execution of each connection's frames against its own oracle.
-    /// Connections own disjoint key ranges, so per-connection serial
-    /// semantics pin every byte regardless of how the server coalesced.
-    #[test]
-    fn interleaved_connections_answer_identically_to_serial(
-        per_conn in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec((0u8..4, 0u64..32, 0u64..1 << 60), 1..8),
-                1..6,
-            ),
-            2..5,
-        ),
-    ) {
-        // One worker: every connection shares it, maximizing coalescing.
-        let server = start_server(1);
-        let addr = server.local_addr();
-
-        let mut conns: Vec<RawConn> = (0..per_conn.len())
-            .map(|_| RawConn::connect(addr))
-            .collect();
-
-        // Encode each connection's frames and the serial expectation of
-        // their bodies (replay against a per-connection oracle).
-        let mut frames: Vec<Vec<Vec<u8>>> = Vec::new();
-        let mut expect: Vec<Vec<Vec<u8>>> = Vec::new();
-        for (c, conn_frames) in per_conn.iter().enumerate() {
-            let base = c as u64 * 1_000;
-            let mut oracle = std::collections::BTreeMap::new();
-            let mut encoded = Vec::new();
-            let mut bodies = Vec::new();
-            for frame in conn_frames {
-                let ops: Vec<BatchOp> = frame
-                    .iter()
-                    .map(|&(kind, key, draw)| op_from(kind, base + key, draw))
-                    .collect();
-                let results: Vec<Option<Value>> = ops
-                    .iter()
-                    .map(|op| match op {
-                        BatchOp::Get(k) => oracle.get(k).cloned(),
-                        BatchOp::Put(k, v) | BatchOp::PutTtl(k, v, _) => {
-                            oracle.insert(*k, v.clone())
-                        }
-                        BatchOp::Del(k) => oracle.remove(k),
-                    })
-                    .collect();
-                let mut request = Vec::new();
-                wire::encode_request(&ops, &mut request).expect("encode request");
-                encoded.push(request);
-                let mut response = Vec::new();
-                wire::encode_response(&results, &mut response).expect("encode response");
-                // Compare frame *bodies*; the length prefix is framing.
-                bodies.push(response[4..].to_vec());
-            }
-            frames.push(encoded);
-            expect.push(bodies);
-        }
-
-        // Interleave: round-robin one frame per connection per turn, all
-        // pipelined before any response is read.
-        let mut turn = 0usize;
-        loop {
-            let mut sent_any = false;
-            for (c, conn_frames) in frames.iter().enumerate() {
-                if let Some(frame) = conn_frames.get(turn) {
-                    conns[c].send(frame);
-                    sent_any = true;
-                }
-            }
-            if !sent_any {
-                break;
-            }
-            turn += 1;
-        }
-
-        // Gather: every connection's responses, in its own request order,
-        // must be byte-identical to the serial replay.
-        for (c, bodies) in expect.iter().enumerate() {
-            for (f, body) in bodies.iter().enumerate() {
-                let got = conns[c].recv_body();
-                prop_assert_eq!(
-                    &got,
-                    body,
-                    "connection {} frame {} diverged from serial execution",
-                    c,
-                    f
-                );
-            }
-        }
-
-        let stats = server.shutdown();
-        prop_assert_eq!(stats.wire_errors, 0);
-    }
 }
