@@ -12,6 +12,7 @@
 //! and partially removed towers must be handled explicitly here, whereas the
 //! STM version makes each insertion/removal atomic.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use txepoch::{Collector, LocalHandle};
@@ -34,20 +35,93 @@ fn unmark(p: usize) -> usize {
     p & !MARK
 }
 
+/// A tower: one heap block holding this header followed, in the same
+/// allocation, by `level` atomic links ([`Tower::links`]) — the layout of
+/// the STM skip list's towers, so the two baselines compare synchronisation,
+/// not memory layout.  [`Tower::alloc`] makes the block and [`free_tower`]
+/// is the only free.
+#[repr(C)]
 struct Tower {
     key: u64,
     level: usize,
-    next: [AtomicUsize; MAX_LEVEL],
 }
 
+/// The list's head: a tower header with all `MAX_LEVEL` links after it, laid
+/// out like a heap tower of that height.
+#[repr(C)]
+struct Head {
+    tower: Tower,
+    links: [AtomicUsize; MAX_LEVEL],
+}
+
+const _: () = assert!(
+    std::mem::offset_of!(Head, links) == std::mem::size_of::<Tower>(),
+    "the head's links must sit where Tower::links looks for them"
+);
+
 impl Tower {
-    fn alloc(key: u64, level: usize) -> *mut Tower {
-        Box::into_raw(Box::new(Tower {
-            key,
-            level,
-            next: std::array::from_fn(|_| AtomicUsize::new(0)),
-        }))
+    /// The block of a tower of height `level`: the header, then the links.
+    fn layout(level: usize) -> Layout {
+        let links =
+            Layout::array::<AtomicUsize>(level).expect("tower heights are at most MAX_LEVEL");
+        let (block, offset) = Layout::new::<Tower>()
+            .extend(links)
+            .expect("tower heights are at most MAX_LEVEL");
+        debug_assert_eq!(offset, std::mem::size_of::<Tower>());
+        block
     }
+
+    /// Where the links of the tower at `tower` start: right past its header.
+    #[inline]
+    fn first_link(tower: *const Tower) -> *mut AtomicUsize {
+        tower.wrapping_add(1).cast_mut().cast()
+    }
+
+    /// Allocates a tower of height `level` with every link null; the caller
+    /// owns it until it is published.
+    fn alloc(key: u64, level: usize) -> *mut Tower {
+        let layout = Self::layout(level);
+        // SAFETY: the layout is not zero-sized (the header alone is two
+        // words).  A non-null block is a fresh allocation of it, private to
+        // this thread: the header fits at offset 0 and `level` aligned links
+        // after it (`Tower::layout`).
+        unsafe {
+            let tower = alloc(layout).cast::<Tower>();
+            if tower.is_null() {
+                handle_alloc_error(layout);
+            }
+            tower.write(Tower { key, level });
+            let first = Self::first_link(tower);
+            for lvl in 0..level {
+                first.add(lvl).write(AtomicUsize::new(0));
+            }
+            tower
+        }
+    }
+
+    /// The tower's links, level 0 first.
+    #[inline]
+    fn links(&self) -> &[AtomicUsize] {
+        // SAFETY: a tower is either made by `Tower::alloc`, which wrote
+        // `level` links right after the header, or is the head's, whose
+        // `MAX_LEVEL` links follow it (`Head`); they live as long as it does.
+        unsafe { std::slice::from_raw_parts(Self::first_link(self), self.level) }
+    }
+}
+
+/// Frees a tower made by [`Tower::alloc`], rebuilding its block's layout
+/// from the header's `level` (no part of a tower has a destructor).  Typed
+/// for `Guard::defer_unchecked`.
+///
+/// # Safety
+///
+/// `ptr` must come from [`Tower::alloc`], must be unreachable for every
+/// other thread (never published, past its epoch grace period, or owned by a
+/// list being dropped), and must not be used again.
+unsafe fn free_tower(ptr: *mut u8) {
+    // SAFETY: per the contract the block is a live tower this thread owns
+    // exclusively; its header still holds the height its block was sized by.
+    unsafe { dealloc(ptr, Tower::layout((*ptr.cast::<Tower>()).level)) };
 }
 
 /// A lock-free skip list storing a set of `u64` keys.
@@ -63,7 +137,7 @@ impl Tower {
 /// assert!(list.remove(10, &handle));
 /// ```
 pub struct LockFreeSkipList {
-    head: Tower,
+    head: Head,
     collector: Collector,
 }
 
@@ -72,8 +146,11 @@ unsafe impl Send for LockFreeSkipList {}
 // SAFETY: as above.
 unsafe impl Sync for LockFreeSkipList {}
 
-struct Window {
-    preds: [*const Tower; MAX_LEVEL],
+/// Predecessor and successor per level, as [`LockFreeSkipList::search`]
+/// found them; the predecessors are good for as long as the epoch guard the
+/// search ran under.
+struct Window<'a> {
+    preds: [&'a Tower; MAX_LEVEL],
     succs: [usize; MAX_LEVEL],
     found: bool,
 }
@@ -82,10 +159,12 @@ impl LockFreeSkipList {
     /// Creates an empty skip list tied to `collector`.
     pub fn new(collector: Collector) -> Self {
         Self {
-            head: Tower {
-                key: 0,
-                level: MAX_LEVEL,
-                next: std::array::from_fn(|_| AtomicUsize::new(0)),
+            head: Head {
+                tower: Tower {
+                    key: 0,
+                    level: MAX_LEVEL,
+                },
+                links: std::array::from_fn(|_| AtomicUsize::new(0)),
             },
             collector,
         }
@@ -100,13 +179,13 @@ impl LockFreeSkipList {
     /// level and physically unlinking marked towers along the way.
     ///
     /// The caller must hold an epoch guard.
-    fn search(&self, key: u64, handle: &LocalHandle) -> Window {
+    fn search(&self, key: u64, handle: &LocalHandle) -> Window<'_> {
         'retry: loop {
-            let mut preds = [std::ptr::null::<Tower>(); MAX_LEVEL];
+            let mut preds = [&self.head.tower; MAX_LEVEL];
             let mut succs = [0usize; MAX_LEVEL];
-            let mut pred: &Tower = &self.head;
+            let mut pred: &Tower = &self.head.tower;
             for lvl in (0..MAX_LEVEL).rev() {
-                let mut curr = pred.next[lvl].load(Ordering::Acquire);
+                let mut curr = pred.links()[lvl].load(Ordering::Acquire);
                 if marked(curr) {
                     // `pred` itself is being deleted; restart from the head.
                     continue 'retry;
@@ -118,10 +197,10 @@ impl LockFreeSkipList {
                     // SAFETY: `curr` was read from a reachable link while the
                     // caller is pinned, so the tower has not been freed.
                     let node = unsafe { &*(unmark(curr) as *const Tower) };
-                    let next = node.next[lvl].load(Ordering::Acquire);
+                    let next = node.links()[lvl].load(Ordering::Acquire);
                     if marked(next) {
                         // Logically deleted at this level: unlink it.
-                        if pred.next[lvl]
+                        if pred.links()[lvl]
                             .compare_exchange(
                                 curr,
                                 unmark(next),
@@ -142,7 +221,7 @@ impl LockFreeSkipList {
                     }
                     break;
                 }
-                preds[lvl] = pred as *const Tower;
+                preds[lvl] = pred;
                 succs[lvl] = unmark(curr);
             }
             let found = succs[0] != 0 && {
@@ -162,16 +241,16 @@ impl LockFreeSkipList {
     /// Returns whether `key` is reachable and not logically deleted.
     fn do_contains(&self, key: u64, handle: &LocalHandle) -> bool {
         let _guard = handle.pin();
-        let mut pred: &Tower = &self.head;
+        let mut pred: &Tower = &self.head.tower;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unmark(pred.next[lvl].load(Ordering::Acquire));
+            let mut curr = unmark(pred.links()[lvl].load(Ordering::Acquire));
             loop {
                 if curr == 0 {
                     break;
                 }
                 // SAFETY: protected by the guard above.
                 let node = unsafe { &*(curr as *const Tower) };
-                let next = node.next[lvl].load(Ordering::Acquire);
+                let next = node.links()[lvl].load(Ordering::Acquire);
                 if node.key < key {
                     pred = node;
                     curr = unmark(next);
@@ -201,9 +280,9 @@ impl LockFreeSkipList {
         }
         let _guard = handle.pin();
         // Descend to the last tower strictly before `start`.
-        let mut pred: &Tower = &self.head;
+        let mut pred: &Tower = &self.head.tower;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unmark(pred.next[lvl].load(Ordering::Acquire));
+            let mut curr = unmark(pred.links()[lvl].load(Ordering::Acquire));
             loop {
                 if curr == 0 {
                     break;
@@ -214,15 +293,15 @@ impl LockFreeSkipList {
                     break;
                 }
                 pred = node;
-                curr = unmark(node.next[lvl].load(Ordering::Acquire));
+                curr = unmark(node.links()[lvl].load(Ordering::Acquire));
             }
         }
         // Walk level 0, skipping logically deleted towers.
-        let mut curr = unmark(pred.next[0].load(Ordering::Acquire));
+        let mut curr = unmark(pred.links()[0].load(Ordering::Acquire));
         while curr != 0 && out.len() < limit {
             // SAFETY: as above.
             let node = unsafe { &*(curr as *const Tower) };
-            let next = node.next[0].load(Ordering::Acquire);
+            let next = node.links()[0].load(Ordering::Acquire);
             if node.key >= start && !marked(next) {
                 out.push(node.key);
             }
@@ -240,7 +319,7 @@ impl LockFreeSkipList {
             if w.found {
                 if !new_tower.is_null() {
                     // SAFETY: the tower was never published.
-                    drop(unsafe { Box::from_raw(new_tower) });
+                    unsafe { free_tower(new_tower.cast()) };
                 }
                 return false;
             }
@@ -249,13 +328,11 @@ impl LockFreeSkipList {
             }
             // SAFETY: `new_tower` is still private to this thread.
             let tower = unsafe { &*new_tower };
-            for lvl in 0..level {
-                tower.next[lvl].store(w.succs[lvl], Ordering::Relaxed);
+            for (link, &succ) in tower.links().iter().zip(&w.succs) {
+                link.store(succ, Ordering::Relaxed);
             }
             // Publish at level 0; this is the linearization point of insert.
-            // SAFETY: `preds[0]` is protected by the guard.
-            let pred0 = unsafe { &*w.preds[0] };
-            if pred0.next[0]
+            if w.preds[0].links()[0]
                 .compare_exchange(
                     w.succs[0],
                     new_tower as usize,
@@ -271,15 +348,12 @@ impl LockFreeSkipList {
             // freshly inserted tower and concurrent structural changes.
             for lvl in 1..level {
                 loop {
-                    let succ = tower.next[lvl].load(Ordering::Acquire);
+                    let succ = tower.links()[lvl].load(Ordering::Acquire);
                     if marked(succ) {
                         // The new tower is already being removed; stop linking.
                         return true;
                     }
-                    // SAFETY: predecessors returned by search are protected by
-                    // the guard.
-                    let pred = unsafe { &*w.preds[lvl] };
-                    if pred.next[lvl]
+                    if w.preds[lvl].links()[lvl]
                         .compare_exchange(
                             w.succs[lvl],
                             new_tower as usize,
@@ -298,16 +372,14 @@ impl LockFreeSkipList {
                         return true;
                     }
                     let new_succ = w2.succs[lvl];
-                    if tower.next[lvl]
+                    if tower.links()[lvl]
                         .compare_exchange(succ, new_succ, Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
                     {
                         // Marked concurrently.
                         return true;
                     }
-                    // SAFETY: as above.
-                    let pred = unsafe { &*w2.preds[lvl] };
-                    if pred.next[lvl]
+                    if w2.preds[lvl].links()[lvl]
                         .compare_exchange(
                             new_succ,
                             new_tower as usize,
@@ -335,13 +407,17 @@ impl LockFreeSkipList {
         let node = unsafe { &*(node_ptr as *const Tower) };
 
         // Mark the upper levels first (top-down).
-        for lvl in (1..node.level).rev() {
+        let (level0, upper) = node
+            .links()
+            .split_first()
+            .expect("towers are at least 1 high");
+        for link in upper.iter().rev() {
             loop {
-                let next = node.next[lvl].load(Ordering::Acquire);
+                let next = link.load(Ordering::Acquire);
                 if marked(next) {
                     break;
                 }
-                if node.next[lvl]
+                if link
                     .compare_exchange(next, next | MARK, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
@@ -352,12 +428,12 @@ impl LockFreeSkipList {
 
         // Level 0 decides which of several concurrent removers wins.
         loop {
-            let next = node.next[0].load(Ordering::Acquire);
+            let next = level0.load(Ordering::Acquire);
             if marked(next) {
                 // Someone else deleted it first.
                 return false;
             }
-            if node.next[0]
+            if level0
                 .compare_exchange(next, next | MARK, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -372,8 +448,9 @@ impl LockFreeSkipList {
                 let guard = handle.pin();
                 // SAFETY: the tower is marked at every level and no longer
                 // reachable from the head; epoch reclamation protects any
-                // readers that still hold references.
-                unsafe { guard.defer_drop(node_ptr as *mut Tower) };
+                // readers that still hold references.  `free_tower` matches
+                // the allocation.
+                unsafe { guard.defer_unchecked(node_ptr as *mut u8, free_tower) };
                 return true;
             }
         }
@@ -384,11 +461,11 @@ impl LockFreeSkipList {
     pub fn snapshot(&self, handle: &LocalHandle) -> Vec<u64> {
         let _guard = handle.pin();
         let mut out = Vec::new();
-        let mut curr = unmark(self.head.next[0].load(Ordering::Acquire));
+        let mut curr = unmark(self.head.links[0].load(Ordering::Acquire));
         while curr != 0 {
             // SAFETY: protected by the guard above.
             let node = unsafe { &*(curr as *const Tower) };
-            let next = node.next[0].load(Ordering::Acquire);
+            let next = node.links()[0].load(Ordering::Acquire);
             if !marked(next) {
                 out.push(node.key);
             }
@@ -419,12 +496,16 @@ impl ConcurrentIntSet for LockFreeSkipList {
 impl Drop for LockFreeSkipList {
     fn drop(&mut self) {
         // Exclusive access: walk level 0 and free every tower.
-        let mut curr = unmark(self.head.next[0].load(Ordering::Relaxed));
+        let mut curr = unmark(self.head.links[0].load(Ordering::Relaxed));
         while curr != 0 {
-            // SAFETY: towers were allocated with `Box::into_raw`; during drop
-            // nothing else references them.
-            let tower = unsafe { Box::from_raw(curr as *mut Tower) };
-            curr = unmark(tower.next[0].load(Ordering::Relaxed));
+            let tower = curr as *mut Tower;
+            // SAFETY: during drop nothing else references the towers; each
+            // is freed once, after its level-0 link was read.
+            curr = unsafe {
+                let next = (*tower).links()[0].load(Ordering::Relaxed);
+                free_tower(tower.cast());
+                unmark(next)
+            };
         }
     }
 }

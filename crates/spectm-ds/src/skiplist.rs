@@ -2,8 +2,11 @@
 //! integer set into an ordered `u64 -> u64` map.
 //!
 //! Towers store a key, a transactional value cell and one transactional
-//! forward pointer per level; bit 1 of every forward pointer is the
-//! "deleted" mark (bit 0 stays clear for the value-based layout's lock bit).
+//! forward pointer per level, all in one heap block: the header, then the
+//! links inline after it, sized by the tower's height.  A descent finds a
+//! tower's link at a fixed offset from the tower pointer.  Bit 1 of every
+//! forward pointer is the "deleted" mark (bit 0 stays clear for the
+//! value-based layout's lock bit).
 //! A removal marks the tower's own forward pointers *and* unlinks it from
 //! every level in one atomic step, so a tower is either fully linked or
 //! fully removed — this is precisely the simplification over the CAS-based
@@ -38,6 +41,7 @@
 //! `descend` (the paper's `Search`); what differs is the cell reader it is
 //! handed and the transaction that links or unlinks afterwards.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
@@ -69,13 +73,96 @@ pub const MAX_LEVEL: usize = 32;
 /// taller towers use ordinary transactions (Section 3 uses levels 1–2).
 pub const SHORT_LEVEL_CUTOFF: usize = 2;
 
-/// A skip-list tower.  The key and height are immutable after publication;
-/// the value cell is accessed transactionally.
+/// A skip-list tower: one heap block holding this header followed, in the
+/// same allocation, by `level` transactional links — one forward pointer per
+/// level, reached through [`Tower::links`].  The key and height are
+/// immutable after publication; the value cell and the links are accessed
+/// transactionally.  [`Tower::alloc`] makes the block and [`free_tower`] is
+/// the only free.
+#[repr(C)]
 struct Tower<S: Stm> {
     key: u64,
     level: usize,
     value: S::Cell,
-    next: Vec<S::Cell>,
+}
+
+impl<S: Stm> Tower<S> {
+    /// The block of a tower of height `level`: the header, then the links.
+    /// The header holds a cell, so its size is a multiple of the cell's
+    /// alignment and the links start right at its end.
+    fn layout(level: usize) -> Layout {
+        let links = Layout::array::<S::Cell>(level).expect("tower heights are at most MAX_LEVEL");
+        let (block, offset) = Layout::new::<Self>()
+            .extend(links)
+            .expect("tower heights are at most MAX_LEVEL");
+        debug_assert_eq!(offset, std::mem::size_of::<Self>());
+        block
+    }
+
+    /// Where the links of the tower at `tower` start: right past its header.
+    #[inline]
+    fn first_link(tower: *const Self) -> *mut S::Cell {
+        tower.wrapping_add(1).cast_mut().cast()
+    }
+
+    /// Allocates a tower of height `level`, its value and every link zero.
+    /// The caller owns it until it is published.
+    fn alloc(stm: &S, key: u64, level: usize) -> *mut Self {
+        let layout = Self::layout(level);
+        // SAFETY: the layout is not zero-sized (the header alone is two
+        // words and a cell).  A non-null block is a fresh allocation of it,
+        // private to this thread: the header fits at offset 0 and `level`
+        // aligned cells after it (`Tower::layout`).
+        unsafe {
+            let tower = alloc(layout).cast::<Self>();
+            if tower.is_null() {
+                handle_alloc_error(layout);
+            }
+            tower.write(Tower {
+                key,
+                level,
+                value: stm.new_cell(0),
+            });
+            let first = Self::first_link(tower);
+            for lvl in 0..level {
+                first.add(lvl).write(stm.new_cell(0));
+            }
+            tower
+        }
+    }
+
+    /// The tower's links, level 0 first.
+    #[inline]
+    fn links(&self) -> &[S::Cell] {
+        // SAFETY: every tower was made by `Tower::alloc`, which wrote `level`
+        // cells right after the header; they live as long as the header.
+        unsafe { std::slice::from_raw_parts(Self::first_link(self), self.level) }
+    }
+}
+
+/// Frees a tower made by [`Tower::alloc`]: drops its cells in place and
+/// returns its block, whose layout the header's `level` rebuilds.  The one
+/// free of a tower — unpublished, retired past its grace period, or left in
+/// a list being dropped — typed for `Guard::defer_unchecked`.
+///
+/// # Safety
+///
+/// `ptr` must come from `Tower::<S>::alloc`, must be unreachable for every
+/// other thread (never published, past its epoch grace period, or owned by a
+/// list being dropped), and must not be used again.
+unsafe fn free_tower<S: Stm>(ptr: *mut u8) {
+    let tower = ptr.cast::<Tower<S>>();
+    // SAFETY: per the contract the block is a live tower this thread owns
+    // exclusively; its header still holds the height its block was sized by.
+    unsafe {
+        let level = (*tower).level;
+        std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
+            Tower::first_link(tower),
+            level,
+        ));
+        std::ptr::drop_in_place(tower);
+        dealloc(ptr, Tower::<S>::layout(level));
+    }
 }
 
 /// Traversal window: predecessor cell and successor pointer per level, as
@@ -150,13 +237,7 @@ impl<S: Stm> TowerSlot<S> {
     /// allocated with a freshly drawn height on first use.
     fn tower(&mut self, list: &StmSkipList<S>, key: u64, value: u64) -> (Word, &Tower<S>) {
         if self.ptr.is_null() {
-            let level = random_level();
-            self.ptr = Box::into_raw(Box::new(Tower {
-                key,
-                level,
-                value: list.stm.new_cell(enc(value)),
-                next: (0..level).map(|_| list.stm.new_cell(0)).collect(),
-            }));
+            self.ptr = Tower::alloc(&list.stm, key, random_level());
         }
         // SAFETY: a non-null slot pointer is a tower this slot allocated and
         // nobody has published, so it is live and private to this thread.
@@ -178,7 +259,7 @@ impl<S: Stm> Drop for TowerSlot<S> {
         if !self.ptr.is_null() {
             // SAFETY: per the contract above, a non-null pointer at drop time
             // means the tower was never published to the list.
-            drop(unsafe { Box::from_raw(self.ptr) });
+            unsafe { free_tower::<S>(self.ptr.cast()) };
         }
     }
 }
@@ -201,8 +282,8 @@ impl<S: Stm> RetiredTower<S> {
         let pin = thread.epoch().pin();
         // SAFETY: the committed transaction unlinked and marked the tower,
         // so it is unreachable for new operations; pinned readers are
-        // protected by the epoch.
-        unsafe { pin.defer_drop(self.ptr) };
+        // protected by the epoch.  `free_tower` matches the allocation.
+        unsafe { pin.defer_unchecked(self.ptr.cast(), free_tower::<S>) };
     }
 }
 
@@ -341,7 +422,7 @@ impl<S: Stm> StmSkipList<S> {
         while unmark(curr) != 0 {
             // SAFETY: quiescence is required by the contract.
             let tower = unsafe { &*Self::tower(curr) };
-            let next = S::peek(&tower.next[0]);
+            let next = S::peek(&tower.links()[0]);
             if !is_marked(next) {
                 out.push((tower.key, dec(S::peek(&tower.value))));
             }
@@ -375,8 +456,12 @@ impl<S: Stm> StmSkipList<S> {
             succs: [0; MAX_LEVEL],
             top,
         };
-        let mut pred = w.preds[top - 1];
+        // The predecessor's links: the head's until the walk moves onto a
+        // tower.  A predecessor found at one level is also where the walk
+        // starts one level down.
+        let mut links: &'a [S::Cell] = &self.head;
         for lvl in (0..top).rev() {
+            let mut pred = &links[lvl];
             let mut curr = unmark(read(pred)?);
             while curr != 0 {
                 // SAFETY: `curr` was read from a reachable link under the
@@ -385,37 +470,14 @@ impl<S: Stm> StmSkipList<S> {
                 if tower.key >= key {
                     break;
                 }
-                pred = &tower.next[lvl];
+                links = tower.links();
+                pred = &links[lvl];
                 curr = unmark(read(pred)?);
             }
             w.preds[lvl] = pred;
             w.succs[lvl] = curr;
-            if lvl > 0 {
-                // The predecessor found here is also a valid starting point
-                // one level down: the same tower's next-lower cell.
-                pred = self.step_down(pred, lvl);
-            }
         }
         Ok(w)
-    }
-
-    /// Given the predecessor cell at `lvl`, returns the same tower's cell at
-    /// `lvl - 1` (head cells step down to head cells).
-    fn step_down<'a>(&'a self, pred: &'a S::Cell, lvl: usize) -> &'a S::Cell {
-        let head_cell = &self.head[lvl] as *const S::Cell;
-        if std::ptr::eq(pred, head_cell) {
-            &self.head[lvl - 1]
-        } else {
-            // `pred` is `&tower.next[lvl]`; recover the tower to index its
-            // lower level.  The cells of one tower live in one `Vec`, so the
-            // cell at `lvl - 1` sits one element earlier.
-            // SAFETY: `pred` points into a live tower's `next` vector (it was
-            // obtained under the caller's epoch pin), and `lvl >= 1`.
-            unsafe {
-                let base = (pred as *const S::Cell).sub(lvl);
-                &*base.add(lvl - 1)
-            }
-        }
     }
 
     /// The tower the descent stopped at on level 0, if it holds `key` —
@@ -452,7 +514,8 @@ impl<S: Stm> StmSkipList<S> {
     fn contains_walk(&self, key: u64, thread: &mut S::Thread) -> bool {
         let _pin = thread.epoch().pin();
         let w = self.search(key, thread);
-        Self::found(&w, key).is_some_and(|tower| !is_marked(self.read_link(&tower.next[0], thread)))
+        Self::found(&w, key)
+            .is_some_and(|tower| !is_marked(self.read_link(&tower.links()[0], thread)))
     }
 
     /// Walk-based map lookup: liveness and value are observed together with
@@ -466,14 +529,14 @@ impl<S: Stm> StmSkipList<S> {
                 return Some(None);
             };
             if self.mode == ApiMode::Short {
-                let next = thread.ro_read(0, &tower.next[0]);
+                let next = thread.ro_read(0, &tower.links()[0]);
                 let value = thread.ro_read(1, &tower.value);
                 return thread
                     .ro_is_valid(2)
                     .then(|| (!is_marked(next)).then(|| dec(value)));
             }
             let read = thread.atomic(|tx| {
-                if is_marked(tx.read(&tower.next[0])?) {
+                if is_marked(tx.read(&tower.links()[0])?) {
                     return Ok(None);
                 }
                 Ok(Some(dec(tx.read(&tower.value)?)))
@@ -528,8 +591,8 @@ impl<S: Stm> StmSkipList<S> {
         if above && (same_tx || tower.level > decode_int(tx.read(&self.level_hint)?)) {
             tx.write(&self.level_hint, encode_int(tower.level))?;
         }
-        for lvl in 0..tower.level {
-            S::poke(&tower.next[lvl], w.succs[lvl]);
+        for (lvl, link) in tower.links().iter().enumerate() {
+            S::poke(link, w.succs[lvl]);
             tx.write(w.preds[lvl], ptr)?;
         }
         Ok(true)
@@ -546,21 +609,22 @@ impl<S: Stm> StmSkipList<S> {
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Removal> {
         let target = w.succs[0];
+        let links = tower.links();
         let mut nexts = [0 as Word; MAX_LEVEL];
-        for (lvl, next) in nexts.iter_mut().enumerate().take(tower.level) {
-            *next = tx.read(&tower.next[lvl])?;
+        for (next, link) in nexts.iter_mut().zip(links) {
+            *next = tx.read(link)?;
             if is_marked(*next) {
                 return Ok(Removal::AlreadyGone);
             }
         }
-        for lvl in 0..tower.level {
+        for lvl in 0..links.len() {
             if Self::pred_target(w, same_tx, lvl, tx)? != target {
                 return Ok(Removal::Retry);
             }
         }
-        for (lvl, &next) in nexts.iter().enumerate().take(tower.level) {
+        for (lvl, (&next, link)) in nexts.iter().zip(links).enumerate() {
             tx.write(w.preds[lvl], next)?;
-            tx.write(&tower.next[lvl], mark(next))?;
+            tx.write(link, mark(next))?;
         }
         Ok(Removal::Removed)
     }
@@ -590,13 +654,13 @@ impl<S: Stm> StmSkipList<S> {
                     return self.update_value(tower, value, thread).map(Upsert::Updated);
                 }
                 // Deleted but still linked: wait for the remover.
-                let live = !is_marked(self.read_link(&tower.next[0], thread));
+                let live = !is_marked(self.read_link(&tower.links()[0], thread));
                 return live.then_some(Upsert::Exists);
             }
             let (ptr, tower) = slot.tower(self, key, value);
             let published = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
-                for lvl in 0..tower.level {
-                    S::poke(&tower.next[lvl], w.succs[lvl]);
+                for (link, &succ) in tower.links().iter().zip(&w.succs) {
+                    S::poke(link, succ);
                 }
                 if tower.level == 1 {
                     // The paper's AddLevelOne: one single-location CAS.
@@ -621,7 +685,7 @@ impl<S: Stm> StmSkipList<S> {
     /// if the tower is logically deleted or validation failed (retry).
     fn update_value(&self, tower: &Tower<S>, value: u64, thread: &mut S::Thread) -> Option<u64> {
         if self.mode == ApiMode::Short {
-            let next = thread.rw_read(0, &tower.next[0]);
+            let next = thread.rw_read(0, &tower.links()[0]);
             if !thread.rw_is_valid(1) {
                 return None;
             }
@@ -651,7 +715,7 @@ impl<S: Stm> StmSkipList<S> {
         value: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<u64>> {
-        if is_marked(tx.read(&tower.next[0])?) {
+        if is_marked(tx.read(&tower.links()[0])?) {
             return Ok(None);
         }
         let old = tx.read(&tower.value)?;
@@ -715,7 +779,7 @@ impl<S: Stm> StmSkipList<S> {
             // A tower that is deleted but still linked: wait for the remover
             // to unlink it.
             if !overwrite {
-                return match is_marked(tx.read(&tower.next[0])?) {
+                return match is_marked(tx.read(&tower.links()[0])?) {
                     false => Ok(Upsert::Exists),
                     true => tx.restart(),
                 };
@@ -780,7 +844,7 @@ impl<S: Stm> StmSkipList<S> {
 
     fn remove_split(&self, key: u64, thread: &mut S::Thread) -> bool {
         thread.retry(|thread| {
-            let pin = thread.epoch().pin();
+            let _pin = thread.epoch().pin();
             let w = self.search(key, thread);
             let Some(tower) = Self::found(&w, key) else {
                 return Some(false);
@@ -792,9 +856,11 @@ impl<S: Stm> StmSkipList<S> {
             };
             match outcome {
                 Removal::Removed => {
-                    // SAFETY: unlinked and marked by the committed step above;
-                    // unreachable for new operations.
-                    unsafe { pin.defer_drop(Self::tower(w.succs[0])) };
+                    // Unlinked and marked by the committed step above.
+                    RetiredTower {
+                        ptr: Self::tower(w.succs[0]),
+                    }
+                    .retire(thread);
                     Some(true)
                 }
                 Removal::AlreadyGone => Some(false),
@@ -826,8 +892,8 @@ impl<S: Stm> StmSkipList<S> {
                 return Removal::Retry;
             }
         }
-        for lvl in 0..level {
-            let own = thread.rw_read(level + lvl, &tower.next[lvl]);
+        for (lvl, link) in tower.links().iter().enumerate() {
+            let own = thread.rw_read(level + lvl, link);
             if !thread.rw_is_valid(level + lvl + 1) {
                 return Removal::Retry;
             }
@@ -930,7 +996,7 @@ impl<S: Stm> StmSkipList<S> {
             if tower.key > last {
                 break;
             }
-            let next = tx.read(&tower.next[0])?;
+            let next = tx.read(&tower.links()[0])?;
             if !is_marked(next) {
                 return Ok(Some((tower, next)));
             }
@@ -1044,10 +1110,14 @@ impl<S: Stm> Drop for StmSkipList<S> {
         // Exclusive access: free every remaining tower via level 0.
         let mut curr = S::peek(&self.head[0]);
         while unmark(curr) != 0 {
-            // SAFETY: towers were allocated with `Box::into_raw`; during drop
-            // nothing else references them.
-            let tower = unsafe { Box::from_raw(Self::tower(curr)) };
-            curr = S::peek(&tower.next[0]);
+            let tower = Self::tower(curr);
+            // SAFETY: during drop nothing else references the towers; each
+            // is freed once, after its level-0 link was read.
+            curr = unsafe {
+                let next = S::peek(&(*tower).links()[0]);
+                free_tower::<S>(tower.cast());
+                next
+            };
         }
     }
 }
