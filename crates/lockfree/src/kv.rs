@@ -66,23 +66,28 @@ const LOCK: usize = 1;
 
 /// A node: the immutable key plus the value word, swapped in place.  A
 /// value word of zero is the "no value" sentinel (zero is never a legal
-/// encoded word).  The 64-byte alignment keeps bits 0..=5 of the address
-/// clear for the tag bits packed into the item word.
-#[repr(align(64))]
+/// encoded word).  Like the STM map's node it keeps its natural one-word
+/// alignment: the item word's tag sits above the address bits, and
+/// `Node::alloc` checks that the address stays clear of it.
 struct Node {
     key: u64,
     value: AtomicUsize,
 }
 
-// The node pointer survives the item word's tag and lock bits.
-const _: () = assert!(std::mem::align_of::<Node>() > !ITEM_PTR_MASK);
+// The node's alignment clears the item word's lock bit.
+const _: () = assert!(std::mem::align_of::<Node>() > 1);
 
 impl Node {
     fn alloc(key: u64, word: usize) -> *mut Node {
-        Box::into_raw(Box::new(Node {
+        let node = Box::into_raw(Box::new(Node {
             key,
             value: AtomicUsize::new(word),
-        }))
+        }));
+        assert!(
+            node as usize & !ITEM_PTR_MASK == 0,
+            "node address {node:p} reaches the item word's tag bits"
+        );
+        node
     }
 }
 

@@ -4,15 +4,16 @@
 //! buckets** (the Pelikan/Segcache hashtable layout adapted to STM words).
 //! The table is a flat array of *home buckets*, each 8 contiguous
 //! transactional words: [`BUCKET_SLOTS`] (7) *item words* plus one *stat
-//! word*.  An item word packs a node pointer with a 5-bit **hash tag**
-//! (bits 1..=5, free because nodes are 64-byte aligned), so a probe
-//! compares tags before dereferencing and mismatched slots cost no cache
-//! miss.  The stat word links to a heap-allocated *overflow bucket* once a
-//! bucket's 8th key arrives (512-byte aligned, freeing bits 1..=8 of the
-//! link as the per-bucket **frequency byte** the eviction policy consults —
-//! saturating bump on hit, periodic halving by the reclaimer; bit 0 stays
-//! clear for the `val` layout's lock bit in both word kinds).  A zero item
-//! word is an empty slot; a stat word with no pointer bits ends the chain.
+//! word*.  An item word packs a node pointer with a 16-bit **hash tag**
+//! (bits 48..=63, above every user-space address; nodes keep their natural
+//! one-word alignment), so a probe compares tags before dereferencing and
+//! mismatched slots cost no cache miss.  The stat word links to a
+//! heap-allocated *overflow bucket* once a bucket's 8th key arrives
+//! (512-byte aligned, freeing bits 1..=8 of the link as the per-bucket
+//! **frequency byte** the eviction policy consults — saturating bump on
+//! hit, periodic halving by the reclaimer; bit 0 stays clear for the `val`
+//! layout's lock bit in both word kinds).  A zero item word is an empty
+//! slot; a stat word with no pointer bits ends the chain.
 //! Each `Node` holds the immutable key and two transactional cells: the
 //! **value word** (inline payload or [`crate::ValueCell`] pointer; see
 //! [`crate::value`]) and the **deadline word** (the key's expiry time in
@@ -84,12 +85,19 @@ use txepoch::Guard;
 use crate::value::{decode_value, free_value};
 use crate::{KvError, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
 
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("the item word packs a 16-bit hash tag above 48 address bits: 64-bit targets only");
+
 /// Item words per bucket (the 8th word of the cache line is the stat word).
 pub const BUCKET_SLOTS: usize = 7;
 
-/// Bits 1..=5 of an item word: the hash tag stored beside the node pointer
-/// (bit 0 stays clear for the `val` layout's lock bit).
-const TAG_MASK: Word = 0x3E;
+/// Width of a user-space address on the 64-bit targets the map runs on:
+/// the item word's bits above it are free for the hash tag.
+const ADDRESS_BITS: u32 = 48;
+
+/// Bits 48..=63 of an item word: the 16-bit hash tag stored above the node
+/// pointer (`alloc_node` checks that no node address reaches it).
+const TAG_MASK: Word = !0 << ADDRESS_BITS;
 
 /// Mask recovering the node pointer from an item word.
 pub const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
@@ -126,6 +134,10 @@ const CAPACITY_PER_BUCKET: usize = 5;
 // `StmHashMap::LAYOUT_OK` below.
 const _: () = {
     assert!(TAG_MASK & 1 == 0, "tag bits overlap the lock bit");
+    assert!(
+        TAG_MASK.trailing_zeros() >= ADDRESS_BITS,
+        "tag bits reach into the address"
+    );
     assert!(FREQ_MASK & 1 == 0, "frequency bits overlap the lock bit");
     assert!(TAG_MASK & ITEM_PTR_MASK == 0, "tag overlaps node pointer");
     assert!(
@@ -167,9 +179,9 @@ pub(crate) fn deadline_expired(deadline: Word, now_ms: u64) -> bool {
 
 /// A chain node: the immutable key plus two transactional words — the value
 /// word and the deadline word (zero for immortal items; see
-/// [`encode_deadline`]).  64-byte alignment keeps bits 0..=5 of its address
-/// clear, making room for the tag bits packed into the item word.
-#[repr(align(64))]
+/// [`encode_deadline`]).  It keeps its natural alignment, one word at
+/// word-sized cells: the item word's tag sits above the address bits, so
+/// the node needs no over-aligned (and over-carved) allocation.
 struct Node<S: Stm> {
     key: u64,
     value: S::Cell,
@@ -320,13 +332,13 @@ impl<C> Table<C> {
         self.buckets.len()
     }
 
-    /// `key`'s home bucket and its hash tag, shifted into tag position.
-    /// The tag is the top of the hash, independent of the index bits (17..).
+    /// `key`'s home bucket and its hash tag, in tag position.  The tag is
+    /// the top 16 bits of the hash, independent of the index bits (17..).
     #[inline]
     pub fn home(&self, key: u64) -> (&Bucket<C>, Word) {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let bucket = &self.buckets[((h >> 17) & self.mask) as usize];
-        (bucket, (((h >> 59) as Word) << 1) & TAG_MASK)
+        (bucket, h as Word & TAG_MASK)
     }
 
     /// Walks every chain, handing each occupied item word to `visit` with
@@ -604,11 +616,11 @@ pub(crate) fn check_len(value: &[u8]) -> Result<(), KvError> {
 
 impl<S: Stm> StmHashMap<S> {
     /// Per-instantiation layout checks, forced from [`Self::new`]: the node
-    /// and overflow-bucket alignments must clear at least the address bits
-    /// the tag and frequency fields are packed into, and for word-sized
-    /// cells a home bucket must be exactly one cache line.
+    /// alignment must clear the lock bit and the overflow-bucket alignment
+    /// the frequency field, and for word-sized cells a home bucket must be
+    /// exactly one cache line.
     const LAYOUT_OK: () = {
-        assert!(std::mem::align_of::<Node<S>>() as Word > TAG_MASK);
+        assert!(std::mem::align_of::<Node<S>>() > 1);
         assert!(std::mem::align_of::<OverflowBucket<S::Cell>>() as Word > FREQ_MASK);
         assert!(std::mem::align_of::<Bucket<S::Cell>>() >= 64);
         if std::mem::size_of::<S::Cell>() == std::mem::size_of::<Word>() {
@@ -695,11 +707,19 @@ impl<S: Stm> StmHashMap<S> {
     }
 
     fn alloc_node(&self, key: u64, word: Word, deadline: Word) -> *mut Node<S> {
-        Box::into_raw(Box::new(Node {
+        let node = Box::into_raw(Box::new(Node {
             key,
             value: self.stm.new_cell(word),
             deadline: self.stm.new_cell(deadline),
-        }))
+        }));
+        // The packing is checked, not assumed: an address above
+        // `ADDRESS_BITS` (a kernel with a wider address space could hand one
+        // out) would be read back as another node.
+        assert!(
+            node as Word & TAG_MASK == 0,
+            "node address {node:p} reaches the item word's tag bits"
+        );
+        node
     }
 
     /// Returns the value stored under `key`.
@@ -1598,6 +1618,62 @@ mod tests {
         let max = vec![7u8; MAX_VALUE_LEN];
         assert_eq!(map.put(1, &max, &mut t).unwrap(), None);
         assert_eq!(map.get(1, &mut t), Some(Value::new(&max)));
+    }
+
+    #[test]
+    fn item_words_round_trip_node_pointers_at_the_tag_edges() {
+        let stm = ValShort::new();
+        let map = StmHashMap::new(&stm, 64, ApiMode::Short);
+        for key in 0..64 {
+            // The slot frees the never-published node when it drops.
+            let mut slot = NodeSlot::<ValShort>::new();
+            slot.ptr = map.alloc_node(key, 0, 0);
+            let ptr = slot.ptr as Word;
+            assert_eq!(
+                ptr & !ITEM_PTR_MASK,
+                0,
+                "node {ptr:#x} overlaps tag or lock"
+            );
+            for tag in [0, 1, 0xFFFF] {
+                let tag = tag << ADDRESS_BITS;
+                let w = ptr | tag;
+                assert_eq!(StmHashMap::<ValShort>::node(w) as Word, ptr);
+                assert_eq!(w & TAG_MASK, tag);
+            }
+        }
+    }
+
+    #[test]
+    fn home_tags_are_sixteen_bits_that_collide_at_chance_within_a_bucket() {
+        let stm = ValShort::new();
+        // 64 home buckets, so 10 000 keys share each one ~156 ways.
+        let map = StmHashMap::new(&stm, 64 * CAPACITY_PER_BUCKET, ApiMode::Short);
+        assert_eq!(map.bucket_count(), 64);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut by_home: BTreeMap<(*const Bucket<_>, Word), u64> = BTreeMap::new();
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (home, tag) = map.table.home(state);
+            assert_eq!(tag & !TAG_MASK, 0, "tag {tag:#x} outside TAG_MASK");
+            *by_home.entry((home as *const _, tag)).or_default() += 1;
+        }
+        // Pairs of keys sharing a home bucket, and those of them whose tags
+        // also match: a wrong-key dereference on a probe.
+        let mut per_bucket: BTreeMap<*const Bucket<_>, u64> = BTreeMap::new();
+        let mut collisions = 0;
+        for (&(home, _), &n) in &by_home {
+            *per_bucket.entry(home).or_default() += n;
+            collisions += n * (n - 1) / 2;
+        }
+        let pairs: u64 = per_bucket.values().map(|n| n * (n - 1) / 2).sum();
+        let expected = pairs as f64 / 65_536.0;
+        // ~12 expected; a 5-bit tag would give ~24 000.
+        assert!(
+            (collisions as f64) < 3.0 * expected + 8.0,
+            "{collisions} tag collisions among {pairs} same-bucket pairs (expected {expected:.1})"
+        );
     }
 
     #[test]

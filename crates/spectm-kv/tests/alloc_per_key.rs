@@ -1,12 +1,15 @@
 //! Bytes per key at store level, counted by a `#[global_allocator]` wrapper
 //! (the same per-thread counter as `spectm-ds/tests/alloc_free.rs`).
 //!
-//! A fresh `ShardedKv::put` allocates exactly what the key keeps: its
-//! 64-byte-aligned map node, its index tower (one block: header and links),
-//! and — for a value too long to sit inline in the value word — one
-//! `ValueCell`.  The test prints the bytes each block requests per key; the
-//! table in DESIGN.md ("Data structures") is its output.  The bucket array
-//! is allocated once when the store is built, so it is not part of a put.
+//! A fresh `ShardedKv::put` allocates exactly what the key keeps: its map
+//! node (key, value word, deadline word), its index tower (one block: header
+//! and links), and — for a value too long to sit inline in the value word —
+//! one `ValueCell`.  None of them is aligned above 16 bytes, so none takes
+//! the allocator's aligned-allocation path (glibc's `memalign` carves a
+//! larger chunk and frees the pieces around the aligned part).  The test
+//! prints the bytes each block requests per key; the table in DESIGN.md
+//! ("Data structures") is its output.  The bucket array is allocated once
+//! when the store is built, so it is not part of a put.
 //!
 //! Allocations are counted per thread, so the test harness's own threads
 //! cannot bleed into a measurement.
@@ -22,9 +25,16 @@ use spectm_kv::{ShardedKv, ValueCell};
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
-    /// Bytes of the blocks aligned to a cache line or more: map nodes.
-    static LINE_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes of the blocks of a map node's size: no tower or `ValueCell`
+    /// this test requests is that small.
+    static NODE_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Blocks aligned above what `malloc` itself guarantees (16 bytes).
+    static OVER_ALIGNED: Cell<u64> = const { Cell::new(0) };
 }
+
+/// A map node at `ValShort`'s cells: the key, the value word and the
+/// deadline word.
+const NODE: usize = std::mem::size_of::<u64>() + 2 * std::mem::size_of::<<ValShort as Stm>::Cell>();
 
 struct Counting;
 
@@ -36,8 +46,11 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
-        if layout.align() >= 64 {
-            LINE_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        if layout.size() == NODE {
+            NODE_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        }
+        if layout.align() > 16 {
+            OVER_ALIGNED.with(|n| n.set(n.get() + 1));
         }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
@@ -63,6 +76,7 @@ struct PerKey {
     blocks: f64,
     bytes: f64,
     node: f64,
+    over_aligned: f64,
 }
 
 fn fresh_puts(value_len: usize) -> PerKey {
@@ -79,7 +93,12 @@ fn fresh_puts(value_len: usize) -> PerKey {
         store.put(key, &value(key), &mut t).expect("value fits");
     }
     let values: Vec<Vec<u8>> = (KEYS..2 * KEYS).map(value).collect();
-    let before = (ALLOCATIONS.get(), BYTES.get(), LINE_BYTES.get());
+    let before = (
+        ALLOCATIONS.get(),
+        BYTES.get(),
+        NODE_BYTES.get(),
+        OVER_ALIGNED.get(),
+    );
     for (key, value) in (KEYS..2 * KEYS).zip(&values) {
         let old = store.put(key, value, &mut t).expect("value fits");
         assert!(old.is_none(), "key {key} was fresh");
@@ -88,7 +107,8 @@ fn fresh_puts(value_len: usize) -> PerKey {
     PerKey {
         blocks: per_key(ALLOCATIONS.get(), before.0),
         bytes: per_key(BYTES.get(), before.1),
-        node: per_key(LINE_BYTES.get(), before.2),
+        node: per_key(NODE_BYTES.get(), before.2),
+        over_aligned: per_key(OVER_ALIGNED.get(), before.3),
     }
 }
 
@@ -109,7 +129,11 @@ fn a_fresh_put_allocates_its_node_its_tower_and_its_value_cell() {
             got.blocks, got.node, got.bytes
         );
         assert_eq!(got.blocks, 2.0 + cells, "{value_len} B: node, tower, cell");
-        assert_eq!(got.node, 64.0, "{value_len} B: one 64-byte node per key");
+        assert_eq!(got.node, 24.0, "{value_len} B: one 24-byte node per key");
+        assert_eq!(
+            got.over_aligned, 0.0,
+            "{value_len} B: a block aligned above 16 bytes"
+        );
         // At least one link after the three-word header, and less than the
         // 48-byte header box the two-block tower layout spent alone.
         assert!(

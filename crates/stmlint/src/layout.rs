@@ -1,11 +1,14 @@
 //! The `bit-layout` rule: cross-checks the tag/mask/alignment constants of
 //! `spectm::word` and `spectm-kv::map`.
 //!
-//! The value-word encoding (word.rs) and the bucket item/stat words
-//! (map.rs) pack tags into bits that pointer alignment leaves clear.  The
-//! constants live in two crates and the alignment lives in `#[repr(align)]`
-//! attributes in a third place; nothing ties them together at the type
-//! level, so an edit to any one of them can silently break the others.
+//! The value-word encoding (word.rs) and the bucket stat word (map.rs) pack
+//! tags into bits that pointer alignment leaves clear; the bucket item word
+//! packs its hash tag above the address bits instead, where the node's
+//! alignment only has to clear the lock bit.  The constants live in two
+//! crates and the alignment lives in `#[repr(align)]` attributes (or in a
+//! struct's natural alignment) in a third place; nothing ties them together
+//! at the type level, so an edit to any one of them can silently break the
+//! others.
 //! This rule parses all of them out of the source and re-derives the
 //! invariants; the same facts are mirrored as `const _: () = assert!(...)`
 //! guards next to the definitions, so both the compiler and the lint hold a
@@ -18,7 +21,7 @@
 //! the binary operators `| & ^ << >> + - *` with Rust precedence,
 //! parentheses, `size_of::<T>()` (words only) and `<int type>::BITS`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::Finding;
@@ -26,18 +29,37 @@ use crate::Finding;
 const WORD_BYTES: u64 = 8;
 const WORD_BITS: u64 = 64;
 
-/// Constants and `#[repr(align(N))]` values parsed from one file.
+/// Constants, struct names and `#[repr(align(N))]` / `#[repr(packed)]`
+/// values parsed from one file.
 #[derive(Debug, Default)]
 pub struct ParsedLayout {
     pub consts: BTreeMap<String, u64>,
     pub aligns: BTreeMap<String, u64>,
+    /// `#[repr(packed)]` (1) and `#[repr(packed(N))]` structs: alignment
+    /// capped at N, below even the fields' natural alignment.
+    packed: BTreeMap<String, u64>,
+    structs: BTreeSet<String>,
 }
 
-/// Parses every `const NAME: <int type> = <expr>;` and
-/// `#[repr(align(N))] struct NAME` in `src`.  Constants whose expressions
-/// use unsupported forms are skipped (recorded in `skipped`) rather than
-/// failing the parse: the rule only needs the handful of layout constants,
-/// and it reports loudly if one of *those* is missing.
+impl ParsedLayout {
+    /// The alignment of struct `name`, whose largest field is one word:
+    /// its `packed` cap, else the larger of its `align` and a word.
+    fn word_struct_align(&self, name: &str) -> u64 {
+        match self.packed.get(name) {
+            Some(&n) => n,
+            None => self
+                .aligns
+                .get(name)
+                .map_or(WORD_BYTES, |&n| n.max(WORD_BYTES)),
+        }
+    }
+}
+
+/// Parses every `const NAME: <int type> = <expr>;`, every `struct NAME` and
+/// the `#[repr(align(N))]` / `#[repr(packed)]` attribute before it in
+/// `src`.  Constants whose expressions use unsupported forms are skipped
+/// rather than failing the parse: the rule only needs the handful of layout
+/// constants, and it reports loudly if one of *those* is missing.
 pub fn parse_layout(src: &str) -> ParsedLayout {
     let toks: Vec<Token> = tokenize(src)
         .into_iter()
@@ -46,19 +68,27 @@ pub fn parse_layout(src: &str) -> ParsedLayout {
     let mut out = ParsedLayout::default();
     let mut i = 0;
     while i < toks.len() {
-        // #[repr(align(N))] (pub)? struct NAME
-        if toks[i].text == "repr" && i + 5 < toks.len() && toks[i + 1].text == "(" {
-            // repr ( align ( N ) )
-            if toks[i + 2].text == "align" && toks[i + 3].text == "(" {
-                if let Some(n) = int_literal(&toks[i + 4]) {
-                    // Find the following `struct NAME`.
-                    let mut j = i + 5;
-                    while j < toks.len() && toks[j].text != "struct" && toks[j].text != "const" {
-                        j += 1;
-                    }
-                    if j + 1 < toks.len() && toks[j].text == "struct" {
-                        out.aligns.insert(toks[j + 1].text.to_string(), n);
-                    }
+        if toks[i].text == "struct" && i + 1 < toks.len() {
+            out.structs.insert(toks[i + 1].text.to_string());
+        }
+        // #[repr(align(N))] or #[repr(packed)] / #[repr(packed(N))], then
+        // (pub)? struct NAME
+        if toks[i].text == "repr" && i + 3 < toks.len() && toks[i + 1].text == "(" {
+            let n = toks.get(i + 4).and_then(int_literal);
+            let attr = match (toks[i + 2].text, toks[i + 3].text) {
+                ("align", "(") => n.map(|n| (&mut out.aligns, n)),
+                ("packed", "(") => n.map(|n| (&mut out.packed, n)),
+                ("packed", _) => Some((&mut out.packed, 1)),
+                _ => None,
+            };
+            if let Some((map, n)) = attr {
+                // Find the following `struct NAME`.
+                let mut j = i + 3;
+                while j < toks.len() && toks[j].text != "struct" && toks[j].text != "const" {
+                    j += 1;
+                }
+                if j + 1 < toks.len() && toks[j].text == "struct" {
+                    map.insert(toks[j + 1].text.to_string(), n);
                 }
             }
         }
@@ -270,8 +300,12 @@ fn require(
     out: &mut Vec<Finding>,
 ) -> Option<u64> {
     let v = match kind {
-        "const" => parsed.consts.get(name),
-        _ => parsed.aligns.get(name),
+        "const" => parsed.consts.get(name).copied(),
+        "struct" => parsed
+            .structs
+            .contains(name)
+            .then(|| parsed.word_struct_align(name)),
+        _ => parsed.aligns.get(name).copied(),
     };
     if v.is_none() {
         out.push(Finding::new(
@@ -284,7 +318,7 @@ fn require(
             ),
         ));
     }
-    v.copied()
+    v
 }
 
 /// Runs the cross-file layout checks.  `word_src`/`map_src` are the
@@ -352,15 +386,17 @@ pub fn check_bit_layout(
 
     // --- map.rs: bucket item/stat words ----------------------------------
     let slots = require(&map, map_path, "const", "BUCKET_SLOTS", &mut missing);
+    let address_bits = require(&map, map_path, "const", "ADDRESS_BITS", &mut missing);
     let tag = require(&map, map_path, "const", "TAG_MASK", &mut missing);
     let item_ptr = require(&map, map_path, "const", "ITEM_PTR_MASK", &mut missing);
     let freq = require(&map, map_path, "const", "FREQ_MASK", &mut missing);
     let chain_ptr = require(&map, map_path, "const", "CHAIN_PTR_MASK", &mut missing);
-    let node_align = require(&map, map_path, "align", "Node", &mut missing);
+    let node_align = require(&map, map_path, "struct", "Node", &mut missing);
     let bucket_align = require(&map, map_path, "align", "Bucket", &mut missing);
     let overflow_align = require(&map, map_path, "align", "OverflowBucket", &mut missing);
     if let (
         Some(slots),
+        Some(address_bits),
         Some(tag),
         Some(item_ptr),
         Some(freq),
@@ -370,6 +406,7 @@ pub fn check_bit_layout(
         Some(overflow_align),
     ) = (
         slots,
+        address_bits,
         tag,
         item_ptr,
         freq,
@@ -394,22 +431,32 @@ pub fn check_bit_layout(
                 ),
             );
         }
-        if (tag | 1) >= node_align {
+        // The tag must be one contiguous bit run, or the hash-tag
+        // extraction's mask would drop bits, and it must sit above every
+        // address bit: the node's alignment frees none of them.
+        let run = tag >> tag.trailing_zeros().min(63);
+        if tag == 0 || run.wrapping_add(1) & run != 0 {
+            fail(
+                map_path,
+                format!("TAG_MASK ({tag:#x}) is not a contiguous run of bits"),
+            );
+        }
+        if u64::from(tag.trailing_zeros()) < address_bits {
             fail(
                 map_path,
                 format!(
-                    "tag+lock bits ({:#x}) exceed what Node's {node_align}-byte alignment \
-                     keeps clear",
-                    tag | 1
+                    "TAG_MASK ({tag:#x}) reaches below ADDRESS_BITS ({address_bits}), into \
+                     bits a node address can set"
                 ),
             );
         }
-        // The tag must be a contiguous bit run starting at bit 1, or the
-        // hash-tag extraction's shift-and-mask would drop bits.
-        if tag >> 1 == 0 || ((tag >> 1) + 1) & (tag >> 1) != 0 {
+        if node_align <= 1 {
             fail(
                 map_path,
-                format!("TAG_MASK ({tag:#x}) is not a contiguous run of bits from bit 1"),
+                format!(
+                    "Node's {node_align}-byte alignment does not clear bit 0, the item \
+                     word's lock bit"
+                ),
             );
         }
         if freq & 1 != 0 {
@@ -488,9 +535,9 @@ pub fn check_bit_layout(
         }
         // Cross-file: out-of-line *value words* (a ValueCell pointer with
         // the word.rs tag bits clear) are stored through the same map
-        // cells, so the node alignment that frees the item-word tag bits
-        // must be at least as strong as what the value-word pointer form
-        // assumes — a Node pointer could otherwise alias an inline tag.
+        // cells, so the node alignment must be at least as strong as what
+        // the value-word pointer form assumes — a Node pointer could
+        // otherwise alias an inline tag.
         if let (Some(ib), Some(ii)) = (ib, ii) {
             if node_align <= (ib | ii) {
                 fail(
@@ -516,7 +563,8 @@ mod tests {
     fn evaluates_the_real_constant_forms() {
         let src = r#"
             pub const BUCKET_SLOTS: usize = 7;
-            const TAG_MASK: Word = 0x3E;
+            const ADDRESS_BITS: u32 = 48;
+            const TAG_MASK: Word = !0 << ADDRESS_BITS;
             const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
             const FREQ_MASK: Word = 0x1FE;
             const CHAIN_PTR_MASK: Word = !(FREQ_MASK | 1);
@@ -527,8 +575,8 @@ mod tests {
         "#;
         let p = parse_layout(src);
         assert_eq!(p.consts["BUCKET_SLOTS"], 7);
-        assert_eq!(p.consts["TAG_MASK"], 0x3E);
-        assert_eq!(p.consts["ITEM_PTR_MASK"], !(0x3E_u64 | 1));
+        assert_eq!(p.consts["TAG_MASK"], 0xFFFF << 48);
+        assert_eq!(p.consts["ITEM_PTR_MASK"], !((0xFFFF << 48) | 1));
         assert_eq!(p.consts["CHAIN_PTR_MASK"], !(0x1FE_u64 | 1));
         assert_eq!(p.consts["MAX_INLINE_BYTES"], 7);
         assert_eq!(p.consts["INLINE_INT_BITS"], 61);
@@ -538,17 +586,25 @@ mod tests {
     #[test]
     fn parses_repr_align() {
         let src = r#"
-            #[repr(align(64))]
             struct Node<S: Stm> { key: u64 }
             #[repr(align(64))]
             pub struct Bucket<S: Stm> { item: [S::Cell; 7] }
             #[repr(align(512))]
             struct OverflowBucket<S: Stm> { bucket: Bucket<S> }
+            #[repr(packed)]
+            struct Packed { key: u64 }
+            #[repr(packed(2))]
+            struct Packed2 { key: u64 }
         "#;
         let p = parse_layout(src);
-        assert_eq!(p.aligns["Node"], 64);
+        assert!(!p.aligns.contains_key("Node"));
+        assert_eq!(p.word_struct_align("Node"), 8);
         assert_eq!(p.aligns["Bucket"], 64);
         assert_eq!(p.aligns["OverflowBucket"], 512);
+        assert_eq!(p.word_struct_align("OverflowBucket"), 512);
+        assert_eq!(p.word_struct_align("Packed"), 1);
+        assert_eq!(p.word_struct_align("Packed2"), 2);
+        assert!(p.structs.contains("Node") && p.structs.contains("Packed2"));
     }
 
     #[test]
@@ -569,14 +625,14 @@ mod tests {
 
     const GOOD_MAP: &str = r#"
         pub const BUCKET_SLOTS: usize = 7;
-        const TAG_MASK: Word = 0x3E;
+        const ADDRESS_BITS: u32 = 48;
+        const TAG_MASK: Word = !0 << ADDRESS_BITS;
         const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
         const FREQ_MASK: Word = 0x1FE;
         const FREQ_SHIFT: u32 = 1;
         const FREQ_MAX: Word = 0xFF;
         const CHAIN_PTR_MASK: Word = !(FREQ_MASK | 1);
         pub(crate) const DEADLINE_SHIFT: u32 = 1;
-        #[repr(align(64))]
         struct Node<S: Stm> { key: u64 }
         #[repr(align(64))]
         struct Bucket<S: Stm> { item: [S::Cell; BUCKET_SLOTS] }
@@ -607,17 +663,46 @@ mod tests {
 
     #[test]
     fn tag_mask_using_lock_bit_fires() {
-        let bad = GOOD_MAP.replace("TAG_MASK: Word = 0x3E", "TAG_MASK: Word = 0x3F");
+        let bad = GOOD_MAP.replace(
+            "TAG_MASK: Word = !0 << ADDRESS_BITS",
+            "TAG_MASK: Word = (!0 << ADDRESS_BITS) | 1",
+        );
         let msgs = findings(GOOD_WORD, &bad);
         assert!(msgs.iter().any(|m| m.contains("bit 0")), "{msgs:?}");
     }
 
     #[test]
-    fn insufficient_node_alignment_fires() {
-        let bad = GOOD_MAP.replace(
-            "#[repr(align(64))]\n        struct Node",
-            "#[repr(align(16))]\n        struct Node",
+    fn tag_reaching_below_address_bits_fires() {
+        let bad = GOOD_MAP.replace("!0 << ADDRESS_BITS", "!0 << 40");
+        let msgs = findings(GOOD_WORD, &bad);
+        assert!(
+            msgs.iter().any(|m| m.contains("below ADDRESS_BITS")),
+            "{msgs:?}"
         );
+    }
+
+    #[test]
+    fn low_bit_tag_on_an_unaligned_node_fires() {
+        // The layout before nodes lost their 64-byte alignment: a tag in
+        // bits 1..=5 is a tag inside the address of an 8-aligned node.
+        let bad = GOOD_MAP.replace("!0 << ADDRESS_BITS", "0x3E");
+        let msgs = findings(GOOD_WORD, &bad);
+        assert!(
+            msgs.iter().any(|m| m.contains("below ADDRESS_BITS")),
+            "{msgs:?}"
+        );
+    }
+
+    #[test]
+    fn non_contiguous_tag_fires() {
+        let bad = GOOD_MAP.replace("!0 << ADDRESS_BITS", "0xFF7F << ADDRESS_BITS");
+        let msgs = findings(GOOD_WORD, &bad);
+        assert!(msgs.iter().any(|m| m.contains("contiguous")), "{msgs:?}");
+    }
+
+    #[test]
+    fn insufficient_node_alignment_fires() {
+        let bad = GOOD_MAP.replace("struct Node", "#[repr(packed)]\n        struct Node");
         let msgs = findings(GOOD_WORD, &bad);
         assert!(msgs.iter().any(|m| m.contains("alignment")), "{msgs:?}");
     }
@@ -659,11 +744,16 @@ mod tests {
 
     #[test]
     fn renamed_constant_fails_loudly() {
-        let bad = GOOD_MAP.replace("TAG_MASK", "HASH_TAG_MASK");
-        let msgs = findings(GOOD_WORD, &bad);
-        assert!(
-            msgs.iter().any(|m| m.contains("could not parse")),
-            "{msgs:?}"
-        );
+        for (from, to) in [
+            ("TAG_MASK", "HASH_TAG_MASK"),
+            ("struct Node", "struct ItemNode"),
+        ] {
+            let bad = GOOD_MAP.replace(from, to);
+            let msgs = findings(GOOD_WORD, &bad);
+            assert!(
+                msgs.iter().any(|m| m.contains("could not parse")),
+                "{from}: {msgs:?}"
+            );
+        }
     }
 }

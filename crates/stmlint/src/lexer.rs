@@ -457,11 +457,11 @@ mod tests {
 
     #[test]
     fn numbers_lex_as_literals() {
-        let src = "const M: usize = 0x3E_usize; let f = 1.5e-3; let b = 0b10;";
+        let src = "const M: usize = 0x1FE_usize; let f = 1.5e-3; let b = 0b10;";
         let toks = tokenize(src);
         assert!(toks
             .iter()
-            .any(|t| t.kind == TokenKind::Literal && t.text == "0x3E_usize"));
+            .any(|t| t.kind == TokenKind::Literal && t.text == "0x1FE_usize"));
         assert!(toks
             .iter()
             .any(|t| t.kind == TokenKind::Literal && t.text == "1.5e-3"));

@@ -152,8 +152,10 @@ item/stat word constants in spectm-kv::map (files configurable under
 [layout]) and re-derives the packing invariants: tag masks keep bit 0 (the
 val layout's lock bit) clear, the inline-bytes and inline-int tags are
 disjoint, pointer masks exactly complement tag|lock bits, TAG_MASK is a
-contiguous run within Node's 64-byte alignment slack, FREQ_MASK fits the
-overflow bucket's 512-byte alignment, and 8 words = one 64-byte line.
+contiguous run at or above ADDRESS_BITS (clear of every node address),
+Node's alignment (a word, unless declared otherwise) clears the lock bit
+and the value-word tags, FREQ_MASK fits the overflow bucket's 512-byte
+alignment, and 8 words = one 64-byte line.
 
 The same facts are mirrored as `const _: () = assert!(..)` guards beside
 the definitions, so the compiler enforces the in-crate half even when

@@ -90,7 +90,10 @@ fn layout_rule_fires_on_each_bad_side() {
         &fixture("bad_map.rs"),
         &mut out,
     );
-    assert!(out.iter().any(|f| f.message.contains("bit 0")), "{out:?}");
+    assert!(
+        out.iter().any(|f| f.message.contains("below ADDRESS_BITS")),
+        "{out:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
