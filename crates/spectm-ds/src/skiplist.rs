@@ -39,7 +39,9 @@
 //!
 //! Every operation in every mode finds its position with the one private
 //! `descend` (the paper's `Search`); what differs is the cell reader it is
-//! handed and the transaction that links or unlinks afterwards.
+//! handed and the transaction that links or unlinks afterwards.  A merged
+//! walk over several lists drives the same per-step search on every list in
+//! lockstep, so their cache misses overlap.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
@@ -184,6 +186,69 @@ struct Window<'a, S: Stm> {
     top: usize,
 }
 
+/// Where one descent (the paper's `Search`) stands on one list: the level it
+/// walks, the predecessor's link at that level and the tower word read from
+/// it.  [`StmSkipList::cursor`] starts one and [`Cursor::step`] moves it;
+/// [`StmSkipList::descend`] runs one to the end, and
+/// [`StmSkipList::walk_merged_in`] runs one per list in lockstep.
+struct Cursor<'a, S: Stm> {
+    /// The predecessor's links: the head's until the walk moves onto a
+    /// tower.  A predecessor found at one level is also where the walk
+    /// starts one level down.
+    links: &'a [S::Cell],
+    /// `&links[lvl]`, the link `curr` was read from.
+    pred: &'a S::Cell,
+    /// The level being walked.
+    lvl: usize,
+    /// What `pred` pointed at (unmarked; `0` at the end of the level).
+    curr: Word,
+}
+
+impl<'a, S: Stm> Cursor<'a, S> {
+    /// One step of the paper's `Search` towards `key`: right onto the tower
+    /// `curr` if its key is below `key`, else settle this level —
+    /// `settle(lvl, pred, curr)` — and drop one.  Every step reads exactly
+    /// one link through `read`, except the one that settles level 0, which
+    /// reads nothing and returns `true`.  The caller must hold an epoch pin
+    /// (a transaction attempt holds one) for as long as it uses the cursor.
+    #[inline]
+    fn step<E>(
+        &mut self,
+        key: u64,
+        read: &mut impl FnMut(&'a S::Cell) -> Result<Word, E>,
+        settle: impl FnOnce(usize, &'a S::Cell, Word),
+    ) -> Result<bool, E> {
+        if self.curr != 0 {
+            // SAFETY: `curr` was read from a reachable link under the
+            // caller's epoch pin.
+            let tower: &'a Tower<S> = unsafe { &*StmSkipList::<S>::tower(self.curr) };
+            if tower.key < key {
+                self.links = tower.links();
+                self.pred = &self.links[self.lvl];
+                self.curr = unmark(read(self.pred)?);
+                return Ok(false);
+            }
+        }
+        settle(self.lvl, self.pred, self.curr);
+        if self.lvl == 0 {
+            return Ok(true);
+        }
+        self.lvl -= 1;
+        self.pred = &self.links[self.lvl];
+        self.curr = unmark(read(self.pred)?);
+        Ok(false)
+    }
+}
+
+/// One list's place in [`StmSkipList::walk_merged_in`].
+enum Head<'a, S: Stm> {
+    /// Still descending to the start key.
+    Seeking(Cursor<'a, S>),
+    /// The list's next live tower in range with its level-0 forward pointer
+    /// (see [`StmSkipList::next_live_in`]); `None` once the list is done.
+    At(Option<(&'a Tower<S>, Word)>),
+}
+
 /// Outcome of an insert-or-update attempt.
 enum Upsert {
     /// The key was absent and has been inserted.
@@ -312,7 +377,7 @@ impl<S: Stm> RetiredTower<S> {
 /// ```
 pub struct StmSkipList<S: Stm> {
     stm: S,
-    head: Vec<S::Cell>,
+    head: Box<[S::Cell; MAX_LEVEL]>,
     /// Encoded current height hint (the paper's `head.lvl`).
     level_hint: S::Cell,
     mode: ApiMode,
@@ -333,7 +398,7 @@ impl<S: Stm> StmSkipList<S> {
     {
         Self {
             stm: stm.clone(),
-            head: (0..MAX_LEVEL).map(|_| stm.new_cell(0)).collect(),
+            head: Box::new(std::array::from_fn(|_| stm.new_cell(0))),
             level_hint: stm.new_cell(encode_int(1)),
             mode,
         }
@@ -435,48 +500,49 @@ impl<S: Stm> StmSkipList<S> {
     // The descent (every mode) and the walk-based reader (Short / Fine)
     // ------------------------------------------------------------------
 
+    /// Starts a descent of this list: reads the level hint, then the head's
+    /// link at the top level the descent traverses (`cursor.lvl`).
+    #[inline]
+    fn cursor<'a, E>(
+        &'a self,
+        read: &mut impl FnMut(&'a S::Cell) -> Result<Word, E>,
+    ) -> Result<Cursor<'a, S>, E> {
+        // Traverse at least the levels covered by the short fast paths:
+        // those link towers without raising the height hint.
+        let top = decode_int(read(&self.level_hint)?).clamp(SHORT_LEVEL_CUTOFF, MAX_LEVEL);
+        let pred = &self.head[top - 1];
+        Ok(Cursor {
+            links: &self.head[..],
+            pred,
+            lvl: top - 1,
+            curr: unmark(read(pred)?),
+        })
+    }
+
     /// The paper's `Skiplist::Search`, the one descent under every
-    /// operation: walks from the level hint down to level 0 through `read`
-    /// — a single-location read per link for the walk-based modes,
-    /// `tx.read` inside a full transaction — recording the predecessor cell
-    /// and successor pointer at every level.  The caller must hold an epoch
-    /// pin (a transaction attempt holds one) for as long as it uses the
-    /// window.
+    /// operation: steps one [`Cursor`] from the level hint down to level 0
+    /// through `read` — a single-location read per link for the walk-based
+    /// modes, `tx.read` inside a full transaction — recording the
+    /// predecessor cell and successor pointer at every level.  The caller
+    /// must hold an epoch pin (a transaction attempt holds one) for as long
+    /// as it uses the window.
     #[inline]
     fn descend<'a, E>(
         &'a self,
         key: u64,
         mut read: impl FnMut(&'a S::Cell) -> Result<Word, E>,
     ) -> Result<Window<'a, S>, E> {
-        // Traverse at least the levels covered by the short fast paths:
-        // those link towers without raising the height hint.
-        let top = decode_int(read(&self.level_hint)?).clamp(SHORT_LEVEL_CUTOFF, MAX_LEVEL);
         let mut w = Window {
-            preds: std::array::from_fn(|lvl| &self.head[lvl]),
+            preds: self.head.each_ref(),
             succs: [0; MAX_LEVEL],
-            top,
+            top: 0,
         };
-        // The predecessor's links: the head's until the walk moves onto a
-        // tower.  A predecessor found at one level is also where the walk
-        // starts one level down.
-        let mut links: &'a [S::Cell] = &self.head;
-        for lvl in (0..top).rev() {
-            let mut pred = &links[lvl];
-            let mut curr = unmark(read(pred)?);
-            while curr != 0 {
-                // SAFETY: `curr` was read from a reachable link under the
-                // caller's epoch pin.
-                let tower: &'a Tower<S> = unsafe { &*Self::tower(curr) };
-                if tower.key >= key {
-                    break;
-                }
-                links = tower.links();
-                pred = &links[lvl];
-                curr = unmark(read(pred)?);
-            }
+        let mut cursor = self.cursor(&mut read)?;
+        w.top = cursor.lvl + 1;
+        while !cursor.step(key, &mut read, |lvl, pred, succ| {
             w.preds[lvl] = pred;
-            w.succs[lvl] = curr;
-        }
+            w.succs[lvl] = succ;
+        })? {}
         Ok(w)
     }
 
@@ -1039,7 +1105,7 @@ impl<S: Stm> StmSkipList<S> {
     /// `visit(i, key, value_cell, tx)` sees the live towers of every
     /// `lists[i]` with `start <= key <= last` in ascending key order (ties
     /// in list order) until it returns [`ControlFlow::Break`].  This is the
-    /// cursor under the sharded KV store's scans, whose lists partition the
+    /// walk under the sharded KV store's scans, whose lists partition the
     /// key space; like every range read here it is an atomically consistent
     /// snapshot when the transaction commits.
     ///
@@ -1047,27 +1113,61 @@ impl<S: Stm> StmSkipList<S> {
     /// per tower visited — nothing is collected ahead of the visitor, so a
     /// walk that stops after `n` towers has read `n` of them (plus the one
     /// head each list holds ready).
-    pub fn walk_merged_in<F>(
+    ///
+    /// The descents run in lockstep: each round moves every unfinished
+    /// descent one step (right, or down a level), and prefetches the tower
+    /// it just read before any descent dereferences it, so the lists' cache
+    /// misses overlap instead of queueing.  The transaction reads exactly
+    /// the cells that one descent per list run to the end would — only
+    /// their order across lists differs.  `ahead(i, key)` is called
+    /// whenever list `i`'s head becomes the tower holding `key` (once after
+    /// its descent, then once per advance), so the caller can prefetch what
+    /// its visitor will touch for that key.
+    pub fn walk_merged_in<A, F>(
         lists: &[Self],
         start: u64,
         last: u64,
         tx: &mut FullTx<'_, S::Thread>,
+        mut ahead: A,
         mut visit: F,
     ) -> TxResult<()>
     where
+        A: FnMut(usize, u64),
         F: FnMut(usize, u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
     {
         let mut heads = Vec::with_capacity(lists.len());
         for list in lists {
-            let cand = list.seek_in(start, tx)?;
-            heads.push(Self::next_live_in(cand, last, tx)?);
+            let cursor = list.cursor(&mut |cell| tx.read(cell))?;
+            spectm::prefetch(Self::tower(cursor.curr));
+            heads.push(Head::Seeking(cursor));
+        }
+        let mut seeking = heads.len();
+        while seeking > 0 {
+            for (i, head) in heads.iter_mut().enumerate() {
+                let Head::Seeking(cursor) = head else {
+                    continue;
+                };
+                if !cursor.step(start, &mut |cell| tx.read(cell), |_, _, _| {})? {
+                    spectm::prefetch(Self::tower(cursor.curr));
+                    continue;
+                }
+                let found = Self::next_live_in(cursor.curr, last, tx)?;
+                if let Some((tower, _)) = found {
+                    ahead(i, tower.key);
+                }
+                *head = Head::At(found);
+                seeking -= 1;
+            }
         }
         loop {
             // `min_by_key` keeps the first of equal keys: ties in list order.
             let lowest = heads
                 .iter()
                 .enumerate()
-                .filter_map(|(i, head)| head.map(|(tower, next)| (i, tower, next)))
+                .filter_map(|(i, head)| match *head {
+                    Head::At(Some((tower, next))) => Some((i, tower, next)),
+                    _ => None,
+                })
                 .min_by_key(|&(_, tower, _)| tower.key);
             let Some((i, tower, next)) = lowest else {
                 return Ok(());
@@ -1075,7 +1175,11 @@ impl<S: Stm> StmSkipList<S> {
             if visit(i, tower.key, &tower.value, tx)?.is_break() {
                 return Ok(());
             }
-            heads[i] = Self::next_live_in(unmark(next), last, tx)?;
+            let found = Self::next_live_in(unmark(next), last, tx)?;
+            if let Some((tower, _)) = found {
+                ahead(i, tower.key);
+            }
+            heads[i] = Head::At(found);
         }
     }
 
@@ -1471,16 +1575,23 @@ mod tests {
         let mut merged = |start, last, limit: usize, t: &mut <ValShort as Stm>::Thread| {
             t.atomic(|tx| {
                 seen.clear();
-                StmSkipList::walk_merged_in(&lists, start, last, tx, |i, key, cell, tx| {
-                    assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
-                    assert_eq!(dec(tx.read(cell)?), key >> 1);
-                    seen.push(key);
-                    Ok(if seen.len() < limit {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    })
-                })
+                StmSkipList::walk_merged_in(
+                    &lists,
+                    start,
+                    last,
+                    tx,
+                    |_, _| {},
+                    |i, key, cell, tx| {
+                        assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
+                        assert_eq!(dec(tx.read(cell)?), key >> 1);
+                        seen.push(key);
+                        Ok(if seen.len() < limit {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        })
+                    },
+                )
             })
             .unwrap();
             seen.clone()
@@ -1494,13 +1605,104 @@ mod tests {
         let mut alone = Vec::new();
         t.atomic(|tx| {
             alone.clear();
-            StmSkipList::walk_merged_in(&lists[..1], 50, 60, tx, |_, key, _, _| {
-                alone.push(key);
-                Ok(ControlFlow::Continue(()))
-            })
+            StmSkipList::walk_merged_in(
+                &lists[..1],
+                50,
+                60,
+                tx,
+                |_, _| {},
+                |_, key, _, _| {
+                    alone.push(key);
+                    Ok(ControlFlow::Continue(()))
+                },
+            )
         })
         .unwrap();
         assert_eq!(alone, [51, 54, 57]);
+    }
+
+    /// The merged walk's lockstep descents land where one `seek_in` per
+    /// list lands, reading exactly as many cells: in one transaction, the
+    /// heads reported to `ahead` equal the live towers after each list's
+    /// sequential seek, and both take the same number of `tx.read`s.  The
+    /// lists differ in shape: one empty, two holding a single key, one
+    /// whose tower of height 12 raises only its own level hint, one long.
+    fn lockstep_seeks_match_sequential<S: Stm + Clone>(stm: S, mode: ApiMode) {
+        let lists: Vec<_> = (0..5).map(|_| StmSkipList::new(&stm, mode)).collect();
+        let mut t = stm.register();
+        lists[1].put(500, 1, &mut t);
+        lists[2].put(5, 2, &mut t);
+        for k in (10..=2_000u64).step_by(40) {
+            lists[3].put(k, k, &mut t);
+        }
+        let mut tall = TowerSlot {
+            ptr: Tower::alloc(&stm, 1_000, 12),
+        };
+        assert!(t
+            .atomic(|tx| lists[4].insert_in(1_000, 4, &mut tall, tx))
+            .unwrap());
+        tall.mark_published();
+        for k in [3, 999, 1_001, 4_000] {
+            lists[4].put(k, k, &mut t);
+        }
+        let hints: Vec<usize> = lists
+            .iter()
+            .map(|list| decode_int(S::peek(&list.level_hint)))
+            .collect();
+        assert_eq!(hints[4], 12, "the tall tower raised its list's hint");
+        assert!(hints[..4].iter().all(|&h| h < 12), "hints {hints:?}");
+
+        let reads = |tx: &mut FullTx<'_, S::Thread>| tx.thread().stats().full_reads;
+        // Below every key, between keys, on keys, past every key.
+        for start in [
+            0,
+            4,
+            5,
+            6,
+            499,
+            501,
+            999,
+            1_000,
+            1_970,
+            4_000,
+            4_001,
+            u64::MAX,
+        ] {
+            let (sequential, lockstep) = t
+                .atomic(|tx| {
+                    let before = reads(tx);
+                    let mut heads = Vec::new();
+                    for list in &lists {
+                        let cand = list.seek_in(start, tx)?;
+                        let head = StmSkipList::<S>::next_live_in(cand, u64::MAX, tx)?;
+                        heads.push(head.map(|(tower, _)| tower.key));
+                    }
+                    let sequential = (heads, reads(tx) - before);
+                    let before = reads(tx);
+                    let mut heads = vec![None; lists.len()];
+                    StmSkipList::walk_merged_in(
+                        &lists,
+                        start,
+                        u64::MAX,
+                        tx,
+                        |i, key| {
+                            assert!(heads[i].is_none(), "list {i} landed twice");
+                            heads[i] = Some(key);
+                        },
+                        |_, _, _, _| Ok(ControlFlow::Break(())),
+                    )?;
+                    Ok((sequential, (heads, reads(tx) - before)))
+                })
+                .unwrap();
+            assert_eq!(lockstep, sequential, "(heads, reads) from {start}");
+        }
+    }
+
+    #[test]
+    fn lockstep_seeks_match_sequential_seeks() {
+        lockstep_seeks_match_sequential(ValShort::new(), ApiMode::Short);
+        lockstep_seeks_match_sequential(TvarShortG::new(), ApiMode::Short);
+        lockstep_seeks_match_sequential(OrecFullG::new(), ApiMode::Full);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! header with the links inline after it, under 48 bytes on average at
 //! word-sized cells and with every link aligned for its cell.  The hash
 //! table's churn allocates exactly its nodes, so the closures handed to
-//! `StmThread::retry` box nothing.
+//! `StmThread::retry` box nothing.  A merged walk over 16 lists allocates
+//! its one vector of per-list heads, whatever it visits.
 //!
 //! Allocations are counted per thread, so the test harness's own threads
 //! cannot bleed into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
-use spectm::Stm;
+use spectm::{Stm, StmThread};
 use spectm_ds::{ApiMode, StmHashTable, StmSkipList};
 
 thread_local! {
@@ -129,6 +131,52 @@ fn skiplist_case<S: Stm + Clone>(stm: S, mode: ApiMode) -> Tally {
     churn.expect("two passes ran")
 }
 
+/// A 16-list merged walk (the sharded store's scan) allocates one block —
+/// its per-list heads, which also hold the lockstep descents' cursors — and
+/// nothing per list or per visited tower.
+fn merged_walk_case<S: Stm + Clone>(stm: S) {
+    const LISTS: u64 = 16;
+    let lists: Vec<_> = (0..LISTS)
+        .map(|_| StmSkipList::new(&stm, ApiMode::Short))
+        .collect();
+    let mut t = stm.register();
+    for k in 0..4_096u64 {
+        assert!(lists[(k % LISTS) as usize].insert(k * 8, &mut t));
+    }
+    for pass in 0..2 {
+        let scans = allocations(|| {
+            for i in 0..OPS {
+                let start = (i * 37) % 4_000 * 8 + 1;
+                let mut seen = 0;
+                t.atomic(|tx| {
+                    seen = 0;
+                    StmSkipList::walk_merged_in(
+                        &lists,
+                        start,
+                        u64::MAX,
+                        tx,
+                        |_, _| {},
+                        |_, _, _, _| {
+                            seen += 1;
+                            Ok(if seen < 16 {
+                                ControlFlow::Continue(())
+                            } else {
+                                ControlFlow::Break(())
+                            })
+                        },
+                    )
+                })
+                .unwrap();
+                assert_eq!(seen, 16);
+            }
+        });
+        if pass == 1 {
+            let label = stm.label();
+            assert_eq!(scans.count, OPS, "{label}: one block per merged walk");
+        }
+    }
+}
+
 fn hashtable_case<S: Stm + Clone>(stm: S, mode: ApiMode) {
     let table = StmHashTable::new(&stm, 64, mode);
     let mut t = stm.register();
@@ -161,6 +209,9 @@ fn hot_paths_allocate_only_what_they_publish() {
     skiplist_case(TvarShortG::new(), ApiMode::Short);
     skiplist_case(OrecFullG::new(), ApiMode::Full);
     skiplist_case(OrecFullG::new(), ApiMode::Fine);
+    merged_walk_case(ValShort::new());
+    merged_walk_case(TvarShortG::new());
+    merged_walk_case(OrecFullG::new());
     hashtable_case(ValShort::new(), ApiMode::Short);
     hashtable_case(OrecFullG::new(), ApiMode::Full);
 }

@@ -666,14 +666,7 @@ impl<S: Stm> StmHashMap<S> {
     /// advisory; a no-op on architectures without a prefetch primitive.
     #[inline]
     pub fn prefetch_bucket(&self, key: u64) {
-        let bucket: *const Bucket<S::Cell> = self.table.home(key).0;
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint and never faults, for any address.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(bucket.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0)
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = bucket;
+        spectm::prefetch::<Bucket<S::Cell>>(self.table.home(key).0);
     }
 
     #[inline]

@@ -76,8 +76,9 @@ use crate::KvError;
 pub const MAX_RMW_KEYS: usize = 8;
 
 /// Fixed per-item overhead charged against the byte budget beside the
-/// payload length: the 64-byte chain node, its share of the bucket array
-/// and the ordered-index tower, and allocator slack.  A deliberately blunt
+/// payload length: the chain node (a 24-byte request at word-sized cells),
+/// its share of the bucket array and the ordered-index tower, and allocator
+/// slack.  A deliberately blunt
 /// constant — the budget bounds memory to first order; it is not an
 /// allocator audit.
 pub const ITEM_OVERHEAD_BYTES: u64 = 128;
@@ -878,20 +879,29 @@ impl<S: Stm + Clone> ShardedKv<S> {
         thread
             .atomic(|tx| {
                 run.clear();
-                StmSkipList::walk_merged_in(&self.indexes, start, last, tx, |shard, key, _, tx| {
-                    let entry = self.shards[shard].read_entry_in(key, tx)?;
-                    debug_assert!(entry.is_some(), "index key {key} missing from its shard");
-                    if let Some((value, deadline)) = entry {
-                        if !deadline_expired(deadline, now) {
-                            run.push((key, value));
+                StmSkipList::walk_merged_in(
+                    &self.indexes,
+                    start,
+                    last,
+                    tx,
+                    // Each shard's next key: its home bucket's miss overlaps
+                    // the other lists' work until the visitor reads it.
+                    |shard, key| self.shards[shard].prefetch_bucket(key),
+                    |shard, key, _, tx| {
+                        let entry = self.shards[shard].read_entry_in(key, tx)?;
+                        debug_assert!(entry.is_some(), "index key {key} missing from its shard");
+                        if let Some((value, deadline)) = entry {
+                            if !deadline_expired(deadline, now) {
+                                run.push((key, value));
+                            }
                         }
-                    }
-                    Ok(if run.len() < limit {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    })
-                })
+                        Ok(if run.len() < limit {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        })
+                    },
+                )
             })
             .expect("scans are never cancelled");
         run

@@ -61,6 +61,7 @@ pub mod clock;
 pub mod config;
 pub mod layout;
 pub mod orec;
+pub mod prefetch;
 pub mod stats;
 pub mod val;
 pub mod variants;
@@ -72,6 +73,7 @@ pub use backoff::Backoff;
 pub use clock::{ClockMode, GlobalClock};
 pub use config::{Config, ShortLocking, WriteSetKind};
 pub use orec::Orec;
+pub use prefetch::prefetch;
 pub use stats::{Stats, StatsSnapshot};
 pub use val::{ValCell, ValStm, ValThread};
 pub use variants::*;
