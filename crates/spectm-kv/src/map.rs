@@ -127,34 +127,38 @@ pub(crate) const DEADLINE_SHIFT: u32 = 1;
 /// the ~0.75 target load factor.
 const CAPACITY_PER_BUCKET: usize = 5;
 
-// Compile-time mirror of the `bit-layout` stmlint rule: the tag and
-// frequency fields leave the lock bit clear and are disjoint from the
-// pointer bits they share a word with.  Alignment sufficiency (which
-// depends on the instantiated `S::Cell`) is checked per-instantiation by
-// `StmHashMap::LAYOUT_OK` below.
+// The item and stat words, asserted where they are defined (the compiler
+// is their one checker): the tag and frequency fields leave the lock bit
+// clear, each pointer mask is exactly the complement of its field and the
+// lock bit, both fields are contiguous bit runs, the tag sits above every
+// address bit, and the deadline word keeps the lock bit clear.  The
+// alignments those fields rely on are asserted after the structs.
 const _: () = {
     assert!(TAG_MASK & 1 == 0, "tag bits overlap the lock bit");
+    assert!(
+        TAG_MASK.leading_zeros() + TAG_MASK.count_ones() + TAG_MASK.trailing_zeros() == Word::BITS,
+        "TAG_MASK must be one contiguous run of bits"
+    );
     assert!(
         TAG_MASK.trailing_zeros() >= ADDRESS_BITS,
         "tag bits reach into the address"
     );
+    assert!(
+        ITEM_PTR_MASK == !(TAG_MASK | 1),
+        "ITEM_PTR_MASK and TAG_MASK | 1 must partition the item word"
+    );
     assert!(FREQ_MASK & 1 == 0, "frequency bits overlap the lock bit");
-    assert!(TAG_MASK & ITEM_PTR_MASK == 0, "tag overlaps node pointer");
     assert!(
-        FREQ_MASK & CHAIN_PTR_MASK == 0,
-        "freq overlaps chain pointer"
-    );
-    assert!(
-        ITEM_PTR_MASK & 1 == 0,
-        "item pointer mask exposes the lock bit"
-    );
-    assert!(
-        CHAIN_PTR_MASK & 1 == 0,
-        "chain pointer mask exposes the lock bit"
+        FREQ_MAX & (FREQ_MAX + 1) == 0,
+        "FREQ_MAX must be a contiguous all-ones field"
     );
     assert!(
         FREQ_MASK == FREQ_MAX << FREQ_SHIFT,
         "frequency byte must fill the frequency mask exactly"
+    );
+    assert!(
+        CHAIN_PTR_MASK == !(FREQ_MASK | 1),
+        "CHAIN_PTR_MASK and FREQ_MASK | 1 must partition the stat word"
     );
     assert!(
         DEADLINE_SHIFT >= 1,
@@ -206,6 +210,32 @@ pub struct Bucket<C> {
 pub struct OverflowBucket<C> {
     bucket: Bucket<C>,
 }
+
+// The alignments the item and stat words rely on, asserted on word-celled
+// instances so that building this crate checks them whatever the map is
+// instantiated with: `#[repr(align)]` is a floor and a word cell is the
+// least-aligned cell, so these instances are the binding case, for the
+// lock-free baseline's `Table<AtomicUsize>` as for every `StmHashMap<S>`.
+// A node's alignment clears the item word's lock bit and the value-word
+// tags (an out-of-line value word is a pointer through the same cells), the
+// overflow bucket's clears the stat word's lock and frequency bits, and a
+// bucket of word cells is exactly one 64-byte line.
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(
+        align_of::<Node<spectm::ValStm>>() as Word
+            > (spectm::INLINE_BYTES_BIT | spectm::INLINE_INT_BIT | 1),
+        "Node's alignment must clear the lock bit and the value-word tags"
+    );
+    assert!(
+        align_of::<OverflowBucket<Word>>() as Word > (FREQ_MASK | 1),
+        "OverflowBucket's alignment must clear the lock and frequency bits"
+    );
+    assert!(
+        align_of::<Bucket<Word>>() == 64 && size_of::<[Word; BUCKET_SLOTS + 1]>() == 64,
+        "a bucket of word cells must be exactly one 64-byte cache line"
+    );
+};
 
 /// Where a walk nothing stopped ended.
 pub struct ChainEnd<'a, C> {
@@ -615,19 +645,6 @@ pub(crate) fn check_len(value: &[u8]) -> Result<(), KvError> {
 }
 
 impl<S: Stm> StmHashMap<S> {
-    /// Per-instantiation layout checks, forced from [`Self::new`]: the node
-    /// alignment must clear the lock bit and the overflow-bucket alignment
-    /// the frequency field, and for word-sized cells a home bucket must be
-    /// exactly one cache line.
-    const LAYOUT_OK: () = {
-        assert!(std::mem::align_of::<Node<S>>() > 1);
-        assert!(std::mem::align_of::<OverflowBucket<S::Cell>>() as Word > FREQ_MASK);
-        assert!(std::mem::align_of::<Bucket<S::Cell>>() >= 64);
-        if std::mem::size_of::<S::Cell>() == std::mem::size_of::<Word>() {
-            assert!(std::mem::size_of::<Bucket<S::Cell>>() == 64);
-        }
-    };
-
     /// Creates a map sized for about `capacity` keys (a hint, not a limit:
     /// the bucket array is fixed at `capacity / 5` buckets, rounded up to a
     /// power of two, targeting the ~0.75 load factor at which overflow
@@ -637,7 +654,6 @@ impl<S: Stm> StmHashMap<S> {
     where
         S: Clone,
     {
-        let () = Self::LAYOUT_OK;
         Self {
             stm: stm.clone(),
             // SAFETY: stat words receive only null chain pointers and

@@ -105,10 +105,20 @@ pub const INLINE_BYTES_BIT: Word = 0b010;
 /// Tag bit marking a value word as an *inline integer*.
 pub const INLINE_INT_BIT: Word = 0b100;
 
-// Compile-time mirror of the `bit-layout` stmlint rule: every tag leaves
-// bit 0 (the `val` layout's lock bit) clear, the two inline tags are
-// distinguishable, and all tag bits fit in the low byte that out-of-line
-// `ValueCell` pointers keep clear through their alignment.
+/// Longest payload storable as inline bytes: one byte of the word carries
+/// the tag and length, the rest carry the payload.
+pub const MAX_INLINE_BYTES: usize = std::mem::size_of::<Word>() - 1;
+
+/// Number of payload bits of an inline integer (bits 0..3 hold the tag).
+pub const INLINE_INT_BITS: u32 = Word::BITS - 3;
+
+// The value-word layout, asserted where it is defined (the compiler is its
+// one checker): every tag leaves bit 0 (the `val` layout's lock bit)
+// clear, the two inline tags are distinguishable, all tag bits fit in the
+// low byte that out-of-line `ValueCell` pointers keep clear through their
+// alignment, and the inline forms' length and payload fields fit beside
+// the tags.  `spectm-kv` asserts its node and cell alignments against
+// these tags.
 const _: () = {
     assert!(MARK_BIT & 1 == 0, "MARK_BIT must leave the lock bit clear");
     assert!(
@@ -126,15 +136,15 @@ const _: () = {
         INLINE_BYTES_BIT < 8 && INLINE_INT_BIT < 8,
         "tags must fit below the alignment of out-of-line cells"
     );
-    assert!(INLINE_INT_BITS == Word::BITS - 3);
+    assert!(
+        MAX_INLINE_BYTES < 8,
+        "MAX_INLINE_BYTES must fit the 3-bit length field"
+    );
+    assert!(
+        INLINE_INT_BITS == Word::BITS - 3,
+        "an inline integer must leave exactly 3 tag bits"
+    );
 };
-
-/// Longest payload storable as inline bytes: one byte of the word carries
-/// the tag and length, the rest carry the payload.
-pub const MAX_INLINE_BYTES: usize = std::mem::size_of::<Word>() - 1;
-
-/// Number of payload bits of an inline integer (bits 0..3 hold the tag).
-pub const INLINE_INT_BITS: u32 = Word::BITS - 3;
 
 /// Packs `bytes` into a single value word, if they fit: payloads up to
 /// [`MAX_INLINE_BYTES`] bytes always do, and payloads of exactly one word

@@ -4,7 +4,8 @@
 //! subset the manifest uses (the offline toolchain has no `toml` crate):
 //!
 //! * `[section]` headers;
-//! * `key = true` / `key = false` booleans;
+//! * `key = true` / `key = false` booleans (under `[rules]`, each key must
+//!   name a rule in [`crate::RULES`]);
 //! * `key = 123` integers;
 //! * `key = ["a", "b"]` string arrays, single-line or spread over several
 //!   lines;
@@ -20,8 +21,9 @@ use std::collections::BTreeMap;
 /// Parsed `stmlint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// `[rules]`: per-rule enable flags.  Rules missing from the table
-    /// default to enabled; the table exists to turn a rule *off*.
+    /// `[rules]`: per-rule enable flags, keyed by names from
+    /// [`crate::RULES`].  Rules missing from the table default to enabled;
+    /// the table exists to turn a rule *off*.
     pub rules: BTreeMap<String, bool>,
     /// `[scan] exclude`: path prefixes (repo-relative, `/`-separated) that
     /// are never scanned — fixtures, vendored code.
@@ -32,10 +34,6 @@ pub struct Config {
     /// `[reclamation] allow`: path prefixes allowed to use `Box::leak`,
     /// `mem::forget`, `transmute`, and raw `dealloc`.
     pub reclamation_allow: Vec<String>,
-    /// `[layout]`: the files holding the tag/mask/alignment constants the
-    /// bit-layout rule cross-checks.
-    pub layout_word: String,
-    pub layout_map: String,
     /// `[unsafe]`: per-file allowed `unsafe`-keyword counts, in file order
     /// (the manifest-hygiene rule checks the order itself).
     pub unsafe_counts: Vec<(String, usize)>,
@@ -58,11 +56,7 @@ impl Config {
 
 /// Parses the manifest text.  Errors name the offending line.
 pub fn parse(text: &str) -> Result<Config, String> {
-    let mut cfg = Config {
-        layout_word: "crates/spectm/src/word.rs".to_string(),
-        layout_map: "crates/spectm-kv/src/map.rs".to_string(),
-        ..Config::default()
-    };
+    let mut cfg = Config::default();
     let mut section = String::new();
     let mut lines = text.lines().enumerate().peekable();
     while let Some((idx, raw)) = lines.next() {
@@ -107,6 +101,11 @@ pub fn parse(text: &str) -> Result<Config, String> {
 fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), String> {
     match section {
         "rules" => {
+            if !crate::RULES.iter().any(|r| r.name == key) {
+                return Err(format!(
+                    "unknown rule `{key}` in [rules] (run `stmlint --list` for the rule names)"
+                ));
+            }
             let b = match value {
                 "true" => true,
                 "false" => false,
@@ -117,14 +116,6 @@ fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), 
         "scan" if key == "exclude" => cfg.exclude = parse_string_array(value)?,
         "ordering" if key == "allow" => cfg.ordering_allow = parse_string_array(value)?,
         "reclamation" if key == "allow" => cfg.reclamation_allow = parse_string_array(value)?,
-        "layout" if key == "word" => {
-            cfg.layout_word =
-                unquote(value).ok_or_else(|| "layout.word: expected a string".to_string())?
-        }
-        "layout" if key == "map" => {
-            cfg.layout_map =
-                unquote(value).ok_or_else(|| "layout.map: expected a string".to_string())?
-        }
         "unsafe" => {
             let n: usize = value
                 .parse()
@@ -134,7 +125,7 @@ fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), 
         _ => {
             return Err(format!(
                 "unknown entry `{key}` in section `[{section}]` (sections: rules, scan, \
-                 ordering, reclamation, layout, unsafe)"
+                 ordering, reclamation, unsafe)"
             ));
         }
     }
@@ -199,7 +190,7 @@ mod tests {
 # comment
 [rules]
 safety-comment = true
-bit-layout = false
+reclamation = false
 
 [scan]
 exclude = [
@@ -219,8 +210,8 @@ allow = ["crates/spectm/src"]
     fn parses_sample() {
         let cfg = parse(SAMPLE).unwrap();
         assert!(cfg.rule_enabled("safety-comment"));
-        assert!(!cfg.rule_enabled("bit-layout"));
-        assert!(cfg.rule_enabled("unlisted-rule-defaults-on"));
+        assert!(!cfg.rule_enabled("reclamation"));
+        assert!(cfg.rule_enabled("ordering-comment"));
         assert_eq!(cfg.exclude, ["vendor", "target"]);
         assert_eq!(cfg.ordering_allow, ["crates/spectm/src"]);
         assert_eq!(cfg.allowed_unsafe("crates/a.rs"), Some(3));
@@ -231,6 +222,10 @@ allow = ["crates/spectm/src"]
     #[test]
     fn rejects_typos_loudly() {
         assert!(parse("[rules]\nsafety = yes\n").is_err());
+        // A `[rules]` key that names no rule: a typo, or a retired rule.
+        assert!(parse("[rules]\nsaftey-comment = false\n").is_err());
+        assert!(parse("[rules]\nbit-layout = true\n").is_err());
+        assert!(parse("[layout]\nmap = \"map.rs\"\n").is_err());
         assert!(parse("[unknown]\nx = 1\n").is_err());
         assert!(parse("[unsafe]\n\"a.rs\" = lots\n").is_err());
         assert!(parse("[scan]\nexclude = [\"a\"\n").is_err());

@@ -1,15 +1,17 @@
 //! `stmlint` — the workspace protocol-conformance lint pass.
 //!
 //! The SpecTM reproduction is built on hand-rolled protocols whose
-//! correctness arguments live outside the type system: tag bits packed into
-//! pointer-alignment slack, epoch-deferred reclamation with a value-word
-//! ownership contract, per-chain spinlocks in stat-word bit 0.  The
+//! correctness arguments live outside the type system: epoch-deferred
+//! reclamation with a value-word ownership contract, per-chain spinlocks in
+//! stat-word bit 0, atomics whose orderings pair across modules.  The
 //! invariants are written down (DESIGN.md, `SAFETY:` comments) but the
 //! offline stable-only toolchain cannot run Miri or TSan, so nothing
-//! machine-checked them.  This crate encodes the repo's contracts as six
+//! machine-checked them.  This crate encodes the repo's contracts as five
 //! source-level rules and enforces them three ways: as a `#[test]` (tier-1
 //! `cargo test` runs the whole pass over the real tree), as a dedicated CI
-//! step, and as a local binary (`cargo run -p stmlint`).
+//! step, and as a local binary (`cargo run -p stmlint`).  The bit layouts
+//! (tags packed into pointer-alignment slack) are not among them: `const`
+//! asserts next to their definitions make the compiler their one checker.
 //!
 //! The rules (see [`RULES`] for the full explanations):
 //!
@@ -19,12 +21,10 @@
 //! | `unsafe-ratchet`  | per-file unsafe counts only grow via a manifest edit  |
 //! | `ordering-comment`| atomic orderings outside core carry `ORDERING:`       |
 //! | `reclamation`     | leak/forget/transmute/dealloc only in audited modules |
-//! | `bit-layout`      | tag masks disjoint, alignments cover the tag bits     |
 //! | `manifest-hygiene`| `stmlint.toml` stays sorted, deduped, non-stale       |
 //!
-//! Everything is dependency-free: a hand-rolled lexer ([`lexer`]), a
-//! minimal TOML reader ([`config`]), and a constant-expression evaluator
-//! ([`layout`]) — no `syn`, no `toml`, no network.
+//! Everything is dependency-free: a hand-rolled lexer ([`lexer`]) and a
+//! minimal TOML reader ([`config`]) — no `syn`, no `toml`, no network.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,7 +32,6 @@ use std::path::{Path, PathBuf};
 
 pub mod checks;
 pub mod config;
-pub mod layout;
 pub mod lexer;
 
 use checks::FileScan;
@@ -76,7 +75,7 @@ pub struct RuleInfo {
 }
 
 /// The rule registry.  Each rule can be disabled in `stmlint.toml` under
-/// `[rules]`; all default to enabled.
+/// `[rules]`, whose keys must name a rule here; all default to enabled.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "safety-comment",
@@ -142,25 +141,6 @@ either a leak or the start of an un-reviewed reclamation scheme.
 Only call positions are flagged (`use std::mem::forget;` is inert), and
 method syntax on other types (`string.leak()`, `guard.forget()`) is not
 confused with the free functions.",
-    },
-    RuleInfo {
-        name: "bit-layout",
-        summary: "tag/mask constants stay disjoint and within alignment slack, across crates",
-        explain: "\
-Parses the value-word tag constants in spectm::word and the bucket
-item/stat word constants in spectm-kv::map (files configurable under
-[layout]) and re-derives the packing invariants: tag masks keep bit 0 (the
-val layout's lock bit) clear, the inline-bytes and inline-int tags are
-disjoint, pointer masks exactly complement tag|lock bits, TAG_MASK is a
-contiguous run at or above ADDRESS_BITS (clear of every node address),
-Node's alignment (a word, unless declared otherwise) clears the lock bit
-and the value-word tags, FREQ_MASK fits the overflow bucket's 512-byte
-alignment, and 8 words = one 64-byte line.
-
-The same facts are mirrored as `const _: () = assert!(..)` guards beside
-the definitions, so the compiler enforces the in-crate half even when
-stmlint does not run; stmlint adds the cross-crate half and fails loudly if
-a rename hides a constant from its parser.",
     },
     RuleInfo {
         name: "manifest-hygiene",
@@ -276,27 +256,6 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     if cfg.rule_enabled("manifest-hygiene") {
         check_manifest_hygiene(root, cfg, &mut findings);
     }
-    if cfg.rule_enabled("bit-layout") {
-        let word_src = std::fs::read_to_string(root.join(&cfg.layout_word));
-        let map_src = std::fs::read_to_string(root.join(&cfg.layout_map));
-        match (word_src, map_src) {
-            (Ok(w), Ok(m)) => {
-                layout::check_bit_layout(&cfg.layout_word, &w, &cfg.layout_map, &m, &mut findings)
-            }
-            (w, m) => {
-                for (path, res) in [(&cfg.layout_word, w), (&cfg.layout_map, m)] {
-                    if let Err(e) = res {
-                        findings.push(Finding::new(
-                            "bit-layout",
-                            path,
-                            0,
-                            format!("cannot read layout file: {e} (fix [layout] in stmlint.toml)"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
@@ -392,7 +351,7 @@ mod tests {
 
     #[test]
     fn rules_are_documented_and_named_consistently() {
-        assert_eq!(RULES.len(), 6);
+        assert_eq!(RULES.len(), 5);
         for r in RULES {
             assert!(!r.summary.is_empty());
             assert!(r.explain.len() > 100, "{} needs a real explanation", r.name);

@@ -8,12 +8,10 @@
 //! cargo run -p stmlint -- --root <path>     # lint a different tree
 //! ```
 //!
-//! Exit status: 0 clean, 1 findings, 2 configuration error.  Flag handling
-//! follows the harness convention ([`harness::figures::opts_from_args`]):
-//! an unknown or malformed flag warns on stderr, listing the expected
-//! flags, rather than being silently ignored — a typo like `--expalin`
-//! must not turn the run into a full (slower, differently-exiting) lint
-//! pass without saying so.
+//! Exit status: 0 clean, 1 findings, 2 usage or configuration error.  An
+//! unknown argument, or `--explain`/`--root` without its value, is a usage
+//! error: a typo like `--write-manfest` must not turn into a plain lint
+//! pass that exits 0 and leaves the manifest as it was.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -27,9 +25,9 @@ struct Opts {
     write_manifest: bool,
 }
 
-/// Parses flags, warning (not failing) on anything unknown — the same
-/// convention as the harness binaries' `opts_from_args`.
-fn opts_from_args(args: impl Iterator<Item = String>) -> Opts {
+/// Parses flags: an unknown argument, or a flag without its value, is an
+/// error.
+fn opts_from_args(args: impl Iterator<Item = String>) -> Result<Opts, String> {
     let mut opts = Opts::default();
     let args: Vec<String> = args.collect();
     let mut i = 0;
@@ -39,32 +37,32 @@ fn opts_from_args(args: impl Iterator<Item = String>) -> Opts {
             "--write-manifest" => opts.write_manifest = true,
             "--explain" => {
                 i += 1;
-                match args.get(i) {
-                    Some(rule) => opts.explain = Some(rule.clone()),
-                    None => eprintln!("warning: ignoring `--explain`: expected a rule name"),
-                }
+                let rule = args.get(i).ok_or("`--explain` expects a rule name")?;
+                opts.explain = Some(rule.clone());
             }
             "--root" => {
                 i += 1;
-                match args.get(i) {
-                    Some(p) => opts.root = Some(PathBuf::from(p)),
-                    None => eprintln!("warning: ignoring `--root`: expected a path"),
-                }
+                let path = args.get(i).ok_or("`--root` expects a path")?;
+                opts.root = Some(PathBuf::from(path));
             }
-            other => {
-                eprintln!(
-                    "warning: ignoring unknown argument `{other}` (expected --list, \
-                     --explain <rule>, --write-manifest or --root <path>)"
-                );
-            }
+            other => return Err(format!("unknown argument `{other}`")),
         }
         i += 1;
     }
-    opts
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let opts = opts_from_args(std::env::args().skip(1));
+    let opts = match opts_from_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!(
+                "error: {e} (usage: stmlint [--list | --explain <rule> | --write-manifest] \
+                 [--root <path>])"
+            );
+            return ExitCode::from(2);
+        }
+    };
 
     if opts.list {
         for r in stmlint::RULES {

@@ -63,67 +63,20 @@ fn reclamation_rule_fires_only_on_the_raw_primitives() {
     assert_eq!(good, Vec::<Finding>::new());
 }
 
-#[test]
-fn layout_rule_fires_on_each_bad_side() {
-    let good_w = fixture("good_word.rs");
-    let good_m = fixture("good_map.rs");
-
-    let mut out = Vec::new();
-    stmlint::layout::check_bit_layout("word.rs", &good_w, "map.rs", &good_m, &mut out);
-    assert_eq!(out, Vec::<Finding>::new());
-
-    let mut out = Vec::new();
-    stmlint::layout::check_bit_layout(
-        "word.rs",
-        &fixture("bad_word.rs"),
-        "map.rs",
-        &good_m,
-        &mut out,
-    );
-    assert!(out.iter().any(|f| f.message.contains("overlap")), "{out:?}");
-
-    let mut out = Vec::new();
-    stmlint::layout::check_bit_layout(
-        "word.rs",
-        &good_w,
-        "map.rs",
-        &fixture("bad_map.rs"),
-        &mut out,
-    );
-    assert!(
-        out.iter().any(|f| f.message.contains("below ADDRESS_BITS")),
-        "{out:?}"
-    );
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: the binary's exit codes over small temp repos
 // ---------------------------------------------------------------------
 
-/// The manifest used by the temp repos: everything on, no allowlists, the
-/// layout files named `word.rs` / `map.rs` at the root.
-const BASE_MANIFEST: &str = "\
-[layout]
-word = \"word.rs\"
-map = \"map.rs\"
-
-[unsafe]
-";
+/// The manifest used by the temp repos: everything on, no allowlists.
+const BASE_MANIFEST: &str = "[unsafe]\n";
 
 /// Creates a fresh temp repo containing `stmlint.toml` plus the given
-/// (dest-name, fixture-name) files.  `word.rs`/`map.rs` default to the
-/// good layout fixtures unless overridden.
+/// (dest-name, fixture-name) files.
 fn temp_repo(name: &str, files: &[(&str, &str)], manifest: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stmlint-corpus-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("stmlint.toml"), manifest).unwrap();
-    if !files.iter().any(|(d, _)| *d == "word.rs") {
-        std::fs::write(dir.join("word.rs"), fixture("good_word.rs")).unwrap();
-    }
-    if !files.iter().any(|(d, _)| *d == "map.rs") {
-        std::fs::write(dir.join("map.rs"), fixture("good_map.rs")).unwrap();
-    }
     for (dest, fx) in files {
         std::fs::write(dir.join(dest), fixture(fx)).unwrap();
     }
@@ -185,8 +138,6 @@ fn binary_fails_per_violation_class() {
             "bad_reclamation.rs",
             "reclamation",
         ),
-        ("layout-word", "word.rs", "bad_word.rs", "bit-layout"),
-        ("layout-map", "map.rs", "bad_map.rs", "bit-layout"),
     ] {
         let root = temp_repo(class, &[(dest, fx)], BASE_MANIFEST);
         let (code, out, _) = write_manifest_then_lint(&root);
@@ -214,8 +165,12 @@ fn binary_fails_on_ratchet_growth() {
 
 #[test]
 fn binary_fails_on_manifest_disorder() {
-    let manifest = format!("{BASE_MANIFEST}\"word.rs\" = 9\n\"map.rs\" = 9\n");
-    let root = temp_repo("hygiene", &[], &manifest);
+    let manifest = format!("{BASE_MANIFEST}\"b.rs\" = 9\n\"a.rs\" = 9\n");
+    let root = temp_repo(
+        "hygiene",
+        &[("a.rs", "good_ordering.rs"), ("b.rs", "good_ordering.rs")],
+        &manifest,
+    );
     let (code, out, _) = run_lint(&root, &[]);
     assert_eq!(code, 1, "{out}");
     assert!(out.contains("manifest-hygiene"), "{out}");
@@ -233,15 +188,24 @@ fn binary_reports_config_errors_distinctly() {
 }
 
 #[test]
-fn binary_warns_on_unknown_flags_instead_of_ignoring() {
+fn binary_rejects_unknown_arguments_without_linting() {
     let root = temp_repo("unknown-flag", &[], BASE_MANIFEST);
-    let (code, _, err) = write_manifest_then_lint(&root);
-    assert_eq!(code, 0);
-    let (_, _, err2) = run_lint(&root, &["--expalin"]);
+    // A misspelt `--write-manifest` must neither lint (and exit 0 on a
+    // clean tree) nor touch the manifest.
+    let (code, out, err) = run_lint(&root, &["--write-manfest"]);
+    assert_eq!(code, 2, "{out}{err}");
     assert!(
-        err2.contains("warning") && err2.contains("--expalin"),
-        "{err2}"
+        err.contains("error") && err.contains("--write-manfest"),
+        "{err}"
     );
-    drop(err);
+    assert!(!out.contains("clean"), "{out}");
+    let manifest = std::fs::read_to_string(root.join("stmlint.toml")).unwrap();
+    assert_eq!(manifest, BASE_MANIFEST);
+    // A flag missing its value is the same usage error.
+    for args in [&["--explain"][..], &["--list", "--root"][..]] {
+        let (code, _, err) = run_lint(&root, args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(err.contains("expects"), "{args:?}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
