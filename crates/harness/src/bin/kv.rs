@@ -5,7 +5,11 @@
 //! variants, the BaseTM full-transaction shape and the lock-free baseline,
 //! printing the same TSV rows as the `fig*` binaries.  Accepts the common
 //! flags (`--quick`, `--paper`, `--threads a,b,c`, `--duration-ms`,
-//! `--runs`, `--key-range`) plus four of its own:
+//! `--runs`, `--key-range`) plus the ones below; any other argument exits
+//! with status 2 and the usage line before anything runs.  Every operation
+//! is one store call (get, put, scan or multi-key RMW); in-process batch
+//! throughput is the repo benchmark's `batch.*` rungs, and wire batches
+//! are `kv-loadgen`'s.
 //!
 //! * `--workload a,b,c,e,f,x` — restrict the sweep to the named YCSB core
 //!   mixes (a = update 50/50, b = read-heavy 95/5, c = read-only,
@@ -20,10 +24,6 @@
 //!   replay an oracle sweep over the key space afterwards (costs cycles;
 //!   off by default so throughput rows stay honest.  Counter writes make
 //!   checksums meaningless for workload `f`, where the flag is ignored).
-//! * `--batch N` — drive the stores through `execute_batch` with batches of
-//!   N operations instead of the single-key API, amortizing routing and
-//!   epoch entry (default 1, the unbatched path).  Point-operation mixes
-//!   only; scan and RMW workloads are skipped with a warning when N > 1.
 //! * `--capacity N` — override the total capacity hint the store tables are
 //!   sized from (default: the key range, which lands near the ~0.75 bucket
 //!   load-factor target).  An `N` below the key range undersizes the tables
@@ -50,6 +50,12 @@
 use harness::kv::{kv_default_dists, kv_default_mixes, KeyDist, KvCacheArgs, KvMix, ValueSize};
 use spectm_kv::EvictionPolicy;
 
+/// The kv-specific flags, as the usage line prints them after the common
+/// ones.
+const KV_FLAGS: &str = " [--workload a,b,c,e,f,x] [--dist uniform,zipfian,latest] \
+     [--value-size SPEC] [--verify] [--capacity N] [--stats] [--max-bytes N] [--ttl-ms N] \
+     [--policy freq|fifo]";
+
 /// The kv-specific flags split off the argument list; `rest` goes to the
 /// common parser.
 struct KvArgs {
@@ -57,7 +63,6 @@ struct KvArgs {
     dists: Vec<KeyDist>,
     value_size: ValueSize,
     verify: bool,
-    batch: usize,
     capacity: Option<usize>,
     cache: KvCacheArgs,
     stats: bool,
@@ -88,7 +93,6 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
     let mut dists = kv_default_dists();
     let mut value_size = ValueSize::default();
     let mut verify = false;
-    let mut batch = 1usize;
     let mut capacity = None;
     let mut cache = KvCacheArgs::default();
     let mut stats = false;
@@ -121,10 +125,6 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--batch" => {
-                let raw = next_value(&args, &mut i);
-                batch = number_or_exit("--batch", &raw, 1, "a positive operation count") as usize;
             }
             "--workload" => {
                 let raw = next_value(&args, &mut i);
@@ -204,7 +204,6 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
         dists,
         value_size,
         verify,
-        batch,
         capacity,
         cache,
         stats,
@@ -214,7 +213,7 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
 
 fn main() {
     let args = parse_kv_args(std::env::args().skip(1));
-    let opts = harness::figures::opts_from_args(args.rest.into_iter());
+    let opts = harness::figures::opts_or_exit(args.rest.into_iter(), KV_FLAGS);
     if args.stats {
         println!(
             "variant\tkeys\tload\thome_buckets\toverflow_buckets\tprobes<=1\tprobes<=2\tmax_probe"
@@ -239,7 +238,6 @@ fn main() {
         &args.dists,
         args.value_size,
         args.verify,
-        args.batch,
         args.capacity,
         args.cache,
     );

@@ -1,25 +1,25 @@
 //! Network load generator for a running `spectm-serve` server (see
-//! EXPERIMENTS.md § "Latency over the wire" for the recipe).
+//! EXPERIMENTS.md § "The latency sweep" for the recipe).
 //!
 //! Preloads the key space over the wire, then sweeps the selected YCSB
-//! mixes under the selected loop disciplines and prints one TSV row per
-//! (mix, mode) with batch-latency percentiles from the log-bucketed
-//! histogram — p999 under the open loop is the coordinated-omission-honest
-//! tail.  With `--verify`, every returned value is checksum-verified
-//! during the run and a full oracle sweep of the key space runs at the
-//! end; any failure exits non-zero.
+//! mixes × connection counts in a closed loop and prints one TSV row per
+//! (mix, connection count) with batch-latency percentiles from the
+//! log-bucketed histogram.  Open-loop tails are the repo benchmark's
+//! `serve_*` workloads.  With `--verify`, every returned value is
+//! checksum-verified during the run and a full oracle sweep of the key
+//! space runs at the end; any failure exits non-zero.
 
 use std::time::Duration;
 
 use harness::kv::{KeyDist, KvMix, KvWorkloadConfig, ValueSize};
-use harness::loadgen::{preload, run_loadgen, verify_sweep, LoadMode, LoadgenConfig, WireConn};
+use harness::loadgen::{preload, run_loadgen, verify_sweep, LoadgenConfig, WireConn};
 use spectm_kv::wire::MAX_WIRE_OPS;
 
 const USAGE: &str = "\
 Usage: kv-loadgen --addr HOST:PORT [OPTIONS]
 
-Drive a spectm-serve server over the batch wire protocol and report
-p50/p99/p999 batch latency.
+Drive a spectm-serve server over the batch wire protocol in a closed loop
+and report p50/p99/p999 batch latency.
 
 Options:
   --addr HOST:PORT    server address (required; spectm-serve prints it and
@@ -29,7 +29,6 @@ Options:
                       fill puts for the previous batch's misses; point the
                       run at a server with --max-bytes to measure eviction)
                       (default a,b,c)
-  --mode closed,open  loop disciplines to sweep (default both)
   --connections N     client connections, dealt round-robin across the
                       client threads (default 4)
   --threads N         client threads driving those connections (default:
@@ -37,11 +36,10 @@ Options:
                       --connections)
   --sweep-connections A,B,C
                       sweep connection counts instead of a single
-                      --connections value: one TSV row per (mix, mode,
+                      --connections value: one TSV row per (mix,
                       connection count) — the scaling-curve one-liner
   --duration-ms N     measured duration per run (default 500)
   --batch N           operations per request frame (default 16, max 128)
-  --rate N            open-loop batches/sec per connection (default 2000)
   --keys N            key-space size, preloaded before the runs (default 65536)
   --dist NAME         key distribution: uniform, zipfian or latest
                       (default uniform)
@@ -70,23 +68,14 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-fn mode_label(mode: LoadMode) -> &'static str {
-    match mode {
-        LoadMode::Closed => "closed",
-        LoadMode::Open { .. } => "open",
-    }
-}
-
 fn main() {
     let mut addr: Option<String> = None;
     let mut mixes = vec![KvMix::UpdateHeavy, KvMix::ReadHeavy, KvMix::ReadOnly];
-    let mut modes: Vec<&'static str> = vec!["closed", "open"];
     let mut connections = 4usize;
     let mut threads: Option<usize> = None;
     let mut sweep_connections: Option<Vec<usize>> = None;
     let mut duration_ms = 500u64;
     let mut batch = 16usize;
-    let mut rate = 2_000u64;
     let mut keys = 65_536u64;
     let mut dist = KeyDist::Uniform;
     let mut value_size = ValueSize::default();
@@ -117,23 +106,6 @@ fn main() {
                 }
                 mixes = parsed;
             }
-            "--mode" => {
-                let raw: String = parse(&arg, args.next());
-                let parsed: Vec<&'static str> = raw
-                    .split(',')
-                    .filter_map(|s| match s.trim() {
-                        "closed" => Some("closed"),
-                        "open" => Some("open"),
-                        _ => None,
-                    })
-                    .collect();
-                if parsed.is_empty() || parsed.len() != raw.split(',').count() {
-                    die(&format!(
-                        "`--mode {raw}` must be a comma list of closed, open"
-                    ));
-                }
-                modes = parsed;
-            }
             "--connections" => connections = parse(&arg, args.next()),
             "--threads" => threads = Some(parse(&arg, args.next())),
             "--sweep-connections" => {
@@ -152,7 +124,6 @@ fn main() {
             }
             "--duration-ms" => duration_ms = parse(&arg, args.next()),
             "--batch" => batch = parse(&arg, args.next()),
-            "--rate" => rate = parse(&arg, args.next()),
             "--keys" => keys = parse(&arg, args.next()),
             "--dist" => {
                 let raw: String = parse(&arg, args.next());
@@ -191,11 +162,8 @@ fn main() {
     if threads == Some(0) {
         die("--threads must be at least 1");
     }
-    if rate == 0 {
-        die("--rate must be at least 1");
-    }
-    // One row per (mix, mode, connection count); a plain run is a
-    // single-point sweep.
+    // One row per (mix, connection count); a plain run is a single-point
+    // sweep.
     let conn_points = sweep_connections.unwrap_or_else(|| vec![connections]);
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -213,7 +181,6 @@ fn main() {
         dist,
         value_size,
         verify,
-        batch,
         default_ttl_ms: ttl_ms,
         ..KvWorkloadConfig::sized_for(keys)
     };
@@ -223,61 +190,49 @@ fn main() {
     }
 
     println!(
-        "mix\tmode\tconnections\tthreads\tbatch\tbatches\tops\tops_per_sec\t\
+        "mix\tconnections\tthreads\tbatch\tbatches\tops\tops_per_sec\t\
          p50_us\tp99_us\tp999_us\tmax_us\thit_rate"
     );
     for &mix in &mixes {
-        for &mode_name in &modes {
-            for &conns in &conn_points {
-                let mode = match mode_name {
-                    "closed" => LoadMode::Closed,
-                    _ => LoadMode::Open {
-                        interval: Duration::from_nanos(1_000_000_000 / rate),
-                    },
-                };
-                let run_threads = threads.unwrap_or(default_threads).min(conns);
-                let cfg = LoadgenConfig {
-                    connections: conns,
-                    threads: run_threads,
-                    duration: Duration::from_millis(duration_ms),
-                    mode,
-                    workload: KvWorkloadConfig {
-                        mix,
-                        ..base.clone()
-                    },
-                };
-                let result = match run_loadgen(addr.as_str(), &cfg) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        eprintln!(
-                            "kv-loadgen: {mix:?}/{mode_name} run at {conns} connections \
-                             failed: {e}"
-                        );
-                        std::process::exit(1);
-                    }
-                };
-                let us = |ns: u64| ns as f64 / 1_000.0;
-                let hit_rate = match result.hit_rate() {
-                    Some(rate) => format!("{rate:.4}"),
-                    None => "-".to_string(),
-                };
-                println!(
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.0}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}",
-                    mix.ycsb_letter(),
-                    mode_label(mode),
-                    conns,
-                    run_threads,
-                    batch,
-                    result.batches,
-                    result.ops,
-                    result.ops_per_sec(),
-                    us(result.hist.percentile(50.0)),
-                    us(result.hist.percentile(99.0)),
-                    us(result.hist.percentile(99.9)),
-                    us(result.hist.max_ns()),
-                    hit_rate,
-                );
-            }
+        for &conns in &conn_points {
+            let run_threads = threads.unwrap_or(default_threads).min(conns);
+            let cfg = LoadgenConfig {
+                connections: conns,
+                threads: run_threads,
+                duration: Duration::from_millis(duration_ms),
+                batch,
+                workload: KvWorkloadConfig {
+                    mix,
+                    ..base.clone()
+                },
+            };
+            let result = match run_loadgen(addr.as_str(), &cfg) {
+                Ok(result) => result,
+                Err(e) => {
+                    eprintln!("kv-loadgen: {mix:?} run at {conns} connections failed: {e}");
+                    std::process::exit(1);
+                }
+            };
+            let us = |ns: u64| ns as f64 / 1_000.0;
+            let hit_rate = match result.hit_rate() {
+                Some(rate) => format!("{rate:.4}"),
+                None => "-".to_string(),
+            };
+            println!(
+                "{}\t{}\t{}\t{}\t{}\t{}\t{:.0}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}",
+                mix.ycsb_letter(),
+                conns,
+                run_threads,
+                batch,
+                result.batches,
+                result.ops,
+                result.ops_per_sec(),
+                us(result.hist.percentile(50.0)),
+                us(result.hist.percentile(99.0)),
+                us(result.hist.percentile(99.9)),
+                us(result.hist.max_ns()),
+                hit_rate,
+            );
         }
     }
 

@@ -399,8 +399,17 @@ pub fn fig10(opts: &FigureOpts) -> Vec<FigureRow> {
     rows
 }
 
-/// Parses the common command-line options of the `fig*` binaries.
-pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
+/// The common flags of the `fig*`, `ablation` and `kv` binaries, as their
+/// usage line prints them.
+const COMMON_FLAGS: &str =
+    "[--quick | --paper] [--threads A,B,C] [--duration-ms N] [--runs N] [--key-range N]";
+
+/// Parses the common command-line options of the `fig*` binaries
+/// (`--quick`, `--paper`, `--threads`, `--duration-ms`, `--runs`,
+/// `--key-range`).  Any other argument is an error, so a stale or misspelt
+/// flag cannot quietly run the default sweep; a malformed *value* of a
+/// known flag only warns and keeps the current setting.
+pub fn opts_from_args(args: impl Iterator<Item = String>) -> Result<FigureOpts, String> {
     let mut opts = FigureOpts::default();
     let args: Vec<String> = args.collect();
     let mut i = 0;
@@ -455,16 +464,26 @@ pub fn opts_from_args(args: impl Iterator<Item = String>) -> FigureOpts {
                     opts.key_range = range;
                 }
             }
-            other => {
-                eprintln!(
-                    "warning: ignoring unknown argument `{other}` (expected --quick, --paper, \
-                     --threads, --duration-ms, --runs or --key-range)"
-                );
-            }
+            other => return Err(format!("unknown argument `{other}`")),
         }
         i += 1;
     }
-    opts
+    Ok(opts)
+}
+
+/// [`opts_from_args`] for a binary's `main`: an error prints itself and the
+/// usage line (the common flags, then `own_flags`) and exits with status 2
+/// before anything runs.
+pub fn opts_or_exit(args: impl Iterator<Item = String>, own_flags: &str) -> FigureOpts {
+    opts_from_args(args).unwrap_or_else(|e| {
+        let program = std::env::args().next().unwrap_or_default();
+        let name = std::path::Path::new(&program)
+            .file_name()
+            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+        eprintln!("error: {e}");
+        eprintln!("usage: {name} {COMMON_FLAGS}{own_flags}");
+        std::process::exit(2)
+    })
 }
 
 /// Number of Figure 5 (and ablation) iterations corresponding to `opts`.
@@ -495,7 +514,8 @@ mod tests {
             ["--threads", "1,3,5", "--duration-ms", "10", "--runs", "2"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(opts.threads, vec![1, 3, 5]);
         assert_eq!(opts.duration, Duration::from_millis(10));
         assert_eq!(opts.runs, 2);
@@ -514,13 +534,24 @@ mod tests {
             "--threads",
             "0",
         ];
-        let opts = opts_from_args(args.iter().map(|s| s.to_string()));
+        let opts = opts_from_args(args.iter().map(|s| s.to_string())).unwrap();
         let quick = FigureOpts::quick();
         assert_eq!(opts.runs, quick.runs);
         assert_eq!(opts.key_range, quick.key_range);
         assert_eq!(opts.threads, quick.threads);
-        let opts = opts_from_args(["--threads", "2,0,4"].iter().map(|s| s.to_string()));
+        let opts = opts_from_args(["--threads", "2,0,4"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(opts.threads, default_thread_sweep(), "a 0 inside a list");
+    }
+
+    /// An unknown flag is an error naming it, wherever it sits — not a
+    /// warning followed by the default sweep.
+    #[test]
+    fn unknown_arguments_are_errors() {
+        let parse = |args: &[&str]| opts_from_args(args.iter().map(|s| s.to_string()));
+        let err = parse(&["--quick", "--batch", "16"]).unwrap_err();
+        assert!(err.contains("`--batch`"), "{err}");
+        assert!(parse(&["--mode", "open"]).is_err());
+        assert!(parse(&["--quick", "--runs", "2"]).is_ok());
     }
 
     #[test]

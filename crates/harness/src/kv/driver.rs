@@ -11,8 +11,8 @@ use txepoch::Collector;
 
 use super::store::{KvStore, LockFreeKvBench, StmKvBench};
 use super::workload::{
-    fill_payload, payload_is_valid, perform_batch, perform_op, KeyDist, KvMix, KvWorkloadConfig,
-    ValueLenSampler, ValueSize, WorkerState,
+    fill_payload, payload_is_valid, perform_op, KeyDist, KvMix, KvWorkloadConfig, ValueLenSampler,
+    ValueSize, WorkerState,
 };
 use crate::figures::{FigureOpts, FigureRow};
 use crate::intset::{trimmed_mean, RunResult, Xorshift, BATCH_OPS};
@@ -35,10 +35,9 @@ pub fn load_keys<K: KvStore>(store: &K, num_keys: u64, value_size: ValueSize) {
 /// Runs the workload once (load phase + measured phase) and reports
 /// throughput together with the hit rate observed over the measured phase
 /// (`None` when the store is not running in cache mode).  One
-/// read-modify-write counts as one operation; a batch of `cfg.batch`
-/// operations counts as `cfg.batch` operations.  With `cfg.verify` set,
-/// reads are checksum-verified throughout and a final oracle sweep re-reads
-/// the whole key space after the workers stop.
+/// read-modify-write or one scan counts as one operation.  With
+/// `cfg.verify` set, reads are checksum-verified throughout and a final
+/// oracle sweep re-reads the whole key space after the workers stop.
 ///
 /// In cache mode the store's background reclaimer runs for the whole load +
 /// measure window, so budget eviction and expiry happen concurrently with
@@ -50,12 +49,6 @@ pub fn run_kv<K: KvStore>(store: Arc<K>, cfg: &KvWorkloadConfig) -> (RunResult, 
         "rmw_keys must be in 1..={}",
         spectm_kv::MAX_RMW_KEYS
     );
-    assert!(cfg.batch >= 1, "a batch holds at least one operation");
-    assert!(
-        cfg.batch == 1 || cfg.mix.supports_batching(),
-        "{:?} does not batch (point-operation mixes only)",
-        cfg.mix
-    );
     let reclaimer = store.spawn_reclaimer();
     load_keys(&*store, cfg.num_keys, cfg.value_size);
     let loaded = store.cache_stats();
@@ -64,23 +57,13 @@ pub fn run_kv<K: KvStore>(store: Arc<K>, cfg: &KvWorkloadConfig) -> (RunResult, 
         let mut ctx = store.thread_ctx();
         let mut state = WorkerState::new(cfg, 0x0BAD_5EED ^ (0x9E37_79B9 * (tid as u64 + 1)));
         let store = &store;
-        let batch = cfg.batch;
         move || {
-            if batch > 1 {
-                let mut done = 0u64;
-                while done < BATCH_OPS {
-                    perform_batch(&**store, &mut ctx, batch, &mut state);
-                    done += batch as u64;
-                }
-                done
-            } else {
-                for _ in 0..BATCH_OPS {
-                    let key = state.sample_key();
-                    let raw = state.next_raw();
-                    perform_op(&**store, &mut ctx, key, raw, &mut state);
-                }
-                BATCH_OPS
+            for _ in 0..BATCH_OPS {
+                let key = state.sample_key();
+                let raw = state.next_raw();
+                perform_op(&**store, &mut ctx, key, raw, &mut state);
             }
+            BATCH_OPS
         }
     });
     let result = RunResult::from_samples(samples);
@@ -280,36 +263,23 @@ impl KvCacheArgs {
 /// in the same TSV row shape as the figure drivers (`figure` is `"kv"`,
 /// `panel` is `"<mix> / <dist>"` — with the value-size label appended when
 /// it is not the default — and `x` is the thread count), for the given
-/// mixes, distributions, value-size distribution, verification switch,
-/// batch size and optional total capacity-hint override (the `--workload` /
-/// `--dist` / `--value-size` / `--verify` / `--batch` / `--capacity` flags
-/// of the `kv` binary).  With `batch > 1`, mixes that have no batched shape
-/// (scans, multi-key RMW) are skipped with a warning rather than aborting
-/// the sweep.  A `capacity` below the key-space size undersizes the tables,
-/// driving them to high load factors (the occupancy stress shape CI
-/// exercises).
-#[allow(clippy::too_many_arguments)]
+/// mixes, distributions, value-size distribution, verification switch and
+/// optional total capacity-hint override (the `--workload` / `--dist` /
+/// `--value-size` / `--verify` / `--capacity` flags of the `kv` binary).
+/// A `capacity` below the key-space size undersizes the tables, driving
+/// them to high load factors (the occupancy stress shape CI exercises).
 pub fn kv_rows(
     opts: &FigureOpts,
     mixes: &[KvMix],
     dists: &[KeyDist],
     value_size: ValueSize,
     verify: bool,
-    batch: usize,
     capacity: Option<usize>,
     cache: KvCacheArgs,
 ) -> Vec<FigureRow> {
-    assert!(batch >= 1, "a batch holds at least one operation");
     let sized = sized_for_sweep(opts, capacity);
     let mut rows = Vec::new();
     for &mix in mixes {
-        if batch > 1 && !mix.supports_batching() {
-            eprintln!(
-                "warning: skipping workload {} (batching covers point-operation mixes only)",
-                mix.label()
-            );
-            continue;
-        }
         for &dist in dists {
             let mut panel = if value_size == ValueSize::default() {
                 format!("{} / {}", mix.label(), dist.label())
@@ -321,9 +291,6 @@ pub fn kv_rows(
                     value_size.label()
                 )
             };
-            if batch > 1 {
-                panel.push_str(&format!(" / batch:{batch}"));
-            }
             panel.push_str(&cache.panel_suffix());
             for variant in kv_variants() {
                 for &threads in &opts.threads {
@@ -334,7 +301,6 @@ pub fn kv_rows(
                         dist,
                         value_size,
                         verify,
-                        batch,
                         max_bytes: cache.max_bytes,
                         default_ttl_ms: cache.default_ttl_ms,
                         policy: cache.policy,

@@ -5,9 +5,7 @@ use std::time::Duration;
 
 use lockfree::LockFreeKvMap;
 use spectm::Stm;
-use spectm_kv::{
-    BatchRequest, BatchResponse, CacheConfig, CacheStats, MapStats, Reclaimer, ShardedKv, Value,
-};
+use spectm_kv::{CacheConfig, CacheStats, MapStats, Reclaimer, ShardedKv, Value};
 
 /// A key-value store as seen by the workload driver.
 ///
@@ -25,18 +23,6 @@ pub trait KvStore: Send + Sync + 'static {
     fn get(&self, key: u64, ctx: &mut Self::ThreadCtx) -> Option<Value>;
     /// Stores `value` under `key`, returning the previous value if present.
     fn put(&self, key: u64, value: &[u8], ctx: &mut Self::ThreadCtx) -> Option<Value>;
-    /// Stores `value` under `key` with an explicit TTL in milliseconds
-    /// (`0` = never expires).  Stores without TTL machinery fall back to a
-    /// plain put — the honest baseline, since expiry costs them nothing.
-    fn put_ttl(
-        &self,
-        key: u64,
-        value: &[u8],
-        _ttl_ms: u64,
-        ctx: &mut Self::ThreadCtx,
-    ) -> Option<Value> {
-        self.put(key, value, ctx)
-    }
     /// Removes `key`, returning the value it held.
     fn del(&self, key: u64, ctx: &mut Self::ThreadCtx) -> Option<Value>;
     /// Adds `delta` to every key in `keys` (values as 8-byte little-endian
@@ -47,19 +33,6 @@ pub trait KvStore: Send + Sync + 'static {
     /// ascending key order.  An atomically consistent snapshot for the STM
     /// store; a best-effort (tearable) walk for the lock-free baseline.
     fn scan(&self, start: u64, limit: usize, ctx: &mut Self::ThreadCtx) -> Vec<(u64, Value)>;
-    /// Executes the request as one batch, writing each operation's result
-    /// (the stored value for a get, the displaced previous value for a put
-    /// or delete) to its request position in `out` (cleared first).  The
-    /// request is `&mut` so stores can use its internal scratch buffers;
-    /// its operation list is left untouched.  Both stores have a native
-    /// batch path: per-shard pipelining under one epoch entry for the STM
-    /// store, a single pin for the lock-free baseline.
-    fn execute_batch(
-        &self,
-        req: &mut BatchRequest,
-        out: &mut BatchResponse,
-        ctx: &mut Self::ThreadCtx,
-    );
     /// Snapshot of the store's cache counters, when it maintains them
     /// (`None` for stores without TTL machinery, and for stores whose
     /// configuration keeps cache behaviour off).
@@ -142,18 +115,6 @@ impl<S: Stm + Clone> KvStore for StmKvBench<S> {
             .expect("driver payloads are size-bounded")
     }
 
-    fn put_ttl(
-        &self,
-        key: u64,
-        value: &[u8],
-        ttl_ms: u64,
-        ctx: &mut Self::ThreadCtx,
-    ) -> Option<Value> {
-        self.store
-            .put_with_ttl(key, value, Some(ttl_ms), ctx)
-            .expect("driver payloads are size-bounded")
-    }
-
     fn del(&self, key: u64, ctx: &mut Self::ThreadCtx) -> Option<Value> {
         self.store.del(key, ctx)
     }
@@ -166,17 +127,6 @@ impl<S: Stm + Clone> KvStore for StmKvBench<S> {
 
     fn scan(&self, start: u64, limit: usize, ctx: &mut Self::ThreadCtx) -> Vec<(u64, Value)> {
         self.store.scan(start, limit, ctx)
-    }
-
-    fn execute_batch(
-        &self,
-        req: &mut BatchRequest,
-        out: &mut BatchResponse,
-        ctx: &mut Self::ThreadCtx,
-    ) {
-        self.store
-            .execute_batch_into(req, out, ctx)
-            .expect("driver payloads are size-bounded")
     }
 
     fn stats(&self) -> Option<MapStats> {
@@ -239,17 +189,6 @@ impl KvStore for LockFreeKvBench {
 
     fn scan(&self, start: u64, limit: usize, ctx: &mut Self::ThreadCtx) -> Vec<(u64, Value)> {
         self.inner.scan(start, limit, ctx)
-    }
-
-    fn execute_batch(
-        &self,
-        req: &mut BatchRequest,
-        out: &mut BatchResponse,
-        ctx: &mut Self::ThreadCtx,
-    ) {
-        self.inner
-            .execute_batch_into(req.ops(), out, ctx)
-            .expect("driver payloads are size-bounded")
     }
 
     fn stats(&self) -> Option<MapStats> {

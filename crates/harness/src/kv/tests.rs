@@ -215,44 +215,9 @@ fn verified_runs_pass_for_every_value_size() {
 }
 
 #[test]
-fn batched_runs_serve_point_mixes_on_both_stores() {
-    for batch in [2usize, 16, 128] {
-        for mix in [KvMix::ReadHeavy, KvMix::UpdateHeavy, KvMix::ReadOnly] {
-            let cfg = KvWorkloadConfig {
-                batch,
-                verify: true,
-                ..tiny_cfg(mix, KeyDist::Zipfian, 2)
-            };
-            let store = Arc::new(StmKvBench::new(ValShort::new(), 4, 128, ApiMode::Short));
-            let (res, _) = run_kv(store, &cfg);
-            assert!(res.total_ops > 0, "{mix:?} batch {batch}");
-            assert_eq!(
-                res.total_ops % batch as u64,
-                0,
-                "ops are counted in whole batches"
-            );
-        }
-        let cfg = KvWorkloadConfig {
-            batch,
-            verify: true,
-            ..tiny_cfg(KvMix::UpdateHeavy, KeyDist::Uniform, 2)
-        };
-        let store = Arc::new(LockFreeKvBench::new(LockFreeKvMap::new(
-            512,
-            Collector::new(),
-        )));
-        assert!(
-            run_kv(store, &cfg).0.total_ops > 0,
-            "lock-free batch {batch}"
-        );
-    }
-}
-
-#[test]
 fn build_batch_follows_the_mix_split() {
     let cfg = KvWorkloadConfig {
         mix: KvMix::ReadHeavy,
-        batch: 64,
         ..KvWorkloadConfig::sized_for(512)
     };
     let mut state = WorkerState::new(&cfg, 0xABCD);
@@ -270,23 +235,11 @@ fn build_batch_follows_the_mix_split() {
     // Read-only mixes build pure get batches.
     let cfg = KvWorkloadConfig {
         mix: KvMix::ReadOnly,
-        batch: 16,
         ..KvWorkloadConfig::sized_for(512)
     };
     let mut state = WorkerState::new(&cfg, 0xABCD);
     state.build_batch(100);
     assert!(state.batch_ops().iter().all(|op| !op.is_write()));
-}
-
-#[test]
-#[should_panic(expected = "does not batch")]
-fn batched_scan_mixes_are_rejected() {
-    let cfg = KvWorkloadConfig {
-        batch: 8,
-        ..tiny_cfg(KvMix::ScanHeavy, KeyDist::Uniform, 1)
-    };
-    let store = Arc::new(StmKvBench::new(ValShort::new(), 4, 128, ApiMode::Short));
-    let _ = run_kv(store, &cfg);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use spectm_kv::{BatchOp, BatchRequest, BatchResponse, CacheConfig, EvictionPolicy, Value};
+use spectm_kv::{BatchOp, CacheConfig, EvictionPolicy, Value};
 
 use super::store::KvStore;
 use crate::intset::Xorshift;
@@ -66,8 +66,9 @@ impl KvMix {
     }
 
     /// Whether the mix consists purely of point gets and puts — the shape
-    /// the batched pipeline serves.  Scans and multi-key RMWs are whole
-    /// multi-key operations of their own and do not batch.
+    /// a wire frame carries ([`WorkerState::build_batch`]).  Scans and
+    /// multi-key RMWs are whole multi-key operations of their own and have
+    /// no wire shape.
     pub fn supports_batching(self) -> bool {
         matches!(
             self,
@@ -461,11 +462,6 @@ pub struct KvWorkloadConfig {
     /// Keys touched by one read-modify-write (drawn independently, so they
     /// usually land on different shards).
     pub rmw_keys: usize,
-    /// Operations per batch.  `1` (the default) drives the single-key API;
-    /// larger values drive `execute_batch` with batches of this many
-    /// operations, amortizing routing and epoch entry (point-operation
-    /// mixes only — see [`KvMix::supports_batching`]).
-    pub batch: usize,
     /// Live-byte budget for cache-mode runs (`None`, the default, keeps
     /// the store unbounded).  Set it below the loaded working set and the
     /// background reclaimer evicts during the run.
@@ -490,7 +486,6 @@ impl Default for KvWorkloadConfig {
             value_size: ValueSize::default(),
             verify: false,
             rmw_keys: 2,
-            batch: 1,
             max_bytes: None,
             default_ttl_ms: 0,
             policy: EvictionPolicy::Freq,
@@ -536,10 +531,11 @@ impl KvWorkloadConfig {
 }
 
 /// Per-thread state of the workload loop: key and value-length samplers,
-/// the thread's RNG, the RMW key buffer, the scan parameters and the
-/// reusable payload buffer.  Bundling it keeps [`perform_op`] at a callable
-/// arity, keeps steady-state writes allocation-free, and gives the network
-/// load generator the same operation stream as the in-process driver.
+/// the thread's RNG, the RMW key buffer, the scan parameters, the reusable
+/// payload buffer and the request frame the network load generator ships.
+/// Bundling it keeps [`perform_op`] at a callable arity, keeps steady-state
+/// writes allocation-free, and gives the network load generator the same
+/// key, value and mix streams as the in-process driver.
 pub struct WorkerState {
     mix: KvMix,
     sampler: KeySampler,
@@ -549,11 +545,9 @@ pub struct WorkerState {
     lens: ValueLenSampler,
     verify: bool,
     scratch: Vec<u8>,
-    /// Reusable request of the batched path ([`perform_batch`]): carries
-    /// the operations and the store's grouping scratch across batches.
-    batch_req: BatchRequest,
-    /// Reusable response buffer of the batched path.
-    batch_results: BatchResponse,
+    /// Reusable request frame of [`WorkerState::build_batch`] and
+    /// [`WorkerState::build_churn_batch`].
+    frame: Vec<BatchOp>,
 }
 
 impl WorkerState {
@@ -570,14 +564,13 @@ impl WorkerState {
             // Counter writes make checksums meaningless under the RMW mix.
             verify: cfg.verify && cfg.mix != KvMix::ReadModifyWrite,
             scratch: Vec::with_capacity(cfg.value_size.max_len()),
-            batch_req: BatchRequest::new(),
-            batch_results: BatchResponse::with_capacity(cfg.batch),
+            frame: Vec::new(),
         }
     }
 
     /// Fills the reusable request buffer with `n` operations drawn from the
     /// mix's read/write split and the panel's key and value-length
-    /// distributions — the batched counterpart of the per-op draws in
+    /// distributions — the wire-frame counterpart of the per-op draws in
     /// [`perform_op`].  Word-sized payloads stay inline in their
     /// [`BatchOp::Put`], so building the batch does not allocate in the
     /// steady state.
@@ -587,16 +580,16 @@ impl WorkerState {
             "{:?} has no batched shape",
             self.mix
         );
-        self.batch_req.clear();
+        self.frame.clear();
         for _ in 0..n {
             let key = self.sampler.sample(&mut self.rng);
             let raw = self.rng.next();
             if raw % 100 < self.mix.read_pct() as u64 {
-                self.batch_req.get(key);
+                self.frame.push(BatchOp::Get(key));
             } else {
                 let len = self.lens.sample(&mut self.rng);
                 fill_payload(key, raw, len, &mut self.scratch);
-                self.batch_req.put(key, &self.scratch);
+                self.frame.push(BatchOp::put(key, &self.scratch));
             }
         }
     }
@@ -608,29 +601,30 @@ impl WorkerState {
     /// ride [`BatchOp::PutTtl`] instead of plain puts, exercising the TTL
     /// opcode over the wire.
     pub fn build_churn_batch(&mut self, n: usize, fills: &mut Vec<u64>, ttl_ms: u64) {
-        self.batch_req.clear();
+        self.frame.clear();
         for _ in 0..n {
             if let Some(key) = fills.pop() {
                 let raw = self.rng.next();
                 let len = self.lens.sample(&mut self.rng);
                 fill_payload(key, raw, len, &mut self.scratch);
                 if ttl_ms > 0 {
-                    self.batch_req.put_ttl(key, &self.scratch, ttl_ms);
+                    self.frame
+                        .push(BatchOp::put_ttl(key, &self.scratch, ttl_ms));
                 } else {
-                    self.batch_req.put(key, &self.scratch);
+                    self.frame.push(BatchOp::put(key, &self.scratch));
                 }
             } else {
-                self.batch_req.get(self.sampler.sample(&mut self.rng));
+                self.frame
+                    .push(BatchOp::Get(self.sampler.sample(&mut self.rng)));
             }
         }
     }
 
     /// The operations of the last [`WorkerState::build_batch`], in request
-    /// order — what a network client ships as one request frame (the
-    /// in-process driver hands the whole request to the store instead).
+    /// order — what a network client ships as one request frame.
     #[inline]
     pub fn batch_ops(&self) -> &[BatchOp] {
-        self.batch_req.ops()
+        &self.frame
     }
 
     /// Draws the next primary key.
@@ -738,28 +732,4 @@ pub fn perform_op<K: KvStore>(
             }
         }
     }
-}
-
-/// Executes one batch of `n` operations through [`KvStore::execute_batch`],
-/// drawing the operations from the state's distributions
-/// ([`WorkerState::build_batch`]).  When the state's verify flag is set,
-/// every value the batch returns — read values of gets, displaced values of
-/// puts — is checksum-verified against its key.
-#[inline]
-pub fn perform_batch<K: KvStore>(
-    store: &K,
-    ctx: &mut K::ThreadCtx,
-    n: usize,
-    state: &mut WorkerState,
-) {
-    state.build_batch(n);
-    store.execute_batch(&mut state.batch_req, &mut state.batch_results, ctx);
-    if state.verify {
-        for (op, result) in state.batch_req.ops().iter().zip(&state.batch_results) {
-            if let Some(value) = result {
-                state.check(op.key(), value);
-            }
-        }
-    }
-    std::hint::black_box(&state.batch_results);
 }

@@ -18,19 +18,25 @@
 //! * [`figures`] — one driver per figure (and one for the §4.4.2
 //!   ablations), used by the `fig*` and `ablation` binaries;
 //! * [`measure`] — the shared timed-run scaffolding (per-thread measurement
-//!   windows), the log-bucketed [`LatencyHistogram`] and the
-//!   open-loop latency driver;
+//!   windows) and the log-bucketed [`LatencyHistogram`];
 //! * [`kv`] — the YCSB-style workload driver for the sharded transactional
 //!   KV store of the `spectm-kv` crate (operation mixes, zipfian/latest key
-//!   distributions, and the `kv` binary's sweep);
+//!   distributions, and the `kv` binary's variant × mix × thread sweep over
+//!   single-key operations);
 //! * [`loadgen`] — the network load generator for the `spectm-serve` cache
-//!   server: closed- and open-loop clients over the batch wire protocol
-//!   with p50/p99/p999 reporting (the `kv-loadgen` binary).
+//!   server: closed-loop clients over the batch wire protocol, many
+//!   connections per client thread, with p50/p99/p999 reporting (the
+//!   `kv-loadgen` binary's connection sweep).
+//!
+//! In-process batch throughput and open-loop tails are not measured here:
+//! the repo benchmark (`benchmark/`) owns both, as its `batch.*` rungs and
+//! its `serve_*` workloads' open phases.
 //!
 //! Binaries: `cargo run --release -p harness --bin fig1` (likewise `fig5`
 //! through `fig10`, `ablation`, `kv` for the KV-store sweeps, and `kv-loadgen` against
 //! a running `spectm-serve`).  The figure binaries accept `--quick` for a
-//! fast smoke run and `--threads a,b,c` to override the sweep.
+//! fast smoke run and `--threads a,b,c` to override the sweep; an unknown
+//! argument exits with status 2 before anything runs.
 
 #![warn(missing_docs)]
 
@@ -46,6 +52,6 @@ pub mod variants;
 pub use adapters::BenchSet;
 pub use intset::{choose_op, run_intset, run_intset_repeated, RunResult, SetOp, WorkloadConfig};
 pub use kv::{run_kv, run_kv_repeated, run_kv_variant, KvMix, KvStore, KvWorkloadConfig};
-pub use loadgen::{run_loadgen, LoadMode, LoadgenConfig, LoadgenResult, WireConn};
+pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenResult, WireConn};
 pub use measure::LatencyHistogram;
 pub use variants::VariantSpec;

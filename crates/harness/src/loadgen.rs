@@ -1,35 +1,28 @@
 //! The network load generator: drives a `spectm-serve` server over the
-//! batch wire protocol and reports latency percentiles.
+//! batch wire protocol in a closed loop and reports latency percentiles.
 //!
-//! This is the client half of ROADMAP item 1.  It reuses the in-process
-//! workload machinery — [`KvWorkloadConfig`] for the mix, key
-//! distribution, value sizes and batch length, [`WorkerState`] for the
-//! per-connection operation stream, and the self-certifying checksummed
-//! payloads of [`crate::kv::fill_payload`] for `--verify` — so a network
-//! run measures the same workload as an in-process `kv` run, plus the
-//! wire.
+//! It reuses the in-process workload machinery — [`KvWorkloadConfig`] for
+//! the mix, key distribution, value sizes and key-space size,
+//! [`WorkerState`] for the per-connection operation stream, and the
+//! self-certifying checksummed payloads of [`crate::kv::fill_payload`] for
+//! `--verify` — so a network run draws the same keys and values as an
+//! in-process `kv` run, plus the wire.  The frame size
+//! ([`LoadgenConfig::batch`]) is the one knob only the wire has.
 //!
 //! Connections are decoupled from client threads (the multiplexing server
 //! serves many connections per worker, so the interesting operating points
-//! have far more connections than a client machine has cores): each thread
-//! drives several [`WireConn`]s round-robin under one of two disciplines
-//! (see [`crate::measure`]):
+//! have far more connections than a client machine has cores): each
+//! thread scatters one batch onto every one of its [`WireConn`]s, then
+//! gathers every response, so all its connections stay in flight at once.
+//! Each connection's next batch is issued the moment its previous response
+//! arrives.  Latency is per connection, send to response, under maximal
+//! client pressure — with the coordinated-omission caveat of every closed
+//! loop.  Open-loop tails are the repo benchmark's job (its `serve_*`
+//! workloads), not this module's.
 //!
-//! * **closed loop** ([`LoadMode::Closed`]) — each connection's next batch
-//!   is issued the moment its previous response arrives; a thread
-//!   scatter/gathers across its connections (send on every connection,
-//!   then collect every response), so all its connections stay in flight
-//!   concurrently; latency is response time under maximal client pressure,
-//!   with the coordinated-omission caveat;
-//! * **open loop** ([`LoadMode::Open`]) — batches are issued on a fixed
-//!   per-connection schedule (the thread's rotation runs at `connections ×`
-//!   the per-connection rate) and each sample is measured from its
-//!   *scheduled* time, so server stalls are charged to every batch that
-//!   was due during them.
-//!
-//! Per-connection histograms merge losslessly into one
-//! [`LatencyHistogram`] for the run's p50/p99/p999.  The `kv-loadgen`
-//! binary sweeps mixes and modes and prints one TSV row per run.
+//! Per-thread histograms merge losslessly into one [`LatencyHistogram`]
+//! for the run's p50/p99/p999.  The `kv-loadgen` binary sweeps mixes and
+//! connection counts and prints one TSV row per run.
 
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -42,7 +35,7 @@ use crate::intset::Xorshift;
 use crate::kv::{
     fill_payload, payload_is_valid, KvMix, KvWorkloadConfig, ValueLenSampler, WorkerState,
 };
-use crate::measure::{drive_open_loop, LatencyHistogram};
+use crate::measure::LatencyHistogram;
 
 /// Everything that can end a load-generation run early.
 #[derive(Debug)]
@@ -163,13 +156,6 @@ impl WireConn {
             None => Err(ClientError::ServerClosed),
         }
     }
-
-    /// Applies (or clears) a read timeout on the underlying socket, so a
-    /// test can bound how long a [`WireConn::recv`] may wait.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
-        Ok(())
-    }
 }
 
 /// Loads every key of `0..num_keys` with a checksummed payload over the
@@ -215,20 +201,6 @@ pub fn verify_sweep(conn: &mut WireConn, num_keys: u64) -> Result<(), ClientErro
     Ok(())
 }
 
-/// The load-generation discipline of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Issue the next batch as soon as the previous response arrives.
-    Closed,
-    /// Issue batches on a fixed schedule, one per `interval` per
-    /// connection, measuring from the scheduled time (coordinated
-    /// omission measured, not hidden).
-    Open {
-        /// The per-connection inter-batch interval.
-        interval: Duration,
-    },
-}
-
 /// Parameters of one load-generation run.
 pub struct LoadgenConfig {
     /// Concurrent connections, dealt round-robin across the client
@@ -237,13 +209,14 @@ pub struct LoadgenConfig {
     /// Client threads driving those connections (`0` means one thread per
     /// connection; more threads than connections is clamped down).
     pub threads: usize,
-    /// The measured duration (open-loop backlogs drain past it).
+    /// The measured duration.
     pub duration: Duration,
-    /// The discipline.
-    pub mode: LoadMode,
-    /// The workload: mix, key distribution, value sizes, batch length,
-    /// key-space size and the per-batch verify flag.  (The store-shape
-    /// fields — shards, capacity, threads — belong to the server.)
+    /// Operations per request frame, `1..=`[`MAX_WIRE_OPS`].
+    pub batch: usize,
+    /// The workload: mix, key distribution, value sizes, key-space size,
+    /// the churn fills' TTL and the per-batch verify flag.  (The
+    /// store-shape fields — shards, capacity, threads — belong to the
+    /// server.)
     pub workload: KvWorkloadConfig,
 }
 
@@ -353,8 +326,8 @@ fn conn_seed(cid: usize) -> u64 {
 }
 
 /// Runs one client thread over its share of the run's connections
-/// (`tid`, `tid + threads`, `tid + 2·threads`, … — a strided deal), per
-/// the configured discipline, returning its histogram and batch count.
+/// (`tid`, `tid + threads`, `tid + 2·threads`, … — a strided deal),
+/// returning its histogram, batch count and hit tally.
 fn run_client_thread(
     addr: std::net::SocketAddr,
     cfg: &LoadgenConfig,
@@ -377,100 +350,42 @@ fn run_client_thread(
     let verify = cfg.workload.verify;
     let churn = cfg.workload.mix == KvMix::Churn;
     let ttl_ms = cfg.workload.default_ttl_ms;
-    let build = |client: &mut ClientConn, n: usize| {
-        if churn {
-            client.state.build_churn_batch(n, &mut client.fills, ttl_ms);
-        } else {
-            client.state.build_batch(n);
-        }
-    };
     let t0 = Instant::now();
-    match cfg.mode {
-        // Pipelined closed loop: scatter one batch onto every connection,
-        // then gather every response, so all of this thread's connections
-        // are in flight at once — the whole point of measuring connection
-        // counts beyond the client's core count.  Latency is per
-        // connection, send to response.
-        LoadMode::Closed => {
-            let mut batches = 0u64;
-            let mut sent_at = vec![Duration::ZERO; clients.len()];
-            loop {
-                for (i, client) in clients.iter_mut().enumerate() {
-                    build(client, batch);
-                    sent_at[i] = t0.elapsed();
-                    client.conn.send(client.state.batch_ops())?;
-                }
-                let mut now = Duration::ZERO;
-                for (i, client) in clients.iter_mut().enumerate() {
-                    let results = client.conn.recv(client.state.batch_ops().len())?;
-                    account_batch(
-                        client.state.batch_ops(),
-                        results,
-                        verify,
-                        churn,
-                        &mut counts,
-                        &mut client.fills,
-                    )?;
-                    now = t0.elapsed();
-                    hist.record(now.saturating_sub(sent_at[i]));
-                    batches += 1;
-                }
-                if now >= cfg.duration {
-                    return Ok((hist, batches, counts));
-                }
+    // Scatter one batch onto every connection, then gather every response,
+    // so all of this thread's connections are in flight at once — the
+    // whole point of measuring connection counts beyond the client's core
+    // count.
+    let mut batches = 0u64;
+    let mut sent_at = vec![Duration::ZERO; clients.len()];
+    loop {
+        for (i, client) in clients.iter_mut().enumerate() {
+            if churn {
+                client
+                    .state
+                    .build_churn_batch(batch, &mut client.fills, ttl_ms);
+            } else {
+                client.state.build_batch(batch);
             }
+            sent_at[i] = t0.elapsed();
+            client.conn.send(client.state.batch_ops())?;
         }
-        // Open loop: one shared schedule rotating round-robin across this
-        // thread's connections, `connections ×` the per-connection rate, so
-        // every connection still sees its own `interval`.  Failures latch:
-        // the schedule finishes as no-ops so coordinated-omission
-        // accounting stays honest, then the error surfaces.
-        LoadMode::Open { interval } => {
-            let clock = move || t0.elapsed();
-            let mut failed: Option<ClientError> = None;
-            let mut next = 0usize;
-            let rotated = interval / clients.len().max(1) as u32;
-            let mut op = || {
-                if failed.is_some() {
-                    return; // latch: finish the schedule as no-ops
-                }
-                let rotation = clients.len().max(1);
-                let client = &mut clients[next];
-                next = (next + 1) % rotation;
-                build(client, batch);
-                match client.conn.execute(client.state.batch_ops()) {
-                    Ok(results) => {
-                        if let Err(e) = account_batch(
-                            client.state.batch_ops(),
-                            results,
-                            verify,
-                            churn,
-                            &mut counts,
-                            &mut client.fills,
-                        ) {
-                            failed = Some(e);
-                        }
-                    }
-                    Err(e) => failed = Some(e),
-                }
-            };
-            let batches = drive_open_loop(
-                &clock,
-                &|target: Duration| {
-                    let now = clock();
-                    if target > now {
-                        std::thread::sleep(target - now);
-                    }
-                },
-                cfg.duration,
-                rotated,
-                &mut op,
-                &mut hist,
-            );
-            match failed {
-                Some(e) => Err(e),
-                None => Ok((hist, batches, counts)),
-            }
+        let mut now = Duration::ZERO;
+        for (i, client) in clients.iter_mut().enumerate() {
+            let results = client.conn.recv(client.state.batch_ops().len())?;
+            account_batch(
+                client.state.batch_ops(),
+                results,
+                verify,
+                churn,
+                &mut counts,
+                &mut client.fills,
+            )?;
+            now = t0.elapsed();
+            hist.record(now.saturating_sub(sent_at[i]));
+            batches += 1;
+        }
+        if now >= cfg.duration {
+            return Ok((hist, batches, counts));
         }
     }
 }
@@ -488,7 +403,7 @@ pub fn run_loadgen(
         .to_socket_addrs()?
         .next()
         .ok_or(ClientError::ServerClosed)?;
-    let batch = cfg.workload.batch.max(1);
+    let batch = cfg.batch.max(1);
     let connections = cfg.connections.max(1);
     let threads = if cfg.threads == 0 {
         connections

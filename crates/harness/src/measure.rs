@@ -21,6 +21,12 @@
 //! closure, and the unit tests drive it with a deterministic tick counter
 //! — asserting *exact* windows instead of wall-clock thresholds that only
 //! hold on an unloaded machine.
+//!
+//! The module also holds the [`LatencyHistogram`] the closed-loop network
+//! load generator of [`crate::loadgen`] records per-batch latency in.
+//! Open-loop tails (a fixed schedule, latency from each request's due
+//! time) are measured by the repo benchmark's `serve_*` workloads, not
+//! here.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -120,7 +126,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Latency: HDR-style log-bucketed histogram and the open-loop driver
+// Latency: HDR-style log-bucketed histogram
 // ---------------------------------------------------------------------------
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two range
@@ -245,51 +251,6 @@ impl LatencyHistogram {
             }
         }
         self.max
-    }
-}
-
-/// Runs `op` on a **fixed schedule** — operation `i` is due at
-/// `start + i·interval` — for all operations scheduled inside `duration`,
-/// recording each operation's latency **from its scheduled time** to its
-/// completion.  Returns how many operations completed.
-///
-/// This is the open loop: when the server stalls, due operations queue up
-/// and every one of them records the stall it sat through, even though the
-/// client could not issue it yet.  A closed loop would silently re-plan
-/// around the stall (coordinated omission); here the backlog is driven to
-/// completion past the nominal deadline and the tail percentiles inflate
-/// accordingly.
-///
-/// `wait_until(t)` must return no earlier than `clock() == t`; production
-/// sleeps, tests advance a synthetic clock.  When an operation is already
-/// overdue, `wait_until` is not called.
-pub fn drive_open_loop<C, U, W>(
-    clock: &C,
-    wait_until: &U,
-    duration: Duration,
-    interval: Duration,
-    op: &mut W,
-    hist: &mut LatencyHistogram,
-) -> u64
-where
-    C: Fn() -> Duration,
-    U: Fn(Duration),
-    W: FnMut(),
-{
-    let interval_ns = interval.as_nanos().max(1) as u64;
-    let start = clock();
-    let mut ops = 0u64;
-    loop {
-        let scheduled = start.saturating_add(Duration::from_nanos(ops * interval_ns));
-        if scheduled >= start.saturating_add(duration) {
-            return ops;
-        }
-        if clock() < scheduled {
-            wait_until(scheduled);
-        }
-        op();
-        hist.record(clock().saturating_sub(scheduled));
-        ops += 1;
     }
 }
 
@@ -469,105 +430,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.max_ns(), 0);
         assert_eq!(h.percentile(99.0), 0);
-    }
-
-    /// A deterministic single-threaded "server": every operation takes
-    /// `service` on the synthetic clock, except one that stalls for
-    /// `stall`.
-    struct StallClock {
-        now_ns: std::cell::Cell<u64>,
-    }
-
-    impl StallClock {
-        fn clock(&self) -> impl Fn() -> Duration + '_ {
-            || Duration::from_nanos(self.now_ns.get())
-        }
-
-        fn wait_until(&self) -> impl Fn(Duration) + '_ {
-            |target| {
-                let target = target.as_nanos() as u64;
-                if target > self.now_ns.get() {
-                    self.now_ns.set(target);
-                }
-            }
-        }
-
-        fn op<'a>(&'a self, service_ns: u64, stall_at: u64, stall_ns: u64) -> impl FnMut() + 'a {
-            let mut calls = 0u64;
-            move || {
-                let cost = if calls == stall_at {
-                    stall_ns
-                } else {
-                    service_ns
-                };
-                calls += 1;
-                self.now_ns.set(self.now_ns.get() + cost);
-            }
-        }
-    }
-
-    const MS: u64 = 1_000_000;
-
-    /// Asserts `actual` is `nominal` up to the histogram's upward-only
-    /// quantization (one bucket, ≤ `nominal/32 + 1`).
-    fn assert_close(actual: u64, nominal: u64, what: &str) {
-        assert!(
-            actual >= nominal && actual <= nominal + nominal / 32 + 1,
-            "{what}: {actual}ns not within one bucket above {nominal}ns"
-        );
-    }
-
-    /// The coordinated-omission regression guard.  A server with 0.5 ms
-    /// service time and one 100 ms stall: a closed loop would see the stall
-    /// in exactly one sample (its schedule pauses with the server), while
-    /// the open loop charges the stall to every operation that was due
-    /// during it and its p999 inflates by two orders of magnitude.
-    #[test]
-    fn open_loop_exposes_the_stall_that_closed_loop_hides() {
-        let sim = StallClock {
-            now_ns: std::cell::Cell::new(0),
-        };
-        let mut open = LatencyHistogram::new();
-        let ops = drive_open_loop(
-            &sim.clock(),
-            &sim.wait_until(),
-            Duration::from_nanos(1_000 * MS),
-            Duration::from_nanos(MS),
-            &mut sim.op(MS / 2, 100, 100 * MS),
-            &mut open,
-        );
-        assert_eq!(ops, 1000, "every scheduled operation ran, late or not");
-        assert_close(open.percentile(50.0), MS / 2, "open p50 (service time)");
-        assert_eq!(open.max_ns(), 100 * MS, "the stall itself was recorded");
-        let p999 = open.percentile(99.9);
-        assert!(
-            p999 >= 90 * MS,
-            "p999 {p999}ns must charge the 100 ms stall to the queued operations"
-        );
-        assert!(
-            open.percentile(99.0) >= 80 * MS,
-            "a fifth of the schedule sat in the stall's backlog"
-        );
-    }
-
-    /// The open-loop driver keeps to its schedule when the server keeps
-    /// up: every sample is exactly the service time.
-    #[test]
-    fn open_loop_on_schedule_records_pure_service_time() {
-        let sim = StallClock {
-            now_ns: std::cell::Cell::new(0),
-        };
-        let mut hist = LatencyHistogram::new();
-        let ops = drive_open_loop(
-            &sim.clock(),
-            &sim.wait_until(),
-            Duration::from_nanos(100 * MS),
-            Duration::from_nanos(MS),
-            &mut sim.op(MS / 4, u64::MAX, 0),
-            &mut hist,
-        );
-        assert_eq!(ops, 100);
-        assert_eq!(hist.percentile(50.0), MS / 4);
-        assert_eq!(hist.max_ns(), MS / 4);
     }
 }

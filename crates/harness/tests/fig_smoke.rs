@@ -3,6 +3,9 @@
 //! that it exits cleanly and emits well-formed rows.  This keeps the figure
 //! pipeline from rotting silently: any driver that panics, hangs or stops
 //! printing rows fails here in a few hundred milliseconds.
+//!
+//! The last test pins the usage errors of `kv` and `kv-loadgen`: a flag
+//! neither knows exits with status 2 before anything runs.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -222,4 +225,42 @@ fn kv_smoke() {
             );
         }
     }
+}
+
+/// Flags of the deleted client paths (`kv --batch`, `kv-loadgen --mode`)
+/// are usage errors: exit status 2 before any measurement runs, instead of
+/// a warning followed by a sweep of something else.
+#[test]
+fn stale_client_flags_exit_2() {
+    let kv = Command::new(env!("CARGO_BIN_EXE_kv"))
+        .args([
+            "--batch",
+            "16",
+            "--workload",
+            "c",
+            "--threads",
+            "1",
+            "--duration-ms",
+            "1",
+            "--runs",
+            "1",
+            "--key-range",
+            "64",
+        ])
+        .output()
+        .expect("run kv");
+    assert_eq!(
+        kv.status.code(),
+        Some(2),
+        "kv --batch: stdout:\n{}",
+        String::from_utf8_lossy(&kv.stdout)
+    );
+    assert!(kv.stdout.is_empty(), "no rows before the usage error");
+    assert!(String::from_utf8_lossy(&kv.stderr).contains("usage: kv"));
+
+    let loadgen = Command::new(env!("CARGO_BIN_EXE_kv-loadgen"))
+        .args(["--mode", "open", "--addr", "127.0.0.1:1"])
+        .output()
+        .expect("run kv-loadgen");
+    assert_eq!(loadgen.status.code(), Some(2), "kv-loadgen --mode");
 }

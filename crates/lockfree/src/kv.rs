@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spectm_kv::map::{Bucket, ChainEnd, OverflowBucket, Table, ITEM_PTR_MASK};
 use spectm_kv::value::{decode_value, encode_value, free_value, retire_value};
-use spectm_kv::{BatchOp, KvError, MapStats, Value, MAX_VALUE_LEN};
+use spectm_kv::{KvError, MapStats, Value, MAX_VALUE_LEN};
 use txepoch::{Collector, Guard, LocalHandle};
 
 use crate::skiplist::LockFreeSkipList;
@@ -379,66 +379,6 @@ impl LockFreeKvMap {
         all_present
     }
 
-    /// Executes `ops` in request order under **one epoch pin**, returning
-    /// each operation's result at its request position (the stored value
-    /// for a get, the displaced previous value for a put or delete) — the
-    /// non-STM twin of `ShardedKv::execute_batch`, kept API-compatible so
-    /// the workload drivers compare the two apples-to-apples.
-    ///
-    /// The only amortization available here is the pin itself (there is no
-    /// router and no transaction setup to share), and the only guarantees
-    /// are the per-operation ones of the underlying map: same-key
-    /// operations apply in request order on this thread, but there is no
-    /// group atomicity of any kind — concurrent readers can observe any
-    /// interleaving, exactly as for the map's single-key API.  An oversized
-    /// put value rejects the whole batch before anything executes.
-    pub fn execute_batch(
-        &self,
-        ops: &[BatchOp],
-        handle: &LocalHandle,
-    ) -> Result<Vec<Option<Value>>, KvError> {
-        let mut out = Vec::new();
-        self.execute_batch_into(ops, &mut out, handle)?;
-        Ok(out)
-    }
-
-    /// [`LockFreeKvMap::execute_batch`] writing into a caller-provided
-    /// buffer (cleared first), so a request loop can run allocation-free in
-    /// the steady state.
-    pub fn execute_batch_into(
-        &self,
-        ops: &[BatchOp],
-        out: &mut Vec<Option<Value>>,
-        handle: &LocalHandle,
-    ) -> Result<(), KvError> {
-        spectm_kv::batch::validate_ops(ops)?;
-        out.clear();
-        // A one-operation batch has nothing to amortize: skip the batch
-        // guard (the operation pins for itself), so degenerate batches
-        // cost what the plain API costs.
-        let _batch_guard = if ops.len() > 1 {
-            Some(handle.pin())
-        } else {
-            None
-        };
-        for op in ops {
-            out.push(match op {
-                BatchOp::Get(key) => self.get(*key, handle),
-                BatchOp::Put(key, value) => self
-                    .put(*key, value, handle)
-                    .expect("batch values were validated above"),
-                // The baseline has no TTL machinery; a TTL-carrying put
-                // stores the value and drops the deadline, which is the
-                // honest comparison (expiry costs it nothing).
-                BatchOp::PutTtl(key, value, _ttl_ms) => self
-                    .put(*key, value, handle)
-                    .expect("batch values were validated above"),
-                BatchOp::Del(key) => self.del(*key, handle),
-            });
-        }
-        Ok(())
-    }
-
     /// Returns up to `limit` `(key, value)` pairs with `key >= start`, in
     /// ascending key order, by walking the ordered key index and looking
     /// each key up in the hash table.
@@ -606,61 +546,6 @@ mod tests {
         assert_eq!(stats.overflow_buckets, 1);
         assert_eq!(map.get(200, &h), Some(Value::new(b"reuse")));
         assert_eq!(map.get(3, &h), None);
-    }
-
-    #[test]
-    fn batches_match_the_single_op_api() {
-        let map = new_map(64);
-        let h = map.collector().register();
-        let mut oracle = BTreeMap::new();
-        crate::rng::seed(77);
-        for _ in 0..60 {
-            let len = (crate::rng::next_u64() % 24) as usize;
-            let batch: Vec<BatchOp> = (0..len)
-                .map(|_| {
-                    let k = crate::rng::next_u64() % 48;
-                    let v = crate::rng::next_u64();
-                    match crate::rng::next_u64() % 4 {
-                        0 => BatchOp::Get(k),
-                        1 => BatchOp::Del(k),
-                        _ => BatchOp::put(k, &payload(k, v)),
-                    }
-                })
-                .collect();
-            let expect: Vec<Option<Value>> = batch
-                .iter()
-                .map(|op| match op {
-                    BatchOp::Get(k) => oracle.get(k).cloned(),
-                    BatchOp::Put(k, v) | BatchOp::PutTtl(k, v, _) => oracle.insert(*k, v.clone()),
-                    BatchOp::Del(k) => oracle.remove(k),
-                })
-                .collect();
-            assert_eq!(map.execute_batch(&batch, &h).unwrap(), expect);
-        }
-        let expect: Vec<(u64, Value)> = oracle.into_iter().collect();
-        assert_eq!(map.snapshot(&h), expect);
-    }
-
-    #[test]
-    fn oversized_batch_puts_reject_everything() {
-        let map = new_map(64);
-        let h = map.collector().register();
-        map.put(1, b"keep", &h).unwrap();
-        let huge = vec![0u8; MAX_VALUE_LEN + 1];
-        assert_eq!(
-            map.execute_batch(
-                &[
-                    BatchOp::put(1, b"clobbered?"),
-                    BatchOp::Put(2, Value::from(huge))
-                ],
-                &h
-            ),
-            Err(KvError::ValueTooLarge {
-                len: MAX_VALUE_LEN + 1
-            })
-        );
-        assert_eq!(map.get(1, &h), Some(Value::new(b"keep")));
-        assert_eq!(map.get(2, &h), None);
     }
 
     #[test]

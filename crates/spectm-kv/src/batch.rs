@@ -386,13 +386,10 @@ impl MultiBatch {
 /// head.  A small constant keeps the prefetched lines resident.
 const PREFETCH_AHEAD: usize = 4;
 
-/// The all-or-nothing size validation every batch entry point runs before
+/// The all-or-nothing size validation the batch engine runs before
 /// executing anything: a batch with a put payload beyond
-/// [`crate::MAX_VALUE_LEN`] is rejected whole, as a no-op.  Shared by both
-/// stores
-/// (`ShardedKv` here and `lockfree::LockFreeKvMap`), so the rule cannot
-/// drift between them.
-pub fn validate_ops(ops: &[BatchOp]) -> Result<(), KvError> {
+/// [`crate::MAX_VALUE_LEN`] is rejected whole, as a no-op.
+pub(crate) fn validate_ops(ops: &[BatchOp]) -> Result<(), KvError> {
     for op in ops {
         if let Some((_, value, _)) = op.as_put() {
             crate::map::check_len(value)?;

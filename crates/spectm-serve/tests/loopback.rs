@@ -10,16 +10,21 @@
 //! Threads own disjoint key ranges — concurrency stresses the server's
 //! accept/dispatch/epoch machinery while keeping a sequential oracle
 //! sound per thread.
+//!
+//! The last test drives the server with the `kv-loadgen` closed loop
+//! itself ([`harness::loadgen::run_loadgen`]), so the load generator's
+//! preload, scatter/gather and verify paths run under `cargo test`.
 
 #[path = "../../spectm-kv/tests/common/mod.rs"]
 mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use common::{run_workers, Xorshift};
-use harness::kv::{fill_payload, payload_is_valid};
-use harness::loadgen::WireConn;
+use harness::kv::{fill_payload, payload_is_valid, KvMix, KvWorkloadConfig};
+use harness::loadgen::{preload, run_loadgen, LoadgenConfig, WireConn};
 use spectm::variants::ValShort;
 use spectm::Stm;
 use spectm_ds::ApiMode;
@@ -161,4 +166,44 @@ fn single_connection_read_your_writes() {
     let stats = server.shutdown();
     assert_eq!(stats.wire_errors, 0);
     assert_eq!(stats.batches, 2);
+}
+
+/// `kv-loadgen`'s closed loop against an in-process server: a preload over
+/// one connection, then eight verified connections on two client threads.
+/// Every frame carries exactly `batch` operations, every get of the
+/// preloaded space hits, and the server counted every connection.
+#[test]
+fn closed_loop_loadgen_run_is_verified_and_counted() {
+    let stm = ValShort::new();
+    let store = Arc::new(ShardedKv::new(&stm, 8, 256, ApiMode::Short));
+    let server = Server::start(store, "127.0.0.1:0", 2).expect("start server");
+    let addr = server.local_addr();
+    let workload = KvWorkloadConfig {
+        mix: KvMix::ReadHeavy,
+        verify: true,
+        ..KvWorkloadConfig::sized_for(2_048)
+    };
+    let mut control = WireConn::connect(addr).expect("control connect");
+    preload(&mut control, &workload).expect("preload");
+
+    let cfg = LoadgenConfig {
+        connections: 8,
+        threads: 2,
+        duration: Duration::from_millis(100),
+        batch: 16,
+        workload,
+    };
+    let result = run_loadgen(addr, &cfg).expect("verified closed-loop run");
+    assert!(result.batches > 0);
+    assert_eq!(result.ops, result.batches * cfg.batch as u64);
+    assert_eq!(result.hist.count(), result.batches);
+    assert_eq!(result.hit_rate(), Some(1.0));
+
+    assert_eq!(
+        server.stats().connections,
+        8 + 1,
+        "eight run connections and the preload's"
+    );
+    drop(control);
+    assert_eq!(server.shutdown().wire_errors, 0);
 }

@@ -43,9 +43,6 @@ pub struct Config {
     pub short_locking: ShortLocking,
     /// Write-set representation for full transactions.
     pub write_set: WriteSetKind,
-    /// Use per-thread commit counters instead of one shared counter for
-    /// value-based full transactions ([`crate::ValStm`] only).
-    pub per_thread_commit_counters: bool,
 }
 
 impl Default for Config {
@@ -56,7 +53,6 @@ impl Default for Config {
             backoff: true,
             short_locking: ShortLocking::Encounter,
             write_set: WriteSetKind::Hashed,
-            per_thread_commit_counters: false,
         }
     }
 }
