@@ -39,9 +39,12 @@
 //!
 //! Every operation in every mode finds its position with the one private
 //! `descend` (the paper's `Search`); what differs is the cell reader it is
-//! handed and the transaction that links or unlinks afterwards.  A merged
-//! walk over several lists drives the same per-step search on every list in
-//! lockstep, so their cache misses overlap.
+//! handed and the transaction that links or unlinks afterwards.  A seek
+//! inside a range read's transaction is that `Search` too — single-location
+//! reads, except in Full mode — and only where it lands on level 0 enters
+//! the transaction's read set.  A merged walk over several lists drives the
+//! same per-step search on every list in lockstep, so their cache misses
+//! overlap.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
@@ -1040,10 +1043,70 @@ impl<S: Stm> StmSkipList<S> {
 
     /// Descends to the level-0 position of `start` and returns the first
     /// tower word there (its key is `>= start`; `0` at the end of the list).
-    /// The level hint and every link crossed on the way down enter the
-    /// transaction's read set.
+    /// The descent reads through [`StmSkipList::seek_read`] and
+    /// [`StmSkipList::land_in`] lands it, so in the walk-based modes only
+    /// the level-0 links from the last tower below `start` onwards enter the
+    /// transaction's read set; in Full mode the level hint and every link
+    /// crossed on the way down do.
     fn seek_in(&self, start: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
-        Ok(self.descend(start, |cell| tx.read(cell))?.succs[0])
+        let w = self.descend(start, |cell| self.seek_read(cell, tx))?;
+        self.land_in(w.preds[0], w.succs[0], start, tx)
+    }
+
+    /// How a seek inside `tx` reads the level hint and the links it
+    /// crosses: the paper's `Search`, one single-location read per link, in
+    /// the walk-based modes (Short and Fine), and `tx.read` in Full mode,
+    /// whose every step is one ordinary transaction.
+    #[inline]
+    fn seek_read(&self, cell: &S::Cell, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
+        match self.mode {
+            ApiMode::Full => tx.read(cell),
+            ApiMode::Short | ApiMode::Fine => Ok(tx.thread().single_read(cell)),
+        }
+    }
+
+    /// Lands a seek for `start` that stopped at `pred` — the level-0 link of
+    /// the last tower it found below `start`, or the head's — having read
+    /// `curr` from it, and returns the first tower word at or after `start`
+    /// (`0` at the end of the list).  In Full mode the seek's reads are
+    /// already logged and `curr` is the answer.  Otherwise `pred`, and every
+    /// level-0 link from it to the tower returned, are read here with
+    /// `tx.read`.
+    ///
+    /// That is what lets the seek itself go unlogged.  A removal marks a
+    /// tower's own links in the step that unlinks it, so `pred` unmarked at
+    /// the transaction's serialization point means its tower is linked
+    /// there; its key is below `start` and never changes; and the links from
+    /// it onwards are in the read set.  So the tower returned is the list's
+    /// first at or after `start` in the transaction's snapshot, whichever
+    /// links the seek crossed to find `pred`.  A marked `pred` (its tower
+    /// was removed after the seek passed it, perhaps by this transaction
+    /// itself) lands through a logged descent instead.
+    fn land_in(
+        &self,
+        pred: &S::Cell,
+        curr: Word,
+        start: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Word> {
+        if self.mode == ApiMode::Full {
+            return Ok(curr);
+        }
+        let link = tx.read(pred)?;
+        if is_marked(link) {
+            return Ok(self.descend(start, |cell| tx.read(cell))?.succs[0]);
+        }
+        let mut cand = link;
+        while cand != 0 {
+            // SAFETY: `cand` was read from a reachable link within this
+            // attempt, whose epoch pin keeps the tower alive.
+            let tower = unsafe { &*Self::tower(cand) };
+            if tower.key >= start {
+                break;
+            }
+            cand = unmark(tx.read(&tower.links()[0])?);
+        }
+        Ok(cand)
     }
 
     /// The first live tower with `key <= last` at or after `cand` on level
@@ -1073,10 +1136,10 @@ impl<S: Stm> StmSkipList<S> {
 
     /// Walks the live towers with `start <= key <= last` in key order,
     /// invoking `visit(key, value_cell, tx)` for each until it returns
-    /// [`ControlFlow::Break`].  The descent to the start position and every
-    /// level-0 link on the way enter the transaction's read set, so the
-    /// visited range is an atomically consistent snapshot when the
-    /// transaction commits.
+    /// [`ControlFlow::Break`].  The landing of the seek to the start
+    /// position ([`StmSkipList::seek_in`]) and every level-0 link on the
+    /// way enter the transaction's read set, so the visited range is an
+    /// atomically consistent snapshot when the transaction commits.
     fn walk_range_in<F>(
         &self,
         start: u64,
@@ -1109,17 +1172,20 @@ impl<S: Stm> StmSkipList<S> {
     /// key space; like every range read here it is an atomically consistent
     /// snapshot when the transaction commits.
     ///
-    /// The transaction reads one descent per list, then one level-0 link
-    /// per tower visited — nothing is collected ahead of the visitor, so a
-    /// walk that stops after `n` towers has read `n` of them (plus the one
-    /// head each list holds ready).
+    /// Each list is sought the way the private `seek_in` seeks it: the
+    /// descent reads through `seek_read` — single-location reads outside
+    /// the read set, except in Full mode — and `land_in` logs where it
+    /// lands.  The transaction then reads one level-0 link per tower
+    /// visited — nothing is collected ahead of the visitor, so a walk that
+    /// stops after `n` towers has read `n` of them (plus the one head each
+    /// list holds ready).
     ///
     /// The descents run in lockstep: each round moves every unfinished
     /// descent one step (right, or down a level), and prefetches the tower
     /// it just read before any descent dereferences it, so the lists' cache
-    /// misses overlap instead of queueing.  The transaction reads exactly
-    /// the cells that one descent per list run to the end would — only
-    /// their order across lists differs.  `ahead(i, key)` is called
+    /// misses overlap instead of queueing.  The walk reads exactly the
+    /// cells, logged or not, that one `seek_in` per list would — only their
+    /// order across lists differs.  `ahead(i, key)` is called
     /// whenever list `i`'s head becomes the tower holding `key` (once after
     /// its descent, then once per advance), so the caller can prefetch what
     /// its visitor will touch for that key.
@@ -1137,21 +1203,22 @@ impl<S: Stm> StmSkipList<S> {
     {
         let mut heads = Vec::with_capacity(lists.len());
         for list in lists {
-            let cursor = list.cursor(&mut |cell| tx.read(cell))?;
+            let cursor = list.cursor(&mut |cell| list.seek_read(cell, tx))?;
             spectm::prefetch(Self::tower(cursor.curr));
             heads.push(Head::Seeking(cursor));
         }
         let mut seeking = heads.len();
         while seeking > 0 {
-            for (i, head) in heads.iter_mut().enumerate() {
+            for (i, (head, list)) in heads.iter_mut().zip(lists).enumerate() {
                 let Head::Seeking(cursor) = head else {
                     continue;
                 };
-                if !cursor.step(start, &mut |cell| tx.read(cell), |_, _, _| {})? {
+                if !cursor.step(start, &mut |cell| list.seek_read(cell, tx), |_, _, _| {})? {
                     spectm::prefetch(Self::tower(cursor.curr));
                     continue;
                 }
-                let found = Self::next_live_in(cursor.curr, last, tx)?;
+                let cand = list.land_in(cursor.pred, cursor.curr, start, tx)?;
+                let found = Self::next_live_in(cand, last, tx)?;
                 if let Some((tower, _)) = found {
                     ahead(i, tower.key);
                 }
@@ -1508,6 +1575,18 @@ mod tests {
         assert_eq!(after, vec![(2, 20), (3, 30)]);
         assert_eq!(list.quiescent_pairs(), vec![(2, 20), (3, 30)]);
         assert_eq!(t.atomic(|tx| list.read_value_in(3, tx)).unwrap(), Some(30));
+        // A seek reads what is committed, so from 3 it stops at 2, whose
+        // level-0 link the transaction has just marked by removing 2: the
+        // landing falls back to a logged descent instead of retrying for ever.
+        let mut retired = None;
+        let after = t
+            .atomic(|tx| {
+                retired = list.remove_in(2, tx)?;
+                list.collect_range_in(3, 10, usize::MAX, tx)
+            })
+            .unwrap();
+        retired.expect("key 2 was present").retire(&mut t);
+        assert_eq!(after, vec![(3, 30)]);
     }
 
     #[test]
@@ -1622,11 +1701,12 @@ mod tests {
     }
 
     /// The merged walk's lockstep descents land where one `seek_in` per
-    /// list lands, reading exactly as many cells: in one transaction, the
-    /// heads reported to `ahead` equal the live towers after each list's
-    /// sequential seek, and both take the same number of `tx.read`s.  The
-    /// lists differ in shape: one empty, two holding a single key, one
-    /// whose tower of height 12 raises only its own level hint, one long.
+    /// list lands, reading exactly as many cells the same way: in one
+    /// transaction, the heads reported to `ahead` equal the live towers
+    /// after each list's sequential seek, and both take the same number of
+    /// `tx.read`s and of single-location reads.  The lists differ in shape:
+    /// one empty, two holding a single key, one whose tower of height 12
+    /// raises only its own level hint, one long.
     fn lockstep_seeks_match_sequential<S: Stm + Clone>(stm: S, mode: ApiMode) {
         let lists: Vec<_> = (0..5).map(|_| StmSkipList::new(&stm, mode)).collect();
         let mut t = stm.register();
@@ -1652,7 +1732,14 @@ mod tests {
         assert_eq!(hints[4], 12, "the tall tower raised its list's hint");
         assert!(hints[..4].iter().all(|&h| h < 12), "hints {hints:?}");
 
-        let reads = |tx: &mut FullTx<'_, S::Thread>| tx.thread().stats().full_reads;
+        let reads = |tx: &mut FullTx<'_, S::Thread>| {
+            let stats = tx.thread().stats();
+            (stats.full_reads, stats.singles)
+        };
+        let since = |(full, singles): (u64, u64), tx: &mut FullTx<'_, S::Thread>| {
+            let now = reads(tx);
+            (now.0 - full, now.1 - singles)
+        };
         // Below every key, between keys, on keys, past every key.
         for start in [
             0,
@@ -1677,7 +1764,7 @@ mod tests {
                         let head = StmSkipList::<S>::next_live_in(cand, u64::MAX, tx)?;
                         heads.push(head.map(|(tower, _)| tower.key));
                     }
-                    let sequential = (heads, reads(tx) - before);
+                    let sequential = (heads, since(before, tx));
                     let before = reads(tx);
                     let mut heads = vec![None; lists.len()];
                     StmSkipList::walk_merged_in(
@@ -1691,10 +1778,21 @@ mod tests {
                         },
                         |_, _, _, _| Ok(ControlFlow::Break(())),
                     )?;
-                    Ok((sequential, (heads, reads(tx) - before)))
+                    Ok((sequential, (heads, since(before, tx))))
                 })
                 .unwrap();
-            assert_eq!(lockstep, sequential, "(heads, reads) from {start}");
+            assert_eq!(
+                lockstep, sequential,
+                "(heads, (tx.reads, single reads)) from {start}"
+            );
+            let (_, (full, singles)) = sequential;
+            if mode == ApiMode::Full {
+                assert_eq!(singles, 0, "Full mode logs its seeks");
+            } else {
+                // The seeks read the hint and a link or more per level; the
+                // transaction logs only each landing and each live head.
+                assert!(singles > full, "{singles} single reads, {full} tx reads");
+            }
         }
     }
 

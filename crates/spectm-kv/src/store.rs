@@ -19,9 +19,10 @@
 //! index and keep their short/hot shapes.  A scan descends every shard's
 //! index once and then streams a k-way merge over them, reading each key's
 //! entry through its hash map as the merge yields it — all inside a single
-//! full transaction whose read set is what the scan returns plus the
-//! descents: an atomically consistent snapshot even against concurrent
-//! cross-shard `rmw`.  DESIGN.md § "The ordered index and range scans" has
+//! full transaction whose read set is what the scan returns plus one
+//! landing per index (the descents themselves are single-location reads in
+//! the Short and Fine modes): an atomically consistent snapshot even
+//! against concurrent cross-shard `rmw`.  DESIGN.md § "The ordered index and range scans" has
 //! the full argument.
 //!
 //! Values are byte payloads behind value words (inline or epoch-reclaimed
@@ -816,15 +817,16 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// One full transaction descends every shard's ordered index to
     /// `start` once, then streams a k-way merge over them, reading each
     /// key's entry through the owning hash shard as the merge yields it,
-    /// until `limit` live pairs are in hand — the transaction reads what
-    /// the scan returns, plus the descents.  Entries whose deadline has
-    /// passed are stepped over, not counted.  The result is an **atomically
-    /// consistent snapshot**: it is serializable with every concurrent
-    /// operation, including multi-key [`ShardedKv::rmw`] — a scan can never
-    /// observe a torn cross-shard update (the lock-free baseline's scan, by
-    /// contrast, offers no such guarantee).  Value payloads are copied out
-    /// inside the transaction, so the bytes are exactly the committed bytes
-    /// at the scan's serialization point.
+    /// until `limit` live pairs are in hand — the transaction's read set is
+    /// what the scan returns, plus where each descent landed.  Entries
+    /// whose deadline has passed are stepped over, not counted.  The
+    /// result is an **atomically consistent snapshot**: it is serializable
+    /// with every concurrent operation, including multi-key
+    /// [`ShardedKv::rmw`] — a scan can never observe a torn cross-shard
+    /// update (the lock-free baseline's scan, by contrast, offers no such
+    /// guarantee).  Value payloads are copied out inside the transaction,
+    /// so the bytes are exactly the committed bytes at the scan's
+    /// serialization point.
     ///
     /// # Examples
     ///
@@ -867,6 +869,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// one full transaction.  Shards partition the key space, so the merged
     /// walk yields each key once, and the index invariant guarantees it is
     /// present in its hash shard at the transaction's serialization point.
+    /// The indexes' descents read with the store's [`ApiMode`]: unlogged
+    /// in Short and Fine, where only each index's level-0 landing enters
+    /// the read set ([`StmSkipList::walk_merged_in`]), logged in Full.
     fn snapshot_run(
         &self,
         start: u64,

@@ -33,7 +33,7 @@
 //!   of the key space.
 //! * **Read-set budget** — the number of transactional reads a scan
 //!   performs (`Stats::full_reads`) is bounded by what it returns plus one
-//!   descent per shard, and the read and write sets of a fixed
+//!   landing per shard, and the read and write sets of a fixed
 //!   membership-and-scan script stay at or below recorded totals; a fixed
 //!   script over deep bucket chains makes exactly its recorded STM calls.
 //!
@@ -385,20 +385,21 @@ fn full_reads<T: StmThread>(t: &mut T, op: impl FnOnce(&mut T)) -> u64 {
     t.stats().full_reads - before
 }
 
-/// The scan's read set is the contract: one descent per shard index plus
-/// the entries it returns — nothing is read and then thrown away, so what
-/// more shards add is descents (each over a proportionally shorter list),
-/// never entries.  Counted in `Stats::full_reads`, so the bound holds on any
-/// machine.
+/// The scan's read set is the contract: one landing per shard index plus
+/// the entries it returns.  The descents to the landings are single-location
+/// reads, outside the read set, so what more shards add is a few level-0
+/// links each, never entries.  Counted in `Stats::full_reads`, so the bound
+/// holds on any machine.
 #[test]
 fn scan_read_set_is_bounded_by_its_result() {
     const KEYS: u64 = 65_536;
     const STRIDE: u64 = 0x9E37_79B1; // odd: keys spread over the u64 space
     const PROBES: u64 = 64;
-    // Per shard: one descent (about two links per level).  Per returned
-    // pair: its level-0 link, the item words up to the hit, the value and
+    // Per shard: one landing (the predecessor's level-0 link, and rarely a
+    // step past a tower inserted since the descent).  Per returned pair:
+    // its level-0 link, the item words up to the hit, the value and
     // deadline words.
-    let budget = |shards: usize| (shards * 32 + 16 * 10) as u64;
+    let budget = |shards: usize| (shards * 4 + 16 * 10) as u64;
     let [one, _, sixteen] = [1, 2, 16].map(|shards| {
         let stm = ValShort::new();
         let store = ShardedKv::new(&stm, shards, KEYS as usize / shards, ApiMode::Short);
@@ -429,8 +430,9 @@ fn scan_read_set_is_bounded_by_its_result() {
     });
     // Sixteen times the shards must cost far less than sixteen times the
     // reads (the fan-out-and-merge this replaced read `shards x limit`
-    // entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards).
-    assert!(sixteen < 6 * one, "{one} reads at 1 shard, {sixteen} at 16");
+    // entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards; logged
+    // descents read ~117 / ~147 / ~500; landings ~86 / ~89 / ~119).
+    assert!(sixteen < 2 * one, "{one} reads at 1 shard, {sixteen} at 16");
 }
 
 /// The index's one descent must not cost the store's transactions more
@@ -549,18 +551,22 @@ fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
 /// exactly the STM calls the per-operation walks it replaced made — the
 /// same reads in the same order, so equal totals, not merely no more.
 /// The expected totals were measured on the per-operation walks
-/// (EXPERIMENTS.md "One bucket chain"); exact on any machine, since one
-/// thread runs a fixed script and tower heights come from its own stream.
+/// (EXPERIMENTS.md "One bucket chain"), then moved once more when the
+/// Short-mode scan's seek reads became single-location reads: its seek
+/// reads left `full_reads` for `singles`, less the one landing read
+/// (EXPERIMENTS.md "Scans seek the way the paper searches").  The Full-mode
+/// row did not move.  Exact on any machine, since one thread runs a fixed
+/// script and tower heights come from its own stream.
 #[test]
 fn bucket_walks_make_the_recorded_stm_calls() {
     for (calls, expect) in [
         (
             bucket_walk_calls(ValShort::new(), ApiMode::Short),
-            [3_956, 89, 94, 3_177, 289],
+            [3_963, 89, 94, 3_171, 289],
         ),
         (
             bucket_walk_calls(TvarShortG::new(), ApiMode::Short),
-            [3_956, 89, 94, 3_248, 271],
+            [3_965, 89, 94, 3_240, 271],
         ),
         (
             bucket_walk_calls(OrecFullG::new(), ApiMode::Full),

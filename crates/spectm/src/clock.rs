@@ -5,11 +5,6 @@
 //! readers snapshot it to obtain opacity cheaply.  The `*-l` variants do away
 //! with the shared clock (each orec carries an independent version), trading
 //! the commit-time increment for incremental read-set validation.
-//!
-//! The `val` layout additionally supports a *per-thread* commit counter
-//! scheme (Section 2.4): each thread bumps its own counter, and "reading the
-//! clock" sums every thread's counter.  This keeps the common case free of
-//! shared-counter contention at the cost of a scan in the general case.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,82 +55,6 @@ impl GlobalClock {
     }
 }
 
-/// The maximum number of threads whose private commit counters are tracked by
-/// a [`ThreadClocks`] instance.
-pub const MAX_CLOCK_THREADS: usize = 256;
-
-/// One cache-line-padded per-thread counter.
-#[derive(Debug)]
-#[repr(align(64))]
-struct PaddedCounter {
-    value: AtomicUsize,
-}
-
-/// Per-thread commit counters (the "logically shared" clock of Section 2.4).
-///
-/// Incrementing is a store to a thread-private cache line; reading the
-/// logical clock sums all slots.
-#[derive(Debug)]
-pub struct ThreadClocks {
-    slots: Vec<PaddedCounter>,
-    registered: AtomicUsize,
-}
-
-impl ThreadClocks {
-    /// Creates a set of per-thread counters.
-    pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(MAX_CLOCK_THREADS);
-        for _ in 0..MAX_CLOCK_THREADS {
-            slots.push(PaddedCounter {
-                value: AtomicUsize::new(0),
-            });
-        }
-        Self {
-            slots,
-            registered: AtomicUsize::new(0),
-        }
-    }
-
-    /// Allocates a slot for a new thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_CLOCK_THREADS`] threads register.
-    pub fn register(&self) -> usize {
-        let id = self.registered.fetch_add(1, Ordering::AcqRel);
-        assert!(id < MAX_CLOCK_THREADS, "too many threads registered");
-        id
-    }
-
-    /// Bumps the calling thread's private counter.
-    #[inline]
-    pub fn bump(&self, slot: usize) {
-        // A release store is enough: the counter orders with the data writes
-        // that precede it in the committing transaction.
-        let c = &self.slots[slot].value;
-        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Release);
-    }
-
-    /// Reads the logical clock: the sum of every thread's counter.
-    pub fn read(&self) -> usize {
-        let n = self
-            .registered
-            .load(Ordering::Acquire)
-            .min(MAX_CLOCK_THREADS);
-        let mut sum = 0usize;
-        for slot in &self.slots[..n] {
-            sum = sum.wrapping_add(slot.value.load(Ordering::Acquire));
-        }
-        sum
-    }
-}
-
-impl Default for ThreadClocks {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,18 +87,6 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 4000);
         assert_eq!(c.now(), 4000);
-    }
-
-    #[test]
-    fn thread_clocks_sum() {
-        let tc = ThreadClocks::new();
-        let a = tc.register();
-        let b = tc.register();
-        assert_ne!(a, b);
-        tc.bump(a);
-        tc.bump(a);
-        tc.bump(b);
-        assert_eq!(tc.read(), 3);
     }
 
     #[test]

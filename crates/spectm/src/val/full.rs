@@ -233,7 +233,6 @@ impl ValThread {
             let cell = unsafe { &*e.data.cast::<ValCell>() };
             cell.store(e.value, Ordering::Release);
         }
-        self.stm.inner.thread_clocks.bump(self.clock_slot);
         self.stm
             .inner
             .commit_seq

@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use crate::api::{Stm, StmThread, TxResult};
 use crate::backoff::Backoff;
-use crate::clock::ThreadClocks;
 use crate::config::Config;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::versioned::writeset::WriteSet;
@@ -100,9 +99,6 @@ pub(crate) struct ValInner {
     /// NOrec-style commit sequence lock: even = idle, odd = a full
     /// transaction is writing back.
     pub(crate) commit_seq: AtomicUsize,
-    /// Per-thread commit counters (Section 2.4's contention-avoiding
-    /// alternative); maintained so the harness can exercise both designs.
-    pub(crate) thread_clocks: ThreadClocks,
     pub(crate) thread_seq: AtomicUsize,
 }
 
@@ -164,7 +160,6 @@ pub struct ValThread {
     pub(crate) epoch: txepoch::LocalHandle,
     pub(crate) backoff: Backoff,
     pub(crate) stats: Stats,
-    pub(crate) clock_slot: usize,
 
     // ---- full-transaction state ----
     pub(crate) in_tx: bool,
@@ -199,7 +194,6 @@ impl Stm for ValStm {
                 config,
                 collector: txepoch::Collector::new(),
                 commit_seq: AtomicUsize::new(0),
-                thread_clocks: ThreadClocks::new(),
                 thread_seq: AtomicUsize::new(0),
             }),
         }
@@ -217,7 +211,6 @@ impl Stm for ValStm {
             epoch: self.inner.collector.register(),
             backoff: Backoff::new(id as u64 + 1),
             stats: Stats::new(),
-            clock_slot: self.inner.thread_clocks.register(),
             in_tx: false,
             snapshot: 0,
             read_set: Vec::with_capacity(64),

@@ -116,15 +116,18 @@ impl<L: Layout> VersionedThread<L> {
                 continue;
             }
             let version = o1 >> 1;
+            self.read_set.push((orec as *const Orec, version));
             match self.clock_mode() {
                 ClockMode::Global => {
+                    // An extension validates this read too: a commit between
+                    // the load above and the clock read in `try_extend` may
+                    // have overwritten it, and the later snapshot must not
+                    // pair its old value with that commit's other writes.
                     if version > self.start_ts && !self.try_extend() {
                         return Err(TxAbort::Conflict);
                     }
-                    self.read_set.push((orec as *const Orec, version));
                 }
                 ClockMode::Local => {
-                    self.read_set.push((orec as *const Orec, version));
                     // Without a global clock, opacity requires validating the
                     // whole read set after every read (Section 4.1).
                     if !self.validate_read_set(false) {
@@ -253,7 +256,7 @@ mod tests {
     use crate::api::{Stm, StmThread, TxAbort};
     use crate::clock::ClockMode;
     use crate::config::Config;
-    use crate::layout::{OrecTableLayout, TvarLayout};
+    use crate::layout::{Layout, OrecTableLayout, TvarLayout};
     use crate::versioned::VersionedStm;
 
     fn configs() -> Vec<Config> {
@@ -353,6 +356,56 @@ mod tests {
         });
         assert_eq!(out, Some(3));
         assert_eq!(VersionedStm::<OrecTableLayout>::peek(&cell), 3);
+    }
+
+    /// A read-only transaction commits without validating, so every read
+    /// must already belong to its snapshot — including the read that
+    /// triggered a timebase extension.  A writer keeps two cells equal; a
+    /// commit landing between a reader's load of the first cell and its
+    /// extension must not let the reader pair the first cell's old value
+    /// with the second's new one.
+    fn read_only_snapshots_survive_extensions<L: Layout>() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        const READS: u64 = 1_000_000;
+        let stm = Arc::new(VersionedStm::<L>::with_config(Config::global()));
+        let cells: Arc<[_; 2]> = Arc::new([stm.new_cell(0), stm.new_cell(0)]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (stm, cells, stop) = (Arc::clone(&stm), Arc::clone(&cells), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut t = stm.register();
+                let mut n = 0;
+                // ORDERING: a stop flag; nothing is published through it.
+                while !stop.load(Ordering::Relaxed) {
+                    n += 2;
+                    t.atomic(|tx| {
+                        tx.write(&cells[0], n)?;
+                        tx.write(&cells[1], n)
+                    });
+                }
+            })
+        };
+        let mut t = stm.register();
+        let torn = (0..READS).find_map(|i| {
+            let pair = t
+                .atomic(|tx| Ok((tx.read(&cells[0])?, tx.read(&cells[1])?)))
+                .unwrap();
+            (pair.0 != pair.1).then_some((i, pair))
+        });
+        // ORDERING: a stop flag; the join synchronizes.
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        assert_eq!(torn, None, "(read-only transaction, pair it returned)");
+    }
+
+    /// One test for both layouts: run side by side, each writer would share
+    /// a core with the other test's reader, and the races this looks for
+    /// would become rarer.
+    #[test]
+    fn read_only_snapshots_survive_extensions_on_both_layouts() {
+        read_only_snapshots_survive_extensions::<TvarLayout>();
+        read_only_snapshots_survive_extensions::<OrecTableLayout>();
     }
 
     #[test]
