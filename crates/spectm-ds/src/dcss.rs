@@ -3,7 +3,9 @@
 //! This is the worked example of Section 2.2: check that two locations hold
 //! expected values and, if they do, atomically install a new value in the
 //! first one.  It demonstrates the `Tx_RO_*` / `Tx_Upgrade_RO_x_To_RW_y` /
-//! `Tx_RO_x_RW_y_Commit` part of the API.
+//! `Tx_RO_x_RW_y_Commit` part of the API.  A conflict restarts the short
+//! transaction through [`StmThread::retry`], which backs off iff
+//! `Config::backoff` is set.
 
 use spectm::{Stm, StmThread, Word};
 
@@ -31,19 +33,16 @@ pub fn dcss<S: Stm>(
     n1: Word,
     thread: &mut S::Thread,
 ) -> bool {
-    loop {
+    // `None` is a conflict: restart, exactly as the paper's listing does.
+    thread.retry(|thread| {
         let v1 = thread.ro_read(0, a1);
         let v2 = thread.ro_read(1, a2);
         if v1 == o1 && v2 == o2 && thread.upgrade_ro_to_rw(0, 0) {
-            if thread.ro_rw_commit(2, 1, &[n1]) {
-                return true;
-            }
-        } else if thread.ro_is_valid(2) {
-            // The values genuinely differ from the expected ones.
-            return false;
+            return thread.ro_rw_commit(2, 1, &[n1]).then_some(true);
         }
-        // Conflict: restart, exactly as the paper's listing does.
-    }
+        // The values genuinely differ from the expected ones.
+        thread.ro_is_valid(2).then_some(false)
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //!   listing of Section 2.1;
 //! * the default methods — specialized short transactions, exactly as the
 //!   SpecTM `PopLeft` listing of Section 2.2 (two reads, validity check, and
-//!   a two-location commit or an abort).
+//!   a two-location commit or an abort), re-run on a conflict by
+//!   [`StmThread::retry`], which backs off iff `Config::backoff` is set.
 //!
 //! Stored values use the [`spectm::encode_int`] encoding so that the same
 //! code runs over the value-based layout (which reserves bit 0).
@@ -84,108 +85,99 @@ impl<S: Stm> TxDeque<S> {
 
     /// Pops from the left end using a specialized short transaction.
     pub fn pop_left(&self, thread: &mut S::Thread) -> Option<u64> {
-        loop {
+        thread.retry(|thread| {
             let li = spectm::decode_int(thread.rw_read(0, &self.left));
             if !thread.rw_is_valid(1) {
-                continue;
-            }
-            let slot = &self.items[self.idx(li)];
-            let item = thread.rw_read(1, slot);
-            if !thread.rw_is_valid(2) {
-                continue;
-            }
-            if item != 0 {
-                if thread.rw_commit(2, &[encode_int(li + 1), 0]) {
-                    return Some(dec(item));
-                }
-            } else {
-                thread.rw_abort(2);
                 return None;
             }
-        }
+            let item = thread.rw_read(1, &self.items[self.idx(li)]);
+            if !thread.rw_is_valid(2) {
+                return None;
+            }
+            if item == 0 {
+                thread.rw_abort(2);
+                return Some(None);
+            }
+            thread
+                .rw_commit(2, &[encode_int(li + 1), 0])
+                .then(|| Some(dec(item)))
+        })
     }
 
     /// Pushes onto the right end using a specialized short transaction.
     ///
     /// Returns `false` if the queue is full.
     pub fn push_right(&self, value: u64, thread: &mut S::Thread) -> bool {
-        loop {
+        thread.retry(|thread| {
             let ri = spectm::decode_int(thread.rw_read(0, &self.right));
             if !thread.rw_is_valid(1) {
-                continue;
+                return None;
             }
-            let slot = &self.items[self.idx(ri)];
-            let existing = thread.rw_read(1, slot);
+            let existing = thread.rw_read(1, &self.items[self.idx(ri)]);
             if !thread.rw_is_valid(2) {
-                continue;
+                return None;
             }
-            if existing == 0 {
-                if thread.rw_commit(2, &[encode_int(ri + 1), enc(value)]) {
-                    return true;
-                }
-            } else {
+            if existing != 0 {
                 thread.rw_abort(2);
-                return false;
+                return Some(false);
             }
-        }
+            thread
+                .rw_commit(2, &[encode_int(ri + 1), enc(value)])
+                .then_some(true)
+        })
     }
 
     /// Pops from the right end using a specialized short transaction.
     pub fn pop_right(&self, thread: &mut S::Thread) -> Option<u64> {
-        loop {
+        thread.retry(|thread| {
             let ri = spectm::decode_int(thread.rw_read(0, &self.right));
             if !thread.rw_is_valid(1) {
-                continue;
-            }
-            let prev = ri.checked_sub(1);
-            let Some(prev) = prev else {
-                // Index 0 with nothing ever pushed: treat slot capacity-1.
-                thread.rw_abort(1);
-                return self.pop_right_full(thread);
-            };
-            let slot = &self.items[self.idx(prev)];
-            let item = thread.rw_read(1, slot);
-            if !thread.rw_is_valid(2) {
-                continue;
-            }
-            if item != 0 {
-                if thread.rw_commit(2, &[encode_int(prev), 0]) {
-                    return Some(dec(item));
-                }
-            } else {
-                thread.rw_abort(2);
                 return None;
             }
-        }
+            let Some(prev) = ri.checked_sub(1) else {
+                // Index 0 with nothing ever pushed: treat slot capacity-1.
+                thread.rw_abort(1);
+                return Some(self.pop_right_full(thread));
+            };
+            let item = thread.rw_read(1, &self.items[self.idx(prev)]);
+            if !thread.rw_is_valid(2) {
+                return None;
+            }
+            if item == 0 {
+                thread.rw_abort(2);
+                return Some(None);
+            }
+            thread
+                .rw_commit(2, &[encode_int(prev), 0])
+                .then(|| Some(dec(item)))
+        })
     }
 
     /// Pushes onto the left end using a specialized short transaction.
     ///
     /// Returns `false` if the queue is full.
     pub fn push_left(&self, value: u64, thread: &mut S::Thread) -> bool {
-        loop {
+        thread.retry(|thread| {
             let li = spectm::decode_int(thread.rw_read(0, &self.left));
             if !thread.rw_is_valid(1) {
-                continue;
+                return None;
             }
             let Some(prev) = li.checked_sub(1) else {
                 thread.rw_abort(1);
-                return self.push_left_full(value, thread);
+                return Some(self.push_left_full(value, thread));
             };
-            let slot = &self.items[self.idx(prev)];
-            let existing = thread.rw_read(1, slot);
+            let existing = thread.rw_read(1, &self.items[self.idx(prev)]);
             if !thread.rw_is_valid(2) {
-                continue;
+                return None;
             }
-            if existing == 0 {
-                if thread.rw_commit(2, &[encode_int(prev), enc(value)]) {
-                    return true;
-                }
-            } else {
+            if existing != 0 {
                 thread.rw_abort(2);
-                return false;
+                return Some(false);
             }
-        }
+            thread
+                .rw_commit(2, &[encode_int(prev), enc(value)])
+                .then_some(true)
+        })
     }
 
     // ------------------------------------------------------------------

@@ -65,3 +65,14 @@ impl ApiMode {
         }
     }
 }
+
+/// Outcome of one attempt to unlink a node (or tower) a search found.
+enum Removal {
+    /// This attempt unlinked and marked it.
+    Removed,
+    /// Another remover marked it first.
+    AlreadyGone,
+    /// The search's window no longer describes the structure (or
+    /// validation failed): search again.
+    Retry,
+}

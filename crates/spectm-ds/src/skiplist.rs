@@ -54,7 +54,7 @@ use spectm::{
     decode_int, encode_int, is_marked, mark, unmark, FullTx, Stm, StmThread, TxResult, Word,
 };
 
-use crate::ApiMode;
+use crate::{ApiMode, Removal};
 
 /// Largest value storable in a tower (one bit of the word is reserved for
 /// the value-based layout's lock bit).
@@ -260,16 +260,6 @@ enum Upsert {
     Exists,
     /// The key was present; the previous value was replaced.
     Updated(u64),
-}
-
-/// Outcome of one attempt to unlink a tower the search found.
-enum Removal {
-    /// This attempt unlinked and marked the tower.
-    Removed,
-    /// Another remover marked it first.
-    AlreadyGone,
-    /// The window no longer describes the list (or validation failed).
-    Retry,
 }
 
 /// Holder of a tower that is allocated but not (yet) published — the one

@@ -6,7 +6,9 @@
 //! and an insert+remove pair allocates exactly its tower: one block, the
 //! header with the links inline after it, under 48 bytes on average at
 //! word-sized cells and with every link aligned for its cell.  The hash
-//! table's churn allocates exactly its nodes, so the closures handed to
+//! table, in all three modes, is the same: lookups, a removal of an absent
+//! key and an insert of a present key allocate nothing, and its churn
+//! allocates exactly its nodes, so the closures handed to
 //! `StmThread::retry` box nothing.  A merged walk over 16 lists allocates
 //! its one vector of per-list heads, whatever it visits.
 //!
@@ -177,19 +179,37 @@ fn merged_walk_case<S: Stm + Clone>(stm: S) {
     }
 }
 
+/// Even keys `0..2 * OPS` are present, odd keys absent.
 fn hashtable_case<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    let what = format!("{} {mode:?}", stm.label());
     let table = StmHashTable::new(&stm, 64, mode);
     let mut t = stm.register();
+    for k in 0..OPS {
+        assert!(table.insert(2 * k, &mut t));
+    }
     for pass in 0..2 {
+        let lookups = allocations(|| {
+            for k in 0..OPS {
+                assert!(table.contains(2 * k, &mut t));
+                assert!(!table.contains(2 * k + 1, &mut t));
+            }
+        });
+        let refused = allocations(|| {
+            for k in 0..OPS {
+                assert!(!table.remove(2 * k + 1, &mut t));
+                assert!(!table.insert(2 * k, &mut t));
+            }
+        });
         let churn = allocations(|| {
             for k in 0..OPS {
-                assert!(table.insert(k, &mut t));
-                assert!(table.remove(k, &mut t));
+                assert!(table.insert(2 * k + 1, &mut t));
+                assert!(table.remove(2 * k + 1, &mut t));
             }
         });
         if pass == 1 {
-            let label = stm.label();
-            assert_eq!(churn.count, OPS, "{label} {mode:?}: one node per insert");
+            assert_eq!(lookups.count, 0, "{what}: contains hit/miss");
+            assert_eq!(refused.count, 0, "{what}: remove absent / insert present");
+            assert_eq!(churn.count, OPS, "{what}: one node per insert");
         }
     }
 }
@@ -214,4 +234,5 @@ fn hot_paths_allocate_only_what_they_publish() {
     merged_walk_case(OrecFullG::new());
     hashtable_case(ValShort::new(), ApiMode::Short);
     hashtable_case(OrecFullG::new(), ApiMode::Full);
+    hashtable_case(OrecFullG::new(), ApiMode::Fine);
 }
