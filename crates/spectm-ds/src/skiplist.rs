@@ -44,7 +44,8 @@
 //! reads, except in Full mode — and only where it lands on level 0 enters
 //! the transaction's read set.  A merged walk over several lists drives the
 //! same per-step search on every list in lockstep, so their cache misses
-//! overlap.
+//! overlap, and seeks a list only once the caller's floor for it says the
+//! list could hold the merge's next key.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
@@ -245,6 +246,9 @@ impl<'a, S: Stm> Cursor<'a, S> {
 
 /// One list's place in [`StmSkipList::walk_merged_in`].
 enum Head<'a, S: Stm> {
+    /// Not sought yet: the list holds no key from the start key up to this
+    /// floor (exclusive).
+    Unsought(u64),
     /// Still descending to the start key.
     Seeking(Cursor<'a, S>),
     /// The list's next live tower in range with its level-0 forward pointer
@@ -1162,42 +1166,113 @@ impl<S: Stm> StmSkipList<S> {
     /// key space; like every range read here it is an atomically consistent
     /// snapshot when the transaction commits.
     ///
+    /// `floor(i)`, called once per list, is the caller's promise that
+    /// `lists[i]` holds no key `k` with `start <= k < floor(i)` at any
+    /// point of the transaction (the sharded store knows this from its
+    /// router: which shard holds a key is a function of the key alone).  A
+    /// list stays unsought, and unread, until its floor could be the
+    /// merge's next key: the first round of seeks takes every list whose
+    /// floor is the lowest, and each later round takes every unsought list
+    /// whose floor is at or below the lowest landed head (or `last`, once
+    /// no head is left).  No list is sought twice, and a list whose floor
+    /// lies past `last` makes no read at all.  With every floor at `start`,
+    /// the first round seeks every list.
+    ///
     /// Each list is sought the way the private `seek_in` seeks it: the
     /// descent reads through `seek_read` — single-location reads outside
     /// the read set, except in Full mode — and `land_in` logs where it
     /// lands.  The transaction then reads one level-0 link per tower
     /// visited — nothing is collected ahead of the visitor, so a walk that
     /// stops after `n` towers has read `n` of them (plus the one head each
-    /// list holds ready).
+    /// sought list holds ready).
     ///
-    /// The descents run in lockstep: each round moves every unfinished
+    /// A round's descents run in lockstep: each step moves every unfinished
     /// descent one step (right, or down a level), and prefetches the tower
     /// it just read before any descent dereferences it, so the lists' cache
     /// misses overlap instead of queueing.  The walk reads exactly the
-    /// cells, logged or not, that one `seek_in` per list would — only their
-    /// order across lists differs.  `ahead(i, key)` is called
+    /// cells, logged or not, that one `seek_in` per sought list would —
+    /// only their order across lists differs.  `ahead(i, key)` is called
     /// whenever list `i`'s head becomes the tower holding `key` (once after
     /// its descent, then once per advance), so the caller can prefetch what
     /// its visitor will touch for that key.
-    pub fn walk_merged_in<A, F>(
+    pub fn walk_merged_in<L, A, F>(
         lists: &[Self],
         start: u64,
         last: u64,
         tx: &mut FullTx<'_, S::Thread>,
+        mut floor: L,
         mut ahead: A,
         mut visit: F,
     ) -> TxResult<()>
     where
+        L: FnMut(usize) -> u64,
         A: FnMut(usize, u64),
         F: FnMut(usize, u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
     {
-        let mut heads = Vec::with_capacity(lists.len());
-        for list in lists {
-            let cursor = list.cursor(&mut |cell| list.seek_read(cell, tx))?;
-            spectm::prefetch(Self::tower(cursor.curr));
-            heads.push(Head::Seeking(cursor));
+        let mut heads: Vec<Head<'_, S>> = (0..lists.len())
+            .map(|i| Head::Unsought(floor(i).max(start)))
+            .collect();
+        let mut first_round = true;
+        loop {
+            // The lowest landed head (ties in list order) and the lowest
+            // floor of a list not sought yet.
+            let mut lowest: Option<(usize, &Tower<S>, Word)> = None;
+            let mut unsought: Option<u64> = None;
+            for (i, head) in heads.iter().enumerate() {
+                match *head {
+                    Head::At(Some((tower, next))) => match lowest {
+                        Some((_, low, _)) if low.key <= tower.key => {}
+                        _ => lowest = Some((i, tower, next)),
+                    },
+                    Head::Unsought(f) => unsought = Some(unsought.map_or(f, |u| u.min(f))),
+                    _ => {}
+                }
+            }
+            let next_key = lowest.map_or(last, |(_, tower, _)| tower.key);
+            if let Some(low_floor) = unsought.filter(|&f| f <= next_key) {
+                // A round: the first takes the lists at the lowest floor,
+                // later ones every list that could hold the next key.
+                let below = if first_round { low_floor } else { next_key };
+                first_round = false;
+                for (head, list) in heads.iter_mut().zip(lists) {
+                    if matches!(*head, Head::Unsought(f) if f <= below) {
+                        let cursor = list.cursor(&mut |cell| list.seek_read(cell, tx))?;
+                        spectm::prefetch(Self::tower(cursor.curr));
+                        *head = Head::Seeking(cursor);
+                    }
+                }
+                Self::seek_lockstep(lists, &mut heads, start, last, tx, &mut ahead)?;
+                continue;
+            }
+            let Some((i, tower, next)) = lowest else {
+                return Ok(());
+            };
+            if visit(i, tower.key, &tower.value, tx)?.is_break() {
+                return Ok(());
+            }
+            let found = Self::next_live_in(unmark(next), last, tx)?;
+            if let Some((tower, _)) = found {
+                ahead(i, tower.key);
+            }
+            heads[i] = Head::At(found);
         }
-        let mut seeking = heads.len();
+    }
+
+    /// Runs the descents of [`StmSkipList::walk_merged_in`]'s current round
+    /// — its `Seeking` heads — to their landings in lockstep, and reports
+    /// each landed head to `ahead`.
+    fn seek_lockstep<'a>(
+        lists: &'a [Self],
+        heads: &mut [Head<'a, S>],
+        start: u64,
+        last: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+        ahead: &mut impl FnMut(usize, u64),
+    ) -> TxResult<()> {
+        let mut seeking = heads
+            .iter()
+            .filter(|head| matches!(head, Head::Seeking(_)))
+            .count();
         while seeking > 0 {
             for (i, (head, list)) in heads.iter_mut().zip(lists).enumerate() {
                 let Head::Seeking(cursor) = head else {
@@ -1216,28 +1291,7 @@ impl<S: Stm> StmSkipList<S> {
                 seeking -= 1;
             }
         }
-        loop {
-            // `min_by_key` keeps the first of equal keys: ties in list order.
-            let lowest = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, head)| match *head {
-                    Head::At(Some((tower, next))) => Some((i, tower, next)),
-                    _ => None,
-                })
-                .min_by_key(|&(_, tower, _)| tower.key);
-            let Some((i, tower, next)) = lowest else {
-                return Ok(());
-            };
-            if visit(i, tower.key, &tower.value, tx)?.is_break() {
-                return Ok(());
-            }
-            let found = Self::next_live_in(unmark(next), last, tx)?;
-            if let Some((tower, _)) = found {
-                ahead(i, tower.key);
-            }
-            heads[i] = Head::At(found);
-        }
+        Ok(())
     }
 
     /// Collects up to `limit` live `(key, value)` pairs with
@@ -1649,6 +1703,7 @@ mod tests {
                     start,
                     last,
                     tx,
+                    |_| start,
                     |_, _| {},
                     |i, key, cell, tx| {
                         assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
@@ -1679,6 +1734,7 @@ mod tests {
                 50,
                 60,
                 tx,
+                |_| 50,
                 |_, _| {},
                 |_, key, _, _| {
                     alone.push(key);
@@ -1762,6 +1818,7 @@ mod tests {
                         start,
                         u64::MAX,
                         tx,
+                        |_| start,
                         |i, key| {
                             assert!(heads[i].is_none(), "list {i} landed twice");
                             heads[i] = Some(key);
@@ -1791,6 +1848,123 @@ mod tests {
         lockstep_seeks_match_sequential(ValShort::new(), ApiMode::Short);
         lockstep_seeks_match_sequential(TvarShortG::new(), ApiMode::Short);
         lockstep_seeks_match_sequential(OrecFullG::new(), ApiMode::Full);
+    }
+
+    /// Keys partitioned over the lists in blocks of 64, as the sharded
+    /// store's router places them: `block_owner` maps a block to a list.
+    fn block_owner(block: u64, lists: usize) -> usize {
+        (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % lists
+    }
+
+    /// The tight floor of `list` for `start` when blocks `0..blocks` hold
+    /// keys: `start` in its own block, else the first later block it owns,
+    /// else `u64::MAX`.
+    fn block_floor(list: usize, lists: usize, blocks: u64, start: u64) -> u64 {
+        let first = start >> 6;
+        if first < blocks && block_owner(first, lists) == list {
+            return start;
+        }
+        (first + 1..blocks)
+            .find(|&block| block_owner(block, lists) == list)
+            .map_or(u64::MAX, |block| block << 6)
+    }
+
+    /// The floor contract on a block-partitioned key space whose every
+    /// block is populated: walks with the tight floors visit exactly what
+    /// walks with every floor at `start` visit.  Run to `last`, they read
+    /// nothing of a list whose floor lies past the last key visited: their
+    /// reads are the floor-less walk's less one sequential seek (`seek_in`
+    /// and its landed head) of each such list.  Stopped after 16 keys,
+    /// they read no more than the floor-less walk.
+    fn floors_skip_unreachable_lists<S: Stm + Clone>(stm: S, mode: ApiMode) {
+        const LISTS: usize = 8;
+        const BLOCKS: u64 = 64;
+        let lists: Vec<_> = (0..LISTS).map(|_| StmSkipList::new(&stm, mode)).collect();
+        let mut t = stm.register();
+        for k in 0..BLOCKS << 6 {
+            lists[block_owner(k >> 6, LISTS)].put(k, k, &mut t);
+        }
+        let reads = |t: &mut S::Thread| {
+            let stats = t.stats();
+            stats.full_reads + stats.singles
+        };
+        let walk = |floor: &dyn Fn(usize) -> u64, start, last, limit, t: &mut S::Thread| {
+            let before = reads(t);
+            let mut seen = Vec::new();
+            t.atomic(|tx| {
+                seen.clear();
+                StmSkipList::walk_merged_in(
+                    &lists,
+                    start,
+                    last,
+                    tx,
+                    floor,
+                    |_, _| {},
+                    |i, key, _, _| {
+                        seen.push((i, key));
+                        Ok(if seen.len() < limit {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        })
+                    },
+                )
+            })
+            .unwrap();
+            (seen, reads(t) - before)
+        };
+        let mut skipped = 0;
+        for (start, last) in [
+            (0, 0),
+            (0, 63),
+            (5, 40),
+            (63, 64),
+            (64, 200),
+            (1_000, 1_015),
+            (1_000, 1_100),
+            (2_047, 2_500),
+            (4_000, u64::MAX - 1),
+            (4_095, u64::MAX - 1),
+            (4_096, u64::MAX - 1),
+            (0, u64::MAX - 1),
+        ] {
+            let tight = |i| block_floor(i, LISTS, BLOCKS, start);
+            let (all, all_reads) = walk(&|_| start, start, last, usize::MAX, &mut t);
+            let (seen, tight_reads) = walk(&tight, start, last, usize::MAX, &mut t);
+            assert_eq!(seen, all, "visits of [{start}, {last}]");
+            let last_visited = all.last().map_or(start, |&(_, key)| key);
+            let mut unread = 0;
+            for (i, list) in lists.iter().enumerate() {
+                if tight(i) <= last_visited {
+                    continue;
+                }
+                let before = reads(&mut t);
+                t.atomic(|tx| {
+                    let cand = list.seek_in(start, tx)?;
+                    StmSkipList::<S>::next_live_in(cand, last, tx).map(|_| ())
+                })
+                .unwrap();
+                unread += reads(&mut t) - before;
+                skipped += 1;
+            }
+            assert_eq!(
+                tight_reads,
+                all_reads - unread,
+                "reads of [{start}, {last}]: {all_reads} with every list sought"
+            );
+            let (all, all_reads) = walk(&|_| start, start, last, 16, &mut t);
+            let (seen, tight_reads) = walk(&tight, start, last, 16, &mut t);
+            assert_eq!(seen, all, "first 16 visits of [{start}, {last}]");
+            assert!(tight_reads <= all_reads, "16 visits from {start}");
+        }
+        assert!(skipped > 40, "only {skipped} lists left unsought");
+    }
+
+    #[test]
+    fn floors_skip_lists_the_walk_cannot_reach() {
+        floors_skip_unreachable_lists(ValShort::new(), ApiMode::Short);
+        floors_skip_unreachable_lists(TvarShortG::new(), ApiMode::Short);
+        floors_skip_unreachable_lists(OrecFullG::new(), ApiMode::Full);
     }
 
     #[test]

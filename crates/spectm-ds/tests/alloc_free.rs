@@ -157,6 +157,7 @@ fn merged_walk_case<S: Stm + Clone>(stm: S) {
                         start,
                         u64::MAX,
                         tx,
+                        |_| start,
                         |_, _| {},
                         |_, _, _, _| {
                             seen += 1;

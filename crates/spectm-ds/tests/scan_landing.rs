@@ -9,8 +9,10 @@
 //! * A churner inserts and removes the keys just below `START` in every
 //!   list, so the tower a seek stops at is often removed under it.
 //! * Scanners read `[START, START + 1]` with a merged walk over all lists
-//!   (and, every other iteration, with `range` on the flipper's list); each
-//!   read must return exactly one key.
+//!   (in turn with every floor at `START`, so every list is sought, and
+//!   with the floors of a partitioned key space, so only the flipper's
+//!   list is), and with `range` on the flipper's list; each read must
+//!   return exactly one key.
 //!
 //! A scan that used the seek's unlogged successor as its head would start
 //! from a tower the flipper may have removed since, and return nothing.
@@ -48,8 +50,28 @@ fn flip<S: Stm>(list: &StmSkipList<S>, from: u64, to: u64, t: &mut S::Thread) {
     retired.expect("checked above").retire(t);
 }
 
+/// Every list may hold keys from `START` on.
+fn start_floors(_: usize) -> u64 {
+    START
+}
+
+/// Only the flipper's list (list 0) holds keys in `[START, START + 1]`:
+/// the others' keys there are excluded from the background, as a router
+/// excludes the keys of other shards.
+fn partitioned_floors(list: usize) -> u64 {
+    if list == 0 {
+        START
+    } else {
+        START + 2
+    }
+}
+
 /// The keys a merged walk over `lists` finds in `[START, START + 1]`.
-fn merged_keys<S: Stm>(lists: &[StmSkipList<S>], t: &mut S::Thread) -> Vec<u64> {
+fn merged_keys<S: Stm>(
+    lists: &[StmSkipList<S>],
+    floors: fn(usize) -> u64,
+    t: &mut S::Thread,
+) -> Vec<u64> {
     let mut keys = Vec::new();
     t.atomic(|tx| {
         keys.clear();
@@ -58,6 +80,7 @@ fn merged_keys<S: Stm>(lists: &[StmSkipList<S>], t: &mut S::Thread) -> Vec<u64> 
             START,
             START + 1,
             tx,
+            floors,
             |_, _| {},
             |_, key, _, _| {
                 keys.push(key);
@@ -144,14 +167,14 @@ fn landing_holds_under_churn<S: Stm + Clone>(stm: S, mode: ApiMode) {
                 for i in 0.. {
                     // ORDERING: a progress count, only compared.
                     let before = flips.load(Ordering::Relaxed);
-                    let keys = if i % 2 == 0 {
-                        merged_keys(&lists, &mut t)
-                    } else {
-                        lists[0]
+                    let keys = match i % 3 {
+                        0 => merged_keys(&lists, start_floors, &mut t),
+                        1 => merged_keys(&lists, partitioned_floors, &mut t),
+                        _ => lists[0]
                             .range(START, START + 2, &mut t)
                             .into_iter()
                             .map(|(key, _)| key)
-                            .collect()
+                            .collect(),
                     };
                     assert!(
                         matches!(keys[..], [k] if k == START || k == START + 1),

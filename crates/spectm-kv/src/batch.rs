@@ -681,6 +681,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
 mod tests {
     use super::*;
     use crate::value::MAX_VALUE_LEN;
+    use crate::ShardRouter;
     use spectm::variants::{OrecFullG, ValShort};
     use spectm_ds::ApiMode;
     use std::collections::BTreeMap;
@@ -714,7 +715,9 @@ mod tests {
                 let len = (rng() % 24) as usize;
                 let batch: Vec<BatchOp> = (0..len)
                     .map(|_| {
-                        let key = rng() % 48;
+                        // One key per routing block, so batches span
+                        // every shard.
+                        let key = (rng() % 48) << ShardRouter::BLOCK_BITS;
                         match rng() % 4 {
                             0 => BatchOp::Get(key),
                             1 => BatchOp::Del(key),

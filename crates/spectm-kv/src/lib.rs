@@ -19,7 +19,8 @@
 //!   chains), and every operation also exists as a traditional full
 //!   transaction (the BaseTM shape).  [`StmHashMap::stats`] reports the
 //!   probe-length histogram and bucket occupancy;
-//! * [`ShardRouter`] — a power-of-two router assigning each key to a shard;
+//! * [`ShardRouter`] — a power-of-two router assigning each block of 64
+//!   consecutive keys to a shard;
 //! * [`ShardedKv`] — the store itself.  All shards (and their per-shard
 //!   [`spectm_ds::StmSkipList`] ordered indexes) share **one** STM
 //!   instance, so while `get` and value-overwriting `put` touch only the

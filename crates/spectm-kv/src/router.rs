@@ -4,20 +4,46 @@
 //! assignment function has a single definition shared by the store, the
 //! tests and any future placement-aware client (e.g. one that batches
 //! operations per shard before dispatching them).
+//!
+//! Keys route in blocks of [`ShardRouter::BLOCK_KEYS`] consecutive keys:
+//! the router hashes `key >> BLOCK_BITS`, not the key.  So a dense run of
+//! keys sits in one shard's ordered index for up to 64 keys at a time, and
+//! a short scan over it descends one index, or a few at a block edge,
+//! instead of every one ([`ShardRouter::floor`] tells the scan which
+//! shards its range can reach).  Each shard still holds about
+//! `1 / shards` of any dense key space, and routing stays a pure function
+//! of the key.
 
 /// Routes keys to one of a power-of-two number of shards.
 ///
-/// The mixing function is a multiply by an odd constant followed by taking
-/// the *top* bits — deliberately different from the Fibonacci hash the
-/// bucket chains use (multiply + low-ish bits), so a key's shard index and
-/// its bucket index within the shard are decorrelated and a pathological key
-/// set cannot alias both at once.
+/// The mixing function is a multiply of the key's block number by an odd
+/// constant followed by taking bits 32 and up — deliberately different
+/// from the Fibonacci hash the bucket chains use (a multiply of the key,
+/// bits 17 and up), so a key's shard index and its bucket index within the
+/// shard differ.  Both are multiplicative in the key, though, so they are
+/// not independent: for some store shapes a shard's dense keys fill its
+/// home buckets less evenly than a random placement would, and for others
+/// more evenly (EXPERIMENTS.md, "Scans descend only the shards their range
+/// can reach", measures 28 shapes against routing each key alone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     mask: u64,
 }
 
 impl ShardRouter {
+    /// Log2 of [`ShardRouter::BLOCK_KEYS`].
+    pub const BLOCK_BITS: u32 = 6;
+    /// Consecutive keys that share a shard: the keys `b * BLOCK_KEYS ..
+    /// (b + 1) * BLOCK_KEYS` of every block `b` route together.
+    pub const BLOCK_KEYS: u64 = 1 << Self::BLOCK_BITS;
+    /// Blocks after the start's that [`ShardRouter::floor`] examines.  A
+    /// scan that reaches past them has read about a thousand keys of a
+    /// dense run, so seeking the shards not met by then early costs it
+    /// little; 16 shards take about 90 consecutive blocks to all appear.
+    const FLOOR_LOOKAHEAD: u64 = 16;
+    /// The last block of the key space.
+    const LAST_BLOCK: u64 = u64::MAX >> Self::BLOCK_BITS;
+
     /// Creates a router over `shards` shards (rounded up to a power of two,
     /// minimum one).
     pub fn new(shards: usize) -> Self {
@@ -33,7 +59,34 @@ impl ShardRouter {
     /// The shard owning `key`; always less than [`ShardRouter::shard_count`].
     #[inline]
     pub fn route(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0xA24B_AED4_963E_E407) >> 32) & self.mask) as usize
+        self.route_block(key >> Self::BLOCK_BITS)
+    }
+
+    /// The shard owning every key of `block`.
+    #[inline]
+    fn route_block(&self, block: u64) -> usize {
+        ((block.wrapping_mul(0xA24B_AED4_963E_E407) >> 32) & self.mask) as usize
+    }
+
+    /// A key below which `shard` owns no key at or after `start`: `start`
+    /// if `start`'s block routes to `shard`, else the first key of the
+    /// first later block that does, looked for among the next 16 blocks.
+    /// A shard not met among them gets the first key after them, and one
+    /// that owns no later block at all gets `u64::MAX`: both still true
+    /// bounds, since a key's shard is a function of the key alone.
+    pub fn floor(&self, shard: usize, start: u64) -> u64 {
+        let first = start >> Self::BLOCK_BITS;
+        if self.route_block(first) == shard {
+            return start;
+        }
+        let end = first
+            .saturating_add(Self::FLOOR_LOOKAHEAD)
+            .min(Self::LAST_BLOCK);
+        match (first + 1..=end).find(|&block| self.route_block(block) == shard) {
+            Some(block) => block << Self::BLOCK_BITS,
+            None if end == Self::LAST_BLOCK => u64::MAX,
+            None => (end + 1) << Self::BLOCK_BITS,
+        }
     }
 
     /// Reference grouping shape, kept only as a test oracle for
@@ -217,6 +270,97 @@ mod tests {
         );
     }
 
+    /// Checks every shard's `floor` for `start` block by block, as
+    /// `floors_bound_what_a_shard_owns` states.
+    fn check_floors(r: ShardRouter, start: u64) {
+        const B: u32 = ShardRouter::BLOCK_BITS;
+        let first = start >> B;
+        for shard in 0..r.shard_count() {
+            let floor = r.floor(shard, start);
+            if r.route(start) == shard {
+                assert_eq!(floor, start);
+                continue;
+            }
+            assert!(
+                floor > start || floor == u64::MAX,
+                "floor {floor} from {start}"
+            );
+            // Every block from `start`'s up to the floor's routes elsewhere
+            // (all the remaining blocks, for a floor of `u64::MAX`).
+            let top = if floor == u64::MAX {
+                u64::MAX >> B
+            } else {
+                (floor - 1) >> B
+            };
+            assert!(top - first <= ShardRouter::FLOOR_LOOKAHEAD);
+            for block in first..=top {
+                assert_ne!(
+                    r.route(block << B),
+                    shard,
+                    "shard {shard} owns block {block}"
+                );
+            }
+            if floor != u64::MAX && (floor >> B) - first <= ShardRouter::FLOOR_LOOKAHEAD {
+                assert_eq!(floor & (ShardRouter::BLOCK_KEYS - 1), 0);
+                assert_eq!(r.route(floor), shard);
+            }
+        }
+    }
+
+    #[test]
+    fn floors_hold_at_block_edges_and_the_ends_of_the_key_space() {
+        for shards in [1, 2, 4, 16, 64] {
+            let r = ShardRouter::new(shards);
+            for start in [0, 1, 63, 64, 65, 1_000, u64::MAX - 1_100, u64::MAX - 64]
+                .into_iter()
+                .chain(u64::MAX - 63..=u64::MAX)
+            {
+                check_floors(r, start);
+            }
+        }
+    }
+
+    #[test]
+    fn keys_route_in_blocks() {
+        let r = ShardRouter::new(16);
+        for block in [0u64, 1, 77, u64::MAX >> ShardRouter::BLOCK_BITS] {
+            let base = block << ShardRouter::BLOCK_BITS;
+            let shard = r.route(base);
+            for key in base..=base + (ShardRouter::BLOCK_KEYS - 1) {
+                assert_eq!(r.route(key), shard, "key {key} left block {block}");
+            }
+        }
+        // Neighbouring blocks spread: the first 128 blocks use every shard.
+        let mut hit = [false; 16];
+        for block in 0..128u64 {
+            hit[r.route(block << ShardRouter::BLOCK_BITS)] = true;
+        }
+        assert!(hit.iter().all(|&h| h), "{hit:?}");
+    }
+
+    /// Keys for the grouping properties: the first key of one of 128
+    /// blocks, so a batch repeats keys and still spans shards (keys from
+    /// one block would all share a shard).
+    fn block_keys() -> impl Strategy<Value = u64> {
+        (0u64..128).prop_map(|block| block << ShardRouter::BLOCK_BITS)
+    }
+
+    /// The grouping properties mean to cross shards: `block_keys` reaches
+    /// every shard of up to 16, so a routing change that collapses them
+    /// fails here instead of leaving those properties one group deep.
+    fn assert_block_keys_cross_shards(r: ShardRouter) {
+        let mut hit = vec![false; r.shard_count()];
+        for block in 0..128u64 {
+            hit[r.route(block << ShardRouter::BLOCK_BITS)] = true;
+        }
+        let reached = hit.iter().filter(|&&h| h).count();
+        assert!(
+            reached >= r.shard_count().min(16),
+            "128 blocks reach {reached} of {} shards",
+            r.shard_count()
+        );
+    }
+
     proptest! {
         #[test]
         fn route_is_always_in_range(key in 0u64..u64::MAX, shards in 1usize..64) {
@@ -228,6 +372,22 @@ mod tests {
         fn route_is_deterministic(key in 0u64..u64::MAX, shards in 1usize..64) {
             let r = ShardRouter::new(shards);
             prop_assert_eq!(r.route(key), r.route(key));
+        }
+
+        /// A floor is a true bound: no key from `start` up to it routes to
+        /// the shard.  And it is tight within the lookahead: a floor past
+        /// `start` that lies in an examined block is where the shard's
+        /// first block begins.
+        #[test]
+        fn floors_bound_what_a_shard_owns(start in 0u64..u64::MAX, shards_log2 in 0u32..6) {
+            check_floors(ShardRouter::new(1 << shards_log2), start);
+        }
+
+        /// The same at the top of the key space, where the lookahead runs
+        /// out of blocks.
+        #[test]
+        fn floors_hold_at_the_top_of_the_key_space(below in 0u64..20_000, shards_log2 in 0u32..6) {
+            check_floors(ShardRouter::new(1 << shards_log2), u64::MAX - below);
         }
 
         #[test]
@@ -248,10 +408,11 @@ mod tests {
         /// repeats keys; it is the oracle `group_runs_into` is held to below.
         #[test]
         fn grouping_is_a_permutation_of_the_batch(
-            keys in proptest::collection::vec(0u64..64, 0..200),
+            keys in proptest::collection::vec(block_keys(), 0..200),
             shards_log2 in 0u32..7,
         ) {
             let r = ShardRouter::new(1usize << shards_log2);
+            assert_block_keys_cross_shards(r);
             let groups = r.group_indices(keys.iter().copied());
             prop_assert_eq!(groups.len(), r.shard_count());
             // Each group holds ascending positions that route to it.
@@ -272,10 +433,11 @@ mod tests {
         /// `group_indices` shape exactly: same runs, same order.
         #[test]
         fn flat_runs_agree_with_grouped_indices(
-            keys in proptest::collection::vec(0u64..64, 0..200),
+            keys in proptest::collection::vec(block_keys(), 0..200),
             shards_log2 in 0u32..7,
         ) {
             let r = ShardRouter::new(1usize << shards_log2);
+            assert_block_keys_cross_shards(r);
             let groups = r.group_indices(keys.iter().copied());
             let (order, ends) = r.group_runs(keys.iter().copied());
             prop_assert_eq!(ends.len(), r.shard_count());

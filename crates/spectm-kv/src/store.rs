@@ -16,14 +16,17 @@
 //! changes (`put` of an absent key, `del`) run as one full transaction that
 //! updates both structures, so the invariant holds at every serialization
 //! point; value overwrites (`put` of a present key, `rmw`) never touch the
-//! index and keep their short/hot shapes.  A scan descends every shard's
-//! index once and then streams a k-way merge over them, reading each key's
-//! entry through its hash map as the merge yields it — all inside a single
-//! full transaction whose read set is what the scan returns plus one
-//! landing per index (the descents themselves are single-location reads in
-//! the Short and Fine modes): an atomically consistent snapshot even
-//! against concurrent cross-shard `rmw`.  DESIGN.md § "The ordered index and range scans" has
-//! the full argument.
+//! index and keep their short/hot shapes.  A scan streams a k-way merge over
+//! the shard indexes, descending each at most once and only when its range
+//! can reach that shard: keys route in 64-key blocks, so a short scan over
+//! dense keys descends one index, and a few more where it crosses a block
+//! edge.  It reads each key's entry
+//! through its hash map as the merge yields it — all inside a single full
+//! transaction whose read set is what the scan returns plus one landing per
+//! index descended (the descents themselves are single-location reads in
+//! the Short and Fine modes): an atomically consistent snapshot even against
+//! concurrent cross-shard `rmw`.  DESIGN.md § "The ordered index and range
+//! scans" has the full argument.
 //!
 //! Values are byte payloads behind value words (inline or epoch-reclaimed
 //! [`crate::ValueCell`]s); every operation that displaces a word retires it
@@ -814,12 +817,18 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// Returns up to `limit` `(key, value)` pairs with `key >= start`, in
     /// ascending key order — the YCSB-E scan shape.
     ///
-    /// One full transaction descends every shard's ordered index to
-    /// `start` once, then streams a k-way merge over them, reading each
-    /// key's entry through the owning hash shard as the merge yields it,
-    /// until `limit` live pairs are in hand — the transaction's read set is
-    /// what the scan returns, plus where each descent landed.  Entries
-    /// whose deadline has passed are stepped over, not counted.  The
+    /// One full transaction streams a k-way merge over the shards'
+    /// ordered indexes, reading each key's entry through the owning hash
+    /// shard as the merge yields it, until `limit` live pairs are in hand.
+    /// An index is descended to `start` once, and only when the merge could
+    /// need it: keys route in blocks of [`ShardRouter::BLOCK_KEYS`], so a
+    /// shard owns nothing below the first of its blocks at or after `start`
+    /// ([`ShardRouter::floor`]), and its index waits until the merge's next
+    /// key reaches that floor.  A 16-key scan over dense keys descends one
+    /// index, and where it crosses a block edge also those owning the
+    /// blocks before that index's next one.  The transaction's
+    /// read set is what the scan returns, plus where each descent landed.
+    /// Entries whose deadline has passed are stepped over, not counted.  The
     /// result is an **atomically consistent snapshot**: it is serializable
     /// with every concurrent operation, including multi-key
     /// [`ShardedKv::rmw`] — a scan can never observe a torn cross-shard
@@ -869,6 +878,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// one full transaction.  Shards partition the key space, so the merged
     /// walk yields each key once, and the index invariant guarantees it is
     /// present in its hash shard at the transaction's serialization point.
+    /// A key only ever enters the index of the shard it routes to, so the
+    /// router's floors bound every index at every instant, which is what
+    /// lets the walk leave an index unread.
     /// The indexes' descents read with the store's [`ApiMode`]: unlogged
     /// in Short and Fine, where only each index's level-0 landing enters
     /// the read set ([`StmSkipList::walk_merged_in`]), logged in Full.
@@ -889,6 +901,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
                     start,
                     last,
                     tx,
+                    // An index is sought only once its shard's first block
+                    // at or after `start` could hold the merge's next key.
+                    |shard| self.router.floor(shard, start),
                     // Each shard's next key: its home bucket's miss overlaps
                     // the other lists' work until the visitor reads it.
                     |shard, key| self.shards[shard].prefetch_bucket(key),
@@ -1128,20 +1143,25 @@ mod tests {
         let stm = ValShort::new();
         let store = ShardedKv::new(&stm, 4, 16, ApiMode::Short);
         let mut t = store.register();
-        // Neighbouring keys land on different shards (the router mixes
-        // bits), so the merge switches index at almost every step.
-        for k in 0..64u64 {
-            store.put(k, &(k * 2).to_le_bytes(), &mut t).unwrap();
+        // Two keys per routing block, so the merge switches index every
+        // two to a few keys.
+        let key = |i: u64| i * ShardRouter::BLOCK_KEYS / 2;
+        for i in 0..64u64 {
+            store.put(key(i), &(i * 2).to_le_bytes(), &mut t).unwrap();
         }
-        let run = store.scan(10, 7, &mut t);
+        let run = store.scan(key(10), 7, &mut t);
         let got: Vec<(u64, u64)> = run.iter().map(|(k, v)| (*k, v.as_u64())).collect();
-        let expect: Vec<(u64, u64)> = (10..17).map(|k| (k, k * 2)).collect();
+        let expect: Vec<(u64, u64)> = (10..17).map(|i| (key(i), i * 2)).collect();
         assert_eq!(got, expect);
-        assert_eq!(store.scan(60, 100, &mut t).len(), 4, "tail clamps");
-        assert!(store.scan(64, 5, &mut t).is_empty());
+        let shards: std::collections::BTreeSet<usize> =
+            got.iter().map(|&(k, _)| store.router().route(k)).collect();
+        assert!(shards.len() >= 3, "the scan crossed shards {shards:?}");
+        assert_eq!(store.scan(key(60), 100, &mut t).len(), 4, "tail clamps");
+        assert_eq!(store.scan(key(63) + 1, 5, &mut t), []);
+        assert!(store.scan(key(64), 5, &mut t).is_empty());
         assert!(store.scan(0, 0, &mut t).is_empty());
-        assert_eq!(store.range(20, 25, &mut t).len(), 5);
-        assert!(store.range(25, 20, &mut t).is_empty());
+        assert_eq!(store.range(key(20), key(25), &mut t).len(), 5);
+        assert!(store.range(key(25), key(20), &mut t).is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use proptest::prelude::*;
 use spectm::variants::{OrecFullG, ValShort};
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{BatchOp, ShardedKv, Value};
+use spectm_kv::{BatchOp, ShardRouter, ShardedKv, Value};
 
 /// Deterministic payload for `(key, draw)` sweeping the inline-bytes,
 /// inline-int and out-of-line regimes.
@@ -93,7 +93,14 @@ fn oracle_check<S: Stm + Clone>(stm: S, mode: ApiMode, shards: usize, batches: &
     for (no, (mask, batch)) in batches.iter().enumerate() {
         let ops: Vec<BatchOp> = batch
             .iter()
-            .map(|&(kind, key, draw)| op_from(masked_kind(kind, *mask), key, draw))
+            // One key per routing block, so the 24 keys span every shard.
+            .map(|&(kind, key, draw)| {
+                op_from(
+                    masked_kind(kind, *mask),
+                    key << ShardRouter::BLOCK_BITS,
+                    draw,
+                )
+            })
             .collect();
         let expect = oracle_results(&ops, &mut oracle);
         let got = store.execute_batch(&ops, &mut t).unwrap();

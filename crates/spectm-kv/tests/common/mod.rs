@@ -32,6 +32,29 @@
 
 use std::sync::Barrier;
 
+use spectm_kv::ShardRouter;
+
+/// The `i`-th of a small key set that must cross shards.  The router
+/// places whole blocks of [`ShardRouter::BLOCK_KEYS`] consecutive keys, so
+/// dense keys `0..n` share one shard for small `n`; these keys step 1 024
+/// blocks (plus one key) apart instead, which spreads 8 keys over 4 shards
+/// and 32 over 16.  Ascending in `i`.
+pub fn spread_key(i: u64) -> u64 {
+    i * 0x1_0001
+}
+
+/// Asserts that `keys` reach every shard `router` routes to: a test that
+/// means to cross shards states it, so a routing change that collapses its
+/// keys onto fewer shards fails here instead of silently testing less.
+pub fn assert_spans_every_shard(router: ShardRouter, keys: impl IntoIterator<Item = u64>) {
+    let mut hit = vec![false; router.shard_count()];
+    for key in keys {
+        hit[router.route(key)] = true;
+    }
+    let missed: Vec<usize> = (0..hit.len()).filter(|&s| !hit[s]).collect();
+    assert!(missed.is_empty(), "the test's keys miss shards {missed:?}");
+}
+
 /// Cheap deterministic xorshift generator — the single RNG every suite
 /// draws from, so oracles can replay worker streams exactly.
 pub struct Xorshift(u64);

@@ -31,11 +31,19 @@
 //!   `BTreeMap` replay operation by operation, including the ordered
 //!   results and the exact bytes, at 1, 2 and 16 shards and at both ends
 //!   of the key space.
+//! * **Gapped-key scan oracle** — the same replay over keys in dense runs
+//!   separated by gaps from one routing block to 2^40 keys, scanned from
+//!   inside runs and gaps, from block edges and from the top of the key
+//!   space, where which shards a scan seeks depends on where the range
+//!   crosses blocks.
 //! * **Read-set budget** — the number of transactional reads a scan
 //!   performs (`Stats::full_reads`) is bounded by what it returns plus one
-//!   landing per shard, and the read and write sets of a fixed
-//!   membership-and-scan script stay at or below recorded totals; a fixed
-//!   script over deep bucket chains makes exactly its recorded STM calls.
+//!   landing per shard, on sparse and on dense keys; the read and write
+//!   sets of a fixed membership-and-scan script stay at or below recorded
+//!   totals; a fixed script over deep bucket chains makes exactly its
+//!   recorded STM calls; and a seek-count pin holds the exact
+//!   `Stats::singles` and `Stats::full_reads` of 16-key scans on dense
+//!   and on sparse keys.
 //!
 //! All concurrency runs through the deterministic scaffolding of
 //! [`common`]: barrier-started scoped workers with canonically seeded
@@ -48,11 +56,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::{run_workers, thread_rng, Xorshift};
+use common::{assert_spans_every_shard, run_workers, spread_key, thread_rng, Xorshift};
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::{Stm, StmThread};
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, Clock, ShardedKv, StmHashMap, Value};
+use spectm_kv::{CacheConfig, Clock, ShardRouter, ShardedKv, StmHashMap, Value};
 
 /// Deterministic payload for `(key, draw)`: the length cycles through the
 /// inline-bytes (0..=7), inline-int (8) and out-of-line (up to ~48 bytes)
@@ -136,19 +144,20 @@ fn transfers_conserve_total<S: Stm + Clone>(stm: S, mode: ApiMode) {
     const OBSERVERS: u64 = 2;
     const TRANSFERS: usize = 2_000;
     let store = ShardedKv::new(&stm, 4, 32, mode);
+    let all_keys: Vec<u64> = (0..KEYS).map(spread_key).collect();
+    assert_spans_every_shard(store.router(), all_keys.iter().copied());
     {
         let mut t = store.register();
-        for k in 0..KEYS {
+        for &k in &all_keys {
             store.put(k, &INITIAL.to_le_bytes(), &mut t).unwrap();
         }
     }
-    let all_keys: Vec<u64> = (0..KEYS).collect();
     run_workers(WRITERS + OBSERVERS, 0xFEED, |tid, rng| {
         let mut t = store.register();
         if tid < WRITERS {
             for _ in 0..TRANSFERS {
-                let from = rng.next() % KEYS;
-                let to = rng.next() % KEYS;
+                let from = all_keys[(rng.next() % KEYS) as usize];
+                let to = all_keys[(rng.next() % KEYS) as usize];
                 if from == to {
                     continue;
                 }
@@ -207,19 +216,20 @@ fn observers_never_see_partial_transfers<S: Stm + Clone>(stm: S, mode: ApiMode) 
     const WRITERS: u64 = 3;
     const OBSERVERS: u64 = 2;
     let store = ShardedKv::new(&stm, 4, 32, mode);
+    let all_keys: Vec<u64> = (0..KEYS).map(spread_key).collect();
+    assert_spans_every_shard(store.router(), all_keys.iter().copied());
     {
         let mut t = store.register();
-        for k in 0..KEYS {
+        for &k in &all_keys {
             store.put(k, &INITIAL.to_le_bytes(), &mut t).unwrap();
         }
     }
-    let all_keys: Vec<u64> = (0..KEYS).collect();
     run_workers(WRITERS + OBSERVERS, 0xBEEF, |tid, rng| {
         let mut t = store.register();
         if tid < WRITERS {
             for _ in 0..1_500 {
-                let from = rng.next() % KEYS;
-                let to = rng.next() % KEYS;
+                let from = all_keys[(rng.next() % KEYS) as usize];
+                let to = all_keys[(rng.next() % KEYS) as usize];
                 if from == to {
                     continue;
                 }
@@ -262,7 +272,9 @@ fn observers_never_see_partial_transfers<S: Stm + Clone>(stm: S, mode: ApiMode) 
 /// `_high_load` variants undersize the tables far past it (one home
 /// bucket per shard, several keys deep in overflow chains), so torn
 /// transfers are hunted where probes span multiple buckets and fresh
-/// inserts take the full-transaction fallback.
+/// inserts take the full-transaction fallback.  The keys are
+/// [`spread_key`]s, which span every shard (and load the 4 shards within
+/// a few keys of evenly), so most transfers cross shards.
 fn scans_never_observe_torn_transfers<S: Stm + Clone>(
     stm: S,
     mode: ApiMode,
@@ -273,9 +285,11 @@ fn scans_never_observe_torn_transfers<S: Stm + Clone>(
     const WRITERS: u64 = 3;
     const OBSERVERS: u64 = 2;
     let store = ShardedKv::new(&stm, 4, capacity_per_shard, mode);
+    let all_keys: Vec<u64> = (0..keys).map(spread_key).collect();
+    assert_spans_every_shard(store.router(), all_keys.iter().copied());
     {
         let mut t = store.register();
-        for k in 0..keys {
+        for &k in &all_keys {
             store.put(k, &INITIAL.to_le_bytes(), &mut t).unwrap();
         }
     }
@@ -283,8 +297,8 @@ fn scans_never_observe_torn_transfers<S: Stm + Clone>(
         let mut t = store.register();
         if tid < WRITERS {
             for _ in 0..1_500 {
-                let from = rng.next() % keys;
-                let to = rng.next() % keys;
+                let from = all_keys[(rng.next() % keys) as usize];
+                let to = all_keys[(rng.next() % keys) as usize];
                 if from == to {
                     continue;
                 }
@@ -333,20 +347,28 @@ fn scans_never_observe_torn_transfers<S: Stm + Clone>(
 /// that read `a` before a round and `b` after it would show the opposite.
 /// Filler keys between the two widen that window, and `a` routes to a
 /// lower-numbered shard than `b` so a scan reading shard by shard would
-/// meet them in the same order as one reading key by key.
+/// meet them in the same order as one reading key by key.  The keys are
+/// [`spread_key`]s and span all 16 shards, so a scan's merge takes every
+/// index in turn.
 fn scans_are_snapshots_against_short_writers<S: Stm + Clone>(stm: S, mode: ApiMode) {
     const KEYS: u64 = 32;
     const ROUNDS: u64 = 40_000;
     const SCANNERS: u64 = 2;
     let store = ShardedKv::new(&stm, 16, 16, mode);
-    let a = 0u64;
-    let b = (KEYS / 2..KEYS)
+    let all_keys: Vec<u64> = (0..KEYS).map(spread_key).collect();
+    assert_spans_every_shard(store.router(), all_keys.iter().copied());
+    let route = |i: usize| store.router().route(all_keys[i]);
+    // `a` and `b` as positions in `all_keys`, which is also their place in
+    // a whole-store scan.
+    let a = 0;
+    let b = (KEYS as usize / 2..KEYS as usize)
         .rev()
-        .find(|&k| store.router().route(k) > store.router().route(a))
-        .expect("some high key routes above key 0");
+        .find(|&i| route(i) > route(a))
+        .expect("some high key routes above the first");
+    let (key_a, key_b) = (all_keys[a], all_keys[b]);
     {
         let mut t = store.register();
-        for k in 0..KEYS {
+        for &k in &all_keys {
             store.put(k, &0u64.to_le_bytes(), &mut t).unwrap();
         }
     }
@@ -354,8 +376,8 @@ fn scans_are_snapshots_against_short_writers<S: Stm + Clone>(stm: S, mode: ApiMo
         let mut t = store.register();
         if tid == 0 {
             for seq in 1..=ROUNDS {
-                store.put(a, &seq.to_le_bytes(), &mut t).unwrap();
-                store.put(b, &seq.to_le_bytes(), &mut t).unwrap();
+                store.put(key_a, &seq.to_le_bytes(), &mut t).unwrap();
+                store.put(key_b, &seq.to_le_bytes(), &mut t).unwrap();
             }
             return;
         }
@@ -364,10 +386,10 @@ fn scans_are_snapshots_against_short_writers<S: Stm + Clone>(stm: S, mode: ApiMo
         loop {
             let run = store.scan(0, KEYS as usize, &mut t);
             assert_eq!(run.len(), KEYS as usize, "scan missed keys");
-            let seq_of = |key: u64| run[key as usize].1.as_u64();
+            let seq_of = |i: usize| run[i].1.as_u64();
             assert!(
                 seq_of(a) >= seq_of(b),
-                "scanner {tid} saw round {} in key {b} but only round {} in key {a}",
+                "scanner {tid} saw round {} in key {key_b} but only round {} in key {key_a}",
                 seq_of(b),
                 seq_of(a)
             );
@@ -389,7 +411,9 @@ fn full_reads<T: StmThread>(t: &mut T, op: impl FnOnce(&mut T)) -> u64 {
 /// the entries it returns.  The descents to the landings are single-location
 /// reads, outside the read set, so what more shards add is a few level-0
 /// links each, never entries.  Counted in `Stats::full_reads`, so the bound
-/// holds on any machine.
+/// holds on any machine.  Two legs: sparse keys, one per routing block, so
+/// a scan seeks every shard's index; and dense keys, so a scan seeks only
+/// the indexes its range reaches.
 #[test]
 fn scan_read_set_is_bounded_by_its_result() {
     const KEYS: u64 = 65_536;
@@ -400,39 +424,105 @@ fn scan_read_set_is_bounded_by_its_result() {
     // its level-0 link, the item words up to the hit, the value and
     // deadline words.
     let budget = |shards: usize| (shards * 4 + 16 * 10) as u64;
-    let [one, _, sixteen] = [1, 2, 16].map(|shards| {
-        let stm = ValShort::new();
-        let store = ShardedKv::new(&stm, shards, KEYS as usize / shards, ApiMode::Short);
-        let mut t = store.register();
-        for i in 0..KEYS {
-            store.put(i * STRIDE, &i.to_le_bytes(), &mut t).unwrap();
-        }
-        let mut rng = Xorshift::new(0x00B0_D6E7);
-        let mut total = 0;
-        for _ in 0..PROBES {
-            // A start with at least 16 keys at or after it.
-            let start = rng.next() % (KEYS - 16) * STRIDE;
-            let scan = full_reads(&mut t, |t| {
-                assert_eq!(store.scan(start, 16, t).len(), 16);
-            });
-            let range = full_reads(&mut t, |t| {
-                assert_eq!(store.range(start, start + 16 * STRIDE, t).len(), 16);
-            });
-            for (what, reads) in [("scan", scan), ("range", range)] {
-                assert!(
-                    reads <= budget(shards),
-                    "16-key {what} from {start} at {shards} shards: {reads} reads"
-                );
+    for stride in [STRIDE, 1] {
+        let [one, _, sixteen] = [1, 2, 16].map(|shards| {
+            let stm = ValShort::new();
+            let store = ShardedKv::new(&stm, shards, KEYS as usize / shards, ApiMode::Short);
+            let mut t = store.register();
+            for i in 0..KEYS {
+                store.put(i * stride, &i.to_le_bytes(), &mut t).unwrap();
             }
-            total += scan;
-        }
-        total / PROBES
-    });
-    // Sixteen times the shards must cost far less than sixteen times the
-    // reads (the fan-out-and-merge this replaced read `shards x limit`
-    // entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards; logged
-    // descents read ~117 / ~147 / ~500; landings ~86 / ~89 / ~119).
-    assert!(sixteen < 2 * one, "{one} reads at 1 shard, {sixteen} at 16");
+            let mut rng = Xorshift::new(0x00B0_D6E7);
+            let mut total = 0;
+            for _ in 0..PROBES {
+                // A start with at least 16 keys at or after it.
+                let start = rng.next() % (KEYS - 16) * stride;
+                let scan = full_reads(&mut t, |t| {
+                    assert_eq!(store.scan(start, 16, t).len(), 16);
+                });
+                let range = full_reads(&mut t, |t| {
+                    assert_eq!(store.range(start, start + 16 * stride, t).len(), 16);
+                });
+                for (what, reads) in [("scan", scan), ("range", range)] {
+                    assert!(
+                        reads <= budget(shards),
+                        "16-key {what} from {start} (stride {stride}) at {shards} shards: \
+                         {reads} reads"
+                    );
+                }
+                total += scan;
+            }
+            total / PROBES
+        });
+        // Sixteen times the shards must cost far less than sixteen times
+        // the reads (the fan-out-and-merge this replaced read `shards x
+        // limit` entries: ~120 / ~235 / ~1 900 reads at 1 / 2 / 16 shards
+        // on sparse keys; logged descents read ~117 / ~147 / ~500;
+        // landings ~86 / ~89 / ~119).
+        assert!(
+            sixteen < 2 * one,
+            "stride {stride}: {one} reads at 1 shard, {sixteen} at 16"
+        );
+    }
+}
+
+/// `Stats::singles` and `Stats::full_reads` summed over `PROBES` 16-key
+/// scans from fixed starts, on a 16-shard `ValShort` store of `KEYS` keys
+/// `i * stride`.  Exact on any machine: one thread runs a fixed script and
+/// tower heights come from its own stream.
+fn scan_seek_reads(stride: u64) -> (u64, u64) {
+    const KEYS: u64 = 65_536;
+    const PROBES: u64 = 256;
+    let stm = ValShort::new();
+    let store = ShardedKv::new(&stm, 16, KEYS as usize / 16, ApiMode::Short);
+    let mut t = store.register();
+    for i in 0..KEYS {
+        store.put(i * stride, &i.to_le_bytes(), &mut t).unwrap();
+    }
+    let mut rng = Xorshift::new(0x5EE6_C0DE);
+    let before = t.stats();
+    for _ in 0..PROBES {
+        let start = rng.next() % (KEYS - 16) * stride;
+        assert_eq!(store.scan(start, 16, &mut t).len(), 16);
+    }
+    let after = t.stats();
+    (
+        after.singles - before.singles,
+        after.full_reads - before.full_reads,
+    )
+}
+
+/// The seek-count pin: `(singles, full_reads)` over 256 16-key scans at
+/// 16 shards.  The parent of the block router and floored merge, where
+/// every scan sought all 16 indexes, measured on the same script:
+///
+/// | keys | `singles` | `full_reads` |
+/// | --- | --- | --- |
+/// | dense (`0..65 536`) | 104 411 | 30 863 |
+/// | sparse (`i * 0x9E37_79B1`) | 101 544 | 30 897 |
+///
+/// A dense scan seeks only the indexes its 16 keys can reach: its start's
+/// index, and at a block edge the indexes of the blocks up to that index's
+/// next one: at most a quarter of the parent's single reads, and no more
+/// logged reads.  A sparse scan's keys lie in 16 different blocks, so it
+/// still seeks every index, each once: no more single reads than the
+/// parent.  Its logged reads rose 6 %, from longer
+/// bucket walks per entry: a shard holds whole routing blocks now, and
+/// these keys fill its home buckets less evenly than they did when each
+/// key was routed alone (170 overflow buckets instead of 0 here;
+/// EXPERIMENTS.md "Scans descend only the shards their range can reach").
+/// The totals are pinned exactly, so any change to what a scan reads
+/// shows here.
+#[test]
+fn scan_seek_counts_are_pinned() {
+    const PARENT_DENSE: (u64, u64) = (104_411, 30_863);
+    const PARENT_SPARSE: (u64, u64) = (101_544, 30_897);
+    let dense = scan_seek_reads(1);
+    let sparse = scan_seek_reads(0x9E37_79B1);
+    assert!(dense.0 * 4 <= PARENT_DENSE.0, "dense singles {dense:?}");
+    assert!(dense.1 <= PARENT_DENSE.1, "dense full reads {dense:?}");
+    assert!(sparse.0 <= PARENT_SPARSE.0, "sparse singles {sparse:?}");
+    assert_eq!((dense, sparse), ((17_569, 26_258), (100_880, 32_797)));
 }
 
 /// The index's one descent must not cost the store's transactions more
@@ -636,6 +726,88 @@ fn sequential_scan_oracle<S: Stm + Clone>(stm: S, mode: ApiMode) {
     }
 }
 
+/// Scans over keys in dense runs with gaps between them, against a
+/// `BTreeMap`, at 1, 2 and 16 shards.  Runs of 1 to 130 keys are separated
+/// by gaps from one routing block to 2^40 keys, with runs at 0 and ending
+/// at `u64::MAX`; every third key is deleted halfway through, so the runs
+/// get holes.  Each pass scans from inside runs and gaps, from every
+/// block edge near a run (keys ≡ 63, 0 and 1 mod 64) and from the top of
+/// the key space — where a shard's floor saturates — with limits 0, 1, 16,
+/// 100 and `usize::MAX`, and reads ranges of several widths from the same
+/// starts.
+fn gapped_scan_oracle<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    const B: u64 = ShardRouter::BLOCK_KEYS;
+    const GAPS: [u64; 8] = [
+        B,
+        B + 1,
+        3 * B - 1,
+        1_000,
+        17 * B,
+        1 << 20,
+        1 << 33,
+        1 << 40,
+    ];
+    const RUNS: [u64; 8] = [1, 3, 63, 64, 65, 130, 2, 100];
+    let mut keys = Vec::new();
+    let mut next = 0u64;
+    for (gap, len) in GAPS.iter().zip(RUNS) {
+        keys.extend(next..next + len);
+        next += len + gap;
+    }
+    keys.extend(u64::MAX - 70..=u64::MAX);
+    let mut starts: Vec<u64> = vec![u64::MAX, u64::MAX - 1, u64::MAX - B, u64::MAX - B - 1];
+    for &k in &keys {
+        let block = k & !(B - 1);
+        starts.extend([k, k.saturating_add(1), k.wrapping_sub(1)]);
+        starts.extend([block.wrapping_sub(1), block, block + 1, block + (B - 1)]);
+        starts.push(k.saturating_add(B * 5 / 2));
+    }
+    starts.sort_unstable();
+    starts.dedup();
+    for shards in [1, 2, 16] {
+        let store = ShardedKv::new(&stm, shards, 64, mode);
+        let mut t = store.register();
+        let mut oracle: BTreeMap<u64, Value> = BTreeMap::new();
+        for &k in &keys {
+            let bytes = payload(k, k >> 3);
+            store.put(k, &bytes, &mut t).unwrap();
+            oracle.insert(k, Value::from(bytes));
+        }
+        for pass in 0..2 {
+            for &start in &starts {
+                for limit in [0, 1, 16, 100, usize::MAX] {
+                    let expect: Vec<(u64, Value)> = oracle
+                        .range(start..)
+                        .take(limit)
+                        .map(|(&k, v)| (k, v.clone()))
+                        .collect();
+                    let got = store.scan(start, limit, &mut t);
+                    assert_eq!(
+                        got, expect,
+                        "{shards} shards, pass {pass}: scan {start} x{limit}"
+                    );
+                }
+                for width in [1, B, 3 * B, 1 << 41] {
+                    let end = start.saturating_add(width);
+                    let expect: Vec<(u64, Value)> = oracle
+                        .range(start..end)
+                        .map(|(&k, v)| (k, v.clone()))
+                        .collect();
+                    let got = store.range(start, end, &mut t);
+                    assert_eq!(
+                        got, expect,
+                        "{shards} shards, pass {pass}: range {start}..{end}"
+                    );
+                }
+            }
+            for &k in keys.iter().step_by(3) {
+                assert_eq!(store.del(k, &mut t), oracle.remove(&k), "del {k}");
+            }
+        }
+        store.assert_index_consistent();
+    }
+}
+
 #[test]
 fn scans_never_observe_torn_transfers_val_short() {
     scans_never_observe_torn_transfers(ValShort::new(), ApiMode::Short, 24, 32);
@@ -694,6 +866,21 @@ fn sequential_scan_oracle_tvar_short() {
 #[test]
 fn sequential_scan_oracle_orec_full() {
     sequential_scan_oracle(OrecFullG::new(), ApiMode::Full);
+}
+
+#[test]
+fn gapped_scan_oracle_val_short() {
+    gapped_scan_oracle(ValShort::new(), ApiMode::Short);
+}
+
+#[test]
+fn gapped_scan_oracle_tvar_short() {
+    gapped_scan_oracle(TvarShortG::new(), ApiMode::Short);
+}
+
+#[test]
+fn gapped_scan_oracle_orec_full() {
+    gapped_scan_oracle(OrecFullG::new(), ApiMode::Full);
 }
 
 #[test]
