@@ -25,7 +25,10 @@
 //! [`StmSkipList::collect_range_in`], [`StmSkipList::walk_merged_in`]) run
 //! the same walks inside a caller-provided full transaction, which is what
 //! lets the sharded KV store keep a per-shard ordered index transactionally
-//! consistent with its hash shard and serve atomic range scans.
+//! consistent with its hash shard and serve atomic range scans.  The store
+//! stores in each tower's value the address of the key's hash-map node
+//! (and never overwrites it), so a scan visiting a tower reads the entry
+//! from the node it names, not by looking the key up again.
 //!
 //! The [`ApiMode`] selects how those atomic steps are expressed:
 //!
@@ -45,7 +48,8 @@
 //! the transaction's read set.  A merged walk over several lists drives the
 //! same per-step search on every list in lockstep, so their cache misses
 //! overlap, and seeks a list only once the caller's floor for it says the
-//! list could hold the merge's next key.
+//! list could hold the merge's next key; each new head is handed to the
+//! caller with its value cell, so it can prefetch what the value names.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
@@ -1164,7 +1168,11 @@ impl<S: Stm> StmSkipList<S> {
     /// in list order) until it returns [`ControlFlow::Break`].  This is the
     /// walk under the sharded KV store's scans, whose lists partition the
     /// key space; like every range read here it is an atomically consistent
-    /// snapshot when the transaction commits.
+    /// snapshot when the transaction commits.  The visitor reads the value
+    /// cell itself, and may keep what it read for after the walk: the walk
+    /// returns within the same attempt, whose epoch pin still covers every
+    /// tower it visited (the store keeps each entry's value word and copies
+    /// the values out once the walk is done).
     ///
     /// `floor(i)`, called once per list, is the caller's promise that
     /// `lists[i]` holds no key `k` with `start <= k < floor(i)` at any
@@ -1191,10 +1199,12 @@ impl<S: Stm> StmSkipList<S> {
     /// it just read before any descent dereferences it, so the lists' cache
     /// misses overlap instead of queueing.  The walk reads exactly the
     /// cells, logged or not, that one `seek_in` per sought list would —
-    /// only their order across lists differs.  `ahead(i, key)` is called
-    /// whenever list `i`'s head becomes the tower holding `key` (once after
-    /// its descent, then once per advance), so the caller can prefetch what
-    /// its visitor will touch for that key.
+    /// only their order across lists differs.  `ahead(i, key, value_cell)`
+    /// is called whenever list `i`'s head becomes the tower holding `key`
+    /// (once after its descent, then once per advance), with that tower's
+    /// value cell, so the caller can prefetch what its visitor will touch
+    /// for that key — the sharded store peeks the cell for the map node it
+    /// names.
     pub fn walk_merged_in<L, A, F>(
         lists: &[Self],
         start: u64,
@@ -1206,7 +1216,7 @@ impl<S: Stm> StmSkipList<S> {
     ) -> TxResult<()>
     where
         L: FnMut(usize) -> u64,
-        A: FnMut(usize, u64),
+        A: FnMut(usize, u64, &S::Cell),
         F: FnMut(usize, u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
     {
         let mut heads: Vec<Head<'_, S>> = (0..lists.len())
@@ -1252,7 +1262,7 @@ impl<S: Stm> StmSkipList<S> {
             }
             let found = Self::next_live_in(unmark(next), last, tx)?;
             if let Some((tower, _)) = found {
-                ahead(i, tower.key);
+                ahead(i, tower.key, &tower.value);
             }
             heads[i] = Head::At(found);
         }
@@ -1267,7 +1277,7 @@ impl<S: Stm> StmSkipList<S> {
         start: u64,
         last: u64,
         tx: &mut FullTx<'_, S::Thread>,
-        ahead: &mut impl FnMut(usize, u64),
+        ahead: &mut impl FnMut(usize, u64, &S::Cell),
     ) -> TxResult<()> {
         let mut seeking = heads
             .iter()
@@ -1285,7 +1295,7 @@ impl<S: Stm> StmSkipList<S> {
                 let cand = list.land_in(cursor.pred, cursor.curr, start, tx)?;
                 let found = Self::next_live_in(cand, last, tx)?;
                 if let Some((tower, _)) = found {
-                    ahead(i, tower.key);
+                    ahead(i, tower.key, &tower.value);
                 }
                 *head = Head::At(found);
                 seeking -= 1;
@@ -1704,7 +1714,7 @@ mod tests {
                     last,
                     tx,
                     |_| start,
-                    |_, _| {},
+                    |_, _, _| {},
                     |i, key, cell, tx| {
                         assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
                         assert_eq!(dec(tx.read(cell)?), key >> 1);
@@ -1735,7 +1745,7 @@ mod tests {
                 60,
                 tx,
                 |_| 50,
-                |_, _| {},
+                |_, _, _| {},
                 |_, key, _, _| {
                     alone.push(key);
                     Ok(ControlFlow::Continue(()))
@@ -1819,7 +1829,7 @@ mod tests {
                         u64::MAX,
                         tx,
                         |_| start,
-                        |i, key| {
+                        |i, key, _| {
                             assert!(heads[i].is_none(), "list {i} landed twice");
                             heads[i] = Some(key);
                         },
@@ -1899,7 +1909,7 @@ mod tests {
                     last,
                     tx,
                     floor,
-                    |_, _| {},
+                    |_, _, _| {},
                     |i, key, _, _| {
                         seen.push((i, key));
                         Ok(if seen.len() < limit {

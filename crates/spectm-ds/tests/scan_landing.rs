@@ -81,7 +81,7 @@ fn merged_keys<S: Stm>(
             START + 1,
             tx,
             floors,
-            |_, _| {},
+            |_, _, _| {},
             |_, key, _, _| {
                 keys.push(key);
                 Ok(ControlFlow::Continue(()))

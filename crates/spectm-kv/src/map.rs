@@ -474,6 +474,13 @@ impl<S: Stm> NodeSlot<S> {
         }
     }
 
+    /// The word naming the slot's node: after a [`StmHashMap::put_in`] that
+    /// returned `None`, the node that attempt linked (zero before the
+    /// slot's first insert).  The store stores it in the key's index tower.
+    pub(crate) fn node_word(&self) -> Word {
+        self.ptr as Word
+    }
+
     /// Declares the slot's allocations published: a transaction in which
     /// [`StmHashMap::put_in`] returned `None` has committed, so the node
     /// (and the overflow bucket, if that attempt linked one) is now owned
@@ -690,17 +697,31 @@ impl<S: Stm> StmHashMap<S> {
         (w & ITEM_PTR_MASK) as *mut Node<S>
     }
 
-    /// The map's one node dereference.  Every `w` handed here was read from
-    /// one of this map's item slots by a thread that holds an epoch pin (an
-    /// operation's, or a full transaction attempt's) or that has no
-    /// concurrent writers (quiescence), and the node is used only while
-    /// that lasts.
+    /// The map's one node dereference.  Every `w` handed here was read by
+    /// a thread that holds an epoch pin (an operation's, or a full
+    /// transaction attempt's) or that has no concurrent writers
+    /// (quiescence), and the node is used only while that lasts; it was
+    /// read either from one of this map's item slots, or from the value
+    /// word of a tower linked in this shard's ordered index, read within
+    /// the same full-transaction attempt (the store's index invariant: a
+    /// linked tower names its key's node, see [`crate::ShardedKv`]).
     #[inline]
     fn node_at(&self, w: Word) -> &Node<S> {
         // SAFETY: per the above — a node is retired only after its slot is
         // cleared and freed only once every pin older than the retirement
-        // is released.
+        // is released.  A tower and the node it names are linked by one
+        // transaction and unlinked by one, and retired together after it
+        // commits, so a tower the attempt reached while linked names a
+        // node its pin still covers.
         unsafe { &*Self::node(w) }
+    }
+
+    /// Hints the CPU to pull the node `w` names into cache (a scan's next
+    /// entry, named by its index tower; see [`StmHashMap::read_node_in`]).
+    /// Purely advisory: any word is accepted.
+    #[inline]
+    pub(crate) fn prefetch_node(w: Word) {
+        spectm::prefetch(Self::node(w));
     }
 
     /// Whether the occupied slot `cell`, holding `w`, is `key`'s: the one
@@ -849,6 +870,18 @@ impl<S: Stm> StmHashMap<S> {
             let node = self.node_at(w);
             // SAFETY: quiescence — the cell cannot be freed concurrently.
             out.push((node.key, unsafe { decode_value(S::peek(&node.value)) }));
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// Collects `(key, node word)` for every key currently present, in key
+    /// order — the map's half of the store's index check (non-transactional;
+    /// only meaningful when no concurrent operations run).
+    pub(crate) fn quiescent_nodes(&self) -> Vec<(u64, Word)> {
+        let mut out = Vec::new();
+        self.table.visit_all(S::peek, |_, w| {
+            out.push((self.node_at(w).key, w & ITEM_PTR_MASK));
         });
         out.sort_unstable();
         out
@@ -1332,9 +1365,38 @@ impl<S: Stm> StmHashMap<S> {
         };
         let word = tx.read(&c.node.value)?;
         let deadline = tx.read(&c.node.deadline)?;
-        // SAFETY: the attempt's epoch pin predates any retirement of the
-        // cell behind a word this read validated.
-        Ok(Some((unsafe { decode_value(word) }, deadline)))
+        Ok(Some((Self::value_in(word, tx), deadline)))
+    }
+
+    /// Reads the value word and deadline word of the node `node` names,
+    /// for `key`, inside an already-running full transaction: a scan's read
+    /// of an entry it reached through the ordered index, with no bucket
+    /// walk.  `node` must have been read, within this attempt, from the
+    /// value word of `key`'s tower while that tower was linked in this
+    /// shard's index (see `node_at`).  The value word is copied out with
+    /// [`StmHashMap::value_in`], within the same attempt.
+    pub(crate) fn read_node_in(
+        &self,
+        node: Word,
+        key: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<(Word, Word)> {
+        let node = self.node_at(node);
+        debug_assert_eq!(
+            node.key, key,
+            "the index tower of {key} names another key's node"
+        );
+        Ok((tx.read(&node.value)?, tx.read(&node.deadline)?))
+    }
+
+    /// Copies out the payload of a value word that `tx`'s running attempt
+    /// read with `tx.read`.  Call it within that attempt: its epoch pin is
+    /// what keeps the word's cell alive.
+    #[inline]
+    pub(crate) fn value_in(word: Word, _tx: &FullTx<'_, S::Thread>) -> Value {
+        // SAFETY: per the contract, the attempt's epoch pin predates any
+        // retirement of the cell behind a word it read.
+        unsafe { decode_value(word) }
     }
 
     /// Overwrites the value under an **existing** `key` inside an

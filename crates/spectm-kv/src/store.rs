@@ -12,21 +12,24 @@
 //! ownership metadata and the epoch collector.
 //!
 //! The **index invariant**: a key is linked and live in a shard's skip-list
-//! index if and only if it is present in that shard's hash map.  Membership
-//! changes (`put` of an absent key, `del`) run as one full transaction that
-//! updates both structures, so the invariant holds at every serialization
-//! point; value overwrites (`put` of a present key, `rmw`) never touch the
-//! index and keep their short/hot shapes.  A scan streams a k-way merge over
-//! the shard indexes, descending each at most once and only when its range
-//! can reach that shard: keys route in 64-key blocks, so a short scan over
-//! dense keys descends one index, and a few more where it crosses a block
-//! edge.  It reads each key's entry
-//! through its hash map as the merge yields it — all inside a single full
-//! transaction whose read set is what the scan returns plus one landing per
-//! index descended (the descents themselves are single-location reads in
-//! the Short and Fine modes): an atomically consistent snapshot even against
-//! concurrent cross-shard `rmw`.  DESIGN.md § "The ordered index and range
-//! scans" has the full argument.
+//! index if and only if it is present in that shard's hash map, and its
+//! tower's value word names its map node (the node's address, written
+//! before the tower is published and never again; nodes never move).
+//! Membership changes (`put` of an absent key, `del`) run as one full
+//! transaction that updates both structures, so the invariant holds at
+//! every serialization point; value overwrites (`put` of a present key,
+//! `rmw`) never touch the index and keep their short/hot shapes.  A scan
+//! streams a k-way merge over the shard indexes, descending each at most
+//! once and only when its range can reach that shard: keys route in 64-key
+//! blocks, so a short scan over dense keys descends one index, and a few
+//! more where it crosses a block edge.  It reads each key's entry through
+//! the map node its tower names as the merge yields it, with no bucket
+//! walk, and copies the values out once the walk is done — all inside a
+//! single full transaction whose read set is what the scan returns plus
+//! one landing per index descended (the descents themselves are
+//! single-location reads in the Short and Fine modes): an atomically
+//! consistent snapshot even against concurrent cross-shard `rmw`.
+//! DESIGN.md § "The ordered index and range scans" has the full argument.
 //!
 //! Values are byte payloads behind value words (inline or epoch-reclaimed
 //! [`crate::ValueCell`]s); every operation that displaces a word retires it
@@ -63,13 +66,13 @@
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use spectm::{FullTx, Stm, StmThread, TxResult, Word};
+use spectm::{decode_int, FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::{ApiMode, RetiredTower, StmSkipList, TowerSlot};
 
 use crate::map::{deadline_expired, encode_deadline, MapStats, NodeSlot, RetiredNode, StmHashMap};
 use crate::router::ShardRouter;
 use crate::ttl::{CacheConfig, CacheStats, EvictionPolicy, SweepOutcome};
-use crate::value::{RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
+use crate::value::{prefetch_value, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
 use crate::KvError;
 
 /// Maximum number of keys one [`ShardedKv::rmw`] /
@@ -91,6 +94,13 @@ pub const ITEM_OVERHEAD_BYTES: u64 = 128;
 #[inline]
 fn item_cost(len: usize) -> u64 {
     ITEM_OVERHEAD_BYTES + len as u64
+}
+
+/// The map node an index tower's value word names (the word is
+/// [`spectm::encode_int`] of the node's address; see the module docs).
+#[inline]
+fn tower_node(word: Word) -> Word {
+    decode_int(word)
 }
 
 /// Upper bound on eviction visits per sweep, in whole-table passes: the
@@ -569,7 +579,10 @@ impl<S: Stm + Clone> ShardedKv<S> {
             tx,
         )?;
         if displaced.is_none() {
-            let linked = self.indexes[shard].insert_in(key, 0, &mut slots.tower, tx)?;
+            // The tower names the node this attempt linked; nothing writes
+            // a tower's value word after it is published.
+            let node = slots.node.node_word() as u64;
+            let linked = self.indexes[shard].insert_in(key, node, &mut slots.tower, tx)?;
             debug_assert!(linked, "key {key} was in the index but not the shard");
         }
         Ok(displaced)
@@ -818,8 +831,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// ascending key order — the YCSB-E scan shape.
     ///
     /// One full transaction streams a k-way merge over the shards'
-    /// ordered indexes, reading each key's entry through the owning hash
-    /// shard as the merge yields it, until `limit` live pairs are in hand.
+    /// ordered indexes, reading each key's entry through the map node its
+    /// tower names as the merge yields it, until `limit` live pairs are in
+    /// hand.
     /// An index is descended to `start` once, and only when the merge could
     /// need it: keys route in blocks of [`ShardRouter::BLOCK_KEYS`], so a
     /// shard owns nothing below the first of its blocks at or after `start`
@@ -827,14 +841,17 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// key reaches that floor.  A 16-key scan over dense keys descends one
     /// index, and where it crosses a block edge also those owning the
     /// blocks before that index's next one.  The transaction's
-    /// read set is what the scan returns, plus where each descent landed.
+    /// read set is what the scan returns (per pair: its tower's level-0
+    /// link and value word, the node's value and deadline words), plus
+    /// where each descent landed.
     /// Entries whose deadline has passed are stepped over, not counted.  The
     /// result is an **atomically consistent snapshot**: it is serializable
     /// with every concurrent operation, including multi-key
     /// [`ShardedKv::rmw`] — a scan can never observe a torn cross-shard
     /// update (the lock-free baseline's scan, by contrast, offers no such
     /// guarantee).  Value payloads are copied out inside the transaction,
-    /// so the bytes are exactly the committed bytes at the scan's
+    /// after the walk (each out-of-line cell is prefetched when its word is
+    /// read), so the bytes are exactly the committed bytes at the scan's
     /// serialization point.
     ///
     /// # Examples
@@ -876,8 +893,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// The one walk under [`ShardedKv::scan`] and [`ShardedKv::range`]: up
     /// to `limit >= 1` live pairs with `start <= key <= last`, read inside
     /// one full transaction.  Shards partition the key space, so the merged
-    /// walk yields each key once, and the index invariant guarantees it is
-    /// present in its hash shard at the transaction's serialization point.
+    /// walk yields each key once, and the index invariant guarantees that
+    /// the node its tower names is the key's node in its hash shard at the
+    /// transaction's serialization point, so the entry is read from there.
     /// A key only ever enters the index of the shard it routes to, so the
     /// router's floors bound every index at every instant, which is what
     /// lets the walk leave an index unread.
@@ -892,10 +910,10 @@ impl<S: Stm + Clone> ShardedKv<S> {
         thread: &mut S::Thread,
     ) -> Vec<(u64, Value)> {
         let now = self.now_ms();
-        let mut run = Vec::new();
+        let mut words = Vec::new();
         thread
             .atomic(|tx| {
-                run.clear();
+                words.clear();
                 StmSkipList::walk_merged_in(
                     &self.indexes,
                     start,
@@ -904,27 +922,31 @@ impl<S: Stm + Clone> ShardedKv<S> {
                     // An index is sought only once its shard's first block
                     // at or after `start` could hold the merge's next key.
                     |shard| self.router.floor(shard, start),
-                    // Each shard's next key: its home bucket's miss overlaps
-                    // the other lists' work until the visitor reads it.
-                    |shard, key| self.shards[shard].prefetch_bucket(key),
-                    |shard, key, _, tx| {
-                        let entry = self.shards[shard].read_entry_in(key, tx)?;
-                        debug_assert!(entry.is_some(), "index key {key} missing from its shard");
-                        if let Some((value, deadline)) = entry {
-                            if !deadline_expired(deadline, now) {
-                                run.push((key, value));
-                            }
+                    // Each shard's next key: its node's miss overlaps the
+                    // other lists' work until the visitor reads it.
+                    |_, _, tower| StmHashMap::<S>::prefetch_node(tower_node(S::peek(tower))),
+                    |shard, key, tower, tx| {
+                        let node = tower_node(tx.read(tower)?);
+                        let (word, deadline) = self.shards[shard].read_node_in(node, key, tx)?;
+                        if !deadline_expired(deadline, now) {
+                            // The copy waits for the walk; its cell's
+                            // misses overlap the walk's.
+                            prefetch_value(word);
+                            words.push((key, word));
                         }
-                        Ok(if run.len() < limit {
+                        Ok(if words.len() < limit {
                             ControlFlow::Continue(())
                         } else {
                             ControlFlow::Break(())
                         })
                     },
-                )
+                )?;
+                Ok(words
+                    .iter()
+                    .map(|&(key, word)| (key, StmHashMap::<S>::value_in(word, tx)))
+                    .collect())
             })
-            .expect("scans are never cancelled");
-        run
+            .expect("scans are never cancelled")
     }
 
     /// Collects every `(key, value)` pair across all shards
@@ -1040,20 +1062,28 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     /// Checks the index invariant at quiescence: every shard's index holds
-    /// exactly the keys of its hash map.  Panics on violation (test
-    /// support; non-transactional).
+    /// exactly the keys of its hash map, and every tower names the node its
+    /// shard's map holds for that key.  Panics on violation (test support;
+    /// non-transactional).
     pub fn assert_index_consistent(&self) {
         for (i, (index, shard)) in self.indexes.iter().zip(&self.shards).enumerate() {
-            let index_keys = index.quiescent_snapshot();
-            let shard_keys: Vec<u64> = shard
-                .quiescent_snapshot()
+            let (index_keys, towers): (Vec<u64>, Vec<Word>) = index
+                .quiescent_pairs()
                 .into_iter()
-                .map(|(k, _)| k)
-                .collect();
+                .map(|(k, node)| (k, node as Word))
+                .unzip();
+            let (shard_keys, nodes): (Vec<u64>, Vec<Word>) =
+                shard.quiescent_nodes().into_iter().unzip();
             assert_eq!(
                 index_keys, shard_keys,
                 "shard {i}: ordered index diverged from the hash map"
             );
+            for ((key, tower), node) in index_keys.iter().zip(towers).zip(nodes) {
+                assert_eq!(
+                    tower, node,
+                    "shard {i}: the index tower of key {key} names another node than the map's"
+                );
+            }
         }
     }
 }
@@ -1187,6 +1217,27 @@ mod tests {
             );
         }
         assert_eq!(store.scan(0, usize::MAX, &mut t).len(), 32);
+        store.assert_index_consistent();
+    }
+
+    /// The index check reads what a scan trusts: which node each tower
+    /// names, not only which keys the index holds.  Pointing one tower at
+    /// another key's node (keys and counts unchanged) must fail it.
+    #[test]
+    #[should_panic(expected = "names another node")]
+    fn index_check_catches_a_tower_naming_another_node() {
+        let stm = ValShort::new();
+        let store = ShardedKv::new(&stm, 1, 16, ApiMode::Short);
+        let mut t = store.register();
+        for k in 0..4u64 {
+            store.put(k, &k.to_le_bytes(), &mut t).unwrap();
+        }
+        store.assert_index_consistent();
+        let nodes = store.shards[0].quiescent_nodes();
+        assert_eq!(nodes.len(), 4);
+        // The skip list's map API overwrites the tower's value word, which
+        // the store itself never does.
+        store.indexes[0].put(1, nodes[2].1 as u64, &mut t);
         store.assert_index_consistent();
     }
 

@@ -21,6 +21,11 @@
 //!   via the index invariant — never miss or duplicate a key.  The
 //!   lock-free baseline's `scan` explicitly lacks this guarantee (its index
 //!   and table are updated by independent CASes); see `lockfree::kv`.
+//! * **Entries follow re-inserted keys** — churners delete and re-insert
+//!   keys (as `del` + `put`, and as one atomic batch group) with
+//!   generation-stamped, self-certifying payloads while scanners read every
+//!   key: each returned value must certify for its own key, and a key's
+//!   generation must never fall across one scanner's successive scans.
 //! * **Snapshots against short writers** — a writer that only ever issues
 //!   single-key short-transaction overwrites (`a` then `b`, same sequence
 //!   number) must still be seen in order by every scan: a read-only full
@@ -60,7 +65,7 @@ use common::{assert_spans_every_shard, run_workers, spread_key, thread_rng, Xors
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::{Stm, StmThread};
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, Clock, ShardRouter, ShardedKv, StmHashMap, Value};
+use spectm_kv::{BatchOp, CacheConfig, Clock, ShardRouter, ShardedKv, StmHashMap, Value};
 
 /// Deterministic payload for `(key, draw)`: the length cycles through the
 /// inline-bytes (0..=7), inline-int (8) and out-of-line (up to ~48 bytes)
@@ -400,6 +405,137 @@ fn scans_are_snapshots_against_short_writers<S: Stm + Clone>(stm: S, mode: ApiMo
     });
 }
 
+/// Generation `gen` of `key`'s payload, self-certifying: the key, the
+/// generation and a check word of both, then 0 to 63 filler bytes derived
+/// from all three.  Every payload is at least 24 bytes, so every value is
+/// an out-of-line cell.
+fn stamped(key: u64, gen: u64) -> Vec<u8> {
+    let check = (key ^ gen.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut bytes = Vec::with_capacity(88);
+    bytes.extend(key.to_le_bytes());
+    bytes.extend(gen.to_le_bytes());
+    bytes.extend(check.to_le_bytes());
+    bytes.extend((0..gen % 64).map(|i| (check >> (i % 8 * 8)) as u8 ^ i as u8));
+    bytes
+}
+
+/// The generation `value` certifies for `key`; panics unless `value` is
+/// exactly one of `key`'s [`stamped`] payloads.
+fn certified_generation(key: u64, value: &Value) -> u64 {
+    let bytes = value.as_slice();
+    assert!(bytes.len() >= 24, "key {key}: a {}-byte value", bytes.len());
+    let gen = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    assert!(
+        bytes == stamped(key, gen),
+        "key {key}: the value is not its own (it names key {}, generation {gen})",
+        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+    );
+    gen
+}
+
+/// Churners delete and re-insert their keys, each time with the next
+/// generation of a self-certifying payload, while scanners read the whole
+/// key set.  A re-insert links a fresh map node and a fresh index tower, so
+/// a scan that reached an entry through a stale or foreign node, or copied
+/// a cell out after its word was displaced, would return bytes that do not
+/// certify for their key or a generation older than one it already saw.
+/// Half the churns are a `del` and a `put` (two membership transactions);
+/// the other half are one batch whose shard group `[get k, del k, put k]`
+/// runs as one full transaction (the get makes the group atomic), which
+/// unlinks the old node and tower and links the new ones in one commit.
+/// Each key has one churner, so its generations only rise; a scanner's
+/// successive scans are ordered in time, so it must never see a key's
+/// generation fall.
+fn scan_entries_follow_reinserted_keys<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    const KEYS: u64 = 32;
+    const CHURNERS: u64 = 2;
+    const SCANNERS: u64 = 2;
+    const CHURNS: u64 = 20_000;
+    let store = ShardedKv::new(&stm, 16, 16, mode);
+    let all_keys: Vec<u64> = (0..KEYS).map(spread_key).collect();
+    assert_spans_every_shard(store.router(), all_keys.iter().copied());
+    {
+        let mut t = store.register();
+        for &k in &all_keys {
+            store.put(k, &stamped(k, 0), &mut t).unwrap();
+        }
+    }
+    /// Counts a churner out when it returns or panics, so a failed
+    /// churner stops the scanners instead of leaving them waiting.
+    struct Done<'a>(&'a AtomicU64);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            // ORDERING: a stop signal only; the scanners' checks do not
+            // depend on what it orders.
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let finished = AtomicU64::new(0);
+    run_workers(CHURNERS + SCANNERS, 0x2E1B, |tid, rng| {
+        let mut t = store.register();
+        if tid < CHURNERS {
+            let _done = Done(&finished);
+            // This churner's keys are the positions `tid`, `tid + CHURNERS`, ….
+            let mut gens = vec![0u64; KEYS as usize];
+            for _ in 0..CHURNS {
+                let i = (rng.next() % (KEYS / CHURNERS) * CHURNERS + tid) as usize;
+                let key = all_keys[i];
+                gens[i] += 1;
+                let payload = stamped(key, gens[i]);
+                if rng.next() % 2 == 0 {
+                    assert!(store.del(key, &mut t).is_some(), "del {key}");
+                    assert_eq!(store.put(key, &payload, &mut t).unwrap(), None);
+                } else {
+                    let out = store
+                        .execute_batch(
+                            &[
+                                BatchOp::Get(key),
+                                BatchOp::Del(key),
+                                BatchOp::put(key, &payload),
+                            ],
+                            &mut t,
+                        )
+                        .unwrap();
+                    assert_eq!(out[0], out[1], "batch get and del of {key}");
+                    assert_eq!(out[2], None, "the batch's put of {key} re-inserts");
+                }
+            }
+            return;
+        }
+        let mut seen = vec![0u64; KEYS as usize];
+        let mut scans = 0u64;
+        // ORDERING: as above.
+        while finished.load(Ordering::Relaxed) < CHURNERS || scans < 100 {
+            scans += 1;
+            let run = store.scan(0, usize::MAX, &mut t);
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "scan out of order");
+            for (key, value) in &run {
+                let i = all_keys
+                    .binary_search(key)
+                    .unwrap_or_else(|_| panic!("scan returned key {key}, never stored"));
+                let gen = certified_generation(*key, value);
+                assert!(
+                    gen >= seen[i],
+                    "scanner {tid}, scan {scans}: key {key} went back from generation {} to {gen}",
+                    seen[i]
+                );
+                seen[i] = gen;
+            }
+        }
+    });
+    store.assert_index_consistent();
+    let mut t = store.register();
+    let run = store.scan(0, usize::MAX, &mut t);
+    assert_eq!(
+        run.len(),
+        KEYS as usize,
+        "every churn ends with the key present"
+    );
+    for (key, value) in &run {
+        certified_generation(*key, value);
+    }
+}
+
 /// Transactional reads `op` performs on `t` (exact: nothing else runs).
 fn full_reads<T: StmThread>(t: &mut T, op: impl FnOnce(&mut T)) -> u64 {
     let before = t.stats().full_reads;
@@ -421,9 +557,9 @@ fn scan_read_set_is_bounded_by_its_result() {
     const PROBES: u64 = 64;
     // Per shard: one landing (the predecessor's level-0 link, and rarely a
     // step past a tower inserted since the descent).  Per returned pair:
-    // its level-0 link, the item words up to the hit, the value and
-    // deadline words.
-    let budget = |shards: usize| (shards * 4 + 16 * 10) as u64;
+    // its level-0 link, its tower's value word (which names the map node),
+    // the node's value and deadline words.
+    let budget = |shards: usize| (shards * 4 + 16 * 4) as u64;
     for stride in [STRIDE, 1] {
         let [one, _, sixteen] = [1, 2, 16].map(|shards| {
             let stm = ValShort::new();
@@ -493,36 +629,39 @@ fn scan_seek_reads(stride: u64) -> (u64, u64) {
 }
 
 /// The seek-count pin: `(singles, full_reads)` over 256 16-key scans at
-/// 16 shards.  The parent of the block router and floored merge, where
-/// every scan sought all 16 indexes, measured on the same script:
+/// 16 shards, measured on the same script at each change to what a scan
+/// reads:
 ///
-/// | keys | `singles` | `full_reads` |
-/// | --- | --- | --- |
-/// | dense (`0..65 536`) | 104 411 | 30 863 |
-/// | sparse (`i * 0x9E37_79B1`) | 101 544 | 30 897 |
+/// | keys | every index sought | floored merge | entries read through their towers |
+/// | --- | --- | --- | --- |
+/// | dense (`0..65 536`) | 104 411 / 30 863 | 17 569 / 26 258 | 17 569 / 17 522 |
+/// | sparse (`i * 0x9E37_79B1`) | 101 544 / 30 897 | 100 880 / 32 797 | 100 880 / 24 320 |
 ///
-/// A dense scan seeks only the indexes its 16 keys can reach: its start's
-/// index, and at a block edge the indexes of the blocks up to that index's
-/// next one: at most a quarter of the parent's single reads, and no more
-/// logged reads.  A sparse scan's keys lie in 16 different blocks, so it
-/// still seeks every index, each once: no more single reads than the
-/// parent.  Its logged reads rose 6 %, from longer
-/// bucket walks per entry: a shard holds whole routing blocks now, and
-/// these keys fill its home buckets less evenly than they did when each
-/// key was routed alone (170 overflow buckets instead of 0 here;
-/// EXPERIMENTS.md "Scans descend only the shards their range can reach").
-/// The totals are pinned exactly, so any change to what a scan reads
-/// shows here.
+/// The floored merge seeks only the indexes a scan's keys can reach: a
+/// dense scan seeks its start's index, and at a block edge the indexes of
+/// the blocks up to that index's next one, at most a quarter of the
+/// single reads of seeking every index.  A sparse scan's keys lie in 16
+/// different blocks, so it still seeks every index, each once.  Its
+/// logged reads rose 6 % then, from longer bucket walks per entry (a shard
+/// holds whole routing blocks, and these keys fill its home buckets less
+/// evenly: 170 overflow buckets instead of 0; EXPERIMENTS.md "Scans descend
+/// only the shards their range can reach").  Reading each entry through
+/// the node its tower names left the seeks alone (equal `singles`) and
+/// replaced each entry's bucket walk by one read of the tower's value word:
+/// 34.1 and 33.1 fewer logged reads per scan, about two per entry
+/// (EXPERIMENTS.md "Scans read each entry through its index tower").  The totals are pinned exactly,
+/// so any change to what a scan reads shows here.
 #[test]
 fn scan_seek_counts_are_pinned() {
-    const PARENT_DENSE: (u64, u64) = (104_411, 30_863);
-    const PARENT_SPARSE: (u64, u64) = (101_544, 30_897);
+    const PARENT_DENSE: (u64, u64) = (17_569, 26_258);
+    const PARENT_SPARSE: (u64, u64) = (100_880, 32_797);
     let dense = scan_seek_reads(1);
     let sparse = scan_seek_reads(0x9E37_79B1);
-    assert!(dense.0 * 4 <= PARENT_DENSE.0, "dense singles {dense:?}");
+    assert_eq!(dense.0, PARENT_DENSE.0, "dense singles {dense:?}");
     assert!(dense.1 <= PARENT_DENSE.1, "dense full reads {dense:?}");
-    assert!(sparse.0 <= PARENT_SPARSE.0, "sparse singles {sparse:?}");
-    assert_eq!((dense, sparse), ((17_569, 26_258), (100_880, 32_797)));
+    assert_eq!(sparse.0, PARENT_SPARSE.0, "sparse singles {sparse:?}");
+    assert!(sparse.1 <= PARENT_SPARSE.1, "sparse full reads {sparse:?}");
+    assert_eq!((dense, sparse), ((17_569, 17_522), (100_880, 24_320)));
 }
 
 /// The index's one descent must not cost the store's transactions more
@@ -645,22 +784,27 @@ fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
 /// Short-mode scan's seek reads became single-location reads: its seek
 /// reads left `full_reads` for `singles`, less the one landing read
 /// (EXPERIMENTS.md "Scans seek the way the paper searches").  The Full-mode
-/// row did not move.  Exact on any machine, since one thread runs a fixed
-/// script and tower heights come from its own stream.
+/// row did not move.  Then the scan stopped walking buckets: it reads each
+/// entry through the node its index tower names, one logged read of the
+/// tower's value word in place of the item words up to the hit, and every
+/// row's `full_reads` fell by 451 (3 171, 3 240 and 7 478 before;
+/// EXPERIMENTS.md "Scans read each entry through its index tower").  Exact
+/// on any machine, since one thread runs a fixed script and tower heights
+/// come from its own stream.
 #[test]
 fn bucket_walks_make_the_recorded_stm_calls() {
     for (calls, expect) in [
         (
             bucket_walk_calls(ValShort::new(), ApiMode::Short),
-            [3_963, 89, 94, 3_171, 289],
+            [3_963, 89, 94, 2_720, 289],
         ),
         (
             bucket_walk_calls(TvarShortG::new(), ApiMode::Short),
-            [3_965, 89, 94, 3_240, 271],
+            [3_965, 89, 94, 2_789, 271],
         ),
         (
             bucket_walk_calls(OrecFullG::new(), ApiMode::Full),
-            [107, 0, 0, 7_478, 465],
+            [107, 0, 0, 7_027, 465],
         ),
     ] {
         assert_eq!(calls, expect);
@@ -851,6 +995,21 @@ fn scans_are_snapshots_against_short_writers_tvar_short() {
 #[test]
 fn scans_are_snapshots_against_short_writers_orec_full() {
     scans_are_snapshots_against_short_writers(OrecFullG::new(), ApiMode::Full);
+}
+
+#[test]
+fn scan_entries_follow_reinserted_keys_val_short() {
+    scan_entries_follow_reinserted_keys(ValShort::new(), ApiMode::Short);
+}
+
+#[test]
+fn scan_entries_follow_reinserted_keys_tvar_short() {
+    scan_entries_follow_reinserted_keys(TvarShortG::new(), ApiMode::Short);
+}
+
+#[test]
+fn scan_entries_follow_reinserted_keys_orec_full() {
+    scan_entries_follow_reinserted_keys(OrecFullG::new(), ApiMode::Full);
 }
 
 #[test]
