@@ -23,12 +23,16 @@
 //!
 //! The `*_in` methods ([`StmSkipList::insert_in`], [`StmSkipList::remove_in`],
 //! [`StmSkipList::collect_range_in`], [`StmSkipList::walk_merged_in`]) run
-//! the same walks inside a caller-provided full transaction, which is what
-//! lets the sharded KV store keep a per-shard ordered index transactionally
-//! consistent with its hash shard and serve atomic range scans.  The store
-//! stores in each tower's value the address of the key's hash-map node
-//! (and never overwrites it), so a scan visiting a tower reads the entry
-//! from the node it names, not by looking the key up again.
+//! inside a caller-provided full transaction, which is what lets the sharded
+//! KV store keep a per-shard ordered index transactionally consistent with
+//! its hash shard and serve atomic range scans.  Inside a transaction a
+//! point operation (`insert_in`, `remove_in`, Full-mode `contains` and
+//! `get`) is the descent followed by one small step on the tower it found,
+//! and a range read, over one list or several, is the one merged walk,
+//! `walk_merged_in`.  The store stores in each tower's value the address of
+//! the key's hash-map node (and never overwrites it), so a scan visiting a
+//! tower reads the entry from the node it names, not by looking the key up
+//! again.
 //!
 //! The [`ApiMode`] selects how those atomic steps are expressed:
 //!
@@ -449,7 +453,12 @@ impl<S: Stm> StmSkipList<S> {
     /// Returns whether `key` is present.
     pub fn contains(&self, key: u64, thread: &mut S::Thread) -> bool {
         match self.mode {
-            ApiMode::Full => self.contains_txn(key, thread),
+            ApiMode::Full => thread
+                .atomic(|tx| {
+                    let w = self.descend(key, |cell| tx.read(cell))?;
+                    Self::found(&w, key).map_or(Ok(false), |tower| Self::live_in(tower, tx))
+                })
+                .expect("contains is never cancelled"),
             ApiMode::Short | ApiMode::Fine => self.contains_walk(key, thread),
         }
     }
@@ -458,7 +467,10 @@ impl<S: Stm> StmSkipList<S> {
     pub fn get(&self, key: u64, thread: &mut S::Thread) -> Option<u64> {
         match self.mode {
             ApiMode::Full => thread
-                .atomic(|tx| self.read_value_in(key, tx))
+                .atomic(|tx| {
+                    let w = self.descend(key, |cell| tx.read(cell))?;
+                    Self::found(&w, key).map_or(Ok(None), |tower| Self::value_in(tower, tx))
+                })
                 .expect("get is never cancelled"),
             ApiMode::Short | ApiMode::Fine => self.get_walk(key, thread),
         }
@@ -602,14 +614,24 @@ impl<S: Stm> StmSkipList<S> {
                     .ro_is_valid(2)
                     .then(|| (!is_marked(next)).then(|| dec(value)));
             }
-            let read = thread.atomic(|tx| {
-                if is_marked(tx.read(&tower.links()[0])?) {
-                    return Ok(None);
-                }
-                Ok(Some(dec(tx.read(&tower.value)?)))
-            });
+            let read = thread.atomic(|tx| Self::value_in(tower, tx));
             Some(read.expect("get_walk is never cancelled"))
         })
+    }
+
+    /// Whether `tower` is live inside `tx`: its level-0 link is unmarked.
+    /// A removal marks a tower's links in the step that unlinks it.
+    #[inline]
+    fn live_in(tower: &Tower<S>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<bool> {
+        Ok(!is_marked(tx.read(&tower.links()[0])?))
+    }
+
+    /// The value of `tower` inside `tx`; `None` if it is logically deleted.
+    fn value_in(tower: &Tower<S>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<u64>> {
+        if !Self::live_in(tower, tx)? {
+            return Ok(None);
+        }
+        Ok(Some(dec(tx.read(&tower.value)?)))
     }
 
     // ------------------------------------------------------------------
@@ -782,7 +804,7 @@ impl<S: Stm> StmSkipList<S> {
         value: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<u64>> {
-        if is_marked(tx.read(&tower.links()[0])?) {
+        if !Self::live_in(tower, tx)? {
             return Ok(None);
         }
         let old = tx.read(&tower.value)?;
@@ -846,9 +868,9 @@ impl<S: Stm> StmSkipList<S> {
             // A tower that is deleted but still linked: wait for the remover
             // to unlink it.
             if !overwrite {
-                return match is_marked(tx.read(&tower.links()[0])?) {
-                    false => Ok(Upsert::Exists),
-                    true => tx.restart(),
+                return match Self::live_in(tower, tx)? {
+                    true => Ok(Upsert::Exists),
+                    false => tx.restart(),
                 };
             }
             return match Self::overwrite_in(tower, value, tx)? {
@@ -892,17 +914,6 @@ impl<S: Stm> StmSkipList<S> {
     ) -> TxResult<bool> {
         let outcome = self.upsert_body(key, value, false, slot, tx)?;
         Ok(matches!(outcome, Upsert::Inserted))
-    }
-
-    /// Reads the value under `key` inside an already-running full
-    /// transaction, regardless of this instance's [`ApiMode`].
-    pub fn read_value_in(&self, key: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<u64>> {
-        let mut out = None;
-        self.walk_range_in(key, key, tx, |_, value_cell, tx| {
-            out = Some(dec(tx.read(value_cell)?));
-            Ok(ControlFlow::Break(()))
-        })?;
-        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -1023,33 +1034,8 @@ impl<S: Stm> StmSkipList<S> {
     }
 
     // ------------------------------------------------------------------
-    // Full-mode lookup
-    // ------------------------------------------------------------------
-
-    fn contains_txn(&self, key: u64, thread: &mut S::Thread) -> bool {
-        thread
-            .atomic(|tx| {
-                let at_key = self.seek_in(key, tx)?;
-                Ok(Self::next_live_in(at_key, key, tx)?.is_some())
-            })
-            .expect("contains transaction is never cancelled")
-    }
-
-    // ------------------------------------------------------------------
     // Range scans (inside a caller-provided full transaction)
     // ------------------------------------------------------------------
-
-    /// Descends to the level-0 position of `start` and returns the first
-    /// tower word there (its key is `>= start`; `0` at the end of the list).
-    /// The descent reads through [`StmSkipList::seek_read`] and
-    /// [`StmSkipList::land_in`] lands it, so in the walk-based modes only
-    /// the level-0 links from the last tower below `start` onwards enter the
-    /// transaction's read set; in Full mode the level hint and every link
-    /// crossed on the way down do.
-    fn seek_in(&self, start: u64, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Word> {
-        let w = self.descend(start, |cell| self.seek_read(cell, tx))?;
-        self.land_in(w.preds[0], w.succs[0], start, tx)
-    }
 
     /// How a seek inside `tx` reads the level hint and the links it
     /// crosses: the paper's `Search`, one single-location read per link, in
@@ -1132,47 +1118,19 @@ impl<S: Stm> StmSkipList<S> {
         Ok(None)
     }
 
-    /// Walks the live towers with `start <= key <= last` in key order,
-    /// invoking `visit(key, value_cell, tx)` for each until it returns
-    /// [`ControlFlow::Break`].  The landing of the seek to the start
-    /// position ([`StmSkipList::seek_in`]) and every level-0 link on the
-    /// way enter the transaction's read set, so the visited range is an
-    /// atomically consistent snapshot when the transaction commits.
-    fn walk_range_in<F>(
-        &self,
-        start: u64,
-        last: u64,
-        tx: &mut FullTx<'_, S::Thread>,
-        mut visit: F,
-    ) -> TxResult<()>
-    where
-        F: FnMut(u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
-    {
-        if start > last {
-            return Ok(());
-        }
-        let mut cand = self.seek_in(start, tx)?;
-        while let Some((tower, next)) = Self::next_live_in(cand, last, tx)? {
-            debug_assert!(tower.key >= start, "descent overshot the start key");
-            if visit(tower.key, &tower.value, tx)?.is_break() {
-                break;
-            }
-            cand = unmark(next);
-        }
-        Ok(())
-    }
-
     /// Walks several lists at once as one streaming k-way merge:
     /// `visit(i, key, value_cell, tx)` sees the live towers of every
     /// `lists[i]` with `start <= key <= last` in ascending key order (ties
     /// in list order) until it returns [`ControlFlow::Break`].  This is the
-    /// walk under the sharded KV store's scans, whose lists partition the
-    /// key space; like every range read here it is an atomically consistent
-    /// snapshot when the transaction commits.  The visitor reads the value
-    /// cell itself, and may keep what it read for after the walk: the walk
-    /// returns within the same attempt, whose epoch pin still covers every
-    /// tower it visited (the store keeps each entry's value word and copies
-    /// the values out once the walk is done).
+    /// one in-transaction range walk: under the sharded KV store's scans,
+    /// whose lists partition the key space, and, over one list, under
+    /// [`StmSkipList::range`] and [`StmSkipList::collect_range_in`].  The
+    /// visited range is an atomically consistent snapshot when the
+    /// transaction commits.  The visitor reads the value cell itself, and
+    /// may keep what it read for after the walk: the walk returns within the
+    /// same attempt, whose epoch pin still covers every tower it visited
+    /// (the store keeps each entry's value word and copies the values out
+    /// once the walk is done).
     ///
     /// `floor(i)`, called once per list, is the caller's promise that
     /// `lists[i]` holds no key `k` with `start <= k < floor(i)` at any
@@ -1186,25 +1144,25 @@ impl<S: Stm> StmSkipList<S> {
     /// lies past `last` makes no read at all.  With every floor at `start`,
     /// the first round seeks every list.
     ///
-    /// Each list is sought the way the private `seek_in` seeks it: the
-    /// descent reads through `seek_read` — single-location reads outside
-    /// the read set, except in Full mode — and `land_in` logs where it
-    /// lands.  The transaction then reads one level-0 link per tower
-    /// visited — nothing is collected ahead of the visitor, so a walk that
-    /// stops after `n` towers has read `n` of them (plus the one head each
-    /// sought list holds ready).
+    /// Each list is sought with the paper's `Search` (the steps of the
+    /// private `descend`), which reads through `seek_read` — single-location
+    /// reads outside the read set, except in Full mode — and `land_in` logs
+    /// where it lands.  The transaction then reads one level-0 link per
+    /// tower visited — nothing is collected ahead of the visitor, so a walk
+    /// that stops after `n` towers has read `n` of them (plus the one head
+    /// each sought list holds ready).
     ///
     /// A round's descents run in lockstep: each step moves every unfinished
     /// descent one step (right, or down a level), and prefetches the tower
     /// it just read before any descent dereferences it, so the lists' cache
     /// misses overlap instead of queueing.  The walk reads exactly the
-    /// cells, logged or not, that one `seek_in` per sought list would —
-    /// only their order across lists differs.  `ahead(i, key, value_cell)`
-    /// is called whenever list `i`'s head becomes the tower holding `key`
-    /// (once after its descent, then once per advance), with that tower's
-    /// value cell, so the caller can prefetch what its visitor will touch
-    /// for that key — the sharded store peeks the cell for the map node it
-    /// names.
+    /// cells, logged or not, that one such descent and landing per sought
+    /// list, run one list after another, would — only their order across
+    /// lists differs.  `ahead(i, key, value_cell)` is called whenever list
+    /// `i`'s head becomes the tower holding `key` (once after its descent,
+    /// then once per advance), with that tower's value cell, so the caller
+    /// can prefetch what its visitor will touch for that key — the sharded
+    /// store peeks the cell for the map node it names.
     pub fn walk_merged_in<L, A, F>(
         lists: &[Self],
         start: u64,
@@ -1306,7 +1264,8 @@ impl<S: Stm> StmSkipList<S> {
 
     /// Collects up to `limit` live `(key, value)` pairs with
     /// `start <= key < end`, in key order, inside an already-running full
-    /// transaction.
+    /// transaction: [`StmSkipList::walk_merged_in`] over this one list, its
+    /// floor at `start`, reading each visited tower's value cell.
     pub fn collect_range_in(
         &self,
         start: u64,
@@ -1318,14 +1277,22 @@ impl<S: Stm> StmSkipList<S> {
         if end == 0 || limit == 0 {
             return Ok(out);
         }
-        self.walk_range_in(start, end - 1, tx, |key, value_cell, tx| {
-            out.push((key, dec(tx.read(value_cell)?)));
-            Ok(if out.len() < limit {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            })
-        })?;
+        Self::walk_merged_in(
+            std::slice::from_ref(self),
+            start,
+            end - 1,
+            tx,
+            |_| start,
+            |_, _, _| {},
+            |_, key, cell, tx| {
+                out.push((key, dec(tx.read(cell)?)));
+                Ok(if out.len() < limit {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                })
+            },
+        )?;
         Ok(out)
     }
 }
@@ -1371,7 +1338,7 @@ fn random_level() -> usize {
 mod tests {
     use super::*;
     use spectm::variants::{OrecFullG, OrecStm, TvarShortG, ValShort};
-    use spectm::Config;
+    use spectm::{Config, StatsSnapshot};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -1591,6 +1558,94 @@ mod tests {
         map_oracle_test(OrecFullG::new(), ApiMode::Fine);
     }
 
+    /// Every STM call one thread makes over a seeded script: 3 000 inserts,
+    /// puts, removes, lookups, gets and 16-key ranges over 200 keys, each
+    /// checked against a map.  The script runs on a freshly spawned thread,
+    /// so the tower heights `random_level` draws start from its constant.
+    fn list_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> StatsSnapshot {
+        std::thread::spawn(move || {
+            use std::collections::BTreeMap;
+            let list = StmSkipList::new(&stm, mode);
+            let mut t = stm.register();
+            let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut state = 0x0BAD_5EED_2468_ACE1u64;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for _ in 0..3_000 {
+                let k = rng() % 200;
+                match rng() % 6 {
+                    0 => {
+                        let fresh = !oracle.contains_key(&k);
+                        oracle.entry(k).or_insert(0);
+                        assert_eq!(list.insert(k, &mut t), fresh, "insert {k}");
+                    }
+                    1 => assert_eq!(list.put(k, k + 1, &mut t), oracle.insert(k, k + 1)),
+                    2 => assert_eq!(list.remove(k, &mut t), oracle.remove(&k).is_some()),
+                    3 => assert_eq!(list.contains(k, &mut t), oracle.contains_key(&k)),
+                    4 => assert_eq!(list.get(k, &mut t), oracle.get(&k).copied(), "get {k}"),
+                    _ => {
+                        let expect: Vec<(u64, u64)> =
+                            oracle.range(k..k + 16).map(|(&k, &v)| (k, v)).collect();
+                        assert_eq!(list.range(k, k + 16, &mut t), expect, "range from {k}");
+                    }
+                }
+            }
+            t.stats()
+        })
+        .join()
+        .expect("the script matches its oracle")
+    }
+
+    /// The skip list's operations make exactly the STM calls recorded here:
+    /// equal totals, not merely no more.  The rows were recorded on the
+    /// parent of the change that made every in-transaction read one descent
+    /// (ranges one-list merged walks, Full-mode `contains`/`get` `descend`
+    /// plus `found`), which reproduces them exactly: Short 678 full
+    /// transactions (10 399 reads, 1 107 writes), 614 short read-write and
+    /// 289 short read-only commits, 53 911 single-location reads; Full
+    /// 3 000 transactions, 64 263 reads, 2 440 writes; Fine 46 721
+    /// transactions, 57 515 reads, 2 440 writes, 8 771 single-location
+    /// reads (the ranges' seeks).  Exact on any machine: one thread runs a
+    /// fixed script with a fixed stream of tower heights.
+    #[test]
+    fn skiplist_operations_make_the_recorded_stm_calls() {
+        let short = StatsSnapshot {
+            full_starts: 678,
+            full_commits: 678,
+            full_reads: 10_399,
+            full_writes: 1_107,
+            short_rw_starts: 614,
+            short_rw_commits: 614,
+            short_ro_commits: 289,
+            singles: 53_911,
+            ..StatsSnapshot::default()
+        };
+        let full = StatsSnapshot {
+            full_starts: 3_000,
+            full_commits: 3_000,
+            full_reads: 64_263,
+            full_writes: 2_440,
+            ..StatsSnapshot::default()
+        };
+        let fine = StatsSnapshot {
+            full_starts: 46_721,
+            full_commits: 46_721,
+            full_reads: 57_515,
+            full_writes: 2_440,
+            singles: 8_771,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(list_calls(ValShort::new(), ApiMode::Short), short);
+        assert_eq!(list_calls(TvarShortG::new(), ApiMode::Short), short);
+        assert_eq!(list_calls(OrecFullG::new(), ApiMode::Full), full);
+        assert_eq!(list_calls(ValShort::new(), ApiMode::Full), full);
+        assert_eq!(list_calls(OrecFullG::new(), ApiMode::Fine), fine);
+    }
+
     #[test]
     fn set_insert_does_not_clobber_values() {
         let stm = ValShort::new();
@@ -1628,7 +1683,7 @@ mod tests {
         assert_eq!(before, vec![(2, 20), (4, 40)]);
         assert_eq!(after, vec![(2, 20), (3, 30)]);
         assert_eq!(list.quiescent_pairs(), vec![(2, 20), (3, 30)]);
-        assert_eq!(t.atomic(|tx| list.read_value_in(3, tx)).unwrap(), Some(30));
+        assert_eq!(list.get(3, &mut t), Some(30));
         // A seek reads what is committed, so from 3 it stops at 2, whose
         // level-0 link the transaction has just marked by removing 2: the
         // landing falls back to a logged descent instead of retrying for ever.
@@ -1671,22 +1726,39 @@ mod tests {
             .is_empty());
         // The walk's bounds are inclusive, so it reaches `u64::MAX` — which
         // no half-open range can — and stops when the visitor says so.
+        let lists = std::slice::from_ref(&list);
         let mut tail = Vec::new();
         t.atomic(|tx| {
             tail.clear();
-            list.walk_range_in(95, u64::MAX, tx, |key, _, _| {
-                tail.push(key);
-                Ok(ControlFlow::Continue(()))
-            })
+            StmSkipList::walk_merged_in(
+                lists,
+                95,
+                u64::MAX,
+                tx,
+                |_| 95,
+                |_, _, _| {},
+                |_, key, _, _| {
+                    tail.push(key);
+                    Ok(ControlFlow::Continue(()))
+                },
+            )
         })
         .unwrap();
         assert_eq!(tail, vec![96, 98, u64::MAX]);
         let mut first = None;
         t.atomic(|tx| {
-            list.walk_range_in(97, u64::MAX, tx, |key, _, _| {
-                first = Some(key);
-                Ok(ControlFlow::Break(()))
-            })
+            StmSkipList::walk_merged_in(
+                lists,
+                97,
+                u64::MAX,
+                tx,
+                |_| 97,
+                |_, _, _| {},
+                |_, key, _, _| {
+                    first = Some(key);
+                    Ok(ControlFlow::Break(()))
+                },
+            )
         })
         .unwrap();
         assert_eq!(first, Some(98));
@@ -1756,11 +1828,25 @@ mod tests {
         assert_eq!(alone, [51, 54, 57]);
     }
 
-    /// The merged walk's lockstep descents land where one `seek_in` per
-    /// list lands, reading exactly as many cells the same way: in one
-    /// transaction, the heads reported to `ahead` equal the live towers
-    /// after each list's sequential seek, and both take the same number of
-    /// `tx.read`s and of single-location reads.  The lists differ in shape:
+    /// The sequential seek the merged walk's lockstep descents are checked
+    /// against: one whole descent to `start` through `seek_read`, then its
+    /// landing, and the first live tower there up to `last`.
+    fn seek_head<'a, S: Stm>(
+        list: &'a StmSkipList<S>,
+        start: u64,
+        last: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<&'a Tower<S>>> {
+        let w = list.descend(start, |cell| list.seek_read(cell, tx))?;
+        let cand = list.land_in(w.preds[0], w.succs[0], start, tx)?;
+        Ok(StmSkipList::<S>::next_live_in(cand, last, tx)?.map(|(tower, _)| tower))
+    }
+
+    /// The merged walk's lockstep descents land where one sequential seek
+    /// (`seek_head`) per list lands, reading exactly as many cells the same
+    /// way: in one transaction, the heads reported to `ahead` equal the live
+    /// towers after each list's sequential seek, and both take the same
+    /// number of `tx.read`s and of single-location reads.  The lists differ in shape:
     /// one empty, two holding a single key, one whose tower of height 12
     /// raises only its own level hint, one long.
     fn lockstep_seeks_match_sequential<S: Stm + Clone>(stm: S, mode: ApiMode) {
@@ -1816,9 +1902,8 @@ mod tests {
                     let before = reads(tx);
                     let mut heads = Vec::new();
                     for list in &lists {
-                        let cand = list.seek_in(start, tx)?;
-                        let head = StmSkipList::<S>::next_live_in(cand, u64::MAX, tx)?;
-                        heads.push(head.map(|(tower, _)| tower.key));
+                        let head = seek_head(list, start, u64::MAX, tx)?;
+                        heads.push(head.map(|tower| tower.key));
                     }
                     let sequential = (heads, since(before, tx));
                     let before = reads(tx);
@@ -1883,9 +1968,9 @@ mod tests {
     /// block is populated: walks with the tight floors visit exactly what
     /// walks with every floor at `start` visit.  Run to `last`, they read
     /// nothing of a list whose floor lies past the last key visited: their
-    /// reads are the floor-less walk's less one sequential seek (`seek_in`
-    /// and its landed head) of each such list.  Stopped after 16 keys,
-    /// they read no more than the floor-less walk.
+    /// reads are the floor-less walk's less one sequential seek
+    /// (`seek_head`, its landed head included) of each such list.  Stopped
+    /// after 16 keys, they read no more than the floor-less walk.
     fn floors_skip_unreachable_lists<S: Stm + Clone>(stm: S, mode: ApiMode) {
         const LISTS: usize = 8;
         const BLOCKS: u64 = 64;
@@ -1949,11 +2034,8 @@ mod tests {
                     continue;
                 }
                 let before = reads(&mut t);
-                t.atomic(|tx| {
-                    let cand = list.seek_in(start, tx)?;
-                    StmSkipList::<S>::next_live_in(cand, last, tx).map(|_| ())
-                })
-                .unwrap();
+                t.atomic(|tx| seek_head(list, start, last, tx).map(|_| ()))
+                    .unwrap();
                 unread += reads(&mut t) - before;
                 skipped += 1;
             }

@@ -10,7 +10,9 @@
 //! key and an insert of a present key allocate nothing, and its churn
 //! allocates exactly its nodes, so the closures handed to
 //! `StmThread::retry` box nothing.  A merged walk over 16 lists allocates
-//! its one vector of per-list heads, whatever it visits.
+//! its one vector of per-list heads, whatever it visits.  A skip list's own
+//! `range` and `collect_range_in` are that walk over one list, so each
+//! allocates a heads block too (of one head), besides the vector it fills.
 //!
 //! Allocations are counted per thread, so the test harness's own threads
 //! cannot bleed into a measurement.

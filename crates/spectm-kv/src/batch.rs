@@ -55,7 +55,6 @@
 
 use spectm::{Stm, StmThread, Word};
 
-use crate::map::deadline_expired;
 use crate::store::{MemberSlots, Removed, ShardedKv};
 use crate::value::{RetiredValue, Value};
 use crate::KvError;
@@ -606,7 +605,6 @@ impl<S: Stm + Clone> ShardedKv<S> {
         out: &mut [Option<Value>],
         thread: &mut S::Thread,
     ) {
-        let map = self.shard_map(shard);
         let now = self.now_ms();
         // One slot set per put operation of the group, filled lazily by the
         // map/index helpers and reused across conflict retries.
@@ -622,14 +620,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
                 let mut put = 0;
                 for &op in group {
                     match &ops[op] {
-                        BatchOp::Get(key) => {
-                            // An expired entry is absent; physical removal
-                            // is left to lazy reads and the sweep.
-                            out[op] = match map.read_entry_in(*key, tx)? {
-                                Some((_, deadline)) if deadline_expired(deadline, now) => None,
-                                entry => entry.map(|(value, _)| value),
-                            };
-                        }
+                        BatchOp::Get(key) => out[op] = self.read_live_in(shard, *key, now, tx)?,
                         BatchOp::Del(key) => {
                             if let Some(removed) = self.remove_member_in(shard, *key, None, tx)? {
                                 effects.push(GroupEffect::Del { op, removed });

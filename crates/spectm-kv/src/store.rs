@@ -439,6 +439,24 @@ impl<S: Stm + Clone> ShardedKv<S> {
         value
     }
 
+    /// The live value of `key`, routed to shard `shard`, inside an
+    /// already-running full transaction — the read under every multi-key
+    /// transaction.  An entry whose deadline passed by `now` is absent;
+    /// its physical removal is left to lazy reads and the sweep.
+    pub(crate) fn read_live_in(
+        &self,
+        shard: usize,
+        key: u64,
+        now: u64,
+        tx: &mut FullTx<'_, S::Thread>,
+    ) -> TxResult<Option<Value>> {
+        debug_assert_eq!(shard, self.router.route(key));
+        let entry = self.shards[shard].read_entry_in(key, tx)?;
+        Ok(entry
+            .filter(|&(_, deadline)| !deadline_expired(deadline, now))
+            .map(|(value, _)| value))
+    }
+
     /// Stores `value` under `key`, returning the previous value if present,
     /// or [`KvError::ValueTooLarge`] for payloads beyond [`MAX_VALUE_LEN`].
     ///
@@ -715,15 +733,10 @@ impl<S: Stm + Clone> ShardedKv<S> {
             .atomic(|tx| {
                 let mut vals = Vec::with_capacity(keys.len());
                 for &key in keys {
-                    match self.shard(key).read_entry_in(key, tx)? {
-                        // An expired entry is absent; physical removal is
-                        // left to lazy expiry and the sweep.
-                        Some((_, deadline)) if deadline_expired(deadline, now) => {
-                            return Ok(None);
-                        }
-                        Some((v, _)) => vals.push(v),
-                        None => return Ok(None),
-                    }
+                    let Some(v) = self.read_live_in(self.router.route(key), key, now, tx)? else {
+                        return Ok(None);
+                    };
+                    vals.push(v);
                 }
                 Ok(Some(vals))
             })
@@ -760,16 +773,11 @@ impl<S: Stm + Clone> ShardedKv<S> {
             displaced.clear();
             let mut vals = Vec::with_capacity(keys.len());
             for &key in keys {
-                match self.shard(key).read_entry_in(key, tx)? {
-                    // An expired entry is absent, and absence makes the
-                    // whole rmw a total no-op; physical removal is left to
-                    // lazy expiry and the sweep.
-                    Some((_, deadline)) if deadline_expired(deadline, now) => {
-                        return Ok(false);
-                    }
-                    Some((v, _)) => vals.push(v),
-                    None => return Ok(false),
-                }
+                // Absence, expiry included, makes the whole rmw a no-op.
+                let Some(v) = self.read_live_in(self.router.route(key), key, now, tx)? else {
+                    return Ok(false);
+                };
+                vals.push(v);
             }
             update(&mut vals);
             if let Some(v) = vals.iter().find(|v| v.len() > MAX_VALUE_LEN) {
@@ -1432,6 +1440,35 @@ mod tests {
         assert_eq!(store.get(4, &mut t), None);
         // And an rmw never resurrects a corpse.
         assert!(!store.rmw_add(&[4], 5, &mut t).unwrap());
+    }
+
+    /// The multi-key transactions meet an expired entry that no `get` has
+    /// removed yet: it is absent to them, they leave it and its bytes in
+    /// place, and the sweep reclaims it.
+    #[test]
+    fn multi_key_reads_treat_an_unswept_corpse_as_absent() {
+        let (store, now) = cache_store(None, 0, EvictionPolicy::Freq);
+        let mut t = store.register();
+        store
+            .put_with_ttl(4, &10u64.to_le_bytes(), Some(100), &mut t)
+            .unwrap();
+        store
+            .put_with_ttl(5, &20u64.to_le_bytes(), Some(0), &mut t)
+            .unwrap();
+        let bytes = store.live_bytes();
+        set_now(&now, 100);
+        assert_eq!(store.multi_get_atomic(&[5, 4], &mut t), Ok(None));
+        let writes = t.stats().full_writes;
+        assert_eq!(store.rmw_add(&[5, 4], 1, &mut t), Ok(false));
+        assert_eq!(t.stats().full_writes, writes, "the rmw wrote nothing");
+        let live = store.multi_get_atomic(&[5], &mut t).unwrap();
+        assert_eq!(live.map(|vals| vals[0].as_u64()), Some(20));
+        assert_eq!(store.live_bytes(), bytes, "the corpse is still charged");
+        store.assert_index_consistent();
+        let outcome = store.sweep_step(store.bucket_count(), &mut t);
+        assert_eq!((outcome.expired, outcome.evicted), (1, 0));
+        assert_eq!(store.live_bytes(), bytes - (ITEM_OVERHEAD_BYTES + 8));
+        store.assert_index_consistent();
     }
 
     #[test]
