@@ -32,7 +32,7 @@ pub mod skiplist;
 pub use dcss::dcss;
 pub use deque::TxDeque;
 pub use hashtable::StmHashTable;
-pub use skiplist::{RetiredTower, StmSkipList, TowerSlot, MAX_TOWER_VALUE};
+pub use skiplist::{free_tower, RetiredTower, StmSkipList, Tower, TowerSlot, MAX_TOWER_VALUE};
 
 /// Which SpecTM interface a data structure instance drives.
 ///

@@ -29,10 +29,11 @@
 //! point operation (`insert_in`, `remove_in`, Full-mode `contains` and
 //! `get`) is the descent followed by one small step on the tower it found,
 //! and a range read, over one list or several, is the one merged walk,
-//! `walk_merged_in`.  The store stores in each tower's value the address of
-//! the key's hash-map node (and never overwrites it), so a scan visiting a
-//! tower reads the entry from the node it names, not by looking the key up
-//! again.
+//! `walk_merged_in`.  A tower may carry caller-owned cells after its value
+//! (the `AUX` parameter of [`Tower`]): the store's towers are its entries,
+//! holding the value word and the deadline word, and its hash map's item
+//! words point at them, so a scan visiting a tower reads the entry it
+//! stands on, not by looking the key up again.
 //!
 //! The [`ApiMode`] selects how those atomic steps are expressed:
 //!
@@ -89,18 +90,26 @@ pub const SHORT_LEVEL_CUTOFF: usize = 2;
 
 /// A skip-list tower: one heap block holding this header followed, in the
 /// same allocation, by `level` transactional links — one forward pointer per
-/// level, reached through [`Tower::links`].  The key and height are
-/// immutable after publication; the value cell and the links are accessed
-/// transactionally.  [`Tower::alloc`] makes the block and [`free_tower`] is
-/// the only free.
+/// level, reached through `Tower::links`.  The key and height are
+/// immutable after publication; the value cell, the `AUX` cells and the
+/// links are accessed transactionally.  The `AUX` cells belong to the
+/// caller, which lets a tower be a whole entry: the sharded store's towers
+/// carry one, the deadline word, and its hash map's item words point at the
+/// blocks its indexes link.  [`TowerSlot`] makes the block and
+/// [`free_tower`] is the only free.
 #[repr(C)]
-struct Tower<S: Stm> {
-    key: u64,
+pub struct Tower<S: Stm, const AUX: usize = 0> {
+    /// The key.
+    pub key: u64,
     level: usize,
-    value: S::Cell,
+    /// An [`spectm::encode_int`] value under the list's map API; whatever
+    /// word its owner stores otherwise.
+    pub value: S::Cell,
+    /// The caller-owned cells, zero when the tower is made.
+    pub aux: [S::Cell; AUX],
 }
 
-impl<S: Stm> Tower<S> {
+impl<S: Stm, const AUX: usize> Tower<S, AUX> {
     /// The block of a tower of height `level`: the header, then the links.
     /// The header holds a cell, so its size is a multiple of the cell's
     /// alignment and the links start right at its end.
@@ -119,8 +128,9 @@ impl<S: Stm> Tower<S> {
         tower.wrapping_add(1).cast_mut().cast()
     }
 
-    /// Allocates a tower of height `level`, its value and every link zero.
-    /// The caller owns it until it is published.
+    /// Allocates a tower of height `level` (0 for an entry no list links),
+    /// its value, its `AUX` cells and every link zero.  The caller owns it
+    /// until it is published.
     fn alloc(stm: &S, key: u64, level: usize) -> *mut Self {
         let layout = Self::layout(level);
         // SAFETY: the layout is not zero-sized (the header alone is two
@@ -136,6 +146,7 @@ impl<S: Stm> Tower<S> {
                 key,
                 level,
                 value: stm.new_cell(0),
+                aux: std::array::from_fn(|_| stm.new_cell(0)),
             });
             let first = Self::first_link(tower);
             for lvl in 0..level {
@@ -154,18 +165,20 @@ impl<S: Stm> Tower<S> {
     }
 }
 
-/// Frees a tower made by [`Tower::alloc`]: drops its cells in place and
+/// Frees a tower made by a [`TowerSlot`]: drops its cells in place and
 /// returns its block, whose layout the header's `level` rebuilds.  The one
 /// free of a tower — unpublished, retired past its grace period, or left in
-/// a list being dropped — typed for `Guard::defer_unchecked`.
+/// a list or a map being dropped — typed for `Guard::defer_unchecked`.  It
+/// frees the cells, not what their words name.
 ///
 /// # Safety
 ///
-/// `ptr` must come from `Tower::<S>::alloc`, must be unreachable for every
-/// other thread (never published, past its epoch grace period, or owned by a
-/// list being dropped), and must not be used again.
-unsafe fn free_tower<S: Stm>(ptr: *mut u8) {
-    let tower = ptr.cast::<Tower<S>>();
+/// `ptr` must be a `Tower<S, AUX>` from a [`TowerSlot`], must be
+/// unreachable for every other thread (never published, past its epoch
+/// grace period, or owned by a structure being dropped), and must not be
+/// used again.
+pub unsafe fn free_tower<S: Stm, const AUX: usize>(ptr: *mut u8) {
+    let tower = ptr.cast::<Tower<S, AUX>>();
     // SAFETY: per the contract the block is a live tower this thread owns
     // exclusively; its header still holds the height its block was sized by.
     unsafe {
@@ -175,7 +188,7 @@ unsafe fn free_tower<S: Stm>(ptr: *mut u8) {
             level,
         ));
         std::ptr::drop_in_place(tower);
-        dealloc(ptr, Tower::<S>::layout(level));
+        dealloc(ptr, Tower::<S, AUX>::layout(level));
     }
 }
 
@@ -203,7 +216,7 @@ struct Window<'a, S: Stm> {
 /// it.  [`StmSkipList::cursor`] starts one and [`Cursor::step`] moves it;
 /// [`StmSkipList::descend`] runs one to the end, and
 /// [`StmSkipList::walk_merged_in`] runs one per list in lockstep.
-struct Cursor<'a, S: Stm> {
+struct Cursor<'a, S: Stm, const AUX: usize> {
     /// The predecessor's links: the head's until the walk moves onto a
     /// tower.  A predecessor found at one level is also where the walk
     /// starts one level down.
@@ -216,7 +229,7 @@ struct Cursor<'a, S: Stm> {
     curr: Word,
 }
 
-impl<'a, S: Stm> Cursor<'a, S> {
+impl<'a, S: Stm, const AUX: usize> Cursor<'a, S, AUX> {
     /// One step of the paper's `Search` towards `key`: right onto the tower
     /// `curr` if its key is below `key`, else settle this level —
     /// `settle(lvl, pred, curr)` — and drop one.  Every step reads exactly
@@ -233,7 +246,7 @@ impl<'a, S: Stm> Cursor<'a, S> {
         if self.curr != 0 {
             // SAFETY: `curr` was read from a reachable link under the
             // caller's epoch pin.
-            let tower: &'a Tower<S> = unsafe { &*StmSkipList::<S>::tower(self.curr) };
+            let tower: &'a Tower<S, AUX> = unsafe { &*StmSkipList::<S, AUX>::tower(self.curr) };
             if tower.key < key {
                 self.links = tower.links();
                 self.pred = &self.links[self.lvl];
@@ -253,15 +266,15 @@ impl<'a, S: Stm> Cursor<'a, S> {
 }
 
 /// One list's place in [`StmSkipList::walk_merged_in`].
-enum Head<'a, S: Stm> {
+enum Head<'a, S: Stm, const AUX: usize> {
     /// Not sought yet: the list holds no key from the start key up to this
     /// floor (exclusive).
     Unsought(u64),
     /// Still descending to the start key.
-    Seeking(Cursor<'a, S>),
+    Seeking(Cursor<'a, S, AUX>),
     /// The list's next live tower in range with its level-0 forward pointer
     /// (see [`StmSkipList::next_live_in`]); `None` once the list is done.
-    At(Option<(&'a Tower<S>, Word)>),
+    At(Option<(&'a Tower<S, AUX>, Word)>),
 }
 
 /// Outcome of an insert-or-update attempt.
@@ -275,61 +288,78 @@ enum Upsert {
 }
 
 /// Holder of a tower that is allocated but not (yet) published — the one
-/// such holder, inside this module and for [`StmSkipList::insert_in`].
+/// maker of towers, for this module, [`StmSkipList::insert_in`] and owners
+/// that publish a tower elsewhere too (the sharded store's hash maps).
 ///
 /// A full transaction's body may run several times (once per conflict
 /// retry); the slot keeps the speculatively allocated tower alive across
 /// retries so each logical insert allocates at most once.  After the
-/// enclosing [`spectm::StmThread::atomic`] **commits an attempt in which
-/// `insert_in` returned `true`**, the caller must call
-/// [`TowerSlot::mark_published`]; otherwise dropping the slot frees the
-/// never-published tower.
-pub struct TowerSlot<S: Stm> {
-    ptr: *mut Tower<S>,
+/// enclosing [`spectm::StmThread::atomic`] **commits an attempt that
+/// published the tower** (for the list: one in which `insert_in` returned
+/// `true`), the caller must call [`TowerSlot::mark_published`]; otherwise
+/// dropping the slot frees the never-published tower.
+pub struct TowerSlot<S: Stm, const AUX: usize = 0> {
+    ptr: *mut Tower<S, AUX>,
+    /// Whether a list will link the tower: its height is drawn when it is
+    /// allocated.  An unlinked tower has height 0.
+    linked: bool,
 }
 
-impl<S: Stm> TowerSlot<S> {
-    /// Creates an empty slot.
+impl<S: Stm, const AUX: usize> TowerSlot<S, AUX> {
+    /// Creates an empty slot for a tower a list will link.
     pub fn new() -> Self {
         Self {
             ptr: std::ptr::null_mut(),
+            linked: true,
         }
     }
 
-    /// Declares the slot's tower published: a transaction in which
-    /// [`StmSkipList::insert_in`] returned `true` has committed, so the
-    /// tower is now owned by the list.
+    /// Creates an empty slot for a tower no list will link: an entry of
+    /// height 0, whose allocation draws no height.
+    pub fn unlinked() -> Self {
+        Self {
+            ptr: std::ptr::null_mut(),
+            linked: false,
+        }
+    }
+
+    /// Declares the slot's tower published: a transaction that published
+    /// it has committed, so the tower is now owned by what it was published
+    /// to.
     pub fn mark_published(&mut self) {
         self.ptr = std::ptr::null_mut();
     }
 
-    /// The slot's tower for `(key, value)` and the word that publishes it,
-    /// allocated with a freshly drawn height on first use.
-    fn tower(&mut self, list: &StmSkipList<S>, key: u64, value: u64) -> (Word, &Tower<S>) {
+    /// The slot's tower for `key` and the word that publishes it (its
+    /// address), allocated on first use with a freshly drawn height (height
+    /// 0 for [`TowerSlot::unlinked`]).  Until it is published the tower is
+    /// private to this thread, so its cells may be filled with
+    /// [`Stm::poke`].
+    pub fn tower(&mut self, stm: &S, key: u64) -> (Word, &Tower<S, AUX>) {
         if self.ptr.is_null() {
-            self.ptr = Tower::alloc(&list.stm, key, random_level());
+            let level = if self.linked { random_level() } else { 0 };
+            self.ptr = Tower::alloc(stm, key, level);
         }
         // SAFETY: a non-null slot pointer is a tower this slot allocated and
         // nobody has published, so it is live and private to this thread.
         let tower = unsafe { &*self.ptr };
         debug_assert_eq!(tower.key, key, "one TowerSlot per key");
-        S::poke(&tower.value, enc(value));
         (self.ptr as Word, tower)
     }
 }
 
-impl<S: Stm> Default for TowerSlot<S> {
+impl<S: Stm, const AUX: usize> Default for TowerSlot<S, AUX> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: Stm> Drop for TowerSlot<S> {
+impl<S: Stm, const AUX: usize> Drop for TowerSlot<S, AUX> {
     fn drop(&mut self) {
         if !self.ptr.is_null() {
             // SAFETY: per the contract above, a non-null pointer at drop time
-            // means the tower was never published to the list.
-            unsafe { free_tower::<S>(self.ptr.cast()) };
+            // means the tower was never published.
+            unsafe { free_tower::<S, AUX>(self.ptr.cast()) };
         }
     }
 }
@@ -341,11 +371,11 @@ impl<S: Stm> Drop for TowerSlot<S> {
 /// the transaction aborted or was retried, simply drop the value (the tower
 /// is still linked; dropping does nothing).
 #[must_use = "call retire() after the transaction commits"]
-pub struct RetiredTower<S: Stm> {
-    ptr: *mut Tower<S>,
+pub struct RetiredTower<S: Stm, const AUX: usize = 0> {
+    ptr: *mut Tower<S, AUX>,
 }
 
-impl<S: Stm> RetiredTower<S> {
+impl<S: Stm, const AUX: usize> RetiredTower<S, AUX> {
     /// Defers destruction of the unlinked tower through the thread's epoch
     /// collector.  Only call after the removing transaction committed.
     pub fn retire(self, thread: &mut S::Thread) {
@@ -353,7 +383,7 @@ impl<S: Stm> RetiredTower<S> {
         // SAFETY: the committed transaction unlinked and marked the tower,
         // so it is unreachable for new operations; pinned readers are
         // protected by the epoch.  `free_tower` matches the allocation.
-        unsafe { pin.defer_unchecked(self.ptr.cast(), free_tower::<S>) };
+        unsafe { pin.defer_unchecked(self.ptr.cast(), free_tower::<S, AUX>) };
     }
 }
 
@@ -380,7 +410,10 @@ impl<S: Stm> RetiredTower<S> {
 /// assert_eq!(list.get(3, &mut thread), Some(31));
 /// assert_eq!(list.range(0, 10, &mut thread), vec![(1, 10), (3, 31)]);
 /// ```
-pub struct StmSkipList<S: Stm> {
+///
+/// Its towers carry `AUX` caller-owned cells after the value (see
+/// [`Tower`]); the paper's list has none.
+pub struct StmSkipList<S: Stm, const AUX: usize = 0> {
     stm: S,
     head: Box<[S::Cell; MAX_LEVEL]>,
     /// Encoded current height hint (the paper's `head.lvl`).
@@ -391,13 +424,24 @@ pub struct StmSkipList<S: Stm> {
 // SAFETY: raw tower pointers stored in cells are published by transactions,
 // retired through epochs after being unlinked, and dereferenced only under an
 // epoch pin (or inside a transaction, which pins for its duration).
-unsafe impl<S: Stm> Send for StmSkipList<S> {}
+unsafe impl<S: Stm, const AUX: usize> Send for StmSkipList<S, AUX> {}
 // SAFETY: as above.
-unsafe impl<S: Stm> Sync for StmSkipList<S> {}
+unsafe impl<S: Stm, const AUX: usize> Sync for StmSkipList<S, AUX> {}
 
 impl<S: Stm> StmSkipList<S> {
     /// Creates an empty skip list driven through the given [`ApiMode`].
     pub fn new(stm: &S, mode: ApiMode) -> Self
+    where
+        S: Clone,
+    {
+        Self::with_aux(stm, mode)
+    }
+}
+
+impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
+    /// Creates an empty skip list whose towers carry `AUX` caller-owned
+    /// cells, driven through the given [`ApiMode`].
+    pub fn with_aux(stm: &S, mode: ApiMode) -> Self
     where
         S: Clone,
     {
@@ -415,8 +459,8 @@ impl<S: Stm> StmSkipList<S> {
     }
 
     #[inline]
-    fn tower(ptr: Word) -> *mut Tower<S> {
-        unmark(ptr) as *mut Tower<S>
+    fn tower(ptr: Word) -> *mut Tower<S, AUX> {
+        unmark(ptr) as *mut Tower<S, AUX>
     }
 
     /// Inserts `key` (set API; the value is set to 0); returns `false` if it
@@ -488,13 +532,24 @@ impl<S: Stm> StmSkipList<S> {
     /// Collects every key currently present (non-transactional; only
     /// meaningful when no concurrent operations run).
     pub fn quiescent_snapshot(&self) -> Vec<u64> {
-        self.quiescent_pairs().into_iter().map(|(k, _)| k).collect()
+        self.quiescent_towers().iter().map(|t| t.key).collect()
     }
 
     /// Collects every `(key, value)` pair currently present
     /// (non-transactional; only meaningful when no concurrent operations
     /// run).
     pub fn quiescent_pairs(&self) -> Vec<(u64, u64)> {
+        let towers = self.quiescent_towers();
+        towers
+            .iter()
+            .map(|t| (t.key, dec(S::peek(&t.value))))
+            .collect()
+    }
+
+    /// Collects every tower currently linked and live, in key order
+    /// (non-transactional; only meaningful when no concurrent operations
+    /// run, and the references only until the next one does).
+    pub fn quiescent_towers(&self) -> Vec<&Tower<S, AUX>> {
         let mut out = Vec::new();
         let mut curr = S::peek(&self.head[0]);
         while unmark(curr) != 0 {
@@ -502,11 +557,21 @@ impl<S: Stm> StmSkipList<S> {
             let tower = unsafe { &*Self::tower(curr) };
             let next = S::peek(&tower.links()[0]);
             if !is_marked(next) {
-                out.push((tower.key, dec(S::peek(&tower.value))));
+                out.push(tower);
             }
             curr = unmark(next);
         }
         out
+    }
+
+    /// Empties the list without freeing its towers, for an owner that frees
+    /// them itself: the sharded store's hash maps free each entry, which is
+    /// also the tower its index links.  The towers stay valid for whoever
+    /// holds them; the list forgets them.
+    pub fn detach(&mut self) {
+        for cell in self.head.iter() {
+            S::poke(cell, 0);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -519,7 +584,7 @@ impl<S: Stm> StmSkipList<S> {
     fn cursor<'a, E>(
         &'a self,
         read: &mut impl FnMut(&'a S::Cell) -> Result<Word, E>,
-    ) -> Result<Cursor<'a, S>, E> {
+    ) -> Result<Cursor<'a, S, AUX>, E> {
         // Traverse at least the levels covered by the short fast paths:
         // those link towers without raising the height hint.
         let top = decode_int(read(&self.level_hint)?).clamp(SHORT_LEVEL_CUTOFF, MAX_LEVEL);
@@ -561,7 +626,7 @@ impl<S: Stm> StmSkipList<S> {
 
     /// The tower the descent stopped at on level 0, if it holds `key` —
     /// linked when the descent passed, though perhaps already marked.
-    fn found<'a>(w: &Window<'a, S>, key: u64) -> Option<&'a Tower<S>> {
+    fn found<'a>(w: &Window<'a, S>, key: u64) -> Option<&'a Tower<S, AUX>> {
         // SAFETY: a non-null successor was read from a reachable link under
         // the epoch pin the window's lifetime stands for.
         let tower = unsafe { Self::tower(w.succs[0]).as_ref() }?;
@@ -622,12 +687,12 @@ impl<S: Stm> StmSkipList<S> {
     /// Whether `tower` is live inside `tx`: its level-0 link is unmarked.
     /// A removal marks a tower's links in the step that unlinks it.
     #[inline]
-    fn live_in(tower: &Tower<S>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<bool> {
+    fn live_in(tower: &Tower<S, AUX>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<bool> {
         Ok(!is_marked(tx.read(&tower.links()[0])?))
     }
 
     /// The value of `tower` inside `tx`; `None` if it is logically deleted.
-    fn value_in(tower: &Tower<S>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<u64>> {
+    fn value_in(tower: &Tower<S, AUX>, tx: &mut FullTx<'_, S::Thread>) -> TxResult<Option<u64>> {
         if !Self::live_in(tower, tx)? {
             return Ok(None);
         }
@@ -665,9 +730,10 @@ impl<S: Stm> StmSkipList<S> {
         &self,
         w: &Window<'_, S>,
         same_tx: bool,
-        (ptr, tower): (Word, &Tower<S>),
+        (ptr, tower): (Word, &Tower<S, AUX>),
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<bool> {
+        debug_assert!(tower.level > 0, "a TowerSlot::unlinked tower has no links");
         for lvl in 0..tower.level {
             if Self::pred_target(w, same_tx, lvl, tx)? != w.succs[lvl] {
                 return Ok(false);
@@ -694,7 +760,7 @@ impl<S: Stm> StmSkipList<S> {
     fn unlink_in(
         w: &Window<'_, S>,
         same_tx: bool,
-        tower: &Tower<S>,
+        tower: &Tower<S, AUX>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Removal> {
         let target = w.succs[0];
@@ -746,7 +812,8 @@ impl<S: Stm> StmSkipList<S> {
                 let live = !is_marked(self.read_link(&tower.links()[0], thread));
                 return live.then_some(Upsert::Exists);
             }
-            let (ptr, tower) = slot.tower(self, key, value);
+            let (ptr, tower) = slot.tower(&self.stm, key);
+            S::poke(&tower.value, enc(value));
             let published = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
                 for (link, &succ) in tower.links().iter().zip(&w.succs) {
                     S::poke(link, succ);
@@ -772,7 +839,12 @@ impl<S: Stm> StmSkipList<S> {
     /// transaction over (liveness mark, value) in Short mode, the same two
     /// locations in one ordinary transaction in Fine mode.  Returns `None`
     /// if the tower is logically deleted or validation failed (retry).
-    fn update_value(&self, tower: &Tower<S>, value: u64, thread: &mut S::Thread) -> Option<u64> {
+    fn update_value(
+        &self,
+        tower: &Tower<S, AUX>,
+        value: u64,
+        thread: &mut S::Thread,
+    ) -> Option<u64> {
         if self.mode == ApiMode::Short {
             let next = thread.rw_read(0, &tower.links()[0]);
             if !thread.rw_is_valid(1) {
@@ -800,7 +872,7 @@ impl<S: Stm> StmSkipList<S> {
     /// Replaces a tower's value inside `tx`, returning the old one; `None`
     /// (writing nothing) if the tower is logically deleted.
     fn overwrite_in(
-        tower: &Tower<S>,
+        tower: &Tower<S, AUX>,
         value: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<u64>> {
@@ -839,7 +911,7 @@ impl<S: Stm> StmSkipList<S> {
     fn insert_txn_linked(
         &self,
         w: &Window<'_, S>,
-        new: (Word, &Tower<S>),
+        new: (Word, &Tower<S, AUX>),
         thread: &mut S::Thread,
     ) -> bool {
         // A stale window cancels the transaction (the paper's
@@ -854,31 +926,37 @@ impl<S: Stm> StmSkipList<S> {
 
     /// Body of a full-mode insert-or-update: search and link (or rewrite the
     /// value in place) inside the caller's transaction.  `slot` is the
-    /// lazily filled allocation, reused across conflict retries.
+    /// lazily filled allocation, reused across conflict retries.  A fresh
+    /// tower gets `value` (`None`: the value its owner wrote, for
+    /// [`StmSkipList::insert_in`]).
     fn upsert_body(
         &self,
         key: u64,
-        value: u64,
+        value: Option<u64>,
         overwrite: bool,
-        slot: &mut TowerSlot<S>,
+        slot: &mut TowerSlot<S, AUX>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Upsert> {
         let w = self.descend(key, |cell| tx.read(cell))?;
         if let Some(tower) = Self::found(&w, key) {
             // A tower that is deleted but still linked: wait for the remover
             // to unlink it.
-            if !overwrite {
+            let Some(value) = value.filter(|_| overwrite) else {
                 return match Self::live_in(tower, tx)? {
                     true => Ok(Upsert::Exists),
                     false => tx.restart(),
                 };
-            }
+            };
             return match Self::overwrite_in(tower, value, tx)? {
                 Some(old) => Ok(Upsert::Updated(old)),
                 None => tx.restart(),
             };
         }
-        if self.link_in(&w, true, slot.tower(self, key, value), tx)? {
+        let (ptr, tower) = slot.tower(&self.stm, key);
+        if let Some(value) = value {
+            S::poke(&tower.value, enc(value));
+        }
+        if self.link_in(&w, true, (ptr, tower), tx)? {
             Ok(Upsert::Inserted)
         } else {
             tx.restart()
@@ -890,7 +968,7 @@ impl<S: Stm> StmSkipList<S> {
     fn upsert_txn(&self, key: u64, value: u64, overwrite: bool, thread: &mut S::Thread) -> Upsert {
         let mut slot = TowerSlot::new();
         let outcome = thread
-            .atomic(|tx| self.upsert_body(key, value, overwrite, &mut slot, tx))
+            .atomic(|tx| self.upsert_body(key, Some(value), overwrite, &mut slot, tx))
             .expect("upsert transaction is never cancelled");
         if matches!(outcome, Upsert::Inserted) {
             slot.mark_published();
@@ -898,9 +976,12 @@ impl<S: Stm> StmSkipList<S> {
         outcome
     }
 
-    /// Inserts `(key, value)` inside an already-running full transaction,
-    /// regardless of this instance's [`ApiMode`].  Returns `false` (writing
-    /// nothing) if the key is already present.
+    /// Links the tower of `slot` for `key` inside an already-running full
+    /// transaction, regardless of this instance's [`ApiMode`].  Returns
+    /// `false` (writing nothing) if the key is already present.  The tower
+    /// is linked as its owner filled it: a fresh one holds zero in its value
+    /// and `AUX` cells (the sharded store fills an entry and links it into
+    /// its hash map first, in the same transaction).
     ///
     /// `slot` carries the speculative tower allocation across conflict
     /// retries of the enclosing transaction; see [`TowerSlot`] for the
@@ -908,11 +989,10 @@ impl<S: Stm> StmSkipList<S> {
     pub fn insert_in(
         &self,
         key: u64,
-        value: u64,
-        slot: &mut TowerSlot<S>,
+        slot: &mut TowerSlot<S, AUX>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<bool> {
-        let outcome = self.upsert_body(key, value, false, slot, tx)?;
+        let outcome = self.upsert_body(key, None, false, slot, tx)?;
         Ok(matches!(outcome, Upsert::Inserted))
     }
 
@@ -953,7 +1033,7 @@ impl<S: Stm> StmSkipList<S> {
     fn remove_short_rw(
         &self,
         w: &Window<'_, S>,
-        tower: &Tower<S>,
+        tower: &Tower<S, AUX>,
         thread: &mut S::Thread,
     ) -> Removal {
         let (target, level) = (w.succs[0], tower.level);
@@ -995,7 +1075,7 @@ impl<S: Stm> StmSkipList<S> {
     fn remove_txn_unlink(
         &self,
         w: &Window<'_, S>,
-        tower: &Tower<S>,
+        tower: &Tower<S, AUX>,
         thread: &mut S::Thread,
     ) -> Removal {
         thread
@@ -1019,7 +1099,7 @@ impl<S: Stm> StmSkipList<S> {
         &self,
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<RetiredTower<S>>> {
+    ) -> TxResult<Option<RetiredTower<S, AUX>>> {
         let w = self.descend(key, |cell| tx.read(cell))?;
         let Some(tower) = Self::found(&w, key) else {
             return Ok(None);
@@ -1101,7 +1181,7 @@ impl<S: Stm> StmSkipList<S> {
         mut cand: Word,
         last: u64,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(&'a Tower<S>, Word)>> {
+    ) -> TxResult<Option<(&'a Tower<S, AUX>, Word)>> {
         while cand != 0 {
             // SAFETY: `cand` was read transactionally from a reachable link
             // within this attempt, whose epoch pin keeps the tower alive.
@@ -1119,18 +1199,18 @@ impl<S: Stm> StmSkipList<S> {
     }
 
     /// Walks several lists at once as one streaming k-way merge:
-    /// `visit(i, key, value_cell, tx)` sees the live towers of every
+    /// `visit(i, tower, tx)` sees the live towers of every
     /// `lists[i]` with `start <= key <= last` in ascending key order (ties
     /// in list order) until it returns [`ControlFlow::Break`].  This is the
     /// one in-transaction range walk: under the sharded KV store's scans,
     /// whose lists partition the key space, and, over one list, under
     /// [`StmSkipList::range`] and [`StmSkipList::collect_range_in`].  The
     /// visited range is an atomically consistent snapshot when the
-    /// transaction commits.  The visitor reads the value cell itself, and
-    /// may keep what it read for after the walk: the walk returns within the
-    /// same attempt, whose epoch pin still covers every tower it visited
-    /// (the store keeps each entry's value word and copies the values out
-    /// once the walk is done).
+    /// transaction commits.  The visitor reads the tower's value and `AUX`
+    /// cells itself, and may keep what it read for after the walk: the walk
+    /// returns within the same attempt, whose epoch pin still covers every
+    /// tower it visited (the store keeps each entry's value word and copies
+    /// the values out once the walk is done).
     ///
     /// `floor(i)`, called once per list, is the caller's promise that
     /// `lists[i]` holds no key `k` with `start <= k < floor(i)` at any
@@ -1158,11 +1238,10 @@ impl<S: Stm> StmSkipList<S> {
     /// misses overlap instead of queueing.  The walk reads exactly the
     /// cells, logged or not, that one such descent and landing per sought
     /// list, run one list after another, would — only their order across
-    /// lists differs.  `ahead(i, key, value_cell)` is called whenever list
-    /// `i`'s head becomes the tower holding `key` (once after its descent,
-    /// then once per advance), with that tower's value cell, so the caller
-    /// can prefetch what its visitor will touch for that key — the sharded
-    /// store peeks the cell for the map node it names.
+    /// lists differs.  `ahead(i, tower)` is called whenever a tower becomes
+    /// list `i`'s head (once after its descent, then once per advance), so
+    /// the caller can prefetch what its visitor will touch there — the
+    /// sharded store peeks the value word for the cell it names.
     pub fn walk_merged_in<L, A, F>(
         lists: &[Self],
         start: u64,
@@ -1174,17 +1253,17 @@ impl<S: Stm> StmSkipList<S> {
     ) -> TxResult<()>
     where
         L: FnMut(usize) -> u64,
-        A: FnMut(usize, u64, &S::Cell),
-        F: FnMut(usize, u64, &S::Cell, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
+        A: FnMut(usize, &Tower<S, AUX>),
+        F: FnMut(usize, &Tower<S, AUX>, &mut FullTx<'_, S::Thread>) -> TxResult<ControlFlow<()>>,
     {
-        let mut heads: Vec<Head<'_, S>> = (0..lists.len())
+        let mut heads: Vec<Head<'_, S, AUX>> = (0..lists.len())
             .map(|i| Head::Unsought(floor(i).max(start)))
             .collect();
         let mut first_round = true;
         loop {
             // The lowest landed head (ties in list order) and the lowest
             // floor of a list not sought yet.
-            let mut lowest: Option<(usize, &Tower<S>, Word)> = None;
+            let mut lowest: Option<(usize, &Tower<S, AUX>, Word)> = None;
             let mut unsought: Option<u64> = None;
             for (i, head) in heads.iter().enumerate() {
                 match *head {
@@ -1215,12 +1294,12 @@ impl<S: Stm> StmSkipList<S> {
             let Some((i, tower, next)) = lowest else {
                 return Ok(());
             };
-            if visit(i, tower.key, &tower.value, tx)?.is_break() {
+            if visit(i, tower, tx)?.is_break() {
                 return Ok(());
             }
             let found = Self::next_live_in(unmark(next), last, tx)?;
             if let Some((tower, _)) = found {
-                ahead(i, tower.key, &tower.value);
+                ahead(i, tower);
             }
             heads[i] = Head::At(found);
         }
@@ -1231,11 +1310,11 @@ impl<S: Stm> StmSkipList<S> {
     /// each landed head to `ahead`.
     fn seek_lockstep<'a>(
         lists: &'a [Self],
-        heads: &mut [Head<'a, S>],
+        heads: &mut [Head<'a, S, AUX>],
         start: u64,
         last: u64,
         tx: &mut FullTx<'_, S::Thread>,
-        ahead: &mut impl FnMut(usize, u64, &S::Cell),
+        ahead: &mut impl FnMut(usize, &Tower<S, AUX>),
     ) -> TxResult<()> {
         let mut seeking = heads
             .iter()
@@ -1253,7 +1332,7 @@ impl<S: Stm> StmSkipList<S> {
                 let cand = list.land_in(cursor.pred, cursor.curr, start, tx)?;
                 let found = Self::next_live_in(cand, last, tx)?;
                 if let Some((tower, _)) = found {
-                    ahead(i, tower.key, &tower.value);
+                    ahead(i, tower);
                 }
                 *head = Head::At(found);
                 seeking -= 1;
@@ -1283,9 +1362,9 @@ impl<S: Stm> StmSkipList<S> {
             end - 1,
             tx,
             |_| start,
-            |_, _, _| {},
-            |_, key, cell, tx| {
-                out.push((key, dec(tx.read(cell)?)));
+            |_, _| {},
+            |_, tower, tx| {
+                out.push((tower.key, dec(tx.read(&tower.value)?)));
                 Ok(if out.len() < limit {
                     ControlFlow::Continue(())
                 } else {
@@ -1297,7 +1376,7 @@ impl<S: Stm> StmSkipList<S> {
     }
 }
 
-impl<S: Stm> Drop for StmSkipList<S> {
+impl<S: Stm, const AUX: usize> Drop for StmSkipList<S, AUX> {
     fn drop(&mut self) {
         // Exclusive access: free every remaining tower via level 0.
         let mut curr = S::peek(&self.head[0]);
@@ -1307,7 +1386,7 @@ impl<S: Stm> Drop for StmSkipList<S> {
             // is freed once, after its level-0 link was read.
             curr = unsafe {
                 let next = S::peek(&(*tower).links()[0]);
-                free_tower::<S>(tower.cast());
+                free_tower::<S, AUX>(tower.cast());
                 next
             };
         }
@@ -1665,13 +1744,15 @@ mod tests {
         list.put(4, 40, &mut t);
         // Insert 3 and remove 4 in one transaction, observing the range
         // before and after.
+        // `insert_in` links the tower as its owner filled it.
         let mut slot = TowerSlot::new();
+        ValShort::poke(&slot.tower(&stm, 3).1.value, enc(30));
         let mut retired = None;
         let (before, after) = t
             .atomic(|tx| {
                 retired = None;
                 let before = list.collect_range_in(0, 10, usize::MAX, tx)?;
-                let inserted = list.insert_in(3, 30, &mut slot, tx)?;
+                let inserted = list.insert_in(3, &mut slot, tx)?;
                 assert!(inserted);
                 retired = list.remove_in(4, tx)?;
                 let after = list.collect_range_in(0, 10, usize::MAX, tx)?;
@@ -1736,9 +1817,9 @@ mod tests {
                 u64::MAX,
                 tx,
                 |_| 95,
-                |_, _, _| {},
-                |_, key, _, _| {
-                    tail.push(key);
+                |_, _| {},
+                |_, tower, _| {
+                    tail.push(tower.key);
                     Ok(ControlFlow::Continue(()))
                 },
             )
@@ -1753,9 +1834,9 @@ mod tests {
                 u64::MAX,
                 tx,
                 |_| 97,
-                |_, _, _| {},
-                |_, key, _, _| {
-                    first = Some(key);
+                |_, _| {},
+                |_, tower, _| {
+                    first = Some(tower.key);
                     Ok(ControlFlow::Break(()))
                 },
             )
@@ -1786,10 +1867,11 @@ mod tests {
                     last,
                     tx,
                     |_| start,
-                    |_, _, _| {},
-                    |i, key, cell, tx| {
+                    |_, _| {},
+                    |i, tower, tx| {
+                        let key = tower.key;
                         assert_eq!(i as u64, key % 3, "key {key} reported from list {i}");
-                        assert_eq!(dec(tx.read(cell)?), key >> 1);
+                        assert_eq!(dec(tx.read(&tower.value)?), key >> 1);
                         seen.push(key);
                         Ok(if seen.len() < limit {
                             ControlFlow::Continue(())
@@ -1817,9 +1899,9 @@ mod tests {
                 60,
                 tx,
                 |_| 50,
-                |_, _, _| {},
-                |_, key, _, _| {
-                    alone.push(key);
+                |_, _| {},
+                |_, tower, _| {
+                    alone.push(tower.key);
                     Ok(ControlFlow::Continue(()))
                 },
             )
@@ -1859,9 +1941,10 @@ mod tests {
         }
         let mut tall = TowerSlot {
             ptr: Tower::alloc(&stm, 1_000, 12),
+            linked: true,
         };
         assert!(t
-            .atomic(|tx| lists[4].insert_in(1_000, 4, &mut tall, tx))
+            .atomic(|tx| lists[4].insert_in(1_000, &mut tall, tx))
             .unwrap());
         tall.mark_published();
         for k in [3, 999, 1_001, 4_000] {
@@ -1914,11 +1997,11 @@ mod tests {
                         u64::MAX,
                         tx,
                         |_| start,
-                        |i, key, _| {
+                        |i, tower| {
                             assert!(heads[i].is_none(), "list {i} landed twice");
-                            heads[i] = Some(key);
+                            heads[i] = Some(tower.key);
                         },
-                        |_, _, _, _| Ok(ControlFlow::Break(())),
+                        |_, _, _| Ok(ControlFlow::Break(())),
                     )?;
                     Ok((sequential, (heads, since(before, tx))))
                 })
@@ -1994,9 +2077,9 @@ mod tests {
                     last,
                     tx,
                     floor,
-                    |_, _, _| {},
-                    |i, key, _, _| {
-                        seen.push((i, key));
+                    |_, _| {},
+                    |i, tower, _| {
+                        seen.push((i, tower.key));
                         Ok(if seen.len() < limit {
                             ControlFlow::Continue(())
                         } else {

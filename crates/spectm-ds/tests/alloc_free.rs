@@ -160,8 +160,8 @@ fn merged_walk_case<S: Stm + Clone>(stm: S) {
                         u64::MAX,
                         tx,
                         |_| start,
-                        |_, _, _| {},
-                        |_, _, _, _| {
+                        |_, _| {},
+                        |_, _, _| {
                             seen += 1;
                             Ok(if seen < 16 {
                                 ControlFlow::Continue(())

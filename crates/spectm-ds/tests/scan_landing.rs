@@ -42,7 +42,7 @@ fn flip<S: Stm>(list: &StmSkipList<S>, from: u64, to: u64, t: &mut S::Thread) {
     t.atomic(|tx| {
         retired = list.remove_in(from, tx)?;
         assert!(retired.is_some(), "{from} was present");
-        assert!(list.insert_in(to, to, &mut slot, tx)?, "{to} was absent");
+        assert!(list.insert_in(to, &mut slot, tx)?, "{to} was absent");
         Ok(())
     })
     .expect("flips are never cancelled");
@@ -81,9 +81,9 @@ fn merged_keys<S: Stm>(
             START + 1,
             tx,
             floors,
-            |_, _, _| {},
-            |_, key, _, _| {
-                keys.push(key);
+            |_, _| {},
+            |_, tower, _| {
+                keys.push(tower.key);
                 Ok(ControlFlow::Continue(()))
             },
         )

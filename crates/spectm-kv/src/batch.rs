@@ -54,8 +54,10 @@
 //! semantics for a request-pipeline front-end.
 
 use spectm::{Stm, StmThread, Word};
+use spectm_ds::TowerSlot;
 
-use crate::store::{MemberSlots, Removed, ShardedKv};
+use crate::map::EntrySlots;
+use crate::store::{Removed, ShardedKv};
 use crate::value::{RetiredValue, Value};
 use crate::KvError;
 
@@ -609,7 +611,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
         // One slot set per put operation of the group, filled lazily by the
         // map/index helpers and reused across conflict retries.
         let puts = group.iter().filter(|&&i| ops[i].as_put().is_some()).count();
-        let mut slots: Vec<MemberSlots<S>> = (0..puts).map(|_| MemberSlots::new()).collect();
+        let mut slots: Vec<EntrySlots<S>> = (0..puts)
+            .map(|_| EntrySlots::new(TowerSlot::new()))
+            .collect();
         let mut effects: Vec<GroupEffect<S>> = Vec::new();
         thread
             .atomic(|tx| {

@@ -22,7 +22,8 @@
 //! * [`ShardRouter`] — a power-of-two router assigning each block of 64
 //!   consecutive keys to a shard;
 //! * [`ShardedKv`] — the store itself.  All shards (and their per-shard
-//!   [`spectm_ds::StmSkipList`] ordered indexes) share **one** STM
+//!   [`spectm_ds::StmSkipList`] ordered indexes, whose towers are the
+//!   shards' entries: one block per key) share **one** STM
 //!   instance, so while `get` and value-overwriting `put` touch only the
 //!   owning shard, a multi-key [`ShardedKv::rmw`] composes reads and writes
 //!   *across* shards inside a single full transaction, and
@@ -126,7 +127,7 @@ pub mod value;
 pub mod wire;
 
 pub use batch::{BatchOp, BatchRequest, BatchResponse, MultiBatch};
-pub use map::{MapStats, NodeSlot, RetiredNode, StmHashMap, BUCKET_SLOTS};
+pub use map::{MapStats, StmHashMap, BUCKET_SLOTS};
 pub use router::ShardRouter;
 pub use store::{ShardedKv, ITEM_OVERHEAD_BYTES, MAX_RMW_KEYS};
 pub use ttl::{CacheConfig, CacheStats, Clock, EvictionPolicy, Reclaimer, SweepOutcome};

@@ -4,23 +4,27 @@
 //! buckets** (the Pelikan/Segcache hashtable layout adapted to STM words).
 //! The table is a flat array of *home buckets*, each 8 contiguous
 //! transactional words: [`BUCKET_SLOTS`] (7) *item words* plus one *stat
-//! word*.  An item word packs a node pointer with a 16-bit **hash tag**
-//! (bits 48..=63, above every user-space address; nodes keep their natural
-//! one-word alignment), so a probe compares tags before dereferencing and
-//! mismatched slots cost no cache miss.  The stat word links to a
+//! word*.  An item word packs an entry pointer with a 16-bit **hash tag**
+//! (bits 48..=63, above every user-space address; entries keep their
+//! natural one-word alignment), so a probe compares tags before
+//! dereferencing and mismatched slots cost no cache miss.  The stat word links to a
 //! heap-allocated *overflow bucket* once a bucket's 8th key arrives
 //! (512-byte aligned, freeing bits 1..=8 of the link as the per-bucket
 //! **frequency byte** the eviction policy consults — saturating bump on
 //! hit, periodic halving by the reclaimer; bit 0 stays clear for the `val`
 //! layout's lock bit in both word kinds).  A zero item word is an empty
 //! slot; a stat word with no pointer bits ends the chain.
-//! Each `Node` holds the immutable key and two transactional cells: the
+//! Each **entry** is one block, a [`spectm_ds::Tower`] with one
+//! caller-owned cell: the immutable key, then two transactional cells — the
 //! **value word** (inline payload or [`crate::ValueCell`] pointer; see
 //! [`crate::value`]) and the **deadline word** (the key's expiry time in
 //! milliseconds shifted past the lock bit; zero = never expires — see
-//! `encode_deadline`).  The map stores deadlines without interpreting
-//! them; expiry policy (lazy expiry on read, background sweeps, byte-budget
-//! eviction) lives in [`crate::ShardedKv`].
+//! `encode_deadline`) — then the tower's links.  In a [`crate::ShardedKv`]
+//! the shard's ordered index links the same block, so a key is one
+//! allocation; a standalone map's entries have no links (height 0).  The
+//! map stores deadlines without interpreting them; expiry policy (lazy
+//! expiry on read, background sweeps, byte-budget eviction) lives in
+//! [`crate::ShardedKv`].
 //!
 //! The layout — [`Table`], [`Bucket`], the masks — and its one chain walk,
 //! [`Bucket::walk`], are shared with the lock-free baseline
@@ -49,25 +53,25 @@
 //!   `Full` here; the fine-grained ablation only exists for the paper's
 //!   figure 6 sets.
 //!
-//! [`StmHashMap::put_in`] / [`StmHashMap::del_in`] (and the crate-internal
-//! entry read and overwrite) run the same chain walk *inside a
-//! caller-provided full transaction*, which is what lets
+//! The crate-internal `put_in` / `del_in` and the entry read and overwrite
+//! run the same chain walk *inside a caller-provided full transaction*, which is what lets
 //! [`crate::ShardedKv::rmw`] compose an atomic multi-key update across
 //! shards and the store change a map slot and its index tower together.
 //! Every operation pins the epoch once for the call; under a caller's pin
 //! (the batched pipeline holds one per batch) that nests as a counter
-//! bump.  Deleted nodes are retired through the STM's epoch collector;
+//! bump.  Deleted entries are retired through the STM's epoch collector
+//! (the store's by its index, as towers);
 //! overflow buckets are **write-once** (linked, never unlinked, freed only
 //! in the map's own `Drop`), so traversals never race bucket reclamation.
 //!
 //! **Value-word ownership.**  A value word is owned by the map while it is
-//! stored in a live node, and by exactly one thread the moment a committed
+//! stored in a live entry, and by exactly one thread the moment a committed
 //! transaction displaces it — the overwriter that replaced it, or the
 //! deleter that cleared its slot.  That owner (and nobody else) reads the
 //! old payload and defers the cell's free through the epoch collector, so
 //! concurrent readers copying bytes out under an epoch pin are always safe.
-//! Nodes therefore never free value words themselves, except in
-//! [`StmHashMap`]'s own `Drop`, where access is exclusive.
+//! Retiring an entry therefore never frees its value word; only
+//! [`StmHashMap`]'s own `Drop`, where access is exclusive, frees both.
 //!
 //! **Linearizability of misses.**  A slot scan that finds no matching tag
 //! uses only per-location linearizable reads.  A key that is continuously
@@ -79,7 +83,7 @@
 use std::ops::ControlFlow;
 
 use spectm::{FullTx, Stm, StmThread, TxResult, Word};
-use spectm_ds::ApiMode;
+use spectm_ds::{free_tower, ApiMode, Tower, TowerSlot};
 use txepoch::Guard;
 
 use crate::value::{decode_value, free_value};
@@ -95,11 +99,11 @@ pub const BUCKET_SLOTS: usize = 7;
 /// the item word's bits above it are free for the hash tag.
 const ADDRESS_BITS: u32 = 48;
 
-/// Bits 48..=63 of an item word: the 16-bit hash tag stored above the node
-/// pointer (`alloc_node` checks that no node address reaches it).
+/// Bits 48..=63 of an item word: the 16-bit hash tag stored above the entry
+/// pointer (`item_word` checks that no entry address reaches it).
 const TAG_MASK: Word = !0 << ADDRESS_BITS;
 
-/// Mask recovering the node pointer from an item word.
+/// Mask recovering the entry pointer from an item word.
 pub const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
 
 /// Bits 1..=8 of a stat word: the per-bucket frequency-counter byte.  It
@@ -181,15 +185,18 @@ pub(crate) fn deadline_expired(deadline: Word, now_ms: u64) -> bool {
     deadline != 0 && ((deadline >> DEADLINE_SHIFT) as u64) <= now_ms
 }
 
-/// A chain node: the immutable key plus two transactional words — the value
-/// word and the deadline word (zero for immortal items; see
-/// [`encode_deadline`]).  It keeps its natural alignment, one word at
-/// word-sized cells: the item word's tag sits above the address bits, so
-/// the node needs no over-aligned (and over-carved) allocation.
-struct Node<S: Stm> {
-    key: u64,
-    value: S::Cell,
-    deadline: S::Cell,
+/// An entry: a skip-list tower whose one caller-owned cell is the deadline
+/// word (zero for immortal items; see [`encode_deadline`]).  Key, value word
+/// and deadline word sit in its first 32 bytes at word-sized cells.  It
+/// keeps its natural alignment, one word at word-sized cells: the item
+/// word's tag sits above the address bits, so the entry needs no
+/// over-aligned (and over-carved) allocation.
+pub(crate) type Entry<S> = Tower<S, 1>;
+
+/// An entry's deadline word.
+#[inline]
+fn deadline<S: Stm>(entry: &Entry<S>) -> &S::Cell {
+    &entry.aux[0]
 }
 
 /// One 64-byte bucket of slot cells `C` (an STM cell here, an `AtomicUsize`
@@ -216,16 +223,16 @@ pub struct OverflowBucket<C> {
 // instantiated with: `#[repr(align)]` is a floor and a word cell is the
 // least-aligned cell, so these instances are the binding case, for the
 // lock-free baseline's `Table<AtomicUsize>` as for every `StmHashMap<S>`.
-// A node's alignment clears the item word's lock bit and the value-word
+// An entry's alignment clears the item word's lock bit and the value-word
 // tags (an out-of-line value word is a pointer through the same cells), the
 // overflow bucket's clears the stat word's lock and frequency bits, and a
 // bucket of word cells is exactly one 64-byte line.
 const _: () = {
     use std::mem::{align_of, size_of};
     assert!(
-        align_of::<Node<spectm::ValStm>>() as Word
+        align_of::<Entry<spectm::ValStm>>() as Word
             > (spectm::INLINE_BYTES_BIT | spectm::INLINE_INT_BIT | 1),
-        "Node's alignment must clear the lock bit and the value-word tags"
+        "an entry's alignment must clear the lock bit and the value-word tags"
     );
     assert!(
         align_of::<OverflowBucket<Word>>() as Word > (FREQ_MASK | 1),
@@ -319,7 +326,7 @@ impl<C> Bucket<C> {
 
 impl<C> OverflowBucket<C> {
     /// A fresh overflow bucket born holding `first` — the item word of the
-    /// node it is linked in for; `cell` makes a cell.
+    /// entry it is linked in for; `cell` makes a cell.
     pub fn alloc(first: Word, cell: impl Fn(Word) -> C) -> *mut Self {
         Box::into_raw(Box::new(OverflowBucket {
             bucket: Bucket::new(first, cell),
@@ -418,10 +425,10 @@ impl<C> Table<C> {
     }
 
     /// Empties the table (exclusive access) — the owning walk under both
-    /// maps' `Drop`: every occupied item word to `free_node`, then the
+    /// maps' `Drop`: every occupied item word to `free_item`, then the
     /// overflow buckets.
-    pub fn free(&mut self, read: impl Fn(&C) -> Word, mut free_node: impl FnMut(Word)) {
-        self.visit_all(&read, |_, w| free_node(w));
+    pub fn free(&mut self, read: impl Fn(&C) -> Word, mut free_item: impl FnMut(Word)) {
+        self.visit_all(&read, |_, w| free_item(w));
         for home in std::mem::take(&mut self.buckets) {
             let mut next = read(&home.stat) & CHAIN_PTR_MASK;
             while next != 0 {
@@ -436,27 +443,29 @@ impl<C> Table<C> {
 }
 
 /// A candidate found by a slot scan: the cell it was read from, the exact
-/// word that cell held, and the node behind the pointer.  The word ties the
-/// node to its slot — every mutation protocol re-reads the cell and bails
+/// word that cell held, and the entry behind the pointer.  The word ties the
+/// entry to its slot — every mutation protocol re-reads the cell and bails
 /// if it no longer holds `word`.
 struct Candidate<'a, S: Stm> {
     cell: &'a S::Cell,
     word: Word,
-    node: &'a Node<S>,
+    entry: &'a Entry<S>,
 }
 
-/// Reusable allocation slot for [`StmHashMap::put_in`].
+/// The speculative allocations of one insert, carried across the conflict
+/// retries of its transaction so each logical insert allocates at most
+/// once: the value word ([`ValueSlot`]), the entry ([`TowerSlot`]) and,
+/// when the home bucket is full, an overflow bucket.
 ///
-/// A full transaction's body may run several times (once per conflict
-/// retry); the slot keeps the speculatively allocated node — and, when the
-/// home bucket is full, the speculative overflow bucket — alive across
-/// retries so each logical insert allocates at most once.  After the
-/// enclosing [`spectm::StmThread::atomic`] **commits an attempt in which
-/// `put_in` returned `None`** (a fresh insert), the caller must call
-/// [`NodeSlot::mark_published`]; otherwise dropping the slot frees the
-/// never-published allocations.
-pub struct NodeSlot<S: Stm> {
-    ptr: *mut Node<S>,
+/// After a committed insert (`put_in` returned `None`) call
+/// [`EntrySlots::mark_published`]; after a committed overwrite only
+/// `value.mark_published()` (the entry and the bucket were not published).
+/// Dropping the slots frees whatever is still unpublished.  The store's
+/// membership transaction links `entry`'s tower into its index as well,
+/// which is why the entry is a [`TowerSlot`] of its own.
+pub(crate) struct EntrySlots<S: Stm> {
+    pub(crate) value: ValueSlot,
+    pub(crate) entry: TowerSlot<S, 1>,
     chain: *mut OverflowBucket<S::Cell>,
     /// Whether the most recent attempt linked `chain` into the map.  The
     /// committed attempt is always the last one to run, so this flag is
@@ -464,78 +473,38 @@ pub struct NodeSlot<S: Stm> {
     chain_used: bool,
 }
 
-impl<S: Stm> NodeSlot<S> {
-    /// Creates an empty slot.
-    pub fn new() -> Self {
+impl<S: Stm> EntrySlots<S> {
+    /// Empty slots around `entry`: a [`TowerSlot::new`] for an entry its
+    /// shard's index links too (the store's), a [`TowerSlot::unlinked`] for
+    /// one nothing else links (a standalone map's).
+    pub(crate) fn new(entry: TowerSlot<S, 1>) -> Self {
         Self {
-            ptr: std::ptr::null_mut(),
+            value: ValueSlot::new(),
+            entry,
             chain: std::ptr::null_mut(),
             chain_used: false,
         }
     }
 
-    /// The word naming the slot's node: after a [`StmHashMap::put_in`] that
-    /// returned `None`, the node that attempt linked (zero before the
-    /// slot's first insert).  The store stores it in the key's index tower.
-    pub(crate) fn node_word(&self) -> Word {
-        self.ptr as Word
-    }
-
-    /// Declares the slot's allocations published: a transaction in which
-    /// [`StmHashMap::put_in`] returned `None` has committed, so the node
-    /// (and the overflow bucket, if that attempt linked one) is now owned
-    /// by the map.
-    pub fn mark_published(&mut self) {
-        self.ptr = std::ptr::null_mut();
+    /// Declares a committed insert's allocations published: the value word
+    /// and the entry (and the overflow bucket, if that attempt linked one)
+    /// are now owned by the map.
+    pub(crate) fn mark_published(&mut self) {
+        self.value.mark_published();
+        self.entry.mark_published();
         if self.chain_used {
             self.chain = std::ptr::null_mut();
         }
     }
 }
 
-impl<S: Stm> Default for NodeSlot<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: Stm> Drop for NodeSlot<S> {
+impl<S: Stm> Drop for EntrySlots<S> {
     fn drop(&mut self) {
-        if !self.ptr.is_null() {
-            // SAFETY: per the contract above, a non-null pointer at drop time
-            // means the node was never published.  Its value word is managed
-            // by the companion `ValueSlot` (nodes never own value words), so
-            // only the node box is freed here.
-            drop(unsafe { Box::from_raw(self.ptr) });
-        }
         if !self.chain.is_null() {
-            // SAFETY: as above — never linked into any chain.
+            // SAFETY: per the contract above, a non-null bucket at drop time
+            // was never linked into any chain.
             drop(unsafe { Box::from_raw(self.chain) });
         }
-    }
-}
-
-/// A node unlinked by [`StmHashMap::del_in`], awaiting epoch retirement.
-///
-/// After the enclosing transaction **commits**, call [`RetiredNode::retire`]
-/// to hand the node to the epoch collector.  If the transaction aborted or
-/// was retried, simply drop the value (the node is still linked; dropping
-/// does nothing).
-#[must_use = "call retire() after the transaction commits"]
-pub struct RetiredNode<S: Stm> {
-    ptr: *mut Node<S>,
-}
-
-impl<S: Stm> RetiredNode<S> {
-    /// Defers destruction of the unlinked node through the thread's epoch
-    /// collector.  Only call after the removing transaction committed.
-    pub fn retire(self, thread: &mut S::Thread) {
-        let pin = thread.epoch().pin();
-        // SAFETY: the committed transaction cleared the node's slot, so it
-        // is unreachable for new operations; pinned readers are protected
-        // by the epoch.  The node's value word is retired separately by the
-        // companion `RetiredValue`.
-        unsafe { pin.defer_drop(self.ptr) };
     }
 }
 
@@ -693,63 +662,75 @@ impl<S: Stm> StmHashMap<S> {
     }
 
     #[inline]
-    fn node(w: Word) -> *mut Node<S> {
-        (w & ITEM_PTR_MASK) as *mut Node<S>
+    fn entry_ptr(w: Word) -> *mut Entry<S> {
+        (w & ITEM_PTR_MASK) as *mut Entry<S>
     }
 
-    /// The map's one node dereference.  Every `w` handed here was read by
-    /// a thread that holds an epoch pin (an operation's, or a full
-    /// transaction attempt's) or that has no concurrent writers
-    /// (quiescence), and the node is used only while that lasts; it was
-    /// read either from one of this map's item slots, or from the value
-    /// word of a tower linked in this shard's ordered index, read within
-    /// the same full-transaction attempt (the store's index invariant: a
-    /// linked tower names its key's node, see [`crate::ShardedKv`]).
+    /// The item word publishing the entry at `ptr` under hash tag `tag`.
+    /// The packing is checked, not assumed: an address above
+    /// `ADDRESS_BITS` (a kernel with a wider address space could hand one
+    /// out) would be read back as another entry.
     #[inline]
-    fn node_at(&self, w: Word) -> &Node<S> {
-        // SAFETY: per the above — a node is retired only after its slot is
-        // cleared and freed only once every pin older than the retirement
-        // is released.  A tower and the node it names are linked by one
-        // transaction and unlinked by one, and retired together after it
-        // commits, so a tower the attempt reached while linked names a
-        // node its pin still covers.
-        unsafe { &*Self::node(w) }
+    fn item_word(ptr: Word, tag: Word) -> Word {
+        assert!(
+            ptr & TAG_MASK == 0,
+            "entry address {ptr:#x} reaches the item word's tag bits"
+        );
+        ptr | tag
     }
 
-    /// Hints the CPU to pull the node `w` names into cache (a scan's next
-    /// entry, named by its index tower; see [`StmHashMap::read_node_in`]).
-    /// Purely advisory: any word is accepted.
+    /// The map's one entry dereference.  Every `w` handed here was read
+    /// from one of this map's item slots by a thread that holds an epoch pin
+    /// (an operation's, or a full transaction attempt's) or that has no
+    /// concurrent writers (quiescence), and the entry is used only while
+    /// that lasts.
     #[inline]
-    pub(crate) fn prefetch_node(w: Word) {
-        spectm::prefetch(Self::node(w));
+    fn entry_at(&self, w: Word) -> &Entry<S> {
+        // SAFETY: per the above — an entry is retired only after its slot is
+        // cleared (and, in the store, its tower unlinked by the same
+        // transaction) and freed only once every pin older than the
+        // retirement is released.
+        unsafe { &*Self::entry_ptr(w) }
+    }
+
+    /// Retires the entry an item word named, once the committed transaction
+    /// that cleared its slot made this thread its owner — a standalone
+    /// map's entries; the store's index retires its entries as towers.
+    fn retire_entry(pin: &Guard, w: Word) {
+        // SAFETY: the slot is cleared, so the entry is unreachable for new
+        // operations, and nothing else links it; pinned readers are
+        // protected by the epoch.  `free_tower` matches the allocation (a
+        // `TowerSlot`) and leaves the value word to its own owner.
+        unsafe { pin.defer_unchecked(Self::entry_ptr(w).cast(), free_tower::<S, 1>) };
     }
 
     /// Whether the occupied slot `cell`, holding `w`, is `key`'s: the one
     /// "is this the key" under every search.
     #[inline]
     fn hit<'a>(&'a self, key: u64, cell: &'a S::Cell, w: Word) -> Option<Candidate<'a, S>> {
-        let node = self.node_at(w);
-        (node.key == key).then_some(Candidate {
+        let entry = self.entry_at(w);
+        (entry.key == key).then_some(Candidate {
             cell,
             word: w,
-            node,
+            entry,
         })
     }
 
-    fn alloc_node(&self, key: u64, word: Word, deadline: Word) -> *mut Node<S> {
-        let node = Box::into_raw(Box::new(Node {
-            key,
-            value: self.stm.new_cell(word),
-            deadline: self.stm.new_cell(deadline),
-        }));
-        // The packing is checked, not assumed: an address above
-        // `ADDRESS_BITS` (a kernel with a wider address space could hand one
-        // out) would be read back as another node.
-        assert!(
-            node as Word & TAG_MASK == 0,
-            "node address {node:p} reaches the item word's tag bits"
-        );
-        node
+    /// The entry of `slots` for `key`, holding `word` and `deadline`, and
+    /// the item word that publishes it under `tag`.  The entry is private
+    /// until a commit publishes it, so it is filled with pokes.
+    fn fill_entry(
+        &self,
+        slots: &mut EntrySlots<S>,
+        key: u64,
+        word: Word,
+        deadline: Word,
+        tag: Word,
+    ) -> Word {
+        let (ptr, entry) = slots.entry.tower(&self.stm, key);
+        S::poke(&entry.value, word);
+        S::poke(self::deadline(entry), deadline);
+        Self::item_word(ptr, tag)
     }
 
     /// Returns the value stored under `key`.
@@ -767,7 +748,10 @@ impl<S: Stm> StmHashMap<S> {
                 thread.retry(|thread| self.attempt_get(key, &pin, thread))
             }
             ApiMode::Full | ApiMode::Fine => thread
-                .atomic(|tx| self.read_entry_in(key, tx))
+                .atomic(|tx| {
+                    let entry = self.read_entry_in(key, tx)?;
+                    Ok(entry.map(|(word, deadline)| (Self::value_in(word, tx), deadline)))
+                })
                 .expect("get is never cancelled"),
         }
     }
@@ -780,27 +764,11 @@ impl<S: Stm> StmHashMap<S> {
         thread: &mut S::Thread,
     ) -> Result<Option<Value>, KvError> {
         check_len(value)?;
-        let mut slot = ValueSlot::new();
-        Ok(self
-            .put_entry(key, value, 0, &mut slot, thread)
-            .map(|(value, _)| value))
-    }
-
-    /// Insert-or-overwrite storing an explicit deadline word, returning the
-    /// displaced value and the deadline word it was stored under.  The
-    /// length must already be checked.
-    pub(crate) fn put_entry(
-        &self,
-        key: u64,
-        value: &[u8],
-        deadline: Word,
-        slot: &mut ValueSlot,
-        thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        match self.mode {
-            ApiMode::Short => self.put_short(key, value, deadline, slot, thread),
-            ApiMode::Full | ApiMode::Fine => self.put_full(key, value, deadline, slot, thread),
-        }
+        let mut slots = EntrySlots::new(TowerSlot::unlinked());
+        Ok(match self.mode {
+            ApiMode::Short => self.put_short(key, value, &mut slots, thread),
+            ApiMode::Full | ApiMode::Fine => self.put_full(key, value, &mut slots, thread),
+        })
     }
 
     /// Overwrites the value under an **existing** `key`, returning the
@@ -810,8 +778,8 @@ impl<S: Stm> StmHashMap<S> {
     /// three-location read-write transaction, never the insert path.
     /// `deadline` of `None` preserves the entry's current deadline word;
     /// `Some(word)` installs a new one.  `slot` keeps the encoding, so a
-    /// following [`StmHashMap::put_in`] of the same payload reuses it (the
-    /// store's put fast path).  The length must already be checked.
+    /// following `put_in` of the same payload reuses it (the store's put
+    /// fast path).  The length must already be checked.
     pub(crate) fn update_entry(
         &self,
         key: u64,
@@ -820,8 +788,8 @@ impl<S: Stm> StmHashMap<S> {
         slot: &mut ValueSlot,
         thread: &mut S::Thread,
     ) -> Option<(Value, Word)> {
-        // The call's one pin: the scan dereferences nodes under it, and the
-        // full path's attempts and the retirement below nest inside it.
+        // The call's one pin: the scan dereferences entries under it, and
+        // the full path's attempts and the retirement below nest inside it.
         let pin = thread.epoch().pin();
         let (displaced, old_deadline) = match self.mode {
             ApiMode::Short => {
@@ -843,20 +811,15 @@ impl<S: Stm> StmHashMap<S> {
 
     /// Removes `key`, returning the value it held.
     pub fn del(&self, key: u64, thread: &mut S::Thread) -> Option<Value> {
-        self.del_entry(key, thread).map(|(value, _)| value)
-    }
-
-    /// [`StmHashMap::del`] plus the removed entry's deadline word.
-    pub(crate) fn del_entry(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
         match self.mode {
             ApiMode::Short => self.del_short(key, thread),
             ApiMode::Full | ApiMode::Fine => {
                 let pin = thread.epoch().pin();
-                let (value, node, deadline) = thread
+                let (value, _, entry) = thread
                     .atomic(|tx| self.del_in(key, None, tx))
                     .expect("del is never cancelled")?;
-                node.retire(thread);
-                Some((value.take(&pin), deadline))
+                Self::retire_entry(&pin, entry);
+                Some(value.take(&pin))
             }
         }
     }
@@ -867,21 +830,22 @@ impl<S: Stm> StmHashMap<S> {
     pub fn quiescent_snapshot(&self) -> Vec<(u64, Value)> {
         let mut out = Vec::new();
         self.table.visit_all(S::peek, |_, w| {
-            let node = self.node_at(w);
+            let entry = self.entry_at(w);
             // SAFETY: quiescence — the cell cannot be freed concurrently.
-            out.push((node.key, unsafe { decode_value(S::peek(&node.value)) }));
+            out.push((entry.key, unsafe { decode_value(S::peek(&entry.value)) }));
         });
         out.sort_unstable();
         out
     }
 
-    /// Collects `(key, node word)` for every key currently present, in key
-    /// order — the map's half of the store's index check (non-transactional;
-    /// only meaningful when no concurrent operations run).
-    pub(crate) fn quiescent_nodes(&self) -> Vec<(u64, Word)> {
+    /// Collects `(key, entry address)` for every key currently present, in
+    /// key order — the map's half of the store's index check
+    /// (non-transactional; only meaningful when no concurrent operations
+    /// run).
+    pub(crate) fn quiescent_entries(&self) -> Vec<(u64, Word)> {
         let mut out = Vec::new();
         self.table.visit_all(S::peek, |_, w| {
-            out.push((self.node_at(w).key, w & ITEM_PTR_MASK));
+            out.push((self.entry_at(w).key, w & ITEM_PTR_MASK));
         });
         out.sort_unstable();
         out
@@ -898,8 +862,8 @@ impl<S: Stm> StmHashMap<S> {
     // ------------------------------------------------------------------
 
     /// Walks `key`'s chain with single-location reads.  `_pin` is the
-    /// operation's epoch pin: the candidate's node reference cannot outlive
-    /// it.
+    /// operation's epoch pin: the candidate's entry reference cannot
+    /// outlive it.
     fn find_short<'g>(
         &'g self,
         key: u64,
@@ -941,8 +905,8 @@ impl<S: Stm> StmHashMap<S> {
         if w != c.word {
             return None;
         }
-        let value = thread.ro_read(1, &c.node.value);
-        let deadline = thread.ro_read(2, &c.node.deadline);
+        let value = thread.ro_read(1, &c.entry.value);
+        let deadline = thread.ro_read(2, deadline(c.entry));
         if !thread.ro_is_valid(3) {
             return None;
         }
@@ -975,8 +939,8 @@ impl<S: Stm> StmHashMap<S> {
             thread.rw_abort(1);
             return None;
         }
-        let old = thread.rw_read(1, &c.node.value);
-        let old_deadline = thread.rw_read(2, &c.node.deadline);
+        let old = thread.rw_read(1, &c.entry.value);
+        let old_deadline = thread.rw_read(2, self::deadline(c.entry));
         if !thread.rw_is_valid(3) {
             return None;
         }
@@ -986,19 +950,17 @@ impl<S: Stm> StmHashMap<S> {
             .then(|| (RetiredValue::new(old), old_deadline))
     }
 
+    /// A standalone map's Short-mode put: the entries it inserts are
+    /// immortal (deadline word zero).
     fn put_short(
         &self,
         key: u64,
         value: &[u8],
-        deadline: Word,
-        slot: &mut ValueSlot,
+        slots: &mut EntrySlots<S>,
         thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
-        let word = slot.encode_once(value);
+    ) -> Option<Value> {
+        let word = slots.value.encode_once(value);
         let (home, tag) = self.table.home(key);
-        // Speculative allocations, reused across attempts and freed by the
-        // slot's drop if this operation ends up not publishing them.
-        let mut scratch = NodeSlot::<S>::new();
         let pin = thread.epoch().pin();
         thread.retry(|thread| {
             // One walk doubling as the read-only half of the insert
@@ -1026,10 +988,9 @@ impl<S: Stm> StmHashMap<S> {
             );
             let (thread, found) = cx;
             if let Some(c) = found {
-                let (displaced, old_deadline) =
-                    self.attempt_overwrite(&c, word, Some(deadline), thread)?;
-                slot.mark_published();
-                return Some(Some((displaced.take(&pin), old_deadline)));
+                let (displaced, _) = self.attempt_overwrite(&c, word, Some(0), thread)?;
+                slots.value.mark_published();
+                return Some(Some(displaced.take(&pin)));
             }
             let ControlFlow::Continue(end) = walk else {
                 unreachable!("the walk stops early only once the key is found");
@@ -1040,41 +1001,38 @@ impl<S: Stm> StmHashMap<S> {
                 // locations, so insert through a full transaction — the
                 // paper's fallback for transactions that outgrow the
                 // short API.
-                return Some(self.put_full(key, value, deadline, slot, thread));
+                return Some(self.put_full(key, value, slots, thread));
             }
-            if scratch.ptr.is_null() {
-                scratch.ptr = self.alloc_node(key, word, deadline);
-            }
-            let tagged = scratch.ptr as Word | tag;
+            let tagged = self.fill_entry(slots, key, word, 0, tag);
             let committed = if let Some((e, _)) = end.empty {
                 // Claim the free slot: upgrade it into the RW set and
                 // commit, validating the other 7 words read-only.
                 thread.upgrade_ro_to_rw(e, 0) && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[tagged])
             } else {
-                // Bucket full with no chain yet: publish the node inside a
+                // Bucket full with no chain yet: publish the entry inside a
                 // fresh overflow bucket by linking it through the stat
                 // word (preserving the reserved frequency byte).  This
-                // call's node never changes, so the bucket is born
+                // call's entry never changes, so the bucket is born
                 // holding it.
-                if scratch.chain.is_null() {
-                    scratch.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
+                if slots.chain.is_null() {
+                    slots.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
                 }
-                scratch.chain_used = true;
-                let chain_word = scratch.chain as Word | (end.stat & FREQ_MASK);
+                slots.chain_used = true;
+                let chain_word = slots.chain as Word | (end.stat & FREQ_MASK);
                 thread.upgrade_ro_to_rw(BUCKET_SLOTS, 0)
                     && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[chain_word])
             };
             if committed {
-                slot.mark_published();
-                scratch.mark_published();
+                slots.mark_published();
                 return Some(None);
             }
-            scratch.chain_used = false;
+            slots.chain_used = false;
             None
         })
     }
 
-    fn del_short(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
+    /// A standalone map's Short-mode delete.
+    fn del_short(&self, key: u64, thread: &mut S::Thread) -> Option<Value> {
         let pin = thread.epoch().pin();
         thread.retry(|thread| {
             let Some(c) = self.find_short(key, &pin, thread) else {
@@ -1093,17 +1051,14 @@ impl<S: Stm> StmHashMap<S> {
                 thread.rw_abort(1);
                 return None;
             }
-            let value = thread.rw_read(1, &c.node.value);
-            let deadline = thread.rw_read(2, &c.node.deadline);
+            let value = thread.rw_read(1, &c.entry.value);
+            let deadline = thread.rw_read(2, deadline(c.entry));
             if !thread.rw_is_valid(3) || !thread.rw_commit(3, &[0, value, deadline]) {
                 return None;
             }
-            // SAFETY: the committed delete cleared the slot, so the node is
-            // unreachable for new scans; pinned readers are protected.
-            unsafe { pin.defer_drop(Self::node(c.word)) };
+            Self::retire_entry(&pin, c.word);
             // The same commit made this thread the value word's owner.
-            let value = RetiredValue::new(value).take(&pin);
-            Some(Some((value, deadline)))
+            Some(Some(RetiredValue::new(value).take(&pin)))
         })
     }
 
@@ -1170,8 +1125,8 @@ impl<S: Stm> StmHashMap<S> {
             thread,
             |thread, _, cell| ControlFlow::Continue(thread.single_read(cell)),
             |thread, _, _, w| {
-                let node = self.node_at(w);
-                out.push((node.key, thread.single_read(&node.deadline)));
+                let entry = self.entry_at(w);
+                out.push((entry.key, thread.single_read(deadline(entry))));
                 ControlFlow::<()>::Continue(())
             },
         );
@@ -1222,37 +1177,37 @@ impl<S: Stm> StmHashMap<S> {
         deadline: Option<Word>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<(RetiredValue, Word)> {
-        let old = tx.read(&c.node.value)?;
-        let old_deadline = tx.read(&c.node.deadline)?;
-        tx.write(&c.node.value, word)?;
+        let old = tx.read(&c.entry.value)?;
+        let old_deadline = tx.read(self::deadline(c.entry))?;
+        tx.write(&c.entry.value, word)?;
         if let Some(d) = deadline {
-            tx.write(&c.node.deadline, d)?;
+            tx.write(self::deadline(c.entry), d)?;
         }
         Ok((RetiredValue::new(old), old_deadline))
     }
 
+    /// A standalone map's put as one full transaction: the entries it
+    /// inserts are immortal (deadline word zero).
     fn put_full(
         &self,
         key: u64,
         value: &[u8],
-        deadline: Word,
-        slot: &mut ValueSlot,
+        slots: &mut EntrySlots<S>,
         thread: &mut S::Thread,
-    ) -> Option<(Value, Word)> {
+    ) -> Option<Value> {
         let pin = thread.epoch().pin();
-        let mut node_slot = NodeSlot::<S>::new();
         let displaced = thread
-            .atomic(|tx| self.put_in(key, value, deadline, slot, &mut node_slot, tx))
+            .atomic(|tx| self.put_in(key, value, 0, slots, tx))
             .expect("put is never cancelled");
-        // Whether by insert or by overwrite, the committed attempt stored
-        // the slot's word.
-        slot.mark_published();
         match displaced {
-            // An overwrite published no allocation; `node_slot`'s drop frees
-            // whatever the attempts speculated.
-            Some((old, old_deadline)) => Some((old.take(&pin), old_deadline)),
+            // An overwrite published only the value word; the slots' drop
+            // frees whatever the attempts speculated.
+            Some((old, _)) => {
+                slots.value.mark_published();
+                Some(old.take(&pin))
+            }
             None => {
-                node_slot.mark_published();
+                slots.mark_published();
                 None
             }
         }
@@ -1261,32 +1216,27 @@ impl<S: Stm> StmHashMap<S> {
     /// Inserts or updates `key` inside an already-running full transaction,
     /// regardless of this instance's [`ApiMode`].  Returns the displaced old
     /// value and the deadline word it was stored under (`None` means a
-    /// fresh node was inserted).  `deadline` is the deadline word to store
-    /// (`0` = never expires; see `encode_deadline`).
+    /// fresh entry was inserted).  `deadline` is the deadline word to store
+    /// (`0` = never expires; see `encode_deadline`).  A fresh entry is
+    /// `slots.entry`'s tower, its value and deadline words written before
+    /// the item word that publishes it.
     ///
-    /// `slot` carries the speculative allocations across conflict retries
-    /// of the enclosing transaction (see [`NodeSlot`] for the publication
-    /// contract) and `value_slot` the value word likewise (mark it
-    /// published after **any** committed outcome — insert and overwrite
-    /// both store the word).  A returned [`RetiredValue`] must be retired
-    /// after the commit, per its contract.  `value` must be at most
-    /// [`MAX_VALUE_LEN`] bytes (checked by the public entry points).
-    pub fn put_in(
+    /// `slots` carries the speculative allocations across conflict retries
+    /// of the enclosing transaction; see [`EntrySlots`] for the publication
+    /// contract.  A returned [`RetiredValue`] must be retired after the
+    /// commit, per its contract.  `value` must be at most [`MAX_VALUE_LEN`]
+    /// bytes (checked by the public entry points).
+    pub(crate) fn put_in(
         &self,
         key: u64,
         value: &[u8],
         deadline: Word,
-        value_slot: &mut ValueSlot,
-        slot: &mut NodeSlot<S>,
+        slots: &mut EntrySlots<S>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, Word)>> {
         debug_assert!(value.len() <= MAX_VALUE_LEN);
-        if !slot.ptr.is_null() {
-            // SAFETY: the slot's node is still private to this thread.
-            debug_assert_eq!(unsafe { (*slot.ptr).key }, key, "one NodeSlot per key");
-        }
-        let word = value_slot.encode_once(value);
-        slot.chain_used = false;
+        let word = slots.value.encode_once(value);
+        slots.chain_used = false;
         let end = match self.probe_in(key, tx)? {
             ControlFlow::Break(c) => {
                 return Self::overwrite_in(&c, word, Some(deadline), tx).map(Some)
@@ -1294,27 +1244,20 @@ impl<S: Stm> StmHashMap<S> {
             ControlFlow::Continue(end) => end,
         };
         // The key is absent (and the commit validates that): insert.
-        if slot.ptr.is_null() {
-            slot.ptr = self.alloc_node(key, word, deadline);
-        }
-        // SAFETY: still private until the commit publishes it.
-        let node = unsafe { &*slot.ptr };
-        S::poke(&node.value, word);
-        S::poke(&node.deadline, deadline);
-        let tagged = slot.ptr as Word | self.table.home(key).1;
+        let tagged = self.fill_entry(slots, key, word, deadline, self.table.home(key).1);
         if let Some((_, cell)) = end.empty {
             tx.write(cell, tagged)?;
         } else {
-            // Chain a fresh overflow bucket carrying the node.
-            if slot.chain.is_null() {
-                slot.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
+            // Chain a fresh overflow bucket carrying the entry.
+            if slots.chain.is_null() {
+                slots.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
             }
             // SAFETY: private until the commit publishes it.
-            let cb = unsafe { &(*slot.chain).bucket };
-            // A published slot may be reused with a fresh node.
+            let cb = unsafe { &(*slots.chain).bucket };
+            // A published slot may be reused with a fresh entry.
             S::poke(&cb.item[0], tagged);
-            tx.write(&end.tail.stat, slot.chain as Word | (end.stat & FREQ_MASK))?;
-            slot.chain_used = true;
+            tx.write(&end.tail.stat, slots.chain as Word | (end.stat & FREQ_MASK))?;
+            slots.chain_used = true;
         }
         Ok(None)
     }
@@ -1325,68 +1268,56 @@ impl<S: Stm> StmHashMap<S> {
     /// `now_ms` — the transactional re-check behind lazy expiry and the
     /// background sweep, whose snapshots may be stale by the time the
     /// removal runs; `None` removes unconditionally.  Returns the captured
-    /// value, the detached node (both to be retired **after** the
-    /// transaction commits; see [`RetiredValue`] and [`RetiredNode`]), and
-    /// the entry's deadline word — or `None` if the key was absent or, under
-    /// `only_expired`, still live.
-    pub fn del_in(
+    /// value (to be retired **after** the transaction commits; see
+    /// [`RetiredValue`]), the entry's deadline word and the item word that
+    /// named the entry — or `None` if the key was absent or, under
+    /// `only_expired`, still live.  The entry is left to its owner to
+    /// retire: the store's index, which unlinks it in the same transaction,
+    /// or a standalone map's `del`.
+    pub(crate) fn del_in(
         &self,
         key: u64,
         only_expired: Option<u64>,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(RetiredValue, RetiredNode<S>, Word)>> {
+    ) -> TxResult<Option<(RetiredValue, Word, Word)>> {
         let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
             return Ok(None);
         };
-        let deadline = tx.read(&c.node.deadline)?;
+        let deadline = tx.read(deadline(c.entry))?;
         if only_expired.is_some_and(|now_ms| !deadline_expired(deadline, now_ms)) {
             return Ok(None);
         }
-        let value = tx.read(&c.node.value)?;
+        let value = tx.read(&c.entry.value)?;
         tx.write(c.cell, 0)?;
-        let ptr = Self::node(c.word);
-        Ok(Some((
-            RetiredValue::new(value),
-            RetiredNode { ptr },
-            deadline,
-        )))
+        Ok(Some((RetiredValue::new(value), deadline, c.word)))
     }
 
-    /// Reads the entry under `key` — value and deadline word — inside an
-    /// already-running full transaction (the building block of cross-shard
-    /// read-modify-write and of scans).
+    /// Reads the entry under `key` — its deadline word, then its value word
+    /// — inside an already-running full transaction (the building block of
+    /// cross-shard read-modify-write and of the multi-key reads).  Nothing
+    /// is copied: a caller that keeps the value copies it out with
+    /// [`StmHashMap::value_in`], within the same attempt, once the deadline
+    /// says the entry is live.
     pub(crate) fn read_entry_in(
         &self,
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(Value, Word)>> {
+    ) -> TxResult<Option<(Word, Word)>> {
         let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
             return Ok(None);
         };
-        let word = tx.read(&c.node.value)?;
-        let deadline = tx.read(&c.node.deadline)?;
-        Ok(Some((Self::value_in(word, tx), deadline)))
+        let deadline = tx.read(deadline(c.entry))?;
+        Ok(Some((tx.read(&c.entry.value)?, deadline)))
     }
 
-    /// Reads the value word and deadline word of the node `node` names,
-    /// for `key`, inside an already-running full transaction: a scan's read
-    /// of an entry it reached through the ordered index, with no bucket
-    /// walk.  `node` must have been read, within this attempt, from the
-    /// value word of `key`'s tower while that tower was linked in this
-    /// shard's index (see `node_at`).  The value word is copied out with
-    /// [`StmHashMap::value_in`], within the same attempt.
-    pub(crate) fn read_node_in(
-        &self,
-        node: Word,
-        key: u64,
+    /// Reads the value word and the deadline word of `entry` — a tower of
+    /// this map's shard's index, reached by a scan within `tx`'s running
+    /// attempt — inside that attempt.
+    pub(crate) fn read_tower_in(
+        entry: &Entry<S>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<(Word, Word)> {
-        let node = self.node_at(node);
-        debug_assert_eq!(
-            node.key, key,
-            "the index tower of {key} names another key's node"
-        );
-        Ok((tx.read(&node.value)?, tx.read(&node.deadline)?))
+        Ok((tx.read(&entry.value)?, tx.read(deadline(entry))?))
     }
 
     /// Copies out the payload of a value word that `tx`'s running attempt
@@ -1403,9 +1334,9 @@ impl<S: Stm> StmHashMap<S> {
     /// already-running full transaction, returning the displaced value and
     /// the deadline word it was stored under.  Returns `Ok(None)` (writing
     /// nothing) if the key is absent; insertion under a composed
-    /// transaction goes through [`StmHashMap::put_in`].  `deadline` of
-    /// `None` preserves the entry's deadline word (a read-modify-write must
-    /// not refresh a TTL), `Some(word)` installs a new one.
+    /// transaction goes through `put_in`.  `deadline` of `None` preserves
+    /// the entry's deadline word (a read-modify-write must not refresh a
+    /// TTL), `Some(word)` installs a new one.
     ///
     /// `slot` is re-encoded on every call (freeing the previous attempt's
     /// unpublished allocation), so retried bodies may pass different
@@ -1431,15 +1362,19 @@ impl<S: Stm> StmHashMap<S> {
 
 impl<S: Stm> Drop for StmHashMap<S> {
     fn drop(&mut self) {
-        // Exclusive access: free every remaining node (and its value cell),
-        // then the table frees its overflow buckets.
+        // Exclusive access: free every remaining entry (and its value cell),
+        // then the table frees its overflow buckets.  The map is the one
+        // owner of its entries; a store detaches its indexes first.
         self.table.free(S::peek, |w| {
-            // SAFETY: nodes were allocated with `Box::into_raw`; during drop
-            // nothing else references them.
-            let node = unsafe { Box::from_raw(Self::node(w)) };
-            // SAFETY: exclusive access; the word is still owned by the map,
-            // so nobody else will free it.
-            unsafe { free_value(S::peek(&node.value)) };
+            let entry = Self::entry_ptr(w);
+            // SAFETY: exclusive access.  The entry came from a `TowerSlot`
+            // and is referenced by nothing else now, so it is freed once;
+            // its value word is still owned by the map, so nobody else will
+            // free it either.
+            unsafe {
+                free_value(S::peek(&(*entry).value));
+                free_tower::<S, 1>(entry.cast());
+            }
         });
     }
 }
@@ -1638,7 +1573,8 @@ mod tests {
                 displaced.clear();
                 let (a, _) = map.read_entry_in(1, tx)?.expect("key 1 present");
                 let (b, _) = map.read_entry_in(2, tx)?.expect("key 2 present");
-                let (a, b) = (a.as_u64(), b.as_u64());
+                let a = StmHashMap::<ValShort>::value_in(a, tx).as_u64();
+                let b = StmHashMap::<ValShort>::value_in(b, tx).as_u64();
                 let wrote_a =
                     map.write_entry_in(1, &(a - 50).to_le_bytes(), None, &mut slot_a, tx)?;
                 let wrote_b =
@@ -1696,19 +1632,19 @@ mod tests {
         let stm = ValShort::new();
         let map = StmHashMap::new(&stm, 64, ApiMode::Short);
         for key in 0..64 {
-            // The slot frees the never-published node when it drops.
-            let mut slot = NodeSlot::<ValShort>::new();
-            slot.ptr = map.alloc_node(key, 0, 0);
-            let ptr = slot.ptr as Word;
+            // The slots free the never-published entry when they drop.
+            let mut slots = EntrySlots::<ValShort>::new(TowerSlot::unlinked());
+            let w = map.fill_entry(&mut slots, key, 0, 0, 0);
+            let ptr = w as Word;
             assert_eq!(
                 ptr & !ITEM_PTR_MASK,
                 0,
-                "node {ptr:#x} overlaps tag or lock"
+                "entry {ptr:#x} overlaps tag or lock"
             );
             for tag in [0, 1, 0xFFFF] {
                 let tag = tag << ADDRESS_BITS;
-                let w = ptr | tag;
-                assert_eq!(StmHashMap::<ValShort>::node(w) as Word, ptr);
+                let w = StmHashMap::<ValShort>::item_word(ptr, tag);
+                assert_eq!(StmHashMap::<ValShort>::entry_ptr(w) as Word, ptr);
                 assert_eq!(w & TAG_MASK, tag);
             }
         }

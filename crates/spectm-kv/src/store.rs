@@ -12,9 +12,10 @@
 //! ownership metadata and the epoch collector.
 //!
 //! The **index invariant**: a key is linked and live in a shard's skip-list
-//! index if and only if it is present in that shard's hash map, and its
-//! tower's value word names its map node (the node's address, written
-//! before the tower is published and never again; nodes never move).
+//! index if and only if it is present in that shard's hash map, and the
+//! tower the index links for it is the entry the map's item word points at.
+//! A key is one block: a [`spectm_ds::Tower`] whose header holds the key,
+//! the value word and, in its one caller-owned cell, the deadline word.
 //! Membership changes (`put` of an absent key, `del`) run as one full
 //! transaction that updates both structures, so the invariant holds at
 //! every serialization point; value overwrites (`put` of a present key,
@@ -22,11 +23,11 @@
 //! streams a k-way merge over the shard indexes, descending each at most
 //! once and only when its range can reach that shard: keys route in 64-key
 //! blocks, so a short scan over dense keys descends one index, and a few
-//! more where it crosses a block edge.  It reads each key's entry through
-//! the map node its tower names as the merge yields it, with no bucket
-//! walk, and copies the values out once the walk is done — all inside a
-//! single full transaction whose read set is what the scan returns plus
-//! one landing per index descended (the descents themselves are
+//! more where it crosses a block edge.  It reads each key's value and
+//! deadline words from the tower it stands on as the merge yields it, with
+//! no bucket walk, and copies the values out once the walk is done — all
+//! inside a single full transaction whose read set is what the scan
+//! returns plus one landing per index descended (the descents themselves are
 //! single-location reads in the Short and Fine modes): an atomically
 //! consistent snapshot even against concurrent cross-shard `rmw`.
 //! DESIGN.md § "The ordered index and range scans" has the full argument.
@@ -66,10 +67,10 @@
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use spectm::{decode_int, FullTx, Stm, StmThread, TxResult, Word};
+use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::{ApiMode, RetiredTower, StmSkipList, TowerSlot};
 
-use crate::map::{deadline_expired, encode_deadline, MapStats, NodeSlot, RetiredNode, StmHashMap};
+use crate::map::{deadline_expired, encode_deadline, EntrySlots, MapStats, StmHashMap};
 use crate::router::ShardRouter;
 use crate::ttl::{CacheConfig, CacheStats, EvictionPolicy, SweepOutcome};
 use crate::value::{prefetch_value, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
@@ -83,11 +84,11 @@ use crate::KvError;
 pub const MAX_RMW_KEYS: usize = 8;
 
 /// Fixed per-item overhead charged against the byte budget beside the
-/// payload length: the chain node (a 24-byte request at word-sized cells),
-/// its share of the bucket array and the ordered-index tower, and allocator
-/// slack.  A deliberately blunt
-/// constant — the budget bounds memory to first order; it is not an
-/// allocator audit.
+/// payload length: the entry (one block: a 32-byte header of key, height,
+/// value word and deadline word at word-sized cells, then the index links,
+/// 8 bytes each, two on average), its share of the bucket array, and
+/// allocator slack.  A deliberately blunt constant — the budget bounds
+/// memory to first order; it is not an allocator audit.
 pub const ITEM_OVERHEAD_BYTES: u64 = 128;
 
 /// Bytes one item of `len` payload bytes charges to the account.
@@ -96,45 +97,19 @@ fn item_cost(len: usize) -> u64 {
     ITEM_OVERHEAD_BYTES + len as u64
 }
 
-/// The map node an index tower's value word names (the word is
-/// [`spectm::encode_int`] of the node's address; see the module docs).
-#[inline]
-fn tower_node(word: Word) -> Word {
-    decode_int(word)
-}
-
 /// Upper bound on eviction visits per sweep, in whole-table passes: the
 /// frequency byte needs at most 8 halvings (`log2(255)`) to reach zero, one
 /// more visit empties the bucket, and one pass of slack absorbs concurrent
 /// frequency bumps.
 const MAX_EVICTION_PASSES: usize = 10;
 
-/// The speculative allocations one [`ShardedKv::insert_member_in`] carries
-/// across conflict retries — value word, chain node, index tower — each
-/// under its own slot contract ([`ValueSlot`], [`NodeSlot`], [`TowerSlot`]).
-pub(crate) struct MemberSlots<S: Stm> {
-    value: ValueSlot,
-    node: NodeSlot<S>,
-    tower: TowerSlot<S>,
-}
-
-impl<S: Stm> MemberSlots<S> {
-    pub(crate) fn new() -> Self {
-        Self {
-            value: ValueSlot::new(),
-            node: NodeSlot::new(),
-            tower: TowerSlot::new(),
-        }
-    }
-}
-
 /// What one [`ShardedKv::remove_member_in`] unlinked, awaiting
 /// [`ShardedKv::settle_removed`] once its transaction has committed
 /// (dropping it after an abort does nothing, per the `Retired*` contracts).
 pub(crate) struct Removed<S: Stm> {
     value: RetiredValue,
-    node: RetiredNode<S>,
-    tower: RetiredTower<S>,
+    /// The entry, unlinked from the index as a tower: its one retirement.
+    tower: RetiredTower<S, 1>,
     deadline: Word,
 }
 
@@ -165,8 +140,9 @@ pub struct ShardedKv<S: Stm + Clone> {
     router: ShardRouter,
     shards: Vec<StmHashMap<S>>,
     /// Per-shard ordered key index, kept transactionally consistent with
-    /// the hash shard of the same position (see the module docs).
-    indexes: Vec<StmSkipList<S>>,
+    /// the hash shard of the same position (see the module docs).  Its
+    /// towers are the shard's entries, which the shard's map owns.
+    indexes: Vec<StmSkipList<S, 1>>,
     config: CacheConfig,
     /// Whether reads maintain hit/miss counters and frequency bytes — set
     /// when the configuration enables any cache behaviour, so the plain
@@ -212,7 +188,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
             .map(|_| StmHashMap::new(stm, capacity_per_shard, mode))
             .collect();
         let indexes = (0..router.shard_count())
-            .map(|_| StmSkipList::new(stm, mode))
+            .map(|_| StmSkipList::with_aux(stm, mode))
             .collect();
         let track = config.max_bytes.is_some() || config.default_ttl_ms > 0;
         Self {
@@ -441,8 +417,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
 
     /// The live value of `key`, routed to shard `shard`, inside an
     /// already-running full transaction — the read under every multi-key
-    /// transaction.  An entry whose deadline passed by `now` is absent;
-    /// its physical removal is left to lazy reads and the sweep.
+    /// transaction.  An entry whose deadline passed by `now` is absent, and
+    /// its value is not copied; its physical removal is left to lazy reads
+    /// and the sweep.
     pub(crate) fn read_live_in(
         &self,
         shard: usize,
@@ -454,7 +431,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         let entry = self.shards[shard].read_entry_in(key, tx)?;
         Ok(entry
             .filter(|&(_, deadline)| !deadline_expired(deadline, now))
-            .map(|(value, _)| value))
+            .map(|(word, _)| StmHashMap::<S>::value_in(word, tx)))
     }
 
     /// Stores `value` under `key`, returning the previous value if present,
@@ -522,7 +499,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         debug_assert!(value.len() <= MAX_VALUE_LEN);
         debug_assert_eq!(shard, self.router.route(key));
         let deadline = self.deadline_for(ttl_ms);
-        let mut slots = MemberSlots::new();
+        let mut slots = EntrySlots::new(TowerSlot::new());
         // Fast path: overwrite an existing key — membership (and thus the
         // ordered index) is unchanged.  The new deadline rides the same
         // short transaction.
@@ -542,7 +519,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
 
     /// Removes `key`, returning the value it held.  One full transaction
     /// unlinks the key from the owning shard's hash map **and** its ordered
-    /// index together, preserving the index invariant; the node and its
+    /// index together, preserving the index invariant; the entry and its
     /// value cell are then retired through the epoch collector.
     pub fn del(&self, key: u64, thread: &mut S::Thread) -> Option<Value> {
         self.del_routed(self.router.route(key), key, thread)
@@ -566,11 +543,12 @@ impl<S: Stm + Clone> ShardedKv<S> {
     // ------------------------------------------------------------------
     //
     // The index invariant — a key is in a shard's ordered index iff it is in
-    // that shard's hash map — holds because membership changes nowhere but
-    // in the two `*_member_in` functions below: each changes the map slot
-    // and the index tower inside one full transaction, and what it
-    // allocated or unlinked is published or retired by the matching
-    // `settle_*` strictly after that transaction commits.
+    // that shard's hash map, as the one block both link — holds because
+    // membership changes nowhere but in the two `*_member_in` functions
+    // below: each changes the map slot and the index links of the same
+    // entry inside one full transaction, and what it allocated or unlinked
+    // is published or retired by the matching `settle_*` strictly after
+    // that transaction commits.
 
     /// Insert-or-overwrite of `key` inside the caller's full transaction.
     /// An absent key becomes a member of the shard's map **and** index; a
@@ -585,22 +563,14 @@ impl<S: Stm + Clone> ShardedKv<S> {
         key: u64,
         value: &[u8],
         deadline: Word,
-        slots: &mut MemberSlots<S>,
+        slots: &mut EntrySlots<S>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<(RetiredValue, Word)>> {
-        let displaced = self.shards[shard].put_in(
-            key,
-            value,
-            deadline,
-            &mut slots.value,
-            &mut slots.node,
-            tx,
-        )?;
+        let displaced = self.shards[shard].put_in(key, value, deadline, slots, tx)?;
         if displaced.is_none() {
-            // The tower names the node this attempt linked; nothing writes
-            // a tower's value word after it is published.
-            let node = slots.node.node_word() as u64;
-            let linked = self.indexes[shard].insert_in(key, node, &mut slots.tower, tx)?;
+            // The index links the entry the map just linked, value and
+            // deadline already written.
+            let linked = self.indexes[shard].insert_in(key, &mut slots.entry, tx)?;
             debug_assert!(linked, "key {key} was in the index but not the shard");
         }
         Ok(displaced)
@@ -612,18 +582,17 @@ impl<S: Stm + Clone> ShardedKv<S> {
     pub(crate) fn settle_put(
         &self,
         displaced: Option<(RetiredValue, Word)>,
-        slots: &mut MemberSlots<S>,
+        slots: &mut EntrySlots<S>,
         new_len: usize,
         thread: &mut S::Thread,
     ) -> Option<Value> {
-        // Insert or overwrite, the committed attempt stored the value word.
-        slots.value.mark_published();
         let Some((displaced, old_deadline)) = displaced else {
-            slots.node.mark_published();
-            slots.tower.mark_published();
+            slots.mark_published();
             self.account_insert(new_len);
             return None;
         };
+        // The overwrite stored the value word, and only that.
+        slots.value.mark_published();
         let old = displaced.take(&thread.epoch().pin());
         self.settle_overwrite(old, old_deadline, new_len)
     }
@@ -655,8 +624,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         only_expired: Option<u64>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<Removed<S>>> {
-        let Some((value, node, deadline)) = self.shards[shard].del_in(key, only_expired, tx)?
-        else {
+        let Some((value, deadline, _)) = self.shards[shard].del_in(key, only_expired, tx)? else {
             return Ok(None);
         };
         let tower = self.indexes[shard]
@@ -664,26 +632,23 @@ impl<S: Stm + Clone> ShardedKv<S> {
             .unwrap_or_else(|| panic!("key {key} was in the shard but not the index"));
         Ok(Some(Removed {
             value,
-            node,
             tower,
             deadline,
         }))
     }
 
     /// Settles a committed [`ShardedKv::remove_member_in`]: credits the byte
-    /// account, retires the value, the node and the tower, and classifies
-    /// the entry — a corpse (deadline already passed) counts as expired,
-    /// whichever path buried it.
+    /// account, retires the value and the entry, and classifies it — a
+    /// corpse (deadline already passed) counts as expired, whichever path
+    /// buried it.
     pub(crate) fn settle_removed(&self, removed: Removed<S>, thread: &mut S::Thread) -> Removal {
         let Removed {
             value,
-            node,
             tower,
             deadline,
         } = removed;
         let value = value.take(&thread.epoch().pin());
         self.account_remove(value.len());
-        node.retire(thread);
         tower.retire(thread);
         if self.entry_expired(deadline) {
             self.note_expired();
@@ -839,8 +804,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// ascending key order — the YCSB-E scan shape.
     ///
     /// One full transaction streams a k-way merge over the shards'
-    /// ordered indexes, reading each key's entry through the map node its
-    /// tower names as the merge yields it, until `limit` live pairs are in
+    /// ordered indexes, reading each key's entry from the tower the merge
+    /// yields — the tower is the entry — until `limit` live pairs are in
     /// hand.
     /// An index is descended to `start` once, and only when the merge could
     /// need it: keys route in blocks of [`ShardRouter::BLOCK_KEYS`], so a
@@ -850,16 +815,16 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// index, and where it crosses a block edge also those owning the
     /// blocks before that index's next one.  The transaction's
     /// read set is what the scan returns (per pair: its tower's level-0
-    /// link and value word, the node's value and deadline words), plus
-    /// where each descent landed.
+    /// link, value word and deadline word), plus where each descent
+    /// landed.
     /// Entries whose deadline has passed are stepped over, not counted.  The
     /// result is an **atomically consistent snapshot**: it is serializable
     /// with every concurrent operation, including multi-key
     /// [`ShardedKv::rmw`] — a scan can never observe a torn cross-shard
     /// update (the lock-free baseline's scan, by contrast, offers no such
     /// guarantee).  Value payloads are copied out inside the transaction,
-    /// after the walk (each out-of-line cell is prefetched when its word is
-    /// read), so the bytes are exactly the committed bytes at the scan's
+    /// after the walk (each out-of-line cell is prefetched when its tower
+    /// becomes the next one its index offers), so the bytes are exactly the committed bytes at the scan's
     /// serialization point.
     ///
     /// # Examples
@@ -902,8 +867,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// to `limit >= 1` live pairs with `start <= key <= last`, read inside
     /// one full transaction.  Shards partition the key space, so the merged
     /// walk yields each key once, and the index invariant guarantees that
-    /// the node its tower names is the key's node in its hash shard at the
-    /// transaction's serialization point, so the entry is read from there.
+    /// each tower is the key's entry in its hash shard at the transaction's
+    /// serialization point, so the entry is read from there.
     /// A key only ever enters the index of the shard it routes to, so the
     /// router's floors bound every index at every instant, which is what
     /// lets the walk leave an index unread.
@@ -930,17 +895,13 @@ impl<S: Stm + Clone> ShardedKv<S> {
                     // An index is sought only once its shard's first block
                     // at or after `start` could hold the merge's next key.
                     |shard| self.router.floor(shard, start),
-                    // Each shard's next key: its node's miss overlaps the
-                    // other lists' work until the visitor reads it.
-                    |_, _, tower| StmHashMap::<S>::prefetch_node(tower_node(S::peek(tower))),
-                    |shard, key, tower, tx| {
-                        let node = tower_node(tx.read(tower)?);
-                        let (word, deadline) = self.shards[shard].read_node_in(node, key, tx)?;
+                    // Each shard's next entry: its value cell's misses
+                    // overlap the walk until the copy after it.
+                    |_, tower| prefetch_value(S::peek(&tower.value)),
+                    |_, tower, tx| {
+                        let (word, deadline) = StmHashMap::<S>::read_tower_in(tower, tx)?;
                         if !deadline_expired(deadline, now) {
-                            // The copy waits for the walk; its cell's
-                            // misses overlap the walk's.
-                            prefetch_value(word);
-                            words.push((key, word));
+                            words.push((tower.key, word));
                         }
                         Ok(if words.len() < limit {
                             ControlFlow::Continue(())
@@ -1070,28 +1031,38 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     /// Checks the index invariant at quiescence: every shard's index holds
-    /// exactly the keys of its hash map, and every tower names the node its
-    /// shard's map holds for that key.  Panics on violation (test support;
-    /// non-transactional).
+    /// exactly the keys of its hash map, and for each key the map's item
+    /// word and the index's level-0 link name the same block.  Panics on
+    /// violation (test support; non-transactional).
     pub fn assert_index_consistent(&self) {
         for (i, (index, shard)) in self.indexes.iter().zip(&self.shards).enumerate() {
-            let (index_keys, towers): (Vec<u64>, Vec<Word>) = index
-                .quiescent_pairs()
+            let towers = index.quiescent_towers();
+            let (index_keys, towers): (Vec<u64>, Vec<Word>) = towers
                 .into_iter()
-                .map(|(k, node)| (k, node as Word))
+                .map(|tower| (tower.key, tower as *const _ as Word))
                 .unzip();
-            let (shard_keys, nodes): (Vec<u64>, Vec<Word>) =
-                shard.quiescent_nodes().into_iter().unzip();
+            let (shard_keys, entries): (Vec<u64>, Vec<Word>) =
+                shard.quiescent_entries().into_iter().unzip();
             assert_eq!(
                 index_keys, shard_keys,
                 "shard {i}: ordered index diverged from the hash map"
             );
-            for ((key, tower), node) in index_keys.iter().zip(towers).zip(nodes) {
+            for ((key, tower), entry) in index_keys.iter().zip(towers).zip(entries) {
                 assert_eq!(
-                    tower, node,
-                    "shard {i}: the index tower of key {key} names another node than the map's"
+                    tower, entry,
+                    "shard {i}: the index links another block for key {key} than the map"
                 );
             }
+        }
+    }
+}
+
+impl<S: Stm + Clone> Drop for ShardedKv<S> {
+    fn drop(&mut self) {
+        // Each entry is a map entry and an index tower at once; the maps
+        // free them (with their value words) when they drop after this.
+        for index in &mut self.indexes {
+            index.detach();
         }
     }
 }
@@ -1228,11 +1199,15 @@ mod tests {
         store.assert_index_consistent();
     }
 
-    /// The index check reads what a scan trusts: which node each tower
-    /// names, not only which keys the index holds.  Pointing one tower at
-    /// another key's node (keys and counts unchanged) must fail it.
+    /// The index check reads what a scan trusts: that the tower the index
+    /// links for a key is the entry the map holds for it, not only that the
+    /// two hold the same keys.  Relinking one key's index tower as a fresh
+    /// block (keys and counts unchanged) must fail it.  The map still owns
+    /// the original entry, which the relink unlinked but did not retire;
+    /// the fresh tower is left to leak when the store drops, so no block is
+    /// freed twice.
     #[test]
-    #[should_panic(expected = "names another node")]
+    #[should_panic(expected = "links another block")]
     fn index_check_catches_a_tower_naming_another_node() {
         let stm = ValShort::new();
         let store = ShardedKv::new(&stm, 1, 16, ApiMode::Short);
@@ -1241,11 +1216,15 @@ mod tests {
             store.put(k, &k.to_le_bytes(), &mut t).unwrap();
         }
         store.assert_index_consistent();
-        let nodes = store.shards[0].quiescent_nodes();
-        assert_eq!(nodes.len(), 4);
-        // The skip list's map API overwrites the tower's value word, which
-        // the store itself never does.
-        store.indexes[0].put(1, nodes[2].1 as u64, &mut t);
+        let mut fresh = TowerSlot::new();
+        t.atomic(|tx| {
+            let unlinked = store.indexes[0].remove_in(1, tx)?;
+            assert!(unlinked.is_some(), "key 1 is indexed");
+            assert!(store.indexes[0].insert_in(1, &mut fresh, tx)?);
+            Ok(())
+        })
+        .unwrap();
+        fresh.mark_published();
         store.assert_index_consistent();
     }
 

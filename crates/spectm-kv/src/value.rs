@@ -14,9 +14,9 @@
 //! Because readers copy bytes out of a cell under nothing but an epoch pin,
 //! a cell must never be freed eagerly: the overwriting or deleting
 //! transaction *owns* the word it displaced and hands it to the epoch
-//! collector, exactly like a retired chain node.  Two small types make that
-//! contract explicit, mirroring the [`crate::NodeSlot`] /
-//! [`crate::RetiredNode`] pair:
+//! collector, exactly like a retired entry.  Two small types make that
+//! contract explicit, mirroring the [`spectm_ds::TowerSlot`] /
+//! [`spectm_ds::RetiredTower`] pair that makes and retires entries:
 //!
 //! * [`ValueSlot`] keeps a speculative allocation alive across the conflict
 //!   retries of an enclosing transaction (allocate at most once per logical
@@ -398,7 +398,7 @@ impl std::fmt::Debug for Value {
 /// each logical write allocates at most once.  After the enclosing
 /// transaction **commits** an attempt that stored the slot's word, call
 /// [`ValueSlot::mark_published`]; otherwise dropping the slot frees the
-/// never-published cell.  The [`crate::NodeSlot`] contract, for values.
+/// never-published cell.  The [`spectm_ds::TowerSlot`] contract, for values.
 pub struct ValueSlot {
     word: Word,
 }
@@ -472,8 +472,8 @@ impl Drop for ValueSlot {
 /// exclusively: read the old payload with [`RetiredValue::value`], then hand
 /// the cell to the epoch collector with [`RetiredValue::retire`].  If the
 /// transaction aborted or was retried, simply drop the carrier (the word was
-/// never displaced; dropping does nothing).  The [`crate::RetiredNode`]
-/// contract, for values.
+/// never displaced; dropping does nothing).  The
+/// [`spectm_ds::RetiredTower`] contract, for values.
 #[must_use = "call retire() after the transaction commits"]
 pub struct RetiredValue {
     word: Word,

@@ -632,10 +632,10 @@ fn scan_seek_reads(stride: u64) -> (u64, u64) {
 /// 16 shards, measured on the same script at each change to what a scan
 /// reads:
 ///
-/// | keys | every index sought | floored merge | entries read through their towers |
-/// | --- | --- | --- | --- |
-/// | dense (`0..65 536`) | 104 411 / 30 863 | 17 569 / 26 258 | 17 569 / 17 522 |
-/// | sparse (`i * 0x9E37_79B1`) | 101 544 / 30 897 | 100 880 / 32 797 | 100 880 / 24 320 |
+/// | keys | every index sought | floored merge | entries read through their towers | one block per entry |
+/// | --- | --- | --- | --- | --- |
+/// | dense (`0..65 536`) | 104 411 / 30 863 | 17 569 / 26 258 | 17 569 / 17 522 | 17 569 / 13 426 |
+/// | sparse (`i * 0x9E37_79B1`) | 101 544 / 30 897 | 100 880 / 32 797 | 100 880 / 24 320 | 100 880 / 20 224 |
 ///
 /// The floored merge seeks only the indexes a scan's keys can reach: a
 /// dense scan seeks its start's index, and at a block edge the indexes of
@@ -649,19 +649,23 @@ fn scan_seek_reads(stride: u64) -> (u64, u64) {
 /// the node its tower names left the seeks alone (equal `singles`) and
 /// replaced each entry's bucket walk by one read of the tower's value word:
 /// 34.1 and 33.1 fewer logged reads per scan, about two per entry
-/// (EXPERIMENTS.md "Scans read each entry through its index tower").  The totals are pinned exactly,
-/// so any change to what a scan reads shows here.
+/// (EXPERIMENTS.md "Scans read each entry through its index tower").  Once
+/// the tower became the entry, that read of the tower's value word (the
+/// node's address) went: 4 096 fewer logged reads on both key sets, one per
+/// scanned entry, with the seeks again untouched (EXPERIMENTS.md "One entry
+/// per key").  The totals are pinned exactly, so any change to what a scan
+/// reads shows here.
 #[test]
 fn scan_seek_counts_are_pinned() {
-    const PARENT_DENSE: (u64, u64) = (17_569, 26_258);
-    const PARENT_SPARSE: (u64, u64) = (100_880, 32_797);
+    const PARENT_DENSE: (u64, u64) = (17_569, 17_522);
+    const PARENT_SPARSE: (u64, u64) = (100_880, 24_320);
     let dense = scan_seek_reads(1);
     let sparse = scan_seek_reads(0x9E37_79B1);
     assert_eq!(dense.0, PARENT_DENSE.0, "dense singles {dense:?}");
     assert!(dense.1 <= PARENT_DENSE.1, "dense full reads {dense:?}");
     assert_eq!(sparse.0, PARENT_SPARSE.0, "sparse singles {sparse:?}");
     assert!(sparse.1 <= PARENT_SPARSE.1, "sparse full reads {sparse:?}");
-    assert_eq!((dense, sparse), ((17_569, 17_522), (100_880, 24_320)));
+    assert_eq!((dense, sparse), ((17_569, 13_426), (100_880, 20_224)));
 }
 
 /// The index's one descent must not cost the store's transactions more
@@ -788,23 +792,26 @@ fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
 /// entry through the node its index tower names, one logged read of the
 /// tower's value word in place of the item words up to the hit, and every
 /// row's `full_reads` fell by 451 (3 171, 3 240 and 7 478 before;
-/// EXPERIMENTS.md "Scans read each entry through its index tower").  Exact
-/// on any machine, since one thread runs a fixed script and tower heights
-/// come from its own stream.
+/// EXPERIMENTS.md "Scans read each entry through its index tower").  Then
+/// the tower became the entry: the scan no longer reads the tower's word
+/// naming a node, and every row's `full_reads` fell by 38, one per scanned
+/// entry (2 720, 2 789 and 7 027 before; EXPERIMENTS.md "One entry per
+/// key"); no other column moved.  Exact on any machine, since one thread
+/// runs a fixed script and tower heights come from its own stream.
 #[test]
 fn bucket_walks_make_the_recorded_stm_calls() {
     for (calls, expect) in [
         (
             bucket_walk_calls(ValShort::new(), ApiMode::Short),
-            [3_963, 89, 94, 2_720, 289],
+            [3_963, 89, 94, 2_682, 289],
         ),
         (
             bucket_walk_calls(TvarShortG::new(), ApiMode::Short),
-            [3_965, 89, 94, 2_789, 271],
+            [3_965, 89, 94, 2_751, 271],
         ),
         (
             bucket_walk_calls(OrecFullG::new(), ApiMode::Full),
-            [107, 0, 0, 7_027, 465],
+            [107, 0, 0, 6_989, 465],
         ),
     ] {
         assert_eq!(calls, expect);
