@@ -130,7 +130,9 @@ pub use batch::{BatchOp, BatchRequest, BatchResponse, MultiBatch};
 pub use map::{MapStats, StmHashMap, BUCKET_SLOTS};
 pub use router::ShardRouter;
 pub use store::{ShardedKv, ITEM_OVERHEAD_BYTES, MAX_RMW_KEYS};
-pub use ttl::{CacheConfig, CacheStats, Clock, EvictionPolicy, Reclaimer, SweepOutcome};
+pub use ttl::{
+    CacheConfig, CacheStats, Clock, EvictionPolicy, Reclaimer, ReclaimerStats, SweepOutcome,
+};
 pub use value::{RetiredValue, Value, ValueCell, ValueSlot, MAX_VALUE_LEN};
 
 /// Errors the store's fallible operations report instead of panicking.

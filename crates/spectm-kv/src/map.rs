@@ -1066,13 +1066,6 @@ impl<S: Stm> StmHashMap<S> {
     // Frequency byte and sweep support (the store's eviction machinery)
     // ------------------------------------------------------------------
 
-    /// Current value of home bucket `idx`'s frequency byte (one
-    /// single-location read).
-    pub(crate) fn bucket_freq(&self, idx: usize, thread: &mut S::Thread) -> u8 {
-        let stat = thread.single_read(&self.table.buckets[idx].stat);
-        ((stat & FREQ_MASK) >> FREQ_SHIFT) as u8
-    }
-
     /// Best-effort saturating bump of `key`'s home-bucket frequency byte:
     /// one single-location short read-write transaction, no retry — a lost
     /// bump under contention is fine (the counter is a popularity
@@ -1107,29 +1100,47 @@ impl<S: Stm> StmHashMap<S> {
         let _ = thread.rw_commit(1, &[halved]);
     }
 
-    /// Collects `(key, deadline word)` for every item currently chained
-    /// under home bucket `idx` via single-location reads — the reclaimer's
-    /// best-effort sweep snapshot.  Each candidate must be re-checked
-    /// inside the transaction that removes it (the snapshot can be stale by
-    /// the time the removal runs).
-    pub(crate) fn collect_bucket_entries(
+    /// The sweep's walk of home bucket `idx`'s chain, under the caller's
+    /// epoch pin: one single-location read per item and stat word, each
+    /// occupied item word pushed to `items` as its entry is prefetched.
+    /// Returns the home bucket's frequency byte, taken from the stat word
+    /// the walk read.  Read the entries' keys and deadlines with
+    /// [`StmHashMap::swept_entry`] after the chunk's walk, under the same
+    /// pin, so their misses overlap the walk; the snapshot is best-effort
+    /// and each removal re-checks inside its own transaction.
+    pub(crate) fn sweep_walk(
         &self,
         idx: usize,
+        _pin: &Guard,
         thread: &mut S::Thread,
-        out: &mut Vec<(u64, Word)>,
-    ) {
-        out.clear();
-        let _pin = thread.epoch().pin();
+        items: &mut Vec<Word>,
+    ) -> u8 {
+        let mut freq = 0;
         let _ = self.table.buckets[idx].walk(
             None,
             thread,
-            |thread, _, cell| ControlFlow::Continue(thread.single_read(cell)),
-            |thread, _, _, w| {
-                let entry = self.entry_at(w);
-                out.push((entry.key, thread.single_read(deadline(entry))));
+            |thread, pos, cell| {
+                let w = thread.single_read(cell);
+                if pos == BUCKET_SLOTS {
+                    freq = ((w & FREQ_MASK) >> FREQ_SHIFT) as u8;
+                }
+                ControlFlow::Continue(w)
+            },
+            |_, _, _, w| {
+                spectm::prefetch(Self::entry_ptr(w));
+                items.push(w);
                 ControlFlow::<()>::Continue(())
             },
         );
+        freq
+    }
+
+    /// The key and deadline word of an entry whose item word
+    /// [`StmHashMap::sweep_walk`] pushed, read under the walk's pin.
+    #[inline]
+    pub(crate) fn swept_entry(&self, w: Word, _pin: &Guard, thread: &mut S::Thread) -> (u64, Word) {
+        let entry = self.entry_at(w);
+        (entry.key, thread.single_read(deadline(entry)))
     }
 
     // ------------------------------------------------------------------

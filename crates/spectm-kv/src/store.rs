@@ -103,6 +103,24 @@ fn item_cost(len: usize) -> u64 {
 /// frequency bumps.
 const MAX_EVICTION_PASSES: usize = 10;
 
+/// Home buckets the expiry pass walks under one epoch pin.  The pin's
+/// announce (a `SeqCst` store and fence) is paid once per chunk, and the
+/// entries a chunk's walk prefetches have the rest of the walk to arrive
+/// before their keys and deadlines are read.
+const SWEEP_CHUNK: usize = 64;
+
+/// What [`ShardedKv::walk_chunk`] read of a run of home buckets, reused
+/// across the chunks of one sweep step.
+#[derive(Default)]
+struct SweepChunk {
+    /// `(shard, home bucket, frequency byte)` per bucket walked.
+    buckets: Vec<(usize, usize, u8)>,
+    /// Every occupied item word the walks found, bucket by bucket.
+    items: Vec<Word>,
+    /// `(shard, key, deadline word)` per entry of each bucket not spared.
+    entries: Vec<(usize, u64, Word)>,
+}
+
 /// What one [`ShardedKv::remove_member_in`] unlinked, awaiting
 /// [`ShardedKv::settle_removed`] once its transaction has committed
 /// (dropping it after an abort does nothing, per the `Retired*` contracts).
@@ -953,56 +971,62 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// Two passes share a persistent cursor over the flattened
     /// `(shard, home bucket)` space:
     ///
-    /// 1. **Expiry** — visits up to `max_buckets` buckets, removing every
-    ///    entry whose deadline has passed (re-checked transactionally).  A
-    ///    saturated frequency byte is halved here so further hits still
-    ///    move it.
+    /// 1. **Expiry** — claims a run of up to `max_buckets` buckets with one
+    ///    cursor move and walks it in chunks of [`SWEEP_CHUNK`], removing
+    ///    every entry whose deadline has passed (re-checked
+    ///    transactionally).  A saturated frequency byte is halved here so
+    ///    further hits still move it.
     /// 2. **Eviction** — only while [`ShardedKv::live_bytes`] exceeds the
-    ///    configured budget: walks on from the cursor emptying buckets.
-    ///    Under [`EvictionPolicy::Freq`] a bucket with a non-zero frequency
-    ///    byte is spared and halved (CLOCK second chance — this is also the
-    ///    frequency decay); under [`EvictionPolicy::Fifo`] the cursor's
-    ///    bucket is emptied regardless.  Bounded by
-    ///    enough whole-table passes to drain every counter, so a sweep
-    ///    always ends at-or-under budget unless concurrent writers outrun
-    ///    it.
+    ///    configured budget: walks on from the cursor one bucket at a time,
+    ///    emptying buckets.  Under [`EvictionPolicy::Freq`] a bucket with a
+    ///    non-zero frequency byte is spared and halved (CLOCK second
+    ///    chance — this is also the frequency decay); under
+    ///    [`EvictionPolicy::Fifo`] the cursor's bucket is emptied
+    ///    regardless.  Bounded by enough whole-table passes to drain every
+    ///    counter, so a sweep always ends at-or-under budget unless
+    ///    concurrent writers outrun it.
     pub fn sweep_step(&self, max_buckets: usize, thread: &mut S::Thread) -> SweepOutcome {
         let per_shard = self.shards[0].bucket_count();
         debug_assert!(self.shards.iter().all(|s| s.bucket_count() == per_shard));
         let total = per_shard * self.shards.len();
         let now = self.now_ms();
-        let mut outcome = SweepOutcome::default();
-        let mut scratch: Vec<(u64, Word)> = Vec::new();
-        for _ in 0..max_buckets.min(total) {
-            let (shard, bucket) = self.advance_cursor(per_shard, total);
-            outcome.scanned += 1;
-            self.shards[shard].collect_bucket_entries(bucket, thread, &mut scratch);
-            for &(key, deadline) in &scratch {
+        let run = max_buckets.min(total);
+        let mut outcome = SweepOutcome {
+            scanned: run,
+            ..SweepOutcome::default()
+        };
+        let mut chunk = SweepChunk::default();
+        let first = self.claim(run);
+        for offset in (0..run).step_by(SWEEP_CHUNK) {
+            let len = SWEEP_CHUNK.min(run - offset);
+            self.walk_chunk(first + offset as u64, len, thread, &mut chunk, |_| false);
+            for &(shard, key, deadline) in &chunk.entries {
                 if deadline_expired(deadline, now)
                     && self.remove_member(shard, key, Some(now), thread).is_some()
                 {
                     outcome.expired += 1;
                 }
             }
-            if self.shards[shard].bucket_freq(bucket, thread) == u8::MAX {
-                self.shards[shard].halve_freq(bucket, thread);
+            for &(shard, bucket, freq) in &chunk.buckets {
+                if freq == u8::MAX {
+                    self.shards[shard].halve_freq(bucket, thread);
+                }
             }
         }
         let Some(budget) = self.config.max_bytes else {
             return outcome;
         };
+        let spare = |freq: u8| self.config.policy == EvictionPolicy::Freq && freq > 0;
         let mut visited = 0;
         while self.live_bytes() > budget && visited < MAX_EVICTION_PASSES * total {
             visited += 1;
-            let (shard, bucket) = self.advance_cursor(per_shard, total);
-            if self.config.policy == EvictionPolicy::Freq
-                && self.shards[shard].bucket_freq(bucket, thread) > 0
-            {
+            self.walk_chunk(self.claim(1), 1, thread, &mut chunk, spare);
+            let (shard, bucket, freq) = chunk.buckets[0];
+            if spare(freq) {
                 self.shards[shard].halve_freq(bucket, thread);
                 continue;
             }
-            self.shards[shard].collect_bucket_entries(bucket, thread, &mut scratch);
-            for &(key, _) in &scratch {
+            for &(shard, key, _) in &chunk.entries {
                 // The bucket is being emptied: everything in it goes, and
                 // the settle tells corpses from evicted live entries.
                 match self.remove_member(shard, key, None, thread) {
@@ -1020,14 +1044,55 @@ impl<S: Stm + Clone> ShardedKv<S> {
         outcome
     }
 
-    /// Claims the next sweep position, returning `(shard, home bucket)`.
+    /// Claims the next `n` sweep positions with one cursor move, returning
+    /// the first; position `p` is home bucket `p % total` of the flattened
+    /// `(shard, home bucket)` space.
     #[inline]
-    fn advance_cursor(&self, per_shard: usize, total: usize) -> (usize, usize) {
+    fn claim(&self, n: usize) -> u64 {
         // ORDERING: the cursor is a work-distribution hint shared between
         // sweepers; a duplicate or skipped bucket only changes which sweep
         // visits it.
-        let pos = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % total;
-        (pos / per_shard, pos % per_shard)
+        self.cursor.fetch_add(n as u64, Ordering::Relaxed)
+    }
+
+    /// Walks the `len` home buckets from sweep position `first` under one
+    /// epoch pin into `chunk`: every bucket's chain and frequency byte, then
+    /// the key and deadline of each entry in a bucket that `spare` (given
+    /// the bucket's frequency byte) does not spare — read after the whole
+    /// walk, whose prefetches have had the chunk's length to land.  The pin is dropped before the caller removes
+    /// anything: nothing retires (`defer`s) while it is held.
+    fn walk_chunk(
+        &self,
+        first: u64,
+        len: usize,
+        thread: &mut S::Thread,
+        chunk: &mut SweepChunk,
+        spare: impl Fn(u8) -> bool,
+    ) {
+        chunk.buckets.clear();
+        chunk.entries.clear();
+        chunk.items.clear();
+        let per_shard = self.shards[0].bucket_count();
+        let total = (per_shard * self.shards.len()) as u64;
+        let mut ends = [0; SWEEP_CHUNK];
+        let pin = thread.epoch().pin();
+        for (i, end) in ends.iter_mut().enumerate().take(len) {
+            let pos = ((first + i as u64) % total) as usize;
+            let (shard, bucket) = (pos / per_shard, pos % per_shard);
+            let freq = self.shards[shard].sweep_walk(bucket, &pin, thread, &mut chunk.items);
+            chunk.buckets.push((shard, bucket, freq));
+            *end = chunk.items.len();
+        }
+        let mut start = 0;
+        for (&(shard, _, freq), &end) in chunk.buckets.iter().zip(&ends) {
+            if !spare(freq) {
+                for &w in &chunk.items[start..end] {
+                    let (key, deadline) = self.shards[shard].swept_entry(w, &pin, thread);
+                    chunk.entries.push((shard, key, deadline));
+                }
+            }
+            start = end;
+        }
     }
 
     /// Checks the index invariant at quiescence: every shard's index holds

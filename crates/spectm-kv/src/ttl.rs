@@ -14,7 +14,18 @@
 //! * [`CacheConfig`] — byte budget, default TTL, eviction policy, clock.
 //! * [`Reclaimer`] — a background thread that registers with the store's
 //!   STM and drives [`crate::ShardedKv::sweep_step`] on an interval, the
-//!   way Pelikan's segment reclaimer walks TTL buckets in the background.
+//!   way Pelikan's segment reclaimer walks TTL buckets in the background,
+//!   and counts its work ([`ReclaimerStats`]: sweeps, buckets scanned,
+//!   busy time).
+//!
+//! A sweep step pays per entry, not per bucket word: it claims its whole
+//! run of home buckets with one cursor move and walks it in 64-bucket
+//! chunks, each under one epoch pin, with every single-location read an
+//! inlined load.  The walk prefetches each occupied slot's entry and takes
+//! the frequency byte from the stat word it already read; keys and
+//! deadlines are read after the chunk's walk, and removals and halvings
+//! run after its pin is dropped.  DESIGN.md ("The sweep walk and what it
+//! costs") has the cost per bucket, per entry and per removal.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -172,6 +183,26 @@ pub struct SweepOutcome {
     pub evicted: u64,
 }
 
+/// Cumulative work of a [`Reclaimer`] (see [`Reclaimer::stats`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ReclaimerStats {
+    /// [`ShardedKv::sweep_step`] calls completed.
+    pub sweeps: u64,
+    /// Home buckets their expiry passes scanned.
+    pub buckets: u64,
+    /// Wall-clock nanoseconds spent inside those calls.
+    pub busy_ns: u64,
+}
+
+/// The counters behind [`ReclaimerStats`], written by the reclaimer thread
+/// alone.
+#[derive(Default)]
+struct ReclaimerCounters {
+    sweeps: AtomicU64,
+    buckets: AtomicU64,
+    busy_ns: AtomicU64,
+}
+
 /// A background thread driving [`ShardedKv::sweep_step`] on an interval.
 ///
 /// The reclaimer registers its own STM thread over the shared store, so it
@@ -180,6 +211,7 @@ pub struct SweepOutcome {
 /// the handle (or calling [`Reclaimer::stop`]) shuts the thread down.
 pub struct Reclaimer {
     shutdown: Arc<AtomicBool>,
+    counters: Arc<ReclaimerCounters>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -192,7 +224,9 @@ impl Reclaimer {
         S: Stm + Clone + Send + Sync + 'static,
     {
         let shutdown = Arc::new(AtomicBool::new(false));
+        let counters = Arc::new(ReclaimerCounters::default());
         let flag = Arc::clone(&shutdown);
+        let record = Arc::clone(&counters);
         let handle = std::thread::Builder::new()
             .name("kv-reclaimer".into())
             .spawn(move || {
@@ -200,20 +234,48 @@ impl Reclaimer {
                 // ORDERING: the flag is a plain shutdown latch; the join in
                 // `stop` is the synchronization point.
                 while !flag.load(Ordering::Relaxed) {
-                    store.sweep_step(buckets_per_sweep, &mut thread);
+                    let started = Instant::now();
+                    let outcome = store.sweep_step(buckets_per_sweep, &mut thread);
+                    let busy = started.elapsed().as_nanos() as u64;
+                    for (counter, n) in [
+                        (&record.sweeps, 1),
+                        (&record.buckets, outcome.scanned as u64),
+                        (&record.busy_ns, busy),
+                    ] {
+                        // ORDERING: relaxed statistics counters (see `stats`).
+                        counter.fetch_add(n, Ordering::Relaxed);
+                    }
                     std::thread::park_timeout(interval);
                 }
             })
             .expect("spawn kv-reclaimer");
         Self {
             shutdown,
+            counters,
             handle: Some(handle),
         }
     }
 
-    /// Stops and joins the reclaimer thread.
-    pub fn stop(mut self) {
+    /// The reclaimer's work so far.  Each counter is exact; read while the
+    /// thread runs, they may be one sweep apart.
+    pub fn stats(&self) -> ReclaimerStats {
+        let read = |counter: &AtomicU64| {
+            // ORDERING: independent monotonic counters; a snapshot needs no
+            // cross-counter consistency (and after `stop`'s join, none is
+            // missing).
+            counter.load(Ordering::Relaxed)
+        };
+        ReclaimerStats {
+            sweeps: read(&self.counters.sweeps),
+            buckets: read(&self.counters.buckets),
+            busy_ns: read(&self.counters.busy_ns),
+        }
+    }
+
+    /// Stops and joins the reclaimer thread, returning its final counters.
+    pub fn stop(mut self) -> ReclaimerStats {
         self.shutdown_inner();
+        self.stats()
     }
 
     fn shutdown_inner(&mut self) {

@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use common::{assert_spans_every_shard, run_workers, spread_key, thread_rng, Xorshift};
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
-use spectm::{Stm, StmThread};
+use spectm::{StatsSnapshot, Stm, StmThread};
 use spectm_ds::ApiMode;
 use spectm_kv::{BatchOp, CacheConfig, Clock, ShardRouter, ShardedKv, StmHashMap, Value};
 
@@ -796,25 +796,138 @@ fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
 /// the tower became the entry: the scan no longer reads the tower's word
 /// naming a node, and every row's `full_reads` fell by 38, one per scanned
 /// entry (2 720, 2 789 and 7 027 before; EXPERIMENTS.md "One entry per
-/// key"); no other column moved.  Exact on any machine, since one thread
-/// runs a fixed script and tower heights come from its own stream.
+/// key"); no other column moved.  Then the sweep took each home bucket's
+/// frequency byte from the stat word its walk read instead of reading that
+/// word again: `singles` fell by 2 in every row, one per home bucket of the
+/// script's one sweep (3 963, 3 965 and 107 before; EXPERIMENTS.md "The
+/// reclaimer pays per entry"); no other column moved.  Exact on any
+/// machine, since one thread runs a fixed script and tower heights come
+/// from its own stream.
 #[test]
 fn bucket_walks_make_the_recorded_stm_calls() {
     for (calls, expect) in [
         (
             bucket_walk_calls(ValShort::new(), ApiMode::Short),
-            [3_963, 89, 94, 2_682, 289],
+            [3_961, 89, 94, 2_682, 289],
         ),
         (
             bucket_walk_calls(TvarShortG::new(), ApiMode::Short),
-            [3_965, 89, 94, 2_751, 271],
+            [3_963, 89, 94, 2_751, 271],
         ),
         (
             bucket_walk_calls(OrecFullG::new(), ApiMode::Full),
-            [107, 0, 0, 6_989, 465],
+            [105, 0, 0, 6_989, 465],
         ),
     ] {
         assert_eq!(calls, expect);
+    }
+}
+
+/// The STM calls of one whole `sweep_step`, made by a thread registered
+/// for it alone, over one of two fixed stores on a manual clock.  Every
+/// third key has expired and key `keys[1]`'s home bucket has been hit, so
+/// the sweep halves a frequency byte:
+///
+/// * `chained = false`: 2 shards of 64 home buckets (two sweep chunks of
+///   64), 40 spread keys, every bucket depth 0, and a budget nothing
+///   reaches.  300 hits saturate the frequency byte; the expiry pass
+///   removes 14 entries and halves that byte once.
+/// * `chained = true`: 1 shard of 2 home buckets holding 48 keys in chains
+///   3–4 buckets deep, 8 hits, and a 1-byte budget.  After the expiry pass
+///   (16 removals) the eviction pass spares the hit bucket 4 times,
+///   halving its byte 8 → 0, and empties both buckets.
+fn sweep_calls<S: Stm + Clone>(stm: S, mode: ApiMode, chained: bool) -> StatsSnapshot {
+    let now_ms = Arc::new(AtomicU64::new(1_000));
+    let (shards, capacity, keys, hits, budget): (usize, usize, Vec<u64>, usize, u64) = if chained {
+        (1, 8, (0..48).collect(), 8, 1)
+    } else {
+        (2, 320, (0..40).map(spread_key).collect(), 300, 1 << 30)
+    };
+    let config = CacheConfig {
+        max_bytes: Some(budget),
+        clock: Clock::manual(&now_ms),
+        ..CacheConfig::default()
+    };
+    let store = ShardedKv::with_config(&stm, shards, capacity, mode, config);
+    let mut t = store.register();
+    for (i, &k) in keys.iter().enumerate() {
+        let ttl = (i % 3 == 0).then_some(100);
+        let put = store.put_with_ttl(k, &payload(k, 0), ttl, &mut t);
+        assert_eq!(put.unwrap(), None, "insert {k}");
+    }
+    for _ in 0..hits {
+        assert!(store.get(keys[1], &mut t).is_some());
+    }
+    if chained {
+        assert!(store.stats().max_probe() >= 3, "{}", store.stats());
+    } else {
+        assert_eq!(store.stats().max_probe(), 1, "{}", store.stats());
+        assert_spans_every_shard(store.router(), keys.iter().copied());
+    }
+    // ORDERING: one thread writes and reads the manual clock.
+    now_ms.store(2_000, Ordering::Relaxed);
+    let mut sweeper = store.register();
+    let outcome = store.sweep_step(store.bucket_count(), &mut sweeper);
+    let evicted = if chained { 32 } else { 0 };
+    assert_eq!(
+        (outcome.scanned, outcome.expired, outcome.evicted),
+        (store.bucket_count(), keys.len().div_ceil(3) as u64, evicted)
+    );
+    sweeper.stats()
+}
+
+/// One sweep makes exactly the STM calls recorded here: equal snapshots,
+/// not merely no more.  Only `singles` moved from the parent, whose sweep
+/// read each bucket's frequency byte with a second read of its home stat
+/// word, where the walk now takes it from the read it already made:
+///
+/// * depth-0 store: 1 192 → 1 064 on every row, one read fewer for each
+///   of the 128 home buckets (128 × 8 walk reads + 40 deadlines remain);
+/// * chained store: 348 → 464 on every row, −2 − 10 + 4 × 32: one read
+///   fewer per home bucket in the expiry pass and per visit in the
+///   eviction pass (10 visits), but each of the 4 visits that spare the
+///   hit bucket now walks its 4-bucket chain (32 reads), where the parent
+///   read the stat word alone and walked nothing.
+///
+/// No other column moved: the removals and halvings are the parent's.
+/// Exact on any machine: one thread runs a fixed script and tower heights
+/// come from its own stream.
+#[test]
+fn sweep_makes_the_recorded_stm_calls() {
+    let row = |full: u64, reads: u64, writes: u64, rw: u64, singles: u64| StatsSnapshot {
+        full_starts: full,
+        full_commits: full,
+        full_reads: reads,
+        full_writes: writes,
+        short_rw_starts: rw,
+        short_rw_commits: rw,
+        singles,
+        ..StatsSnapshot::default()
+    };
+    for (chained, expect) in [
+        (
+            false,
+            [
+                row(14, 199, 60, 1, 1_064),
+                row(14, 188, 58, 1, 1_064),
+                row(14, 222, 54, 1, 1_064),
+            ],
+        ),
+        (
+            true,
+            [
+                row(48, 1_356, 262, 4, 464),
+                row(48, 1_587, 274, 4, 464),
+                row(48, 1_581, 258, 4, 464),
+            ],
+        ),
+    ] {
+        let calls = [
+            sweep_calls(ValShort::new(), ApiMode::Short, chained),
+            sweep_calls(TvarShortG::new(), ApiMode::Short, chained),
+            sweep_calls(OrecFullG::new(), ApiMode::Full, chained),
+        ];
+        assert_eq!(calls, expect, "chained = {chained}");
     }
 }
 

@@ -18,6 +18,9 @@
 //!   surface — plain API, one-op batches, 32-op batches, two-frame
 //!   `MultiBatch` dispatches — on four fresh stores, asserting that results
 //!   *and cache counters* agree: accounting cannot drift between paths.
+//! * The sweep's claimed runs: two threads sweeping half the table each
+//!   remove every expired key exactly once; an expired key in an overflow
+//!   bucket is found; a saturated frequency byte is halved once per pass.
 
 mod common;
 
@@ -29,7 +32,7 @@ use std::time::Duration;
 use common::run_workers;
 use proptest::prelude::*;
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
-use spectm::Stm;
+use spectm::{Stm, StmThread};
 use spectm_ds::ApiMode;
 use spectm_kv::wire;
 use spectm_kv::{
@@ -503,7 +506,22 @@ fn racing_reclaimer_never_exposes_expired_entries() {
             }
         }
     });
-    reclaimer.stop();
+    // The reclaimer counts each sweep it finishes; on a loaded box its
+    // first may come after the workers', so wait for it rather than race.
+    let waiting = std::time::Instant::now();
+    while reclaimer.stats().sweeps == 0 {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(30),
+            "no sweep counted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let swept = reclaimer.stop();
+    assert!(swept.busy_ns > 0);
+    assert_eq!(
+        swept.buckets,
+        swept.sweeps * store.bucket_count().min(64) as u64
+    );
 
     // Quiescent endgame: advance past every possible deadline, run a full
     // sweep, and only the immortal entries may remain.
@@ -517,4 +535,128 @@ fn racing_reclaimer_never_exposes_expired_entries() {
         .collect();
     assert_eq!(remaining, *immortal.lock().unwrap());
     store.assert_index_consistent();
+}
+
+/// Two threads each run `sweep_step(total / 2)` at once over a store where
+/// every key has expired.  Each call claims its whole run with one cursor
+/// move, so the runs are disjoint and cover the table: every key is
+/// removed exactly once, by the sweep whose run holds its home bucket.
+fn concurrent_sweeps_remove_each_key_once<S: Stm + Clone + Sync>(stm: S, mode: ApiMode) {
+    const N: u64 = 3_000;
+    for shards in [1, 2, 16] {
+        let now_ms = Arc::new(AtomicU64::new(0));
+        let config = CacheConfig {
+            clock: Clock::manual(&now_ms),
+            ..CacheConfig::default()
+        };
+        let store = ShardedKv::with_config(&stm, shards, 2_560, mode, config);
+        let mut t = store.register();
+        for k in 0..N {
+            store
+                .put_with_ttl(k, &payload(k, k), Some(10), &mut t)
+                .unwrap();
+        }
+        clock_advance(&now_ms, 100);
+        let total = store.bucket_count();
+        let outcomes = Mutex::new(Vec::new());
+        run_workers(2, 0x5EE9_0000 + shards as u64, |_, _| {
+            let mut t = store.register();
+            let outcome = store.sweep_step(total / 2, &mut t);
+            outcomes.lock().unwrap().push(outcome);
+        });
+        let outcomes = outcomes.into_inner().unwrap();
+        let scanned: usize = outcomes.iter().map(|o| o.scanned).sum();
+        let expired: u64 = outcomes.iter().map(|o| o.expired).sum();
+        assert_eq!(
+            (scanned, expired),
+            (total, N),
+            "{shards} shards: {outcomes:?}"
+        );
+        assert_eq!(store.cache_stats().expired, N, "{shards} shards");
+        assert_eq!(store.live_bytes(), 0, "{shards} shards");
+        assert!(store.scan(0, usize::MAX, &mut t).is_empty());
+        store.assert_index_consistent();
+    }
+}
+
+#[test]
+fn concurrent_sweeps_remove_each_key_once_val_short() {
+    concurrent_sweeps_remove_each_key_once(ValShort::new(), ApiMode::Short);
+}
+
+#[test]
+fn concurrent_sweeps_remove_each_key_once_orec_full() {
+    concurrent_sweeps_remove_each_key_once(OrecFullG::new(), ApiMode::Full);
+}
+
+/// A key that arrives after its home bucket's 7 slots are full lands in an
+/// overflow bucket; the sweep's walk follows the chain and removes it once
+/// it has expired, leaving every other key in place.
+#[test]
+fn the_sweep_finds_an_expired_key_in_an_overflow_bucket() {
+    let stm = ValShort::new();
+    let now_ms = Arc::new(AtomicU64::new(0));
+    let config = CacheConfig {
+        clock: Clock::manual(&now_ms),
+        ..CacheConfig::default()
+    };
+    let store = ShardedKv::with_config(&stm, 1, 8, ApiMode::Short, config);
+    let mut t = store.register();
+    for k in 0..40 {
+        store.put(k, &payload(k, 0), &mut t).unwrap();
+    }
+    let stats = store.stats();
+    assert_eq!(
+        stats.occupied_home_slots,
+        7 * stats.home_buckets,
+        "every home slot is taken: {stats}"
+    );
+    store
+        .put_with_ttl(1_000, b"mortal", Some(10), &mut t)
+        .unwrap();
+    clock_advance(&now_ms, 100);
+    let outcome = store.sweep_step(store.bucket_count(), &mut t);
+    assert_eq!((outcome.expired, outcome.evicted), (1, 0));
+    assert_eq!(store.get(1_000, &mut t), None);
+    assert_eq!(store.scan(0, usize::MAX, &mut t).len(), 40);
+    store.assert_index_consistent();
+}
+
+/// The expiry pass halves a saturated frequency byte (one short read-write
+/// commit on the sweeping thread) and leaves an unsaturated one alone, so
+/// a byte that stays saturated is halved once per pass, however the pass
+/// is split into claimed runs.
+#[test]
+fn a_saturated_frequency_byte_is_halved_once_per_pass() {
+    let stm = ValShort::new();
+    let config = CacheConfig {
+        max_bytes: Some(1 << 30),
+        ..CacheConfig::default()
+    };
+    let store = ShardedKv::with_config(&stm, 1, 64, ApiMode::Short, config);
+    let total = store.bucket_count();
+    let mut reader = store.register();
+    store.put(7, b"hot", &mut reader).unwrap();
+    let hit = |times: usize, reader: &mut _| {
+        for _ in 0..times {
+            assert!(store.get(7, reader).is_some());
+        }
+    };
+    let halvings = |sweeps: &[usize]| {
+        let mut sweeper = store.register();
+        for &run in sweeps {
+            store.sweep_step(run, &mut sweeper);
+        }
+        sweeper.stats().short_rw_commits
+    };
+    hit(300, &mut reader);
+    assert_eq!(halvings(&[total]), 1, "255 → 127");
+    assert_eq!(halvings(&[total]), 0, "127 is not saturated");
+    hit(128, &mut reader);
+    assert_eq!(
+        halvings(&[total / 2, total - total / 2]),
+        1,
+        "255 → 127 in two runs"
+    );
+    assert_eq!(halvings(&[total / 2, total - total / 2]), 0);
 }

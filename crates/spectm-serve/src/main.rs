@@ -8,7 +8,7 @@ use std::time::Duration;
 use spectm::variants::ValShort;
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, Reclaimer, ShardedKv};
+use spectm_kv::{CacheConfig, Reclaimer, ReclaimerStats, ShardedKv};
 use spectm_serve::Server;
 
 const USAGE: &str = "\
@@ -122,8 +122,9 @@ fn main() {
         },
     }
     let stats = server.shutdown();
+    let mut swept = ReclaimerStats::default();
     if let Some(reclaimer) = reclaimer {
-        reclaimer.stop();
+        swept = reclaimer.stop();
         // Final full sweep at quiescence: with the workers gone nothing can
         // outrun it, so afterwards the accounting invariant holds —
         // live_bytes is at or under the budget — and the smoke can assert
@@ -136,7 +137,7 @@ fn main() {
     println!(
         "served connections={} batches={} ops={} dispatches={} mean_frames={:.2} \
          wire_errors={} io_errors={} rejected={} hits={} misses={} hit_rate={:.4} \
-         expired={} evicted={} live_bytes={}",
+         expired={} evicted={} live_bytes={} swept_buckets={} reclaimer_busy_ms={}",
         stats.connections,
         stats.batches,
         stats.ops,
@@ -151,5 +152,7 @@ fn main() {
         cache.expired,
         cache.evicted,
         cache.live_bytes,
+        swept.buckets,
+        swept.busy_ns / 1_000_000,
     );
 }

@@ -101,6 +101,7 @@ impl ValThread {
         }
     }
 
+    #[inline]
     pub(crate) fn do_full_read(&mut self, cell: &ValCell) -> TxResult<Word> {
         debug_assert!(self.in_tx);
         self.stats.full_reads += 1;
@@ -129,6 +130,7 @@ impl ValThread {
         }
     }
 
+    #[inline]
     pub(crate) fn do_full_write(&mut self, cell: &ValCell, value: Word) -> TxResult<()> {
         debug_assert!(self.in_tx);
         debug_assert_eq!(

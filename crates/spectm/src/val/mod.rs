@@ -269,46 +269,57 @@ impl StmThread for ValThread {
         &self.stm
     }
 
+    #[inline]
     fn single_read(&mut self, cell: &ValCell) -> Word {
         self.do_single_read(cell)
     }
 
+    #[inline]
     fn single_write(&mut self, cell: &ValCell, value: Word) {
         self.do_single_write(cell, value);
     }
 
+    #[inline]
     fn single_cas(&mut self, cell: &ValCell, expected: Word, new: Word) -> Word {
         self.do_single_cas(cell, expected, new)
     }
 
+    #[inline]
     fn rw_read(&mut self, idx: usize, cell: &ValCell) -> Word {
         self.do_rw_read(idx, cell)
     }
 
+    #[inline]
     fn rw_is_valid(&mut self, n: usize) -> bool {
         self.do_rw_is_valid(n)
     }
 
+    #[inline]
     fn rw_commit(&mut self, n: usize, values: &[Word]) -> bool {
         self.do_rw_commit(n, values)
     }
 
+    #[inline]
     fn rw_abort(&mut self, n: usize) {
         self.do_rw_abort(n);
     }
 
+    #[inline]
     fn ro_read(&mut self, idx: usize, cell: &ValCell) -> Word {
         self.do_ro_read(idx, cell)
     }
 
+    #[inline]
     fn ro_is_valid(&mut self, n: usize) -> bool {
         self.do_ro_is_valid(n)
     }
 
+    #[inline]
     fn upgrade_ro_to_rw(&mut self, ro_idx: usize, rw_idx: usize) -> bool {
         self.do_upgrade(ro_idx, rw_idx)
     }
 
+    #[inline]
     fn ro_rw_commit(&mut self, n_ro: usize, n_rw: usize, values: &[Word]) -> bool {
         self.do_ro_rw_commit(n_ro, n_rw, values)
     }
@@ -317,10 +328,12 @@ impl StmThread for ValThread {
         self.do_full_begin();
     }
 
+    #[inline]
     fn full_read(&mut self, cell: &ValCell) -> TxResult<Word> {
         self.do_full_read(cell)
     }
 
+    #[inline]
     fn full_write(&mut self, cell: &ValCell, value: Word) -> TxResult<()> {
         self.do_full_write(cell, value)
     }

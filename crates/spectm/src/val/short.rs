@@ -24,11 +24,13 @@ impl ValThread {
     // Single-location transactions
     // ------------------------------------------------------------------
 
+    #[inline]
     pub(crate) fn do_single_read(&mut self, cell: &ValCell) -> Word {
         self.stats.singles += 1;
         cell.load_unlocked()
     }
 
+    #[inline]
     pub(crate) fn do_single_write(&mut self, cell: &ValCell, value: Word) {
         debug_assert_eq!(
             value & LOCK_BIT,
@@ -48,6 +50,7 @@ impl ValThread {
         }
     }
 
+    #[inline]
     pub(crate) fn do_single_cas(&mut self, cell: &ValCell, expected: Word, new: Word) -> Word {
         debug_assert_eq!(new & LOCK_BIT, 0, "val-layout values must keep bit 0 clear");
         self.stats.singles += 1;
@@ -91,6 +94,7 @@ impl ValThread {
         }
     }
 
+    #[inline]
     pub(crate) fn do_rw_read(&mut self, idx: usize, cell: &ValCell) -> Word {
         assert!(idx < MAX_SHORT, "short transaction index out of range");
         if idx == 0 {
@@ -126,11 +130,13 @@ impl ValThread {
         cur
     }
 
+    #[inline]
     pub(crate) fn do_rw_is_valid(&mut self, n: usize) -> bool {
         debug_assert!(n <= MAX_SHORT);
         self.rw_valid && self.rw_count >= n
     }
 
+    #[inline]
     pub(crate) fn do_rw_commit(&mut self, n: usize, values: &[Word]) -> bool {
         assert!(values.len() >= n, "missing commit values");
         if !self.rw_valid || self.rw_count < n {
@@ -156,6 +162,7 @@ impl ValThread {
         true
     }
 
+    #[inline]
     pub(crate) fn do_rw_abort(&mut self, n: usize) {
         debug_assert!(n <= MAX_SHORT);
         self.release_rw_locks();
@@ -167,6 +174,7 @@ impl ValThread {
     // Short read-only transactions
     // ------------------------------------------------------------------
 
+    #[inline]
     pub(crate) fn do_ro_read(&mut self, idx: usize, cell: &ValCell) -> Word {
         assert!(idx < MAX_SHORT, "short transaction index out of range");
         if idx == 0 {
@@ -208,6 +216,7 @@ impl ValThread {
         true
     }
 
+    #[inline]
     pub(crate) fn do_ro_is_valid(&mut self, n: usize) -> bool {
         debug_assert!(n <= MAX_SHORT);
         let ok = self.ro_valid && self.ro_count >= n && self.validate_ro(n);
@@ -223,6 +232,7 @@ impl ValThread {
     // Combined read-only / read-write short transactions
     // ------------------------------------------------------------------
 
+    #[inline]
     pub(crate) fn do_upgrade(&mut self, ro_idx: usize, rw_idx: usize) -> bool {
         assert!(ro_idx < MAX_SHORT && rw_idx < MAX_SHORT);
         if !self.ro_valid || ro_idx >= self.ro_count {
@@ -257,6 +267,7 @@ impl ValThread {
         true
     }
 
+    #[inline]
     pub(crate) fn do_ro_rw_commit(&mut self, n_ro: usize, n_rw: usize, values: &[Word]) -> bool {
         assert!(values.len() >= n_rw, "missing commit values");
         if !self.rw_valid || !self.ro_valid || self.rw_count < n_rw || self.ro_count < n_ro {

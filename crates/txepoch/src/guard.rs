@@ -66,6 +66,7 @@ impl Guard {
 }
 
 impl Drop for Guard {
+    #[inline]
     fn drop(&mut self) {
         Local::release_guard(self.local);
     }

@@ -49,6 +49,7 @@ impl Local {
         }))
     }
 
+    #[inline]
     fn participant(&self) -> &Participant {
         // SAFETY: the participant record lives as long as `inner`, which we
         // hold an `Arc` to.
@@ -56,6 +57,7 @@ impl Local {
     }
 
     /// Enters a critical section (outermost pin announces the epoch).
+    #[inline]
     pub(crate) fn pin(&self) {
         let guards = self.guards.get();
         self.guards.set(guards + 1);
@@ -67,6 +69,7 @@ impl Local {
     }
 
     /// Leaves a critical section (outermost unpin clears the active flag).
+    #[inline]
     pub(crate) fn unpin(&self) {
         let guards = self.guards.get();
         debug_assert!(guards > 0, "unpin without matching pin");
@@ -162,6 +165,7 @@ impl Local {
 
     /// Whether the `Local` must die: its handle is gone and no guard is
     /// left.
+    #[inline]
     fn release(&self) -> bool {
         !self.handle_alive.get() && self.guards.get() == 0
     }
@@ -179,6 +183,7 @@ impl Local {
         }
     }
 
+    #[inline]
     pub(crate) fn release_guard(ptr: *const Local) {
         // SAFETY: as above; the caller is a live guard.
         let local = unsafe { &*ptr };
