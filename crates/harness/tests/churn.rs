@@ -18,6 +18,9 @@ const VALUE_LEN: usize = 64;
 /// ~1/6 of the working set fits: `NUM_KEYS × (VALUE_LEN + overhead)` is
 /// 1.5 MiB against a 256 KiB budget, so eviction runs constantly.
 const BUDGET: u64 = 256 * 1024;
+/// Home buckets the budget gives the store: `BUDGET / (2 ×
+/// ITEM_OVERHEAD_BYTES)`, fewer than the 16 × 128 the key count would.
+const BUCKETS: usize = 1_024;
 const OPS: u64 = 120_000;
 /// A sweep step every this many operations bounds the overshoot between
 /// sweeps to `SWEEP_EVERY × item_bytes` ≈ 9% of the budget.
@@ -37,16 +40,18 @@ fn churn_run(policy: EvictionPolicy) -> (f64, CacheStats) {
         policy,
         ..KvWorkloadConfig::sized_for(NUM_KEYS)
     };
-    // Oversize the tables 8×: sparse buckets make the per-bucket frequency
-    // byte track individual keys instead of averaging over ~8 cohabitants,
-    // which is what gives the CLOCK policy its signal.
+    // The budget sizes the tables, not the key count: one home bucket per
+    // two minimum-cost items it holds, so the ~1 400 resident keys share
+    // 1 024 buckets and each bucket's frequency byte speaks for one or two
+    // keys, which is what gives the CLOCK policy its signal.
     let store = ShardedKv::with_config(
         &stm,
         cfg.shards,
-        cfg.capacity_per_shard * 8,
+        cfg.capacity_per_shard,
         ApiMode::Short,
         cfg.cache_config(),
     );
+    assert_eq!(store.bucket_count(), BUCKETS);
     let mut thread = store.register();
     let mut state = WorkerState::new(&cfg, 0xC0DE_CAFE);
     let mut buf = Vec::new();
@@ -89,6 +94,7 @@ fn freq_eviction_beats_fifo_on_zipfian_churn() {
     );
     let (freq_rate, freq) = churn_run(EvictionPolicy::Freq);
     let (fifo_rate, fifo) = churn_run(EvictionPolicy::Fifo);
+    println!("hit rate: freq {freq_rate:.4}, fifo {fifo_rate:.4}");
 
     assert!(freq.evicted > 0, "freq run never evicted: {freq:?}");
     assert!(fifo.evicted > 0, "fifo run never evicted: {fifo:?}");

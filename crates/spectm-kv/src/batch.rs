@@ -658,7 +658,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
                     out[op] = self.settle_put(displaced, &mut slots[put], value.len(), thread);
                 }
                 GroupEffect::Del { op, removed } => {
-                    out[op] = self.settle_removed(removed, thread).live();
+                    out[op] = self.settle_removed(removed, true, thread).live();
                 }
             }
         }

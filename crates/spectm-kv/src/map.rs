@@ -129,7 +129,7 @@ pub(crate) const DEADLINE_SHIFT: u32 = 1;
 
 /// Keys budgeted per bucket when sizing from a capacity hint: 7 slots at
 /// the ~0.75 target load factor.
-const CAPACITY_PER_BUCKET: usize = 5;
+pub(crate) const CAPACITY_PER_BUCKET: usize = 5;
 
 // The item and stat words, asserted where they are defined (the compiler
 // is their one checker): the tag and frequency fields leave the lock bit

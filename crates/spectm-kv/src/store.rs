@@ -63,6 +63,11 @@
 //!   a second chance (halving the counter), so under skewed traffic the hot
 //!   set survives.  Writes may overshoot between sweeps; the invariant is
 //!   *at-or-under budget after a sweep*.
+//! * **The budget sizes the table.**  A budgeted store has at most one
+//!   home bucket per two minimum-cost items the budget holds (the capacity
+//!   hint is an upper bound), so the buckets hold what the budget does,
+//!   each frequency byte speaks for a key or two, and the sweep walks no
+//!   bucket the budget could never fill.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,7 +75,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::{ApiMode, RetiredTower, StmSkipList, TowerSlot};
 
-use crate::map::{deadline_expired, encode_deadline, EntrySlots, MapStats, StmHashMap};
+use crate::map::{
+    deadline_expired, encode_deadline, EntrySlots, MapStats, StmHashMap, CAPACITY_PER_BUCKET,
+};
 use crate::router::ShardRouter;
 use crate::ttl::{CacheConfig, CacheStats, EvictionPolicy, SweepOutcome};
 use crate::value::{prefetch_value, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
@@ -88,8 +95,21 @@ pub const MAX_RMW_KEYS: usize = 8;
 /// value word and deadline word at word-sized cells, then the index links,
 /// 8 bytes each, two on average), its share of the bucket array, and
 /// allocator slack.  A deliberately blunt constant — the budget bounds
-/// memory to first order; it is not an allocator audit.
+/// memory to first order; it is not an allocator audit.  The bucket share
+/// is bounded for a budgeted store, whose table has at most one home bucket
+/// per [`BUDGET_BYTES_PER_BUCKET`] bytes of budget (see
+/// [`ShardedKv::with_config`]): with 64-byte buckets that is 32 bytes per
+/// minimum-cost item before the power-of-two rounding, at most 64 after it.
 pub const ITEM_OVERHEAD_BYTES: u64 = 128;
+
+/// Budget bytes per home bucket of a budgeted store: one bucket per two
+/// minimum-cost items the budget can hold.  Eviction is CLOCK per bucket,
+/// so a bucket's frequency byte speaks for every key in it; at one bucket
+/// per five items the hot keys lose their protection (the hit rate falls
+/// and frequency eviction no longer beats FIFO), while at one per item the
+/// table and its sweep double for little hit rate and no throughput
+/// (DESIGN.md, "Sizing a budgeted table").
+const BUDGET_BYTES_PER_BUCKET: u64 = 2 * ITEM_OVERHEAD_BYTES;
 
 /// Bytes one item of `len` payload bytes charges to the account.
 #[inline]
@@ -133,21 +153,37 @@ pub(crate) struct Removed<S: Stm> {
 
 /// How a settled removal reads to its caller.
 pub(crate) enum Removal {
-    /// The entry was observable; the value it held.
-    Live(Value),
+    /// The entry was observable; the value it held, if the removal asked
+    /// for a copy.
+    Live(Option<Value>),
     /// The entry's deadline had passed: an expired-but-unswept corpse,
     /// which no caller reports as having existed.
     Corpse,
 }
 
 impl Removal {
-    /// The removed value, if the entry was still observable.
+    /// The removed value, if the entry was still observable and copied out.
     pub(crate) fn live(self) -> Option<Value> {
         match self {
-            Removal::Live(value) => Some(value),
+            Removal::Live(value) => value,
             Removal::Corpse => None,
         }
     }
+}
+
+/// Keys to size each of `shards` tables for: the capacity hint, capped
+/// under a byte budget at one home bucket per [`BUDGET_BYTES_PER_BUCKET`]
+/// bytes of it, rounded up to a power of two per shard (and at least one).
+fn table_capacity(capacity_per_shard: usize, shards: usize, max_bytes: Option<u64>) -> usize {
+    let Some(budget) = max_bytes else {
+        return capacity_per_shard;
+    };
+    let buckets = budget
+        .div_ceil(BUDGET_BYTES_PER_BUCKET * shards as u64)
+        .next_power_of_two();
+    let cap =
+        usize::try_from(buckets).map_or(usize::MAX, |b| b.saturating_mul(CAPACITY_PER_BUCKET));
+    capacity_per_shard.min(cap)
 }
 
 /// A sharded, concurrent `u64 -> bytes` store over one STM instance.
@@ -194,6 +230,14 @@ impl<S: Stm + Clone> ShardedKv<S> {
 
     /// [`ShardedKv::new`] with explicit cache behaviour: byte budget,
     /// default TTL, eviction policy, clock.
+    ///
+    /// Under a byte budget the capacity hint is only an upper bound: each
+    /// shard gets at most one home bucket per two minimum-cost items
+    /// ([`ITEM_OVERHEAD_BYTES`]) the budget can hold, rounded up to a power
+    /// of two — a 16 MiB budget over 16 shards gives 65 536 home buckets in
+    /// all, however large the hint.  The buckets then hold what the budget
+    /// does, and the sweep walks no more of them than that needs.  Stores
+    /// without a budget, TTL-only ones included, are sized from the hint.
     pub fn with_config(
         stm: &S,
         shards: usize,
@@ -202,8 +246,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
         config: CacheConfig,
     ) -> Self {
         let router = ShardRouter::new(shards);
+        let capacity = table_capacity(capacity_per_shard, router.shard_count(), config.max_bytes);
         let shards: Vec<StmHashMap<S>> = (0..router.shard_count())
-            .map(|_| StmHashMap::new(stm, capacity_per_shard, mode))
+            .map(|_| StmHashMap::new(stm, capacity, mode))
             .collect();
         let indexes = (0..router.shard_count())
             .map(|_| StmSkipList::with_aux(stm, mode))
@@ -424,7 +469,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         debug_assert_eq!(shard, self.router.route(key));
         let value = match self.shards[shard].get_entry(key, thread) {
             Some((_, deadline)) if self.entry_expired(deadline) => {
-                self.remove_member(shard, key, Some(self.now_ms()), thread);
+                self.remove_member(shard, key, Some(self.now_ms()), false, thread);
                 None
             }
             entry => entry.map(|(value, _)| value),
@@ -553,7 +598,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         key: u64,
         thread: &mut S::Thread,
     ) -> Option<Value> {
-        self.remove_member(shard, key, None, thread)?.live()
+        self.remove_member(shard, key, None, true, thread)?.live()
     }
 
     // ------------------------------------------------------------------
@@ -656,34 +701,46 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     /// Settles a committed [`ShardedKv::remove_member_in`]: credits the byte
-    /// account, retires the value and the entry, and classifies it — a
-    /// corpse (deadline already passed) counts as expired, whichever path
-    /// buried it.
-    pub(crate) fn settle_removed(&self, removed: Removed<S>, thread: &mut S::Thread) -> Removal {
+    /// account from the value's length, retires the value and the entry,
+    /// and classifies it — a corpse (deadline already passed) counts as
+    /// expired, whichever path buried it.  A live value is copied out only
+    /// under `copy_out` (`del` and the batch `Del`, which return it); the
+    /// sweep and lazy expiry drop what they remove unread.
+    pub(crate) fn settle_removed(
+        &self,
+        removed: Removed<S>,
+        copy_out: bool,
+        thread: &mut S::Thread,
+    ) -> Removal {
         let Removed {
             value,
             tower,
             deadline,
         } = removed;
-        let value = value.take(&thread.epoch().pin());
         self.account_remove(value.len());
+        let expired = self.entry_expired(deadline);
+        let copy = (copy_out && !expired).then(|| value.value());
+        value.retire_under(&thread.epoch().pin());
         tower.retire(thread);
-        if self.entry_expired(deadline) {
+        if expired {
             self.note_expired();
             return Removal::Corpse;
         }
-        Removal::Live(value)
+        Removal::Live(copy)
     }
 
     /// [`ShardedKv::remove_member_in`] as its own transaction, settled: the
-    /// one removal under `del`, lazy expiry and the sweep.  `None` means
-    /// nothing was removed (absent, or still live under `only_expired`) — a
-    /// concurrent refresh or a racing remover turns the call into a no-op.
+    /// one removal under `del`, lazy expiry and the sweep, copying the
+    /// value out under `copy_out` (see [`ShardedKv::settle_removed`]).
+    /// `None` means nothing was removed (absent, or still live under
+    /// `only_expired`) — a concurrent refresh or a racing remover turns the
+    /// call into a no-op.
     fn remove_member(
         &self,
         shard: usize,
         key: u64,
         only_expired: Option<u64>,
+        copy_out: bool,
         thread: &mut S::Thread,
     ) -> Option<Removal> {
         debug_assert_eq!(shard, self.router.route(key));
@@ -692,7 +749,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         let removed = thread
             .atomic(|tx| self.remove_member_in(shard, key, only_expired, tx))
             .expect("removal is never cancelled")?;
-        Some(self.settle_removed(removed, thread))
+        Some(self.settle_removed(removed, copy_out, thread))
     }
 
     /// Atomically reads every key in `keys` inside **one full transaction**
@@ -790,7 +847,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
                 }
                 let pin = thread.epoch().pin();
                 for (old, new_len) in displaced.drain(..) {
-                    self.account_overwrite(old.take(&pin).len(), new_len);
+                    self.account_overwrite(old.len(), new_len);
+                    old.retire_under(&pin);
                 }
                 Ok(true)
             }
@@ -1002,7 +1060,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
             self.walk_chunk(first + offset as u64, len, thread, &mut chunk, |_| false);
             for &(shard, key, deadline) in &chunk.entries {
                 if deadline_expired(deadline, now)
-                    && self.remove_member(shard, key, Some(now), thread).is_some()
+                    && self
+                        .remove_member(shard, key, Some(now), false, thread)
+                        .is_some()
                 {
                     outcome.expired += 1;
                 }
@@ -1029,7 +1089,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
             for &(shard, key, _) in &chunk.entries {
                 // The bucket is being emptied: everything in it goes, and
                 // the settle tells corpses from evicted live entries.
-                match self.remove_member(shard, key, None, thread) {
+                match self.remove_member(shard, key, None, false, thread) {
                     Some(Removal::Corpse) => outcome.expired += 1,
                     Some(Removal::Live(_)) => {
                         // ORDERING: relaxed statistics counter (see
@@ -1604,6 +1664,67 @@ mod tests {
         let stats = store.cache_stats();
         assert!(stats.live_bytes <= budget);
         assert!(stats.evicted > 0);
+    }
+
+    /// Home buckets of a store built with this budget and TTL over
+    /// `shards` shards sized for `hint` keys each.
+    fn buckets_for(shards: usize, hint: usize, max_bytes: Option<u64>, ttl_ms: u64) -> usize {
+        let config = CacheConfig {
+            max_bytes,
+            default_ttl_ms: ttl_ms,
+            ..CacheConfig::default()
+        };
+        ShardedKv::with_config(&ValShort::new(), shards, hint, ApiMode::Short, config)
+            .bucket_count()
+    }
+
+    #[test]
+    fn a_budget_caps_the_table_at_one_bucket_per_two_minimum_items() {
+        // 16 MiB holds 65 536 items of ITEM_OVERHEAD_BYTES; the hint alone
+        // would give 16 × 16 384 buckets.
+        assert_eq!(buckets_for(16, 65_536, Some(16 << 20), 0), 65_536);
+        // A hint below the cap is kept as it is: 64 keys → 16 buckets.
+        assert_eq!(buckets_for(16, 64, Some(16 << 20), 0), 16 * 16);
+        // The cap rounds up to a power of two per shard: 3 000 bytes over
+        // 2 shards is 5.9 buckets a shard, so 8.
+        assert_eq!(buckets_for(2, 4_096, Some(3_000), 0), 2 * 8);
+    }
+
+    #[test]
+    fn stores_without_a_budget_are_sized_from_the_hint() {
+        // 4 096 keys a shard at five a bucket: 820, rounded up to 1 024.
+        assert_eq!(buckets_for(4, 4_096, None, 0), 4 * 1_024);
+        assert_eq!(buckets_for(4, 4_096, None, 2_000), 4 * 1_024);
+        let stm = ValShort::new();
+        let map = StmHashMap::new(&stm, 4_096, ApiMode::Short);
+        assert_eq!(map.bucket_count(), 1_024);
+    }
+
+    /// However small the budget, every shard keeps one home bucket, and one
+    /// full sweep drains the store to the budget through its chains.
+    #[test]
+    fn a_tiny_budget_keeps_a_bucket_per_shard_and_drains() {
+        for budget in [0, 1, ITEM_OVERHEAD_BYTES] {
+            let stm = ValShort::new();
+            let config = CacheConfig {
+                max_bytes: Some(budget),
+                ..CacheConfig::default()
+            };
+            let store = ShardedKv::with_config(&stm, 4, 64, ApiMode::Short, config);
+            assert_eq!(store.bucket_count(), 4, "budget {budget}");
+            let mut t = store.register();
+            let key = |i: u64| i * ShardRouter::BLOCK_KEYS;
+            for i in 0..100 {
+                store.put(key(i), &i.to_le_bytes(), &mut t).unwrap();
+            }
+            for i in 0..10 {
+                assert!(store.get(key(i), &mut t).is_some(), "hit {i}");
+            }
+            let outcome = store.sweep_step(store.bucket_count(), &mut t);
+            assert_eq!(outcome.evicted, 100, "budget {budget}");
+            assert!(store.live_bytes() <= budget, "budget {budget}");
+            store.assert_index_consistent();
+        }
     }
 
     #[test]

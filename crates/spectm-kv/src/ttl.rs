@@ -121,7 +121,9 @@ pub enum EvictionPolicy {
 pub struct CacheConfig {
     /// Soft ceiling on [`ShardedKv::live_bytes`]; `None` disables
     /// eviction.  Writes may overshoot between sweeps — the invariant is
-    /// that accounting is at or under the budget **after** a sweep.
+    /// that accounting is at or under the budget **after** a sweep.  A
+    /// budget also caps the store's table size (see
+    /// [`ShardedKv::with_config`]).
     pub max_bytes: Option<u64>,
     /// TTL applied to puts that do not carry their own; `0` means entries
     /// never expire by default.

@@ -164,21 +164,27 @@ pub fn encode_value(bytes: &[u8]) -> Word {
 #[inline]
 pub unsafe fn decode_value(word: Word) -> Value {
     if is_inline_value(word) {
-        let (src, len) = decode_inline(word);
-        // Fixed-size copy of the whole word buffer: the bytes past `len`
-        // are zero by construction of the inline encodings, and `Value`
-        // only ever exposes the first `len` bytes.  A dynamic-length copy
-        // here would cost a memcpy call on the hottest read path.
-        let mut buf = [0u8; VALUE_INLINE_CAP];
-        buf[..std::mem::size_of::<Word>()].copy_from_slice(&src);
-        Value(Repr::Inline {
-            len: len as u8,
-            buf,
-        })
+        decode_inline_value(word)
     } else {
         // SAFETY: forwarded contract.
         Value::new(unsafe { ValueCell::bytes(word as *const ValueCell) })
     }
+}
+
+/// Copies the payload of an inline value word into an owned [`Value`].
+#[inline]
+fn decode_inline_value(word: Word) -> Value {
+    let (src, len) = decode_inline(word);
+    // Fixed-size copy of the whole word buffer: the bytes past `len` are
+    // zero by construction of the inline encodings, and `Value` only ever
+    // exposes the first `len` bytes.  A dynamic-length copy here would cost
+    // a memcpy call on the hottest read path.
+    let mut buf = [0u8; VALUE_INLINE_CAP];
+    buf[..std::mem::size_of::<Word>()].copy_from_slice(&src);
+    Value(Repr::Inline {
+        len: len as u8,
+        buf,
+    })
 }
 
 /// Hints the CPU to pull the first two cache lines of the cell behind
@@ -485,21 +491,46 @@ impl RetiredValue {
         Self { word }
     }
 
+    /// The payload of the displaced cell, or `None` for an inline word.
+    /// Only call after the displacing transaction committed.
+    #[inline]
+    fn cell_bytes(&self) -> Option<&[u8]> {
+        (!is_inline_value(self.word)).then(|| {
+            // SAFETY: per the contract, the committed transaction made this
+            // thread the exclusive owner of the word; the cell stays live
+            // while `self` is borrowed, because only the retirements, which
+            // consume `self`, release it.
+            unsafe { ValueCell::bytes(self.word as *const ValueCell) }
+        })
+    }
+
     /// Copies out the bytes the displaced word held.  Only call after the
     /// displacing transaction committed (the same ownership contract as
     /// [`RetiredValue::retire`]).
     #[inline]
     pub fn value(&self) -> Value {
-        // SAFETY: per the contract, the committed transaction made this
-        // thread the exclusive owner of the word; the cell is still live
-        // because only `retire` releases it.
-        unsafe { decode_value(self.word) }
+        match self.cell_bytes() {
+            Some(bytes) => Value::new(bytes),
+            None => decode_inline_value(self.word),
+        }
+    }
+
+    /// The length of the payload the displaced word held, read without
+    /// copying it — all the byte account needs of a value nobody reads.
+    /// Only call after the displacing transaction committed.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self.cell_bytes() {
+            Some(bytes) => bytes.len(),
+            None => decode_inline(self.word).1,
+        }
     }
 
     /// [`RetiredValue::value`] then the retirement, under a pin the caller
-    /// already holds — the owner's whole duty towards a displaced word, and
-    /// the one place every path inside the crate that displaces one settles
-    /// it.  Only call after the displacing transaction committed.
+    /// already holds — the owner's whole duty towards a displaced word it
+    /// returns.  A path that only books the bytes reads
+    /// [`RetiredValue::len`] and calls [`RetiredValue::retire_under`]
+    /// instead.  Only call after the displacing transaction committed.
     #[inline]
     pub(crate) fn take(self, guard: &Guard) -> Value {
         let out = self.value();
@@ -515,8 +546,9 @@ impl RetiredValue {
         self.retire_under(&handle.pin());
     }
 
+    /// [`RetiredValue::retire`] under a pin the caller already holds.
     #[inline]
-    fn retire_under(self, guard: &Guard) {
+    pub(crate) fn retire_under(self, guard: &Guard) {
         // SAFETY: per the contract, the committed transaction displaced the
         // word from its only reachable location; pinned readers are
         // protected by the epoch.
@@ -596,10 +628,12 @@ mod tests {
     fn retired_value_reads_and_defers() {
         let collector = txepoch::Collector::new();
         let handle = collector.register();
-        let payload = vec![9u8; MAX_INLINE_BYTES + 50];
-        let word = encode_value(&payload);
-        let retired = RetiredValue::new(word);
-        assert_eq!(&*retired.value(), &payload[..]);
-        retired.retire(&handle);
+        for len in [0, 3, MAX_INLINE_BYTES, MAX_INLINE_BYTES + 50] {
+            let payload = vec![9u8; len];
+            let retired = RetiredValue::new(encode_value(&payload));
+            assert_eq!(&*retired.value(), &payload[..]);
+            assert_eq!(retired.len(), len);
+            retired.retire(&handle);
+        }
     }
 }

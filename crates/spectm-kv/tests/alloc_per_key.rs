@@ -13,7 +13,8 @@
 //! when the store is built, so it is not part of a put.
 //!
 //! The same counter checks that a multi-key read copies nothing out of an
-//! expired entry, and that a dropped store frees every block it allocated.
+//! expired entry, that a removal copies out only a value its caller
+//! returns, and that a dropped store frees every block it allocated.
 //! Allocations are counted per thread, so the test harness's own threads
 //! cannot bleed into a measurement.
 
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, Clock, ShardedKv, ValueCell};
+use spectm_kv::{CacheConfig, Clock, ShardedKv, ValueCell, ITEM_OVERHEAD_BYTES};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -34,6 +35,9 @@ thread_local! {
     static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
     /// Blocks aligned above what `malloc` itself guarantees (16 bytes).
     static OVER_ALIGNED: Cell<u64> = const { Cell::new(0) };
+    /// Blocks of exactly `WATCHED_SIZE` bytes (see `blocks_of`).
+    static WATCHED: Cell<u64> = const { Cell::new(0) };
+    static WATCHED_SIZE: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -48,6 +52,9 @@ unsafe impl GlobalAlloc for Counting {
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         if layout.align() > 16 {
             OVER_ALIGNED.with(|n| n.set(n.get() + 1));
+        }
+        if layout.size() == WATCHED_SIZE.get() {
+            WATCHED.with(|n| n.set(n.get() + 1));
         }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
@@ -171,6 +178,53 @@ fn multi_key_reads_copy_nothing_out_of_an_expired_entry() {
         });
         assert_eq!(expired, absent, "(blocks, bytes): expired vs absent");
     }
+}
+
+/// What `f` returns, and the blocks of exactly `size` bytes the calling
+/// thread allocates while it runs.
+fn blocks_of<T>(size: usize, f: impl FnOnce() -> T) -> (T, u64) {
+    WATCHED_SIZE.set(size);
+    let before = WATCHED.get();
+    let out = f();
+    WATCHED_SIZE.set(0);
+    (out, WATCHED.get() - before)
+}
+
+/// A removal copies its value out only for a caller that returns it: a
+/// sweep that expires and evicts out-of-line values allocates no `Value`
+/// buffer (a block of exactly the value's length; a cell is a header
+/// longer), and a read that finds one expired allocates only the copy its
+/// own lookup made before it saw the deadline, while `del` allocates the
+/// one it returns.
+#[test]
+fn removals_copy_out_only_the_values_they_return() {
+    const LEN: usize = 1_000;
+    let stm = ValShort::new();
+    let now = Arc::new(AtomicU64::new(0));
+    let config = CacheConfig {
+        max_bytes: Some(8 * (ITEM_OVERHEAD_BYTES + LEN as u64)),
+        clock: Clock::manual(&now),
+        ..CacheConfig::default()
+    };
+    let store = ShardedKv::with_config(&stm, 2, 64, ApiMode::Short, config);
+    let mut t = store.register();
+    for key in 0..32 {
+        let ttl = (key % 4 == 0).then_some(10);
+        store
+            .put_with_ttl(key, &[key as u8; LEN], ttl, &mut t)
+            .expect("value fits");
+    }
+    // ORDERING: one thread writes and reads the manual clock.
+    now.store(10, Ordering::Relaxed);
+    let (got, lazy) = blocks_of(LEN, || store.get(0, &mut t));
+    assert_eq!((got, lazy), (None, 1), "lazy expiry's removal copied");
+    let (outcome, swept) = blocks_of(LEN, || store.sweep_step(store.bucket_count(), &mut t));
+    assert_eq!((outcome.expired, outcome.evicted > 0), (7, true));
+    assert_eq!(swept, 0, "the sweep copied {swept} removed values");
+    let key = store.scan(0, 1, &mut t)[0].0;
+    let (got, deleted) = blocks_of(LEN, || store.del(key, &mut t));
+    assert_eq!(got.as_deref(), Some(&[key as u8; LEN][..]));
+    assert_eq!(deleted, 1, "del returns the value it removed");
 }
 
 /// Builds a one-shard store whose two home buckets overflow, with inline

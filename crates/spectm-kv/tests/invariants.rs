@@ -832,10 +832,11 @@ fn bucket_walks_make_the_recorded_stm_calls() {
 ///   64), 40 spread keys, every bucket depth 0, and a budget nothing
 ///   reaches.  300 hits saturate the frequency byte; the expiry pass
 ///   removes 14 entries and halves that byte once.
-/// * `chained = true`: 1 shard of 2 home buckets holding 48 keys in chains
-///   3–4 buckets deep, 8 hits, and a 1-byte budget.  After the expiry pass
-///   (16 removals) the eviction pass spares the hit bucket 4 times,
-///   halving its byte 8 → 0, and empties both buckets.
+/// * `chained = true`: 1 shard of 1 home bucket (the 1-byte budget caps
+///   the 8-key hint's 2) holding 48 keys in a chain 7 buckets deep, and 8
+///   hits.  After the expiry pass (16 removals) the eviction pass spares
+///   the bucket 4 times, halving its byte 8 → 0, and empties it on its
+///   fifth visit.
 fn sweep_calls<S: Stm + Clone>(stm: S, mode: ApiMode, chained: bool) -> StatsSnapshot {
     let now_ms = Arc::new(AtomicU64::new(1_000));
     let (shards, capacity, keys, hits, budget): (usize, usize, Vec<u64>, usize, u64) = if chained {
@@ -877,19 +878,27 @@ fn sweep_calls<S: Stm + Clone>(stm: S, mode: ApiMode, chained: bool) -> StatsSna
 }
 
 /// One sweep makes exactly the STM calls recorded here: equal snapshots,
-/// not merely no more.  Only `singles` moved from the parent, whose sweep
-/// read each bucket's frequency byte with a second read of its home stat
-/// word, where the walk now takes it from the read it already made:
+/// not merely no more.  The depth-0 store's rows are the parent's.  The
+/// chained store's were `(48, 1 356 / 1 587 / 1 581, 262 / 274 / 258, 4,
+/// 464)` when its 8-key hint still gave it 2 home buckets with chains 4
+/// deep; now that its 1-byte budget caps it at 1 home bucket, two columns
+/// moved:
 ///
-/// * depth-0 store: 1 192 → 1 064 on every row, one read fewer for each
-///   of the 128 home buckets (128 × 8 walk reads + 40 deadlines remain);
-/// * chained store: 348 → 464 on every row, −2 − 10 + 4 × 32: one read
-///   fewer per home bucket in the expiry pass and per visit in the
-///   eviction pass (10 visits), but each of the 4 visits that spare the
-///   hit bucket now walks its 4-bucket chain (32 reads), where the parent
-///   read the stat word alone and walked nothing.
+/// * `singles` 464 → 416 on every row.  A bucket walk is 8 reads (stat
+///   word and 7 slots) and every entry a walk keeps costs a deadline read.
+///   Parent: expiry 2 × 4 × 8 + 48 = 112, then 10 eviction visits
+///   alternating the two chains — 4 spares of the hit one and 4 visits to
+///   the emptied other at 32 each, and the two emptying visits at 32 + 16
+///   — 352.  Now: expiry 7 × 8 + 48 = 104, then 4 spares at 56 and one
+///   emptying visit at 56 + 32: 312, the eviction pass stopping after 5
+///   visits because one bucket is the whole table.
+/// * `full_reads` +600 / +613 / +613 (1 956 / 2 200 / 2 194).  Each of the
+///   48 removals' transactions walks the bucket chain to its key, and the
+///   one chain of 48 keys is on average twice as long to walk as either of
+///   the parent's two of 24: about 12.5 more reads a removal.
 ///
-/// No other column moved: the removals and halvings are the parent's.
+/// `full_starts`, `full_writes` and the short transactions did not move:
+/// the removals and halvings are the parent's.
 /// Exact on any machine: one thread runs a fixed script and tower heights
 /// come from its own stream.
 #[test]
@@ -916,9 +925,9 @@ fn sweep_makes_the_recorded_stm_calls() {
         (
             true,
             [
-                row(48, 1_356, 262, 4, 464),
-                row(48, 1_587, 274, 4, 464),
-                row(48, 1_581, 258, 4, 464),
+                row(48, 1_956, 262, 4, 416),
+                row(48, 2_200, 274, 4, 416),
+                row(48, 2_194, 258, 4, 416),
             ],
         ),
     ] {

@@ -21,7 +21,9 @@ Options:
   --workers N         worker threads, each multiplexing many connections
                       (default 4)
   --shards N          store shards (default 16)
-  --capacity N        per-shard capacity hint in keys (default 65536)
+  --capacity N        per-shard capacity hint in keys (default 65536); under
+                      --max-bytes it is capped at one home bucket per two
+                      minimum-cost items the budget holds
   --max-bytes N       live-byte budget; the background reclaimer evicts
                       down to it (default: no budget, nothing is evicted)
   --default-ttl-ms N  TTL for puts that carry none; 0 = entries never
@@ -137,7 +139,8 @@ fn main() {
     println!(
         "served connections={} batches={} ops={} dispatches={} mean_frames={:.2} \
          wire_errors={} io_errors={} rejected={} hits={} misses={} hit_rate={:.4} \
-         expired={} evicted={} live_bytes={} swept_buckets={} reclaimer_busy_ms={}",
+         expired={} evicted={} live_bytes={} buckets={} swept_buckets={} \
+         reclaimer_busy_ms={}",
         stats.connections,
         stats.batches,
         stats.ops,
@@ -152,6 +155,7 @@ fn main() {
         cache.expired,
         cache.evicted,
         cache.live_bytes,
+        store.bucket_count(),
         swept.buckets,
         swept.busy_ns / 1_000_000,
     );
