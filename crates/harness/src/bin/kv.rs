@@ -40,8 +40,8 @@
 //! * `--ttl-ms N` — stamp every put with an N-millisecond TTL (cache mode;
 //!   0 = immortal, the default).
 //! * `--policy freq|fifo` — eviction victim selection in cache mode:
-//!   frequency-byte CLOCK (default) or cursor-order FIFO, the baseline the
-//!   frequency policy is measured against.
+//!   per-key frequency-byte CLOCK (default) or hand-order FIFO, the
+//!   baseline the frequency policy is measured against.
 //!
 //! `--keys`/`--key-range` plus optionally `--capacity` are the only sizing
 //! inputs: bucket counts are derived from the capacity hint, never passed

@@ -468,8 +468,9 @@ pub struct KvWorkloadConfig {
     pub max_bytes: Option<u64>,
     /// Default TTL the store stamps on every put (`0` = immortal).
     pub default_ttl_ms: u64,
-    /// Victim selection once `max_bytes` is exceeded (the frequency-byte
-    /// CLOCK by default; FIFO is the baseline it is measured against).
+    /// Victim selection once `max_bytes` is exceeded (CLOCK over each
+    /// entry's frequency byte by default; FIFO is the baseline it is
+    /// measured against).
     pub policy: EvictionPolicy,
 }
 

@@ -1,7 +1,8 @@
 //! Deterministic eviction-policy comparison on the zipfian read-through
 //! churn workload (the acceptance gate of the TTL/eviction work): with a
-//! byte budget far below the working set, frequency-byte (CLOCK) eviction
-//! must keep the hot keys resident and beat FIFO on hit rate.
+//! byte budget far below the working set, per-key CLOCK eviction (each
+//! entry's frequency byte) must keep the hot keys resident and beat FIFO
+//! on hit rate.
 //!
 //! Everything is driven single-threaded with manual sweep steps instead of
 //! the background reclaimer, so both runs are exact replays of the same
@@ -18,9 +19,9 @@ const VALUE_LEN: usize = 64;
 /// ~1/6 of the working set fits: `NUM_KEYS × (VALUE_LEN + overhead)` is
 /// 1.5 MiB against a 256 KiB budget, so eviction runs constantly.
 const BUDGET: u64 = 256 * 1024;
-/// Home buckets the budget gives the store: `BUDGET / (2 ×
+/// Home buckets the budget gives the store: `BUDGET / (4 ×
 /// ITEM_OVERHEAD_BYTES)`, fewer than the 16 × 128 the key count would.
-const BUCKETS: usize = 1_024;
+const BUCKETS: usize = 512;
 const OPS: u64 = 120_000;
 /// A sweep step every this many operations bounds the overshoot between
 /// sweeps to `SWEEP_EVERY × item_bytes` ≈ 9% of the budget.
@@ -41,9 +42,9 @@ fn churn_run(policy: EvictionPolicy) -> (f64, CacheStats) {
         ..KvWorkloadConfig::sized_for(NUM_KEYS)
     };
     // The budget sizes the tables, not the key count: one home bucket per
-    // two minimum-cost items it holds, so the ~1 400 resident keys share
-    // 1 024 buckets and each bucket's frequency byte speaks for one or two
-    // keys, which is what gives the CLOCK policy its signal.
+    // four minimum-cost items it holds, so the ~1 400 resident keys share
+    // 512 buckets, about three a bucket.  Each key's CLOCK byte is its
+    // own, so sharing a bucket blurs no hot key into a cold one.
     let store = ShardedKv::with_config(
         &stm,
         cfg.shards,

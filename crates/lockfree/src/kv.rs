@@ -298,8 +298,7 @@ impl LockFreeKvMap {
             None => {
                 // Chain full: link a fresh overflow bucket, born holding the
                 // node, off the last one.  The link `fetch_or` preserves
-                // the reserved frequency byte and (on the home bucket) the
-                // held lock bit.
+                // the held lock bit on the home bucket.
                 let overflow = OverflowBucket::alloc(tagged, AtomicUsize::new);
                 end.tail
                     .stat()

@@ -59,6 +59,7 @@
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
+use std::sync::atomic::AtomicU8;
 
 use spectm::{
     decode_int, encode_int, is_marked, mark, unmark, FullTx, Stm, StmThread, TxResult, Word,
@@ -92,16 +93,24 @@ pub const SHORT_LEVEL_CUTOFF: usize = 2;
 /// same allocation, by `level` transactional links — one forward pointer per
 /// level, reached through `Tower::links`.  The key and height are
 /// immutable after publication; the value cell, the `AUX` cells and the
-/// links are accessed transactionally.  The `AUX` cells belong to the
-/// caller, which lets a tower be a whole entry: the sharded store's towers
-/// carry one, the deadline word, and its hash map's item words point at the
+/// links are accessed transactionally.  The `AUX` cells and `aux_byte`
+/// belong to the caller, which lets a tower be a whole entry: the sharded
+/// store's towers carry one cell, the deadline word, and keep the entry's
+/// CLOCK counter in the byte; its hash map's item words point at the
 /// blocks its indexes link.  [`TowerSlot`] makes the block and
 /// [`free_tower`] is the only free.
 #[repr(C)]
 pub struct Tower<S: Stm, const AUX: usize = 0> {
     /// The key.
     pub key: u64,
-    level: usize,
+    /// The height, at most [`MAX_LEVEL`].
+    level: u8,
+    /// A caller-owned byte, zero when the tower is made.  It is not a
+    /// transactional cell: no list operation touches it, and its owner
+    /// reads and writes it with plain atomics outside any transaction,
+    /// while the block is reachable to it (under an epoch pin).  It fills
+    /// padding the header had anyway, so it costs no bytes.
+    pub aux_byte: AtomicU8,
     /// An [`spectm::encode_int`] value under the list's map API; whatever
     /// word its owner stores otherwise.
     pub value: S::Cell,
@@ -109,7 +118,33 @@ pub struct Tower<S: Stm, const AUX: usize = 0> {
     pub aux: [S::Cell; AUX],
 }
 
+// The header at word-sized cells: key, then height and byte in one word
+// (the byte sits in the height's padding), then the value word — 24 bytes
+// for the paper's towers, 32 for the store's entries with their one extra
+// cell.  A height must fit the narrowed field.
+const _: () = {
+    use std::mem::size_of;
+    assert!(
+        MAX_LEVEL <= u8::MAX as usize,
+        "a tower's height must fit its u8"
+    );
+    assert!(
+        size_of::<Tower<spectm::ValStm, 0>>() == 24,
+        "a tower header at word cells must stay three words"
+    );
+    assert!(
+        size_of::<Tower<spectm::ValStm, 1>>() == 32,
+        "an entry header (one caller cell) at word cells must stay four words"
+    );
+};
+
 impl<S: Stm, const AUX: usize> Tower<S, AUX> {
+    /// The tower's height: how many links follow the header.
+    #[inline]
+    fn level(&self) -> usize {
+        usize::from(self.level)
+    }
+
     /// The block of a tower of height `level`: the header, then the links.
     /// The header holds a cell, so its size is a multiple of the cell's
     /// alignment and the links start right at its end.
@@ -133,6 +168,7 @@ impl<S: Stm, const AUX: usize> Tower<S, AUX> {
     /// until it is published.
     fn alloc(stm: &S, key: u64, level: usize) -> *mut Self {
         let layout = Self::layout(level);
+        let height = u8::try_from(level).expect("tower heights are at most MAX_LEVEL");
         // SAFETY: the layout is not zero-sized (the header alone is two
         // words and a cell).  A non-null block is a fresh allocation of it,
         // private to this thread: the header fits at offset 0 and `level`
@@ -144,7 +180,8 @@ impl<S: Stm, const AUX: usize> Tower<S, AUX> {
             }
             tower.write(Tower {
                 key,
-                level,
+                level: height,
+                aux_byte: AtomicU8::new(0),
                 value: stm.new_cell(0),
                 aux: std::array::from_fn(|_| stm.new_cell(0)),
             });
@@ -161,7 +198,7 @@ impl<S: Stm, const AUX: usize> Tower<S, AUX> {
     fn links(&self) -> &[S::Cell] {
         // SAFETY: every tower was made by `Tower::alloc`, which wrote `level`
         // cells right after the header; they live as long as the header.
-        unsafe { std::slice::from_raw_parts(Self::first_link(self), self.level) }
+        unsafe { std::slice::from_raw_parts(Self::first_link(self), self.level()) }
     }
 }
 
@@ -182,7 +219,7 @@ pub unsafe fn free_tower<S: Stm, const AUX: usize>(ptr: *mut u8) {
     // SAFETY: per the contract the block is a live tower this thread owns
     // exclusively; its header still holds the height its block was sized by.
     unsafe {
-        let level = (*tower).level;
+        let level = (*tower).level();
         std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
             Tower::first_link(tower),
             level,
@@ -733,8 +770,11 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
         (ptr, tower): (Word, &Tower<S, AUX>),
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<bool> {
-        debug_assert!(tower.level > 0, "a TowerSlot::unlinked tower has no links");
-        for lvl in 0..tower.level {
+        debug_assert!(
+            tower.level() > 0,
+            "a TowerSlot::unlinked tower has no links"
+        );
+        for lvl in 0..tower.level() {
             if Self::pred_target(w, same_tx, lvl, tx)? != w.succs[lvl] {
                 return Ok(false);
             }
@@ -742,9 +782,9 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
         // A tower reaching above the window raises the height hint first
         // (see `Window::top`); the hint never falls, so one that is not the
         // window's own is re-read before it is written.
-        let above = tower.level > w.top;
-        if above && (same_tx || tower.level > decode_int(tx.read(&self.level_hint)?)) {
-            tx.write(&self.level_hint, encode_int(tower.level))?;
+        let above = tower.level() > w.top;
+        if above && (same_tx || tower.level() > decode_int(tx.read(&self.level_hint)?)) {
+            tx.write(&self.level_hint, encode_int(tower.level()))?;
         }
         for (lvl, link) in tower.links().iter().enumerate() {
             S::poke(link, w.succs[lvl]);
@@ -814,15 +854,15 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
             }
             let (ptr, tower) = slot.tower(&self.stm, key);
             S::poke(&tower.value, enc(value));
-            let published = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
+            let published = if self.mode == ApiMode::Short && tower.level() <= SHORT_LEVEL_CUTOFF {
                 for (link, &succ) in tower.links().iter().zip(&w.succs) {
                     S::poke(link, succ);
                 }
-                if tower.level == 1 {
+                if tower.level() == 1 {
                     // The paper's AddLevelOne: one single-location CAS.
                     thread.single_cas(w.preds[0], w.succs[0], ptr) == w.succs[0]
                 } else {
-                    self.insert_short_rw(&w, tower.level, ptr, thread)
+                    self.insert_short_rw(&w, tower.level(), ptr, thread)
                 }
             } else {
                 // Tall towers in Short mode, every tower in Fine mode.
@@ -1007,7 +1047,7 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
             let Some(tower) = Self::found(&w, key) else {
                 return Some(false);
             };
-            let outcome = if self.mode == ApiMode::Short && tower.level <= SHORT_LEVEL_CUTOFF {
+            let outcome = if self.mode == ApiMode::Short && tower.level() <= SHORT_LEVEL_CUTOFF {
                 self.remove_short_rw(&w, tower, thread)
             } else {
                 self.remove_txn_unlink(&w, tower, thread)
@@ -1036,7 +1076,7 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
         tower: &Tower<S, AUX>,
         thread: &mut S::Thread,
     ) -> Removal {
-        let (target, level) = (w.succs[0], tower.level);
+        let (target, level) = (w.succs[0], tower.level());
         let mut values = [0 as Word; 2 * SHORT_LEVEL_CUTOFF];
         // First the predecessors (unlink), then the tower's own pointers
         // (mark).  All locations are distinct.

@@ -665,8 +665,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
         // The group's reads settle after the commit too, so conflict
         // retries are not counted.
         for &op in group {
-            if let BatchOp::Get(key) = ops[op] {
-                self.settle_read(shard, key, out[op].is_some(), thread);
+            if let BatchOp::Get(_) = ops[op] {
+                self.settle_read(out[op].is_some());
             }
         }
     }

@@ -53,8 +53,8 @@
 //! as a **memory-capped cache**: every item carries a deadline word beside
 //! its value word (per-key TTL, lazily expired on read and reclaimed
 //! incrementally by a [`Reclaimer`] thread via [`ShardedKv::sweep_step`]),
-//! and a `max_bytes` budget drives CLOCK eviction over the per-bucket
-//! frequency byte ([`EvictionPolicy`]).  An expired key is never
+//! and a `max_bytes` budget drives CLOCK eviction over a frequency byte
+//! in each entry ([`EvictionPolicy`]).  An expired key is never
 //! observable through any read surface; [`ShardedKv::live_bytes`] tracks
 //! the physical account and [`ShardedKv::cache_stats`] the
 //! hit/miss/expiry/eviction counters.  DESIGN.md § "TTL and eviction" has

@@ -9,19 +9,21 @@
 //! natural one-word alignment), so a probe compares tags before
 //! dereferencing and mismatched slots cost no cache miss.  The stat word links to a
 //! heap-allocated *overflow bucket* once a bucket's 8th key arrives
-//! (512-byte aligned, freeing bits 1..=8 of the link as the per-bucket
-//! **frequency byte** the eviction policy consults — saturating bump on
-//! hit, periodic halving by the reclaimer; bit 0 stays clear for the `val`
-//! layout's lock bit in both word kinds).  A zero item word is an empty
-//! slot; a stat word with no pointer bits ends the chain.
+//! (512-byte aligned; bit 0 stays clear for the `val` layout's lock bit in
+//! both word kinds, and bits 1..=8 of the link are unused).  A zero item
+//! word is an empty slot; a stat word with no pointer bits ends the chain.
 //! Each **entry** is one block, a [`spectm_ds::Tower`] with one
 //! caller-owned cell: the immutable key, then two transactional cells — the
 //! **value word** (inline payload or [`crate::ValueCell`] pointer; see
 //! [`crate::value`]) and the **deadline word** (the key's expiry time in
 //! milliseconds shifted past the lock bit; zero = never expires — see
-//! `encode_deadline`) — then the tower's links.  In a [`crate::ShardedKv`]
-//! the shard's ordered index links the same block, so a key is one
-//! allocation; a standalone map's entries have no links (height 0).  The
+//! `encode_deadline`) — then the tower's links.  The header's
+//! caller-owned byte is the entry's **CLOCK byte**: the store's lookups
+//! bump it on a budgeted hit and its sweep halves it, with plain relaxed
+//! atomics, never inside a transaction (see `touch`).  In a
+//! [`crate::ShardedKv`] the shard's ordered index links the same block, so
+//! a key is one allocation; a standalone map's entries have no links
+//! (height 0).  The
 //! map stores deadlines without interpreting them; expiry policy (lazy
 //! expiry on read, background sweeps, byte-budget eviction) lives in
 //! [`crate::ShardedKv`].
@@ -81,6 +83,7 @@
 //! moment at which the key was absent — the miss linearizes there.
 
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::{free_tower, ApiMode, Tower, TowerSlot};
@@ -106,21 +109,9 @@ const TAG_MASK: Word = !0 << ADDRESS_BITS;
 /// Mask recovering the entry pointer from an item word.
 pub const ITEM_PTR_MASK: Word = !(TAG_MASK | 1);
 
-/// Bits 1..=8 of a stat word: the per-bucket frequency-counter byte.  It
-/// belongs to this map's eviction policy (saturating bump on hit, halved
-/// by the reclaimer's periodic decay); chain updates preserve it, and the
-/// lock-free baseline, which has no eviction, only ever preserves it.
-const FREQ_MASK: Word = 0x1FE;
-
-/// Position of the frequency byte within a stat word (bit 0 stays clear
-/// for the `val` layout's lock bit).
-const FREQ_SHIFT: u32 = 1;
-
-/// Saturation ceiling of the 8-bit frequency counter.
-const FREQ_MAX: Word = 0xFF;
-
-/// Mask recovering the overflow-bucket pointer from a stat word.
-const CHAIN_PTR_MASK: Word = !(FREQ_MASK | 1);
+/// Mask recovering the overflow-bucket pointer from a stat word: all but
+/// the lock bit.
+const CHAIN_PTR_MASK: Word = !1;
 
 /// Shift applied to a deadline (milliseconds on the store's clock) to form
 /// a **deadline word**: bit 0 stays clear for the `val` layout's lock bit,
@@ -132,11 +123,11 @@ pub(crate) const DEADLINE_SHIFT: u32 = 1;
 pub(crate) const CAPACITY_PER_BUCKET: usize = 5;
 
 // The item and stat words, asserted where they are defined (the compiler
-// is their one checker): the tag and frequency fields leave the lock bit
-// clear, each pointer mask is exactly the complement of its field and the
-// lock bit, both fields are contiguous bit runs, the tag sits above every
-// address bit, and the deadline word keeps the lock bit clear.  The
-// alignments those fields rely on are asserted after the structs.
+// is their one checker): the tag leaves the lock bit clear, each pointer
+// mask is exactly the complement of its field and the lock bit, the tag is
+// one contiguous bit run above every address bit, and the deadline word
+// keeps the lock bit clear.  The alignments those fields rely on are
+// asserted after the structs.
 const _: () = {
     assert!(TAG_MASK & 1 == 0, "tag bits overlap the lock bit");
     assert!(
@@ -151,18 +142,9 @@ const _: () = {
         ITEM_PTR_MASK == !(TAG_MASK | 1),
         "ITEM_PTR_MASK and TAG_MASK | 1 must partition the item word"
     );
-    assert!(FREQ_MASK & 1 == 0, "frequency bits overlap the lock bit");
     assert!(
-        FREQ_MAX & (FREQ_MAX + 1) == 0,
-        "FREQ_MAX must be a contiguous all-ones field"
-    );
-    assert!(
-        FREQ_MASK == FREQ_MAX << FREQ_SHIFT,
-        "frequency byte must fill the frequency mask exactly"
-    );
-    assert!(
-        CHAIN_PTR_MASK == !(FREQ_MASK | 1),
-        "CHAIN_PTR_MASK and FREQ_MASK | 1 must partition the stat word"
+        CHAIN_PTR_MASK == !1,
+        "CHAIN_PTR_MASK and the lock bit must partition the stat word"
     );
     assert!(
         DEADLINE_SHIFT >= 1,
@@ -199,6 +181,33 @@ fn deadline<S: Stm>(entry: &Entry<S>) -> &S::Cell {
     &entry.aux[0]
 }
 
+/// A hit's bump of `entry`'s CLOCK byte: a relaxed load and, below 255, a
+/// relaxed store of one more — no transaction, no read-modify-write.  The
+/// byte is a popularity hint, not a count: a bump lost to a racing bump or
+/// halving is fine.  Call it under the pin the entry was reached by.
+#[inline]
+fn touch<S: Stm>(entry: &Entry<S>) {
+    // ORDERING: the CLOCK byte orders nothing; it is a heuristic that only
+    // this lookup's and the sweep's relaxed accesses share.
+    let byte = entry.aux_byte.load(Ordering::Relaxed);
+    if byte < u8::MAX {
+        // ORDERING: as above.
+        entry.aux_byte.store(byte + 1, Ordering::Relaxed);
+    }
+}
+
+/// What a lookup found under a key, liveness decided before anything was
+/// copied: `T` is a value word inside a transaction, a copied value after.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Lookup<T> {
+    /// No entry holds the key.
+    Absent,
+    /// An entry holds the key, but its deadline word says it is dead.
+    Expired,
+    /// A live entry's value.
+    Live(T),
+}
+
 /// One 64-byte bucket of slot cells `C` (an STM cell here, an `AtomicUsize`
 /// in the lock-free baseline): 7 item words and a stat word, contiguous so
 /// a probe touches a single cache line (for word-sized cells; layouts with
@@ -210,9 +219,8 @@ pub struct Bucket<C> {
     stat: C,
 }
 
-/// A heap-allocated overflow bucket.  The 512-byte alignment is what frees
-/// the low 9 bits of the chain pointer for the lock bit and the reserved
-/// frequency byte.
+/// A heap-allocated overflow bucket.  The 512-byte alignment frees the low
+/// 9 bits of the chain pointer: bit 0 for the lock bit, bits 1..=8 unused.
 #[repr(align(512))]
 pub struct OverflowBucket<C> {
     bucket: Bucket<C>,
@@ -225,8 +233,8 @@ pub struct OverflowBucket<C> {
 // lock-free baseline's `Table<AtomicUsize>` as for every `StmHashMap<S>`.
 // An entry's alignment clears the item word's lock bit and the value-word
 // tags (an out-of-line value word is a pointer through the same cells), the
-// overflow bucket's clears the stat word's lock and frequency bits, and a
-// bucket of word cells is exactly one 64-byte line.
+// overflow bucket's clears the stat word's lock bit, and a bucket of word
+// cells is exactly one 64-byte line.
 const _: () = {
     use std::mem::{align_of, size_of};
     assert!(
@@ -235,8 +243,8 @@ const _: () = {
         "an entry's alignment must clear the lock bit and the value-word tags"
     );
     assert!(
-        align_of::<OverflowBucket<Word>>() as Word > (FREQ_MASK | 1),
-        "OverflowBucket's alignment must clear the lock and frequency bits"
+        align_of::<OverflowBucket<Word>>() as Word > !CHAIN_PTR_MASK,
+        "OverflowBucket's alignment must clear the stat word's lock bit"
     );
     assert!(
         align_of::<Bucket<Word>>() == 64 && size_of::<[Word; BUCKET_SLOTS + 1]>() == 64,
@@ -250,8 +258,6 @@ pub struct ChainEnd<'a, C> {
     pub empty: Option<(usize, &'a C)>,
     /// The last bucket, where an insert that found no empty slot links.
     pub tail: &'a Bucket<C>,
-    /// The stat word read from `tail`.
-    pub(crate) stat: Word,
     /// Overflow buckets walked.
     pub(crate) depth: usize,
 }
@@ -307,12 +313,7 @@ impl<C> Bucket<C> {
             let next = (stat & CHAIN_PTR_MASK) as *const OverflowBucket<C>;
             if next.is_null() {
                 let tail = bucket;
-                return ControlFlow::Continue(ChainEnd {
-                    empty,
-                    tail,
-                    stat,
-                    depth,
-                });
+                return ControlFlow::Continue(ChainEnd { empty, tail, depth });
             }
             depth += 1;
             // SAFETY: buckets are reachable only through their `Table`, whose
@@ -735,22 +736,37 @@ impl<S: Stm> StmHashMap<S> {
 
     /// Returns the value stored under `key`.
     pub fn get(&self, key: u64, thread: &mut S::Thread) -> Option<Value> {
-        self.get_entry(key, thread).map(|(value, _)| value)
+        match self.get_entry(key, |_| true, false, thread) {
+            Lookup::Live(value) => Some(value),
+            Lookup::Absent | Lookup::Expired => None,
+        }
     }
 
-    /// [`StmHashMap::get`] plus the entry's deadline word — the store's
-    /// expiry-aware read (the map itself stores deadlines without
-    /// interpreting them; expiry policy lives in [`crate::ShardedKv`]).
-    pub(crate) fn get_entry(&self, key: u64, thread: &mut S::Thread) -> Option<(Value, Word)> {
+    /// The store's expiry-aware read (the map itself stores deadlines
+    /// without interpreting them; expiry policy lives in
+    /// [`crate::ShardedKv`]): `live` judges the entry's deadline word, and
+    /// only a live entry's value is copied out.  With `clock` a live hit
+    /// also bumps the entry's CLOCK byte (`touch`), in the same pinned
+    /// lookup that read the entry.
+    pub(crate) fn get_entry(
+        &self,
+        key: u64,
+        live: impl Fn(Word) -> bool,
+        clock: bool,
+        thread: &mut S::Thread,
+    ) -> Lookup<Value> {
         match self.mode {
             ApiMode::Short => {
                 let pin = thread.epoch().pin();
-                thread.retry(|thread| self.attempt_get(key, &pin, thread))
+                thread.retry(|thread| self.attempt_get(key, &live, clock, &pin, thread))
             }
             ApiMode::Full | ApiMode::Fine => thread
                 .atomic(|tx| {
-                    let entry = self.read_entry_in(key, tx)?;
-                    Ok(entry.map(|(word, deadline)| (Self::value_in(word, tx), deadline)))
+                    Ok(match self.read_entry_in(key, &live, clock, tx)? {
+                        Lookup::Live(word) => Lookup::Live(Self::value_in(word, tx)),
+                        Lookup::Expired => Lookup::Expired,
+                        Lookup::Absent => Lookup::Absent,
+                    })
                 })
                 .expect("get is never cancelled"),
         }
@@ -851,6 +867,27 @@ impl<S: Stm> StmHashMap<S> {
         out
     }
 
+    /// The CLOCK byte of `key`'s entry, if the key is present
+    /// (non-transactional; only meaningful when no concurrent operations
+    /// run).
+    pub(crate) fn quiescent_clock(&self, key: u64) -> Option<u8> {
+        let (home, tag) = self.table.home(key);
+        let walk = home.walk(
+            Some(tag),
+            &mut (),
+            |_, _, cell| ControlFlow::Continue(S::peek(cell)),
+            |_, _, cell, w| match self.hit(key, cell, w) {
+                // ORDERING: quiescence — no concurrent access to the byte.
+                Some(c) => ControlFlow::Break(c.entry.aux_byte.load(Ordering::Relaxed)),
+                None => ControlFlow::Continue(()),
+            },
+        );
+        match walk {
+            ControlFlow::Break(byte) => Some(byte),
+            ControlFlow::Continue(_) => None,
+        }
+    }
+
     /// Collects occupancy and probe-length statistics (non-transactional;
     /// only meaningful when no concurrent operations run).
     pub fn stats(&self) -> MapStats {
@@ -892,11 +929,13 @@ impl<S: Stm> StmHashMap<S> {
     fn attempt_get(
         &self,
         key: u64,
+        live: impl Fn(Word) -> bool,
+        clock: bool,
         pin: &Guard,
         thread: &mut S::Thread,
-    ) -> Option<Option<(Value, Word)>> {
+    ) -> Option<Lookup<Value>> {
         let Some(c) = self.find_short(key, pin, thread) else {
-            return Some(None);
+            return Some(Lookup::Absent);
         };
         // Membership, value and deadline must be observed together: a
         // three-location read-only short transaction over (slot, value,
@@ -910,9 +949,15 @@ impl<S: Stm> StmHashMap<S> {
         if !thread.ro_is_valid(3) {
             return None;
         }
+        if !live(deadline) {
+            return Some(Lookup::Expired);
+        }
+        if clock {
+            touch(c.entry);
+        }
         // SAFETY: `pin` predates any retirement of the cell behind the
         // validated word, so it cannot have been freed yet.
-        Some(Some((unsafe { decode_value(value) }, deadline)))
+        Some(Lookup::Live(unsafe { decode_value(value) }))
     }
 
     /// One attempt at the update-in-place protocol: a three-location short
@@ -1011,16 +1056,14 @@ impl<S: Stm> StmHashMap<S> {
             } else {
                 // Bucket full with no chain yet: publish the entry inside a
                 // fresh overflow bucket by linking it through the stat
-                // word (preserving the reserved frequency byte).  This
-                // call's entry never changes, so the bucket is born
-                // holding it.
+                // word.  This call's entry never changes, so the bucket is
+                // born holding it.
                 if slots.chain.is_null() {
                     slots.chain = OverflowBucket::alloc(tagged, |w| self.stm.new_cell(w));
                 }
                 slots.chain_used = true;
-                let chain_word = slots.chain as Word | (end.stat & FREQ_MASK);
                 thread.upgrade_ro_to_rw(BUCKET_SLOTS, 0)
-                    && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[chain_word])
+                    && thread.ro_rw_commit(BUCKET_SLOTS + 1, 1, &[slots.chain as Word])
             };
             if committed {
                 slots.mark_published();
@@ -1063,84 +1106,52 @@ impl<S: Stm> StmHashMap<S> {
     }
 
     // ------------------------------------------------------------------
-    // Frequency byte and sweep support (the store's eviction machinery)
+    // Sweep support (the store's expiry and eviction machinery)
     // ------------------------------------------------------------------
-
-    /// Best-effort saturating bump of `key`'s home-bucket frequency byte:
-    /// one single-location short read-write transaction, no retry — a lost
-    /// bump under contention is fine (the counter is a popularity
-    /// heuristic, not a count).
-    pub(crate) fn bump_freq(&self, key: u64, thread: &mut S::Thread) {
-        let (home, _) = self.table.home(key);
-        let stat = thread.rw_read(0, &home.stat);
-        if !thread.rw_is_valid(1) {
-            return;
-        }
-        if (stat & FREQ_MASK) >> FREQ_SHIFT >= FREQ_MAX {
-            thread.rw_abort(1);
-            return;
-        }
-        let _ = thread.rw_commit(1, &[stat + (1 << FREQ_SHIFT)]);
-    }
-
-    /// Best-effort halving of home bucket `idx`'s frequency byte — the
-    /// reclaimer's periodic decay.  One attempt, no retry.
-    pub(crate) fn halve_freq(&self, idx: usize, thread: &mut S::Thread) {
-        let cell = &self.table.buckets[idx].stat;
-        let stat = thread.rw_read(0, cell);
-        if !thread.rw_is_valid(1) {
-            return;
-        }
-        let freq = (stat & FREQ_MASK) >> FREQ_SHIFT;
-        if freq == 0 {
-            thread.rw_abort(1);
-            return;
-        }
-        let halved = (stat & !FREQ_MASK) | ((freq >> 1) << FREQ_SHIFT);
-        let _ = thread.rw_commit(1, &[halved]);
-    }
 
     /// The sweep's walk of home bucket `idx`'s chain, under the caller's
     /// epoch pin: one single-location read per item and stat word, each
     /// occupied item word pushed to `items` as its entry is prefetched.
-    /// Returns the home bucket's frequency byte, taken from the stat word
-    /// the walk read.  Read the entries' keys and deadlines with
-    /// [`StmHashMap::swept_entry`] after the chunk's walk, under the same
-    /// pin, so their misses overlap the walk; the snapshot is best-effort
-    /// and each removal re-checks inside its own transaction.
+    /// Read the entries with [`StmHashMap::swept_entry`] after the chunk's
+    /// walk, under the same pin, so their misses overlap the walk; the
+    /// snapshot is best-effort and each removal re-checks inside its own
+    /// transaction.
     pub(crate) fn sweep_walk(
         &self,
         idx: usize,
         _pin: &Guard,
         thread: &mut S::Thread,
         items: &mut Vec<Word>,
-    ) -> u8 {
-        let mut freq = 0;
+    ) {
         let _ = self.table.buckets[idx].walk(
             None,
             thread,
-            |thread, pos, cell| {
-                let w = thread.single_read(cell);
-                if pos == BUCKET_SLOTS {
-                    freq = ((w & FREQ_MASK) >> FREQ_SHIFT) as u8;
-                }
-                ControlFlow::Continue(w)
-            },
+            |thread, _, cell| ControlFlow::Continue(thread.single_read(cell)),
             |_, _, _, w| {
                 spectm::prefetch(Self::entry_ptr(w));
                 items.push(w);
                 ControlFlow::<()>::Continue(())
             },
         );
-        freq
     }
 
-    /// The key and deadline word of an entry whose item word
-    /// [`StmHashMap::sweep_walk`] pushed, read under the walk's pin.
+    /// The key, the deadline word and the CLOCK byte of an entry whose item
+    /// word [`StmHashMap::sweep_walk`] pushed, read under the walk's pin,
+    /// which the byte's reference cannot outlive: the sweep ages the byte
+    /// through it with a relaxed store, no transaction.
     #[inline]
-    pub(crate) fn swept_entry(&self, w: Word, _pin: &Guard, thread: &mut S::Thread) -> (u64, Word) {
+    pub(crate) fn swept_entry<'g>(
+        &'g self,
+        w: Word,
+        _pin: &'g Guard,
+        thread: &mut S::Thread,
+    ) -> (u64, Word, &'g AtomicU8) {
         let entry = self.entry_at(w);
-        (entry.key, thread.single_read(deadline(entry)))
+        (
+            entry.key,
+            thread.single_read(deadline(entry)),
+            &entry.aux_byte,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1267,7 +1278,7 @@ impl<S: Stm> StmHashMap<S> {
             let cb = unsafe { &(*slots.chain).bucket };
             // A published slot may be reused with a fresh entry.
             S::poke(&cb.item[0], tagged);
-            tx.write(&end.tail.stat, slots.chain as Word | (end.stat & FREQ_MASK))?;
+            tx.write(&end.tail.stat, slots.chain as Word)?;
             slots.chain_used = true;
         }
         Ok(None)
@@ -1303,22 +1314,32 @@ impl<S: Stm> StmHashMap<S> {
         Ok(Some((RetiredValue::new(value), deadline, c.word)))
     }
 
-    /// Reads the entry under `key` — its deadline word, then its value word
-    /// — inside an already-running full transaction (the building block of
-    /// cross-shard read-modify-write and of the multi-key reads).  Nothing
-    /// is copied: a caller that keeps the value copies it out with
-    /// [`StmHashMap::value_in`], within the same attempt, once the deadline
-    /// says the entry is live.
+    /// Reads the entry under `key` — its deadline word, judged by `live`,
+    /// then a live entry's value word — inside an already-running full
+    /// transaction (the building block of cross-shard read-modify-write and
+    /// of the multi-key reads).  With `clock` a live hit bumps the entry's
+    /// CLOCK byte (`touch`; an attempt that aborts may have bumped it
+    /// too, which the heuristic tolerates).  Nothing is copied: a caller
+    /// that keeps the value copies it out with [`StmHashMap::value_in`],
+    /// within the same attempt.
     pub(crate) fn read_entry_in(
         &self,
         key: u64,
+        live: impl Fn(Word) -> bool,
+        clock: bool,
         tx: &mut FullTx<'_, S::Thread>,
-    ) -> TxResult<Option<(Word, Word)>> {
+    ) -> TxResult<Lookup<Word>> {
         let ControlFlow::Break(c) = self.probe_in(key, tx)? else {
-            return Ok(None);
+            return Ok(Lookup::Absent);
         };
-        let deadline = tx.read(deadline(c.entry))?;
-        Ok(Some((tx.read(&c.entry.value)?, deadline)))
+        if !live(tx.read(deadline(c.entry))?) {
+            return Ok(Lookup::Expired);
+        }
+        let word = tx.read(&c.entry.value)?;
+        if clock {
+            touch(c.entry);
+        }
+        Ok(Lookup::Live(word))
     }
 
     /// Reads the value word and the deadline word of `entry` — a tower of
@@ -1562,10 +1583,13 @@ mod tests {
                 Some((Value::new(&[9u8; 100]), encode_deadline(40))),
                 "{mode:?}"
             );
+            // The entry reads live exactly under its own deadline word.
+            let mut under = |word| map.get_entry(5, move |d| d == word, false, &mut t);
             assert_eq!(
-                map.get_entry(5, &mut t),
-                Some((Value::new(b"third"), encode_deadline(40)))
+                under(encode_deadline(40)),
+                Lookup::Live(Value::new(b"third"))
             );
+            assert_eq!(under(0), Lookup::Expired);
         }
     }
 
@@ -1582,8 +1606,13 @@ mod tests {
         let moved = t
             .atomic(|tx| {
                 displaced.clear();
-                let (a, _) = map.read_entry_in(1, tx)?.expect("key 1 present");
-                let (b, _) = map.read_entry_in(2, tx)?.expect("key 2 present");
+                let live = |_| true;
+                let Lookup::Live(a) = map.read_entry_in(1, live, false, tx)? else {
+                    panic!("key 1 present")
+                };
+                let Lookup::Live(b) = map.read_entry_in(2, live, false, tx)? else {
+                    panic!("key 2 present")
+                };
                 let a = StmHashMap::<ValShort>::value_in(a, tx).as_u64();
                 let b = StmHashMap::<ValShort>::value_in(b, tx).as_u64();
                 let wrote_a =
@@ -1610,12 +1639,12 @@ mod tests {
         let (missing, wrote) = t
             .atomic(|tx| {
                 Ok((
-                    map.read_entry_in(9, tx)?,
+                    map.read_entry_in(9, |_| true, false, tx)?,
                     map.write_entry_in(9, b"x", None, &mut slot, tx)?.is_some(),
                 ))
             })
             .unwrap();
-        assert_eq!(missing, None);
+        assert_eq!(missing, Lookup::Absent);
         assert!(!wrote);
     }
 

@@ -41,8 +41,8 @@
 //!
 //! Configured through [`CacheConfig`] (see [`ShardedKv::with_config`]), the
 //! store runs as a bounded cache.  The *mechanism* lives in the map — every
-//! item stores a deadline word beside its value word, every home bucket a
-//! frequency byte in its stat word — and the *policy* lives here:
+//! item stores a deadline word beside its value word and a CLOCK byte in
+//! its header — and the *policy* lives here:
 //!
 //! * **Expiry is lazy plus swept.**  Reads treat a passed deadline as a
 //!   miss and immediately remove the corpse (a full transaction over the
@@ -57,17 +57,19 @@
 //!   physically present — including expired-but-unswept ones — and every
 //!   mutation settles its delta right after its transaction commits, riding
 //!   the same displaced-ownership hook that retires value words.
-//! * **Eviction is budget-driven CLOCK.**  When `max_bytes` is set and the
-//!   account exceeds it, the sweep empties buckets at the cursor;
-//!   [`EvictionPolicy::Freq`] gives buckets with a non-zero frequency byte
-//!   a second chance (halving the counter), so under skewed traffic the hot
-//!   set survives.  Writes may overshoot between sweeps; the invariant is
-//!   *at-or-under budget after a sweep*.
+//! * **Eviction is budget-driven CLOCK, per key.**  A budgeted hit bumps
+//!   the entry's CLOCK byte with a relaxed load and store inside the lookup
+//!   that found it — no transaction, so a hit writes no word a neighbour's
+//!   insert validates.  When `max_bytes` is set and the account exceeds
+//!   it, the sweep walks buckets from its CLOCK hand and, key by key,
+//!   evicts while the account is over budget; [`EvictionPolicy::Freq`] gives a
+//!   key with a non-zero byte a second chance (halving the byte), so under
+//!   skewed traffic the hot set survives.  Writes may overshoot between
+//!   sweeps; the invariant is *at-or-under budget after a sweep*.
 //! * **The budget sizes the table.**  A budgeted store has at most one
-//!   home bucket per two minimum-cost items the budget holds (the capacity
-//!   hint is an upper bound), so the buckets hold what the budget does,
-//!   each frequency byte speaks for a key or two, and the sweep walks no
-//!   bucket the budget could never fill.
+//!   home bucket per four minimum-cost items the budget holds (the
+//!   capacity hint is an upper bound), so the buckets hold what the budget
+//!   does and the sweep walks no bucket the budget could never fill.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +78,8 @@ use spectm::{FullTx, Stm, StmThread, TxResult, Word};
 use spectm_ds::{ApiMode, RetiredTower, StmSkipList, TowerSlot};
 
 use crate::map::{
-    deadline_expired, encode_deadline, EntrySlots, MapStats, StmHashMap, CAPACITY_PER_BUCKET,
+    deadline_expired, encode_deadline, EntrySlots, Lookup, MapStats, StmHashMap,
+    CAPACITY_PER_BUCKET,
 };
 use crate::router::ShardRouter;
 use crate::ttl::{CacheConfig, CacheStats, EvictionPolicy, SweepOutcome};
@@ -92,24 +95,25 @@ pub const MAX_RMW_KEYS: usize = 8;
 
 /// Fixed per-item overhead charged against the byte budget beside the
 /// payload length: the entry (one block: a 32-byte header of key, height,
-/// value word and deadline word at word-sized cells, then the index links,
-/// 8 bytes each, two on average), its share of the bucket array, and
-/// allocator slack.  A deliberately blunt constant — the budget bounds
-/// memory to first order; it is not an allocator audit.  The bucket share
-/// is bounded for a budgeted store, whose table has at most one home bucket
-/// per [`BUDGET_BYTES_PER_BUCKET`] bytes of budget (see
-/// [`ShardedKv::with_config`]): with 64-byte buckets that is 32 bytes per
-/// minimum-cost item before the power-of-two rounding, at most 64 after it.
+/// CLOCK byte, value word and deadline word at word-sized cells, then the
+/// index links, 8 bytes each, two on average), its share of the bucket
+/// array, and allocator slack.  A deliberately blunt constant — the budget
+/// bounds memory to first order; it is not an allocator audit.  The bucket
+/// share is bounded for a budgeted store, whose table has at most one home
+/// bucket per `BUDGET_BYTES_PER_BUCKET` bytes of budget (see
+/// [`ShardedKv::with_config`]): with 64-byte buckets that is 16 bytes per
+/// minimum-cost item before the power-of-two rounding, at most 32 after it.
 pub const ITEM_OVERHEAD_BYTES: u64 = 128;
 
-/// Budget bytes per home bucket of a budgeted store: one bucket per two
-/// minimum-cost items the budget can hold.  Eviction is CLOCK per bucket,
-/// so a bucket's frequency byte speaks for every key in it; at one bucket
-/// per five items the hot keys lose their protection (the hit rate falls
-/// and frequency eviction no longer beats FIFO), while at one per item the
-/// table and its sweep double for little hit rate and no throughput
-/// (DESIGN.md, "Sizing a budgeted table").
-const BUDGET_BYTES_PER_BUCKET: u64 = 2 * ITEM_OVERHEAD_BYTES;
+/// Budget bytes per home bucket of a budgeted store: one bucket per four
+/// minimum-cost items the budget can hold, at most 4 keys to 7 slots.
+/// Eviction is CLOCK per key, so how many keys share a bucket does not
+/// blur the hot ones into their neighbours, and the table is sized for
+/// its walk: at one bucket per two items the table and each sweep pass are
+/// twice as large for the same hit rate, while at one per eight
+/// minimum-cost items overflow the 7 slots and `serve_churn` measured more
+/// bytes per key, not fewer (DESIGN.md, "Sizing a budgeted table").
+const BUDGET_BYTES_PER_BUCKET: u64 = 4 * ITEM_OVERHEAD_BYTES;
 
 /// Bytes one item of `len` payload bytes charges to the account.
 #[inline]
@@ -117,10 +121,10 @@ fn item_cost(len: usize) -> u64 {
     ITEM_OVERHEAD_BYTES + len as u64
 }
 
-/// Upper bound on eviction visits per sweep, in whole-table passes: the
-/// frequency byte needs at most 8 halvings (`log2(255)`) to reach zero, one
-/// more visit empties the bucket, and one pass of slack absorbs concurrent
-/// frequency bumps.
+/// Upper bound on eviction visits per sweep, in whole-table passes: a
+/// CLOCK byte needs at most 8 halvings (`log2(255)`) to reach zero, one
+/// more visit evicts its key, and one pass of slack absorbs concurrent
+/// bumps.
 const MAX_EVICTION_PASSES: usize = 10;
 
 /// Home buckets the expiry pass walks under one epoch pin.  The pin's
@@ -133,11 +137,9 @@ const SWEEP_CHUNK: usize = 64;
 /// across the chunks of one sweep step.
 #[derive(Default)]
 struct SweepChunk {
-    /// `(shard, home bucket, frequency byte)` per bucket walked.
-    buckets: Vec<(usize, usize, u8)>,
     /// Every occupied item word the walks found, bucket by bucket.
     items: Vec<Word>,
-    /// `(shard, key, deadline word)` per entry of each bucket not spared.
+    /// `(shard, key, deadline word)` per entry the pass did not spare.
     entries: Vec<(usize, u64, Word)>,
 }
 
@@ -198,14 +200,23 @@ pub struct ShardedKv<S: Stm + Clone> {
     /// towers are the shard's entries, which the shard's map owns.
     indexes: Vec<StmSkipList<S, 1>>,
     config: CacheConfig,
-    /// Whether reads maintain hit/miss counters and frequency bytes — set
-    /// when the configuration enables any cache behaviour, so the plain
-    /// store pays nothing for them.
+    /// Whether reads maintain hit/miss counters — set when the
+    /// configuration enables any cache behaviour, so the plain store pays
+    /// nothing for them.
     track: bool,
+    /// Whether hits bump their entry's CLOCK byte — set under a byte
+    /// budget, the one configuration that evicts.
+    clock: bool,
     /// Physical live-byte account (see the module docs).
     live_bytes: AtomicU64,
-    /// Sweep position over the flattened `(shard, bucket)` space.
+    /// The expiry pass's position over the flattened `(shard, bucket)`
+    /// space.
     cursor: AtomicU64,
+    /// The eviction pass's CLOCK hand over the same space.  It is not the
+    /// expiry cursor: were it, every expiry run would carry the hand past
+    /// buckets it never visited, so keys there would escape eviction, and
+    /// their bytes ageing, for a whole turn of the hand.
+    hand: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     expired: AtomicU64,
@@ -232,9 +243,9 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// default TTL, eviction policy, clock.
     ///
     /// Under a byte budget the capacity hint is only an upper bound: each
-    /// shard gets at most one home bucket per two minimum-cost items
+    /// shard gets at most one home bucket per four minimum-cost items
     /// ([`ITEM_OVERHEAD_BYTES`]) the budget can hold, rounded up to a power
-    /// of two — a 16 MiB budget over 16 shards gives 65 536 home buckets in
+    /// of two — a 16 MiB budget over 16 shards gives 32 768 home buckets in
     /// all, however large the hint.  The buckets then hold what the budget
     /// does, and the sweep walks no more of them than that needs.  Stores
     /// without a budget, TTL-only ones included, are sized from the hint.
@@ -254,6 +265,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
             .map(|_| StmSkipList::with_aux(stm, mode))
             .collect();
         let track = config.max_bytes.is_some() || config.default_ttl_ms > 0;
+        let clock = config.max_bytes.is_some();
         Self {
             stm: stm.clone(),
             router,
@@ -261,8 +273,10 @@ impl<S: Stm + Clone> ShardedKv<S> {
             indexes,
             config,
             track,
+            clock,
             live_bytes: AtomicU64::new(0),
             cursor: AtomicU64::new(0),
+            hand: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -418,18 +432,15 @@ impl<S: Stm + Clone> ShardedKv<S> {
         }
     }
 
-    /// Books one read of `key` once its outcome is final: the hit/miss
-    /// counters and, under a byte budget, the hit's bump of the home
-    /// bucket's frequency byte.  Every read path — single-key, pipelined
-    /// batch, atomic shard group — settles here.
+    /// Books one read once its outcome is final on the hit/miss counters.
+    /// Every read path — single-key, pipelined batch, atomic shard group —
+    /// settles here; the hit's CLOCK bump happened in its lookup.
     #[inline]
-    pub(crate) fn settle_read(&self, shard: usize, key: u64, hit: bool, thread: &mut S::Thread) {
-        if !hit {
-            return self.count_miss();
-        }
-        self.count_hit();
-        if self.config.max_bytes.is_some() {
-            self.shards[shard].bump_freq(key, thread);
+    pub(crate) fn settle_read(&self, hit: bool) {
+        if hit {
+            self.count_hit();
+        } else {
+            self.count_miss();
         }
     }
 
@@ -455,11 +466,11 @@ impl<S: Stm + Clone> ShardedKv<S> {
     }
 
     /// [`ShardedKv::get`] with the shard already resolved — the expiry-aware
-    /// read shared with the batched pipeline.  A passed deadline is a miss:
-    /// the corpse is removed on the spot (full transaction over the shard
-    /// and its index, re-checking the deadline) and `None` returned.  Live
-    /// hits bump the home bucket's frequency byte when a byte budget is
-    /// configured.
+    /// read shared with the batched pipeline.  A passed deadline is a miss,
+    /// decided before any value is copied: the corpse is removed on the
+    /// spot (full transaction over the shard and its index, re-checking the
+    /// deadline) and `None` returned.  Under a byte budget a live hit bumps
+    /// its entry's CLOCK byte in the same lookup.
     pub(crate) fn get_routed(
         &self,
         shard: usize,
@@ -467,14 +478,16 @@ impl<S: Stm + Clone> ShardedKv<S> {
         thread: &mut S::Thread,
     ) -> Option<Value> {
         debug_assert_eq!(shard, self.router.route(key));
-        let value = match self.shards[shard].get_entry(key, thread) {
-            Some((_, deadline)) if self.entry_expired(deadline) => {
+        let live = |deadline| !self.entry_expired(deadline);
+        let value = match self.shards[shard].get_entry(key, live, self.clock, thread) {
+            Lookup::Live(value) => Some(value),
+            Lookup::Expired => {
                 self.remove_member(shard, key, Some(self.now_ms()), false, thread);
                 None
             }
-            entry => entry.map(|(value, _)| value),
+            Lookup::Absent => None,
         };
-        self.settle_read(shard, key, value.is_some(), thread);
+        self.settle_read(value.is_some());
         value
     }
 
@@ -482,7 +495,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// already-running full transaction — the read under every multi-key
     /// transaction.  An entry whose deadline passed by `now` is absent, and
     /// its value is not copied; its physical removal is left to lazy reads
-    /// and the sweep.
+    /// and the sweep.  Under a byte budget a live hit bumps its entry's
+    /// CLOCK byte.
     pub(crate) fn read_live_in(
         &self,
         shard: usize,
@@ -491,10 +505,13 @@ impl<S: Stm + Clone> ShardedKv<S> {
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<Value>> {
         debug_assert_eq!(shard, self.router.route(key));
-        let entry = self.shards[shard].read_entry_in(key, tx)?;
-        Ok(entry
-            .filter(|&(_, deadline)| !deadline_expired(deadline, now))
-            .map(|(word, _)| StmHashMap::<S>::value_in(word, tx)))
+        let live = |deadline| !deadline_expired(deadline, now);
+        Ok(
+            match self.shards[shard].read_entry_in(key, live, self.clock, tx)? {
+                Lookup::Live(word) => Some(StmHashMap::<S>::value_in(word, tx)),
+                Lookup::Expired | Lookup::Absent => None,
+            },
+        )
     }
 
     /// Stores `value` under `key`, returning the previous value if present,
@@ -1026,22 +1043,24 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// thread (the [`crate::ttl::Reclaimer`] drives it from its own; tests
     /// call it directly for determinism).
     ///
-    /// Two passes share a persistent cursor over the flattened
-    /// `(shard, home bucket)` space:
+    /// Two passes walk the flattened `(shard, home bucket)` space, each
+    /// from a persistent cursor of its own:
     ///
     /// 1. **Expiry** — claims a run of up to `max_buckets` buckets with one
-    ///    cursor move and walks it in chunks of [`SWEEP_CHUNK`], removing
+    ///    cursor move and walks it in chunks of `SWEEP_CHUNK` (64), removing
     ///    every entry whose deadline has passed (re-checked
-    ///    transactionally).  A saturated frequency byte is halved here so
+    ///    transactionally).  A saturated CLOCK byte is halved here so
     ///    further hits still move it.
     /// 2. **Eviction** — only while [`ShardedKv::live_bytes`] exceeds the
-    ///    configured budget: walks on from the cursor one bucket at a time,
-    ///    emptying buckets.  Under [`EvictionPolicy::Freq`] a bucket with a
-    ///    non-zero frequency byte is spared and halved (CLOCK second
-    ///    chance — this is also the frequency decay); under
-    ///    [`EvictionPolicy::Fifo`] the cursor's bucket is emptied
-    ///    regardless.  Bounded by enough whole-table passes to drain every
-    ///    counter, so a sweep always ends at-or-under budget unless
+    ///    configured budget: walks on from its CLOCK hand one bucket at a
+    ///    time and, key by key, removes while the account is still over
+    ///    budget.
+    ///    Under [`EvictionPolicy::Freq`] a live key with a non-zero CLOCK
+    ///    byte is spared and its byte halved (CLOCK second chance — this is
+    ///    also the frequency decay); under [`EvictionPolicy::Fifo`] every
+    ///    key at the cursor goes regardless.  An expired key is never
+    ///    spared.  Bounded by enough whole-table passes to drain every
+    ///    byte, so a sweep always ends at-or-under budget unless
     ///    concurrent writers outrun it.
     pub fn sweep_step(&self, max_buckets: usize, thread: &mut S::Thread) -> SweepOutcome {
         let per_shard = self.shards[0].bucket_count();
@@ -1054,10 +1073,13 @@ impl<S: Stm + Clone> ShardedKv<S> {
             ..SweepOutcome::default()
         };
         let mut chunk = SweepChunk::default();
-        let first = self.claim(run);
+        let first = Self::claim(&self.cursor, run);
+        // The expiry pass keeps every entry as a candidate and only takes
+        // a saturated byte down a step.
+        let unsaturate = |byte: u8, _| (if byte == u8::MAX { byte / 2 } else { byte }, true);
         for offset in (0..run).step_by(SWEEP_CHUNK) {
             let len = SWEEP_CHUNK.min(run - offset);
-            self.walk_chunk(first + offset as u64, len, thread, &mut chunk, |_| false);
+            self.walk_chunk(first + offset as u64, len, thread, &mut chunk, unsaturate);
             for &(shard, key, deadline) in &chunk.entries {
                 if deadline_expired(deadline, now)
                     && self
@@ -1067,28 +1089,29 @@ impl<S: Stm + Clone> ShardedKv<S> {
                     outcome.expired += 1;
                 }
             }
-            for &(shard, bucket, freq) in &chunk.buckets {
-                if freq == u8::MAX {
-                    self.shards[shard].halve_freq(bucket, thread);
-                }
-            }
         }
         let Some(budget) = self.config.max_bytes else {
             return outcome;
         };
-        let spare = |freq: u8| self.config.policy == EvictionPolicy::Freq && freq > 0;
+        let freq = self.config.policy == EvictionPolicy::Freq;
+        // CLOCK: a live key with a non-zero byte is spared, its byte halved.
+        let second_chance = |byte: u8, deadline| {
+            if freq && byte > 0 && !deadline_expired(deadline, now) {
+                (byte / 2, false)
+            } else {
+                (byte, true)
+            }
+        };
         let mut visited = 0;
         while self.live_bytes() > budget && visited < MAX_EVICTION_PASSES * total {
             visited += 1;
-            self.walk_chunk(self.claim(1), 1, thread, &mut chunk, spare);
-            let (shard, bucket, freq) = chunk.buckets[0];
-            if spare(freq) {
-                self.shards[shard].halve_freq(bucket, thread);
-                continue;
-            }
+            let at = Self::claim(&self.hand, 1);
+            self.walk_chunk(at, 1, thread, &mut chunk, second_chance);
             for &(shard, key, _) in &chunk.entries {
-                // The bucket is being emptied: everything in it goes, and
-                // the settle tells corpses from evicted live entries.
+                if self.live_bytes() <= budget {
+                    break;
+                }
+                // The settle tells corpses from evicted live entries.
                 match self.remove_member(shard, key, None, false, thread) {
                     Some(Removal::Corpse) => outcome.expired += 1,
                     Some(Removal::Live(_)) => {
@@ -1104,55 +1127,71 @@ impl<S: Stm + Clone> ShardedKv<S> {
         outcome
     }
 
-    /// Claims the next `n` sweep positions with one cursor move, returning
-    /// the first; position `p` is home bucket `p % total` of the flattened
-    /// `(shard, home bucket)` space.
+    /// Claims the next `n` positions of `cursor` (the expiry cursor or the
+    /// hand) with one move, returning the first; position `p` is home
+    /// bucket `p % total` of the flattened `(shard, home bucket)` space.
     #[inline]
-    fn claim(&self, n: usize) -> u64 {
-        // ORDERING: the cursor is a work-distribution hint shared between
+    fn claim(cursor: &AtomicU64, n: usize) -> u64 {
+        // ORDERING: a cursor is a work-distribution hint shared between
         // sweepers; a duplicate or skipped bucket only changes which sweep
         // visits it.
-        self.cursor.fetch_add(n as u64, Ordering::Relaxed)
+        cursor.fetch_add(n as u64, Ordering::Relaxed)
     }
 
     /// Walks the `len` home buckets from sweep position `first` under one
-    /// epoch pin into `chunk`: every bucket's chain and frequency byte, then
-    /// the key and deadline of each entry in a bucket that `spare` (given
-    /// the bucket's frequency byte) does not spare — read after the whole
-    /// walk, whose prefetches have had the chunk's length to land.  The pin is dropped before the caller removes
-    /// anything: nothing retires (`defer`s) while it is held.
+    /// epoch pin into `chunk`: every bucket's chain, then each entry's key,
+    /// deadline word and CLOCK byte — read after the whole walk, whose
+    /// prefetches have had the chunk's length to land.  `age` maps an
+    /// entry's byte and deadline word to the byte to leave (stored, relaxed,
+    /// under the pin when it differs) and whether the entry is a candidate
+    /// for the caller's removals.  The pin is dropped before the caller
+    /// removes anything: nothing retires (`defer`s) while it is held.
     fn walk_chunk(
         &self,
         first: u64,
         len: usize,
         thread: &mut S::Thread,
         chunk: &mut SweepChunk,
-        spare: impl Fn(u8) -> bool,
+        age: impl Fn(u8, Word) -> (u8, bool),
     ) {
-        chunk.buckets.clear();
         chunk.entries.clear();
         chunk.items.clear();
         let per_shard = self.shards[0].bucket_count();
         let total = (per_shard * self.shards.len()) as u64;
-        let mut ends = [0; SWEEP_CHUNK];
+        let mut ends = [(0, 0); SWEEP_CHUNK];
         let pin = thread.epoch().pin();
         for (i, end) in ends.iter_mut().enumerate().take(len) {
             let pos = ((first + i as u64) % total) as usize;
             let (shard, bucket) = (pos / per_shard, pos % per_shard);
-            let freq = self.shards[shard].sweep_walk(bucket, &pin, thread, &mut chunk.items);
-            chunk.buckets.push((shard, bucket, freq));
-            *end = chunk.items.len();
+            self.shards[shard].sweep_walk(bucket, &pin, thread, &mut chunk.items);
+            *end = (shard, chunk.items.len());
         }
         let mut start = 0;
-        for (&(shard, _, freq), &end) in chunk.buckets.iter().zip(&ends) {
-            if !spare(freq) {
-                for &w in &chunk.items[start..end] {
-                    let (key, deadline) = self.shards[shard].swept_entry(w, &pin, thread);
+        for &(shard, end) in &ends[..len] {
+            for &w in &chunk.items[start..end] {
+                let (key, deadline, byte) = self.shards[shard].swept_entry(w, &pin, thread);
+                // ORDERING: the CLOCK byte is a heuristic shared only by
+                // relaxed accesses (see `map::touch`); a racing bump may
+                // win over this store, or lose to it.
+                let old = byte.load(Ordering::Relaxed);
+                let (aged, candidate) = age(old, deadline);
+                if aged != old {
+                    // ORDERING: as above.
+                    byte.store(aged, Ordering::Relaxed);
+                }
+                if candidate {
                     chunk.entries.push((shard, key, deadline));
                 }
             }
             start = end;
         }
+    }
+
+    /// The CLOCK byte of `key`'s entry, if the key is present — what hits
+    /// have bumped and sweeps halved (non-transactional; only meaningful
+    /// when no concurrent operations run; test support).
+    pub fn quiescent_clock(&self, key: u64) -> Option<u8> {
+        self.shard(key).quiescent_clock(key)
     }
 
     /// Checks the index invariant at quiescence: every shard's index holds
@@ -1655,7 +1694,7 @@ mod tests {
         for k in 0..100u64 {
             store.put(k, &k.to_le_bytes(), &mut t).unwrap();
         }
-        // Touch everything so every home bucket is frequency-marked; FIFO
+        // Touch everything so every entry's CLOCK byte is marked; FIFO
         // must evict regardless.
         for k in 0..100u64 {
             store.get(k, &mut t);
@@ -1679,15 +1718,15 @@ mod tests {
     }
 
     #[test]
-    fn a_budget_caps_the_table_at_one_bucket_per_two_minimum_items() {
-        // 16 MiB holds 65 536 items of ITEM_OVERHEAD_BYTES; the hint alone
+    fn a_budget_caps_the_table_at_one_bucket_per_four_minimum_items() {
+        // 16 MiB holds 131 072 items of ITEM_OVERHEAD_BYTES; the hint alone
         // would give 16 × 16 384 buckets.
-        assert_eq!(buckets_for(16, 65_536, Some(16 << 20), 0), 65_536);
+        assert_eq!(buckets_for(16, 65_536, Some(16 << 20), 0), 32_768);
         // A hint below the cap is kept as it is: 64 keys → 16 buckets.
         assert_eq!(buckets_for(16, 64, Some(16 << 20), 0), 16 * 16);
         // The cap rounds up to a power of two per shard: 3 000 bytes over
-        // 2 shards is 5.9 buckets a shard, so 8.
-        assert_eq!(buckets_for(2, 4_096, Some(3_000), 0), 2 * 8);
+        // 2 shards is 2.9 buckets a shard, so 4.
+        assert_eq!(buckets_for(2, 4_096, Some(3_000), 0), 2 * 4);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! configuration, and the background reclaimer thread.
 //!
 //! The mechanism lives in [`crate::map`] (every item carries a deadline
-//! word beside its value word; every home bucket carries a frequency byte
-//! in its stat word) and the policy lives in [`crate::ShardedKv`] (lazy
+//! word beside its value word and a CLOCK byte in its header) and the
+//! policy lives in [`crate::ShardedKv`] (lazy
 //! expiry on read, [`crate::ShardedKv::sweep_step`] incremental sweeps,
 //! byte-budget eviction).  This module holds the pieces around them:
 //!
@@ -21,10 +21,10 @@
 //! A sweep step pays per entry, not per bucket word: it claims its whole
 //! run of home buckets with one cursor move and walks it in 64-bucket
 //! chunks, each under one epoch pin, with every single-location read an
-//! inlined load.  The walk prefetches each occupied slot's entry and takes
-//! the frequency byte from the stat word it already read; keys and
-//! deadlines are read after the chunk's walk, and removals and halvings
-//! run after its pin is dropped.  DESIGN.md ("The sweep walk and what it
+//! inlined load.  The walk prefetches each occupied slot's entry; keys,
+//! deadlines and CLOCK bytes are read after the chunk's walk, bytes are
+//! halved under its pin with relaxed stores, and removals run after the
+//! pin is dropped.  DESIGN.md ("The sweep walk and what it
 //! costs") has the cost per bucket, per entry and per removal.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,15 +98,15 @@ impl std::fmt::Debug for Clock {
 /// How the sweep picks victims once the byte budget is exceeded.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
-    /// CLOCK-style second chance over the per-bucket frequency byte: a
-    /// bucket with a non-zero frequency is spared (and its counter halved)
-    /// and the cursor moves on; only cold buckets — untouched since their
-    /// counter last decayed to zero — are emptied.  Under skewed traffic
-    /// this keeps the hot working set resident.
+    /// CLOCK-style second chance over each entry's frequency byte, which
+    /// its hits bump: a live key with a non-zero byte is spared (and its
+    /// byte halved) and the hand moves on; only cold keys — not hit since
+    /// their byte last decayed to zero — are evicted.  Under skewed
+    /// traffic this keeps the hot working set resident.
     #[default]
     Freq,
-    /// Evict whatever bucket the sweep cursor reaches next, ignoring the
-    /// frequency byte — the baseline the frequency policy is measured
+    /// Evict whatever keys the sweep's hand reaches next, ignoring their
+    /// frequency bytes — the baseline the frequency policy is measured
     /// against.
     Fifo,
 }

@@ -2,9 +2,9 @@
 //! (the same per-thread counter as `spectm-ds/tests/alloc_free.rs`).
 //!
 //! A fresh `ShardedKv::put` allocates exactly what the key keeps: its entry
-//! (one block: the header of key, height, value word and deadline word,
-//! then the index links — the map's item word and the shard's index point
-//! at the same block) and — for a value too long to sit inline in the value
+//! (one block: the header of key, height, CLOCK byte, value word and
+//! deadline word, then the index links — the map's item word and the
+//! shard's index point at the same block) and — for a value too long to sit inline in the value
 //! word — one `ValueCell`.  Neither is aligned above 16 bytes, so neither
 //! takes the allocator's aligned-allocation path (glibc's `memalign` carves
 //! a larger chunk and frees the pieces around the aligned part).  The test
@@ -12,9 +12,9 @@
 //! ("Data structures") is its output.  The bucket array is allocated once
 //! when the store is built, so it is not part of a put.
 //!
-//! The same counter checks that a multi-key read copies nothing out of an
-//! expired entry, that a removal copies out only a value its caller
-//! returns, and that a dropped store frees every block it allocated.
+//! The same counter checks that neither a multi-key read nor a `get`
+//! copies anything out of an expired entry, that a removal copies out only
+//! a value its caller returns, and that a dropped store frees every block it allocated.
 //! Allocations are counted per thread, so the test harness's own threads
 //! cannot bleed into a measurement.
 
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheConfig, Clock, ShardedKv, ValueCell, ITEM_OVERHEAD_BYTES};
+use spectm_kv::{CacheConfig, Clock, ShardedKv, StmHashMap, ValueCell, ITEM_OVERHEAD_BYTES};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -148,6 +148,28 @@ fn allocated(f: impl FnOnce()) -> (u64, u64) {
     (ALLOCATIONS.get() - before.0, BYTES.get() - before.1)
 }
 
+/// An entry no index links is its header alone, one 32-byte block at
+/// word-sized cells: key, height and CLOCK byte in one word (the byte sits
+/// in what was the height's padding), then the value word and the deadline
+/// word.  A standalone map's fresh put of an inline value allocates exactly
+/// that; the store's entries add their links after it.
+#[test]
+fn an_unlinked_entry_is_its_32_byte_header() {
+    let stm = ValShort::new();
+    let map = StmHashMap::new(&stm, 1_024, ApiMode::Short);
+    let mut t = stm.register();
+    // Warm the transaction logs on keys the measured ones do not share.
+    for key in 0..64u64 {
+        map.put(key, &key.to_le_bytes(), &mut t).expect("fits");
+    }
+    for key in 64..128u64 {
+        let fresh = allocated(|| {
+            assert_eq!(map.put(key, &key.to_le_bytes(), &mut t), Ok(None));
+        });
+        assert_eq!(fresh, (1, 32), "key {key}: (blocks, bytes)");
+    }
+}
+
 /// A multi-key read decides liveness before it copies: on an expired
 /// out-of-line key, `multi_get_atomic` and `rmw_add` allocate exactly what
 /// they allocate on an absent key, so the expired value is never copied.
@@ -193,9 +215,10 @@ fn blocks_of<T>(size: usize, f: impl FnOnce() -> T) -> (T, u64) {
 /// A removal copies its value out only for a caller that returns it: a
 /// sweep that expires and evicts out-of-line values allocates no `Value`
 /// buffer (a block of exactly the value's length; a cell is a header
-/// longer), and a read that finds one expired allocates only the copy its
-/// own lookup made before it saw the deadline, while `del` allocates the
-/// one it returns.
+/// longer), nor does a read that finds one expired, while `del` allocates
+/// the one it returns.  The lazy-expiry row was `(None, 1)` while the
+/// lookup copied the value out before the store saw its deadline; the
+/// lookup now judges the deadline first, so it is `(None, 0)`.
 #[test]
 fn removals_copy_out_only_the_values_they_return() {
     const LEN: usize = 1_000;
@@ -217,7 +240,7 @@ fn removals_copy_out_only_the_values_they_return() {
     // ORDERING: one thread writes and reads the manual clock.
     now.store(10, Ordering::Relaxed);
     let (got, lazy) = blocks_of(LEN, || store.get(0, &mut t));
-    assert_eq!((got, lazy), (None, 1), "lazy expiry's removal copied");
+    assert_eq!((got, lazy), (None, 0), "lazy expiry copied the value");
     let (outcome, swept) = blocks_of(LEN, || store.sweep_step(store.bucket_count(), &mut t));
     assert_eq!((outcome.expired, outcome.evicted > 0), (7, true));
     assert_eq!(swept, 0, "the sweep copied {swept} removed values");

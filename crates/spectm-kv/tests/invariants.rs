@@ -800,9 +800,13 @@ fn bucket_walk_calls<S: Stm + Clone>(stm: S, mode: ApiMode) -> [u64; 5] {
 /// frequency byte from the stat word its walk read instead of reading that
 /// word again: `singles` fell by 2 in every row, one per home bucket of the
 /// script's one sweep (3 963, 3 965 and 107 before; EXPERIMENTS.md "The
-/// reclaimer pays per entry"); no other column moved.  Exact on any
-/// machine, since one thread runs a fixed script and tower heights come
-/// from its own stream.
+/// reclaimer pays per entry"); no other column moved.  Then a lookup began
+/// to judge the deadline before it reads the value word: the Full-mode
+/// row's one lazy expiry reads no value word, and its `full_reads` fell by
+/// one (6 989 before; EXPERIMENTS.md "Eviction by key"); the Short-mode
+/// rows, whose lookup reads both words in one short transaction, did not
+/// move.  Exact on any machine, since one thread runs a fixed script and
+/// tower heights come from its own stream.
 #[test]
 fn bucket_walks_make_the_recorded_stm_calls() {
     for (calls, expect) in [
@@ -816,7 +820,7 @@ fn bucket_walks_make_the_recorded_stm_calls() {
         ),
         (
             bucket_walk_calls(OrecFullG::new(), ApiMode::Full),
-            [105, 0, 0, 6_989, 465],
+            [105, 0, 0, 6_988, 465],
         ),
     ] {
         assert_eq!(calls, expect);
@@ -825,18 +829,18 @@ fn bucket_walks_make_the_recorded_stm_calls() {
 
 /// The STM calls of one whole `sweep_step`, made by a thread registered
 /// for it alone, over one of two fixed stores on a manual clock.  Every
-/// third key has expired and key `keys[1]`'s home bucket has been hit, so
-/// the sweep halves a frequency byte:
+/// third key has expired and key `keys[1]` has been hit, so the sweep
+/// halves its CLOCK byte (a relaxed store, not an STM call):
 ///
 /// * `chained = false`: 2 shards of 64 home buckets (two sweep chunks of
 ///   64), 40 spread keys, every bucket depth 0, and a budget nothing
-///   reaches.  300 hits saturate the frequency byte; the expiry pass
-///   removes 14 entries and halves that byte once.
+///   reaches.  300 hits saturate the byte; the expiry pass removes 14
+///   entries and halves that byte once.
 /// * `chained = true`: 1 shard of 1 home bucket (the 1-byte budget caps
 ///   the 8-key hint's 2) holding 48 keys in a chain 7 buckets deep, and 8
-///   hits.  After the expiry pass (16 removals) the eviction pass spares
-///   the bucket 4 times, halving its byte 8 → 0, and empties it on its
-///   fifth visit.
+///   hits.  After the expiry pass (16 removals) the eviction pass's first
+///   visit spares `keys[1]` (byte 8 → 4) and evicts the other 31; three
+///   more visits halve its byte 4 → 0 and the fifth evicts it.
 fn sweep_calls<S: Stm + Clone>(stm: S, mode: ApiMode, chained: bool) -> StatsSnapshot {
     let now_ms = Arc::new(AtomicU64::new(1_000));
     let (shards, capacity, keys, hits, budget): (usize, usize, Vec<u64>, usize, u64) = if chained {
@@ -878,27 +882,26 @@ fn sweep_calls<S: Stm + Clone>(stm: S, mode: ApiMode, chained: bool) -> StatsSna
 }
 
 /// One sweep makes exactly the STM calls recorded here: equal snapshots,
-/// not merely no more.  The depth-0 store's rows are the parent's.  The
-/// chained store's were `(48, 1 356 / 1 587 / 1 581, 262 / 274 / 258, 4,
-/// 464)` when its 8-key hint still gave it 2 home buckets with chains 4
-/// deep; now that its 1-byte budget caps it at 1 home bucket, two columns
-/// moved:
+/// not merely no more.  When the CLOCK byte moved from each home bucket's
+/// stat word into each entry's header, three columns moved:
 ///
-/// * `singles` 464 → 416 on every row.  A bucket walk is 8 reads (stat
-///   word and 7 slots) and every entry a walk keeps costs a deadline read.
-///   Parent: expiry 2 × 4 × 8 + 48 = 112, then 10 eviction visits
-///   alternating the two chains — 4 spares of the hit one and 4 visits to
-///   the emptied other at 32 each, and the two emptying visits at 32 + 16
-///   — 352.  Now: expiry 7 × 8 + 48 = 104, then 4 spares at 56 and one
-///   emptying visit at 56 + 32: 312, the eviction pass stopping after 5
-///   visits because one bucket is the whole table.
-/// * `full_reads` +600 / +613 / +613 (1 956 / 2 200 / 2 194).  Each of the
-///   48 removals' transactions walks the bucket chain to its key, and the
-///   one chain of 48 keys is on average twice as long to walk as either of
-///   the parent's two of 24: about 12.5 more reads a removal.
+/// * `short_rw_starts`/`short_rw_commits` 1 → 0 (depth 0) and 4 → 0
+///   (chained) on every row: halving a byte was a one-word short
+///   read-write transaction on the stat word and is now a relaxed store.
+/// * `singles` 416 → 420 (chained; depth 0 stays 1 064).  A bucket walk
+///   is 8 reads (stat word and 7 slots) and every entry the pass reads
+///   costs a deadline read.  Parent: expiry 7 × 8 + 48 = 104, then 4
+///   spared visits of the whole bucket at 56 (a spared bucket's entries
+///   were not read) and one emptying visit at 56 + 32: 312.  Now: expiry
+///   104, then one visit at 56 + 32 that evicts 31 keys and spares
+///   `keys[1]`, and 4 visits at 56 + 1 over the one key left: 316.
+/// * `full_reads` +31 (1 956 / 2 200 / 2 194 → 1 987 / 2 231 / 2 225).
+///   The 31 keys evicted first are removed while `keys[1]` is still
+///   linked at the front of the index, so each removal's index descent
+///   reads one more link, through its tower.
 ///
-/// `full_starts`, `full_writes` and the short transactions did not move:
-/// the removals and halvings are the parent's.
+/// `full_starts` and `full_writes` did not move: the removals are the
+/// parent's, in another order.
 /// Exact on any machine: one thread runs a fixed script and tower heights
 /// come from its own stream.
 #[test]
@@ -917,17 +920,17 @@ fn sweep_makes_the_recorded_stm_calls() {
         (
             false,
             [
-                row(14, 199, 60, 1, 1_064),
-                row(14, 188, 58, 1, 1_064),
-                row(14, 222, 54, 1, 1_064),
+                row(14, 199, 60, 0, 1_064),
+                row(14, 188, 58, 0, 1_064),
+                row(14, 222, 54, 0, 1_064),
             ],
         ),
         (
             true,
             [
-                row(48, 1_956, 262, 4, 416),
-                row(48, 2_200, 274, 4, 416),
-                row(48, 2_194, 258, 4, 416),
+                row(48, 1_987, 262, 0, 420),
+                row(48, 2_231, 274, 0, 420),
+                row(48, 2_225, 258, 0, 420),
             ],
         ),
     ] {

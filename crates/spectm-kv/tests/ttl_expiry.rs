@@ -20,7 +20,8 @@
 //!   *and cache counters* agree: accounting cannot drift between paths.
 //! * The sweep's claimed runs: two threads sweeping half the table each
 //!   remove every expired key exactly once; an expired key in an overflow
-//!   bucket is found; a saturated frequency byte is halved once per pass.
+//!   bucket is found; a hit bumps only its own entry's frequency byte, and
+//!   a saturated one is halved once per pass.
 
 mod common;
 
@@ -622,10 +623,12 @@ fn the_sweep_finds_an_expired_key_in_an_overflow_bucket() {
     store.assert_index_consistent();
 }
 
-/// The expiry pass halves a saturated frequency byte (one short read-write
-/// commit on the sweeping thread) and leaves an unsaturated one alone, so
-/// a byte that stays saturated is halved once per pass, however the pass
-/// is split into claimed runs.
+/// A budgeted hit bumps its own entry's CLOCK byte, saturating at 255,
+/// and no other key's — keys sharing its home bucket included — with no
+/// transaction.  The expiry pass halves a saturated byte (a relaxed store,
+/// no STM call) and leaves an unsaturated one alone, so a byte that stays
+/// saturated is halved once per pass, however the pass is split into
+/// claimed runs.
 #[test]
 fn a_saturated_frequency_byte_is_halved_once_per_pass() {
     let stm = ValShort::new();
@@ -633,30 +636,63 @@ fn a_saturated_frequency_byte_is_halved_once_per_pass() {
         max_bytes: Some(1 << 30),
         ..CacheConfig::default()
     };
-    let store = ShardedKv::with_config(&stm, 1, 64, ApiMode::Short, config);
+    // Two shards of one home bucket each, so a pass can be split in two
+    // claimed runs; keys 0..=7 route to one shard (64-key blocks), so
+    // every key shares key 7's bucket.
+    let store = ShardedKv::with_config(&stm, 2, 1, ApiMode::Short, config);
+    assert_eq!(store.bucket_count(), 2);
     let total = store.bucket_count();
     let mut reader = store.register();
-    store.put(7, b"hot", &mut reader).unwrap();
+    for key in 0..7 {
+        store.put(key, b"cold", &mut reader).unwrap();
+    }
+    let hot = 7;
+    store.put(hot, b"hot", &mut reader).unwrap();
     let hit = |times: usize, reader: &mut _| {
+        let before = reader_stats(reader);
         for _ in 0..times {
-            assert!(store.get(7, reader).is_some());
+            assert!(store.get(hot, reader).is_some());
         }
+        let after = reader_stats(reader);
+        assert_eq!(after.1 - before.1, 0, "a hit ran a read-write transaction");
+        assert_eq!(
+            after.0 - before.0,
+            times as u64,
+            "one read-only lookup a hit"
+        );
     };
-    let halvings = |sweeps: &[usize]| {
+    let sweep = |runs: &[usize]| {
         let mut sweeper = store.register();
-        for &run in sweeps {
+        for &run in runs {
             store.sweep_step(run, &mut sweeper);
         }
-        sweeper.stats().short_rw_commits
+        assert_eq!(
+            sweeper.stats().short_rw_commits,
+            0,
+            "halving is not a transaction"
+        );
     };
+    let clock = |key| store.quiescent_clock(key).expect("present");
+    hit(3, &mut reader);
+    assert_eq!(clock(hot), 3);
     hit(300, &mut reader);
-    assert_eq!(halvings(&[total]), 1, "255 → 127");
-    assert_eq!(halvings(&[total]), 0, "127 is not saturated");
+    assert_eq!(clock(hot), 255, "saturates");
+    assert!((0..7).all(|key| clock(key) == 0), "a neighbour was bumped");
+    sweep(&[total]);
+    assert_eq!(clock(hot), 127, "255 → 127");
+    sweep(&[total]);
+    assert_eq!(clock(hot), 127, "127 is not saturated");
     hit(128, &mut reader);
-    assert_eq!(
-        halvings(&[total / 2, total - total / 2]),
-        1,
-        "255 → 127 in two runs"
-    );
-    assert_eq!(halvings(&[total / 2, total - total / 2]), 0);
+    assert_eq!(clock(hot), 255);
+    sweep(&[total / 2, total - total / 2]);
+    assert_eq!(clock(hot), 127, "255 → 127 in two runs");
+    sweep(&[total / 2, total - total / 2]);
+    assert_eq!(clock(hot), 127);
+    assert_eq!(store.quiescent_clock(1_000), None, "absent key");
+}
+
+/// `(short read-only commits, short read-write commits)` of `thread`.
+fn reader_stats(thread: &<ValShort as Stm>::Thread) -> (u64, u64) {
+    let stats = thread.stats();
+    (stats.short_ro_commits, stats.short_rw_commits)
 }

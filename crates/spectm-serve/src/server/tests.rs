@@ -1,7 +1,9 @@
 //! The worker's sweep, stepped over SimNet pipes: the read rules, teardown,
 //! fairness, coalescing, backpressure and hostile I/O, each as a count of
-//! sweeps that replays from its seed.  Plus the pure helpers beside it
-//! (write buffer, idle policy, acceptor dispatch, histogram buckets).
+//! sweeps that replays from its seed, and (in `model`) a budgeted cache
+//! served through it, held to a sequential model.  Plus the pure helpers
+//! beside it (write buffer, idle policy, acceptor dispatch, histogram
+//! buckets).
 
 use std::collections::BTreeMap;
 
@@ -12,6 +14,8 @@ use spectm_kv::{BatchOp, BatchRequest, CacheConfig, Clock, Value};
 
 use super::*;
 use crate::sim::{Link, Peer, Pipe, SimNet};
+
+mod model;
 
 type SimWorker<'a> = Worker<'a, ValShort, Pipe>;
 
