@@ -29,11 +29,15 @@
 //! point operation (`insert_in`, `remove_in`, Full-mode `contains` and
 //! `get`) is the descent followed by one small step on the tower it found,
 //! and a range read, over one list or several, is the one merged walk,
-//! `walk_merged_in`.  A tower may carry caller-owned cells after its value
-//! (the `AUX` parameter of [`Tower`]): the store's towers are its entries,
-//! holding the value word and the deadline word, and its hash map's item
-//! words point at them, so a scan visiting a tower reads the entry it
-//! stands on, not by looking the key up again.
+//! `walk_merged_in`.  Outside Full mode, `insert_in` and `remove_in`
+//! descend with single-location reads, as the paper's `Search` does, and
+//! log only the window their step checks; what that cannot answer, they
+//! answer from a logged descent in the same attempt.  A tower may carry
+//! caller-owned cells after its value (the `AUX` parameter of [`Tower`]):
+//! the store's towers are its entries, holding the value word and the
+//! deadline word, and its hash map's item words point at them, so a scan
+//! visiting a tower reads the entry it stands on, not by looking the key
+//! up again.
 //!
 //! The [`ApiMode`] selects how those atomic steps are expressed:
 //!
@@ -741,10 +745,11 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
     // ------------------------------------------------------------------
 
     /// What `w.preds[lvl]` points at now.  When the window is `tx`'s own
-    /// (`same_tx`: its descent ran inside `tx`), the levels it traversed are
-    /// already in the read set and the window *is* the answer; a window
-    /// computed before `tx` began, and the head cells above any window's
-    /// `top`, are read here.
+    /// (`same_tx`: its descent read through `tx.read`), the levels it
+    /// traversed are already in the read set and the window *is* the
+    /// answer; a window of single reads — computed before `tx` began, or
+    /// inside it through `seek_read` — and the head cells above any
+    /// window's `top`, are read here.
     #[inline]
     fn pred_target(
         w: &Window<'_, S>,
@@ -1017,11 +1022,23 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
     }
 
     /// Links the tower of `slot` for `key` inside an already-running full
-    /// transaction, regardless of this instance's [`ApiMode`].  Returns
-    /// `false` (writing nothing) if the key is already present.  The tower
-    /// is linked as its owner filled it: a fresh one holds zero in its value
-    /// and `AUX` cells (the sharded store fills an entry and links it into
-    /// its hash map first, in the same transaction).
+    /// transaction.  Returns `false` (writing nothing) if the key is
+    /// already present.  The tower is linked as its owner filled it: a
+    /// fresh one holds zero in its value and `AUX` cells (the sharded store
+    /// fills an entry and links it into its hash map first, in the same
+    /// transaction).
+    ///
+    /// In Short and Fine mode the key's window is found the way the paper
+    /// searches: a descent through `seek_read`, outside the read set, then
+    /// `link_in` over that window as one from before the transaction, so
+    /// only the predecessor links at the tower's own height are logged.
+    /// That is one snapshot for the reason `land_in` gives.
+    /// Any other outcome — a key the descent found, a stale window, a
+    /// window this transaction's own buffered writes changed (which single
+    /// reads do not see) — answers from a logged descent in the same
+    /// attempt, as Full mode always does: an unlogged "present" may be
+    /// newer than the snapshot, and restarting would retry for ever when
+    /// this transaction itself linked a neighbour.
     ///
     /// `slot` carries the speculative tower allocation across conflict
     /// retries of the enclosing transaction; see [`TowerSlot`] for the
@@ -1032,6 +1049,14 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
         slot: &mut TowerSlot<S, AUX>,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<bool> {
+        if self.mode != ApiMode::Full {
+            let w = self.descend(key, |cell| self.seek_read(cell, tx))?;
+            if Self::found(&w, key).is_none()
+                && self.link_in(&w, false, slot.tower(&self.stm, key), tx)?
+            {
+                return Ok(true);
+            }
+        }
         let outcome = self.upsert_body(key, None, false, slot, tx)?;
         Ok(matches!(outcome, Upsert::Inserted))
     }
@@ -1131,15 +1156,31 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
         unlinked.map(|tower| tower.retire(thread)).is_some()
     }
 
-    /// Removes `key` inside an already-running full transaction, regardless
-    /// of this instance's [`ApiMode`].  Returns the unlinked tower (to be
-    /// retired **after** the transaction commits; see [`RetiredTower`]) or
-    /// `None` if the key was absent.
+    /// Removes `key` inside an already-running full transaction.  Returns
+    /// the unlinked tower (to be retired **after** the transaction commits;
+    /// see [`RetiredTower`]) or `None` if the key was absent.
+    ///
+    /// In Short and Fine mode, as in [`StmSkipList::insert_in`], the window
+    /// comes from a descent through `seek_read`, and `unlink_in` over it as
+    /// a window from before the transaction logs the tower's own links and
+    /// its predecessors.  Only `Removal::Removed` answers from there; a
+    /// key the descent did not find, a tower already marked or a stale
+    /// window answers from a logged descent in the same attempt.
     pub fn remove_in(
         &self,
         key: u64,
         tx: &mut FullTx<'_, S::Thread>,
     ) -> TxResult<Option<RetiredTower<S, AUX>>> {
+        if self.mode != ApiMode::Full {
+            let w = self.descend(key, |cell| self.seek_read(cell, tx))?;
+            if let Some(tower) = Self::found(&w, key) {
+                if let Removal::Removed = Self::unlink_in(&w, false, tower, tx)? {
+                    return Ok(Some(RetiredTower {
+                        ptr: Self::tower(w.succs[0]),
+                    }));
+                }
+            }
+        }
         let w = self.descend(key, |cell| tx.read(cell))?;
         let Some(tower) = Self::found(&w, key) else {
             return Ok(None);
@@ -1157,7 +1198,8 @@ impl<S: Stm, const AUX: usize> StmSkipList<S, AUX> {
     // Range scans (inside a caller-provided full transaction)
     // ------------------------------------------------------------------
 
-    /// How a seek inside `tx` reads the level hint and the links it
+    /// How a descent inside `tx` — a range read's seek, or the search under
+    /// `insert_in` and `remove_in` — reads the level hint and the links it
     /// crosses: the paper's `Search`, one single-location read per link, in
     /// the walk-based modes (Short and Fine), and `tx.read` in Full mode,
     /// whose every step is one ordinary transaction.
@@ -1819,6 +1861,164 @@ mod tests {
         assert_eq!(after, vec![(3, 30)]);
     }
 
+    /// Every level of `list` is sorted and names only towers linked on
+    /// level 0 (quiescent).
+    fn assert_levels_sorted<S: Stm>(list: &StmSkipList<S>) {
+        let members: std::collections::HashMap<Word, &Tower<S>> = list
+            .quiescent_towers()
+            .into_iter()
+            .map(|tower| (tower as *const Tower<S> as Word, tower))
+            .collect();
+        for (lvl, head) in list.head.iter().enumerate() {
+            let mut keys = Vec::new();
+            let mut curr = unmark(S::peek(head));
+            while curr != 0 {
+                let tower = members
+                    .get(&curr)
+                    .unwrap_or_else(|| panic!("level {lvl} names a tower level 0 does not"));
+                keys.push(tower.key);
+                curr = unmark(S::peek(&tower.links()[lvl]));
+            }
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "level {lvl}: {keys:?}"
+            );
+        }
+    }
+
+    /// A tower of height `level` for `key`, in a slot as `insert_in` takes it.
+    fn slot_of_height<S: Stm>(stm: &S, key: u64, level: usize) -> TowerSlot<S> {
+        TowerSlot {
+            ptr: Tower::alloc(stm, key, level),
+            linked: true,
+        }
+    }
+
+    /// `insert_in` and `remove_in` answer from within the transaction's
+    /// snapshot when their unlogged descent cannot: single reads do not
+    /// see the transaction's own buffered writes.  In one transaction:
+    /// two adjacent fresh keys (the second's window is stale against the
+    /// first's link), the second again (present only in the buffered
+    /// writes), a removal of the first (absent from what is committed)
+    /// and of it once more (marked only in the buffered writes).  Then, in
+    /// one transaction, two towers taller than any window's `top`: the
+    /// first raises the hint, the second finds the head links above the
+    /// committed hint already written.
+    fn own_writes_fall_back<S: Stm + Clone>(stm: S, mode: ApiMode) {
+        let list = StmSkipList::new(&stm, mode);
+        let mut t = stm.register();
+        for k in [10, 20, 40] {
+            assert!(list.insert(k, &mut t));
+        }
+        let mut slots: [TowerSlot<S>; 3] = std::array::from_fn(|_| TowerSlot::new());
+        let mut retired = None;
+        let answers = t
+            .atomic(|tx| {
+                let first = list.insert_in(30, &mut slots[0], tx)?;
+                let second = list.insert_in(31, &mut slots[1], tx)?;
+                let again = list.insert_in(31, &mut slots[2], tx)?;
+                retired = list.remove_in(30, tx)?;
+                let twice = list.remove_in(30, tx)?.is_some();
+                let keys = list.collect_range_in(0, 100, usize::MAX, tx)?;
+                Ok((first, second, again, twice, keys))
+            })
+            .unwrap();
+        let keys = |pairs: Vec<(u64, u64)>| pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        let (first, second, again, twice, seen) = answers;
+        assert_eq!((first, second, again, twice), (true, true, false, false));
+        assert_eq!(keys(seen), [10, 20, 31, 40]);
+        slots[0].mark_published();
+        slots[1].mark_published();
+        retired.expect("30 was linked").retire(&mut t);
+        assert_eq!(list.quiescent_snapshot(), [10, 20, 31, 40]);
+        assert_levels_sorted(&list);
+
+        let hint = decode_int(S::peek(&list.level_hint));
+        assert!(hint < 10, "hint {hint}");
+        let mut tall = [slot_of_height(&stm, 25, 12), slot_of_height(&stm, 26, 10)];
+        let linked = t
+            .atomic(|tx| {
+                let [a, b] = &mut tall;
+                Ok((list.insert_in(25, a, tx)?, list.insert_in(26, b, tx)?))
+            })
+            .unwrap();
+        assert_eq!(linked, (true, true));
+        tall.iter_mut().for_each(TowerSlot::mark_published);
+        assert_eq!(decode_int(S::peek(&list.level_hint)), 12);
+        assert_eq!(list.quiescent_snapshot(), [10, 20, 25, 26, 31, 40]);
+        assert_levels_sorted(&list);
+        for k in [10, 20, 25, 26, 31, 40] {
+            assert!(list.contains(k, &mut t), "{k}");
+        }
+    }
+
+    #[test]
+    fn in_tx_membership_falls_back_on_own_writes() {
+        own_writes_fall_back(ValShort::new(), ApiMode::Short);
+        own_writes_fall_back(TvarShortG::new(), ApiMode::Short);
+        own_writes_fall_back(OrecFullG::new(), ApiMode::Fine);
+        own_writes_fall_back(OrecFullG::new(), ApiMode::Full);
+    }
+
+    /// Outside Full mode, a membership transaction logs only its window at
+    /// the tower's own height: an insert its `h` predecessor links, a
+    /// removal those and the tower's own `h` links.  The descent's reads
+    /// are single reads.  Full mode logs the whole descent and reads
+    /// nothing outside the transaction.
+    fn membership_logs<S: Stm + Clone>(stm: S, mode: ApiMode) {
+        let list = StmSkipList::new(&stm, mode);
+        let mut t = stm.register();
+        for k in 1..=1_000u64 {
+            assert!(list.insert(k * 10, &mut t));
+        }
+        let reads = |tx: &mut FullTx<'_, S::Thread>| {
+            let stats = tx.thread().stats();
+            (stats.full_reads, stats.singles)
+        };
+        for (key, level) in [(5_005, 1), (5_015, 2), (0, 2), (20_000, 1)] {
+            let mut slot = slot_of_height(&stm, key, level);
+            let (inserted, (full, singles)) = t
+                .atomic(|tx| {
+                    let before = reads(tx);
+                    let inserted = list.insert_in(key, &mut slot, tx)?;
+                    let after = reads(tx);
+                    Ok((inserted, (after.0 - before.0, after.1 - before.1)))
+                })
+                .unwrap();
+            assert!(inserted, "{key}");
+            slot.mark_published();
+            let (removed, (rm_full, rm_singles)) = t
+                .atomic(|tx| {
+                    let before = reads(tx);
+                    let removed = list.remove_in(key, tx)?;
+                    let after = reads(tx);
+                    Ok((removed, (after.0 - before.0, after.1 - before.1)))
+                })
+                .unwrap();
+            removed.expect("just linked").retire(&mut t);
+            if mode == ApiMode::Full {
+                assert_eq!((singles, rm_singles), (0, 0), "{key}");
+                assert!(full > level as u64 && rm_full > 2 * level as u64, "{key}");
+            } else {
+                let level = level as u64;
+                assert_eq!((full, rm_full), (level, 2 * level), "{key}");
+                assert!(
+                    singles > 3 && rm_singles > 3,
+                    "{key}: {singles}, {rm_singles}"
+                );
+            }
+        }
+        assert_eq!(list.quiescent_snapshot().len(), 1_000);
+    }
+
+    #[test]
+    fn membership_transactions_log_only_their_window() {
+        membership_logs(ValShort::new(), ApiMode::Short);
+        membership_logs(TvarShortG::new(), ApiMode::Short);
+        membership_logs(OrecFullG::new(), ApiMode::Fine);
+        membership_logs(OrecFullG::new(), ApiMode::Full);
+    }
+
     #[test]
     fn range_respects_limits_and_bounds() {
         let stm = ValShort::new();
@@ -1979,10 +2179,7 @@ mod tests {
         for k in (10..=2_000u64).step_by(40) {
             lists[3].put(k, k, &mut t);
         }
-        let mut tall = TowerSlot {
-            ptr: Tower::alloc(&stm, 1_000, 12),
-            linked: true,
-        };
+        let mut tall = slot_of_height(&stm, 1_000, 12);
         assert!(t
             .atomic(|tx| lists[4].insert_in(1_000, &mut tall, tx))
             .unwrap());

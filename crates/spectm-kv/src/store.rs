@@ -628,7 +628,11 @@ impl<S: Stm + Clone> ShardedKv<S> {
     // below: each changes the map slot and the index links of the same
     // entry inside one full transaction, and what it allocated or unlinked
     // is published or retired by the matching `settle_*` strictly after
-    // that transaction commits.
+    // that transaction commits.  Outside Full mode the index half descends
+    // with single reads and logs only the window it links or unlinks at
+    // (`StmSkipList::insert_in`/`remove_in`); what that window cannot
+    // answer, it answers from a logged descent in the same attempt, so the
+    // index always agrees with what the map half found in the snapshot.
 
     /// Insert-or-overwrite of `key` inside the caller's full transaction.
     /// An absent key becomes a member of the shard's map **and** index; a

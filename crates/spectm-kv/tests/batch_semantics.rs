@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 
 use common::run_workers;
 use proptest::prelude::*;
-use spectm::variants::{OrecFullG, ValShort};
+use spectm::variants::{OrecFullG, TvarShortG, ValShort};
 use spectm::Stm;
 use spectm_ds::ApiMode;
 use spectm_kv::{BatchOp, ShardRouter, ShardedKv, Value};
@@ -280,6 +280,80 @@ fn scans_never_see_torn_groups_val_short_high_load() {
 #[test]
 fn scans_never_see_torn_groups_orec_full_high_load() {
     scans_never_see_torn_groups(OrecFullG::new(), ApiMode::Full, 10, 1);
+}
+
+/// An atomic shard group whose puts link adjacent fresh keys: `[put k,
+/// put k + 1, get k]` inside one routing block runs as one full
+/// transaction (the get reads a key the group writes), so the second
+/// insert's index window is stale against the first's buffered link and
+/// must be answered from the transaction's own writes.  Later groups
+/// remove a key beside one they insert, and remove and re-insert a key
+/// the same group inserted, in one transaction.  Every result is the
+/// sequential oracle's, on all three variants, with neighbours already
+/// linked on both sides of some of the groups.
+fn adjacent_fresh_keys_in_one_group<S: Stm + Clone>(stm: S, mode: ApiMode) {
+    let store = ShardedKv::new(&stm, 4, 16, mode);
+    let mut t = store.register();
+    let mut oracle = BTreeMap::new();
+    let block = 7 << ShardRouter::BLOCK_BITS;
+    let mut run = |ops: Vec<BatchOp>, t: &mut S::Thread| {
+        let expect = oracle_results(&ops, &mut oracle);
+        assert_eq!(store.execute_batch(&ops, t).unwrap(), expect, "{ops:?}");
+    };
+    // Empty index, then between and beside linked neighbours.
+    for k in [block, block + 10, block + 20, block + 61] {
+        run(
+            vec![
+                BatchOp::put(k, &payload(k, 1)),
+                BatchOp::put(k + 1, &payload(k + 1, 1)),
+                BatchOp::Get(k),
+            ],
+            &mut t,
+        );
+        run(
+            vec![
+                BatchOp::put(k + 2, &payload(k + 2, 2)),
+                BatchOp::Del(k + 1),
+                BatchOp::Get(k + 2),
+                BatchOp::Del(k),
+                BatchOp::Get(k + 1),
+                BatchOp::Del(k + 2),
+                BatchOp::put(k + 2, &payload(k + 2, 3)),
+            ],
+            &mut t,
+        );
+        run(
+            vec![
+                BatchOp::Get(k),
+                BatchOp::put(k, &payload(k, 3)),
+                BatchOp::put(k + 1, &payload(k + 1, 3)),
+                BatchOp::Del(k + 2),
+                BatchOp::put(k + 2, &payload(k + 2, 4)),
+                BatchOp::Get(k + 1),
+            ],
+            &mut t,
+        );
+    }
+    assert_eq!(
+        store.quiescent_snapshot(),
+        oracle.into_iter().collect::<Vec<_>>()
+    );
+    store.assert_index_consistent();
+}
+
+#[test]
+fn adjacent_fresh_keys_in_one_group_val_short() {
+    adjacent_fresh_keys_in_one_group(ValShort::new(), ApiMode::Short);
+}
+
+#[test]
+fn adjacent_fresh_keys_in_one_group_tvar_short() {
+    adjacent_fresh_keys_in_one_group(TvarShortG::new(), ApiMode::Short);
+}
+
+#[test]
+fn adjacent_fresh_keys_in_one_group_orec_full() {
+    adjacent_fresh_keys_in_one_group(OrecFullG::new(), ApiMode::Full);
 }
 
 /// Batches raced from many threads against disjoint key ranges must land
