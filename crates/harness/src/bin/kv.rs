@@ -47,8 +47,8 @@
 //! inputs: bucket counts are derived from the capacity hint, never passed
 //! by hand.
 
-use harness::kv::{kv_default_dists, kv_default_mixes, KeyDist, KvCacheArgs, KvMix, ValueSize};
-use spectm_kv::EvictionPolicy;
+use harness::kv::{kv_default_dists, kv_default_mixes, KeyDist, KvMix, ValueSize};
+use spectm_kv::{CacheConfig, EvictionPolicy};
 
 /// The kv-specific flags, as the usage line prints them after the common
 /// ones.
@@ -64,7 +64,7 @@ struct KvArgs {
     value_size: ValueSize,
     verify: bool,
     capacity: Option<usize>,
-    cache: KvCacheArgs,
+    cache: CacheConfig,
     stats: bool,
     rest: Vec<String>,
 }
@@ -94,7 +94,7 @@ fn parse_kv_args(args: impl Iterator<Item = String>) -> KvArgs {
     let mut value_size = ValueSize::default();
     let mut verify = false;
     let mut capacity = None;
-    let mut cache = KvCacheArgs::default();
+    let mut cache = CacheConfig::default();
     let mut stats = false;
     let mut rest = Vec::new();
     let mut i = 0;
@@ -239,7 +239,7 @@ fn main() {
         args.value_size,
         args.verify,
         args.capacity,
-        args.cache,
+        &args.cache,
     );
     harness::figures::print_rows(&rows);
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use lockfree::LockFreeKvMap;
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{EvictionPolicy, MapStats};
+use spectm_kv::{CacheConfig, EvictionPolicy, MapStats};
 use txepoch::Collector;
 
 use super::store::{KvStore, LockFreeKvBench, StmKvBench};
@@ -82,8 +82,11 @@ pub fn run_kv<K: KvStore>(store: Arc<K>, cfg: &KvWorkloadConfig) -> (RunResult, 
     }
     // The oracle sweep asserts every loaded key survived, which only holds
     // when nothing expires or evicts them: cache-mode runs skip it.
-    let cache_mode = cfg.max_bytes.is_some() || cfg.default_ttl_ms > 0;
-    if cfg.verify && cfg.mix != KvMix::ReadModifyWrite && cfg.mix != KvMix::Churn && !cache_mode {
+    if cfg.verify
+        && cfg.mix != KvMix::ReadModifyWrite
+        && cfg.mix != KvMix::Churn
+        && !cfg.cache_config().enabled()
+    {
         verify_sweep(&*store, cfg.num_keys);
     }
     (result, hit_rate)
@@ -222,41 +225,21 @@ fn sized_for_sweep(opts: &FigureOpts, capacity: Option<usize>) -> KvWorkloadConf
     }
 }
 
-/// Cache-mode knobs of the `kv` binary (`--max-bytes` / `--ttl-ms` /
-/// `--policy`), bundled so the sweep signature stays manageable.  The
-/// default is cache mode off: no budget, no TTL.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KvCacheArgs {
-    /// Live-byte budget (`--max-bytes`); `None` disables eviction.
-    pub max_bytes: Option<u64>,
-    /// Default TTL in milliseconds (`--ttl-ms`); `0` = immortal.
-    pub default_ttl_ms: u64,
-    /// Victim selection (`--policy freq|fifo`).
-    pub policy: EvictionPolicy,
-}
-
-impl KvCacheArgs {
-    /// Whether any cache knob is set (the sweep labels panels and emits
-    /// hit rates only in cache mode).
-    pub fn enabled(&self) -> bool {
-        self.max_bytes.is_some() || self.default_ttl_ms > 0
+/// The panel-label suffix describing the cache knobs (`--max-bytes` /
+/// `--ttl-ms` / `--policy`), e.g. `" / budget:1048576 / fifo"` (empty when
+/// cache mode is off).
+fn panel_suffix(cache: &CacheConfig) -> String {
+    let mut suffix = String::new();
+    if let Some(budget) = cache.max_bytes {
+        suffix.push_str(&format!(" / budget:{budget}"));
     }
-
-    /// The panel-label suffix describing these knobs, e.g.
-    /// `" / budget:1048576 / fifo"` (empty when cache mode is off).
-    fn panel_suffix(&self) -> String {
-        let mut suffix = String::new();
-        if let Some(budget) = self.max_bytes {
-            suffix.push_str(&format!(" / budget:{budget}"));
-        }
-        if self.default_ttl_ms > 0 {
-            suffix.push_str(&format!(" / ttl:{}ms", self.default_ttl_ms));
-        }
-        if self.enabled() && self.policy == EvictionPolicy::Fifo {
-            suffix.push_str(" / fifo");
-        }
-        suffix
+    if cache.default_ttl_ms > 0 {
+        suffix.push_str(&format!(" / ttl:{}ms", cache.default_ttl_ms));
     }
+    if cache.enabled() && cache.policy == EvictionPolicy::Fifo {
+        suffix.push_str(" / fifo");
+    }
+    suffix
 }
 
 /// Produces the `kv` binary's rows: threads × mix × distribution × variant,
@@ -275,7 +258,7 @@ pub fn kv_rows(
     value_size: ValueSize,
     verify: bool,
     capacity: Option<usize>,
-    cache: KvCacheArgs,
+    cache: &CacheConfig,
 ) -> Vec<FigureRow> {
     let sized = sized_for_sweep(opts, capacity);
     let mut rows = Vec::new();
@@ -291,7 +274,7 @@ pub fn kv_rows(
                     value_size.label()
                 )
             };
-            panel.push_str(&cache.panel_suffix());
+            panel.push_str(&panel_suffix(cache));
             for variant in kv_variants() {
                 for &threads in &opts.threads {
                     let cfg = KvWorkloadConfig {

@@ -94,7 +94,7 @@ impl<S: Stm + Clone> StmKvBench<S> {
 
     /// Whether the wrapped store maintains cache counters.
     fn cache_enabled(&self) -> bool {
-        self.store.config().max_bytes.is_some() || self.store.config().default_ttl_ms > 0
+        self.store.config().enabled()
     }
 }
 

@@ -133,7 +133,7 @@ pub use store::{ShardedKv, ITEM_OVERHEAD_BYTES, MAX_RMW_KEYS};
 pub use ttl::{
     CacheConfig, CacheStats, Clock, EvictionPolicy, Reclaimer, ReclaimerStats, SweepOutcome,
 };
-pub use value::{RetiredValue, Value, ValueCell, ValueSlot, MAX_VALUE_LEN};
+pub use value::{Value, ValueCell, MAX_VALUE_LEN};
 
 /// Errors the store's fallible operations report instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -90,7 +90,8 @@ use spectm_ds::{free_tower, ApiMode, Tower, TowerSlot};
 use txepoch::Guard;
 
 use crate::value::{decode_value, free_value};
-use crate::{KvError, RetiredValue, Value, ValueSlot, MAX_VALUE_LEN};
+use crate::value::{RetiredValue, ValueSlot};
+use crate::{KvError, Value, MAX_VALUE_LEN};
 
 #[cfg(not(target_pointer_width = "64"))]
 compile_error!("the item word packs a 16-bit hash tag above 48 address bits: 64-bit targets only");
@@ -1629,7 +1630,7 @@ mod tests {
         assert_eq!(displaced.len(), 2);
         for (d, deadline) in displaced.drain(..) {
             assert_eq!(deadline, 0, "plain puts store immortal entries");
-            d.retire(t.epoch());
+            d.retire_under(&t.epoch().pin());
         }
         assert_eq!(moved, 300);
         assert_eq!(map.get(1, &mut t).unwrap().as_u64(), 50);

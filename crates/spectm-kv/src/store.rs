@@ -35,7 +35,7 @@
 //! Values are byte payloads behind value words (inline or epoch-reclaimed
 //! [`crate::ValueCell`]s); every operation that displaces a word retires it
 //! through the epoch collector after its transaction commits, per the
-//! [`crate::RetiredValue`] contract.
+//! `RetiredValue` contract (`value.rs`).
 //!
 //! # TTL, byte budget, eviction
 //!
@@ -264,7 +264,7 @@ impl<S: Stm + Clone> ShardedKv<S> {
         let indexes = (0..router.shard_count())
             .map(|_| StmSkipList::with_aux(stm, mode))
             .collect();
-        let track = config.max_bytes.is_some() || config.default_ttl_ms > 0;
+        let track = config.enabled();
         let clock = config.max_bytes.is_some();
         Self {
             stm: stm.clone(),
@@ -1148,8 +1148,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     /// prefetches have had the chunk's length to land.  `age` maps an
     /// entry's byte and deadline word to the byte to leave (stored, relaxed,
     /// under the pin when it differs) and whether the entry is a candidate
-    /// for the caller's removals.  The pin is dropped before the caller
-    /// removes anything: nothing retires (`defer`s) while it is held.
+    /// for the caller's removals, which run after the walk so that its reads
+    /// follow one another while the prefetches land.
     fn walk_chunk(
         &self,
         first: u64,

@@ -134,6 +134,15 @@ pub struct CacheConfig {
     pub clock: Clock,
 }
 
+impl CacheConfig {
+    /// Whether this is cache mode: a byte budget or a default TTL is set,
+    /// so the store keeps cache counters and byte accounting, and a server
+    /// runs a reclaimer.
+    pub fn enabled(&self) -> bool {
+        self.max_bytes.is_some() || self.default_ttl_ms > 0
+    }
+}
+
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {

@@ -18,10 +18,10 @@
 //! contract explicit, mirroring the [`spectm_ds::TowerSlot`] /
 //! [`spectm_ds::RetiredTower`] pair that makes and retires entries:
 //!
-//! * [`ValueSlot`] keeps a speculative allocation alive across the conflict
+//! * `ValueSlot` keeps a speculative allocation alive across the conflict
 //!   retries of an enclosing transaction (allocate at most once per logical
 //!   write; free automatically if the value was never published);
-//! * [`RetiredValue`] carries a displaced value word out of a committed
+//! * `RetiredValue` carries a displaced value word out of a committed
 //!   transaction so the caller can read the old bytes and defer the free
 //!   through `txepoch`.
 //!
@@ -32,7 +32,7 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spectm::{decode_inline, encode_inline, is_inline_value, Word};
-use txepoch::{Guard, LocalHandle};
+use txepoch::Guard;
 
 /// Largest value the store accepts, in bytes (memcached's classic default
 /// item-size ceiling).  [`crate::KvError::ValueTooLarge`] reports attempts
@@ -146,7 +146,7 @@ impl ValueCell {
 
 /// Encodes `bytes` as a value word: inline when it fits, otherwise a fresh
 /// [`ValueCell`].  The caller owns the word until it is published (see
-/// [`ValueSlot`]).
+/// `ValueSlot`).
 #[inline]
 pub fn encode_value(bytes: &[u8]) -> Word {
     debug_assert!(bytes.len() <= MAX_VALUE_LEN);
@@ -405,13 +405,13 @@ impl std::fmt::Debug for Value {
 /// transaction **commits** an attempt that stored the slot's word, call
 /// [`ValueSlot::mark_published`]; otherwise dropping the slot frees the
 /// never-published cell.  The [`spectm_ds::TowerSlot`] contract, for values.
-pub struct ValueSlot {
+pub(crate) struct ValueSlot {
     word: Word,
 }
 
 impl ValueSlot {
     /// Creates an empty slot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { word: 0 }
     }
 
@@ -450,7 +450,7 @@ impl ValueSlot {
     /// Declares the slot's word published: a transaction that stored it has
     /// committed, so the map now owns the allocation.
     #[inline]
-    pub fn mark_published(&mut self) {
+    pub(crate) fn mark_published(&mut self) {
         self.word = 0;
     }
 }
@@ -475,13 +475,13 @@ impl Drop for ValueSlot {
 /// value, or a delete's captured value), awaiting epoch retirement.
 ///
 /// After the enclosing transaction **commits**, the caller owns the word
-/// exclusively: read the old payload with [`RetiredValue::value`], then hand
-/// the cell to the epoch collector with [`RetiredValue::retire`].  If the
-/// transaction aborted or was retried, simply drop the carrier (the word was
-/// never displaced; dropping does nothing).  The
-/// [`spectm_ds::RetiredTower`] contract, for values.
-#[must_use = "call retire() after the transaction commits"]
-pub struct RetiredValue {
+/// exclusively: read the old payload with [`RetiredValue::value`], then
+/// hand the cell to the epoch collector with
+/// [`RetiredValue::retire_under`].  If the transaction aborted or was
+/// retried, simply drop the carrier (the word was never displaced; dropping
+/// does nothing).  The [`spectm_ds::RetiredTower`] contract, for values.
+#[must_use = "call retire_under() after the transaction commits"]
+pub(crate) struct RetiredValue {
     word: Word,
 }
 
@@ -506,9 +506,9 @@ impl RetiredValue {
 
     /// Copies out the bytes the displaced word held.  Only call after the
     /// displacing transaction committed (the same ownership contract as
-    /// [`RetiredValue::retire`]).
+    /// [`RetiredValue::retire_under`]).
     #[inline]
-    pub fn value(&self) -> Value {
+    pub(crate) fn value(&self) -> Value {
         match self.cell_bytes() {
             Some(bytes) => Value::new(bytes),
             None => decode_inline_value(self.word),
@@ -539,14 +539,8 @@ impl RetiredValue {
     }
 
     /// Defers the free of the displaced cell through the epoch collector
-    /// (no-op for inline words).  Only call after the displacing transaction
-    /// committed.
-    #[inline]
-    pub fn retire(self, handle: &LocalHandle) {
-        self.retire_under(&handle.pin());
-    }
-
-    /// [`RetiredValue::retire`] under a pin the caller already holds.
+    /// (no-op for inline words), under a pin the caller already holds.  Only
+    /// call after the displacing transaction committed.
     #[inline]
     pub(crate) fn retire_under(self, guard: &Guard) {
         // SAFETY: per the contract, the committed transaction displaced the
@@ -633,7 +627,7 @@ mod tests {
             let retired = RetiredValue::new(encode_value(&payload));
             assert_eq!(&*retired.value(), &payload[..]);
             assert_eq!(retired.len(), len);
-            retired.retire(&handle);
+            retired.retire_under(&handle.pin());
         }
     }
 }

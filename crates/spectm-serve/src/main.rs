@@ -22,7 +22,7 @@ Options:
                       (default 4)
   --shards N          store shards (default 16)
   --capacity N        per-shard capacity hint in keys (default 65536); under
-                      --max-bytes it is capped at one home bucket per two
+                      --max-bytes it is capped at one home bucket per four
                       minimum-cost items the budget holds
   --max-bytes N       live-byte budget; the background reclaimer evicts
                       down to it (default: no budget, nothing is evicted)
@@ -87,7 +87,7 @@ fn main() {
         default_ttl_ms,
         ..CacheConfig::default()
     };
-    let cache_enabled = max_bytes.is_some() || default_ttl_ms > 0;
+    let cache_enabled = config.enabled();
     let store = Arc::new(ShardedKv::with_config(
         &stm,
         shards,

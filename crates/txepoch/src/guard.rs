@@ -11,6 +11,11 @@ use crate::local::Local;
 /// was created will not be freed, so pointers read from shared memory under
 /// the guard remain valid until the guard is dropped.
 ///
+/// The thread's announcement changes only at its outermost pin, whatever it
+/// retires or flushes meanwhile, so the global epoch moves at most one past
+/// a live guard: garbage retired under a pin, by any thread, waits for that
+/// pin to end.
+///
 /// Guards are re-entrant: nesting them is allowed and only the outermost one
 /// announces/clears the active flag.
 pub struct Guard {
@@ -57,11 +62,6 @@ impl Guard {
     pub unsafe fn defer_unchecked(&self, ptr: *mut u8, destroy: unsafe fn(*mut u8)) {
         // SAFETY: forwarded contract.
         unsafe { self.local().defer(ptr, destroy) };
-    }
-
-    /// Eagerly attempts to advance the epoch and reclaim garbage.
-    pub fn flush(&self) {
-        self.local().collect();
     }
 }
 

@@ -19,7 +19,9 @@
 //!   (usually via [`Collector::register`]).
 //! * Before touching shared memory the thread calls [`LocalHandle::pin`],
 //!   obtaining a [`Guard`].  While at least one guard is live the thread is
-//!   *active* in the epoch it observed when pinning.
+//!   *active* in the epoch it observed when pinning, and the global epoch
+//!   moves at most one past it: garbage retired under a pin waits for that
+//!   pin to end.
 //! * Removed nodes are handed to [`Guard::defer_drop`] (or
 //!   [`Guard::defer_unchecked`] for raw destructors).  They are freed once the
 //!   global epoch has advanced twice past the epoch in which they were

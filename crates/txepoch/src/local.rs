@@ -29,8 +29,6 @@ pub(crate) struct Local {
     handle_alive: Cell<bool>,
     /// Number of live `Guard`s pointing at this `Local`.
     guards: Cell<usize>,
-    /// Epoch observed by the outermost live guard.
-    pinned_epoch: Cell<usize>,
     /// Objects retired since the last reclamation attempt.
     since_collect: Cell<usize>,
 }
@@ -44,7 +42,6 @@ impl Local {
             bag_epochs: UnsafeCell::new([0; EPOCH_CLASSES]),
             handle_alive: Cell::new(true),
             guards: Cell::new(0),
-            pinned_epoch: Cell::new(0),
             since_collect: Cell::new(0),
         }))
     }
@@ -64,7 +61,6 @@ impl Local {
         if guards == 0 {
             let epoch = self.inner.epoch.load(Ordering::SeqCst);
             self.participant().set_active(epoch);
-            self.pinned_epoch.set(epoch);
         }
     }
 
@@ -144,16 +140,6 @@ impl Local {
             }
         }
         self.inner.collect_orphans(global);
-
-        // Re-announce the current epoch if we are pinned, so that we do not
-        // stall future advances with a stale announcement.
-        if self.is_pinned() {
-            let epoch = self.inner.epoch.load(Ordering::SeqCst);
-            if epoch != self.pinned_epoch.get() {
-                self.participant().set_active(epoch);
-                self.pinned_epoch.set(epoch);
-            }
-        }
     }
 
     /// Number of objects waiting in local bags (test/diagnostic aid).
@@ -287,7 +273,26 @@ impl std::fmt::Debug for LocalHandle {
 
 #[cfg(test)]
 mod tests {
-    use crate::Collector;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use crate::{Collector, Guard, COLLECT_THRESHOLD};
+
+    /// Counts its own drops.
+    struct Flagged(Arc<AtomicUsize>);
+
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Retires a fresh box holding `value` under `guard`.
+    fn retire<T>(guard: &Guard, value: T) {
+        let p = Box::into_raw(Box::new(value));
+        // SAFETY: freshly allocated, unreachable by others.
+        unsafe { guard.defer_drop(p) };
+    }
 
     #[test]
     fn nested_pins_are_counted() {
@@ -309,9 +314,7 @@ mod tests {
         {
             let g = h.pin();
             for _ in 0..10 {
-                let p = Box::into_raw(Box::new(0_u64));
-                // SAFETY: freshly allocated, unreachable by others.
-                unsafe { g.defer_drop(p) };
+                retire(&g, 0_u64);
             }
         }
         assert_eq!(h.pending(), 10);
@@ -328,23 +331,13 @@ mod tests {
     /// from the global epoch at retirement, not from the retirer's pin.
     #[test]
     fn garbage_outlives_readers_pinned_after_the_retirer() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        struct Flagged(Arc<AtomicUsize>);
-        impl Drop for Flagged {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let c = Collector::new();
         let (retirer, reader, bystander) = (c.register(), c.register(), c.register());
         let dropped = Arc::new(AtomicUsize::new(0));
         let retiring = retirer.pin();
         bystander.flush(); // epoch e -> e + 1: the retirer announced e
         let reading = reader.pin(); // at e + 1, could reach the object
-        let p = Box::into_raw(Box::new(Flagged(Arc::clone(&dropped))));
-        // SAFETY: freshly allocated, unreachable by others.
-        unsafe { retiring.defer_drop(p) };
+        retire(&retiring, Flagged(Arc::clone(&dropped)));
         drop(retiring);
         for _ in 0..4 {
             bystander.flush();
@@ -359,16 +352,66 @@ mod tests {
         assert_eq!(dropped.load(Ordering::SeqCst), 1);
     }
 
+    /// A reader's own retirements do not move its pin: the object another
+    /// thread retired after the reader pinned outlives the reader's guard,
+    /// however much the reader retires under it.
+    #[test]
+    fn garbage_outlives_a_reader_that_retires_under_its_pin() {
+        let c = Collector::new();
+        let (reader, retirer, bystander) = (c.register(), c.register(), c.register());
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let reading = reader.pin();
+        retire(&retirer.pin(), Flagged(Arc::clone(&dropped)));
+        // Enough to make the reader collect while it is pinned.
+        for _ in 0..COLLECT_THRESHOLD {
+            retire(&reading, 0_u64);
+        }
+        for _ in 0..4 {
+            retirer.flush();
+            bystander.flush();
+        }
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            0,
+            "freed under a live guard"
+        );
+        drop(reading);
+        for _ in 0..4 {
+            retirer.flush();
+            bystander.flush();
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
+    }
+
+    /// However much a pinned thread retires, the global epoch moves at most
+    /// one past its pin; its garbage is reclaimed once the pin ends.
+    #[test]
+    fn retiring_under_a_pin_moves_the_epoch_at_most_once() {
+        let c = Collector::new();
+        let h = c.register();
+        let g = h.pin();
+        let pinned = c.global_epoch();
+        for _ in 0..4 * COLLECT_THRESHOLD {
+            retire(&g, 0_u64);
+            let global = c.global_epoch();
+            assert!(
+                global <= pinned + 1,
+                "epoch {global} under a pin at {pinned}"
+            );
+        }
+        drop(g);
+        h.flush();
+        h.flush();
+        h.flush();
+        assert_eq!(h.pending(), 0);
+        assert_eq!(c.stats().reclaimed, 4 * COLLECT_THRESHOLD);
+    }
+
     #[test]
     fn dropping_handle_hands_garbage_to_collector() {
         let c = Collector::new();
         let h = c.register();
-        {
-            let g = h.pin();
-            let p = Box::into_raw(Box::new([0_u8; 32]));
-            // SAFETY: freshly allocated, unreachable by others.
-            unsafe { g.defer_drop(p) };
-        }
+        retire(&h.pin(), [0_u8; 32]);
         drop(h);
         // The garbage either got reclaimed on handle drop or sits in the
         // orphan list; dropping the collector must free it (checked by Miri /
