@@ -1,7 +1,7 @@
 //! Regenerates the paper's Fig1 series (see DESIGN.md for the experiment index).
 
 fn main() {
-    let opts = harness::figures::opts_or_exit(std::env::args().skip(1), "");
+    let opts = harness::figures::opts_or_exit(std::env::args().skip(1));
     let rows = harness::figures::fig1(&opts);
     harness::figures::print_rows(&rows);
 }

@@ -5,7 +5,7 @@
 //! iteration count (see [`harness::figures::fig5_iters`]).
 
 fn main() {
-    let opts = harness::figures::opts_or_exit(std::env::args().skip(1), "");
+    let opts = harness::figures::opts_or_exit(std::env::args().skip(1));
     let rows = harness::figures::fig5(harness::figures::fig5_iters(&opts));
     harness::figures::print_rows(&rows);
 }

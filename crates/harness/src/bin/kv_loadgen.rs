@@ -9,11 +9,9 @@
 //! checksum-verified during the run and a full oracle sweep of the key
 //! space runs at the end; any failure exits non-zero.
 
-use std::time::Duration;
-
-use harness::kv::{KeyDist, KvMix, KvWorkloadConfig, ValueSize};
+use harness::cli::{self, LoadgenCommand};
+use harness::kv::{KvMix, KvWorkloadConfig};
 use harness::loadgen::{preload, run_loadgen, verify_sweep, LoadgenConfig, WireConn};
-use spectm_kv::wire::MAX_WIRE_OPS;
 
 const USAGE: &str = "\
 Usage: kv-loadgen --addr HOST:PORT [OPTIONS]
@@ -29,15 +27,13 @@ Options:
                       fill puts for the previous batch's misses; point the
                       run at a server with --max-bytes to measure eviction)
                       (default a,b,c)
-  --connections N     client connections, dealt round-robin across the
-                      client threads (default 4)
+  --connections A,B,C client connections, dealt round-robin across the
+                      client threads; a list sweeps them, one TSV row per
+                      (mix, connection count) — the scaling curve
+                      (default 4)
   --threads N         client threads driving those connections (default:
-                      min(connections, available cores); capped at
-                      --connections)
-  --sweep-connections A,B,C
-                      sweep connection counts instead of a single
-                      --connections value: one TSV row per (mix,
-                      connection count) — the scaling-curve one-liner
+                      min(connections, available cores); capped at each
+                      connection count)
   --duration-ms N     measured duration per run (default 500)
   --batch N           operations per request frame (default 16, max 128)
   --keys N            key-space size, preloaded before the runs (default 65536)
@@ -52,124 +48,21 @@ Options:
   --help              print this help
 ";
 
-fn die(msg: &str) -> ! {
-    eprintln!("kv-loadgen: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(value) = value else {
-        die(&format!("{flag} needs a value"));
-    };
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => die(&format!("bad value {value:?} for {flag}")),
-    }
-}
-
 fn main() {
-    let mut addr: Option<String> = None;
-    let mut mixes = vec![KvMix::UpdateHeavy, KvMix::ReadHeavy, KvMix::ReadOnly];
-    let mut connections = 4usize;
-    let mut threads: Option<usize> = None;
-    let mut sweep_connections: Option<Vec<usize>> = None;
-    let mut duration_ms = 500u64;
-    let mut batch = 16usize;
-    let mut keys = 65_536u64;
-    let mut dist = KeyDist::Uniform;
-    let mut value_size = ValueSize::default();
-    let mut ttl_ms = 0u64;
-    let mut verify = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(parse(&arg, args.next())),
-            "--workload" => {
-                let raw: String = parse(&arg, args.next());
-                let parsed: Vec<KvMix> = raw
-                    .split(',')
-                    .filter_map(|s| {
-                        let s = s.trim();
-                        s.chars()
-                            .next()
-                            .filter(|_| s.len() == 1)
-                            .and_then(KvMix::from_ycsb_letter)
-                            .filter(|m| m.supports_batching() || *m == KvMix::Churn)
-                    })
-                    .collect();
-                if parsed.is_empty() || parsed.len() != raw.split(',').count() {
-                    die(&format!(
-                        "`--workload {raw}` must be a comma list of the wire mixes a, b, c, x"
-                    ));
-                }
-                mixes = parsed;
-            }
-            "--connections" => connections = parse(&arg, args.next()),
-            "--threads" => threads = Some(parse(&arg, args.next())),
-            "--sweep-connections" => {
-                let raw: String = parse(&arg, args.next());
-                let parsed: Vec<usize> = raw
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&n| n > 0)
-                    .collect();
-                if parsed.is_empty() || parsed.len() != raw.split(',').count() {
-                    die(&format!(
-                        "`--sweep-connections {raw}` must be a comma list of positive counts"
-                    ));
-                }
-                sweep_connections = Some(parsed);
-            }
-            "--duration-ms" => duration_ms = parse(&arg, args.next()),
-            "--batch" => batch = parse(&arg, args.next()),
-            "--keys" => keys = parse(&arg, args.next()),
-            "--dist" => {
-                let raw: String = parse(&arg, args.next());
-                match KeyDist::from_name(raw.trim()) {
-                    Some(d) => dist = d,
-                    None => die(&format!("`--dist {raw}` is not uniform, zipfian or latest")),
-                }
-            }
-            "--value-size" => {
-                let raw: String = parse(&arg, args.next());
-                match ValueSize::from_flag(raw.trim()) {
-                    Some(vs) => value_size = vs,
-                    None => die(&format!(
-                        "`--value-size {raw}` is not fixed:N, uniform:A..B or zipf"
-                    )),
-                }
-            }
-            "--ttl-ms" => ttl_ms = parse(&arg, args.next()),
-            "--verify" => verify = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => die(&format!("unknown flag {other:?}")),
+    let cmd = match LoadgenCommand::parse(std::env::args().skip(1)) {
+        Ok(Some(cmd)) => cmd,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
         }
-    }
-    let Some(addr) = addr else {
-        die("--addr is required");
+        Err(e) => cli::exit_usage(&e, USAGE),
     };
-    if batch == 0 || batch > MAX_WIRE_OPS {
-        die(&format!("--batch must be in 1..={MAX_WIRE_OPS}"));
-    }
-    if connections == 0 {
-        die("--connections must be at least 1");
-    }
-    if threads == Some(0) {
-        die("--threads must be at least 1");
-    }
-    // One row per (mix, connection count); a plain run is a single-point
-    // sweep.
-    let conn_points = sweep_connections.unwrap_or_else(|| vec![connections]);
+    let addr = cmd.addr.as_str();
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(8);
 
-    let mut control = match WireConn::connect(addr.as_str()) {
+    let mut control = match WireConn::connect(addr) {
         Ok(conn) => conn,
         Err(e) => {
             eprintln!("kv-loadgen: cannot connect to {addr}: {e}");
@@ -177,12 +70,11 @@ fn main() {
         }
     };
     let base = KvWorkloadConfig {
-        num_keys: keys,
-        dist,
-        value_size,
-        verify,
-        default_ttl_ms: ttl_ms,
-        ..KvWorkloadConfig::sized_for(keys)
+        num_keys: cmd.keys,
+        dist: cmd.dist,
+        value_size: cmd.value_size,
+        verify: cmd.verify,
+        ..KvWorkloadConfig::sized_for(cmd.keys)
     };
     if let Err(e) = preload(&mut control, &base) {
         eprintln!("kv-loadgen: preload failed: {e}");
@@ -193,20 +85,21 @@ fn main() {
         "mix\tconnections\tthreads\tbatch\tbatches\tops\tops_per_sec\t\
          p50_us\tp99_us\tp999_us\tmax_us\thit_rate"
     );
-    for &mix in &mixes {
-        for &conns in &conn_points {
-            let run_threads = threads.unwrap_or(default_threads).min(conns);
+    for &mix in &cmd.mixes {
+        for &conns in &cmd.connections {
+            let run_threads = cmd.threads.unwrap_or(default_threads).min(conns);
             let cfg = LoadgenConfig {
                 connections: conns,
                 threads: run_threads,
-                duration: Duration::from_millis(duration_ms),
-                batch,
+                duration: cmd.duration,
+                batch: cmd.batch,
+                fill_ttl_ms: cmd.fill_ttl_ms,
                 workload: KvWorkloadConfig {
                     mix,
                     ..base.clone()
                 },
             };
-            let result = match run_loadgen(addr.as_str(), &cfg) {
+            let result = match run_loadgen(addr, &cfg) {
                 Ok(result) => result,
                 Err(e) => {
                     eprintln!("kv-loadgen: {mix:?} run at {conns} connections failed: {e}");
@@ -223,7 +116,7 @@ fn main() {
                 mix.ycsb_letter(),
                 conns,
                 run_threads,
-                batch,
+                cmd.batch,
                 result.batches,
                 result.ops,
                 result.ops_per_sec(),
@@ -236,18 +129,18 @@ fn main() {
         }
     }
 
-    if verify {
+    if cmd.verify {
         // The oracle sweep asserts every key is still present, which an
         // evicting or expiring server legitimately violates — churn runs
         // keep the per-batch checksum verification but skip the sweep.
-        if mixes.contains(&KvMix::Churn) {
+        if cmd.mixes.contains(&KvMix::Churn) {
             eprintln!("kv-loadgen: churn in the sweep; skipping the full-presence oracle sweep");
         } else {
-            if let Err(e) = verify_sweep(&mut control, keys) {
+            if let Err(e) = verify_sweep(&mut control, cmd.keys) {
                 eprintln!("kv-loadgen: final oracle sweep failed: {e}");
                 std::process::exit(1);
             }
-            eprintln!("kv-loadgen: verify clean over {keys} keys");
+            eprintln!("kv-loadgen: verify clean over {} keys", cmd.keys);
         }
     }
 }

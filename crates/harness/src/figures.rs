@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use crate::cli::{self, Args};
 use crate::intset::WorkloadConfig;
 use crate::single_thread::{run_ablation, run_fig5};
 use crate::variants::{run_hash_variant, run_skip_variant, VariantSpec};
@@ -404,86 +405,44 @@ pub fn fig10(opts: &FigureOpts) -> Vec<FigureRow> {
 const COMMON_FLAGS: &str =
     "[--quick | --paper] [--threads A,B,C] [--duration-ms N] [--runs N] [--key-range N]";
 
-/// Parses the common command-line options of the `fig*` binaries
-/// (`--quick`, `--paper`, `--threads`, `--duration-ms`, `--runs`,
-/// `--key-range`).  Any other argument is an error, so a stale or misspelt
-/// flag cannot quietly run the default sweep; a malformed *value* of a
-/// known flag only warns and keeps the current setting.
-pub fn opts_from_args(args: impl Iterator<Item = String>) -> Result<FigureOpts, String> {
+impl FigureOpts {
+    /// Applies `flag` if it is one of the common flags, taking its value
+    /// off `args`; says whether it was.
+    pub(crate) fn apply_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--quick" => *self = Self::quick(),
+            "--paper" => *self = Self::paper(),
+            "--threads" => self.threads = args.list(flag, "thread counts >= 1", cli::positive)?,
+            "--duration-ms" => self.duration = Duration::from_millis(args.number(flag, 0)?),
+            "--runs" => self.runs = args.number(flag, 1)?,
+            "--key-range" => self.key_range = args.number(flag, 1)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Parses the common flags of the `fig*` binaries in the one grammar of
+/// [`cli`]: an unknown flag or a malformed value is an error.
+pub fn opts_from_args(args: impl IntoIterator<Item = String>) -> Result<FigureOpts, String> {
     let mut opts = FigureOpts::default();
-    let args: Vec<String> = args.collect();
-    let mut i = 0;
-    // A missing, unparsable or out-of-range value warns and keeps the
-    // current setting (which may come from an earlier `--paper`/`--quick`)
-    // instead of panicking or silently reverting to a hardcoded fallback.
-    let value = |args: &[String], i: usize| args.get(i).cloned().unwrap_or_default();
-    fn parse_or_warn(flag: &str, raw: &str, min: u64) -> Option<u64> {
-        match raw.parse() {
-            Ok(v) if v >= min => Some(v),
-            _ => {
-                eprintln!("warning: ignoring `{flag} {raw}`: expected a number >= {min}");
-                None
-            }
-        }
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => opts = FigureOpts::quick(),
-            "--paper" => opts = FigureOpts::paper(),
-            "--threads" => {
-                i += 1;
-                let threads: Vec<usize> = value(&args, i)
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect();
-                if threads.is_empty() || threads.contains(&0) {
-                    eprintln!(
-                        "warning: ignoring `--threads {}`: expected a comma-separated list \
-                         of thread counts >= 1",
-                        value(&args, i)
-                    );
-                } else {
-                    opts.threads = threads;
-                }
-            }
-            "--duration-ms" => {
-                i += 1;
-                if let Some(ms) = parse_or_warn("--duration-ms", &value(&args, i), 0) {
-                    opts.duration = Duration::from_millis(ms);
-                }
-            }
-            "--runs" => {
-                i += 1;
-                if let Some(runs) = parse_or_warn("--runs", &value(&args, i), 1) {
-                    opts.runs = runs as usize;
-                }
-            }
-            "--key-range" => {
-                i += 1;
-                if let Some(range) = parse_or_warn("--key-range", &value(&args, i), 1) {
-                    opts.key_range = range;
-                }
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+    cli::parse(args, |flag, args| opts.apply_flag(flag, args))?;
     Ok(opts)
 }
 
-/// [`opts_from_args`] for a binary's `main`: an error prints itself and the
-/// usage line (the common flags, then `own_flags`) and exits with status 2
-/// before anything runs.
-pub fn opts_or_exit(args: impl Iterator<Item = String>, own_flags: &str) -> FigureOpts {
-    opts_from_args(args).unwrap_or_else(|e| {
-        let program = std::env::args().next().unwrap_or_default();
-        let name = std::path::Path::new(&program)
-            .file_name()
-            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
-        eprintln!("error: {e}");
-        eprintln!("usage: {name} {COMMON_FLAGS}{own_flags}");
-        std::process::exit(2)
-    })
+/// The usage line of a binary taking the common flags, then `own_flags`.
+pub fn usage(own_flags: &str) -> String {
+    let program = std::env::args().next().unwrap_or_default();
+    let name = std::path::Path::new(&program)
+        .file_name()
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    format!("usage: {name} {COMMON_FLAGS}{own_flags}")
+}
+
+/// [`opts_from_args`] for a `fig*` binary's `main`: an error prints itself
+/// and the usage line and exits with status 2 before anything runs.
+pub fn opts_or_exit(args: impl IntoIterator<Item = String>) -> FigureOpts {
+    opts_from_args(args).unwrap_or_else(|e| cli::exit_usage(&e, &usage("")))
 }
 
 /// Number of Figure 5 (and ablation) iterations corresponding to `opts`.
@@ -522,25 +481,20 @@ mod tests {
     }
 
     /// A zero would panic (`--runs`), divide by zero (`--key-range`) or
-    /// print meaningless rows (`--threads`): each keeps the previous value.
+    /// print meaningless rows (`--threads`): each is an error naming its
+    /// flag.
     #[test]
-    fn zero_valued_flags_keep_the_current_setting() {
-        let args = [
-            "--quick",
-            "--runs",
-            "0",
-            "--key-range",
-            "0",
-            "--threads",
-            "0",
-        ];
-        let opts = opts_from_args(args.iter().map(|s| s.to_string())).unwrap();
-        let quick = FigureOpts::quick();
-        assert_eq!(opts.runs, quick.runs);
-        assert_eq!(opts.key_range, quick.key_range);
-        assert_eq!(opts.threads, quick.threads);
-        let opts = opts_from_args(["--threads", "2,0,4"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(opts.threads, default_thread_sweep(), "a 0 inside a list");
+    fn zero_valued_flags_are_errors() {
+        let parse = |args: &[&str]| opts_from_args(args.iter().map(|s| s.to_string()));
+        for (flag, value) in [
+            ("--runs", "0"),
+            ("--key-range", "0"),
+            ("--threads", "0"),
+            ("--threads", "2,0,4"),
+        ] {
+            let err = parse(&["--quick", flag, value]).unwrap_err();
+            assert!(err.contains(&format!("`{flag} {value}`")), "{err}");
+        }
     }
 
     /// An unknown flag is an error naming it, wherever it sits — not a

@@ -14,6 +14,7 @@ use super::workload::{
     fill_payload, payload_is_valid, perform_op, KeyDist, KvMix, KvWorkloadConfig, ValueLenSampler,
     ValueSize, WorkerState,
 };
+use crate::cli::KvCommand;
 use crate::figures::{FigureOpts, FigureRow};
 use crate::intset::{trimmed_mean, RunResult, Xorshift, BATCH_OPS};
 use crate::measure::run_timed;
@@ -85,7 +86,7 @@ pub fn run_kv<K: KvStore>(store: Arc<K>, cfg: &KvWorkloadConfig) -> (RunResult, 
     if cfg.verify
         && cfg.mix != KvMix::ReadModifyWrite
         && cfg.mix != KvMix::Churn
-        && !cfg.cache_config().enabled()
+        && !cfg.cache.enabled()
     {
         verify_sweep(&*store, cfg.num_keys);
     }
@@ -151,14 +152,14 @@ fn stm_store<S: Stm + Clone>(stm: S, api: ApiMode, cfg: &KvWorkloadConfig) -> St
         cfg.shards,
         cfg.capacity_per_shard,
         api,
-        cfg.cache_config(),
+        cfg.cache.clone(),
     )
 }
 
 /// Runs the KV workload for a [`VariantSpec`] label, returning mean
 /// throughput in operations per second and the mean measured-phase hit
 /// rate.  STM variants honour the workload's cache fields
-/// ([`KvWorkloadConfig::cache_config`]); the lock-free baseline has no TTL
+/// ([`KvWorkloadConfig::cache`]); the lock-free baseline has no TTL
 /// machinery, so its hit rate is `None` (and its cache fields are ignored).
 ///
 /// # Panics
@@ -245,36 +246,27 @@ fn panel_suffix(cache: &CacheConfig) -> String {
 /// Produces the `kv` binary's rows: threads × mix × distribution × variant,
 /// in the same TSV row shape as the figure drivers (`figure` is `"kv"`,
 /// `panel` is `"<mix> / <dist>"` — with the value-size label appended when
-/// it is not the default — and `x` is the thread count), for the given
-/// mixes, distributions, value-size distribution, verification switch and
-/// optional total capacity-hint override (the `--workload` / `--dist` /
-/// `--value-size` / `--verify` / `--capacity` flags of the `kv` binary).
-/// A `capacity` below the key-space size undersizes the tables, driving
-/// them to high load factors (the occupancy stress shape CI exercises).
-pub fn kv_rows(
-    opts: &FigureOpts,
-    mixes: &[KvMix],
-    dists: &[KeyDist],
-    value_size: ValueSize,
-    verify: bool,
-    capacity: Option<usize>,
-    cache: &CacheConfig,
-) -> Vec<FigureRow> {
-    let sized = sized_for_sweep(opts, capacity);
+/// it is not the default — and `x` is the thread count), as the `kv`
+/// binary's command line asks.  A `--capacity` below the key-space size
+/// undersizes the tables, driving them to high load factors (the occupancy
+/// stress shape CI exercises).
+pub fn kv_rows(cmd: &KvCommand) -> Vec<FigureRow> {
+    let opts = &cmd.opts;
+    let sized = sized_for_sweep(opts, cmd.capacity);
     let mut rows = Vec::new();
-    for &mix in mixes {
-        for &dist in dists {
-            let mut panel = if value_size == ValueSize::default() {
+    for &mix in &cmd.mixes {
+        for &dist in &cmd.dists {
+            let mut panel = if cmd.value_size == ValueSize::default() {
                 format!("{} / {}", mix.label(), dist.label())
             } else {
                 format!(
                     "{} / {} / {}",
                     mix.label(),
                     dist.label(),
-                    value_size.label()
+                    cmd.value_size.label()
                 )
             };
-            panel.push_str(&panel_suffix(cache));
+            panel.push_str(&panel_suffix(&cmd.cache));
             for variant in kv_variants() {
                 for &threads in &opts.threads {
                     let cfg = KvWorkloadConfig {
@@ -282,11 +274,9 @@ pub fn kv_rows(
                         duration: opts.duration,
                         mix,
                         dist,
-                        value_size,
-                        verify,
-                        max_bytes: cache.max_bytes,
-                        default_ttl_ms: cache.default_ttl_ms,
-                        policy: cache.policy,
+                        value_size: cmd.value_size,
+                        verify: cmd.verify,
+                        cache: cmd.cache.clone(),
                         ..sized.clone()
                     };
                     let (y, hit_rate) = run_kv_variant(variant, &cfg, opts.runs);
@@ -311,12 +301,9 @@ pub fn kv_rows(
 /// probe-length statistics, quiescently.  This is the probe-length
 /// acceptance surface: at the default sizing the histogram must show the
 /// overwhelming majority of probes touching one bucket.
-pub fn kv_stats_rows(
-    opts: &FigureOpts,
-    value_size: ValueSize,
-    capacity: Option<usize>,
-) -> Vec<(String, MapStats)> {
-    let cfg = sized_for_sweep(opts, capacity);
+pub fn kv_stats_rows(cmd: &KvCommand) -> Vec<(String, MapStats)> {
+    let cfg = sized_for_sweep(&cmd.opts, cmd.capacity);
+    let value_size = cmd.value_size;
     fn loaded_stats<K: KvStore>(store: K, num_keys: u64, value_size: ValueSize) -> MapStats {
         load_keys(&store, num_keys, value_size);
         store.stats().expect("bundled stores report stats")

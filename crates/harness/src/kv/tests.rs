@@ -228,7 +228,7 @@ fn build_batch_follows_the_mix_split() {
     assert!((900..=990).contains(&reads), "{reads} reads of 1000");
     for op in state.batch_ops() {
         assert!(op.key() < 512, "key outside the space");
-        if let BatchOp::Put(key, value) = op {
+        if let BatchOp::Put(key, value, _) = op {
             assert!(payload_is_valid(*key, value), "unverifiable payload");
         }
     }

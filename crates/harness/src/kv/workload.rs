@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use spectm_kv::{BatchOp, CacheConfig, EvictionPolicy, Value};
+use spectm_kv::{BatchOp, CacheConfig, Value};
 
 use super::store::KvStore;
 use crate::intset::Xorshift;
@@ -32,10 +32,10 @@ pub enum KvMix {
     /// Read-through cache churn (no YCSB counterpart): every operation is a
     /// get, and a miss refills the key with a fresh payload — the
     /// look-aside-cache pattern.  Pointful when the store runs under a byte
-    /// budget smaller than the working set
-    /// ([`KvWorkloadConfig::max_bytes`]): eviction makes misses, refills
-    /// make eviction pressure, and the steady-state hit rate measures how
-    /// well victim selection protects the popular keys.
+    /// budget smaller than the working set (`max_bytes` of
+    /// [`KvWorkloadConfig::cache`]): eviction makes misses, refills make
+    /// eviction pressure, and the steady-state hit rate measures how well
+    /// victim selection protects the popular keys.
     Churn,
 }
 
@@ -462,16 +462,11 @@ pub struct KvWorkloadConfig {
     /// Keys touched by one read-modify-write (drawn independently, so they
     /// usually land on different shards).
     pub rmw_keys: usize,
-    /// Live-byte budget for cache-mode runs (`None`, the default, keeps
-    /// the store unbounded).  Set it below the loaded working set and the
+    /// The store's cache configuration: live-byte budget, default TTL and
+    /// eviction policy (the default keeps the store unbounded and
+    /// immortal).  Set a budget below the loaded working set and the
     /// background reclaimer evicts during the run.
-    pub max_bytes: Option<u64>,
-    /// Default TTL the store stamps on every put (`0` = immortal).
-    pub default_ttl_ms: u64,
-    /// Victim selection once `max_bytes` is exceeded (CLOCK over each
-    /// entry's frequency byte by default; FIFO is the baseline it is
-    /// measured against).
-    pub policy: EvictionPolicy,
+    pub cache: CacheConfig,
 }
 
 impl Default for KvWorkloadConfig {
@@ -487,9 +482,7 @@ impl Default for KvWorkloadConfig {
             value_size: ValueSize::default(),
             verify: false,
             rmw_keys: 2,
-            max_bytes: None,
-            default_ttl_ms: 0,
-            policy: EvictionPolicy::Freq,
+            cache: CacheConfig::default(),
         }
     }
 }
@@ -516,18 +509,6 @@ impl KvWorkloadConfig {
     pub fn with_total_capacity(mut self, total_capacity: usize) -> Self {
         self.capacity_per_shard = total_capacity.div_ceil(self.shards).max(1);
         self
-    }
-
-    /// The store cache configuration the workload's cache fields describe
-    /// (what [`StmKvBench::with_cache`](super::StmKvBench::with_cache) is
-    /// handed).
-    pub fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            max_bytes: self.max_bytes,
-            default_ttl_ms: self.default_ttl_ms,
-            policy: self.policy,
-            ..CacheConfig::default()
-        }
     }
 }
 
@@ -598,22 +579,18 @@ impl WorkerState {
     /// Fills the reusable request buffer with the churn mix's batched
     /// shape: fill puts for the keys in `fills` (the previous batch's
     /// get misses, read-through style), then point gets drawn from the
-    /// key distribution for the remainder.  With `ttl_ms > 0` the fills
-    /// ride [`BatchOp::PutTtl`] instead of plain puts, exercising the TTL
-    /// opcode over the wire.
-    pub fn build_churn_batch(&mut self, n: usize, fills: &mut Vec<u64>, ttl_ms: u64) {
+    /// key distribution for the remainder.  Each fill carries `ttl_ms` as
+    /// its [`BatchOp::Put`] TTL (`None` takes the server's default), so
+    /// `Some` exercises the TTL opcode over the wire.
+    pub fn build_churn_batch(&mut self, n: usize, fills: &mut Vec<u64>, ttl_ms: Option<u64>) {
         self.frame.clear();
         for _ in 0..n {
             if let Some(key) = fills.pop() {
                 let raw = self.rng.next();
                 let len = self.lens.sample(&mut self.rng);
                 fill_payload(key, raw, len, &mut self.scratch);
-                if ttl_ms > 0 {
-                    self.frame
-                        .push(BatchOp::put_ttl(key, &self.scratch, ttl_ms));
-                } else {
-                    self.frame.push(BatchOp::put(key, &self.scratch));
-                }
+                self.frame
+                    .push(BatchOp::Put(key, Value::new(&self.scratch), ttl_ms));
             } else {
                 self.frame
                     .push(BatchOp::Get(self.sampler.sample(&mut self.rng)));

@@ -26,7 +26,9 @@
 //! * [`loadgen`] — the network load generator for the `spectm-serve` cache
 //!   server: closed-loop clients over the batch wire protocol, many
 //!   connections per client thread, with p50/p99/p999 reporting (the
-//!   `kv-loadgen` binary's connection sweep).
+//!   `kv-loadgen` binary's connection sweep);
+//! * [`cli`] — the one flag grammar every binary parses its command line
+//!   with.
 //!
 //! In-process batch throughput and open-loop tails are not measured here:
 //! the repo benchmark (`benchmark/`) owns both, as its `batch.*` rungs and
@@ -36,11 +38,12 @@
 //! through `fig10`, `ablation`, `kv` for the KV-store sweeps, and `kv-loadgen` against
 //! a running `spectm-serve`).  The figure binaries accept `--quick` for a
 //! fast smoke run and `--threads a,b,c` to override the sweep; an unknown
-//! argument exits with status 2 before anything runs.
+//! argument or a malformed value exits with status 2 before anything runs.
 
 #![warn(missing_docs)]
 
 pub mod adapters;
+pub mod cli;
 pub mod figures;
 pub mod intset;
 pub mod kv;

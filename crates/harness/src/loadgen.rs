@@ -213,10 +213,12 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Operations per request frame, `1..=`[`MAX_WIRE_OPS`].
     pub batch: usize,
-    /// The workload: mix, key distribution, value sizes, key-space size,
-    /// the churn fills' TTL and the per-batch verify flag.  (The
-    /// store-shape fields — shards, capacity, threads — belong to the
-    /// server.)
+    /// The TTL every churn fill put carries over the wire (`None` takes
+    /// the server's default TTL).
+    pub fill_ttl_ms: Option<u64>,
+    /// The workload: mix, key distribution, value sizes, key-space size
+    /// and the per-batch verify flag.  (The store-shape fields — shards,
+    /// capacity, threads, cache configuration — belong to the server.)
     pub workload: KvWorkloadConfig,
 }
 
@@ -349,7 +351,6 @@ fn run_client_thread(
     let mut counts = HitCounts::default();
     let verify = cfg.workload.verify;
     let churn = cfg.workload.mix == KvMix::Churn;
-    let ttl_ms = cfg.workload.default_ttl_ms;
     let t0 = Instant::now();
     // Scatter one batch onto every connection, then gather every response,
     // so all of this thread's connections are in flight at once — the
@@ -362,7 +363,7 @@ fn run_client_thread(
             if churn {
                 client
                     .state
-                    .build_churn_batch(batch, &mut client.fills, ttl_ms);
+                    .build_churn_batch(batch, &mut client.fills, cfg.fill_ttl_ms);
             } else {
                 client.state.build_batch(batch);
             }

@@ -12,7 +12,7 @@ use harness::kv::{fill_payload, KeyDist, KvMix, KvWorkloadConfig, ValueSize, Wor
 use spectm::variants::ValShort;
 use spectm::Stm;
 use spectm_ds::ApiMode;
-use spectm_kv::{CacheStats, EvictionPolicy, ShardedKv, ITEM_OVERHEAD_BYTES};
+use spectm_kv::{CacheConfig, CacheStats, EvictionPolicy, ShardedKv, ITEM_OVERHEAD_BYTES};
 
 const NUM_KEYS: u64 = 8_192;
 const VALUE_LEN: usize = 64;
@@ -37,8 +37,11 @@ fn churn_run(policy: EvictionPolicy) -> (f64, CacheStats) {
         mix: KvMix::Churn,
         dist: KeyDist::Zipfian,
         value_size: ValueSize::Fixed(VALUE_LEN),
-        max_bytes: Some(BUDGET),
-        policy,
+        cache: CacheConfig {
+            max_bytes: Some(BUDGET),
+            policy,
+            ..CacheConfig::default()
+        },
         ..KvWorkloadConfig::sized_for(NUM_KEYS)
     };
     // The budget sizes the tables, not the key count: one home bucket per
@@ -50,7 +53,7 @@ fn churn_run(policy: EvictionPolicy) -> (f64, CacheStats) {
         cfg.shards,
         cfg.capacity_per_shard,
         ApiMode::Short,
-        cfg.cache_config(),
+        cfg.cache.clone(),
     );
     assert_eq!(store.bucket_count(), BUCKETS);
     let mut thread = store.register();

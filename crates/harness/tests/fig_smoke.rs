@@ -4,8 +4,8 @@
 //! pipeline from rotting silently: any driver that panics, hangs or stops
 //! printing rows fails here in a few hundred milliseconds.
 //!
-//! The last test pins the usage errors of `kv` and `kv-loadgen`: a flag
-//! neither knows exits with status 2 before anything runs.
+//! Two tests pin the usage errors: an unknown flag, a malformed value or a
+//! bad list item exits with status 2 before anything runs.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -32,11 +32,6 @@ type Rows = Vec<(String, String, f64, f64)>;
 /// Runs one binary under a watchdog and validates its TSV output shape,
 /// returning the data rows.
 fn run_fig(exe: &str, args: &[&str]) -> Rows {
-    run_fig_with_stderr(exe, args).0
-}
-
-/// [`run_fig`] that also returns what the binary wrote to stderr.
-fn run_fig_with_stderr(exe: &str, args: &[&str]) -> (Rows, String) {
     let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::piped())
@@ -83,7 +78,7 @@ fn run_fig_with_stderr(exe: &str, args: &[&str]) -> (Rows, String) {
         rows.push((fields[1].to_string(), fields[2].to_string(), x, y));
     }
     assert!(!rows.is_empty(), "{exe} produced a header but no data rows");
-    (rows, String::from_utf8_lossy(&output.stderr).into_owned())
+    rows
 }
 
 #[test]
@@ -91,24 +86,39 @@ fn fig1_smoke() {
     run_fig(env!("CARGO_BIN_EXE_fig1"), TINY);
 }
 
-/// A zero for `--runs`, `--key-range` or `--threads` is refused where it is
-/// parsed — one warning each, the earlier value kept — instead of panicking
-/// a worker or printing zero-thread rows.
+/// A malformed value, one bad item in a list, or a deleted flag is a usage
+/// error: exit status 2 and no row.
 #[test]
-fn zero_valued_flags_warn_and_keep_the_previous_value() {
-    let mut args = TINY.to_vec();
-    args.extend_from_slice(&["--runs", "0", "--key-range", "0", "--threads", "0"]);
-    for exe in [env!("CARGO_BIN_EXE_fig1"), env!("CARGO_BIN_EXE_kv")] {
-        let (rows, stderr) = run_fig_with_stderr(exe, &args);
-        for (panel, series, x, y) in &rows {
-            assert_eq!(*x, 1.0, "{series} in {panel:?} ran at {x} threads");
-            assert!(y.is_finite() && *y > 0.0, "{series} in {panel:?}: y = {y}");
-        }
+fn malformed_values_exit_2_before_anything_runs() {
+    let cases: [(&str, &[&str]); 5] = [
+        (env!("CARGO_BIN_EXE_fig1"), &["--runs", "0"]),
+        (env!("CARGO_BIN_EXE_kv"), &["--threads", "2,0"]),
+        (env!("CARGO_BIN_EXE_kv"), &["--workload", "a,q"]),
+        (env!("CARGO_BIN_EXE_kv"), &["--dist", "uniform,nope"]),
+        (
+            env!("CARGO_BIN_EXE_kv-loadgen"),
+            &["--sweep-connections", "2,32", "--addr", "127.0.0.1:1"],
+        ),
+    ];
+    for (exe, bad) in cases {
+        let mut args = if exe.ends_with("kv-loadgen") {
+            Vec::new()
+        } else {
+            TINY.to_vec()
+        };
+        args.extend_from_slice(bad);
+        let out = Command::new(exe).args(&args).output().expect("run binary");
         assert_eq!(
-            stderr.matches("warning: ignoring").count(),
-            3,
-            "expected one warning per zero flag, got:\n{stderr}"
+            out.status.code(),
+            Some(2),
+            "{exe} {args:?}: stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
         );
+        assert!(
+            out.stdout.is_empty(),
+            "{exe} {args:?} printed before failing"
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains(bad[0]));
     }
 }
 

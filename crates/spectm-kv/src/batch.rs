@@ -47,8 +47,10 @@
 //!
 //! * **Expired entries are absent.**  A get of a key whose TTL deadline
 //!   has passed reports `None`, and a put over such a corpse reports
-//!   `None` (it behaved as an insert); batch reads leave the physical
-//!   removal to lazy single-key reads and the background sweep.
+//!   `None` (it behaved as an insert).  Pipelined and one-operation gets
+//!   run the single-key read, which removes the corpse on the spot; only
+//!   an atomic shard group's reads leave the removal to later reads and
+//!   the background sweep.
 //!
 //! DESIGN.md § "Batched operations" discusses why these are the right
 //! semantics for a request-pipeline front-end.
@@ -69,12 +71,11 @@ use crate::KvError;
 pub enum BatchOp {
     /// Read the key's value.
     Get(u64),
-    /// Store the value under the key (with the store's default TTL).
-    Put(u64, Value),
-    /// Store the value under the key with an explicit TTL in milliseconds
-    /// (`0` = immortal, the memcached convention) — the
-    /// `wire::OP_PUT_TTL` shape.
-    PutTtl(u64, Value, u64),
+    /// Store the value under the key with a TTL in milliseconds: `None`
+    /// takes the store's default (the `wire::OP_PUT` shape), `Some(ms)`
+    /// overrides it (`Some(0)` = immortal, the memcached convention; the
+    /// `wire::OP_PUT_TTL` shape).
+    Put(u64, Value, Option<u64>),
     /// Remove the key.
     Del(u64),
 }
@@ -82,21 +83,20 @@ pub enum BatchOp {
 impl BatchOp {
     /// Convenience constructor copying `bytes` into a put operation.
     pub fn put(key: u64, bytes: &[u8]) -> Self {
-        BatchOp::Put(key, Value::new(bytes))
+        BatchOp::Put(key, Value::new(bytes), None)
     }
 
     /// Convenience constructor copying `bytes` into a put with an explicit
     /// TTL.
     pub fn put_ttl(key: u64, bytes: &[u8], ttl_ms: u64) -> Self {
-        BatchOp::PutTtl(key, Value::new(bytes), ttl_ms)
+        BatchOp::Put(key, Value::new(bytes), Some(ttl_ms))
     }
 
     /// The key this operation touches.
     #[inline]
     pub fn key(&self) -> u64 {
         match *self {
-            BatchOp::Get(key) | BatchOp::Del(key) => key,
-            BatchOp::Put(key, _) | BatchOp::PutTtl(key, _, _) => key,
+            BatchOp::Get(key) | BatchOp::Del(key) | BatchOp::Put(key, _, _) => key,
         }
     }
 
@@ -104,17 +104,6 @@ impl BatchOp {
     #[inline]
     pub fn is_write(&self) -> bool {
         !matches!(self, BatchOp::Get(_))
-    }
-
-    /// The payload and TTL of a put of either shape (`None` TTL = the
-    /// store's default).
-    #[inline]
-    fn as_put(&self) -> Option<(u64, &Value, Option<u64>)> {
-        match self {
-            BatchOp::Put(key, value) => Some((*key, value, None)),
-            BatchOp::PutTtl(key, value, ttl_ms) => Some((*key, value, Some(*ttl_ms))),
-            BatchOp::Get(_) | BatchOp::Del(_) => None,
-        }
     }
 }
 
@@ -392,7 +381,7 @@ const PREFETCH_AHEAD: usize = 4;
 /// [`crate::MAX_VALUE_LEN`] is rejected whole, as a no-op.
 pub(crate) fn validate_ops(ops: &[BatchOp]) -> Result<(), KvError> {
     for op in ops {
-        if let Some((_, value, _)) = op.as_put() {
+        if let BatchOp::Put(_, value, _) = op {
             crate::map::check_len(value)?;
         }
     }
@@ -404,10 +393,11 @@ pub(crate) fn validate_ops(ops: &[BatchOp]) -> Result<(), KvError> {
 /// publish or retire once the group's transaction has committed.
 enum GroupEffect<S: Stm> {
     /// A put: its displaced word if it overwrote (`None` = fresh insert),
-    /// and which of the group's slot sets it used.
+    /// which of the group's slot sets it used, and its value's length.
     Put {
         op: usize,
         put: usize,
+        len: usize,
         displaced: Option<(RetiredValue, Word)>,
     },
     /// A delete that unlinked an entry.
@@ -565,9 +555,8 @@ impl<S: Stm + Clone> ShardedKv<S> {
     fn run_op(&self, shard: usize, op: &BatchOp, thread: &mut S::Thread) -> Option<Value> {
         match op {
             BatchOp::Get(key) => self.get_routed(shard, *key, thread),
-            BatchOp::Put(key, value) => self.put_routed(shard, *key, value, None, thread),
-            BatchOp::PutTtl(key, value, ttl_ms) => {
-                self.put_routed(shard, *key, value, Some(*ttl_ms), thread)
+            BatchOp::Put(key, value, ttl_ms) => {
+                self.put_routed(shard, *key, value, *ttl_ms, thread)
             }
             BatchOp::Del(key) => self.del_routed(shard, *key, thread),
         }
@@ -610,7 +599,10 @@ impl<S: Stm + Clone> ShardedKv<S> {
         let now = self.now_ms();
         // One slot set per put operation of the group, filled lazily by the
         // map/index helpers and reused across conflict retries.
-        let puts = group.iter().filter(|&&i| ops[i].as_put().is_some()).count();
+        let puts = group
+            .iter()
+            .filter(|&&i| matches!(ops[i], BatchOp::Put(..)))
+            .count();
         let mut slots: Vec<EntrySlots<S>> = (0..puts)
             .map(|_| EntrySlots::new(TowerSlot::new()))
             .collect();
@@ -630,18 +622,22 @@ impl<S: Stm + Clone> ShardedKv<S> {
                                 effects.push(GroupEffect::Del { op, removed });
                             }
                         }
-                        BatchOp::Put(..) | BatchOp::PutTtl(..) => {
-                            let (key, value, ttl_ms) = ops[op].as_put().expect("a put");
-                            let deadline = self.deadline_for(ttl_ms);
+                        BatchOp::Put(key, value, ttl_ms) => {
+                            let deadline = self.deadline_for(*ttl_ms);
                             let displaced = self.insert_member_in(
                                 shard,
-                                key,
+                                *key,
                                 value,
                                 deadline,
                                 &mut slots[put],
                                 tx,
                             )?;
-                            effects.push(GroupEffect::Put { op, put, displaced });
+                            effects.push(GroupEffect::Put {
+                                op,
+                                put,
+                                len: value.len(),
+                                displaced,
+                            });
                             put += 1;
                         }
                     }
@@ -653,9 +649,13 @@ impl<S: Stm + Clone> ShardedKv<S> {
         // results, publish, account and retire.
         for effect in effects {
             match effect {
-                GroupEffect::Put { op, put, displaced } => {
-                    let (_, value, _) = ops[op].as_put().expect("put effect from a put");
-                    out[op] = self.settle_put(displaced, &mut slots[put], value.len(), thread);
+                GroupEffect::Put {
+                    op,
+                    put,
+                    len,
+                    displaced,
+                } => {
+                    out[op] = self.settle_put(displaced, &mut slots[put], len, thread);
                 }
                 GroupEffect::Del { op, removed } => {
                     out[op] = self.settle_removed(removed, true, thread).live();
@@ -686,7 +686,7 @@ mod tests {
             .iter()
             .map(|op| match op {
                 BatchOp::Get(k) => oracle.get(k).cloned(),
-                BatchOp::Put(k, v) | BatchOp::PutTtl(k, v, _) => oracle.insert(*k, v.clone()),
+                BatchOp::Put(k, v, _) => oracle.insert(*k, v.clone()),
                 BatchOp::Del(k) => oracle.remove(k),
             })
             .collect()
@@ -780,7 +780,7 @@ mod tests {
         let huge = vec![0u8; MAX_VALUE_LEN + 1];
         let batch = [
             BatchOp::put(1, b"clobbered?"),
-            BatchOp::Put(2, Value::from(huge.clone())),
+            BatchOp::Put(2, Value::from(huge.clone()), None),
         ];
         assert_eq!(
             store.execute_batch(&batch, &mut t),
@@ -795,7 +795,7 @@ mod tests {
         let batch = [
             BatchOp::put(1, b"x"),
             BatchOp::Del(1),
-            BatchOp::PutTtl(2, Value::from(huge), 5),
+            BatchOp::Put(2, Value::from(huge), Some(5)),
         ];
         assert_eq!(
             store.execute_batch(&batch, &mut t),
@@ -949,9 +949,11 @@ mod tests {
         let mut multi = MultiBatch::new();
         multi.request_mut().put(3, b"clobbered?");
         multi.commit_frame(0);
-        multi
-            .request_mut()
-            .push(BatchOp::Put(4, Value::from(vec![0u8; MAX_VALUE_LEN + 1])));
+        multi.request_mut().push(BatchOp::Put(
+            4,
+            Value::from(vec![0u8; MAX_VALUE_LEN + 1]),
+            None,
+        ));
         multi.commit_frame(1);
         assert!(store.execute_multi(&mut multi, &mut t).is_err());
         assert_eq!(store.get(3, &mut t), Some(Value::new(b"keep")));

@@ -208,24 +208,19 @@ pub fn encode_request(ops: &[BatchOp], out: &mut Vec<u8>) -> Result<(), WireErro
                 out.push(OP_GET);
                 out.extend_from_slice(&key.to_le_bytes());
             }
-            BatchOp::Put(key, value) => {
+            BatchOp::Put(key, value, ttl_ms) => {
                 check_value_len(value.len()).inspect_err(|_| out.truncate(start))?;
-                out.push(OP_PUT);
+                out.push(if ttl_ms.is_some() { OP_PUT_TTL } else { OP_PUT });
                 out.extend_from_slice(&key.to_le_bytes());
+                if let Some(ttl_ms) = ttl_ms {
+                    out.extend_from_slice(&ttl_ms.to_le_bytes());
+                }
                 out.extend_from_slice(&(value.len() as u32).to_le_bytes());
                 out.extend_from_slice(value);
             }
             BatchOp::Del(key) => {
                 out.push(OP_DEL);
                 out.extend_from_slice(&key.to_le_bytes());
-            }
-            BatchOp::PutTtl(key, value, ttl_ms) => {
-                check_value_len(value.len()).inspect_err(|_| out.truncate(start))?;
-                out.push(OP_PUT_TTL);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&ttl_ms.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
             }
         }
     }
@@ -583,9 +578,10 @@ impl From<std::io::Error> for FrameError {
 /// Blocking convenience loop over [`FrameReader`]: reads from `r` until a
 /// complete frame is available and returns its body range, or `Ok(None)` on
 /// a clean close *at a frame boundary*.  A close mid-frame is
-/// [`WireError::Truncated`].  (The server uses its own loop so it can
-/// interleave shutdown checks with read timeouts; the client and the tests
-/// use this one.)
+/// [`WireError::Truncated`].  (The server does not block on a read: its
+/// workers sweep nonblocking connections with
+/// [`FrameReader::fill_nonblocking`].  The client and the tests use this
+/// loop.)
 pub fn read_frame<R: Read>(
     reader: &mut FrameReader,
     r: &mut R,
@@ -666,7 +662,7 @@ mod tests {
         let at_cap: Vec<BatchOp> = (0..MAX_WIRE_OPS as u64).map(BatchOp::Get).collect();
         assert_eq!(roundtrip_request(&at_cap), at_cap);
 
-        let huge = BatchOp::Put(1, Value::new(&vec![0u8; MAX_VALUE_LEN + 1]));
+        let huge = BatchOp::Put(1, Value::new(&vec![0u8; MAX_VALUE_LEN + 1]), None);
         assert_eq!(
             encode_request(std::slice::from_ref(&huge), &mut out),
             Err(WireError::ValueTooLarge {
@@ -680,7 +676,7 @@ mod tests {
         // rejects one byte past MAX_VALUE_LEN before the `as u32` cast and
         // leaves no partial frame behind, while exactly MAX_VALUE_LEN
         // roundtrips.
-        let huge_ttl = BatchOp::PutTtl(2, Value::new(&vec![0u8; MAX_VALUE_LEN + 1]), 5_000);
+        let huge_ttl = BatchOp::Put(2, Value::new(&vec![0u8; MAX_VALUE_LEN + 1]), Some(5_000));
         out.clear();
         assert_eq!(
             encode_request(std::slice::from_ref(&huge_ttl), &mut out),

@@ -77,7 +77,7 @@ fn oracle_results(ops: &[BatchOp], oracle: &mut BTreeMap<u64, Value>) -> Vec<Opt
     ops.iter()
         .map(|op| match op {
             BatchOp::Get(k) => oracle.get(k).cloned(),
-            BatchOp::Put(k, v) | BatchOp::PutTtl(k, v, _) => oracle.insert(*k, v.clone()),
+            BatchOp::Put(k, v, _) => oracle.insert(*k, v.clone()),
             BatchOp::Del(k) => oracle.remove(k),
         })
         .collect()

@@ -259,8 +259,7 @@ impl<S: Stm + Clone> Surface<S> {
                 .iter()
                 .map(|op| match op {
                     BatchOp::Get(k) => store.get(*k, t),
-                    BatchOp::Put(k, v) => store.put(*k, v, t).unwrap(),
-                    BatchOp::PutTtl(k, v, ttl) => store.put_with_ttl(*k, v, Some(*ttl), t).unwrap(),
+                    BatchOp::Put(k, v, ttl) => store.put_with_ttl(*k, v, *ttl, t).unwrap(),
                     BatchOp::Del(k) => store.del(*k, t),
                 })
                 .collect(),

@@ -82,7 +82,7 @@ fn replay(ops: &[BatchOp], oracle: &mut BTreeMap<u64, Value>) -> Vec<u8> {
         .iter()
         .map(|op| match op {
             BatchOp::Get(k) => oracle.get(k).cloned(),
-            BatchOp::Put(k, v) | BatchOp::PutTtl(k, v, _) => oracle.insert(*k, v.clone()),
+            BatchOp::Put(k, v, _) => oracle.insert(*k, v.clone()),
             BatchOp::Del(k) => oracle.remove(k),
         })
         .collect();
@@ -268,7 +268,7 @@ fn idle_connections_do_not_starve_active_ones() {
         for (i, peer) in (0..).zip(&active) {
             let key = i * 1_000 + round;
             peer.send(&request(&[
-                BatchOp::Put(key, live.clone()),
+                BatchOp::Put(key, live.clone(), None),
                 BatchOp::Get(key),
             ]));
         }
@@ -479,7 +479,7 @@ fn a_peer_that_never_drains_is_bounded_and_stalls_only_itself() {
 
     const BIG: u64 = 1 << 40;
     let big = Value::new(&vec![0xB5; 64 * 1024]);
-    live.send(&request(&[BatchOp::Put(BIG, big.clone())]));
+    live.send(&request(&[BatchOp::Put(BIG, big.clone(), None)]));
     worker.sweep();
     assert_eq!(live.recv().len(), 1);
     let big_response = response_body(&[Some(big)]);

@@ -98,11 +98,8 @@ impl Model {
                     self.stats.misses += 1;
                 }
             }
-            BatchOp::Put(_, value) | BatchOp::PutTtl(_, value, _) => {
-                let ttl = match op {
-                    BatchOp::PutTtl(_, _, ttl) => *ttl,
-                    _ => DEFAULT_TTL_MS,
-                };
+            BatchOp::Put(_, value, ttl) => {
+                let ttl = ttl.unwrap_or(DEFAULT_TTL_MS);
                 let deadline = if ttl == 0 { 0 } else { now + ttl };
                 self.items.insert(key, (value.clone(), deadline));
             }

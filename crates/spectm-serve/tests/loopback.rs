@@ -44,9 +44,7 @@ fn oracle_replay(ops: &[BatchOp], oracle: &mut BTreeMap<u64, Vec<u8>>) -> Vec<Op
     ops.iter()
         .map(|op| match op {
             BatchOp::Get(key) => oracle.get(key).cloned(),
-            BatchOp::Put(key, value) | BatchOp::PutTtl(key, value, _) => {
-                oracle.insert(*key, value.to_vec())
-            }
+            BatchOp::Put(key, value, _) => oracle.insert(*key, value.to_vec()),
             BatchOp::Del(key) => oracle.remove(key),
         })
         .collect()
@@ -191,6 +189,7 @@ fn closed_loop_loadgen_run_is_verified_and_counted() {
         threads: 2,
         duration: Duration::from_millis(100),
         batch: 16,
+        fill_ttl_ms: None,
         workload,
     };
     let result = run_loadgen(addr, &cfg).expect("verified closed-loop run");

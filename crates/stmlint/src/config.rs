@@ -3,9 +3,9 @@
 //! The file is parsed with a hand-rolled reader covering exactly the TOML
 //! subset the manifest uses (the offline toolchain has no `toml` crate):
 //!
-//! * `[section]` headers;
-//! * `key = true` / `key = false` booleans (under `[rules]`, each key must
-//!   name a rule in [`crate::RULES`]);
+//! * `[section]` headers (`[scan]`, `[ordering]`, `[reclamation]`,
+//!   `[unsafe]`; any other section is an error, so no rule can be switched
+//!   off here);
 //! * `key = 123` integers;
 //! * `key = ["a", "b"]` string arrays, single-line or spread over several
 //!   lines;
@@ -16,15 +16,9 @@
 //! contract, and a typo that silently parsed as "no constraint" would defeat
 //! the ratchet.
 
-use std::collections::BTreeMap;
-
 /// Parsed `stmlint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// `[rules]`: per-rule enable flags, keyed by names from
-    /// [`crate::RULES`].  Rules missing from the table default to enabled;
-    /// the table exists to turn a rule *off*.
-    pub rules: BTreeMap<String, bool>,
     /// `[scan] exclude`: path prefixes (repo-relative, `/`-separated) that
     /// are never scanned — fixtures, vendored code.
     pub exclude: Vec<String>,
@@ -40,11 +34,6 @@ pub struct Config {
 }
 
 impl Config {
-    /// Whether `rule` is enabled (rules default to on).
-    pub fn rule_enabled(&self, rule: &str) -> bool {
-        self.rules.get(rule).copied().unwrap_or(true)
-    }
-
     /// The allowed unsafe count for `path`, if listed.
     pub fn allowed_unsafe(&self, path: &str) -> Option<usize> {
         self.unsafe_counts
@@ -100,19 +89,6 @@ pub fn parse(text: &str) -> Result<Config, String> {
 
 fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), String> {
     match section {
-        "rules" => {
-            if !crate::RULES.iter().any(|r| r.name == key) {
-                return Err(format!(
-                    "unknown rule `{key}` in [rules] (run `stmlint --list` for the rule names)"
-                ));
-            }
-            let b = match value {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("rule `{key}`: expected true/false, got `{other}`")),
-            };
-            cfg.rules.insert(key.to_string(), b);
-        }
         "scan" if key == "exclude" => cfg.exclude = parse_string_array(value)?,
         "ordering" if key == "allow" => cfg.ordering_allow = parse_string_array(value)?,
         "reclamation" if key == "allow" => cfg.reclamation_allow = parse_string_array(value)?,
@@ -124,8 +100,8 @@ fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), 
         }
         _ => {
             return Err(format!(
-                "unknown entry `{key}` in section `[{section}]` (sections: rules, scan, \
-                 ordering, reclamation, unsafe)"
+                "unknown entry `{key}` in section `[{section}]` (sections: scan, ordering, \
+                 reclamation, unsafe)"
             ));
         }
     }
@@ -188,10 +164,6 @@ mod tests {
 
     const SAMPLE: &str = r#"
 # comment
-[rules]
-safety-comment = true
-reclamation = false
-
 [scan]
 exclude = [
     "vendor",      # inline comment
@@ -209,9 +181,6 @@ allow = ["crates/spectm/src"]
     #[test]
     fn parses_sample() {
         let cfg = parse(SAMPLE).unwrap();
-        assert!(cfg.rule_enabled("safety-comment"));
-        assert!(!cfg.rule_enabled("reclamation"));
-        assert!(cfg.rule_enabled("ordering-comment"));
         assert_eq!(cfg.exclude, ["vendor", "target"]);
         assert_eq!(cfg.ordering_allow, ["crates/spectm/src"]);
         assert_eq!(cfg.allowed_unsafe("crates/a.rs"), Some(3));
@@ -221,10 +190,10 @@ allow = ["crates/spectm/src"]
 
     #[test]
     fn rejects_typos_loudly() {
-        assert!(parse("[rules]\nsafety = yes\n").is_err());
-        // A `[rules]` key that names no rule: a typo, or a retired rule.
-        assert!(parse("[rules]\nsaftey-comment = false\n").is_err());
-        assert!(parse("[rules]\nbit-layout = true\n").is_err());
+        // Rules cannot be switched off: a `[rules]` table is an unknown
+        // section.
+        assert!(parse("[rules]\nsafety-comment = false\n").is_err());
+        assert!(parse("[rules]\nsafety-comment = true\n").is_err());
         assert!(parse("[layout]\nmap = \"map.rs\"\n").is_err());
         assert!(parse("[unknown]\nx = 1\n").is_err());
         assert!(parse("[unsafe]\n\"a.rs\" = lots\n").is_err());

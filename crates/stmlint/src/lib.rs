@@ -74,8 +74,9 @@ pub struct RuleInfo {
     pub explain: &'static str,
 }
 
-/// The rule registry.  Each rule can be disabled in `stmlint.toml` under
-/// `[rules]`, whose keys must name a rule here; all default to enabled.
+/// The rule registry.  Every rule always runs: `stmlint.toml` can scope
+/// some of them by path (`[ordering]`, `[reclamation]`), but it cannot
+/// switch one off.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "safety-comment",
@@ -238,24 +239,18 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
             }
         };
         let scan = FileScan::new(rel, &src);
-        if cfg.rule_enabled("safety-comment") {
-            checks::check_safety_comments(&scan, &mut findings);
-        }
-        if cfg.rule_enabled("ordering-comment") && !path_allowed(rel, &cfg.ordering_allow) {
+        checks::check_safety_comments(&scan, &mut findings);
+        if !path_allowed(rel, &cfg.ordering_allow) {
             checks::check_ordering_comments(&scan, &mut findings);
         }
-        if cfg.rule_enabled("reclamation") && !path_allowed(rel, &cfg.reclamation_allow) {
+        if !path_allowed(rel, &cfg.reclamation_allow) {
             checks::check_reclamation(&scan, &mut findings);
         }
         counts.insert(rel.clone(), checks::count_unsafe(&scan));
     }
 
-    if cfg.rule_enabled("unsafe-ratchet") {
-        check_ratchet(&counts, cfg, &mut findings);
-    }
-    if cfg.rule_enabled("manifest-hygiene") {
-        check_manifest_hygiene(root, cfg, &mut findings);
-    }
+    check_ratchet(&counts, cfg, &mut findings);
+    check_manifest_hygiene(root, cfg, &mut findings);
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)

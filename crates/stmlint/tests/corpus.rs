@@ -180,7 +180,7 @@ fn binary_fails_on_manifest_disorder() {
 
 #[test]
 fn binary_reports_config_errors_distinctly() {
-    let root = temp_repo("config-error", &[], "[rules]\nsafety-comment = maybe\n");
+    let root = temp_repo("config-error", &[], "[unsafe]\n\"a.rs\" = lots\n");
     let (code, _, err) = run_lint(&root, &[]);
     assert_eq!(code, 2, "{err}");
     assert!(err.contains("error"), "{err}");
